@@ -20,7 +20,6 @@ from .errors import (
     KExceedsN,
     MissingArtifacts,
     NoRollouts,
-    NoTrainableGroups,
     NotASqueezeSetting,
     NumericOverflow,
     OneSidedGroup,

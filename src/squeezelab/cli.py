@@ -11,7 +11,6 @@ from . import runner
 from .errors import ConfigError, SqueezeLabError
 from .metrics import evaluation_report, report_to_json
 from .policy import derive_rng, load_checkpoint
-from .squeeze import penalize_token, verify_squeeze
 from .tasks import load_suite
 
 
@@ -94,17 +93,7 @@ def _cmd_squeeze_demo(args) -> int:
         raise ConfigError("--logits: need at least two values")
     if not 0 <= args.m < logits.size:
         raise ConfigError(f"--m: index {args.m} out of range for {logits.size} logits")
-    _, report = penalize_token(logits, args.m, args.eta)
-    checks = verify_squeeze(report)
-    print(f"logits: {[float(v) for v in logits]}  m={args.m}  eta={args.eta}")
-    print(f"before: {[round(float(p), 9) for p in report.before.probs]}")
-    print(f"after:  {[round(float(p), 9) for p in report.after.probs]}")
-    print(f"denominator 1 + p(m)(e^eta - 1) = {report.denom:.9f}")
-    print(f"scale factor Z/Z' = {report.scale_factor:.9f}")
-    print(f"mass delta on m = {report.mass_delta[args.m]:.9f}")
-    for check in checks:
-        status = "ok" if check.passed else "FAILED"
-        print(f"check {check.name}: {status} (residual {check.residual:.3e})")
+    _, checks = runner.squeeze_demo(logits, args.m, args.eta)
     return 0 if all(c.passed for c in checks) else 1
 
 

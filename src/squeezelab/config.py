@@ -74,7 +74,6 @@ SCHEMA: dict[str, tuple[str, Any]] = {
     "squeeze.logits": (_FLOAT_LIST, [2.0, 1.0, 0.0, -3.0]),
     "squeeze.m": (_INT, 3),
     "squeeze.eta": (_FLOAT, -1.0),
-    "runtime.workers": (_INT, 0),
 }
 
 
@@ -140,8 +139,6 @@ def _validate(values: dict[str, Any]) -> None:
         raise ConfigError("eval.k: every k must be >= 1")
     if values["eval.prob_floor"] < 0:
         raise ConfigError("eval.prob_floor: must be >= 0")
-    if values["runtime.workers"] < 0:
-        raise ConfigError("runtime.workers: must be >= 0")
     for key in ("rl.scope", "sps.irl_scope"):
         if values[key] not in ("per_prompt", "full_suite"):
             raise ConfigError(f"{key}: must be per_prompt or full_suite")

@@ -59,10 +59,6 @@ class EmptyTrajectory(SqueezeLabError):
     """A sequence-level ratio was requested for a zero-length trajectory."""
 
 
-class NoTrainableGroups(SqueezeLabError):
-    """Every rollout group in the batch was filtered out as degenerate."""
-
-
 class OneSidedGroup(SqueezeLabError):
     """A contrastive decomposition needs both positive and negative rollouts."""
 

@@ -6,8 +6,11 @@ importance-weighted surrogate. They differ in where the ratio lives (token
 level for GRPO/DAPO, a per-sequence geometric mean for GSPO), how tokens are
 averaged (per-sequence mean for GRPO/GSPO, one global token mean for DAPO),
 the clip widths, and whether a KL leash to a reference snapshot is applied
-(GRPO only). Values and analytical gradients are exact so they can be checked
-against brute-force summation and finite differences.
+(GRPO only). GRPO and DAPO are one clipped token loop that differs only in
+the per-token weight it is given and in the optional KL term; groups with
+all-equal rewards carry no signal and are skipped by every objective. Values
+and analytical gradients are exact so they can be checked against
+brute-force summation and finite differences.
 """
 from __future__ import annotations
 
@@ -16,16 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyTrajectory,
-    NoTrainableGroups,
-    OneSidedGroup,
-)
+from .errors import EmptyTrajectory, OneSidedGroup
 from .policy import (
     PolicyTable,
     SparseGradient,
     Trajectory,
     _log_probs,
+    _score_block,
     apply_update,
     derive_rng,
     entropy,
@@ -151,36 +151,25 @@ class ObjectiveReport:
     objective_kind: str
 
 
-def _score_block(policy: PolicyTable, prompt_id: int, prefix: tuple[int, ...],
-                 tok: int) -> np.ndarray:
-    probs = np.exp(_log_probs(policy, prompt_id, prefix))
-    block = -probs
-    block[tok] += 1.0
-    return block
-
-
 def _as_groups(groups) -> list[RolloutGroup]:
     if isinstance(groups, RolloutGroup):
         return [groups]
     return list(groups)
 
 
-def grpo_objective(groups, policy: PolicyTable, ref_policy: PolicyTable | None,
-                   cfg: ClipConfig) -> ObjectiveReport:
-    """Clipped token-ratio surrogate with per-sequence averaging and a KL leash.
+def _clipped_token_loop(batch, policy: PolicyTable, ref_policy: PolicyTable | None,
+                        cfg: ClipConfig, token_weight) -> ObjectiveReport:
+    """The clipped token-ratio surrogate shared by GRPO and DAPO.
 
-    value = mean over groups of (1/G) sum_i (1/|y_i|) sum_t
-            min(r * A, clip(r, 1-eps, 1+eps) * A), minus beta times the
-    per-token KL(pi || pi_ref) estimate r_ref - log r_ref - 1 with
-    r_ref = pi_ref/pi, aggregated the same way. Degenerate (all-equal-reward)
-    groups contribute zero and are skipped entirely. Tokens in the clipped
-    branch contribute zero gradient.
+    Each token of trajectory y in a group of size G adds
+    token_weight(G, |y|) * min(r * A, clip(r, 1-eps_low, 1+eps_high) * A);
+    tokens in the clipped branch contribute zero gradient. Degenerate groups
+    and empty trajectories are skipped. With cfg.beta > 0 and a reference
+    policy, beta times the per-token KL(pi || pi_ref) estimate
+    r_ref - log r_ref - 1 (r_ref = pi_ref/pi), weighted the same way, is
+    subtracted.
     """
-    assert cfg.objective_kind == GRPO
-    batch = _as_groups(groups)
-    if not batch:
-        raise ValueError("empty batch")
-    n_groups = len(batch)
+    use_kl = cfg.beta > 0.0 and ref_policy is not None
     grad = SparseGradient()
     pg_value = 0.0
     kl_value = 0.0
@@ -190,20 +179,18 @@ def grpo_objective(groups, policy: PolicyTable, ref_policy: PolicyTable | None,
         adv = group_advantages(group.rewards)
         if adv.degenerate:
             continue
-        g = group.size
         for i, traj in enumerate(group.trajectories):
             a = adv.values[i]
-            length = len(traj.tokens)
-            if length == 0:
+            if not traj.tokens:
                 continue
-            w = 1.0 / (n_groups * g * length)
+            w = token_weight(group.size, len(traj.tokens))
             new_lp = _current_logps(policy, traj)
-            old = np.asarray(group.old_logps[i])
-            ratios = np.exp(new_lp - old)
-            if cfg.beta > 0.0 and ref_policy is not None:
+            ratios = np.exp(new_lp - np.asarray(group.old_logps[i]))
+            if use_kl:
                 ref_lp = _current_logps(ref_policy, traj)
             for t, tok in enumerate(traj.tokens):
                 considered += 1
+                prefix = traj.tokens[:t]
                 r = ratios[t]
                 clipped_r = min(max(r, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
                 unclipped_term = r * a
@@ -213,23 +200,38 @@ def grpo_objective(groups, policy: PolicyTable, ref_policy: PolicyTable | None,
                     clipped += 1
                 else:
                     pg_value += w * unclipped_term
-                    grad.accumulate((traj.prompt_id, traj.tokens[:t]),
-                                    _score_block(policy, traj.prompt_id,
-                                                 traj.tokens[:t], tok),
+                    grad.accumulate((traj.prompt_id, prefix),
+                                    _score_block(policy, traj.prompt_id, prefix, tok),
                                     weight=w * a * r)
-                if cfg.beta > 0.0 and ref_policy is not None:
+                if use_kl:
                     log_rr = ref_lp[t] - new_lp[t]
                     rr = math.exp(log_rr)
                     kl_value += w * (rr - log_rr - 1.0)
-                    grad.accumulate((traj.prompt_id, traj.tokens[:t]),
-                                    _score_block(policy, traj.prompt_id,
-                                                 traj.tokens[:t], tok),
+                    grad.accumulate((traj.prompt_id, prefix),
+                                    _score_block(policy, traj.prompt_id, prefix, tok),
                                     weight=-cfg.beta * w * (1.0 - rr))
-    value = pg_value - cfg.beta * kl_value
     frac = clipped / considered if considered else 0.0
-    return ObjectiveReport(value=float(value), gradient=grad,
-                           clipped_token_fraction=frac,
-                           kl_to_ref=float(kl_value), objective_kind=GRPO)
+    return ObjectiveReport(value=float(pg_value - cfg.beta * kl_value), gradient=grad,
+                           clipped_token_fraction=frac, kl_to_ref=float(kl_value),
+                           objective_kind=cfg.objective_kind)
+
+
+def grpo_objective(groups, policy: PolicyTable, ref_policy: PolicyTable | None,
+                   cfg: ClipConfig) -> ObjectiveReport:
+    """Clipped token-ratio surrogate with per-sequence averaging and a KL leash.
+
+    value = mean over groups of (1/G) sum_i (1/|y_i|) sum_t
+            min(r * A, clip(r, 1-eps, 1+eps) * A), minus beta times the
+    per-token KL(pi || pi_ref) estimate aggregated the same way.
+    Degenerate (all-equal-reward) groups contribute zero.
+    """
+    assert cfg.objective_kind == GRPO
+    batch = _as_groups(groups)
+    if not batch:
+        raise ValueError("empty batch")
+    n_groups = len(batch)
+    return _clipped_token_loop(batch, policy, ref_policy, cfg,
+                               lambda g, length: 1.0 / (n_groups * g * length))
 
 
 def dapo_filter(groups) -> tuple[list[RolloutGroup], int]:
@@ -242,49 +244,16 @@ def dapo_filter(groups) -> tuple[list[RolloutGroup], int]:
 def dapo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveReport:
     """Token-level surrogate with one global token mean and asymmetric clip.
 
-    Every token across the batch carries weight 1/(total tokens), so long
-    trajectories weigh proportionally more than under GRPO's per-sequence
-    mean. Degenerate groups have been removed by dapo_filter; an empty
-    remainder raises NoTrainableGroups. No KL term.
+    Every token across the groups kept by dapo_filter carries weight
+    1/(total tokens), so long trajectories weigh proportionally more than
+    under GRPO's per-sequence mean. When no group is kept the step is a
+    zero report: value 0, no gradient blocks. No KL term.
     """
     assert cfg.objective_kind == DAPO
     batch, _ = dapo_filter(groups)
-    if not batch:
-        raise NoTrainableGroups("every group was all-0 or all-1 reward")
     total_tokens = sum(len(t.tokens) for g in batch for t in g.trajectories)
-    if total_tokens == 0:
-        raise NoTrainableGroups("no tokens to train on")
-    w = 1.0 / total_tokens
-    grad = SparseGradient()
-    value = 0.0
-    clipped = 0
-    for group in batch:
-        adv = group_advantages(group.rewards)
-        for i, traj in enumerate(group.trajectories):
-            a = adv.values[i]
-            if not traj.tokens:
-                continue
-            new_lp = _current_logps(policy, traj)
-            old = np.asarray(group.old_logps[i])
-            ratios = np.exp(new_lp - old)
-            for t, tok in enumerate(traj.tokens):
-                r = ratios[t]
-                clipped_r = min(max(r, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
-                unclipped_term = r * a
-                clipped_term = clipped_r * a
-                if clipped_term < unclipped_term:
-                    value += w * clipped_term
-                    clipped += 1
-                else:
-                    value += w * unclipped_term
-                    grad.accumulate((traj.prompt_id, traj.tokens[:t]),
-                                    _score_block(policy, traj.prompt_id,
-                                                 traj.tokens[:t], tok),
-                                    weight=w * a * r)
-    frac = clipped / total_tokens
-    return ObjectiveReport(value=float(value), gradient=grad,
-                           clipped_token_fraction=frac,
-                           kl_to_ref=0.0, objective_kind=DAPO)
+    return _clipped_token_loop(batch, policy, None, cfg,
+                               lambda g, length: 1.0 / total_tokens)
 
 
 def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveReport:
@@ -371,11 +340,6 @@ def contrastive_decomposition(group: RolloutGroup, policy: PolicyTable) -> Contr
 
 
 @dataclass(frozen=True)
-class SamplerParams:
-    temperature: float = 1.0
-
-
-@dataclass(frozen=True)
 class PoolEntry:
     """One rollout as the IRL stage will see it."""
 
@@ -425,10 +389,9 @@ def sample_group(policy: PolicyTable, task: TaskInstance, group_size: int,
     )
 
 
-def rl_step(policy: PolicyTable, task_batch, cfg, sampler_params: SamplerParams | None,
-            rng, ref_policy: PolicyTable | None = None, step_index: int = 0,
-            groups=None):
-    """One RL update: sample, score, normalize, step the policy.
+def rl_step(policy: PolicyTable, task_batch, cfg, rng,
+            ref_policy: PolicyTable | None = None, step_index: int = 0, groups=None):
+    """One RL update: sample at temperature 1, score, normalize, step the policy.
 
     `cfg` is an SpsConfig (group size, clip config, learning rate). `rng` is
     either an integer seed path base (per-prompt streams are derived from it)
@@ -437,7 +400,6 @@ def rl_step(policy: PolicyTable, task_batch, cfg, sampler_params: SamplerParams 
     them then refer to the policy that sampled them. Returns the new policy,
     a StepRecord, and the pool entries for every sampled rollout.
     """
-    sampler = sampler_params or SamplerParams()
     tasks = list(task_batch)
     if groups is None:
         groups = []
@@ -446,15 +408,13 @@ def rl_step(policy: PolicyTable, task_batch, cfg, sampler_params: SamplerParams 
                 prompt_rng = derive_rng(int(rng), 0, task.prompt_id)
             else:
                 prompt_rng = rng
-            group = sample_group(policy, task, cfg.group_size,
-                                 sampler.temperature, prompt_rng)
+            group = sample_group(policy, task, cfg.group_size, 1.0, prompt_rng)
             if (cfg.clip.objective_kind == DAPO and cfg.dapo_max_resamples > 0
                     and not 0 < sum(group.rewards) < group.size):
                 for retry in range(1, cfg.dapo_max_resamples + 1):
                     if isinstance(rng, (int, np.integer)):
                         prompt_rng = derive_rng(int(rng), retry, task.prompt_id)
-                    group = sample_group(policy, task, cfg.group_size,
-                                         sampler.temperature, prompt_rng)
+                    group = sample_group(policy, task, cfg.group_size, 1.0, prompt_rng)
                     if 0 < sum(group.rewards) < group.size:
                         break
             groups.append(group)
@@ -471,7 +431,7 @@ def rl_step(policy: PolicyTable, task_batch, cfg, sampler_params: SamplerParams 
     # shrinks every block by 1/batch. per_prompt scope undoes that factor and
     # makes rl_lr a per-prompt rate independent of suite size.
     step = cfg.rl_lr
-    if getattr(cfg, "rl_scope", "per_prompt") == "per_prompt":
+    if cfg.rl_scope == "per_prompt":
         step *= len(groups)
     new_policy = apply_update_from(policy, report.gradient, step)
 
@@ -481,9 +441,6 @@ def rl_step(policy: PolicyTable, task_batch, cfg, sampler_params: SamplerParams 
         for g in groups for traj, reward in zip(g.trajectories, g.rewards)
     ]
     all_rewards = [r for g in groups for r in g.rewards]
-    root_entropies = [entropy(np.exp(_log_probs(new_policy, t.prompt_id, ())))
-                      for t in tasks]
-    greedy_logps = [greedy_decode(new_policy, t.prompt_id).total_logp for t in tasks]
     record = StepRecord(
         step=step_index,
         objective_kind=kind,
@@ -491,10 +448,20 @@ def rl_step(policy: PolicyTable, task_batch, cfg, sampler_params: SamplerParams 
         clipped_frac=report.clipped_token_fraction,
         kl=report.kl_to_ref,
         mean_reward=float(np.mean(all_rewards)) if all_rewards else 0.0,
-        entropy_root=float(np.mean(root_entropies)),
-        greedy_logp=float(np.mean(greedy_logps)),
+        entropy_root=_mean_root_entropy(new_policy, tasks),
+        greedy_logp=_mean_greedy_logp(new_policy, tasks),
     )
     return new_policy, record, pool_delta
+
+
+def _mean_root_entropy(policy: PolicyTable, tasks) -> float:
+    vals = [entropy(np.exp(_log_probs(policy, t.prompt_id, ()))) for t in tasks]
+    return float(np.mean(vals))
+
+
+def _mean_greedy_logp(policy: PolicyTable, tasks) -> float:
+    vals = [greedy_decode(policy, t.prompt_id).total_logp for t in tasks]
+    return float(np.mean(vals))
 
 
 def apply_update_from(policy: PolicyTable, gradient: SparseGradient,

@@ -149,27 +149,30 @@ class PolicyTable:
         return clone
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """The package's one log-softmax; every probability is exp of it."""
+    shifted = z - z.max()
+    return shifted - math.log(np.exp(shifted).sum())
+
+
 def softmax(logits) -> TokenDistribution:
     """Numerically stable softmax of a logit vector."""
     z = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(z)):
         raise InvalidLogits("softmax input contains non-finite entries")
-    shifted = z - np.max(z)
-    expz = np.exp(shifted)
-    return TokenDistribution(expz / expz.sum())
-
-
-def _probs(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
-    z = policy.logit_vector(prompt_id, tokens)
-    shifted = z - z.max()
-    expz = np.exp(shifted)
-    return expz / expz.sum()
+    return TokenDistribution(np.exp(_log_softmax(z)))
 
 
 def _log_probs(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
-    z = policy.logit_vector(prompt_id, tokens)
-    shifted = z - z.max()
-    return shifted - math.log(np.exp(shifted).sum())
+    return _log_softmax(policy.logit_vector(prompt_id, tokens))
+
+
+def _score_block(policy: PolicyTable, prompt_id: int, prefix: tuple[int, ...],
+                 tok: int) -> np.ndarray:
+    """Gradient of log pi(tok | prefix) w.r.t. that prefix's logits: onehot - probs."""
+    block = -np.exp(_log_probs(policy, prompt_id, prefix))
+    block[tok] += 1.0
+    return block
 
 
 def token_distribution(policy: PolicyTable, prefix: Prefix) -> TokenDistribution:
@@ -178,7 +181,7 @@ def token_distribution(policy: PolicyTable, prefix: Prefix) -> TokenDistribution
         raise PrefixExhausted(
             f"prefix of length {len(prefix.tokens)} has no next token "
             f"(max_len={policy.max_len})")
-    return TokenDistribution(_probs(policy, prefix.prompt_id, prefix.tokens))
+    return TokenDistribution(np.exp(_log_probs(policy, prefix.prompt_id, prefix.tokens)))
 
 
 def trajectory_log_prob(policy: PolicyTable, prompt_id: int, tokens) -> tuple[np.ndarray, float]:
@@ -224,7 +227,7 @@ def sample_trajectory(policy: PolicyTable, prompt_id: int, temperature: float,
         if temperature == 1.0:
             draw_probs = np.exp(logp)
         else:
-            draw_probs = _probs_from_logits(policy.logit_vector(prompt_id, prefix) / temperature)
+            draw_probs = np.exp(_log_softmax(policy.logit_vector(prompt_id, prefix) / temperature))
         cum = np.cumsum(draw_probs)
         tok = int(np.searchsorted(cum, rng.random(), side="right"))
         if tok >= policy.vocab.size:
@@ -234,12 +237,6 @@ def sample_trajectory(policy: PolicyTable, prompt_id: int, temperature: float,
         if tok == terminator:
             break
     return Trajectory(prompt_id, tuple(tokens), tuple(logps), float(sum(logps)))
-
-
-def _probs_from_logits(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    expz = np.exp(shifted)
-    return expz / expz.sum()
 
 
 def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:
@@ -275,9 +272,8 @@ def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> SparseGradient
         if not 0 <= tok < policy.vocab.size:
             raise InvalidToken(f"token {tok} outside vocab of size {policy.vocab.size}")
         prefix = trajectory.tokens[:t]
-        block = -_probs(policy, trajectory.prompt_id, prefix)
-        block[tok] += 1.0
-        grad.accumulate((trajectory.prompt_id, prefix), block)
+        grad.accumulate((trajectory.prompt_id, prefix),
+                        _score_block(policy, trajectory.prompt_id, prefix, tok))
     return grad
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ConfigError, MissingArtifacts
 from .metrics import (
+    AccuracyHistogram,
     avg_at_k,
     evaluation_report,
     report_to_json,
@@ -122,25 +123,31 @@ def run(config) -> RunManifest:
     return manifest
 
 
+def squeeze_demo(logits: np.ndarray, m: int, eta: float):
+    """Penalize token m by eta, run the squeeze checks, and print both.
+
+    Returns the SqueezeReport and the list of CheckResults.
+    """
+    _, report = penalize_token(logits, m, eta)
+    checks = verify_squeeze(report)
+    print(f"logits: {[float(v) for v in logits]}  m={m}  eta={eta}")
+    print(f"before: {[round(float(p), 9) for p in report.before.probs]}")
+    print(f"after:  {[round(float(p), 9) for p in report.after.probs]}")
+    print(f"denominator 1 + p(m)(e^eta - 1) = {report.denom:.9f}")
+    print(f"scale factor Z/Z' = {report.scale_factor:.9f}")
+    print(f"mass delta on m = {report.mass_delta[m]:.9f}")
+    for check in checks:
+        status = "ok" if check.passed else "FAILED"
+        print(f"check {check.name}: {status} (residual {check.residual:.3e})")
+    return report, checks
+
+
 def _run_squeeze_demo(cfg: ExperimentConfig, art: _Artifacts) -> None:
     logits = np.asarray(cfg["squeeze.logits"], dtype=float)
     m = cfg["squeeze.m"]
-    eta = cfg["squeeze.eta"]
     if not 0 <= m < logits.shape[0]:
         raise ConfigError(f"squeeze.m: index {m} out of range for {logits.shape[0]} logits")
-    _, report = penalize_token(logits, m, eta)
-    checks = verify_squeeze(report)
-    lines = [
-        f"logits: {[float(v) for v in logits]}  m={m}  eta={eta}",
-        f"p(m) before={report.before.probs[m]:.9f}  after={report.after.probs[m]:.9f}",
-        f"denominator 1 + p(m)(e^eta - 1) = {report.denom:.9f}",
-        f"scale factor Z/Z' = {report.scale_factor:.9f}",
-        f"mass delta on m = {report.mass_delta[m]:.9f}",
-    ]
-    for check in checks:
-        lines.append(f"check {check.name}: {'ok' if check.passed else 'FAILED'}"
-                     f" (residual {check.residual:.3e})")
-    print("\n".join(lines))
+    report, checks = squeeze_demo(logits, m, cfg["squeeze.eta"])
     payload = {
         "before": [float(p) for p in report.before.probs],
         "after": [float(p) for p in report.after.probs],
@@ -169,16 +176,15 @@ def _run_eval(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
     report = evaluation_report(
         policy, base, suite, cfg["suite.name"], cfg["eval.n"], cfg["eval.k"],
         cfg["eval.prob_floor"], derive_rng(cfg["seed"], 7200))
-    art.write_text("eval_report.json", report_to_json(report))
-    art.write_text("histogram.csv", _histogram_csv(report))
+    _write_eval_report(art, report)
     timings["eval"] = time.perf_counter() - t0
 
 
-def _histogram_csv(report: dict) -> str:
-    lines = ["bucket,count"]
-    for edge, count in zip(report["histogram"]["edges"], report["histogram"]["counts"]):
-        lines.append(f"{edge},{count}")
-    return "\n".join(lines) + "\n"
+def _write_eval_report(art: _Artifacts, report: dict) -> None:
+    art.write_text("eval_report.json", report_to_json(report))
+    hist = report["histogram"]
+    art.write_text("histogram.csv",
+                   AccuracyHistogram(tuple(hist["edges"]), tuple(hist["counts"])).to_csv())
 
 
 def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
@@ -203,13 +209,10 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
     save_checkpoint(final_policy, art.direct("checkpoint_final.txt"))
 
     rows = []
-    for it in range(1, sps_cfg.max_iterations + 1):
+    for it in trace.checkpoint_iters:
         name = f"checkpoint_iter{it:03d}.txt"
-        path = os.path.join(art.out_dir, name)
-        if not os.path.exists(path):
-            continue
         art.final.append(name)
-        snapshot = load_checkpoint(path)
+        snapshot = load_checkpoint(os.path.join(art.out_dir, name))
         matrix = sample_matrix(snapshot, suite, cfg["eval.n"],
                                derive_rng(seed, 7100, it))
         rows.append((it, name, avg_at_k(matrix)))
@@ -224,8 +227,7 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
     report = evaluation_report(
         final_policy, base, suite, cfg["suite.name"], cfg["eval.n"],
         cfg["eval.k"], cfg["eval.prob_floor"], derive_rng(seed, 7200))
-    art.write_text("eval_report.json", report_to_json(report))
-    art.write_text("histogram.csv", _histogram_csv(report))
+    _write_eval_report(art, report)
     timings["eval"] = time.perf_counter() - t0
 
 

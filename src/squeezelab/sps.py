@@ -6,8 +6,11 @@ rollouts (L2TE), and fits the policy to those demos by gradient descent on
 their mean negative log-likelihood. Fitting a degenerate empirical
 distribution over the demos is exactly maximizing demo likelihood, which
 pushes probability mass back toward trajectories the RL phase squeezed down.
-A baseline loop with the IRL stage disabled shares every other code path so
-the two runs differ only by that stage.
+Every IRL step, in the training loop and outside it, is one call of
+irl_step: step s descends per prompt or over the whole suite (irl_scope), on
+the circular irl_batch_size slice of the demos that starts at s. A baseline
+loop with the IRL stage disabled shares every other code path so the two
+runs differ only by that stage.
 """
 from __future__ import annotations
 
@@ -24,17 +27,17 @@ from .objectives import (
     PoolEntry,
     RolloutGroup,
     StepRecord,
+    _mean_greedy_logp,
+    _mean_root_entropy,
     rl_step,
 )
 from .policy import (
     PolicyTable,
     SparseGradient,
     Trajectory,
-    _log_probs,
+    _score_block,
     apply_update,
     derive_rng,
-    entropy,
-    greedy_decode,
     save_checkpoint,
     trajectory_log_prob,
 )
@@ -54,7 +57,8 @@ class SpsConfig:
     do nothing observable at suite size; "per_prompt" (the default for both)
     makes each rate a per-prompt rate. For IRL it runs the descent prompt by
     prompt on that prompt's own demos; "full_suite" averages the loss over
-    every selected demo at once.
+    every selected demo at once. irl_batch_size, when set, limits each IRL
+    descent to a circular slice of that many demos in either scope.
     """
 
     group_size: int = 8
@@ -243,10 +247,8 @@ def irl_loss(policy: PolicyTable, demos) -> tuple[float, SparseGradient]:
         per_tok, logp = trajectory_log_prob(policy, pid, traj.tokens)
         value -= logp / len(pairs)
         for t, tok in enumerate(traj.tokens):
-            probs = np.exp(_log_probs(policy, pid, traj.tokens[:t]))
-            block = -probs
-            block[tok] += 1.0
-            grad.accumulate((pid, traj.tokens[:t]), block, weight=w)
+            grad.accumulate((pid, traj.tokens[:t]),
+                            _score_block(policy, pid, traj.tokens[:t], tok), weight=w)
     return value, grad
 
 
@@ -273,26 +275,32 @@ def irl_descent_step(policy: PolicyTable, demos, lr: float,
     return policy, val0
 
 
-def irl_step(policy: PolicyTable, demo_set, cfg: SpsConfig) -> PolicyTable:
-    """Run the iteration's IRL stage on one demo set.
-
-    Applies irl_steps_per_iteration guarded descent steps; with a configured
-    irl_batch_size each step sees a circular slice of the demos, otherwise
-    all of them.
-    """
-    pairs = _demo_pairs(demo_set)
-    if not pairs or cfg.irl_lr == 0.0:
-        return policy
+def _circular_batch(pairs: list, batch_size: int | None, s: int) -> list:
     n = len(pairs)
-    bs = cfg.irl_batch_size
-    for s in range(cfg.irl_steps_per_iteration):
-        if bs is None or bs >= n:
-            batch = pairs
-        else:
-            start = (s * bs) % n
-            batch = [pairs[(start + j) % n] for j in range(bs)]
-        policy, _ = irl_descent_step(policy, batch, cfg.irl_lr)
-    return policy
+    if batch_size is None or batch_size >= n:
+        return pairs
+    start = (s * batch_size) % n
+    return [pairs[(start + j) % n] for j in range(batch_size)]
+
+
+def irl_step(policy: PolicyTable, demo_sets, cfg: SpsConfig, s: int) -> tuple[PolicyTable, float]:
+    """Step s of the IRL stage; returns the new policy and the mean IRL loss.
+
+    demo_sets holds one demo set per prompt. In "per_prompt" scope each set
+    gets its own guarded descent step and the loss is the mean over prompts;
+    in "full_suite" scope one step descends on all demos pooled. Each
+    descent sees the circular irl_batch_size slice of its demos that starts
+    at s * irl_batch_size, or all of them when the size is unset.
+    """
+    pair_sets = [_demo_pairs(demos) for demos in demo_sets]
+    if cfg.irl_scope == "full_suite":
+        pair_sets = [[p for pairs in pair_sets for p in pairs]]
+    losses = []
+    for pairs in pair_sets:
+        policy, loss = irl_descent_step(
+            policy, _circular_batch(pairs, cfg.irl_batch_size, s), cfg.irl_lr)
+        losses.append(loss)
+    return policy, float(np.mean(losses))
 
 
 @dataclass(frozen=True)
@@ -329,6 +337,7 @@ class TraceRecord:
 class TrainTrace:
     records: list[TraceRecord] = field(default_factory=list)
     step_records: list[StepRecord] = field(default_factory=list)
+    checkpoint_iters: list[int] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
         return "".join(r.to_json() + "\n" for r in self.records)
@@ -409,11 +418,11 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
             seed = _step_seed(master, it, s)
             if cfg.reuse_rollouts and cached_groups is not None:
                 policy, record, _ = rl_step(
-                    policy, tasks, cfg, None, seed, ref_policy=ref,
+                    policy, tasks, cfg, seed, ref_policy=ref,
                     step_index=global_step, groups=cached_groups)
             else:
                 policy, record, delta = rl_step(
-                    policy, tasks, cfg, None, seed, ref_policy=ref,
+                    policy, tasks, cfg, seed, ref_policy=ref,
                     step_index=global_step)
                 pool.extend(delta)
                 if cfg.reuse_rollouts:
@@ -429,30 +438,9 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
             trace.step_records.append(record)
             global_step += 1
         if irl_enabled and cfg.irl_steps_per_iteration > 0 and cfg.irl_lr > 0:
-            demos_by_prompt = {
-                t.prompt_id: l2te_select(pool, t.prompt_id, cfg) for t in tasks
-            }
+            demo_sets = [l2te_select(pool, t.prompt_id, cfg) for t in tasks]
             for s in range(cfg.irl_steps_per_iteration):
-                if cfg.irl_scope == "per_prompt":
-                    losses = []
-                    for t in tasks:
-                        policy, val = irl_descent_step(
-                            policy, demos_by_prompt[t.prompt_id], cfg.irl_lr)
-                        losses.append(val)
-                    mean_loss = float(np.mean(losses))
-                else:
-                    all_pairs = [
-                        p for t in tasks
-                        for p in _demo_pairs(demos_by_prompt[t.prompt_id])
-                    ]
-                    bs = cfg.irl_batch_size
-                    if bs is None or bs >= len(all_pairs):
-                        batch = all_pairs
-                    else:
-                        start = (s * bs) % len(all_pairs)
-                        batch = [all_pairs[(start + j) % len(all_pairs)]
-                                 for j in range(bs)]
-                    policy, mean_loss = irl_descent_step(policy, batch, cfg.irl_lr)
+                policy, mean_loss = irl_step(policy, demo_sets, cfg, s)
                 pk, cov = _trace_eval(policy, tasks, cfg, master, global_step)
                 trace.records.append(TraceRecord(
                     iter=it, phase="IRL", step=global_step,
@@ -465,6 +453,7 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
         pool.clear()
         if out_dir is not None and cfg.checkpoint_every > 0 and (it + 1) % cfg.checkpoint_every == 0:
             save_checkpoint(policy, f"{out_dir}/checkpoint_iter{it + 1:03d}.txt")
+            trace.checkpoint_iters.append(it + 1)
         if cfg.convergence_epsilon is not None and holdout:
             rng_eval = derive_rng(master, 7002, it)
             matrix = sample_matrix(policy, holdout, cfg.convergence_eval_n, rng_eval)
@@ -473,16 +462,6 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
                 break
             prev_avg = avg
     return policy, trace
-
-
-def _mean_root_entropy(policy: PolicyTable, tasks) -> float:
-    vals = [entropy(np.exp(_log_probs(policy, t.prompt_id, ()))) for t in tasks]
-    return float(np.mean(vals))
-
-
-def _mean_greedy_logp(policy: PolicyTable, tasks) -> float:
-    vals = [greedy_decode(policy, t.prompt_id).total_logp for t in tasks]
-    return float(np.mean(vals))
 
 
 def sps_loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,

@@ -45,7 +45,6 @@ from squeezelab.sps import (
     SpsConfig,
     grpo_baseline_loop,
     irl_loss,
-    irl_step,
     irl_value,
     l2te_select,
     RolloutPool,
@@ -64,9 +63,9 @@ from test_objectives import (
     perturb,
     visited_keys,
 )
-from test_sps import complete_sequences, total_mass
+from test_sps import complete_sequences, irl_stage, total_mass
 
-from squeezelab.objectives import SamplerParams, rl_step
+from squeezelab.objectives import rl_step
 
 
 def test_criterion_1_squeeze_closed_form():
@@ -227,11 +226,11 @@ def test_criterion_5_irl_reduction(diamond_task):
     cfg = SpsConfig(group_size=8, sampling_size=3, irl_steps_per_iteration=4,
                     irl_lr=0.05, rl_lr=0.0, clip=ClipConfig.grpo(beta=0.0))
     base = PolicyTable(Vocab(4), max_len=2)
-    _, _, delta = rl_step(base, [diamond_task], cfg, SamplerParams(), 5)
+    _, _, delta = rl_step(base, [diamond_task], cfg, 5)
     pool = RolloutPool()
     pool.extend(delta)
     selected = l2te_select(pool, 0, cfg)
-    fitted = irl_step(base, selected, cfg)
+    fitted = irl_stage(base, [selected], cfg)
     demo_seqs = {d.trajectory.tokens for d in selected.entries}
     assert total_mass(fitted, demo_seqs) > total_mass(base, demo_seqs)
     space = complete_sequences(4, 2)

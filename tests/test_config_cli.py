@@ -60,6 +60,11 @@ def test_parse_rejects_unknown_key_with_line_number():
         parse_config_text("seed = 1\nrl.grop_size = 8\n")
 
 
+def test_parse_rejects_the_removed_workers_key():
+    with pytest.raises(ConfigError, match="line 1.*runtime.workers"):
+        parse_config_text("runtime.workers = 2\n")
+
+
 def test_parse_rejects_duplicates_and_bad_lines():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("seed = 1\nseed = 2\n")
@@ -295,3 +300,44 @@ def test_training_modes_pin_the_objective(tmp_path):
     assert manifest.config["rl.objective"] == "dapo"
     steps = (out_dir / "steps.csv").read_text().splitlines()
     assert all(line.split(",")[1] == "dapo" for line in steps[1:])
+
+
+def test_dapo_run_records_steps_without_a_trainable_group(tmp_path):
+    out_dir = tmp_path / "dapo_flat"
+    cfg = tmp_path / "dapo_flat.cfg"
+    cfg.write_text(
+        "mode = dapo\n"
+        "seed = 3\n"
+        f"out_dir = {out_dir}\n"
+        "suite.count = 1\n"
+        "rl.group_size = 4\n"
+        "rl.lr = 2.0\n",
+        encoding="utf-8")
+    runner.run(str(cfg))
+    rows = [line.split(",") for line in (out_dir / "steps.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 32
+    # With one prompt, a mean reward of 0 or 1 means its only group was
+    # filtered out: the step is recorded with value 0 and nothing clipped.
+    flat = [row for row in rows if float(row[5]) in (0.0, 1.0)]
+    assert flat
+    assert all(float(row[2]) == 0.0 and float(row[3]) == 0.0 for row in flat)
+
+
+def test_rerun_ranks_only_the_checkpoints_it_wrote(tmp_path):
+    out_dir = tmp_path / "rerun"
+    common = ("mode = grpo\n"
+              "seed = 5\n"
+              f"out_dir = {out_dir}\n"
+              "suite.count = 2\n"
+              "rl.steps_per_iteration = 1\n"
+              "sps.max_iterations = 3\n"
+              "eval.n = 4\n"
+              "eval.k = 1\n")
+    for every in (1, 2):
+        cfg = tmp_path / f"every{every}.cfg"
+        cfg.write_text(common + f"sps.checkpoint_every = {every}\n", encoding="utf-8")
+        manifest = runner.run(str(cfg))
+    rows = (out_dir / "checkpoints.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in rows[1:]] == ["checkpoint_iter002.txt"]
+    assert "checkpoint_iter001.txt" not in manifest.artifacts
+    assert "checkpoint_iter003.txt" not in manifest.artifacts

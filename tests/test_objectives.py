@@ -12,15 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from squeezelab.errors import (
-    EmptyTrajectory,
-    NoTrainableGroups,
-    OneSidedGroup,
-)
+from squeezelab.errors import EmptyTrajectory, OneSidedGroup
 from squeezelab.objectives import (
     ClipConfig,
     RolloutGroup,
-    SamplerParams,
     StepRecord,
     contrastive_decomposition,
     dapo_filter,
@@ -426,14 +421,17 @@ def test_dapo_filter_partitions_and_keeps_mixed_groups():
         assert 0 < sum(g.rewards) < g.size
 
 
-def test_dapo_raises_when_everything_is_filtered():
+def test_dapo_all_filtered_is_a_zero_step():
     rng = np.random.default_rng(56)
     behavior = random_policy(3, 2, rng)
     trajs = tuple(sample_trajectory(behavior, 0, 1.0, rng) for _ in range(4))
     group = RolloutGroup(0, trajs, (1, 1, 1, 1),
                          tuple(t.per_token_logp for t in trajs))
-    with pytest.raises(NoTrainableGroups):
-        dapo_objective([group], behavior, ClipConfig.dapo())
+    report = dapo_objective([group], behavior, ClipConfig.dapo())
+    assert report.value == 0.0
+    assert report.gradient.blocks == {}
+    assert report.clipped_token_fraction == 0.0
+    assert report.kl_to_ref == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +551,7 @@ def test_sample_group_scores_with_validator(diamond_task):
 def test_rl_step_zero_lr_keeps_policy_and_fills_pool(diamond_task):
     policy = PolicyTable(Vocab(4), max_len=2)
     cfg = SpsConfig(rl_lr=0.0, group_size=8, clip=ClipConfig.grpo(beta=0.0))
-    new_policy, record, pool = rl_step(policy, [diamond_task], cfg,
-                                       SamplerParams(), 123)
+    new_policy, record, pool = rl_step(policy, [diamond_task], cfg, 123)
     assert new_policy is policy
     assert len(pool) == 8
     assert all(entry.behavior_total_logp <= 0 for entry in pool)
@@ -564,8 +561,8 @@ def test_rl_step_zero_lr_keeps_policy_and_fills_pool(diamond_task):
 def test_rl_step_deterministic_under_seed(diamond_task):
     policy = skewed_base_policy(diamond_task, 2.0, seed=1)
     cfg = SpsConfig(group_size=8, clip=ClipConfig.grpo(beta=0.0))
-    a = rl_step(policy, [diamond_task], cfg, None, 42)
-    b = rl_step(policy, [diamond_task], cfg, None, 42)
+    a = rl_step(policy, [diamond_task], cfg, 42)
+    b = rl_step(policy, [diamond_task], cfg, 42)
     assert a[1] == b[1]
     assert [e.trajectory.tokens for e in a[2]] == [e.trajectory.tokens for e in b[2]]
 
@@ -578,7 +575,7 @@ def test_rl_step_raises_positive_rollout_likelihood(diamond_task):
     counted = 0
     for seed in range(20):
         policy = skewed_base_policy(diamond_task, 2.0, seed=7)
-        new_policy, record, pool = rl_step(policy, [diamond_task], cfg, None, seed)
+        new_policy, record, pool = rl_step(policy, [diamond_task], cfg, seed)
         positives = [e.trajectory for e in pool if e.reward == 1]
         if not positives or len(positives) == len(pool):
             continue

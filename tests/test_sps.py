@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from squeezelab.errors import NoRollouts
-from squeezelab.objectives import ClipConfig, PoolEntry, SamplerParams, rl_step
+from squeezelab import sps
+from squeezelab.objectives import ClipConfig, PoolEntry, rl_step
 from squeezelab.policy import (
     PolicyTable,
     Vocab,
@@ -236,13 +237,20 @@ def test_irl_descent_step_halving_guard_never_increases_loss():
     assert after <= before
 
 
+def irl_stage(policy, demo_sets, cfg):
+    """Every IRL step of one iteration, as the training loop runs them."""
+    for s in range(cfg.irl_steps_per_iteration):
+        policy, _ = irl_step(policy, demo_sets, cfg, s)
+    return policy
+
+
 def test_irl_step_raises_mean_demo_likelihood():
     policy = PolicyTable(Vocab(4), max_len=2)
     demos = [make_trajectory(policy, 0, (0, 1)), make_trajectory(policy, 0, (2,))]
     cfg = SpsConfig(irl_steps_per_iteration=5, irl_lr=0.1)
-    after = irl_step(policy, demos, cfg)
+    after = irl_stage(policy, [demos], cfg)
     assert irl_value(after, demos) < irl_value(policy, demos)
-    assert irl_step(policy, demos, SpsConfig(irl_lr=0.0)) is policy
+    assert irl_step(policy, [demos], SpsConfig(irl_lr=0.0), 0)[0] is policy
 
 
 def test_irl_step_circular_batches_still_descend():
@@ -251,7 +259,7 @@ def test_irl_step_circular_batches_still_descend():
              make_trajectory(policy, 0, (1, 0)),
              make_trajectory(policy, 0, (2,))]
     cfg = SpsConfig(irl_steps_per_iteration=6, irl_lr=0.05, irl_batch_size=2)
-    after = irl_step(policy, demos, cfg)
+    after = irl_stage(policy, [demos], cfg)
     assert irl_value(after, demos) < irl_value(policy, demos)
 
 
@@ -259,11 +267,11 @@ def test_irl_stage_restores_demo_mass_and_keeps_normalization(diamond_task):
     policy = skewed_base_policy(diamond_task, 1.0, seed=3)
     cfg = SpsConfig(group_size=8, sampling_size=3, irl_steps_per_iteration=4,
                     irl_lr=0.05, rl_lr=0.0, clip=ClipConfig.grpo(beta=0.0))
-    _, _, delta = rl_step(policy, [diamond_task], cfg, SamplerParams(), 11)
+    _, _, delta = rl_step(policy, [diamond_task], cfg, 11)
     pool = RolloutPool()
     pool.extend(delta)
     demos = l2te_select(pool, 0, cfg)
-    after = irl_step(policy, demos, cfg)
+    after = irl_stage(policy, [demos], cfg)
     demo_seqs = {d.trajectory.tokens for d in demos.entries}
     before_mass = total_mass(policy, demo_seqs)
     after_mass = total_mass(after, demo_seqs)
@@ -348,6 +356,31 @@ def test_sps_loop_full_suite_irl_scope_runs(diamond_task):
     assert all(r.irl_loss is not None for r in irl_records)
 
 
+@pytest.mark.parametrize("scope", ["per_prompt", "full_suite"])
+def test_sps_loop_irl_batch_size_limits_each_descent(diamond_task, monkeypatch, scope):
+    second = TaskInstance(prompt_id=1, label=diamond_task.label,
+                          spec=diamond_task.spec)
+    policy = skewed_base_policy(diamond_task, 1.0, seed=8)
+    batches = []
+
+    def recording_descent(policy, demos, lr):
+        batches.append([pid for pid, _ in sps._demo_pairs(demos)])
+        return irl_descent_step(policy, demos, lr)
+
+    monkeypatch.setattr(sps, "irl_descent_step", recording_descent)
+    cfg = small_cfg(irl_scope=scope, max_iterations=1, irl_batch_size=1)
+    sps_loop(policy, [diamond_task, second], cfg, 13)
+    if scope == "per_prompt":
+        # One demo of each prompt per step, prompt after prompt.
+        assert batches == [[0], [1]] * cfg.irl_steps_per_iteration
+    else:
+        assert batches == [[0]] * cfg.irl_steps_per_iteration
+    batches.clear()
+    sps_loop(policy, [diamond_task, second], small_cfg(irl_scope=scope, max_iterations=1), 13)
+    full = [[0] * 2, [1] * 2] if scope == "per_prompt" else [[0] * 2 + [1] * 2]
+    assert batches == full * cfg.irl_steps_per_iteration
+
+
 def test_sps_loop_reuse_rollouts_freezes_the_batch(diamond_task):
     policy = skewed_base_policy(diamond_task, 1.0, seed=1)
     cfg = small_cfg(reuse_rollouts=True, rl_steps_per_iteration=3,
@@ -375,6 +408,9 @@ def test_sps_loop_writes_checkpoints(diamond_task, tmp_path):
                         out_dir=str(tmp_path))
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["checkpoint_iter001.txt", "checkpoint_iter002.txt"]
+    _, trace = sps_loop(policy, [diamond_task], small_cfg(checkpoint_every=2), 3,
+                        out_dir=str(tmp_path))
+    assert trace.checkpoint_iters == [2]
     restored = load_checkpoint(str(tmp_path / "checkpoint_iter002.txt"))
     assert policy_state(restored) == policy_state(final)
 
