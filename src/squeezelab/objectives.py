@@ -26,6 +26,7 @@ from .policy import (
     Trajectory,
     _log_probs,
     _score_block,
+    _token_logps,
     apply_update,
     derive_rng,
     entropy,
@@ -120,13 +121,6 @@ def group_advantages(rewards) -> AdvantageVector:
     return AdvantageVector((r - mean) / std, degenerate=False)
 
 
-def _current_logps(policy: PolicyTable, traj: Trajectory) -> np.ndarray:
-    out = np.empty(len(traj.tokens))
-    for t, tok in enumerate(traj.tokens):
-        out[t] = _log_probs(policy, traj.prompt_id, traj.tokens[:t])[tok]
-    return out
-
-
 def token_ratio(policy: PolicyTable, old_logps, trajectory: Trajectory, t: int) -> float:
     """Importance ratio pi_theta(y_t|prefix) / pi_old(y_t|prefix)."""
     new_lp = _log_probs(policy, trajectory.prompt_id, trajectory.tokens[:t])[trajectory.tokens[t]]
@@ -137,7 +131,7 @@ def sequence_ratio_gspo(policy: PolicyTable, old_logps, trajectory: Trajectory) 
     """Geometric mean of the token ratios over one trajectory."""
     if len(trajectory.tokens) == 0:
         raise EmptyTrajectory("sequence ratio undefined for an empty trajectory")
-    new_lp = _current_logps(policy, trajectory)
+    new_lp = _token_logps(policy, trajectory.prompt_id, trajectory.tokens)
     old = np.asarray(old_logps, dtype=float)
     return float(np.exp((new_lp - old).mean()))
 
@@ -184,10 +178,10 @@ def _clipped_token_loop(batch, policy: PolicyTable, ref_policy: PolicyTable | No
             if not traj.tokens:
                 continue
             w = token_weight(group.size, len(traj.tokens))
-            new_lp = _current_logps(policy, traj)
+            new_lp = _token_logps(policy, traj.prompt_id, traj.tokens)
             ratios = np.exp(new_lp - np.asarray(group.old_logps[i]))
             if use_kl:
-                ref_lp = _current_logps(ref_policy, traj)
+                ref_lp = _token_logps(ref_policy, traj.prompt_id, traj.tokens)
             for t, tok in enumerate(traj.tokens):
                 considered += 1
                 prefix = traj.tokens[:t]
@@ -332,7 +326,8 @@ def contrastive_decomposition(group: RolloutGroup, policy: PolicyTable) -> Contr
     var_term = math.sqrt(p_hat * (1.0 - p_hat))
     pos, neg = [], []
     for reward, traj in zip(group.rewards, group.trajectories):
-        lik = math.exp(_current_logps(policy, traj).sum()) / max(len(traj.tokens), 1)
+        lik = (math.exp(_token_logps(policy, traj.prompt_id, traj.tokens).sum())
+               / max(len(traj.tokens), 1))
         (pos if reward == 1 else neg).append(lik)
     return ContrastiveRecord(var_term=var_term,
                              pos_expectation=float(np.mean(pos)),

@@ -1,17 +1,22 @@
 """Tabular autoregressive softmax policies over small token vocabularies.
 
-A policy stores one logit vector per (prompt, prefix) pair; any prefix without
-a stored vector behaves as all-zero logits, so every conditional distribution
-is defined (uniform) without allocation. The highest token id acts as the
-terminator: sampling and greedy decoding stop when it is emitted or when the
-sequence reaches max_len. Everything here is exact: sampling, log-probs, and
-the analytical score-function gradient, which makes closed-form claims about
-softmax update dynamics directly checkable.
+A policy stores one logit vector per (prompt, prefix) pair as a row of one
+dense array; any prefix without a stored vector reads the shared all-zero
+row, so every conditional distribution is defined (uniform) without
+allocation. Each policy version computes the log-softmax of all its rows at
+most once, on the first read, and sampling, log-probs, score blocks and
+greedy decoding all read that one table; an update recomputes only the rows
+it touched. The highest token id acts as the terminator: sampling and greedy
+decoding stop when it is emitted or when the sequence reaches max_len.
+Everything here is exact: sampling, log-probs, and the analytical
+score-function gradient, which makes closed-form claims about softmax update
+dynamics directly checkable.
 """
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +31,9 @@ from .errors import (
 )
 
 MIN_TEMPERATURE = 1e-6
+
+# Rows a new table allocates before its first doubling (row 0 is the zero row).
+_INITIAL_ROWS = 8
 
 # Internal key for a conditional distribution: (prompt_id, tokens-so-far).
 PrefixKey = tuple[int, tuple[int, ...]]
@@ -108,7 +116,16 @@ class SparseGradient:
 
 
 class PolicyTable:
-    """Prefix-indexed logit table defining an autoregressive softmax policy."""
+    """Prefix-indexed logit table defining an autoregressive softmax policy.
+
+    Logits live in one dense (rows, V) array. Row 0 is all zeros and serves
+    every prefix without a stored vector; each stored (prompt_id, prefix) key
+    owns one later row through the _rows index. Rows grow by doubling the
+    array, so adding a prefix costs amortised O(1).
+
+    A table computes the log-softmax of all its rows once, on the first read,
+    and every reader uses that cached table; set_logits drops the cache.
+    """
 
     def __init__(self, vocab: Vocab, max_len: int,
                  logits: dict[PrefixKey, np.ndarray] | None = None):
@@ -116,43 +133,92 @@ class PolicyTable:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         self.vocab = vocab
         self.max_len = max_len
-        self._logits: dict[PrefixKey, np.ndarray] = {}
+        self._rows: dict[PrefixKey, int] = {}
+        self._data = np.zeros((_INITIAL_ROWS, vocab.size))
+        # Read-only log-softmax of _logit_rows(), or None until first read.
+        self._logp: np.ndarray | None = None
+        # The same table as per-row lists of log-probs and of cumulative
+        # probabilities (for the sampler), or None until first read.
+        self._lists: tuple[list, list] | None = None
         if logits:
             for key, vec in logits.items():
                 self.set_logits(key[0], key[1], vec)
 
+    def _allocate(self, key: PrefixKey) -> int:
+        """Row of a stored key; a new key gets the next row, initially zero."""
+        row = self._rows.get(key)
+        if row is None:
+            row = len(self._rows) + 1
+            if row == len(self._data):
+                grown = np.zeros((2 * row, self.vocab.size))
+                grown[:row] = self._data
+                self._data = grown
+            self._rows[key] = row
+        return row
+
+    def _logit_rows(self) -> np.ndarray:
+        """Read-only view of the zero row and every stored row."""
+        return _read_only(self._data[:len(self._rows) + 1])
+
+    def _log_prob_table(self) -> np.ndarray:
+        """The cached log-softmax of every row, computed on the first read."""
+        if self._logp is None:
+            self._logp = _read_only(_log_softmax(self._logit_rows()))
+        return self._logp
+
+    def _row_lists(self) -> tuple[list, list]:
+        """Per-row log-probs and cumulative probabilities as Python lists."""
+        if self._lists is None:
+            logp = self._log_prob_table()
+            self._lists = (logp.tolist(), np.cumsum(np.exp(logp), axis=1).tolist())
+        return self._lists
+
     def logit_vector(self, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
-        """Stored logits for a prefix, or the implicit zero vector."""
-        vec = self._logits.get((prompt_id, tuple(tokens)))
-        if vec is None:
-            return np.zeros(self.vocab.size)
-        return vec
+        """Stored logits for a prefix, or the implicit zero vector (read-only)."""
+        return _read_only(self._data[self._rows.get((prompt_id, tuple(tokens)), 0)])
 
     def set_logits(self, prompt_id: int, tokens, vec) -> None:
         arr = np.asarray(vec, dtype=float)
         if arr.shape != (self.vocab.size,):
             raise ValueError(f"logit vector must have length {self.vocab.size}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidLogits("logit vector contains non-finite entries")
-        self._logits[(int(prompt_id), tuple(int(t) for t in tokens))] = arr.copy()
+        row = self._allocate((int(prompt_id), tuple(int(t) for t in tokens)))
+        self._data[row] = arr
+        self._logp = self._lists = None
 
-    def stored_items(self):
-        return self._logits.items()
+    def stored_items(self) -> list[tuple[PrefixKey, np.ndarray]]:
+        rows = self._logit_rows()
+        return [(key, rows[row]) for key, row in self._rows.items()]
 
     @property
     def stored_prefix_count(self) -> int:
-        return len(self._logits)
+        return len(self._rows)
 
     def copy(self) -> "PolicyTable":
         clone = PolicyTable(self.vocab, self.max_len)
-        clone._logits = {k: v.copy() for k, v in self._logits.items()}
+        clone._rows = dict(self._rows)
+        clone._data = self._data.copy()
+        # The caches are never written in place, so the clone can share them.
+        clone._logp, clone._lists = self._logp, self._lists
         return clone
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """The package's one log-softmax; every probability is exp of it."""
-    shifted = z - z.max()
-    return shifted - math.log(np.exp(shifted).sum())
+    """The package's one log-softmax, of a vector or of each row of a matrix.
+
+    Every probability is exp of it. Each row's log-normaliser is math.log of
+    the row's sum, one row at a time: np.log can differ in the last bit.
+    """
+    shifted = z - z.max(axis=-1, keepdims=True)
+    sums = np.exp(shifted).sum(axis=-1, keepdims=True)
+    return shifted - np.fromiter(map(math.log, sums.ravel()), float,
+                                 sums.size).reshape(sums.shape)
 
 
 def softmax(logits) -> TokenDistribution:
@@ -164,7 +230,15 @@ def softmax(logits) -> TokenDistribution:
 
 
 def _log_probs(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
-    return _log_softmax(policy.logit_vector(prompt_id, tokens))
+    """Read-only row of the policy's cached log-prob table for one prefix."""
+    return policy._log_prob_table()[policy._rows.get((prompt_id, tokens), 0)]
+
+
+def _token_logps(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
+    """log pi(tokens[t] | tokens[:t]) for every t, gathered from the cached table."""
+    rows = policy._rows
+    prefix_rows = [rows.get((prompt_id, tokens[:t]), 0) for t in range(len(tokens))]
+    return policy._log_prob_table()[prefix_rows, list(tokens)]
 
 
 def _score_block(policy: PolicyTable, prompt_id: int, prefix: tuple[int, ...],
@@ -193,11 +267,10 @@ def trajectory_log_prob(policy: PolicyTable, prompt_id: int, tokens) -> tuple[np
     if len(toks) > policy.max_len:
         raise PrefixExhausted(
             f"sequence of length {len(toks)} exceeds max_len={policy.max_len}")
-    per_token = np.empty(len(toks))
-    for t, tok in enumerate(toks):
+    for tok in toks:
         if not 0 <= tok < policy.vocab.size:
             raise InvalidToken(f"token {tok} outside vocab of size {policy.vocab.size}")
-        per_token[t] = _log_probs(policy, prompt_id, toks[:t])[tok]
+    per_token = _token_logps(policy, prompt_id, toks)
     return per_token, float(per_token.sum())
 
 
@@ -213,45 +286,50 @@ def sample_trajectory(policy: PolicyTable, prompt_id: int, temperature: float,
     """Ancestral sampling from the policy, tempered at the draw only.
 
     The draw at each step uses softmax(logits / temperature); the returned
-    log-probs are always the untempered (temperature-1) ones.
+    log-probs are always the untempered (temperature-1) ones. Each step takes
+    one rng.random() u and emits the first token whose cumulative probability
+    exceeds u (the last token if rounding leaves u above them all). At
+    temperature 1 the cumulative probabilities come from the policy's cached
+    table.
     """
     if temperature < MIN_TEMPERATURE:
         raise TemperatureTooLow(
             f"temperature {temperature} below {MIN_TEMPERATURE}; use greedy_decode")
-    terminator = policy.vocab.terminator
-    tokens: list[int] = []
+    size = policy.vocab.size
+    rows = policy._rows
+    logp_rows, cum_rows = policy._row_lists()
+    tokens: tuple[int, ...] = ()
     logps: list[float] = []
     for _ in range(policy.max_len):
-        prefix = tuple(tokens)
-        logp = _log_probs(policy, prompt_id, prefix)
+        row = rows.get((prompt_id, tokens), 0)
         if temperature == 1.0:
-            draw_probs = np.exp(logp)
+            cum = cum_rows[row]
         else:
-            draw_probs = np.exp(_log_softmax(policy.logit_vector(prompt_id, prefix) / temperature))
-        cum = np.cumsum(draw_probs)
-        tok = int(np.searchsorted(cum, rng.random(), side="right"))
-        if tok >= policy.vocab.size:
-            tok = policy.vocab.size - 1
-        tokens.append(tok)
-        logps.append(float(logp[tok]))
-        if tok == terminator:
+            cum = np.cumsum(np.exp(_log_softmax(policy._data[row] / temperature))).tolist()
+        tok = min(bisect_right(cum, rng.random()), size - 1)
+        tokens += (tok,)
+        logps.append(logp_rows[row][tok])
+        if tok == size - 1:
             break
-    return Trajectory(prompt_id, tuple(tokens), tuple(logps), float(sum(logps)))
+    return Trajectory(prompt_id, tokens, tuple(logps), float(sum(logps)))
 
 
 def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:
     """Argmax decoding; ties resolve to the lowest token id."""
     terminator = policy.vocab.terminator
-    tokens: list[int] = []
+    rows = policy._rows
+    logp_rows = policy._row_lists()[0]
+    tokens: tuple[int, ...] = ()
     logps: list[float] = []
     for _ in range(policy.max_len):
-        logp = _log_probs(policy, prompt_id, tuple(tokens))
-        tok = int(np.argmax(logp))
-        tokens.append(tok)
-        logps.append(float(logp[tok]))
+        logp = logp_rows[rows.get((prompt_id, tokens), 0)]
+        best = max(logp)
+        tok = logp.index(best)
+        tokens += (tok,)
+        logps.append(best)
         if tok == terminator:
             break
-    return Trajectory(prompt_id, tuple(tokens), tuple(logps), float(sum(logps)))
+    return Trajectory(prompt_id, tokens, tuple(logps), float(sum(logps)))
 
 
 def entropy(d: TokenDistribution | np.ndarray) -> float:
@@ -281,21 +359,31 @@ def apply_update(policy: PolicyTable, gradient: SparseGradient,
                  step_size: float) -> PolicyTable:
     """Return a new policy with logits[prefix] += step_size * block.
 
-    The input policy is left untouched; untouched blocks are shared.
+    The input policy is left untouched. The touched rows are gathered, updated
+    and scattered back in one pass; a prefix seen for the first time gets a
+    new row starting from zero. If the input's log-prob table is already
+    computed, the new policy's table reuses it and recomputes only the
+    touched rows.
     """
     if not math.isfinite(step_size):
         raise NumericOverflow(f"non-finite step size {step_size}")
-    new_logits = dict(policy._logits)
-    for key, block in gradient.blocks.items():
-        base = new_logits.get(key)
-        if base is None:
-            base = np.zeros(policy.vocab.size)
-        updated = base + step_size * block
-        if not np.all(np.isfinite(updated)):
-            raise NumericOverflow(f"update produced non-finite logits at prefix {key}")
-        new_logits[key] = updated
-    out = PolicyTable(policy.vocab, policy.max_len)
-    out._logits = new_logits
+    out = policy.copy()
+    keys = list(gradient.blocks)
+    rows = np.fromiter(map(out._allocate, keys), dtype=np.intp, count=len(keys))
+    blocks = np.array(list(gradient.blocks.values()), dtype=float).reshape(
+        len(keys), policy.vocab.size)
+    updated = out._data[rows] + step_size * blocks
+    finite = np.isfinite(updated).all(axis=1)
+    if not finite.all():
+        key = keys[int(np.argmin(finite))]
+        raise NumericOverflow(f"update produced non-finite logits at prefix {key}")
+    out._data[rows] = updated
+    out._lists = None
+    if policy._logp is not None:
+        logp = np.empty((out.stored_prefix_count + 1, policy.vocab.size))
+        logp[:len(policy._logp)] = policy._logp
+        logp[rows] = _log_softmax(updated)
+        out._logp = _read_only(logp)
     return out
 
 
@@ -356,7 +444,8 @@ def load_checkpoint(path) -> PolicyTable:
         if key in seen:
             raise CheckpointCorrupt(f"duplicate prefix {fields[0]} {fields[1]}", line=lineno)
         seen.add(key)
-        policy._logits[key] = vec
+        row = policy._allocate(key)
+        policy._data[row] = vec
     return policy
 
 

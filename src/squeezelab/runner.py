@@ -10,6 +10,7 @@ is recognizable by its suffixes while the last checkpoint stays usable.
 from __future__ import annotations
 
 import csv
+import fnmatch
 import hashlib
 import json
 import os
@@ -187,9 +188,30 @@ def _write_eval_report(art: _Artifacts, report: dict) -> None:
                    AccuracyHistogram(tuple(hist["edges"]), tuple(hist["counts"])).to_csv())
 
 
+# Files a training run writes under names that depend on the run's schedule,
+# or only when it fails: an earlier run into the same out_dir can leave some
+# that this run would not overwrite.
+STALE_TRAINING_ARTIFACTS = ("checkpoint_iter*.txt", "checkpoint_best.txt",
+                            "checkpoints.csv", "*.partial")
+
+
+def _remove_stale_artifacts(out_dir: str) -> None:
+    """Delete an earlier training run's schedule-dependent files from out_dir.
+
+    Only the names in STALE_TRAINING_ARTIFACTS are removed; every other file
+    stays in place.
+    """
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        if (any(fnmatch.fnmatchcase(name, pattern) for pattern in STALE_TRAINING_ARTIFACTS)
+                and os.path.isfile(path)):
+            os.remove(path)
+
+
 def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
     seed = cfg["seed"]
     mode = cfg["mode"]
+    _remove_stale_artifacts(art.out_dir)
     t0 = time.perf_counter()
     suite = make_benchmark_suite(seed, cfg.family_params())
     base = build_suite_policy(suite, cfg["suite.skew"], seed)

@@ -138,18 +138,11 @@ def enumerate_sequence_space(vocab_size: int, max_len: int) -> tuple[tuple[int, 
 
 def _sequence_probs(policy: PolicyTable, prompt_id: int,
                     space: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    # Chain-rule products share prefixes; cache per-prefix log-prob vectors.
-    cache: dict[tuple[int, ...], np.ndarray] = {}
     out = np.empty(len(space))
     for i, seq in enumerate(space):
         total = 0.0
         for t, tok in enumerate(seq):
-            prefix = seq[:t]
-            logp = cache.get(prefix)
-            if logp is None:
-                logp = _log_probs(policy, prompt_id, prefix)
-                cache[prefix] = logp
-            total += logp[tok]
+            total += _log_probs(policy, prompt_id, seq[:t])[tok]
         out[i] = np.exp(total)
     return out
 

@@ -10,7 +10,8 @@ turns exploration into a measurable quantity instead of a proxy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +32,10 @@ class PathTaskSpec:
     target: int
     max_len: int
     vocab_size: int
+    # (node, token) -> next node, built once from the edges and shared by
+    # every validate and enumerate_correct call; never mutate it. It is not
+    # compared or hashed, so equality and hashing see the fields above only.
+    edge_map: Mapping[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.node_count <= MAX_NODE_COUNT:
@@ -41,7 +46,7 @@ class PathTaskSpec:
             raise ValueError("max_len must be >= 1")
         object.__setattr__(self, "edges", tuple((int(u), int(v), int(t)) for u, v, t in self.edges))
         terminator = self.vocab_size - 1
-        seen: set[tuple[int, int]] = set()
+        edge_map: dict[tuple[int, int], int] = {}
         for u, v, t in self.edges:
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise ValueError(f"edge ({u},{v},{t}) references unknown node")
@@ -49,9 +54,10 @@ class PathTaskSpec:
                 raise ValueError(f"edge token {t} outside vocab of size {self.vocab_size}")
             if t == terminator:
                 raise ValueError("the terminator token cannot label an edge")
-            if (u, t) in seen:
+            if (u, t) in edge_map:
                 raise ValueError(f"duplicate edge for (node {u}, token {t})")
-            seen.add((u, t))
+            edge_map[(u, t)] = v
+        object.__setattr__(self, "edge_map", edge_map)
         if not 0 <= self.start < self.node_count:
             raise ValueError("start node out of range")
         if not 0 <= self.target < self.node_count:
@@ -60,9 +66,6 @@ class PathTaskSpec:
     @property
     def terminator(self) -> int:
         return self.vocab_size - 1
-
-    def edge_map(self) -> dict[tuple[int, int], int]:
-        return {(u, t): v for u, v, t in self.edges}
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ def validate(task: TaskInstance, tokens) -> ValidatorResult:
     terminator ends the walk; anything after it is ignored.
     """
     spec = task.spec
-    edge_map = spec.edge_map()
+    edge_map = spec.edge_map
     node = spec.start
     for tok in tokens:
         tok = int(tok)
@@ -134,7 +137,7 @@ def enumerate_correct(task: TaskInstance) -> set[tuple[int, ...]]:
     depth-first with the length bound, so cycles are safe.
     """
     spec = task.spec
-    edge_map = spec.edge_map()
+    edge_map = spec.edge_map
     by_node: dict[int, list[tuple[int, int]]] = {}
     for (u, t), v in edge_map.items():
         by_node.setdefault(u, []).append((t, v))

@@ -333,6 +333,8 @@ def test_rerun_ranks_only_the_checkpoints_it_wrote(tmp_path):
               "sps.max_iterations = 3\n"
               "eval.n = 4\n"
               "eval.k = 1\n")
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("not an artifact\n", encoding="utf-8")
     for every in (1, 2):
         cfg = tmp_path / f"every{every}.cfg"
         cfg.write_text(common + f"sps.checkpoint_every = {every}\n", encoding="utf-8")
@@ -341,3 +343,6 @@ def test_rerun_ranks_only_the_checkpoints_it_wrote(tmp_path):
     assert [row.split(",")[1] for row in rows[1:]] == ["checkpoint_iter002.txt"]
     assert "checkpoint_iter001.txt" not in manifest.artifacts
     assert "checkpoint_iter003.txt" not in manifest.artifacts
+    assert not (out_dir / "checkpoint_iter001.txt").exists()
+    assert not (out_dir / "checkpoint_iter003.txt").exists()
+    assert (out_dir / "notes.txt").read_text(encoding="utf-8") == "not an artifact\n"

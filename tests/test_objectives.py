@@ -35,8 +35,10 @@ from squeezelab.policy import (
     sample_trajectory,
     trajectory_log_prob,
 )
+from squeezelab import policy as policy_module
+from squeezelab.config import ExperimentConfig
 from squeezelab.sps import SpsConfig
-from squeezelab.tasks import skewed_base_policy, validate
+from squeezelab.tasks import build_suite_policy, make_benchmark_suite, skewed_base_policy, validate
 
 from conftest import finite_difference_blocks, random_policy
 
@@ -588,6 +590,27 @@ def test_rl_step_raises_positive_rollout_likelihood(diamond_task):
             wins += 1
     assert counted >= 18
     assert wins >= counted - 2
+
+
+def test_rl_step_computes_each_log_prob_row_once_per_policy_version(monkeypatch):
+    # One default-size step reads two policy versions (the sampling policy,
+    # which is also the KL reference, and the updated one). Every row of each
+    # may pass through the log-softmax kernel at most once.
+    cfg = ExperimentConfig.from_dict({})
+    seed = cfg["seed"]
+    suite = make_benchmark_suite(seed, cfg.family_params())
+    base = build_suite_policy(suite, cfg["suite.skew"], seed)
+    kernel = policy_module._log_softmax
+    rows = []
+
+    def counting_kernel(z):
+        rows.append(1 if z.ndim == 1 else z.shape[0])
+        return kernel(z)
+
+    monkeypatch.setattr(policy_module, "_log_softmax", counting_kernel)
+    new_policy, _, _ = rl_step(base, suite, cfg.sps_config(), seed, ref_policy=base)
+    assert new_policy is not base
+    assert 0 < sum(rows) <= (base.stored_prefix_count + 1) + (new_policy.stored_prefix_count + 1)
 
 
 def test_step_record_csv_layout():

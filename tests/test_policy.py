@@ -37,6 +37,8 @@ from squeezelab.policy import (
     softmax,
     token_distribution,
     trajectory_log_prob,
+    _log_probs,
+    _log_softmax,
 )
 
 from conftest import finite_difference_blocks, random_policy
@@ -165,6 +167,49 @@ def test_sample_trajectory_stops_at_terminator_and_reports_own_logps():
         assert 3 not in traj.tokens[:-1]
         _, total = trajectory_log_prob(policy, 0, traj.tokens)
         np.testing.assert_allclose(traj.total_logp, total, atol=1e-10)
+
+
+def _reference_sample(policy, prompt_id, temperature, rng):
+    """Scalar ancestral sampler: a fresh log-softmax and searchsorted per step."""
+    size = policy.vocab.size
+    tokens, logps = (), []
+    for _ in range(policy.max_len):
+        logits = policy.logit_vector(prompt_id, tokens)
+        cum = np.cumsum(np.exp(_log_softmax(logits / temperature)))
+        tok = min(int(np.searchsorted(cum, rng.random(), "right")), size - 1)
+        tokens += (tok,)
+        logps.append(float(_log_softmax(logits)[tok]))
+        if tok == size - 1:
+            break
+    return tokens, tuple(logps)
+
+
+def test_sampler_and_greedy_decoder_match_scalar_references():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        vocab = 2 + trial % 5
+        max_len = 1 + trial % 4
+        policy = random_policy(vocab, max_len, rng, prompt_ids=(0, 1),
+                               scale=(0.5, 3.0, 25.0)[trial % 3])
+        for prompt_id in (0, 1, 5):  # prompt 5 has no stored rows
+            for temperature in (1.0, 0.6, 2.5):
+                for i in range(10):
+                    traj = sample_trajectory(policy, prompt_id, temperature,
+                                             derive_rng(trial, prompt_id, i))
+                    tokens, logps = _reference_sample(policy, prompt_id, temperature,
+                                                      derive_rng(trial, prompt_id, i))
+                    assert traj.tokens == tokens
+                    assert traj.per_token_logp == logps
+                    assert traj.total_logp == float(sum(logps))
+            tokens, logps = (), ()
+            for _ in range(max_len):
+                logp = _log_softmax(policy.logit_vector(prompt_id, tokens))
+                tokens += (int(np.argmax(logp)),)
+                logps += (float(logp[tokens[-1]]),)
+                if tokens[-1] == vocab - 1:
+                    break
+            greedy = greedy_decode(policy, prompt_id)
+            assert (greedy.tokens, greedy.per_token_logp) == (tokens, logps)
 
 
 def test_greedy_decode_fresh_policy_picks_token_zero():
@@ -305,3 +350,66 @@ def test_derive_rng_streams_are_stable_and_distinct():
     c = derive_rng(1234, 0, 6).random(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _assert_rows_match_the_scalar_kernel(policy):
+    keys = [key for key, _vec in policy.stored_items()] + [(99, ())]
+    for prompt_id, prefix in keys:
+        row = _log_probs(policy, prompt_id, prefix)
+        assert np.array_equal(row, _log_softmax(policy.logit_vector(prompt_id, prefix)))
+        assert not row.flags.writeable
+        assert not policy.logit_vector(prompt_id, prefix).flags.writeable
+
+
+def _rebuilt(policy):
+    """The same logits in a new table, whose log-probs are computed from scratch."""
+    fresh = PolicyTable(policy.vocab, policy.max_len)
+    for (prompt_id, prefix), vec in policy.stored_items():
+        fresh.set_logits(prompt_id, prefix, vec)
+    return fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 12),
+       max_len=st.integers(1, 3), steps=st.integers(1, 6))
+def test_dense_table_matches_the_scalar_kernel_through_updates(seed, vocab, max_len, steps):
+    rng = np.random.default_rng(seed)
+    policy = random_policy(vocab, max_len, rng, prompt_ids=(0, 2),
+                           scale=float(rng.choice([0.5, 4.0, 40.0])))
+    _log_probs(policy, 0, ())
+    policy.set_logits(0, (), rng.normal(size=vocab))  # after a read
+    policy.set_logits(3, (0,) * (max_len - 1), rng.normal(size=vocab))  # a new row
+    _assert_rows_match_the_scalar_kernel(policy)
+    for _ in range(steps):
+        if rng.random() < 0.3:
+            policy = _rebuilt(policy)  # a parent whose table was never read
+        parent_read = policy._logp is not None
+        keys = [key for key, _vec in policy.stored_items()]
+        grad = SparseGradient()
+        for i in rng.choice(len(keys), size=min(3, len(keys)), replace=False):
+            grad.accumulate(keys[i], rng.normal(size=vocab))
+        new_key = (int(rng.integers(4, 8)),
+                   tuple(int(t) for t in rng.integers(0, vocab, size=rng.integers(0, max_len))))
+        grad.accumulate(new_key, rng.normal(size=vocab))
+        updated = apply_update(policy, grad, float(rng.normal()))
+        assert updated.stored_prefix_count == len(set(keys) | {new_key})
+        # Reading the parent first means the update carried its table over.
+        assert (updated._logp is not None) == parent_read
+        _assert_rows_match_the_scalar_kernel(updated)
+        fresh = _rebuilt(updated)
+        for (prompt_id, prefix), _vec in updated.stored_items():
+            assert np.array_equal(_log_probs(updated, prompt_id, prefix),
+                                  _log_probs(fresh, prompt_id, prefix))
+        policy = updated
+
+
+def test_rows_handed_out_reject_writes():
+    policy = random_policy(4, 3, np.random.default_rng(4))
+    views = [_log_probs(policy, 0, ()), _log_probs(policy, 8, ()),
+             policy.logit_vector(0, ()), policy.logit_vector(8, ()),
+             dict(policy.stored_items())[(0, ())]]
+    for view in views:
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+    policy.set_logits(0, (), [1.0, 2.0, 3.0, 4.0])
+    assert policy.logit_vector(0, ()).tolist() == [1.0, 2.0, 3.0, 4.0]
