@@ -63,7 +63,6 @@ from .objectives import (
 from .policy import (
     PolicyTable,
     Prefix,
-    SparseGradient,
     TokenDistribution,
     Trajectory,
     Vocab,
@@ -75,6 +74,7 @@ from .policy import (
     load_checkpoint,
     sample_trajectory,
     save_checkpoint,
+    score_gradient,
     softmax,
     token_distribution,
     trajectory_log_prob,

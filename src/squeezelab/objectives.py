@@ -8,8 +8,11 @@ averaged (per-sequence mean for GRPO/GSPO, one global token mean for DAPO),
 the clip widths, and whether a KL leash to a reference snapshot is applied
 (GRPO only). GRPO and DAPO are one clipped token loop that differs only in
 the per-token weight it is given and in the optional KL term; groups with
-all-equal rewards carry no signal and are skipped by every objective. Values
-and analytical gradients are exact so they can be checked against
+all-equal rewards carry no signal and are skipped by every objective. Each
+objective collects its gradient as weighted (prefix, token) score terms and
+hands them to policy.score_gradient, the one place score blocks are formed;
+the KL leash adds its own term after the policy-gradient term of each token.
+Values and analytical gradients are exact so they can be checked against
 brute-force summation and finite differences.
 """
 from __future__ import annotations
@@ -22,16 +25,16 @@ import numpy as np
 from .errors import EmptyTrajectory, OneSidedGroup
 from .policy import (
     PolicyTable,
-    SparseGradient,
+    PrefixKey,
     Trajectory,
     _log_probs,
-    _score_block,
     _token_logps,
     apply_update,
     derive_rng,
     entropy,
     greedy_decode,
     sample_trajectory,
+    score_gradient,
 )
 from .tasks import TaskInstance, validate
 
@@ -139,7 +142,7 @@ def sequence_ratio_gspo(policy: PolicyTable, old_logps, trajectory: Trajectory) 
 @dataclass
 class ObjectiveReport:
     value: float
-    gradient: SparseGradient
+    gradient: dict[PrefixKey, np.ndarray]
     clipped_token_fraction: float
     kl_to_ref: float
     objective_kind: str
@@ -164,7 +167,7 @@ def _clipped_token_loop(batch, policy: PolicyTable, ref_policy: PolicyTable | No
     subtracted.
     """
     use_kl = cfg.beta > 0.0 and ref_policy is not None
-    grad = SparseGradient()
+    terms = []
     pg_value = 0.0
     kl_value = 0.0
     clipped = 0
@@ -194,18 +197,15 @@ def _clipped_token_loop(batch, policy: PolicyTable, ref_policy: PolicyTable | No
                     clipped += 1
                 else:
                     pg_value += w * unclipped_term
-                    grad.accumulate((traj.prompt_id, prefix),
-                                    _score_block(policy, traj.prompt_id, prefix, tok),
-                                    weight=w * a * r)
+                    terms.append((traj.prompt_id, prefix, tok, w * a * r))
                 if use_kl:
                     log_rr = ref_lp[t] - new_lp[t]
                     rr = math.exp(log_rr)
                     kl_value += w * (rr - log_rr - 1.0)
-                    grad.accumulate((traj.prompt_id, prefix),
-                                    _score_block(policy, traj.prompt_id, prefix, tok),
-                                    weight=-cfg.beta * w * (1.0 - rr))
+                    terms.append((traj.prompt_id, prefix, tok, -cfg.beta * w * (1.0 - rr)))
     frac = clipped / considered if considered else 0.0
-    return ObjectiveReport(value=float(pg_value - cfg.beta * kl_value), gradient=grad,
+    return ObjectiveReport(value=float(pg_value - cfg.beta * kl_value),
+                           gradient=score_gradient(policy, terms),
                            clipped_token_fraction=frac, kl_to_ref=float(kl_value),
                            objective_kind=cfg.objective_kind)
 
@@ -263,7 +263,7 @@ def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     if not batch:
         raise ValueError("empty batch")
     n_groups = len(batch)
-    grad = SparseGradient()
+    terms = []
     value = 0.0
     clipped_tokens = 0
     considered_tokens = 0
@@ -289,13 +289,10 @@ def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
             else:
                 value += w * unclipped_term
                 token_weight = w * a * s / length
-                for t, tok in enumerate(traj.tokens):
-                    grad.accumulate((traj.prompt_id, traj.tokens[:t]),
-                                    _score_block(policy, traj.prompt_id,
-                                                 traj.tokens[:t], tok),
-                                    weight=token_weight)
+                terms.extend((traj.prompt_id, traj.tokens[:t], tok, token_weight)
+                             for t, tok in enumerate(traj.tokens))
     frac = clipped_tokens / considered_tokens if considered_tokens else 0.0
-    return ObjectiveReport(value=float(value), gradient=grad,
+    return ObjectiveReport(value=float(value), gradient=score_gradient(policy, terms),
                            clipped_token_fraction=frac,
                            kl_to_ref=0.0, objective_kind=GSPO)
 
@@ -428,7 +425,9 @@ def rl_step(policy: PolicyTable, task_batch, cfg, rng,
     step = cfg.rl_lr
     if cfg.rl_scope == "per_prompt":
         step *= len(groups)
-    new_policy = apply_update_from(policy, report.gradient, step)
+    new_policy = policy
+    if step != 0.0 and report.gradient:
+        new_policy = apply_update(policy, report.gradient, step)
 
     pool_delta = [
         PoolEntry(prompt_id=g.prompt_id, trajectory=traj, reward=reward,
@@ -457,10 +456,3 @@ def _mean_root_entropy(policy: PolicyTable, tasks) -> float:
 def _mean_greedy_logp(policy: PolicyTable, tasks) -> float:
     vals = [greedy_decode(policy, t.prompt_id).total_logp for t in tasks]
     return float(np.mean(vals))
-
-
-def apply_update_from(policy: PolicyTable, gradient: SparseGradient,
-                      lr: float) -> PolicyTable:
-    if lr == 0.0 or not gradient.blocks:
-        return policy
-    return apply_update(policy, gradient, lr)

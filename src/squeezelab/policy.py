@@ -6,18 +6,21 @@ row, so every conditional distribution is defined (uniform) without
 allocation. Each policy version computes the log-softmax of all its rows at
 most once, on the first read, and sampling, log-probs, score blocks and
 greedy decoding all read that one table; an update recomputes only the rows
-it touched. The highest token id acts as the terminator: sampling and greedy
-decoding stop when it is emitted or when the sequence reaches max_len.
-Everything here is exact: sampling, log-probs, and the analytical
-score-function gradient, which makes closed-form claims about softmax update
-dynamics directly checkable.
+it touched. score_gradient is the one place score blocks (onehot - probs) are
+formed and summed. The gradient of one trajectory, of each RL surrogate and
+of the IRL loss is a list of weighted (prefix, token) terms handed to it, and
+it returns a plain dict from prefix key to block. The highest token id acts
+as the terminator: sampling and greedy decoding stop when it is emitted or
+when the sequence reaches max_len. Everything here is exact: sampling,
+log-probs, and the analytical score-function gradient, which makes
+closed-form claims about softmax update dynamics directly checkable.
 """
 from __future__ import annotations
 
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,27 +95,6 @@ class Trajectory:
     tokens: tuple[int, ...]
     per_token_logp: tuple[float, ...]
     total_logp: float
-
-
-@dataclass
-class SparseGradient:
-    """Per-prefix gradient blocks w.r.t. policy logits.
-
-    blocks maps a prefix key to a dense length-V vector. For a single
-    log-prob term each block sums to zero (softmax score identity).
-    """
-
-    blocks: dict[PrefixKey, np.ndarray] = field(default_factory=dict)
-
-    def accumulate(self, key: PrefixKey, vec: np.ndarray, weight: float = 1.0) -> None:
-        existing = self.blocks.get(key)
-        if existing is None:
-            self.blocks[key] = weight * vec
-        else:
-            existing += weight * vec
-
-    def scaled(self, factor: float) -> "SparseGradient":
-        return SparseGradient({k: factor * v for k, v in self.blocks.items()})
 
 
 class PolicyTable:
@@ -241,14 +223,6 @@ def _token_logps(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -
     return policy._log_prob_table()[prefix_rows, list(tokens)]
 
 
-def _score_block(policy: PolicyTable, prompt_id: int, prefix: tuple[int, ...],
-                 tok: int) -> np.ndarray:
-    """Gradient of log pi(tok | prefix) w.r.t. that prefix's logits: onehot - probs."""
-    block = -np.exp(_log_probs(policy, prompt_id, prefix))
-    block[tok] += 1.0
-    return block
-
-
 def token_distribution(policy: PolicyTable, prefix: Prefix) -> TokenDistribution:
     """Conditional next-token distribution at a prefix."""
     if len(prefix.tokens) >= policy.max_len:
@@ -339,25 +313,48 @@ def entropy(d: TokenDistribution | np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> SparseGradient:
+def score_gradient(policy: PolicyTable, terms) -> dict[PrefixKey, np.ndarray]:
+    """Weighted sum of score functions, sum_i w_i * grad log pi(token_i | prefix_i).
+
+    terms yields (prompt_id, prefix, token, weight). The gradient of
+    log pi(token | prefix) w.r.t. that prefix's logits is onehot(token) - probs,
+    so the result maps each prefix key, in order of first appearance, to the
+    sum over its terms of weight * (onehot - probs), added in term order.
+    Every term's row is gathered from the cached log-prob table at once. This
+    is the one place score blocks are formed.
+    """
+    terms = list(terms)
+    if not terms:
+        return {}
+    prompt_ids, prefixes, tokens, weights = zip(*terms)
+    keys = list(zip(prompt_ids, prefixes))
+    slots = {key: slot for slot, key in enumerate(dict.fromkeys(keys))}
+    rows = policy._rows
+    blocks = -np.exp(policy._log_prob_table()[[rows.get(key, 0) for key in keys]])
+    blocks[np.arange(len(keys)), tokens] += 1.0
+    blocks *= np.array(weights, dtype=float)[:, None]
+    # -0.0 is the exact additive identity, so each sum starts at its first term.
+    sums = np.full((len(slots), policy.vocab.size), -0.0)
+    np.add.at(sums, [slots[key] for key in keys], blocks)
+    return dict(zip(slots, sums))
+
+
+def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> dict[PrefixKey, np.ndarray]:
     """Analytical gradient of total_logp w.r.t. the policy's logits.
 
     For each visited prefix the block is indicator(chosen) - probs, the
-    softmax score function; repeated prefixes accumulate.
+    softmax score function; the blocks of a repeated prefix add up.
     """
-    grad = SparseGradient()
-    for t, tok in enumerate(trajectory.tokens):
+    for tok in trajectory.tokens:
         if not 0 <= tok < policy.vocab.size:
             raise InvalidToken(f"token {tok} outside vocab of size {policy.vocab.size}")
-        prefix = trajectory.tokens[:t]
-        grad.accumulate((trajectory.prompt_id, prefix),
-                        _score_block(policy, trajectory.prompt_id, prefix, tok))
-    return grad
+    return score_gradient(policy, [(trajectory.prompt_id, trajectory.tokens[:t], tok, 1.0)
+                                   for t, tok in enumerate(trajectory.tokens)])
 
 
-def apply_update(policy: PolicyTable, gradient: SparseGradient,
+def apply_update(policy: PolicyTable, gradient: dict[PrefixKey, np.ndarray],
                  step_size: float) -> PolicyTable:
-    """Return a new policy with logits[prefix] += step_size * block.
+    """Return a new policy with logits[prefix] += step_size * gradient[prefix].
 
     The input policy is left untouched. The touched rows are gathered, updated
     and scattered back in one pass; a prefix seen for the first time gets a
@@ -368,9 +365,9 @@ def apply_update(policy: PolicyTable, gradient: SparseGradient,
     if not math.isfinite(step_size):
         raise NumericOverflow(f"non-finite step size {step_size}")
     out = policy.copy()
-    keys = list(gradient.blocks)
+    keys = list(gradient)
     rows = np.fromiter(map(out._allocate, keys), dtype=np.intp, count=len(keys))
-    blocks = np.array(list(gradient.blocks.values()), dtype=float).reshape(
+    blocks = np.array(list(gradient.values()), dtype=float).reshape(
         len(keys), policy.vocab.size)
     updated = out._data[rows] + step_size * blocks
     finite = np.isfinite(updated).all(axis=1)

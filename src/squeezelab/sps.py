@@ -6,6 +6,9 @@ rollouts (L2TE), and fits the policy to those demos by gradient descent on
 their mean negative log-likelihood. Fitting a degenerate empirical
 distribution over the demos is exactly maximizing demo likelihood, which
 pushes probability mass back toward trajectories the RL phase squeezed down.
+The descent's gradient is one call of policy.score_gradient, the one place
+score blocks are formed, and irl_loss and irl_value share one mean-NLL
+helper, so the line search compares values summed the same way.
 Every IRL step, in the training loop and outside it, is one call of
 irl_step: step s descends per prompt or over the whole suite (irl_scope), on
 the circular irl_batch_size slice of the demos that starts at s. A baseline
@@ -33,12 +36,12 @@ from .objectives import (
 )
 from .policy import (
     PolicyTable,
-    SparseGradient,
+    PrefixKey,
     Trajectory,
-    _score_block,
     apply_update,
     derive_rng,
     save_checkpoint,
+    score_gradient,
     trajectory_log_prob,
 )
 
@@ -219,9 +222,8 @@ def _demo_pairs(demos):
     return pairs
 
 
-def irl_value(policy: PolicyTable, demos) -> float:
-    """Mean negative log-likelihood of the demos under the policy."""
-    pairs = _demo_pairs(demos)
+def _mean_nll(policy: PolicyTable, pairs) -> float:
+    """Mean negative log-likelihood of (prompt_id, Trajectory) pairs."""
     if not pairs:
         raise ValueError("demos must be nonempty")
     total = 0.0
@@ -231,25 +233,24 @@ def irl_value(policy: PolicyTable, demos) -> float:
     return -total / len(pairs)
 
 
-def irl_loss(policy: PolicyTable, demos) -> tuple[float, SparseGradient]:
+def irl_value(policy: PolicyTable, demos) -> float:
+    """Mean negative log-likelihood of the demos under the policy."""
+    return _mean_nll(policy, _demo_pairs(demos))
+
+
+def irl_loss(policy: PolicyTable, demos) -> tuple[float, dict[PrefixKey, np.ndarray]]:
     """Forward-KL fit to the degenerate demo distribution.
 
-    Reduces to the mean demo NLL; the gradient with respect to the logits is
-    the negated mean score, so descending it raises demo likelihood.
+    Reduces to the mean demo NLL, bit for bit the value irl_value gives; the
+    gradient with respect to the logits is the negated mean score, so
+    descending it raises demo likelihood.
     """
     pairs = _demo_pairs(demos)
-    if not pairs:
-        raise ValueError("demos must be nonempty")
+    value = _mean_nll(policy, pairs)  # first: it rejects empty demos and bad tokens
     w = -1.0 / len(pairs)
-    grad = SparseGradient()
-    value = 0.0
-    for pid, traj in pairs:
-        per_tok, logp = trajectory_log_prob(policy, pid, traj.tokens)
-        value -= logp / len(pairs)
-        for t, tok in enumerate(traj.tokens):
-            grad.accumulate((pid, traj.tokens[:t]),
-                            _score_block(policy, pid, traj.tokens[:t], tok), weight=w)
-    return value, grad
+    return value, score_gradient(policy, [(pid, traj.tokens[:t], tok, w)
+                                          for pid, traj in pairs
+                                          for t, tok in enumerate(traj.tokens)])
 
 
 def irl_descent_step(policy: PolicyTable, demos, lr: float,
@@ -263,7 +264,7 @@ def irl_descent_step(policy: PolicyTable, demos, lr: float,
     if lr == 0.0:
         return policy, irl_value(policy, demos)
     val0, grad = irl_loss(policy, demos)
-    if not grad.blocks:
+    if not grad:
         return policy, val0
     step = lr
     for _ in range(max_halvings + 1):

@@ -152,7 +152,7 @@ def test_criterion_3_objective_oracles():
         assert report.clipped_token_fraction == 0.0
         fd = finite_difference_blocks(value_fn, current, visited_keys(groups))
         for key, fd_block in fd.items():
-            got = report.gradient.blocks.get(key, np.zeros(3))
+            got = report.gradient.get(key, np.zeros(3))
             np.testing.assert_allclose(got, fd_block, rtol=1e-4, atol=1e-8)
 
     # On-policy values vanish at beta = 0 (equal-length batch for the
@@ -221,7 +221,7 @@ def test_criterion_5_irl_reduction(diamond_task):
     keys = sorted({(0, d.tokens[:t]) for d in demos for t in range(len(d.tokens))})
     fd = finite_difference_blocks(lambda p: irl_value(p, demos), policy, keys)
     for key in keys:
-        np.testing.assert_allclose(grad.blocks[key], fd[key], rtol=1e-4, atol=1e-8)
+        np.testing.assert_allclose(grad[key], fd[key], rtol=1e-4, atol=1e-8)
 
     cfg = SpsConfig(group_size=8, sampling_size=3, irl_steps_per_iteration=4,
                     irl_lr=0.05, rl_lr=0.0, clip=ClipConfig.grpo(beta=0.0))

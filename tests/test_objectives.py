@@ -365,7 +365,7 @@ def test_grpo_clipped_token_has_zero_gradient():
     policy, group = one_token_clip_fixture(1.0 + 2 * 0.2)
     report = grpo_objective([group], policy, None, ClipConfig.grpo(beta=0.0))
     assert report.clipped_token_fraction == 0.5
-    block = report.gradient.blocks[(0, ())]
+    block = report.gradient[(0, ())]
     # The clipped positive token contributes nothing; what remains is the
     # negative-advantage token's score at weight -1/(2*1).
     probs = np.exp([naive_logp(policy, 0, (), v) for v in range(3)])
@@ -398,11 +398,11 @@ def test_gspo_clipped_sequence_drops_all_its_tokens():
     # Positive sequence clipped (2 of 4 tokens); its prefixes carry only the
     # negative trajectory's contributions at weight a*s/(G*|y|) = -1/4.
     assert report.clipped_token_fraction == 0.5
-    assert (0, (0,)) not in report.gradient.blocks
-    assert set(report.gradient.blocks) == {(0, ()), (0, (1,))}
+    assert (0, (0,)) not in report.gradient
+    assert set(report.gradient) == {(0, ()), (0, (1,))}
     probs = np.exp([naive_logp(policy, 0, (), v) for v in range(3)])
     expected = -0.25 * (np.eye(3)[1] - probs)
-    np.testing.assert_allclose(report.gradient.blocks[(0, ())], expected,
+    np.testing.assert_allclose(report.gradient[(0, ())], expected,
                                atol=1e-12)
 
 
@@ -431,7 +431,7 @@ def test_dapo_all_filtered_is_a_zero_step():
                          tuple(t.per_token_logp for t in trajs))
     report = dapo_objective([group], behavior, ClipConfig.dapo())
     assert report.value == 0.0
-    assert report.gradient.blocks == {}
+    assert report.gradient == {}
     assert report.clipped_token_fraction == 0.0
     assert report.kl_to_ref == 0.0
 
@@ -453,7 +453,7 @@ def test_grpo_gradient_matches_finite_differences():
                 lambda p: grpo_objective(groups, p, ref, cfg).value,
                 current, visited_keys(groups))
             for key in visited_keys(groups):
-                got = report.gradient.blocks.get(key, np.zeros(3))
+                got = report.gradient.get(key, np.zeros(3))
                 np.testing.assert_allclose(got, fd[key], rtol=1e-4, atol=1e-8)
 
 
@@ -469,7 +469,7 @@ def test_dapo_gradient_matches_finite_differences():
             lambda p: dapo_objective(groups, p, cfg).value,
             current, visited_keys(groups))
         for key in visited_keys(groups):
-            got = report.gradient.blocks.get(key, np.zeros(3))
+            got = report.gradient.get(key, np.zeros(3))
             np.testing.assert_allclose(got, fd[key], rtol=1e-4, atol=1e-8)
 
 
@@ -485,7 +485,7 @@ def test_gspo_gradient_matches_finite_differences():
             lambda p: gspo_objective(groups, p, cfg).value,
             current, visited_keys(groups))
         for key in visited_keys(groups):
-            got = report.gradient.blocks.get(key, np.zeros(3))
+            got = report.gradient.get(key, np.zeros(3))
             np.testing.assert_allclose(got, fd[key], rtol=1e-4, atol=1e-8)
 
 

@@ -23,7 +23,6 @@ from squeezelab.errors import (
 from squeezelab.policy import (
     PolicyTable,
     Prefix,
-    SparseGradient,
     Vocab,
     apply_update,
     derive_rng,
@@ -34,6 +33,7 @@ from squeezelab.policy import (
     make_trajectory,
     sample_trajectory,
     save_checkpoint,
+    score_gradient,
     softmax,
     token_distribution,
     trajectory_log_prob,
@@ -254,12 +254,12 @@ def test_grad_log_prob_uniform_case_and_score_identity():
     policy = PolicyTable(Vocab(4), max_len=3)
     traj = make_trajectory(policy, 0, (2,))
     grad = grad_log_prob(policy, traj)
-    block = grad.blocks[(0, ())]
+    block = grad[(0, ())]
     np.testing.assert_allclose(block, [-0.25, -0.25, 0.75, -0.25], atol=1e-12)
     rng = np.random.default_rng(5)
     policy = random_policy(4, 5, rng)
     traj = sample_trajectory(policy, 0, 1.0, rng)
-    for block in grad_log_prob(policy, traj).blocks.values():
+    for block in grad_log_prob(policy, traj).values():
         np.testing.assert_allclose(block.sum(), 0.0, atol=1e-10)
 
 
@@ -271,9 +271,53 @@ def test_grad_log_prob_matches_finite_differences():
         grad = grad_log_prob(policy, traj)
         fd = finite_difference_blocks(
             lambda p: trajectory_log_prob(p, 0, traj.tokens)[1],
-            policy, list(grad.blocks))
-        for key, block in grad.blocks.items():
+            policy, list(grad))
+        for key, block in grad.items():
             np.testing.assert_allclose(block, fd[key], rtol=1e-4, atol=1e-7)
+
+
+def _sequential_score_sum(policy, terms):
+    """Reference score gradient: one block per term, added per prefix in term order."""
+    out = {}
+    for prompt_id, prefix, tok, weight in terms:
+        onehot = np.zeros(policy.vocab.size)
+        onehot[tok] = 1.0
+        block = weight * (onehot - np.exp(_log_probs(policy, prompt_id, prefix)))
+        key = (prompt_id, prefix)
+        out[key] = out[key] + block if key in out else block
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6),
+       max_len=st.integers(1, 3), n_terms=st.integers(0, 30))
+def test_score_gradient_matches_a_sequential_reference(seed, vocab, max_len, n_terms):
+    rng = np.random.default_rng(seed)
+    policy = random_policy(vocab, max_len, rng, scale=float(rng.choice([0.5, 4.0])))
+    terms = []
+    for _ in range(n_terms):
+        # Prompt 5 has no stored row, so its prefixes read row 0.
+        prompt_id = int(rng.choice([0, 5]))
+        prefix = tuple(int(t) for t in rng.integers(0, vocab - 1, size=rng.integers(0, max_len)))
+        weight = 0.0 if rng.random() < 0.2 else float(rng.normal())
+        terms.append((prompt_id, prefix, int(rng.integers(0, vocab)), weight))
+    # Repeat some terms' prefixes so that sums of several terms are covered.
+    terms += [(p, prefix, int(rng.integers(0, vocab)), float(rng.normal()))
+              for p, prefix, _tok, _w in terms[:n_terms // 2]]
+    got = score_gradient(policy, terms)
+    expected = _sequential_score_sum(policy, terms)
+    assert list(got) == list(expected)
+    for key, block in expected.items():
+        assert np.array_equal(got[key], block)
+
+
+def test_score_gradient_sums_repeated_prefixes_and_reads_row_zero():
+    policy = PolicyTable(Vocab(4), max_len=3)
+    assert score_gradient(policy, []) == {}
+    grad = score_gradient(policy, [(9, (1,), 2, 1.0), (9, (1,), 0, 0.5), (9, (), 3, 0.0)])
+    assert list(grad) == [(9, (1,)), (9, ())]
+    np.testing.assert_allclose(grad[(9, (1,))], [0.125, -0.375, 0.625, -0.375], atol=1e-15)
+    assert not grad[(9, ())].any()
 
 
 def test_apply_update_identity_inverse_and_definition():
@@ -290,8 +334,7 @@ def test_apply_update_identity_inverse_and_definition():
     for key, vec in policy.stored_items():
         np.testing.assert_allclose(roundtrip.logit_vector(*key), vec, atol=1e-12)
 
-    single = SparseGradient()
-    single.accumulate((0, ()), np.array([0.0, 1.0, 0.0, 0.0]))
+    single = {(0, ()): np.array([0.0, 1.0, 0.0, 0.0])}
     bumped = apply_update(policy, single, 0.5)
     np.testing.assert_allclose(
         bumped.logit_vector(0, ()) - policy.logit_vector(0, ()),
@@ -300,8 +343,7 @@ def test_apply_update_identity_inverse_and_definition():
 
 def test_apply_update_allocates_missing_prefix_as_zero():
     policy = PolicyTable(Vocab(3), max_len=2)
-    grad = SparseGradient()
-    grad.accumulate((7, (1,)), np.array([1.0, -1.0, 0.0]))
+    grad = {(7, (1,)): np.array([1.0, -1.0, 0.0])}
     updated = apply_update(policy, grad, 2.0)
     np.testing.assert_allclose(updated.logit_vector(7, (1,)), [2.0, -2.0, 0.0])
     assert policy.stored_prefix_count == 0
@@ -385,12 +427,11 @@ def test_dense_table_matches_the_scalar_kernel_through_updates(seed, vocab, max_
             policy = _rebuilt(policy)  # a parent whose table was never read
         parent_read = policy._logp is not None
         keys = [key for key, _vec in policy.stored_items()]
-        grad = SparseGradient()
-        for i in rng.choice(len(keys), size=min(3, len(keys)), replace=False):
-            grad.accumulate(keys[i], rng.normal(size=vocab))
+        grad = {keys[i]: rng.normal(size=vocab)
+                for i in rng.choice(len(keys), size=min(3, len(keys)), replace=False)}
         new_key = (int(rng.integers(4, 8)),
                    tuple(int(t) for t in rng.integers(0, vocab, size=rng.integers(0, max_len))))
-        grad.accumulate(new_key, rng.normal(size=vocab))
+        grad[new_key] = rng.normal(size=vocab)
         updated = apply_update(policy, grad, float(rng.normal()))
         assert updated.stored_prefix_count == len(set(keys) | {new_key})
         # Reading the parent first means the update carried its table over.

@@ -206,8 +206,25 @@ def test_irl_loss_value_and_gradient_consistency():
     keys = sorted({(0, d.tokens[:t]) for d in demos for t in range(len(d.tokens))})
     fd = finite_difference_blocks(lambda p: irl_value(p, demos), policy, keys)
     for key in keys:
-        np.testing.assert_allclose(grad.blocks[key], fd[key],
+        np.testing.assert_allclose(grad[key], fd[key],
                                    rtol=1e-4, atol=1e-8)
+
+
+def test_irl_loss_value_is_exactly_irl_value():
+    # The line search compares irl_value against irl_loss's value, so the two
+    # must sum the same NLL in the same order, bit for bit.
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        vocab = int(rng.integers(2, 6))
+        max_len = int(rng.integers(1, 4))
+        policy = random_policy(vocab, max_len, rng, prompt_ids=(0, 1),
+                               scale=float(rng.choice([0.5, 3.0])))
+        demos = []
+        for _ in range(int(rng.integers(1, 8))):
+            length = int(rng.integers(1, max_len + 1))
+            demos.append(make_trajectory(policy, int(rng.integers(0, 2)),
+                                         tuple(int(t) for t in rng.integers(0, vocab, size=length))))
+        assert irl_loss(policy, demos)[0] == irl_value(policy, demos)
 
 
 def test_irl_descent_step_decreases_loss():
