@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Check that two source trees write byte-identical run artifacts.
+
+    python3 scripts/artifact_parity.py PARENT_TREE TREE [--work DIR]
+
+Each tree is a checkout of this repository (a directory holding `src/`). The
+config matrix below runs once with PARENT_TREE/src on the import path and
+once with TREE/src, in a fresh interpreter each, into the same scratch paths
+(so paths recorded inside artifacts agree), one tree after the other. For
+each config and seed it runs the training run, an eval-mode run of its final
+checkpoint and `compare` of the run with itself; the paired `sps` and `grpo`
+runs are also compared with each other. Every file the runs write other than
+manifest.json, which records timings, is hashed with sha256. The script prints each file
+whose hash differs or that only one tree wrote, and exits 1 if there is any,
+0 otherwise. It takes about half a minute per tree on a 2-vCPU machine.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+SEEDS = (3, 101)
+
+# name -> (config overrides of the training run, eval.n of the eval-mode run)
+MATRIX = {
+    "sps": ({"mode": "sps"}, 32),
+    "grpo": ({"mode": "grpo"}, 32),
+    "reuse_dapo": ({"mode": "dapo", "rl.reuse_rollouts": True, "rl.steps_per_iteration": 8,
+                    "rl.dapo_max_resamples": 2, "rl.lr": 0.5}, 32),
+    "ledger_deep": ({"mode": "sps", "sps.trace_metrics": True, "sps.max_iterations": 4,
+                     "suite.count": 16, "suite.max_len": 5, "suite.mid_layers": 3}, 256),
+    "gspo": ({"mode": "gspo"}, 32),
+    "grpo_kl_reuse": ({"mode": "grpo", "rl.beta": 0.05, "rl.reuse_rollouts": True}, 32),
+    "dapo_one_prompt": ({"mode": "dapo", "suite.count": 1, "rl.group_size": 4,
+                         "rl.lr": 2.0}, 32),
+    "sps_full_suite": ({"mode": "sps", "sps.irl_scope": "full_suite",
+                        "sps.irl_batch_size": 5}, 32),
+    "sps_every_2": ({"mode": "sps", "sps.checkpoint_every": 2}, 32),
+}
+PAIRED = ("sps", "grpo")
+SKIPPED = "manifest.json"
+
+
+def _render(value) -> str:
+    return ("true" if value else "false") if isinstance(value, bool) else str(value)
+
+
+def _write_config(path: str, values: dict) -> str:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{key} = {_render(val)}\n" for key, val in values.items())
+    return path
+
+
+def run_matrix(work: str) -> None:
+    """Run every config of MATRIX at every seed into `work` with the importable squeezelab."""
+    from squeezelab import runner
+
+    for seed in SEEDS:
+        for name, (overrides, eval_n) in MATRIX.items():
+            root = os.path.join(work, str(seed), name)
+            run_dir = os.path.join(root, "run")
+            os.makedirs(root)
+            runner.run(_write_config(os.path.join(root, "train.cfg"),
+                                     {**overrides, "seed": seed, "out_dir": run_dir}))
+            runner.run(_write_config(os.path.join(root, "eval.cfg"), {
+                "mode": "eval", "seed": seed, "out_dir": os.path.join(root, "eval"),
+                "eval.n": eval_n,
+                "eval.checkpoint": os.path.join(run_dir, "checkpoint_final.txt"),
+                "eval.base_checkpoint": os.path.join(run_dir, "checkpoint_base.txt"),
+                "eval.suite_path": os.path.join(run_dir, "suite.json")}))
+            runner.compare(run_dir, run_dir, os.path.join(root, "compare"))
+        runner.compare(*(os.path.join(work, str(seed), name, "run") for name in PAIRED),
+                       os.path.join(work, str(seed), "paired_compare"))
+
+
+def digests(work: str) -> dict[str, str]:
+    out = {}
+    for dirpath, _dirs, files in os.walk(work):
+        for name in files:
+            if name == SKIPPED or name.endswith(".cfg"):  # .cfg: the script's own inputs
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, work)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def run_tree(tree: str, work: str) -> dict[str, str]:
+    """Run the matrix with tree/src in a fresh interpreter; return the digests."""
+    src = os.path.abspath(os.path.join(tree, "src"))
+    if not os.path.isdir(os.path.join(src, "squeezelab")):
+        sys.exit(f"{tree}: no src/squeezelab package")
+    shutil.rmtree(work, ignore_errors=True)
+    os.makedirs(work)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SQUEEZELAB_SEED", None)
+    check = ("import os, sys, squeezelab; "
+             "sys.exit(not squeezelab.__file__.startswith(sys.argv[1] + os.sep))")
+    if subprocess.run([sys.executable, "-c", check, src], env=env).returncode != 0:
+        sys.exit(f"{tree}: squeezelab does not import from {src}")
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--run-matrix", work],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    result = digests(work)
+    shutil.rmtree(work)
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_tree", nargs="?")
+    parser.add_argument("tree", nargs="?")
+    parser.add_argument("--work", default=None,
+                        help="scratch directory the runs write to (default: a new temp dir)")
+    parser.add_argument("--run-matrix", metavar="DIR", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run_matrix:
+        run_matrix(args.run_matrix)
+        return 0
+    if not (args.parent_tree and args.tree):
+        parser.error("need PARENT_TREE and TREE")
+    temp = None if args.work else tempfile.mkdtemp(prefix="artifact_parity_")
+    work = os.path.join(args.work or temp, "runs")
+    try:
+        parent = run_tree(args.parent_tree, work)
+        child = run_tree(args.tree, work)
+    finally:
+        if temp:
+            shutil.rmtree(temp, ignore_errors=True)
+    differ = sorted(name for name in parent.keys() | child.keys()
+                    if parent.get(name) != child.get(name))
+    for name in differ:
+        where = ("" if name in parent and name in child
+                 else f" (only in {args.parent_tree if name in parent else args.tree})")
+        print(f"differs: {name}{where}")
+    print(f"{len(parent.keys() | child.keys())} files compared besides {SKIPPED}; "
+          f"{len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,6 +72,8 @@ from .policy import (
     grad_log_prob,
     greedy_decode,
     load_checkpoint,
+    prefix_keys,
+    prefix_rows,
     sample_trajectory,
     save_checkpoint,
     score_gradient,

@@ -4,15 +4,18 @@ The format is deliberately plain: one `section.key = value` per line, `#`
 comments, no nesting beyond the dotted section prefix. Every key is checked
 against the schema below before anything runs, so a typo like `grop_size`
 fails loudly with the offending key named instead of silently training with
-a default.
+a default. The values are also handed to the constructors that will consume
+them (ClipConfig, SpsConfig, FamilyParams), so a value they reject is a
+ConfigError at parse time too, with their field names replaced by the keys.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any
 
 from .errors import ConfigError
-from .objectives import ClipConfig, DAPO, GRPO, GSPO
+from .objectives import OBJECTIVE_KINDS, ClipConfig, DAPO, GRPO, GSPO
 from .sps import SpsConfig
 from .tasks import FamilyParams
 
@@ -76,6 +79,35 @@ SCHEMA: dict[str, tuple[str, Any]] = {
     "squeeze.eta": (_FLOAT, -1.0),
 }
 
+# Constructor field -> the config key that sets it.
+_SPS_KEYS = {
+    "group_size": "rl.group_size",
+    "sampling_size": "sps.sampling_size",
+    "irl_steps_per_iteration": "sps.irl_steps_per_iteration",
+    "irl_batch_size": "sps.irl_batch_size",
+    "rl_steps_per_iteration": "rl.steps_per_iteration",
+    "rl_lr": "rl.lr",
+    "irl_lr": "sps.irl_lr",
+    "quantile": "sps.quantile",
+    "min_negatives_for_pure_l2te": "sps.min_negatives",
+    "max_iterations": "sps.max_iterations",
+    "l2te_raw_total": "sps.l2te_raw_total",
+    "rl_scope": "rl.scope",
+    "irl_scope": "sps.irl_scope",
+    "dapo_max_resamples": "rl.dapo_max_resamples",
+    "reuse_rollouts": "rl.reuse_rollouts",
+    "convergence_epsilon": "sps.convergence_epsilon",
+    "holdout_count": "sps.holdout_count",
+    "trace_metrics": "sps.trace_metrics",
+    "trace_prob_floor": "eval.prob_floor",
+    "checkpoint_every": "sps.checkpoint_every",
+}
+_FAMILY_KEYS = {field: f"suite.{field}" for field in (
+    "count", "vocab_size", "max_len", "min_solutions", "mid_layers", "layer_width",
+    "edge_density", "decoy_count")}
+_FIELD_KEYS = {**_SPS_KEYS, **_FAMILY_KEYS,
+               "eps_low": "rl.eps_low", "eps_high": "rl.eps_high", "beta": "rl.beta"}
+
 
 def _parse_value(key: str, tag: str, raw: str):
     raw = raw.strip()
@@ -131,8 +163,8 @@ def _validate(values: dict[str, Any]) -> None:
         raise ConfigError(f"rl.objective: unknown objective {values['rl.objective']!r}")
     if values["seed"] < 0:
         raise ConfigError("seed: must be >= 0")
-    if values["eval.n"] < 1:
-        raise ConfigError("eval.n: must be >= 1")
+    if values["eval.n"] < 2:
+        raise ConfigError("eval.n: must be >= 2, the similarity metric compares samples pairwise")
     if not values["eval.k"]:
         raise ConfigError("eval.k: need at least one k")
     if any(k < 1 for k in values["eval.k"]):
@@ -142,6 +174,13 @@ def _validate(values: dict[str, Any]) -> None:
     for key in ("rl.scope", "sps.irl_scope"):
         if values[key] not in ("per_prompt", "full_suite"):
             raise ConfigError(f"{key}: must be per_prompt or full_suite")
+    cfg = ExperimentConfig(values).with_mode_objective()
+    try:
+        cfg.sps_config()
+        cfg.family_params()
+    except ValueError as exc:
+        raise ConfigError(re.sub(r"\w+", lambda m: _FIELD_KEYS.get(m[0], m[0]),
+                                 str(exc))) from exc
 
 
 @dataclass(frozen=True)
@@ -179,6 +218,13 @@ class ExperimentConfig:
         updated[key] = value
         return ExperimentConfig(updated)
 
+    def with_mode_objective(self) -> "ExperimentConfig":
+        """This config with rl.objective set to the mode, in the grpo, dapo and gspo modes."""
+        mode = self.values["mode"]
+        if mode in OBJECTIVE_KINDS and self.values["rl.objective"] != mode:
+            return self.with_value("rl.objective", mode)
+        return self
+
     def clip_config(self) -> ClipConfig:
         kind = self.values["rl.objective"]
         eps_low = self.values["rl.eps_low"]
@@ -197,43 +243,11 @@ class ExperimentConfig:
             eps_high=4e-4 if eps_high is None else eps_high)
 
     def sps_config(self) -> SpsConfig:
-        v = self.values
-        return SpsConfig(
-            group_size=v["rl.group_size"],
-            sampling_size=v["sps.sampling_size"],
-            irl_steps_per_iteration=v["sps.irl_steps_per_iteration"],
-            irl_batch_size=v["sps.irl_batch_size"],
-            rl_steps_per_iteration=v["rl.steps_per_iteration"],
-            rl_lr=v["rl.lr"],
-            irl_lr=v["sps.irl_lr"],
-            quantile=v["sps.quantile"],
-            min_negatives_for_pure_l2te=v["sps.min_negatives"],
-            max_iterations=v["sps.max_iterations"],
-            clip=self.clip_config(),
-            l2te_raw_total=v["sps.l2te_raw_total"],
-            rl_scope=v["rl.scope"],
-            irl_scope=v["sps.irl_scope"],
-            dapo_max_resamples=v["rl.dapo_max_resamples"],
-            reuse_rollouts=v["rl.reuse_rollouts"],
-            convergence_epsilon=v["sps.convergence_epsilon"],
-            holdout_count=v["sps.holdout_count"],
-            trace_metrics=v["sps.trace_metrics"],
-            trace_prob_floor=v["eval.prob_floor"],
-            checkpoint_every=v["sps.checkpoint_every"],
-        )
+        return SpsConfig(clip=self.clip_config(),
+                         **{field: self.values[key] for field, key in _SPS_KEYS.items()})
 
     def family_params(self) -> FamilyParams:
-        v = self.values
-        return FamilyParams(
-            count=v["suite.count"],
-            vocab_size=v["suite.vocab_size"],
-            max_len=v["suite.max_len"],
-            min_solutions=v["suite.min_solutions"],
-            mid_layers=v["suite.mid_layers"],
-            layer_width=v["suite.layer_width"],
-            edge_density=v["suite.edge_density"],
-            decoy_count=v["suite.decoy_count"],
-        )
+        return FamilyParams(**{field: self.values[key] for field, key in _FAMILY_KEYS.items()})
 
     def to_text(self) -> str:
         lines = []

@@ -6,19 +6,30 @@ importance-weighted surrogate. They differ in where the ratio lives (token
 level for GRPO/DAPO, a per-sequence geometric mean for GSPO), how tokens are
 averaged (per-sequence mean for GRPO/GSPO, one global token mean for DAPO),
 the clip widths, and whether a KL leash to a reference snapshot is applied
-(GRPO only). GRPO and DAPO are one clipped token loop that differs only in
-the per-token weight it is given and in the optional KL term; groups with
-all-equal rewards carry no signal and are skipped by every objective. Each
-objective collects its gradient as weighted (prefix, token) score terms and
-hands them to policy.score_gradient, the one place score blocks are formed;
-the KL leash adds its own term after the policy-gradient term of each token.
-Values and analytical gradients are exact so they can be checked against
-brute-force summation and finite differences.
+(GRPO only). Groups with all-equal rewards carry no signal and are skipped
+by every objective.
+
+GRPO and DAPO are one clipped surrogate over a flat token batch, differing
+only in the per-token weight and the optional KL term. Each RolloutGroup is
+flattened once (its `flat` TokenBatch: every token's prefix key, token, old
+log-prob and advantage, in trajectory then token order), and a reused group
+keeps that form across steps. Each objective call resolves every key's table
+row once, gathers all new log-probs with one index (the reference log-probs
+with one more) and forms ratios, clip branches, values, KL terms and score
+weights as array expressions. The value and KL sums are left folds in token
+order, and each token's KL term follows its policy-gradient term, so the
+results are the same bits as a per-token loop gives. Every objective hands
+its gradient terms to policy.score_gradient, the one place score blocks are
+formed, as flat arrays of keys, rows, tokens and weights. Values and
+analytical gradients are exact so they can be checked against brute-force
+summation and finite differences.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +44,8 @@ from .policy import (
     derive_rng,
     entropy,
     greedy_decode,
+    prefix_keys,
+    prefix_rows,
     sample_trajectory,
     score_gradient,
 )
@@ -79,6 +92,17 @@ class ClipConfig:
 
 
 @dataclass(frozen=True)
+class TokenBatch:
+    """Tokens of a set of trajectories as flat arrays, in trajectory then token order."""
+
+    keys: list[PrefixKey]    # the (prompt_id, prefix) each token was drawn at
+    tokens: np.ndarray       # token ids
+    old_logps: np.ndarray    # behavior log-probs
+    advantages: np.ndarray   # the advantage of the token's trajectory
+    lengths: np.ndarray      # the length of the token's trajectory
+
+
+@dataclass(frozen=True)
 class RolloutGroup:
     """G trajectories for one prompt with rewards and behavior log-probs."""
 
@@ -100,6 +124,25 @@ class RolloutGroup:
     @property
     def size(self) -> int:
         return len(self.trajectories)
+
+    @cached_property
+    def flat(self) -> TokenBatch:
+        """The group's tokens as one TokenBatch, built on first use.
+
+        A degenerate group carries no signal and flattens to no tokens; so
+        does an empty trajectory.
+        """
+        adv = group_advantages(self.rewards)
+        g = 0 if adv.degenerate else self.size
+        trajs = self.trajectories[:g]
+        lengths = np.array([len(t.tokens) for t in trajs], dtype=np.intp)
+        return TokenBatch(
+            keys=[key for t in trajs for key in prefix_keys(t.prompt_id, t.tokens)],
+            tokens=np.fromiter(chain.from_iterable(t.tokens for t in trajs), np.intp),
+            old_logps=np.fromiter(chain.from_iterable(self.old_logps[:g]), float),
+            advantages=np.repeat(adv.values[:g], lengths),
+            lengths=np.repeat(lengths, lengths),
+        )
 
 
 @dataclass(frozen=True)
@@ -154,8 +197,20 @@ def _as_groups(groups) -> list[RolloutGroup]:
     return list(groups)
 
 
-def _clipped_token_loop(batch, policy: PolicyTable, ref_policy: PolicyTable | None,
-                        cfg: ClipConfig, token_weight) -> ObjectiveReport:
+def _left_fold(values: np.ndarray) -> float:
+    """((0.0 + values[0]) + values[1]) + ..., one addition at a time in order.
+
+    Not np.sum, which pairs terms from 8 on, nor the builtin sum, which is
+    compensated from Python 3.12 on: either would change the bits.
+    """
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | None,
+                         cfg: ClipConfig, token_weight) -> ObjectiveReport:
     """The clipped token-ratio surrogate shared by GRPO and DAPO.
 
     Each token of trajectory y in a group of size G adds
@@ -164,50 +219,48 @@ def _clipped_token_loop(batch, policy: PolicyTable, ref_policy: PolicyTable | No
     and empty trajectories are skipped. With cfg.beta > 0 and a reference
     policy, beta times the per-token KL(pi || pi_ref) estimate
     r_ref - log r_ref - 1 (r_ref = pi_ref/pi), weighted the same way, is
-    subtracted.
+    subtracted. token_weight maps a group size and an array of trajectory
+    lengths to the tokens' weights. All tokens of the batch are computed in
+    one pass of array expressions over the groups' flat forms.
     """
-    use_kl = cfg.beta > 0.0 and ref_policy is not None
-    terms = []
-    pg_value = 0.0
-    kl_value = 0.0
-    clipped = 0
-    considered = 0
-    for group in batch:
-        adv = group_advantages(group.rewards)
-        if adv.degenerate:
-            continue
-        for i, traj in enumerate(group.trajectories):
-            a = adv.values[i]
-            if not traj.tokens:
-                continue
-            w = token_weight(group.size, len(traj.tokens))
-            new_lp = _token_logps(policy, traj.prompt_id, traj.tokens)
-            ratios = np.exp(new_lp - np.asarray(group.old_logps[i]))
-            if use_kl:
-                ref_lp = _token_logps(ref_policy, traj.prompt_id, traj.tokens)
-            for t, tok in enumerate(traj.tokens):
-                considered += 1
-                prefix = traj.tokens[:t]
-                r = ratios[t]
-                clipped_r = min(max(r, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
-                unclipped_term = r * a
-                clipped_term = clipped_r * a
-                if clipped_term < unclipped_term:
-                    pg_value += w * clipped_term
-                    clipped += 1
-                else:
-                    pg_value += w * unclipped_term
-                    terms.append((traj.prompt_id, prefix, tok, w * a * r))
-                if use_kl:
-                    log_rr = ref_lp[t] - new_lp[t]
-                    rr = math.exp(log_rr)
-                    kl_value += w * (rr - log_rr - 1.0)
-                    terms.append((traj.prompt_id, prefix, tok, -cfg.beta * w * (1.0 - rr)))
-    frac = clipped / considered if considered else 0.0
+    flats = [group.flat for group in batch]
+    keys = [key for flat in flats for key in flat.keys]
+    n = len(keys)
+    if not n:
+        return ObjectiveReport(value=0.0, gradient={}, clipped_token_fraction=0.0,
+                               kl_to_ref=0.0, objective_kind=cfg.objective_kind)
+    tokens = np.concatenate([flat.tokens for flat in flats])
+    adv = np.concatenate([flat.advantages for flat in flats])
+    w = np.concatenate([token_weight(group.size, flat.lengths)
+                        for group, flat in zip(batch, flats)])
+    rows = prefix_rows(policy, keys)
+    new_lp = policy._log_prob_table()[rows, tokens]
+    ratios = np.exp(new_lp - np.concatenate([flat.old_logps for flat in flats]))
+    unclipped_term = ratios * adv
+    clipped_term = np.minimum(np.maximum(ratios, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high) * adv
+    clipped = clipped_term < unclipped_term
+    pg_value = _left_fold(w * np.where(clipped, clipped_term, unclipped_term))
+    pg_weights = (w * adv) * ratios
+    if cfg.beta > 0.0 and ref_policy is not None:
+        ref_lp = ref_policy._log_prob_table()[prefix_rows(ref_policy, keys), tokens]
+        log_rr = ref_lp - new_lp
+        # math.exp, not np.exp: the two differ in the last bit on some inputs.
+        rr = np.fromiter(map(math.exp, log_rr.tolist()), float, n)
+        kl_value = _left_fold(w * (rr - log_rr - 1.0))
+        # Each token's KL term follows its policy-gradient term, if it has one.
+        emit = np.column_stack([~clipped, np.ones(n, dtype=bool)]).ravel()
+        term_token = np.repeat(np.arange(n), 2)[emit]
+        weights = np.column_stack([pg_weights, -cfg.beta * w * (1.0 - rr)]).ravel()[emit]
+    else:
+        kl_value = 0.0
+        term_token = np.flatnonzero(~clipped)
+        weights = pg_weights[term_token]
+    gradient = score_gradient(policy, [keys[i] for i in term_token.tolist()],
+                              rows[term_token], tokens[term_token], weights)
     return ObjectiveReport(value=float(pg_value - cfg.beta * kl_value),
-                           gradient=score_gradient(policy, terms),
-                           clipped_token_fraction=frac, kl_to_ref=float(kl_value),
-                           objective_kind=cfg.objective_kind)
+                           gradient=gradient,
+                           clipped_token_fraction=int(np.count_nonzero(clipped)) / n,
+                           kl_to_ref=float(kl_value), objective_kind=cfg.objective_kind)
 
 
 def grpo_objective(groups, policy: PolicyTable, ref_policy: PolicyTable | None,
@@ -224,8 +277,8 @@ def grpo_objective(groups, policy: PolicyTable, ref_policy: PolicyTable | None,
     if not batch:
         raise ValueError("empty batch")
     n_groups = len(batch)
-    return _clipped_token_loop(batch, policy, ref_policy, cfg,
-                               lambda g, length: 1.0 / (n_groups * g * length))
+    return _clipped_token_batch(batch, policy, ref_policy, cfg,
+                                lambda g, lengths: 1.0 / (n_groups * g * lengths))
 
 
 def dapo_filter(groups) -> tuple[list[RolloutGroup], int]:
@@ -246,8 +299,8 @@ def dapo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     assert cfg.objective_kind == DAPO
     batch, _ = dapo_filter(groups)
     total_tokens = sum(len(t.tokens) for g in batch for t in g.trajectories)
-    return _clipped_token_loop(batch, policy, None, cfg,
-                               lambda g, length: 1.0 / total_tokens)
+    return _clipped_token_batch(batch, policy, None, cfg,
+                                lambda g, lengths: np.full(len(lengths), 1.0 / total_tokens))
 
 
 def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveReport:
@@ -263,7 +316,9 @@ def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     if not batch:
         raise ValueError("empty batch")
     n_groups = len(batch)
-    terms = []
+    keys: list[PrefixKey] = []
+    tokens: list[int] = []
+    weights: list[float] = []
     value = 0.0
     clipped_tokens = 0
     considered_tokens = 0
@@ -288,11 +343,12 @@ def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
                 clipped_tokens += length
             else:
                 value += w * unclipped_term
-                token_weight = w * a * s / length
-                terms.extend((traj.prompt_id, traj.tokens[:t], tok, token_weight)
-                             for t, tok in enumerate(traj.tokens))
+                keys += prefix_keys(traj.prompt_id, traj.tokens)
+                tokens += traj.tokens
+                weights += [w * a * s / length] * length
     frac = clipped_tokens / considered_tokens if considered_tokens else 0.0
-    return ObjectiveReport(value=float(value), gradient=score_gradient(policy, terms),
+    gradient = score_gradient(policy, keys, prefix_rows(policy, keys), tokens, weights)
+    return ObjectiveReport(value=float(value), gradient=gradient,
                            clipped_token_fraction=frac,
                            kl_to_ref=0.0, objective_kind=GSPO)
 

@@ -7,13 +7,16 @@ allocation. Each policy version computes the log-softmax of all its rows at
 most once, on the first read, and sampling, log-probs, score blocks and
 greedy decoding all read that one table; an update recomputes only the rows
 it touched. score_gradient is the one place score blocks (onehot - probs) are
-formed and summed. The gradient of one trajectory, of each RL surrogate and
-of the IRL loss is a list of weighted (prefix, token) terms handed to it, and
-it returns a plain dict from prefix key to block. The highest token id acts
-as the terminator: sampling and greedy decoding stop when it is emitted or
-when the sequence reaches max_len. Everything here is exact: sampling,
-log-probs, and the analytical score-function gradient, which makes
-closed-form claims about softmax update dynamics directly checkable.
+formed and summed. It takes a flat batch of terms as parallel arrays: each
+term's prefix key, its table row (prefix_rows resolves a list of keys in one
+pass, so a caller that already gathered log-probs passes the same rows), its
+token and its weight. The gradient of one trajectory, of each RL surrogate
+and of the IRL loss is one such call, and it returns a plain dict from prefix
+key to block. The highest token id acts as the terminator: sampling and
+greedy decoding stop when it is emitted or when the sequence reaches
+max_len. Everything here is exact: sampling, log-probs, and the analytical
+score-function gradient, which makes closed-form claims about softmax update
+dynamics directly checkable.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -216,11 +220,20 @@ def _log_probs(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -> 
     return policy._log_prob_table()[policy._rows.get((prompt_id, tokens), 0)]
 
 
+def prefix_keys(prompt_id: int, tokens: tuple[int, ...]) -> list[PrefixKey]:
+    """The (prompt_id, prefix) key each token of a sequence is drawn at."""
+    return [(prompt_id, tokens[:t]) for t in range(len(tokens))]
+
+
+def prefix_rows(policy: PolicyTable, keys) -> np.ndarray:
+    """Each key's row of the policy's tables; 0, the zero row, if it is not stored."""
+    return np.fromiter(map(policy._rows.get, keys, repeat(0)), np.intp, len(keys))
+
+
 def _token_logps(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
     """log pi(tokens[t] | tokens[:t]) for every t, gathered from the cached table."""
-    rows = policy._rows
-    prefix_rows = [rows.get((prompt_id, tokens[:t]), 0) for t in range(len(tokens))]
-    return policy._log_prob_table()[prefix_rows, list(tokens)]
+    rows = prefix_rows(policy, prefix_keys(prompt_id, tokens))
+    return policy._log_prob_table()[rows, list(tokens)]
 
 
 def token_distribution(policy: PolicyTable, prefix: Prefix) -> TokenDistribution:
@@ -264,7 +277,8 @@ def sample_trajectory(policy: PolicyTable, prompt_id: int, temperature: float,
     one rng.random() u and emits the first token whose cumulative probability
     exceeds u (the last token if rounding leaves u above them all). At
     temperature 1 the cumulative probabilities come from the policy's cached
-    table.
+    table. total_logp adds the log-probs one at a time in token order; the
+    builtin sum would not, from Python 3.12 on.
     """
     if temperature < MIN_TEMPERATURE:
         raise TemperatureTooLow(
@@ -274,6 +288,7 @@ def sample_trajectory(policy: PolicyTable, prompt_id: int, temperature: float,
     logp_rows, cum_rows = policy._row_lists()
     tokens: tuple[int, ...] = ()
     logps: list[float] = []
+    total = 0.0
     for _ in range(policy.max_len):
         row = rows.get((prompt_id, tokens), 0)
         if temperature == 1.0:
@@ -283,27 +298,34 @@ def sample_trajectory(policy: PolicyTable, prompt_id: int, temperature: float,
         tok = min(bisect_right(cum, rng.random()), size - 1)
         tokens += (tok,)
         logps.append(logp_rows[row][tok])
+        total += logps[-1]
         if tok == size - 1:
             break
-    return Trajectory(prompt_id, tokens, tuple(logps), float(sum(logps)))
+    return Trajectory(prompt_id, tokens, tuple(logps), total)
 
 
 def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:
-    """Argmax decoding; ties resolve to the lowest token id."""
+    """Argmax decoding; ties resolve to the lowest token id.
+
+    total_logp adds the log-probs one at a time in token order, as
+    sample_trajectory does.
+    """
     terminator = policy.vocab.terminator
     rows = policy._rows
     logp_rows = policy._row_lists()[0]
     tokens: tuple[int, ...] = ()
     logps: list[float] = []
+    total = 0.0
     for _ in range(policy.max_len):
         logp = logp_rows[rows.get((prompt_id, tokens), 0)]
         best = max(logp)
         tok = logp.index(best)
         tokens += (tok,)
         logps.append(best)
+        total += best
         if tok == terminator:
             break
-    return Trajectory(prompt_id, tokens, tuple(logps), float(sum(logps)))
+    return Trajectory(prompt_id, tokens, tuple(logps), total)
 
 
 def entropy(d: TokenDistribution | np.ndarray) -> float:
@@ -313,29 +335,28 @@ def entropy(d: TokenDistribution | np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def score_gradient(policy: PolicyTable, terms) -> dict[PrefixKey, np.ndarray]:
+def score_gradient(policy: PolicyTable, keys, rows, tokens, weights) -> dict[PrefixKey, np.ndarray]:
     """Weighted sum of score functions, sum_i w_i * grad log pi(token_i | prefix_i).
 
-    terms yields (prompt_id, prefix, token, weight). The gradient of
+    The terms come as a flat batch: keys[i] is term i's (prompt_id, prefix),
+    rows[i] its row of the policy's table (prefix_rows(policy, keys) gives
+    them), tokens[i] its token and weights[i] its weight. The gradient of
     log pi(token | prefix) w.r.t. that prefix's logits is onehot(token) - probs,
     so the result maps each prefix key, in order of first appearance, to the
     sum over its terms of weight * (onehot - probs), added in term order.
     Every term's row is gathered from the cached log-prob table at once. This
     is the one place score blocks are formed.
     """
-    terms = list(terms)
-    if not terms:
+    if not len(keys):
         return {}
-    prompt_ids, prefixes, tokens, weights = zip(*terms)
-    keys = list(zip(prompt_ids, prefixes))
-    slots = {key: slot for slot, key in enumerate(dict.fromkeys(keys))}
-    rows = policy._rows
-    blocks = -np.exp(policy._log_prob_table()[[rows.get(key, 0) for key in keys]])
+    blocks = -np.exp(policy._log_prob_table()[rows])
     blocks[np.arange(len(keys)), tokens] += 1.0
-    blocks *= np.array(weights, dtype=float)[:, None]
+    blocks *= np.asarray(weights, dtype=float)[:, None]
+    slots: dict[PrefixKey, int] = {}
+    index = [slots.setdefault(key, len(slots)) for key in keys]
     # -0.0 is the exact additive identity, so each sum starts at its first term.
     sums = np.full((len(slots), policy.vocab.size), -0.0)
-    np.add.at(sums, [slots[key] for key in keys], blocks)
+    np.add.at(sums, index, blocks)
     return dict(zip(slots, sums))
 
 
@@ -348,8 +369,9 @@ def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> dict[PrefixKey
     for tok in trajectory.tokens:
         if not 0 <= tok < policy.vocab.size:
             raise InvalidToken(f"token {tok} outside vocab of size {policy.vocab.size}")
-    return score_gradient(policy, [(trajectory.prompt_id, trajectory.tokens[:t], tok, 1.0)
-                                   for t, tok in enumerate(trajectory.tokens)])
+    keys = prefix_keys(trajectory.prompt_id, trajectory.tokens)
+    return score_gradient(policy, keys, prefix_rows(policy, keys), trajectory.tokens,
+                          np.ones(len(keys)))
 
 
 def apply_update(policy: PolicyTable, gradient: dict[PrefixKey, np.ndarray],

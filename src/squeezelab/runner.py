@@ -34,9 +34,6 @@ from .sps import grpo_baseline_loop, sps_loop
 from .squeeze import penalize_token, verify_squeeze
 from .tasks import build_suite_policy, load_suite, make_benchmark_suite, save_suite
 
-TRAIN_MODES = ("grpo", "dapo", "gspo", "sps")
-
-
 @dataclass
 class RunManifest:
     run_id: str
@@ -101,10 +98,8 @@ def _resolve_config(config) -> ExperimentConfig:
 
 def run(config) -> RunManifest:
     """Execute one configured experiment and emit its artifact directory."""
-    cfg = _resolve_config(config)
+    cfg = _resolve_config(config).with_mode_objective()
     mode = cfg["mode"]
-    if mode in TRAIN_MODES and mode != "sps" and cfg["rl.objective"] != mode:
-        cfg = cfg.with_value("rl.objective", mode)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     art = _Artifacts(out_dir)

@@ -7,8 +7,10 @@ their mean negative log-likelihood. Fitting a degenerate empirical
 distribution over the demos is exactly maximizing demo likelihood, which
 pushes probability mass back toward trajectories the RL phase squeezed down.
 The descent's gradient is one call of policy.score_gradient, the one place
-score blocks are formed, and irl_loss and irl_value share one mean-NLL
-helper, so the line search compares values summed the same way.
+score blocks are formed: irl_loss flattens the demos into one batch of
+prefix keys, table rows, tokens and weights, the same form the RL surrogates
+pass. irl_loss and irl_value share one mean-NLL helper, so the line search
+compares values summed the same way.
 Every IRL step, in the training loop and outside it, is one call of
 irl_step: step s descends per prompt or over the whole suite (irl_scope), on
 the circular irl_batch_size slice of the demos that starts at s. A baseline
@@ -40,6 +42,8 @@ from .policy import (
     Trajectory,
     apply_update,
     derive_rng,
+    prefix_keys,
+    prefix_rows,
     save_checkpoint,
     score_gradient,
     trajectory_log_prob,
@@ -90,8 +94,12 @@ class SpsConfig:
     checkpoint_every: int = 1
 
     def __post_init__(self):
+        if self.group_size < 2:
+            raise ValueError("group_size must be >= 2: advantages are relative to the group")
         if not 1 <= self.sampling_size <= self.group_size:
             raise ValueError("need 1 <= sampling_size <= group_size")
+        if self.irl_batch_size is not None and self.irl_batch_size < 1:
+            raise ValueError("irl_batch_size must be >= 1 (or unset)")
         if self.irl_steps_per_iteration < 0:
             raise ValueError("irl_steps_per_iteration must be >= 0")
         if self.rl_steps_per_iteration < 1:
@@ -107,7 +115,7 @@ class SpsConfig:
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.rl_lr < 0 or self.irl_lr < 0:
-            raise ValueError("learning rates must be >= 0")
+            raise ValueError("rl_lr and irl_lr must be >= 0")
         if self.holdout_count < 0:
             raise ValueError("holdout_count must be >= 0")
 
@@ -247,10 +255,10 @@ def irl_loss(policy: PolicyTable, demos) -> tuple[float, dict[PrefixKey, np.ndar
     """
     pairs = _demo_pairs(demos)
     value = _mean_nll(policy, pairs)  # first: it rejects empty demos and bad tokens
-    w = -1.0 / len(pairs)
-    return value, score_gradient(policy, [(pid, traj.tokens[:t], tok, w)
-                                          for pid, traj in pairs
-                                          for t, tok in enumerate(traj.tokens)])
+    keys = [key for pid, traj in pairs for key in prefix_keys(pid, traj.tokens)]
+    tokens = [tok for _, traj in pairs for tok in traj.tokens]
+    return value, score_gradient(policy, keys, prefix_rows(policy, keys), tokens,
+                                 np.full(len(keys), -1.0 / len(pairs)))
 
 
 def irl_descent_step(policy: PolicyTable, demos, lr: float,

@@ -180,7 +180,7 @@ class FamilyParams:
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.vocab_size < 3:
-            raise ValueError("need at least two edge tokens plus the terminator")
+            raise ValueError("vocab_size must be >= 3: two edge tokens plus the terminator")
         if not 0.0 < self.edge_density <= 1.0:
             raise ValueError("edge_density must be in (0, 1]")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from squeezelab.policy import PolicyTable, Vocab
+from squeezelab.policy import PolicyTable, Vocab, prefix_rows, score_gradient
 from squeezelab.tasks import PathTaskSpec, TaskInstance
 
 
@@ -78,3 +78,10 @@ def finite_difference_blocks(value_fn, policy, keys, h=1e-5):
             fd[v] = (value_fn(plus) - value_fn(minus)) / (2 * h)
         out[key] = fd
     return out
+
+
+def flat_score_gradient(policy, terms):
+    """score_gradient of (prompt_id, prefix, token, weight) terms, passed as a flat batch."""
+    keys = [(prompt_id, prefix) for prompt_id, prefix, _tok, _w in terms]
+    return score_gradient(policy, keys, prefix_rows(policy, keys),
+                          [tok for *_, tok, _w in terms], [w for *_, w in terms])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,43 @@ def test_parse_validates_cross_field_rules():
         parse_config_text("rl.scope = per_token\n")
     with pytest.raises(ConfigError, match="seed"):
         parse_config_text("seed = -1\n")
+
+
+# Values a run would reject only after writing files, each with the key the
+# error must name. The constructors' own rules (SpsConfig, ClipConfig,
+# FamilyParams) are reached through the config, not copied into it.
+REJECTED_AT_PARSE = {
+    "rl.group_size": "rl.group_size = 1\n",
+    "sps.irl_batch_size": "sps.irl_batch_size = 0\n",
+    "eval.n": "eval.n = 1\n",
+    "rl.lr": "rl.lr = -0.1\n",
+    "rl.steps_per_iteration": "rl.steps_per_iteration = 0\n",
+    "suite.vocab_size": "suite.vocab_size = 2\n",
+    # gspo mode pins the objective, whose clip range must not be inverted.
+    "rl.eps_low": "mode = gspo\nrl.eps_low = 0.5\nrl.eps_high = 0.4\n",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REJECTED_AT_PARSE))
+def test_values_a_run_rejects_fail_at_parse_time(key, tmp_path, capsys):
+    text = REJECTED_AT_PARSE[key]
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config_text(text)
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"suite.count = 2\nsps.max_iterations = 1\nout_dir = {out_dir}\n" + text,
+                   encoding="utf-8")
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out_dir.exists()
+
+
+def test_parse_keeps_settings_the_run_accepts():
+    # irl_batch_size may stay unset, and grpo mode reads only rl.eps_low.
+    parse_config_text("sps.irl_batch_size = none\nrl.group_size = 2\nsps.sampling_size = 2\n"
+                      "eval.n = 2\n")
+    parse_config_text("mode = grpo\nrl.eps_low = 0.5\nrl.eps_high = 0.4\n")
 
 
 def test_config_text_round_trip():

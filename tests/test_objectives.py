@@ -11,10 +11,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezelab.errors import EmptyTrajectory, OneSidedGroup
+from squeezelab import objectives as objectives_module
 from squeezelab.objectives import (
     ClipConfig,
+    ObjectiveReport,
     RolloutGroup,
     StepRecord,
     contrastive_decomposition,
@@ -31,6 +35,8 @@ from squeezelab.objectives import (
 from squeezelab.policy import (
     PolicyTable,
     Vocab,
+    _token_logps,
+    apply_update,
     make_trajectory,
     sample_trajectory,
     trajectory_log_prob,
@@ -40,7 +46,7 @@ from squeezelab.config import ExperimentConfig
 from squeezelab.sps import SpsConfig
 from squeezelab.tasks import build_suite_policy, make_benchmark_suite, skewed_base_policy, validate
 
-from conftest import finite_difference_blocks, random_policy
+from conftest import finite_difference_blocks, flat_score_gradient, random_policy
 
 SQRT3 = 1.7320508075688772
 
@@ -534,6 +540,168 @@ def test_contrastive_requires_both_sides():
                          tuple(t.per_token_logp for t in trajs))
     with pytest.raises(OneSidedGroup):
         contrastive_decomposition(group, policy)
+
+
+# ---------------------------------------------------------------------------
+# the flat token-batch kernel against the per-token loop it replaced
+
+
+def reference_clipped_token_loop(batch, policy, ref_policy, cfg, token_weight):
+    """The per-token GRPO/DAPO loop, token by token: the kernel's bit-for-bit reference."""
+    use_kl = cfg.beta > 0.0 and ref_policy is not None
+    terms = []
+    pg_value = 0.0
+    kl_value = 0.0
+    clipped = 0
+    considered = 0
+    for group in batch:
+        adv = group_advantages(group.rewards)
+        if adv.degenerate:
+            continue
+        for i, traj in enumerate(group.trajectories):
+            a = adv.values[i]
+            if not traj.tokens:
+                continue
+            w = token_weight(group.size, len(traj.tokens))
+            new_lp = _token_logps(policy, traj.prompt_id, traj.tokens)
+            ratios = np.exp(new_lp - np.asarray(group.old_logps[i]))
+            if use_kl:
+                ref_lp = _token_logps(ref_policy, traj.prompt_id, traj.tokens)
+            for t, tok in enumerate(traj.tokens):
+                considered += 1
+                prefix = traj.tokens[:t]
+                r = ratios[t]
+                clipped_r = min(max(r, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
+                unclipped_term = r * a
+                clipped_term = clipped_r * a
+                if clipped_term < unclipped_term:
+                    pg_value += w * clipped_term
+                    clipped += 1
+                else:
+                    pg_value += w * unclipped_term
+                    terms.append((traj.prompt_id, prefix, tok, w * a * r))
+                if use_kl:
+                    log_rr = ref_lp[t] - new_lp[t]
+                    rr = math.exp(log_rr)
+                    kl_value += w * (rr - log_rr - 1.0)
+                    terms.append((traj.prompt_id, prefix, tok, -cfg.beta * w * (1.0 - rr)))
+    frac = clipped / considered if considered else 0.0
+    return ObjectiveReport(value=float(pg_value - cfg.beta * kl_value),
+                           gradient=flat_score_gradient(policy, terms),
+                           clipped_token_fraction=frac, kl_to_ref=float(kl_value),
+                           objective_kind=cfg.objective_kind)
+
+
+def reference_objective(groups, policy, ref_policy, cfg):
+    if cfg.objective_kind == "grpo":
+        n_groups = len(groups)
+        return reference_clipped_token_loop(groups, policy, ref_policy, cfg,
+                                            lambda g, length: 1.0 / (n_groups * g * length))
+    kept, _ = dapo_filter(groups)
+    total = sum(len(t.tokens) for g in kept for t in g.trajectories)
+    return reference_clipped_token_loop(kept, policy, None, cfg, lambda g, length: 1.0 / total)
+
+
+def assert_same_report(got, expected):
+    assert got.value == expected.value
+    assert got.kl_to_ref == expected.kl_to_ref
+    assert got.clipped_token_fraction == expected.clipped_token_fraction
+    assert list(got.gradient) == list(expected.gradient)
+    for key, block in expected.gradient.items():
+        assert np.array_equal(got.gradient[key], block), key
+
+
+def random_groups(rng, behavior, vocab, prompt_ids, n_groups, off_policy):
+    """Rollout groups with some degenerate ones, empty trajectories and noisy old log-probs."""
+    groups = []
+    for _ in range(n_groups):
+        pid = int(rng.choice(prompt_ids))
+        size = int(rng.integers(2, 6))
+        trajs = [sample_trajectory(behavior, pid, 1.0, rng) for _ in range(size)]
+        if rng.random() < 0.3:
+            trajs[int(rng.integers(size))] = make_trajectory(behavior, pid, ())
+        rewards = tuple(int(r) for r in rng.integers(0, 2, size=size))
+        if rng.random() < 0.2:
+            rewards = (rewards[0],) * size
+        old = tuple(tuple(lp + off_policy * rng.normal() for lp in t.per_token_logp)
+                    for t in trajs)
+        groups.append(RolloutGroup(pid, tuple(trajs), rewards, old))
+    return groups
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 5), max_len=st.integers(1, 4),
+       n_groups=st.integers(1, 4), kind=st.sampled_from(["grpo", "dapo"]),
+       beta=st.sampled_from([0.0, 0.01, 0.3]), ref=st.sampled_from(["none", "self", "other"]),
+       off_policy=st.sampled_from([0.0, 0.05, 0.5]), steps=st.integers(1, 3))
+def test_token_batch_kernel_matches_the_per_token_loop(seed, vocab, max_len, n_groups, kind,
+                                                       beta, ref, off_policy, steps):
+    rng = np.random.default_rng(seed)
+    # Prompt 7 has no stored rows; small vocabularies repeat prefixes often.
+    behavior = random_policy(vocab, max_len, rng, prompt_ids=(0, 1), scale=1.5)
+    groups = random_groups(rng, behavior, vocab, (0, 1, 7), n_groups, off_policy)
+    cfg = ClipConfig.grpo(beta=beta) if kind == "grpo" else ClipConfig.dapo()
+    policy = perturb(behavior, rng, radius=0.3)
+    ref_policy = {"none": None, "self": policy, "other": behavior}[ref]
+    # The same group objects serve every step, as reused rollouts do.
+    for _ in range(steps):
+        if kind == "grpo":
+            got = grpo_objective(groups, policy, ref_policy, cfg)
+        else:
+            got = dapo_objective(groups, policy, cfg)
+        assert_same_report(got, reference_objective(groups, policy, ref_policy, cfg))
+        policy = apply_update(policy, got.gradient, float(rng.choice([0.5, 4.0])))
+
+
+@pytest.mark.parametrize("overrides", [{"rl.beta": 0.05}, {"rl.objective": "dapo"}])
+def test_rl_steps_on_reused_groups_match_the_per_token_loop(overrides):
+    cfg = ExperimentConfig.from_dict({"suite.count": 6, "rl.lr": 0.5, **overrides})
+    suite = make_benchmark_suite(5, cfg.family_params())
+    sps_cfg = cfg.sps_config()
+    policy = ref = build_suite_policy(suite, cfg["suite.skew"], 5)
+    rng = np.random.default_rng(11)
+    groups = [sample_group(policy, task, sps_cfg.group_size, 1.0, rng) for task in suite]
+    records = []
+    for step in range(4):
+        expected = reference_objective(groups, policy, ref, sps_cfg.clip)
+        new_policy, record, _ = rl_step(policy, suite, sps_cfg, 11, ref_policy=ref,
+                                        step_index=step, groups=groups)
+        assert record.value == expected.value
+        assert record.kl == expected.kl_to_ref
+        assert record.clipped_frac == expected.clipped_token_fraction
+        want = apply_update(policy, expected.gradient, sps_cfg.rl_lr * len(groups))
+        assert [k for k, _ in new_policy.stored_items()] == [k for k, _ in want.stored_items()]
+        for key, vec in want.stored_items():
+            assert np.array_equal(new_policy.logit_vector(*key), vec), key
+        policy = new_policy
+        records.append(record)
+    # The later steps are off-policy enough to clip some tokens.
+    assert any(r.clipped_frac > 0 for r in records)
+
+
+def test_grpo_and_dapo_steps_gather_no_per_trajectory_log_probs(monkeypatch):
+    # The surrogate reads every token's log-prob from one gather over the flat
+    # batch; no per-trajectory gather is left on its path.
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return _token_logps(*args)
+
+    monkeypatch.setattr(policy_module, "_token_logps", counting)
+    monkeypatch.setattr(objectives_module, "_token_logps", counting)
+    for overrides in ({}, {"rl.objective": "dapo"}):
+        cfg = ExperimentConfig.from_dict(overrides)
+        seed = cfg["seed"]
+        suite = make_benchmark_suite(seed, cfg.family_params())
+        base = build_suite_policy(suite, cfg["suite.skew"], seed)
+        sps_cfg = cfg.sps_config()
+        assert sps_cfg.clip.beta > 0 or sps_cfg.clip.objective_kind == "dapo"
+        new_policy, record, _ = rl_step(base, suite, sps_cfg, seed, ref_policy=base)
+        assert new_policy is not base
+        # A second step against a distinct reference policy reads its table too.
+        rl_step(new_policy, suite, sps_cfg, seed + 1, ref_policy=base)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from squeezelab.policy import (
     make_trajectory,
     sample_trajectory,
     save_checkpoint,
-    score_gradient,
     softmax,
     token_distribution,
     trajectory_log_prob,
@@ -41,7 +40,7 @@ from squeezelab.policy import (
     _log_softmax,
 )
 
-from conftest import finite_difference_blocks, random_policy
+from conftest import finite_difference_blocks, flat_score_gradient, random_policy
 
 # softmax([2, 1, 0, -3]), oracle digits
 ORACLE_PROBS = [0.662272413524, 0.243636405391, 0.0896288246641, 0.00446235642128]
@@ -304,7 +303,7 @@ def test_score_gradient_matches_a_sequential_reference(seed, vocab, max_len, n_t
     # Repeat some terms' prefixes so that sums of several terms are covered.
     terms += [(p, prefix, int(rng.integers(0, vocab)), float(rng.normal()))
               for p, prefix, _tok, _w in terms[:n_terms // 2]]
-    got = score_gradient(policy, terms)
+    got = flat_score_gradient(policy, terms)
     expected = _sequential_score_sum(policy, terms)
     assert list(got) == list(expected)
     for key, block in expected.items():
@@ -313,11 +312,28 @@ def test_score_gradient_matches_a_sequential_reference(seed, vocab, max_len, n_t
 
 def test_score_gradient_sums_repeated_prefixes_and_reads_row_zero():
     policy = PolicyTable(Vocab(4), max_len=3)
-    assert score_gradient(policy, []) == {}
-    grad = score_gradient(policy, [(9, (1,), 2, 1.0), (9, (1,), 0, 0.5), (9, (), 3, 0.0)])
+    assert flat_score_gradient(policy, []) == {}
+    grad = flat_score_gradient(policy, [(9, (1,), 2, 1.0), (9, (1,), 0, 0.5), (9, (), 3, 0.0)])
     assert list(grad) == [(9, (1,)), (9, ())]
     np.testing.assert_allclose(grad[(9, (1,))], [0.125, -0.375, 0.625, -0.375], atol=1e-15)
     assert not grad[(9, ())].any()
+
+
+# Below 8 tokens np.sum, which trajectory_log_prob uses, is a left fold; from 8
+# on it pairs terms, so max_len stays at 7 here.
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6),
+       max_len=st.integers(1, 7), temperature=st.sampled_from([1.0, 0.6, 1.7]))
+def test_sampled_and_greedy_totals_are_the_log_prob_of_their_tokens(seed, vocab, max_len,
+                                                                    temperature):
+    # total_logp is a left fold in token order, as on every interpreter: the
+    # builtin sum of floats is compensated from Python 3.12 on.
+    rng = np.random.default_rng(seed)
+    policy = random_policy(vocab, max_len, rng, scale=float(rng.choice([0.5, 4.0])))
+    for traj in [sample_trajectory(policy, 0, temperature, rng) for _ in range(5)] + \
+            [greedy_decode(policy, 0), greedy_decode(policy, 3)]:
+        assert traj.total_logp == trajectory_log_prob(policy, traj.prompt_id, traj.tokens)[1]
+        assert type(traj.total_logp) is float
 
 
 def test_apply_update_identity_inverse_and_definition():
