@@ -26,7 +26,6 @@ from .errors import (
     PrefixExhausted,
     SpaceTooLarge,
     SqueezeLabError,
-    TemperatureTooLow,
 )
 from .metrics import (
     AccuracyHistogram,
@@ -74,6 +73,7 @@ from .policy import (
     load_checkpoint,
     prefix_keys,
     prefix_rows,
+    sample_trajectories,
     sample_trajectory,
     save_checkpoint,
     score_gradient,

@@ -181,6 +181,10 @@ def _validate(values: dict[str, Any]) -> None:
     except ValueError as exc:
         raise ConfigError(re.sub(r"\w+", lambda m: _FIELD_KEYS.get(m[0], m[0]),
                                  str(exc))) from exc
+    if (values["sps.convergence_epsilon"] is not None
+            and values["sps.holdout_count"] >= values["suite.count"]):
+        raise ConfigError("sps.holdout_count: must be below suite.count when "
+                          "sps.convergence_epsilon is set, to leave a training task")
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,6 @@ class InvalidToken(SqueezeLabError):
     """A token id fell outside the vocabulary."""
 
 
-class TemperatureTooLow(SqueezeLabError):
-    """Sampling temperature below the supported floor (use greedy_decode instead)."""
-
-
 class NumericOverflow(SqueezeLabError):
     """A parameter update produced a non-finite logit."""
 

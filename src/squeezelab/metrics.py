@@ -5,7 +5,8 @@ The tabular setting permits exact versions of quantities that are only
 estimable at scale: support coverage enumerates every correct trajectory
 and reads its probability straight off the policy, and the unbiased Pass@k
 estimator is computed with exact integer binomials so it matches brute-force
-subset enumeration bit for bit.
+subset enumeration bit for bit. Samples come from the block sampler, one
+call per task, with rewards from the task's fused validator.
 """
 from __future__ import annotations
 
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, KExceedsN
-from .policy import PolicyTable, Trajectory, greedy_decode, sample_trajectory, trajectory_log_prob
-from .tasks import TaskInstance, enumerate_correct, validate
+from .policy import (PolicyTable, Trajectory, greedy_decode, sample_trajectories,
+                     trajectory_log_prob)
+from .tasks import TaskInstance, enumerate_correct
 
 BUCKET_CENTERS = tuple(i / 10 for i in range(11))
 
@@ -49,19 +51,12 @@ class SampleMatrix:
 
 def sample_matrix(policy: PolicyTable, tasks, n: int,
                   rng: np.random.Generator) -> SampleMatrix:
-    """Draw n fresh temperature-1 samples per task and score them."""
-    ids = []
-    rewards = []
-    trajs = []
-    for task in tasks:
-        row_t = tuple(sample_trajectory(policy, task.prompt_id, 1.0, rng)
-                      for _ in range(n))
-        ids.append(task.prompt_id)
-        trajs.append(row_t)
-        rewards.append([validate(task, t.tokens).reward for t in row_t])
-    return SampleMatrix(prompt_ids=tuple(ids),
-                        rewards=np.asarray(rewards, dtype=int),
-                        trajectories=tuple(trajs))
+    """Draw n fresh samples per task, task after task from one rng, and score them."""
+    tasks = list(tasks)
+    rows = [sample_trajectories(policy, task.prompt_id, n, rng, task.walk) for task in tasks]
+    return SampleMatrix(prompt_ids=tuple(task.prompt_id for task in tasks),
+                        rewards=np.asarray([rewards for _, rewards in rows], dtype=int),
+                        trajectories=tuple(tuple(trajs) for trajs, _ in rows))
 
 
 @dataclass(frozen=True)
@@ -91,18 +86,16 @@ def pass_at_k_unbiased(n: int, c: int, k: int) -> float:
 
 def pass_at_k_mc(policy: PolicyTable, task: TaskInstance, k: int, trials: int,
                  rng: np.random.Generator) -> PassAtKEstimate:
-    """Monte Carlo Pass@k: mean over trials of max reward among k samples."""
+    """Monte Carlo Pass@k: mean over trials of max reward among k samples.
+
+    A trial stops sampling at its first success.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     hits = 0
     for _ in range(trials):
-        best = 0
-        for _ in range(k):
-            traj = sample_trajectory(policy, task.prompt_id, 1.0, rng)
-            best = max(best, validate(task, traj.tokens).reward)
-            if best == 1:
-                break
-        hits += best
+        hits += sample_trajectories(policy, task.prompt_id, k, rng, task.walk,
+                                    stop_at_reward=True)[1][-1]
     p_hat = hits / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return PassAtKEstimate(k=k, value=p_hat, method="monte_carlo", stderr=stderr)

@@ -1,28 +1,23 @@
 """Group-relative policy-gradient objectives: GRPO, DAPO, and GSPO.
 
-All three share the same skeleton: sample G rollouts per prompt, normalize the
-binary rewards within each group into advantages, and maximize a clipped
+All three share one skeleton: sample G rollouts per prompt (sample_group,
+one block-sampler call rewarded by the task's fused validator), normalize
+the binary rewards within each group into advantages, and maximize a clipped
 importance-weighted surrogate. They differ in where the ratio lives (token
 level for GRPO/DAPO, a per-sequence geometric mean for GSPO), how tokens are
 averaged (per-sequence mean for GRPO/GSPO, one global token mean for DAPO),
 the clip widths, and whether a KL leash to a reference snapshot is applied
-(GRPO only). Groups with all-equal rewards carry no signal and are skipped
-by every objective.
+(GRPO only). Groups with all-equal rewards carry no signal and are skipped.
 
-GRPO and DAPO are one clipped surrogate over a flat token batch, differing
-only in the per-token weight and the optional KL term. Each RolloutGroup is
-flattened once (its `flat` TokenBatch: every token's prefix key, token, old
-log-prob and advantage, in trajectory then token order), and a reused group
-keeps that form across steps. Each objective call resolves every key's table
-row once, gathers all new log-probs with one index (the reference log-probs
-with one more) and forms ratios, clip branches, values, KL terms and score
-weights as array expressions. The value and KL sums are left folds in token
-order, and each token's KL term follows its policy-gradient term, so the
-results are the same bits as a per-token loop gives. Every objective hands
-its gradient terms to policy.score_gradient, the one place score blocks are
-formed, as flat arrays of keys, rows, tokens and weights. Values and
-analytical gradients are exact so they can be checked against brute-force
-summation and finite differences.
+GRPO and DAPO are one clipped surrogate over a flat token batch: each
+RolloutGroup flattens once into its `flat` TokenBatch, kept while the group
+is reused, and one call gathers every new and reference log-prob with one
+index each and forms ratios, clips, values, KL terms and score weights as
+array expressions. Value and KL sums are left folds in token order and each
+token's KL term follows its policy-gradient term, so the bits equal a
+per-token loop's. Every objective hands its terms to policy.score_gradient.
+Values and analytical gradients are exact so they can be checked against
+brute-force summation and finite differences.
 """
 from __future__ import annotations
 
@@ -38,6 +33,7 @@ from .policy import (
     PolicyTable,
     PrefixKey,
     Trajectory,
+    _left_fold,
     _log_probs,
     _token_logps,
     apply_update,
@@ -46,10 +42,11 @@ from .policy import (
     greedy_decode,
     prefix_keys,
     prefix_rows,
-    sample_trajectory,
+    sample_trajectories,
+    sample_trajectory,  # noqa: F401  (callers read objectives.sample_trajectory)
     score_gradient,
 )
-from .tasks import TaskInstance, validate
+from .tasks import TaskInstance
 
 GRPO = "grpo"
 DAPO = "dapo"
@@ -195,18 +192,6 @@ def _as_groups(groups) -> list[RolloutGroup]:
     if isinstance(groups, RolloutGroup):
         return [groups]
     return list(groups)
-
-
-def _left_fold(values: np.ndarray) -> float:
-    """((0.0 + values[0]) + values[1]) + ..., one addition at a time in order.
-
-    Not np.sum, which pairs terms from 8 on, nor the builtin sum, which is
-    compensated from Python 3.12 on: either would change the bits.
-    """
-    total = 0.0
-    for value in values.tolist():
-        total += value
-    return total
 
 
 def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | None,
@@ -421,51 +406,44 @@ class StepRecord:
 
 
 def sample_group(policy: PolicyTable, task: TaskInstance, group_size: int,
-                 temperature: float, rng: np.random.Generator) -> RolloutGroup:
-    """Sample G rollouts for one task and score them with the validator."""
-    trajectories = []
-    rewards = []
-    for _ in range(group_size):
-        traj = sample_trajectory(policy, task.prompt_id, temperature, rng)
-        trajectories.append(traj)
-        rewards.append(validate(task, traj.tokens).reward)
-    return RolloutGroup(
-        prompt_id=task.prompt_id,
-        trajectories=tuple(trajectories),
-        rewards=tuple(rewards),
-        old_logps=tuple(t.per_token_logp for t in trajectories),
-    )
+                 rng: np.random.Generator) -> RolloutGroup:
+    """Sample G rollouts for one task, rewarded by the task's fused validator."""
+    trajs, rewards = sample_trajectories(policy, task.prompt_id, group_size, rng, task.walk)
+    return RolloutGroup(task.prompt_id, tuple(trajs), tuple(rewards),
+                        tuple(t.per_token_logp for t in trajs))
 
 
 def rl_step(policy: PolicyTable, task_batch, cfg, rng,
             ref_policy: PolicyTable | None = None, step_index: int = 0, groups=None):
-    """One RL update: sample at temperature 1, score, normalize, step the policy.
+    """One RL update: sample, score, normalize, step the policy.
 
     `cfg` is an SpsConfig (group size, clip config, learning rate). `rng` is
     either an integer seed path base (per-prompt streams are derived from it)
     or a Generator consumed sequentially. Pre-sampled `groups` may be passed
     to reuse a rollout batch across several gradient steps; old_logps inside
     them then refer to the policy that sampled them. Returns the new policy,
-    a StepRecord, and the pool entries for every sampled rollout.
+    a StepRecord, the pool entries of the rollouts this step sampled (none
+    when it was handed `groups`) and the groups it stepped on.
     """
     tasks = list(task_batch)
+    pool_delta = []
     if groups is None:
+        # DAPO resamples a degenerate group, from stream (retry, prompt_id).
+        attempts = 1 + (cfg.dapo_max_resamples if cfg.clip.objective_kind == DAPO else 0)
         groups = []
         for task in tasks:
-            if isinstance(rng, (int, np.integer)):
-                prompt_rng = derive_rng(int(rng), 0, task.prompt_id)
-            else:
-                prompt_rng = rng
-            group = sample_group(policy, task, cfg.group_size, 1.0, prompt_rng)
-            if (cfg.clip.objective_kind == DAPO and cfg.dapo_max_resamples > 0
-                    and not 0 < sum(group.rewards) < group.size):
-                for retry in range(1, cfg.dapo_max_resamples + 1):
-                    if isinstance(rng, (int, np.integer)):
-                        prompt_rng = derive_rng(int(rng), retry, task.prompt_id)
-                    group = sample_group(policy, task, cfg.group_size, 1.0, prompt_rng)
-                    if 0 < sum(group.rewards) < group.size:
-                        break
+            for retry in range(attempts):
+                prompt_rng = (derive_rng(int(rng), retry, task.prompt_id)
+                              if isinstance(rng, (int, np.integer)) else rng)
+                group = sample_group(policy, task, cfg.group_size, prompt_rng)
+                if 0 < sum(group.rewards) < group.size:
+                    break
             groups.append(group)
+        pool_delta = [
+            PoolEntry(prompt_id=g.prompt_id, trajectory=traj, reward=reward,
+                      behavior_total_logp=traj.total_logp, rl_step_index=step_index)
+            for g in groups for traj, reward in zip(g.trajectories, g.rewards)
+        ]
 
     kind = cfg.clip.objective_kind
     if kind == GRPO:
@@ -485,11 +463,6 @@ def rl_step(policy: PolicyTable, task_batch, cfg, rng,
     if step != 0.0 and report.gradient:
         new_policy = apply_update(policy, report.gradient, step)
 
-    pool_delta = [
-        PoolEntry(prompt_id=g.prompt_id, trajectory=traj, reward=reward,
-                  behavior_total_logp=traj.total_logp, rl_step_index=step_index)
-        for g in groups for traj, reward in zip(g.trajectories, g.rewards)
-    ]
     all_rewards = [r for g in groups for r in g.rewards]
     record = StepRecord(
         step=step_index,
@@ -501,7 +474,7 @@ def rl_step(policy: PolicyTable, task_batch, cfg, rng,
         entropy_root=_mean_root_entropy(new_policy, tasks),
         greedy_logp=_mean_greedy_logp(new_policy, tasks),
     )
-    return new_policy, record, pool_delta
+    return new_policy, record, pool_delta, groups
 
 
 def _mean_root_entropy(policy: PolicyTable, tasks) -> float:

@@ -4,19 +4,18 @@ A policy stores one logit vector per (prompt, prefix) pair as a row of one
 dense array; any prefix without a stored vector reads the shared all-zero
 row, so every conditional distribution is defined (uniform) without
 allocation. Each policy version computes the log-softmax of all its rows at
-most once, on the first read, and sampling, log-probs, score blocks and
-greedy decoding all read that one table; an update recomputes only the rows
-it touched. score_gradient is the one place score blocks (onehot - probs) are
-formed and summed. It takes a flat batch of terms as parallel arrays: each
-term's prefix key, its table row (prefix_rows resolves a list of keys in one
-pass, so a caller that already gathered log-probs passes the same rows), its
-token and its weight. The gradient of one trajectory, of each RL surrogate
-and of the IRL loss is one such call, and it returns a plain dict from prefix
-key to block. The highest token id acts as the terminator: sampling and
-greedy decoding stop when it is emitted or when the sequence reaches
-max_len. Everything here is exact: sampling, log-probs, and the analytical
-score-function gradient, which makes closed-form claims about softmax update
-dynamics directly checkable.
+most once, on the first read, and every reader uses that table; an update
+recomputes only the rows it touched. sample_trajectories is the one sampler,
+at temperature 1: per call it draws n * max_len doubles at once and rewinds
+the generator past the unused ones, walks an append-only prefix tree that
+all versions of a policy share, and steps a task's validator table in the
+same pass, so rewards need no replay. score_gradient is the one place score
+blocks (onehot - probs) are formed and summed, from a flat batch of terms:
+each term's prefix key, its table row (prefix_rows), token and weight. The
+highest token id acts as the terminator: sampling and greedy decoding stop
+when it is emitted or when the sequence reaches max_len. Everything here is
+exact, which makes closed-form claims about softmax update dynamics directly
+checkable.
 """
 from __future__ import annotations
 
@@ -34,10 +33,7 @@ from .errors import (
     InvalidToken,
     NumericOverflow,
     PrefixExhausted,
-    TemperatureTooLow,
 )
-
-MIN_TEMPERATURE = 1e-6
 
 # Rows a new table allocates before its first doubling (row 0 is the zero row).
 _INITIAL_ROWS = 8
@@ -91,8 +87,7 @@ class TokenDistribution:
 class Trajectory:
     """A sampled or decoded token sequence with its log-probabilities.
 
-    Token lists end with the terminator or run to max_len. Log-probs are
-    always the policy's own (temperature-1) probabilities.
+    Token lists end with the terminator or run to max_len.
     """
 
     prompt_id: int
@@ -111,10 +106,14 @@ class PolicyTable:
 
     A table computes the log-softmax of all its rows once, on the first read,
     and every reader uses that cached table; set_logits drops the cache.
+    Copies share the sampler's append-only prefix tree (keys, children,
+    roots): node i is the prefix keys[i], children[i * V + token] its child
+    node or -1 until a walk takes that edge, and roots[prompt_id] the node of
+    (). Nodes never move, so each version only maps them to its own rows, as
+    walks reach them; set_logits drops that map too.
     """
 
-    def __init__(self, vocab: Vocab, max_len: int,
-                 logits: dict[PrefixKey, np.ndarray] | None = None):
+    def __init__(self, vocab: Vocab, max_len: int):
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         self.vocab = vocab
@@ -126,9 +125,8 @@ class PolicyTable:
         # The same table as per-row lists of log-probs and of cumulative
         # probabilities (for the sampler), or None until first read.
         self._lists: tuple[list, list] | None = None
-        if logits:
-            for key, vec in logits.items():
-                self.set_logits(key[0], key[1], vec)
+        self._tree: tuple[list[PrefixKey], list[int], dict[int, int]] = ([], [], {})
+        self._node_rows: dict[int, int] = {}
 
     def _allocate(self, key: PrefixKey) -> int:
         """Row of a stored key; a new key gets the next row, initially zero."""
@@ -172,6 +170,7 @@ class PolicyTable:
         row = self._allocate((int(prompt_id), tuple(int(t) for t in tokens)))
         self._data[row] = arr
         self._logp = self._lists = None
+        self._node_rows = {}
 
     def stored_items(self) -> list[tuple[PrefixKey, np.ndarray]]:
         rows = self._logit_rows()
@@ -187,6 +186,7 @@ class PolicyTable:
         clone._data = self._data.copy()
         # The caches are never written in place, so the clone can share them.
         clone._logp, clone._lists = self._logp, self._lists
+        clone._tree = self._tree
         return clone
 
 
@@ -258,7 +258,16 @@ def trajectory_log_prob(policy: PolicyTable, prompt_id: int, tokens) -> tuple[np
         if not 0 <= tok < policy.vocab.size:
             raise InvalidToken(f"token {tok} outside vocab of size {policy.vocab.size}")
     per_token = _token_logps(policy, prompt_id, toks)
-    return per_token, float(per_token.sum())
+    return per_token, _left_fold(per_token)
+
+
+def _left_fold(values: np.ndarray) -> float:
+    """((0.0 + values[0]) + values[1]) + ...: not np.sum, which pairs terms from 8
+    on, nor the builtin sum, which is compensated from Python 3.12 on."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
 
 
 def make_trajectory(policy: PolicyTable, prompt_id: int, tokens) -> Trajectory:
@@ -268,47 +277,74 @@ def make_trajectory(policy: PolicyTable, prompt_id: int, tokens) -> Trajectory:
                       tuple(float(x) for x in per_token), total)
 
 
-def sample_trajectory(policy: PolicyTable, prompt_id: int, temperature: float,
-                      rng: np.random.Generator) -> Trajectory:
-    """Ancestral sampling from the policy, tempered at the draw only.
+def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
+                        rng: np.random.Generator, walk=None,
+                        stop_at_reward: bool = False) -> tuple[list[Trajectory], list[int]]:
+    """n ancestral samples from the policy, with their rewards.
 
-    The draw at each step uses softmax(logits / temperature); the returned
-    log-probs are always the untempered (temperature-1) ones. Each step takes
-    one rng.random() u and emits the first token whose cumulative probability
-    exceeds u (the last token if rounding leaves u above them all). At
-    temperature 1 the cumulative probabilities come from the policy's cached
-    table. total_logp adds the log-probs one at a time in token order; the
-    builtin sum would not, from Python 3.12 on.
+    Each token takes the next double u of rng and is the first token whose
+    cumulative probability exceeds u (the last if rounding leaves u above
+    them all). The doubles come as one rng.random(n * max_len) block, then
+    the PCG64 generator is rewound past the unused ones, as if it had drawn
+    one per token (advance drops a 32-bit half-word buffered by an earlier
+    small-integer draw). walk is a task's validator table, TaskInstance.walk:
+    a reward is 1 exactly when the walk ends in its accept state, and 0
+    without a walk. With stop_at_reward sampling ends at the first reward.
     """
-    if temperature < MIN_TEMPERATURE:
-        raise TemperatureTooLow(
-            f"temperature {temperature} below {MIN_TEMPERATURE}; use greedy_decode")
     size = policy.vocab.size
-    rows = policy._rows
+    last = size - 1
+    table, state0, accept = walk or ([0] * size, 0, -1)
+    (keys, children, roots), stored, node_rows = policy._tree, policy._rows, policy._node_rows
     logp_rows, cum_rows = policy._row_lists()
-    tokens: tuple[int, ...] = ()
-    logps: list[float] = []
-    total = 0.0
-    for _ in range(policy.max_len):
-        row = rows.get((prompt_id, tokens), 0)
-        if temperature == 1.0:
-            cum = cum_rows[row]
-        else:
-            cum = np.cumsum(np.exp(_log_softmax(policy._data[row] / temperature))).tolist()
-        tok = min(bisect_right(cum, rng.random()), size - 1)
-        tokens += (tok,)
-        logps.append(logp_rows[row][tok])
-        total += logps[-1]
-        if tok == size - 1:
+    root = roots.get(prompt_id)
+    if root is None:
+        root = roots[prompt_id] = len(keys)
+        keys.append((prompt_id, ()))
+        children += [-1] * size
+    draws = rng.random(n * policy.max_len).tolist()
+    used = 0
+    trajectories, rewards = [], []
+    for _ in range(n):
+        node, state, total, logps = root, state0, 0.0, []
+        for u in draws[used:used + policy.max_len]:
+            row = node_rows.get(node)
+            if row is None:
+                row = node_rows[node] = stored.get(keys[node], 0)
+            tok = bisect_right(cum_rows[row], u)
+            if tok > last:
+                tok = last
+            logps.append(logp_rows[row][tok])
+            total += logps[-1]
+            state = table[state + tok]
+            child = children[node * size + tok]
+            if child < 0:
+                child = children[node * size + tok] = len(keys)
+                keys.append((prompt_id, keys[node][1] + (tok,)))
+                children += [-1] * size
+            node = child
+            if tok == last:
+                break
+        used += len(logps)
+        trajectories.append(Trajectory(prompt_id, keys[node][1], tuple(logps), total))
+        rewards.append(int(state == accept))
+        if stop_at_reward and state == accept:
             break
-    return Trajectory(prompt_id, tokens, tuple(logps), total)
+    if used < len(draws):
+        rng.bit_generator.advance((1 << 128) - (len(draws) - used))
+    return trajectories, rewards
+
+
+def sample_trajectory(policy: PolicyTable, prompt_id: int,
+                      rng: np.random.Generator) -> Trajectory:
+    """One ancestral sample: sample_trajectories with n = 1."""
+    return sample_trajectories(policy, prompt_id, 1, rng)[0][0]
 
 
 def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:
     """Argmax decoding; ties resolve to the lowest token id.
 
     total_logp adds the log-probs one at a time in token order, as
-    sample_trajectory does.
+    sample_trajectories does.
     """
     terminator = policy.vocab.terminator
     rows = policy._rows

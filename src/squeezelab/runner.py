@@ -6,6 +6,7 @@ suite, checkpoints, trace files, evaluation report, and a manifest embedding
 the fully resolved config. Non-checkpoint artifacts are written under
 `.partial` names and renamed only when the run completes, so a crashed run
 is recognizable by its suffixes while the last checkpoint stays usable.
+Checkpoints are ranked from the policies in memory as the loop writes them.
 """
 from __future__ import annotations
 
@@ -214,25 +215,25 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
     save_checkpoint(base, art.direct("checkpoint_base.txt"))
     timings["setup"] = time.perf_counter() - t0
 
+    # Logits round-trip exactly through a checkpoint, so the policy in memory
+    # samples as its file would.
+    rows = []
+
+    def rank(it: int, snapshot) -> None:
+        matrix = sample_matrix(snapshot, suite, cfg["eval.n"], derive_rng(seed, 7100, it))
+        rows.append((it, f"checkpoint_iter{it:03d}.txt", avg_at_k(matrix)))
+
     t0 = time.perf_counter()
-    sps_cfg = cfg.sps_config()
     loop = sps_loop if mode == "sps" else grpo_baseline_loop
-    final_policy, trace = loop(base, suite, sps_cfg, seed, out_dir=art.out_dir)
+    final_policy, trace = loop(base, suite, cfg.sps_config(), seed, out_dir=art.out_dir,
+                               on_checkpoint=rank)
     timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     trace.save(art.partial_path("trace.jsonl"))
     trace.save_step_csv(art.partial_path("steps.csv"))
     save_checkpoint(final_policy, art.direct("checkpoint_final.txt"))
-
-    rows = []
-    for it in trace.checkpoint_iters:
-        name = f"checkpoint_iter{it:03d}.txt"
-        art.final.append(name)
-        snapshot = load_checkpoint(os.path.join(art.out_dir, name))
-        matrix = sample_matrix(snapshot, suite, cfg["eval.n"],
-                               derive_rng(seed, 7100, it))
-        rows.append((it, name, avg_at_k(matrix)))
+    art.final += [name for _, name, _ in rows]
     if rows:
         best = max(rows, key=lambda r: (r[2], -r[0]))
         shutil.copyfile(os.path.join(art.out_dir, best[1]),

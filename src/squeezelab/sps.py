@@ -30,7 +30,6 @@ from .metrics import sample_matrix, avg_at_k, support_coverage, pass_at_k_unbias
 from .objectives import (
     ClipConfig,
     PoolEntry,
-    RolloutGroup,
     StepRecord,
     _mean_greedy_logp,
     _mean_root_entropy,
@@ -372,22 +371,6 @@ def _step_seed(master: int, iteration: int, step: int) -> int:
     return int(np.random.SeedSequence([master, iteration, step]).generate_state(1)[0])
 
 
-def _groups_from_entries(entries, tasks, group_size: int) -> list[RolloutGroup]:
-    by_prompt: dict[int, list[PoolEntry]] = {}
-    for e in entries:
-        by_prompt.setdefault(e.prompt_id, []).append(e)
-    groups = []
-    for task in tasks:
-        es = by_prompt[task.prompt_id]
-        groups.append(RolloutGroup(
-            prompt_id=task.prompt_id,
-            trajectories=tuple(e.trajectory for e in es),
-            rewards=tuple(e.reward for e in es),
-            old_logps=tuple(e.trajectory.per_token_logp for e in es),
-        ))
-    return groups
-
-
 def _trace_eval(policy, tasks, cfg: SpsConfig, master: int, tag: int):
     if not cfg.trace_metrics:
         return None, None
@@ -406,7 +389,7 @@ def _trace_eval(policy, tasks, cfg: SpsConfig, master: int, tag: int):
 
 
 def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
-          irl_enabled: bool, out_dir=None) -> tuple[PolicyTable, TrainTrace]:
+          irl_enabled: bool, out_dir=None, on_checkpoint=None) -> tuple[PolicyTable, TrainTrace]:
     master = _master_seed(rng)
     tasks = list(task_suite)
     holdout = []
@@ -425,17 +408,12 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
         cached_groups = None
         for s in range(cfg.rl_steps_per_iteration):
             seed = _step_seed(master, it, s)
-            if cfg.reuse_rollouts and cached_groups is not None:
-                policy, record, _ = rl_step(
-                    policy, tasks, cfg, seed, ref_policy=ref,
-                    step_index=global_step, groups=cached_groups)
-            else:
-                policy, record, delta = rl_step(
-                    policy, tasks, cfg, seed, ref_policy=ref,
-                    step_index=global_step)
-                pool.extend(delta)
-                if cfg.reuse_rollouts:
-                    cached_groups = _groups_from_entries(delta, tasks, cfg.group_size)
+            policy, record, delta, groups = rl_step(
+                policy, tasks, cfg, seed, ref_policy=ref, step_index=global_step,
+                groups=cached_groups)
+            pool.extend(delta)
+            if cfg.reuse_rollouts:
+                cached_groups = groups
             pk, cov = _trace_eval(policy, tasks, cfg, master, global_step)
             trace.records.append(TraceRecord(
                 iter=it, phase="RL", step=global_step,
@@ -459,10 +437,11 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
                     greedy_logp=_mean_greedy_logp(policy, tasks),
                     pass_at_k=pk, support_coverage=cov, seed=master))
                 global_step += 1
-        pool.clear()
         if out_dir is not None and cfg.checkpoint_every > 0 and (it + 1) % cfg.checkpoint_every == 0:
             save_checkpoint(policy, f"{out_dir}/checkpoint_iter{it + 1:03d}.txt")
             trace.checkpoint_iters.append(it + 1)
+            if on_checkpoint is not None:
+                on_checkpoint(it + 1, policy)
         if cfg.convergence_epsilon is not None and holdout:
             rng_eval = derive_rng(master, 7002, it)
             matrix = sample_matrix(policy, holdout, cfg.convergence_eval_n, rng_eval)
@@ -474,14 +453,18 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
 
 
 def sps_loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
-             out_dir=None) -> tuple[PolicyTable, TrainTrace]:
-    """Alternate RL phases with the IRL stage for cfg.max_iterations."""
+             out_dir=None, on_checkpoint=None) -> tuple[PolicyTable, TrainTrace]:
+    """Alternate RL phases with the IRL stage for cfg.max_iterations.
+
+    With out_dir set, each checkpoint written is also handed to
+    on_checkpoint(iteration, policy), if given.
+    """
     return _loop(base_policy, task_suite, cfg, rng, irl_enabled=True,
-                 out_dir=out_dir)
+                 out_dir=out_dir, on_checkpoint=on_checkpoint)
 
 
 def grpo_baseline_loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig,
-                       rng, out_dir=None) -> tuple[PolicyTable, TrainTrace]:
+                       rng, out_dir=None, on_checkpoint=None) -> tuple[PolicyTable, TrainTrace]:
     """The same schedule with the IRL stage disabled, for fair comparison."""
     return _loop(base_policy, task_suite, cfg, rng, irl_enabled=False,
-                 out_dir=out_dir)
+                 out_dir=out_dir, on_checkpoint=on_checkpoint)

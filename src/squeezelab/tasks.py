@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,18 @@ class TaskInstance:
             raise GenerationFailed(
                 f"task {self.prompt_id}: target {self.label} unreachable "
                 f"within {self.spec.max_len} steps")
+
+    @cached_property
+    def walk(self) -> tuple[list[int], int, int]:
+        """validate as the block sampler's (table, start, accept): state node * V
+        is the walk at node, table[state + token] the state after token; an
+        undefined edge leads to a dead node and the terminator keeps the state."""
+        size, nodes = self.spec.vocab_size, self.spec.node_count
+        table = [nodes * size] * ((nodes + 1) * size)
+        table[size - 1:nodes * size:size] = range(0, nodes * size, size)
+        for (node, tok), nxt in self.spec.edge_map.items():
+            table[node * size + tok] = nxt * size
+        return table, self.spec.start * size, self.label * size
 
 
 @dataclass(frozen=True)

@@ -226,7 +226,7 @@ def test_criterion_5_irl_reduction(diamond_task):
     cfg = SpsConfig(group_size=8, sampling_size=3, irl_steps_per_iteration=4,
                     irl_lr=0.05, rl_lr=0.0, clip=ClipConfig.grpo(beta=0.0))
     base = PolicyTable(Vocab(4), max_len=2)
-    _, _, delta = rl_step(base, [diamond_task], cfg, 5)
+    _, _, delta, _ = rl_step(base, [diamond_task], cfg, 5)
     pool = RolloutPool()
     pool.extend(delta)
     selected = l2te_select(pool, 0, cfg)

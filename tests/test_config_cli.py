@@ -4,13 +4,15 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from squeezelab import cli, runner
+from squeezelab import cli, policy, runner, tasks
 from squeezelab.config import ExperimentConfig, parse_config_text
 from squeezelab.errors import ConfigError
+from squeezelab.metrics import avg_at_k, sample_matrix
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,10 @@ def test_parse_validates_cross_field_rules():
         parse_config_text("rl.scope = per_token\n")
     with pytest.raises(ConfigError, match="seed"):
         parse_config_text("seed = -1\n")
+    with pytest.raises(ConfigError, match="sps.holdout_count.*suite.count"):
+        parse_config_text("suite.count = 2\nsps.holdout_count = 2\n"
+                          "sps.convergence_epsilon = 0.01\n")
+    parse_config_text("suite.count = 2\nsps.holdout_count = 1\nsps.convergence_epsilon = 0.01\n")
 
 
 # Values a run would reject only after writing files, each with the key the
@@ -114,6 +120,8 @@ REJECTED_AT_PARSE = {
     "rl.lr": "rl.lr = -0.1\n",
     "rl.steps_per_iteration": "rl.steps_per_iteration = 0\n",
     "suite.vocab_size": "suite.vocab_size = 2\n",
+    # The convergence check holds tasks out, and at least one must be left to train.
+    "sps.holdout_count": "sps.holdout_count = 32\nsps.convergence_epsilon = 0.01\n",
     # gspo mode pins the objective, whose clip range must not be inverted.
     "rl.eps_low": "mode = gspo\nrl.eps_low = 0.5\nrl.eps_high = 0.4\n",
 }
@@ -384,3 +392,35 @@ def test_rerun_ranks_only_the_checkpoints_it_wrote(tmp_path):
     assert not (out_dir / "checkpoint_iter001.txt").exists()
     assert not (out_dir / "checkpoint_iter003.txt").exists()
     assert (out_dir / "notes.txt").read_text(encoding="utf-8") == "not an artifact\n"
+
+
+def test_default_run_trains_and_ranks_without_validate_or_reloading(tmp_path, monkeypatch):
+    # Rewards come from the sampler's fused validator, and checkpoints are
+    # ranked from the policies in memory, not from the files just written.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {"validate": tasks.validate, "load_checkpoint": policy.load_checkpoint}
+    for module in [m for key, m in sys.modules.items() if key.startswith("squeezelab")]:
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    monkeypatch.delenv("SQUEEZELAB_SEED", raising=False)
+    cfg = ExperimentConfig.from_dict({"out_dir": str(tmp_path / "run")})
+    runner.run(cfg)
+    assert calls == []
+    monkeypatch.undo()
+    assert tasks.validate is originals["validate"]
+    # The ranking equals one computed from the checkpoint file.
+    rows = (tmp_path / "run" / "checkpoints.csv").read_text().splitlines()[1:]
+    assert len(rows) == cfg["sps.max_iterations"]
+    it, name, avg = rows[-1].split(",")
+    suite = tasks.load_suite(str(tmp_path / "run" / "suite.json"), cfg["suite.vocab_size"])
+    matrix = sample_matrix(policy.load_checkpoint(str(tmp_path / "run" / name)), suite,
+                           cfg["eval.n"], policy.derive_rng(cfg["seed"], 7100, int(it)))
+    assert repr(avg_at_k(matrix)) == avg

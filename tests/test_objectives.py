@@ -144,7 +144,7 @@ def build_batch(rng, n_groups=2, group_size=3, vocab=3, max_len=2):
                              prompt_ids=tuple(range(n_groups)), scale=0.7)
     groups = []
     for pid in range(n_groups):
-        trajs = tuple(sample_trajectory(behavior, pid, 1.0, rng)
+        trajs = tuple(sample_trajectory(behavior, pid, rng)
                       for _ in range(group_size))
         rewards = [int(rng.integers(2)) for _ in trajs]
         if len(set(rewards)) == 1:
@@ -208,7 +208,7 @@ def test_group_advantages_binary_rewards_give_two_values():
 def test_token_ratio_on_policy_is_exactly_one():
     rng = np.random.default_rng(4)
     policy = random_policy(3, 3, rng)
-    traj = sample_trajectory(policy, 0, 1.0, rng)
+    traj = sample_trajectory(policy, 0, rng)
     for t in range(len(traj.tokens)):
         assert token_ratio(policy, traj.per_token_logp, traj, t) == 1.0
 
@@ -227,7 +227,7 @@ def test_token_ratio_tracks_logit_changes():
 def test_sequence_ratio_examples():
     rng = np.random.default_rng(9)
     policy = random_policy(3, 3, rng)
-    traj = sample_trajectory(policy, 0, 1.0, rng)
+    traj = sample_trajectory(policy, 0, rng)
     assert sequence_ratio_gspo(policy, traj.per_token_logp, traj) == 1.0
 
     two = random_policy(3, 2, np.random.default_rng(1))
@@ -313,7 +313,7 @@ def test_grpo_degenerate_group_contributes_zero_but_counts_in_mean():
     rng = np.random.default_rng(41)
     behavior, groups = build_batch(rng, n_groups=1, group_size=3)
     mixed = groups[0]
-    flat_trajs = tuple(sample_trajectory(behavior, 0, 1.0, rng) for _ in range(3))
+    flat_trajs = tuple(sample_trajectory(behavior, 0, rng) for _ in range(3))
     flat = RolloutGroup(0, flat_trajs, (1, 1, 1),
                         tuple(t.per_token_logp for t in flat_trajs))
     current = perturb(behavior, rng)
@@ -416,7 +416,7 @@ def test_dapo_filter_partitions_and_keeps_mixed_groups():
     rng = np.random.default_rng(55)
     behavior = random_policy(3, 2, rng)
     def with_rewards(rewards):
-        trajs = tuple(sample_trajectory(behavior, 0, 1.0, rng)
+        trajs = tuple(sample_trajectory(behavior, 0, rng)
                       for _ in rewards)
         return RolloutGroup(0, trajs, tuple(rewards),
                             tuple(t.per_token_logp for t in trajs))
@@ -432,7 +432,7 @@ def test_dapo_filter_partitions_and_keeps_mixed_groups():
 def test_dapo_all_filtered_is_a_zero_step():
     rng = np.random.default_rng(56)
     behavior = random_policy(3, 2, rng)
-    trajs = tuple(sample_trajectory(behavior, 0, 1.0, rng) for _ in range(4))
+    trajs = tuple(sample_trajectory(behavior, 0, rng) for _ in range(4))
     group = RolloutGroup(0, trajs, (1, 1, 1, 1),
                          tuple(t.per_token_logp for t in trajs))
     report = dapo_objective([group], behavior, ClipConfig.dapo())
@@ -617,7 +617,7 @@ def random_groups(rng, behavior, vocab, prompt_ids, n_groups, off_policy):
     for _ in range(n_groups):
         pid = int(rng.choice(prompt_ids))
         size = int(rng.integers(2, 6))
-        trajs = [sample_trajectory(behavior, pid, 1.0, rng) for _ in range(size)]
+        trajs = [sample_trajectory(behavior, pid, rng) for _ in range(size)]
         if rng.random() < 0.3:
             trajs[int(rng.integers(size))] = make_trajectory(behavior, pid, ())
         rewards = tuple(int(r) for r in rng.integers(0, 2, size=size))
@@ -660,12 +660,14 @@ def test_rl_steps_on_reused_groups_match_the_per_token_loop(overrides):
     sps_cfg = cfg.sps_config()
     policy = ref = build_suite_policy(suite, cfg["suite.skew"], 5)
     rng = np.random.default_rng(11)
-    groups = [sample_group(policy, task, sps_cfg.group_size, 1.0, rng) for task in suite]
+    groups = [sample_group(policy, task, sps_cfg.group_size, rng) for task in suite]
     records = []
     for step in range(4):
         expected = reference_objective(groups, policy, ref, sps_cfg.clip)
-        new_policy, record, _ = rl_step(policy, suite, sps_cfg, 11, ref_policy=ref,
-                                        step_index=step, groups=groups)
+        new_policy, record, delta, stepped = rl_step(policy, suite, sps_cfg, 11, ref_policy=ref,
+                                                     step_index=step, groups=groups)
+        # A step on handed-in groups pools nothing and steps on those groups.
+        assert delta == [] and stepped is groups
         assert record.value == expected.value
         assert record.kl == expected.kl_to_ref
         assert record.clipped_frac == expected.clipped_token_fraction
@@ -697,7 +699,7 @@ def test_grpo_and_dapo_steps_gather_no_per_trajectory_log_probs(monkeypatch):
         base = build_suite_policy(suite, cfg["suite.skew"], seed)
         sps_cfg = cfg.sps_config()
         assert sps_cfg.clip.beta > 0 or sps_cfg.clip.objective_kind == "dapo"
-        new_policy, record, _ = rl_step(base, suite, sps_cfg, seed, ref_policy=base)
+        new_policy, record, _, _ = rl_step(base, suite, sps_cfg, seed, ref_policy=base)
         assert new_policy is not base
         # A second step against a distinct reference policy reads its table too.
         rl_step(new_policy, suite, sps_cfg, seed + 1, ref_policy=base)
@@ -710,8 +712,7 @@ def test_grpo_and_dapo_steps_gather_no_per_trajectory_log_probs(monkeypatch):
 
 def test_sample_group_scores_with_validator(diamond_task):
     policy = PolicyTable(Vocab(4), max_len=2)
-    group = sample_group(policy, diamond_task, 8, 1.0,
-                         np.random.default_rng(0))
+    group = sample_group(policy, diamond_task, 8, np.random.default_rng(0))
     assert group.size == 8
     for i, (traj, reward) in enumerate(zip(group.trajectories, group.rewards)):
         assert reward == validate(diamond_task, traj.tokens).reward
@@ -721,7 +722,7 @@ def test_sample_group_scores_with_validator(diamond_task):
 def test_rl_step_zero_lr_keeps_policy_and_fills_pool(diamond_task):
     policy = PolicyTable(Vocab(4), max_len=2)
     cfg = SpsConfig(rl_lr=0.0, group_size=8, clip=ClipConfig.grpo(beta=0.0))
-    new_policy, record, pool = rl_step(policy, [diamond_task], cfg, 123)
+    new_policy, record, pool, _ = rl_step(policy, [diamond_task], cfg, 123)
     assert new_policy is policy
     assert len(pool) == 8
     assert all(entry.behavior_total_logp <= 0 for entry in pool)
@@ -745,7 +746,7 @@ def test_rl_step_raises_positive_rollout_likelihood(diamond_task):
     counted = 0
     for seed in range(20):
         policy = skewed_base_policy(diamond_task, 2.0, seed=7)
-        new_policy, record, pool = rl_step(policy, [diamond_task], cfg, seed)
+        new_policy, record, pool, _ = rl_step(policy, [diamond_task], cfg, seed)
         positives = [e.trajectory for e in pool if e.reward == 1]
         if not positives or len(positives) == len(pool):
             continue
@@ -776,7 +777,7 @@ def test_rl_step_computes_each_log_prob_row_once_per_policy_version(monkeypatch)
         return kernel(z)
 
     monkeypatch.setattr(policy_module, "_log_softmax", counting_kernel)
-    new_policy, _, _ = rl_step(base, suite, cfg.sps_config(), seed, ref_policy=base)
+    new_policy, _, _, _ = rl_step(base, suite, cfg.sps_config(), seed, ref_policy=base)
     assert new_policy is not base
     assert 0 < sum(rows) <= (base.stored_prefix_count + 1) + (new_policy.stored_prefix_count + 1)
 

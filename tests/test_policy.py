@@ -18,7 +18,6 @@ from squeezelab.errors import (
     InvalidLogits,
     InvalidToken,
     PrefixExhausted,
-    TemperatureTooLow,
 )
 from squeezelab.policy import (
     PolicyTable,
@@ -31,6 +30,7 @@ from squeezelab.policy import (
     greedy_decode,
     load_checkpoint,
     make_trajectory,
+    sample_trajectories,
     sample_trajectory,
     save_checkpoint,
     softmax,
@@ -39,6 +39,7 @@ from squeezelab.policy import (
     _log_probs,
     _log_softmax,
 )
+from squeezelab.tasks import PathTaskSpec, TaskInstance, validate
 
 from conftest import finite_difference_blocks, flat_score_gradient, random_policy
 
@@ -132,17 +133,11 @@ def test_trajectory_log_prob_consistent_with_per_step_distributions():
         np.testing.assert_allclose(per_token.sum(), total, atol=1e-10)
 
 
-def test_sample_trajectory_rejects_tiny_temperature():
-    policy = PolicyTable(Vocab(4), max_len=3)
-    with pytest.raises(TemperatureTooLow):
-        sample_trajectory(policy, 0, 1e-7, np.random.default_rng(0))
-
-
 def test_sample_trajectory_deterministic_under_seed():
     rng = np.random.default_rng(3)
     policy = random_policy(4, 4, rng)
-    a = [sample_trajectory(policy, 0, 1.0, derive_rng(42, i)) for i in range(10)]
-    b = [sample_trajectory(policy, 0, 1.0, derive_rng(42, i)) for i in range(10)]
+    a = [sample_trajectory(policy, 0, derive_rng(42, i)) for i in range(10)]
+    b = [sample_trajectory(policy, 0, derive_rng(42, i)) for i in range(10)]
     assert [t.tokens for t in a] == [t.tokens for t in b]
     assert [t.total_logp for t in a] == [t.total_logp for t in b]
 
@@ -153,7 +148,7 @@ def test_sample_trajectory_first_step_frequencies_near_uniform():
     counts = np.zeros(4)
     n = 40000
     for _ in range(n):
-        counts[sample_trajectory(policy, 0, 1.0, rng).tokens[0]] += 1
+        counts[sample_trajectory(policy, 0, rng).tokens[0]] += 1
     np.testing.assert_allclose(counts / n, [0.25] * 4, atol=0.01)
 
 
@@ -161,20 +156,20 @@ def test_sample_trajectory_stops_at_terminator_and_reports_own_logps():
     rng = np.random.default_rng(11)
     policy = random_policy(4, 4, rng)
     for i in range(50):
-        traj = sample_trajectory(policy, 0, 2.5, derive_rng(5, i))
+        traj = sample_trajectory(policy, 0, derive_rng(5, i))
         assert traj.tokens[-1] == 3 or len(traj.tokens) == 4
         assert 3 not in traj.tokens[:-1]
         _, total = trajectory_log_prob(policy, 0, traj.tokens)
         np.testing.assert_allclose(traj.total_logp, total, atol=1e-10)
 
 
-def _reference_sample(policy, prompt_id, temperature, rng):
+def _reference_sample(policy, prompt_id, rng):
     """Scalar ancestral sampler: a fresh log-softmax and searchsorted per step."""
     size = policy.vocab.size
     tokens, logps = (), []
     for _ in range(policy.max_len):
         logits = policy.logit_vector(prompt_id, tokens)
-        cum = np.cumsum(np.exp(_log_softmax(logits / temperature)))
+        cum = np.cumsum(np.exp(_log_softmax(logits)))
         tok = min(int(np.searchsorted(cum, rng.random(), "right")), size - 1)
         tokens += (tok,)
         logps.append(float(_log_softmax(logits)[tok]))
@@ -191,15 +186,13 @@ def test_sampler_and_greedy_decoder_match_scalar_references():
         policy = random_policy(vocab, max_len, rng, prompt_ids=(0, 1),
                                scale=(0.5, 3.0, 25.0)[trial % 3])
         for prompt_id in (0, 1, 5):  # prompt 5 has no stored rows
-            for temperature in (1.0, 0.6, 2.5):
-                for i in range(10):
-                    traj = sample_trajectory(policy, prompt_id, temperature,
-                                             derive_rng(trial, prompt_id, i))
-                    tokens, logps = _reference_sample(policy, prompt_id, temperature,
-                                                      derive_rng(trial, prompt_id, i))
-                    assert traj.tokens == tokens
-                    assert traj.per_token_logp == logps
-                    assert traj.total_logp == float(sum(logps))
+            for i in range(10):
+                traj = sample_trajectory(policy, prompt_id, derive_rng(trial, prompt_id, i))
+                tokens, logps = _reference_sample(policy, prompt_id,
+                                                  derive_rng(trial, prompt_id, i))
+                assert traj.tokens == tokens
+                assert traj.per_token_logp == logps
+                assert traj.total_logp == float(sum(logps))
             tokens, logps = (), ()
             for _ in range(max_len):
                 logp = _log_softmax(policy.logit_vector(prompt_id, tokens))
@@ -249,6 +242,78 @@ def test_entropy_examples():
     np.testing.assert_allclose(entropy(d), ORACLE_ENTROPY, atol=1e-10)
 
 
+def _sequential_block(policy, task, n, rng):
+    """The block sampler's reference: n scalar samples, left-fold totals, validate."""
+    out = []
+    for _ in range(n):
+        tokens, logps = _reference_sample(policy, task.prompt_id, rng)
+        total = 0.0
+        for logp in logps:
+            total += logp
+        out.append((tokens, logps, total, validate(task, tokens).reward))
+    return out
+
+
+def _random_task(vocab, max_len, rng):
+    """A random graph task whose label, node 1, is one token away from the start."""
+    nodes = int(rng.integers(2, 7))
+    edges = [(0, 1, 0)] + [(u, int(rng.integers(nodes)), t)
+                           for u in range(nodes) for t in range(vocab - 1)
+                           if (u, t) != (0, 0) and rng.random() < 0.7]
+    spec = PathTaskSpec(node_count=nodes, edges=tuple(edges), start=0, target=1,
+                        max_len=max_len, vocab_size=vocab)
+    return TaskInstance(prompt_id=0, label=1, spec=spec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 8), max_len=st.integers(1, 9),
+       n=st.integers(1, 12))
+def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n):
+    rng = np.random.default_rng(seed)
+    task = _random_task(vocab, max_len, rng)
+    policy = PolicyTable(Vocab(vocab), max_len)
+    prefixes = [tuple(int(t) for t in rng.integers(0, vocab - 1, size=rng.integers(0, max_len)))
+                for _ in range(12)]
+    if max_len > 1:
+        # A stored child of an unstored parent.
+        child = tuple(int(t) for t in rng.integers(0, vocab - 1, size=rng.integers(1, max_len)))
+        prefixes = [p for p in prefixes if p != child[:-1]] + [child]
+    for prefix in prefixes:
+        policy.set_logits(0, prefix, float(rng.choice([0.5, 4.0])) * rng.normal(size=vocab))
+    # The second draw runs on an updated version that shares the first one's prefix tree.
+    updated = apply_update(policy, {(0, ()): rng.normal(size=vocab), (0, (0,)): np.ones(vocab)},
+                           0.7)
+    for version in (policy, policy, updated):
+        draw_seed = int(rng.integers(2**32))
+        block_rng, ref_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+        trajs, rewards = sample_trajectories(version, 0, n, block_rng, task.walk)
+        got = [(t.tokens, t.per_token_logp, t.total_logp, r) for t, r in zip(trajs, rewards)]
+        assert got == _sequential_block(version, task, n, ref_rng)
+        assert all(type(t.total_logp) is float for t in trajs)
+        assert block_rng.random() == ref_rng.random()
+
+
+def test_block_sampler_stops_at_a_reward_and_leaves_the_stream_there(diamond_task):
+    policy = PolicyTable(Vocab(4), max_len=2)
+    block_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    trajs, rewards = sample_trajectories(policy, 0, 50, block_rng, diamond_task.walk,
+                                         stop_at_reward=True)
+    reference = _sequential_block(policy, diamond_task, len(trajs), ref_rng)
+    assert [(t.tokens, r) for t, r in zip(trajs, rewards)] == [(x[0], x[3]) for x in reference]
+    assert rewards.count(1) == 1 and rewards[-1] == 1
+    assert block_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_set_logits_after_a_sample_changes_later_samples():
+    policy = PolicyTable(Vocab(4), max_len=2)
+    first, _ = sample_trajectories(policy, 0, 40, np.random.default_rng(1))
+    assert {t.tokens[0] for t in first} == {0, 1, 2, 3}
+    policy.set_logits(0, (), [0.0, 0.0, 60.0, 0.0])
+    policy.set_logits(0, (2,), [0.0, 60.0, 0.0, 0.0])
+    again, _ = sample_trajectories(policy, 0, 40, np.random.default_rng(1))
+    assert {t.tokens for t in again} == {(2, 1)}
+
+
 def test_grad_log_prob_uniform_case_and_score_identity():
     policy = PolicyTable(Vocab(4), max_len=3)
     traj = make_trajectory(policy, 0, (2,))
@@ -257,7 +322,7 @@ def test_grad_log_prob_uniform_case_and_score_identity():
     np.testing.assert_allclose(block, [-0.25, -0.25, 0.75, -0.25], atol=1e-12)
     rng = np.random.default_rng(5)
     policy = random_policy(4, 5, rng)
-    traj = sample_trajectory(policy, 0, 1.0, rng)
+    traj = sample_trajectory(policy, 0, rng)
     for block in grad_log_prob(policy, traj).values():
         np.testing.assert_allclose(block.sum(), 0.0, atol=1e-10)
 
@@ -266,7 +331,7 @@ def test_grad_log_prob_matches_finite_differences():
     rng = np.random.default_rng(99)
     for trial in range(12):
         policy = random_policy(4, 5, rng, scale=1.5)
-        traj = sample_trajectory(policy, 0, 1.0, rng)
+        traj = sample_trajectory(policy, 0, rng)
         grad = grad_log_prob(policy, traj)
         fd = finite_difference_blocks(
             lambda p: trajectory_log_prob(p, 0, traj.tokens)[1],
@@ -319,18 +384,25 @@ def test_score_gradient_sums_repeated_prefixes_and_reads_row_zero():
     assert not grad[(9, ())].any()
 
 
-# Below 8 tokens np.sum, which trajectory_log_prob uses, is a left fold; from 8
-# on it pairs terms, so max_len stays at 7 here.
+# From 8 tokens on np.sum pairs terms, so max_len reaches 10 here: every total
+# must be the same left fold.
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6),
-       max_len=st.integers(1, 7), temperature=st.sampled_from([1.0, 0.6, 1.7]))
-def test_sampled_and_greedy_totals_are_the_log_prob_of_their_tokens(seed, vocab, max_len,
-                                                                    temperature):
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6), max_len=st.integers(1, 10))
+def test_sampled_and_greedy_totals_are_the_log_prob_of_their_tokens(seed, vocab, max_len):
     # total_logp is a left fold in token order, as on every interpreter: the
     # builtin sum of floats is compensated from Python 3.12 on.
     rng = np.random.default_rng(seed)
-    policy = random_policy(vocab, max_len, rng, scale=float(rng.choice([0.5, 4.0])))
-    for traj in [sample_trajectory(policy, 0, temperature, rng) for _ in range(5)] + \
+    scale = float(rng.choice([0.5, 4.0]))
+    policy = PolicyTable(Vocab(vocab), max_len)
+    # Random logits at every prefix of tokens 0 and 1, with the other tokens
+    # held down so that most samples run to max_len.
+    edge = range(min(2, vocab - 1))
+    for depth in range(max_len):
+        for prefix in itertools.product(edge, repeat=depth):
+            logits = scale * rng.normal(size=vocab)
+            logits[len(edge):] -= 4.0
+            policy.set_logits(0, prefix, logits)
+    for traj in [sample_trajectory(policy, 0, rng) for _ in range(5)] + \
             [greedy_decode(policy, 0), greedy_decode(policy, 3)]:
         assert traj.total_logp == trajectory_log_prob(policy, traj.prompt_id, traj.tokens)[1]
         assert type(traj.total_logp) is float
@@ -339,7 +411,7 @@ def test_sampled_and_greedy_totals_are_the_log_prob_of_their_tokens(seed, vocab,
 def test_apply_update_identity_inverse_and_definition():
     rng = np.random.default_rng(21)
     policy = random_policy(4, 3, rng)
-    traj = sample_trajectory(policy, 0, 1.0, rng)
+    traj = sample_trajectory(policy, 0, rng)
     grad = grad_log_prob(policy, traj)
 
     unchanged = apply_update(policy, grad, 0.0)

@@ -284,7 +284,7 @@ def test_irl_stage_restores_demo_mass_and_keeps_normalization(diamond_task):
     policy = skewed_base_policy(diamond_task, 1.0, seed=3)
     cfg = SpsConfig(group_size=8, sampling_size=3, irl_steps_per_iteration=4,
                     irl_lr=0.05, rl_lr=0.0, clip=ClipConfig.grpo(beta=0.0))
-    _, _, delta = rl_step(policy, [diamond_task], cfg, 11)
+    _, _, delta, _ = rl_step(policy, [diamond_task], cfg, 11)
     pool = RolloutPool()
     pool.extend(delta)
     demos = l2te_select(pool, 0, cfg)
