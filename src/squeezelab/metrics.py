@@ -2,11 +2,17 @@
 support coverage, and greedy-log-prob drift.
 
 The tabular setting permits exact versions of quantities that are only
-estimable at scale: support coverage enumerates every correct trajectory
-and reads its probability straight off the policy, and the unbiased Pass@k
-estimator is computed with exact integer binomials so it matches brute-force
-subset enumeration bit for bit. Samples come from the block sampler, one
-call per task, with rewards from the task's fused validator.
+estimable at scale: support coverage reads the probability of every correct
+trajectory straight off the policy, and the unbiased Pass@k estimator is
+computed with exact integer binomials so it matches brute-force subset
+enumeration bit for bit. Samples come from the block sampler, one call per
+task, with rewards from the task's fused validator.
+
+Each task enumerates its correct set once (TaskInstance.correct_sequences,
+flattened once into TaskInstance.correct_set), so support and mass take one
+row lookup and one gather from the policy's cached log-prob table per task. Similarity compares each pair of
+distinct sampled sequences once and folds the pair values back in sample
+order. Both give the bits of the per-sequence and per-pair loops they replace.
 """
 from __future__ import annotations
 
@@ -18,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, KExceedsN
-from .policy import (PolicyTable, Trajectory, greedy_decode, sample_trajectories,
-                     trajectory_log_prob)
-from .tasks import TaskInstance, enumerate_correct
+from .policy import (PolicyTable, Trajectory, _left_fold, check_sequence, greedy_decode,
+                     prefix_rows, sample_trajectories)
+from .tasks import TaskInstance
 
 BUCKET_CENTERS = tuple(i / 10 for i in range(11))
 
@@ -144,23 +150,34 @@ def similarity(trajectories) -> float:
     """100 times the mean pairwise Jaccard similarity of token-bigram sets.
 
     Two empty bigram sets count as identical (Jaccard 1). Lower values mean
-    more diverse samples.
+    more diverse samples. Samples are mapped to distinct sequences in order
+    of first appearance, and the Jaccard value of each pair of distinct
+    sequences is computed once. The pair values are then added as the
+    all-pairs loop adds them, a left fold over i < j from 0.0: one gathered
+    row of later samples at a time, carried through np.add.accumulate, which
+    adds in order. So the result keeps that loop's bits, and no temporary
+    grows with n squared.
     """
     items = list(trajectories)
     if len(items) < 2:
         raise InsufficientSamples("similarity needs at least 2 trajectories")
-    sets = []
-    for t in items:
-        tokens = t.tokens if isinstance(t, Trajectory) else tuple(t)
-        sets.append(_bigrams(tokens))
-    total = 0.0
-    pairs = 0
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            a, b = sets[i], sets[j]
+    distinct: dict[tuple, int] = {}
+    ids = np.array([distinct.setdefault(t.tokens if isinstance(t, Trajectory) else tuple(t),
+                                        len(distinct)) for t in items])
+    sets = [_bigrams(tokens) for tokens in distinct]
+    jac = np.empty((len(sets), len(sets)))
+    for i, a in enumerate(sets):
+        for j in range(i, len(sets)):
+            b = sets[j]
             union = len(a | b)
-            total += 1.0 if union == 0 else len(a & b) / union
-            pairs += 1
+            jac[i, j] = jac[j, i] = 1.0 if union == 0 else len(a & b) / union
+    total = 0.0
+    for i in range(len(items) - 1):
+        # Row i's pairs, with the running total in the slot of pair (i, i).
+        row = jac[ids[i]].take(ids[i:])
+        row[0] = total
+        total = float(np.add.accumulate(row, out=row)[-1])
+    pairs = len(items) * (len(items) - 1) // 2
     return 100.0 * total / pairs
 
 
@@ -178,17 +195,29 @@ def support_coverage(policy: PolicyTable, task: TaskInstance,
     covered counts enumerated correct trajectories whose exact policy
     probability is at least prob_floor; mass_on_correct sums those
     probabilities over the whole correct set regardless of the floor.
+    The task's cached correct set gives every token's prefix key, so one
+    gather from the log-prob table reads all token log-probs. Each
+    sequence's total is a left fold over depth in a zero-padded array
+    (adding 0.0 is exact), its probability is math.exp of that, and the mass
+    is a left fold in the set's iteration order: the bits of
+    trajectory_log_prob per sequence. A sequence longer than the policy's
+    max_len or with a token outside its vocabulary raises as
+    trajectory_log_prob would.
     """
-    correct = enumerate_correct(task)
-    covered = 0
-    mass = 0.0
-    for tokens in correct:
-        _, logp = trajectory_log_prob(policy, task.prompt_id, tokens)
-        p = math.exp(logp)
-        mass += p
-        if p >= prob_floor:
-            covered += 1
-    return CoverageRecord(covered=covered, total=len(correct), mass_on_correct=mass)
+    sequences, correct = task.correct_sequences, task.correct_set
+    if (correct.longest > policy.max_len
+            or correct.tokens.max(initial=0) >= policy.vocab.size):
+        for tokens in sequences:
+            check_sequence(policy, tokens)
+    logps = np.zeros((len(sequences), correct.longest))
+    logps[correct.seq, correct.depth] = policy._log_prob_table()[
+        prefix_rows(policy, correct.keys), correct.tokens]
+    totals = np.zeros(len(sequences))
+    for column in logps.T:
+        totals += column
+    probs = np.fromiter(map(math.exp, totals.tolist()), float, len(totals))
+    return CoverageRecord(covered=int(np.count_nonzero(probs >= prob_floor)),
+                          total=len(probs), mass_on_correct=_left_fold(probs))
 
 
 @dataclass(frozen=True)

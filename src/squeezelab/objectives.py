@@ -355,7 +355,8 @@ def contrastive_decomposition(group: RolloutGroup, policy: PolicyTable) -> Contr
     """Bernoulli-variance times the gap in length-normalized likelihoods.
 
     Expectations are empirical means over the group's positive and negative
-    rollouts of pi_theta(y|x)/|y| under the current policy.
+    rollouts of pi_theta(y|x)/|y| under the current policy, with log pi_theta(y|x)
+    the left-fold total trajectory_log_prob gives.
     """
     rewards = np.asarray(group.rewards)
     if rewards.min() == rewards.max():
@@ -364,7 +365,7 @@ def contrastive_decomposition(group: RolloutGroup, policy: PolicyTable) -> Contr
     var_term = math.sqrt(p_hat * (1.0 - p_hat))
     pos, neg = [], []
     for reward, traj in zip(group.rewards, group.trajectories):
-        lik = (math.exp(_token_logps(policy, traj.prompt_id, traj.tokens).sum())
+        lik = (math.exp(_left_fold(_token_logps(policy, traj.prompt_id, traj.tokens)))
                / max(len(traj.tokens), 1))
         (pos if reward == 1 else neg).append(lik)
     return ContrastiveRecord(var_term=var_term,

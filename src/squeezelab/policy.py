@@ -251,14 +251,20 @@ def trajectory_log_prob(policy: PolicyTable, prompt_id: int, tokens) -> tuple[np
     The empty sequence has total log-prob 0 (empty product).
     """
     toks = tuple(int(t) for t in tokens)
-    if len(toks) > policy.max_len:
-        raise PrefixExhausted(
-            f"sequence of length {len(toks)} exceeds max_len={policy.max_len}")
-    for tok in toks:
-        if not 0 <= tok < policy.vocab.size:
-            raise InvalidToken(f"token {tok} outside vocab of size {policy.vocab.size}")
+    check_sequence(policy, toks)
     per_token = _token_logps(policy, prompt_id, toks)
     return per_token, _left_fold(per_token)
+
+
+def check_sequence(policy: PolicyTable, tokens: tuple[int, ...]) -> None:
+    """Raise PrefixExhausted if tokens is longer than max_len, else InvalidToken
+    at its first token outside the vocabulary."""
+    if len(tokens) > policy.max_len:
+        raise PrefixExhausted(
+            f"sequence of length {len(tokens)} exceeds max_len={policy.max_len}")
+    for tok in tokens:
+        if not 0 <= tok < policy.vocab.size:
+            raise InvalidToken(f"token {tok} outside vocab of size {policy.vocab.size}")
 
 
 def _left_fold(values: np.ndarray) -> float:

@@ -13,11 +13,12 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import GenerationFailed, SpaceTooLarge
-from .policy import PolicyTable, Vocab, derive_rng
+from .policy import PolicyTable, PrefixKey, Vocab, derive_rng, prefix_keys
 
 MAX_NODE_COUNT = 64
 ENUMERATION_BOUND = 1_000_000
@@ -98,6 +99,40 @@ class TaskInstance:
             table[node * size + tok] = nxt * size
         return table, self.spec.start * size, self.label * size
 
+    @cached_property
+    def correct_sequences(self) -> tuple[tuple[int, ...], ...]:
+        """enumerate_correct's set in its iteration order, enumerated once."""
+        return tuple(enumerate_correct(self))
+
+    @cached_property
+    def correct_set(self) -> CorrectSet:
+        """correct_sequences as one flat token batch, built on first use.
+
+        Suite generation and skewing read only correct_sequences, so a
+        rejected generation candidate never builds it.
+        """
+        sequences = self.correct_sequences
+        lengths = [len(s) for s in sequences]
+        return CorrectSet(
+            keys=[key for s in sequences for key in prefix_keys(self.prompt_id, s)],
+            tokens=np.fromiter(chain.from_iterable(sequences), np.intp),
+            seq=np.repeat(np.arange(len(sequences)), lengths),
+            depth=np.fromiter(chain.from_iterable(map(range, lengths)), np.intp),
+            longest=max(lengths, default=0),
+        )
+
+
+@dataclass(frozen=True)
+class CorrectSet:
+    """Every token of a task's correct sequences, sequence after sequence in
+    the task's correct_sequences order."""
+
+    keys: list[PrefixKey]    # the (prompt_id, prefix) each token is drawn at
+    tokens: np.ndarray       # token ids
+    seq: np.ndarray          # the token's sequence, an index into correct_sequences
+    depth: np.ndarray        # the token's position in its sequence
+    longest: int             # the length of the longest sequence
+
 
 @dataclass(frozen=True)
 class ValidatorResult:
@@ -147,7 +182,9 @@ def enumerate_correct(task: TaskInstance) -> set[tuple[int, ...]]:
 
     A complete trajectory either ends with the terminator before max_len or
     runs edge tokens to exactly max_len. Enumeration walks the graph
-    depth-first with the length bound, so cycles are safe.
+    depth-first with the length bound, so cycles are safe. This is the
+    reference; the package reads TaskInstance.correct_sequences, which
+    calls it once per task.
     """
     spec = task.spec
     edge_map = spec.edge_map
@@ -234,7 +271,7 @@ def _generate_task(prompt_id: int, params: FamilyParams,
     except GenerationFailed:
         return None
     try:
-        solutions = enumerate_correct(task)
+        solutions = task.correct_sequences
     except SpaceTooLarge:
         return None
     if len(solutions) < params.min_solutions:
@@ -268,7 +305,7 @@ def skewed_base_policy(task: TaskInstance, skew: float, seed: int) -> PolicyTabl
     policy = PolicyTable(Vocab(spec.vocab_size), spec.max_len)
     if skew == 0:
         return policy
-    solutions = sorted(enumerate_correct(task))
+    solutions = sorted(task.correct_sequences)
     rng = derive_rng(seed, task.prompt_id)
     chosen = solutions[int(rng.integers(len(solutions)))]
     for t, tok in enumerate(chosen):

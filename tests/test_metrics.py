@@ -4,11 +4,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from squeezelab.errors import InsufficientSamples, KExceedsN
+from squeezelab import tasks as tasks_module
+from squeezelab.errors import InsufficientSamples, InvalidToken, KExceedsN, PrefixExhausted
 from squeezelab.metrics import (
     BUCKET_CENTERS,
     SampleMatrix,
@@ -23,8 +28,24 @@ from squeezelab.metrics import (
     similarity,
     support_coverage,
 )
-from squeezelab.policy import PolicyTable, Vocab, derive_rng
-from squeezelab.tasks import skewed_base_policy
+from squeezelab.policy import (
+    PolicyTable,
+    Trajectory,
+    Vocab,
+    apply_update,
+    derive_rng,
+    grad_log_prob,
+    make_trajectory,
+    trajectory_log_prob,
+)
+from squeezelab.sps import SpsConfig, sps_loop
+from squeezelab.tasks import (
+    FamilyParams,
+    build_suite_policy,
+    enumerate_correct,
+    make_benchmark_suite,
+    skewed_base_policy,
+)
 
 
 def matrix_from_counts(counts, n):
@@ -168,6 +189,38 @@ def test_similarity_needs_two_samples():
         similarity([(0, 1)])
 
 
+def reference_similarity(trajectories):
+    """The all-pairs loop: every pair's Jaccard value added in i < j order."""
+    sets = []
+    for t in trajectories:
+        tokens = t.tokens if isinstance(t, Trajectory) else tuple(t)
+        sets.append(frozenset(zip(tokens, tokens[1:])))
+    total = 0.0
+    pairs = 0
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            a, b = sets[i], sets[j]
+            union = len(a | b)
+            total += 1.0 if union == 0 else len(a & b) / union
+            pairs += 1
+    return 100.0 * total / pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.lists(st.integers(0, 3), max_size=6).map(tuple), min_size=1,
+                     max_size=8),
+       data=st.data())
+def test_similarity_matches_the_all_pairs_loop(pool, data):
+    # A one-sequence pool gives all-identical samples; lengths 0 and 1 give
+    # empty bigram sets; small pools repeat sequences.
+    n = data.draw(st.integers(2, 60))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    wrapped = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    items = [Trajectory(0, pool[p], (0.0,) * len(pool[p]), 0.0) if w else pool[p]
+             for p, w in zip(picks, wrapped)]
+    assert similarity(items) == reference_similarity(items)
+
+
 # ---------------------------------------------------------------------------
 # coverage and drift
 
@@ -194,6 +247,78 @@ def test_support_coverage_skew_hides_the_off_path(diamond_task):
     rec = support_coverage(policy, diamond_task, prob_floor=0.01)
     assert rec.covered == 1
     assert rec.mass_on_correct > 0.9
+
+
+def reference_coverage(policy, task, prob_floor):
+    """(covered, total, mass) from one trajectory_log_prob per correct sequence."""
+    correct = enumerate_correct(task)
+    covered = 0
+    mass = 0.0
+    for tokens in correct:
+        p = math.exp(trajectory_log_prob(policy, task.prompt_id, tokens)[1])
+        mass += p
+        covered += p >= prob_floor
+    return covered, len(correct), mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_len=st.integers(1, 6), data=st.data())
+def test_support_coverage_matches_the_per_sequence_loop(seed, max_len, data):
+    params = FamilyParams(count=3, vocab_size=data.draw(st.integers(3, 5)), max_len=max_len,
+                          min_solutions=1, mid_layers=data.draw(st.integers(0, max_len - 1)),
+                          layer_width=data.draw(st.integers(1, 3)))
+    suite = make_benchmark_suite(seed, params)
+    # Without skew every prefix reads row 0; with it only the boosted path is stored.
+    policy = build_suite_policy(suite, data.draw(st.sampled_from([0.0, 3.0])), seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(data.draw(st.integers(0, 3)) + 1):
+        for task in suite:
+            for floor in (0.0, 1e-4, 1.0):
+                rec = support_coverage(policy, task, floor)
+                assert (rec.covered, rec.total, rec.mass_on_correct) == \
+                    reference_coverage(policy, task, floor)
+        # Rows added after the table's first read: one correct sequence of
+        # some task, and a prefix no correct sequence of it reaches.
+        task = suite[int(rng.integers(len(suite)))]
+        correct = sorted(enumerate_correct(task))
+        tokens = correct[int(rng.integers(len(correct)))]
+        gradient = grad_log_prob(policy, make_trajectory(policy, task.prompt_id, tokens))
+        gradient[(task.prompt_id, (params.vocab_size - 1,))] = rng.normal(size=params.vocab_size)
+        policy = apply_update(policy, gradient, float(rng.choice([0.5, 5.0])))
+
+
+def test_support_coverage_raises_as_the_per_sequence_loop(diamond_task, ladder_task):
+    for policy, task, error in ((PolicyTable(Vocab(4), max_len=1), diamond_task, PrefixExhausted),
+                                (PolicyTable(Vocab(4), max_len=2), ladder_task, InvalidToken)):
+        with pytest.raises(error) as got:
+            support_coverage(policy, task, 1e-4)
+        with pytest.raises(error) as expected:
+            reference_coverage(policy, task, 1e-4)
+        assert str(got.value) == str(expected.value)
+
+
+def test_training_and_evaluation_enumerate_each_task_once(monkeypatch):
+    # A small ledger_deep-style run: generation, skew, the per-step ledger
+    # and the evaluation report all read one enumeration per task.
+    original = tasks_module.enumerate_correct
+    calls = Counter()
+
+    def counting(task):
+        calls[task] += 1
+        return original(task)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("squeezelab") and getattr(module, "enumerate_correct", None) is original:
+            monkeypatch.setattr(module, "enumerate_correct", counting)
+    suite = make_benchmark_suite(4, FamilyParams(count=4, max_len=5, mid_layers=3))
+    base = build_suite_policy(suite, 4.0, 4)
+    cfg = SpsConfig(max_iterations=2, rl_steps_per_iteration=2, irl_steps_per_iteration=2,
+                    trace_metrics=True)
+    final, _ = sps_loop(base, suite, cfg, 4)
+    evaluation_report(final, base, suite, "guard", n=16, ks=[1, 4], prob_floor=1e-4,
+                      rng=derive_rng(4))
+    assert all(calls[task] == 1 for task in suite)
+    assert max(calls.values()) == 1
 
 
 def test_greedy_drift_zero_against_self(diamond_task):

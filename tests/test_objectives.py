@@ -542,6 +542,23 @@ def test_contrastive_requires_both_sides():
         contrastive_decomposition(group, policy)
 
 
+def test_contrastive_likelihoods_are_left_fold_totals():
+    # At 10 tokens np.sum pairs terms, so it would disagree with the left fold
+    # trajectory_log_prob uses on about a quarter of these sequences.
+    rng = np.random.default_rng(17)
+    policy = PolicyTable(Vocab(4), max_len=10)
+    seqs = [tuple(int(t) for t in rng.integers(0, 3, size=10)) for _ in range(200)]
+    for seq in seqs:
+        for t in range(10):
+            policy.set_logits(0, seq[:t], rng.normal(scale=2.0, size=4))
+    for pos, neg in zip(seqs[::2], seqs[1::2]):
+        trajs = (make_trajectory(policy, 0, pos), make_trajectory(policy, 0, neg))
+        group = RolloutGroup(0, trajs, (1, 0), tuple(t.per_token_logp for t in trajs))
+        record = contrastive_decomposition(group, policy)
+        assert record.pos_expectation == math.exp(trajectory_log_prob(policy, 0, pos)[1]) / 10
+        assert record.neg_expectation == math.exp(trajectory_log_prob(policy, 0, neg)[1]) / 10
+
+
 # ---------------------------------------------------------------------------
 # the flat token-batch kernel against the per-token loop it replaced
 
