@@ -46,7 +46,6 @@ from .objectives import (
     ClipConfig,
     ContrastiveRecord,
     ObjectiveReport,
-    PoolEntry,
     RolloutGroup,
     StepRecord,
     contrastive_decomposition,
@@ -85,7 +84,6 @@ from .runner import RunManifest, compare, run
 from .sps import (
     DemoEntry,
     DemoSet,
-    RolloutPool,
     SpsConfig,
     TrainTrace,
     TraceRecord,

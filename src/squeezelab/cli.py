@@ -8,10 +8,15 @@ import sys
 import numpy as np
 
 from . import runner
+from .config import ExperimentConfig
 from .errors import ConfigError, SqueezeLabError
 from .metrics import evaluation_report, report_to_json
 from .policy import derive_rng, load_checkpoint
 from .tasks import load_suite
+
+
+def int_list(text: str) -> list[int]:
+    return [int(p) for p in text.split(",") if p.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("checkpoint")
     eval_p.add_argument("suite")
     eval_p.add_argument("--n", type=int, default=32, help="samples per prompt")
-    eval_p.add_argument("--k", default="1,4,8", help="comma-separated k values")
+    eval_p.add_argument("--k", type=int_list, default="1,4,8", help="comma-separated k values")
     eval_p.add_argument("--prob-floor", type=float, default=1e-4)
     eval_p.add_argument("--seed", type=int, default=0)
     eval_p.add_argument("--base", default=None,
@@ -67,15 +72,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # The flags obey the rules of the config keys they stand for.
+    cfg = ExperimentConfig.from_dict({"seed": args.seed, "eval.n": args.n, "eval.k": args.k,
+                                      "eval.prob_floor": args.prob_floor})
     policy = load_checkpoint(args.checkpoint)
     suite = load_suite(args.suite, vocab_size=policy.vocab.size)
     base = load_checkpoint(args.base) if args.base else policy
-    ks = [int(p) for p in args.k.split(",") if p.strip()]
-    if not ks:
-        raise ConfigError("--k: need at least one k value")
     report = evaluation_report(
-        policy, base, suite, os.path.basename(args.suite), args.n, ks,
-        args.prob_floor, derive_rng(args.seed, 7200))
+        policy, base, suite, os.path.basename(args.suite), cfg["eval.n"], cfg["eval.k"],
+        cfg["eval.prob_floor"], derive_rng(cfg["seed"], 7200))
     text = report_to_json(report)
     print(text, end="")
     if args.out:

@@ -171,9 +171,6 @@ def _validate(values: dict[str, Any]) -> None:
         raise ConfigError("eval.k: every k must be >= 1")
     if values["eval.prob_floor"] < 0:
         raise ConfigError("eval.prob_floor: must be >= 0")
-    for key in ("rl.scope", "sps.irl_scope"):
-        if values[key] not in ("per_prompt", "full_suite"):
-            raise ConfigError(f"{key}: must be per_prompt or full_suite")
     cfg = ExperimentConfig(values).with_mode_objective()
     try:
         cfg.sps_config()

@@ -374,17 +374,6 @@ def contrastive_decomposition(group: RolloutGroup, policy: PolicyTable) -> Contr
 
 
 @dataclass(frozen=True)
-class PoolEntry:
-    """One rollout as the IRL stage will see it."""
-
-    prompt_id: int
-    trajectory: Trajectory
-    reward: int
-    behavior_total_logp: float
-    rl_step_index: int
-
-
-@dataclass(frozen=True)
 class StepRecord:
     step: int
     objective_kind: str
@@ -414,37 +403,30 @@ def sample_group(policy: PolicyTable, task: TaskInstance, group_size: int,
                         tuple(t.per_token_logp for t in trajs))
 
 
-def rl_step(policy: PolicyTable, task_batch, cfg, rng,
+def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,
             ref_policy: PolicyTable | None = None, step_index: int = 0, groups=None):
     """One RL update: sample, score, normalize, step the policy.
 
-    `cfg` is an SpsConfig (group size, clip config, learning rate). `rng` is
-    either an integer seed path base (per-prompt streams are derived from it)
-    or a Generator consumed sequentially. Pre-sampled `groups` may be passed
-    to reuse a rollout batch across several gradient steps; old_logps inside
-    them then refer to the policy that sampled them. Returns the new policy,
-    a StepRecord, the pool entries of the rollouts this step sampled (none
-    when it was handed `groups`) and the groups it stepped on.
+    `cfg` is an SpsConfig (group size, clip config, learning rate). Each
+    prompt's rollouts come from the stream derive_rng(seed, retry, prompt_id).
+    Pre-sampled `groups` may be passed to reuse a rollout batch across several
+    gradient steps; old_logps inside them then refer to the policy that
+    sampled them. Returns the new policy, a StepRecord and the groups it
+    stepped on, which are the rollouts it sampled unless it was handed
+    `groups`.
     """
     tasks = list(task_batch)
-    pool_delta = []
     if groups is None:
         # DAPO resamples a degenerate group, from stream (retry, prompt_id).
         attempts = 1 + (cfg.dapo_max_resamples if cfg.clip.objective_kind == DAPO else 0)
         groups = []
         for task in tasks:
             for retry in range(attempts):
-                prompt_rng = (derive_rng(int(rng), retry, task.prompt_id)
-                              if isinstance(rng, (int, np.integer)) else rng)
-                group = sample_group(policy, task, cfg.group_size, prompt_rng)
+                group = sample_group(policy, task, cfg.group_size,
+                                     derive_rng(seed, retry, task.prompt_id))
                 if 0 < sum(group.rewards) < group.size:
                     break
             groups.append(group)
-        pool_delta = [
-            PoolEntry(prompt_id=g.prompt_id, trajectory=traj, reward=reward,
-                      behavior_total_logp=traj.total_logp, rl_step_index=step_index)
-            for g in groups for traj, reward in zip(g.trajectories, g.rewards)
-        ]
 
     kind = cfg.clip.objective_kind
     if kind == GRPO:
@@ -475,7 +457,7 @@ def rl_step(policy: PolicyTable, task_batch, cfg, rng,
         entropy_root=_mean_root_entropy(new_policy, tasks),
         greedy_logp=_mean_greedy_logp(new_policy, tasks),
     )
-    return new_policy, record, pool_delta, groups
+    return new_policy, record, groups
 
 
 def _mean_root_entropy(policy: PolicyTable, tasks) -> float:

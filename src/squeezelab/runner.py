@@ -91,9 +91,11 @@ def _resolve_config(config) -> ExperimentConfig:
     env_seed = os.environ.get("SQUEEZELAB_SEED")
     if env_seed is not None:
         try:
-            cfg = cfg.with_value("seed", int(env_seed))
+            seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"SQUEEZELAB_SEED: not an integer: {env_seed!r}") from exc
+        # from_dict applies the config rules to the override before run touches out_dir.
+        cfg = ExperimentConfig.from_dict({**cfg.values, "seed": seed})
     return cfg
 
 

@@ -6,6 +6,11 @@ rollouts (L2TE), and fits the policy to those demos by gradient descent on
 their mean negative log-likelihood. Fitting a degenerate empirical
 distribution over the demos is exactly maximizing demo likelihood, which
 pushes probability mass back toward trajectories the RL phase squeezed down.
+Each rollout is kept once, in the RolloutGroups the RL steps sampled fresh
+(under reuse_rollouts only the first step samples): l2te_select reads its
+candidates and their behavior log-probs straight from those groups'
+Trajectories, and every IRL function takes a sequence of Trajectories, each
+carrying its own prompt_id.
 The descent's gradient is one call of policy.score_gradient, the one place
 score blocks are formed: irl_loss flattens the demos into one batch of
 prefix keys, table rows, tokens and weights, the same form the RL surrogates
@@ -29,7 +34,7 @@ from .errors import NoRollouts
 from .metrics import sample_matrix, avg_at_k, support_coverage, pass_at_k_unbiased
 from .objectives import (
     ClipConfig,
-    PoolEntry,
+    RolloutGroup,
     StepRecord,
     _mean_greedy_logp,
     _mean_root_entropy,
@@ -50,7 +55,7 @@ from .policy import (
 
 LOW_LIKELIHOOD = "low_likelihood"
 POSITIVE_AUGMENT = "positive_augment"
-IRL_SCOPES = ("per_prompt", "full_suite")
+SCOPES = ("per_prompt", "full_suite")
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,11 @@ class SpsConfig:
     do nothing observable at suite size; "per_prompt" (the default for both)
     makes each rate a per-prompt rate. For IRL it runs the descent prompt by
     prompt on that prompt's own demos; "full_suite" averages the loss over
-    every selected demo at once. irl_batch_size, when set, limits each IRL
-    descent to a circular slice of that many demos in either scope.
+    every selected demo at once, concatenated into one block. irl_batch_size,
+    when set, limits each IRL descent to a circular slice of that many demos
+    in either scope. The demo candidates of an iteration are the rollouts its
+    RL steps sampled: rl_steps_per_iteration * group_size per prompt, or
+    group_size with reuse_rollouts, which samples only at the first step.
     """
 
     group_size: int = 8
@@ -105,10 +113,10 @@ class SpsConfig:
             raise ValueError("rl_steps_per_iteration must be >= 1")
         if self.quantile is not None and not 0 < self.quantile <= 1:
             raise ValueError("quantile must satisfy 0 < q <= 1")
-        if self.irl_scope not in IRL_SCOPES:
-            raise ValueError(f"irl_scope must be one of {IRL_SCOPES}")
-        if self.rl_scope not in IRL_SCOPES:
-            raise ValueError(f"rl_scope must be one of {IRL_SCOPES}")
+        if self.irl_scope not in SCOPES:
+            raise ValueError(f"irl_scope must be one of {SCOPES}")
+        if self.rl_scope not in SCOPES:
+            raise ValueError(f"rl_scope must be one of {SCOPES}")
         if self.min_negatives_for_pure_l2te < 0:
             raise ValueError("min_negatives_for_pure_l2te must be >= 0")
         if self.max_iterations < 0:
@@ -119,28 +127,8 @@ class SpsConfig:
             raise ValueError("holdout_count must be >= 0")
 
 
-class RolloutPool:
-    """Per-iteration buffer of rollouts in insertion order."""
-
-    def __init__(self):
-        self.entries: list[PoolEntry] = []
-
-    def extend(self, entries) -> None:
-        self.entries.extend(entries)
-
-    def for_prompt(self, prompt_id: int) -> list[PoolEntry]:
-        return [e for e in self.entries if e.prompt_id == prompt_id]
-
-    def clear(self) -> None:
-        self.entries.clear()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 @dataclass(frozen=True)
 class DemoEntry:
-    prompt_id: int
     trajectory: Trajectory
     normalized_logp: float
     quantile_rank: float
@@ -159,40 +147,47 @@ class DemoSet:
         return len(self.entries)
 
 
-def _l2te_key(entry: PoolEntry, raw_total: bool) -> float:
+def _l2te_key(traj: Trajectory, raw_total: bool) -> float:
     if raw_total:
-        return entry.behavior_total_logp
-    return entry.behavior_total_logp / max(len(entry.trajectory.tokens), 1)
+        return traj.total_logp
+    return traj.total_logp / max(len(traj.tokens), 1)
 
 
-def l2te_select(pool: RolloutPool, prompt_id: int, cfg: SpsConfig) -> DemoSet:
+def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     """Pick the k lowest-likelihood rollouts for one prompt as IRL demos.
 
-    Candidates are ranked by length-normalized behavior log-prob ascending
-    (ties keep insertion order). With enough negative-reward rollouts around
+    The candidates are the prompt's rollouts in `groups`, a sequence of
+    RolloutGroups, in group then trajectory order. They are ranked by
+    length-normalized behavior log-prob (total_logp) ascending, ties keeping
+    that order. With enough negative-reward rollouts around
     (>= min_negatives_for_pure_l2te) the bottom k are taken as they come;
     otherwise every available negative is taken and the lowest-ranked
     positive-reward rollouts fill up the remaining slots, marked
     positive_augment. A quantile q widens or narrows the candidate window
     to the bottom ceil(q*n) ranks (never below k, so the set stays full).
     """
-    cands = pool.for_prompt(prompt_id)
-    if not cands:
-        raise NoRollouts(f"no rollouts pooled for prompt {prompt_id}")
-    n = len(cands)
+    trajs, rewards = [], []
+    for group in groups:
+        if group.prompt_id == prompt_id:
+            trajs += group.trajectories
+            rewards += group.rewards
+    if not trajs:
+        raise NoRollouts(f"no rollouts sampled for prompt {prompt_id}")
+    n = len(trajs)
     k = min(cfg.sampling_size, n)
-    order = sorted(range(n), key=lambda i: _l2te_key(cands[i], cfg.l2te_raw_total))
+    keys = [_l2te_key(traj, cfg.l2te_raw_total) for traj in trajs]
+    order = sorted(range(n), key=keys.__getitem__)
     rank_of = {idx: pos for pos, idx in enumerate(order)}
     if cfg.quantile is not None:
         window = order[:max(k, math.ceil(cfg.quantile * n))]
     else:
         window = order
-    negatives = [i for i in window if cands[i].reward == 0]
+    negatives = [i for i in window if rewards[i] == 0]
     if len(negatives) >= cfg.min_negatives_for_pure_l2te:
         chosen = [(i, LOW_LIKELIHOOD) for i in window[:k]]
     else:
         chosen = [(i, LOW_LIKELIHOOD) for i in negatives[:k]]
-        positives = [i for i in window if cands[i].reward == 1]
+        positives = [i for i in window if rewards[i] == 1]
         for i in positives:
             if len(chosen) >= k:
                 break
@@ -200,9 +195,8 @@ def l2te_select(pool: RolloutPool, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     denom = max(n - 1, 1)
     entries = tuple(
         DemoEntry(
-            prompt_id=prompt_id,
-            trajectory=cands[i].trajectory,
-            normalized_logp=_l2te_key(cands[i], cfg.l2te_raw_total),
+            trajectory=trajs[i],
+            normalized_logp=keys[i],
             quantile_rank=rank_of[i] / denom,
             source=src,
         )
@@ -211,53 +205,34 @@ def l2te_select(pool: RolloutPool, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     return DemoSet(entries)
 
 
-def _demo_pairs(demos):
-    """Normalize the accepted demo shapes to (prompt_id, Trajectory) pairs."""
-    if isinstance(demos, DemoSet):
-        items = demos.entries
-    else:
-        items = list(demos)
-    pairs = []
-    for item in items:
-        if isinstance(item, DemoEntry):
-            pairs.append((item.prompt_id, item.trajectory))
-        elif isinstance(item, Trajectory):
-            pairs.append((item.prompt_id, item))
-        else:
-            pid, traj = item
-            pairs.append((pid, traj))
-    return pairs
-
-
-def _mean_nll(policy: PolicyTable, pairs) -> float:
-    """Mean negative log-likelihood of (prompt_id, Trajectory) pairs."""
-    if not pairs:
+def _mean_nll(policy: PolicyTable, demos) -> float:
+    """Mean negative log-likelihood of a sequence of Trajectories."""
+    if not demos:
         raise ValueError("demos must be nonempty")
     total = 0.0
-    for pid, traj in pairs:
-        _, logp = trajectory_log_prob(policy, pid, traj.tokens)
+    for traj in demos:
+        _, logp = trajectory_log_prob(policy, traj.prompt_id, traj.tokens)
         total += logp
-    return -total / len(pairs)
+    return -total / len(demos)
 
 
 def irl_value(policy: PolicyTable, demos) -> float:
-    """Mean negative log-likelihood of the demos under the policy."""
-    return _mean_nll(policy, _demo_pairs(demos))
+    """Mean negative log-likelihood of a sequence of demo Trajectories."""
+    return _mean_nll(policy, demos)
 
 
 def irl_loss(policy: PolicyTable, demos) -> tuple[float, dict[PrefixKey, np.ndarray]]:
-    """Forward-KL fit to the degenerate demo distribution.
+    """Forward-KL fit to the degenerate distribution over demo Trajectories.
 
     Reduces to the mean demo NLL, bit for bit the value irl_value gives; the
     gradient with respect to the logits is the negated mean score, so
     descending it raises demo likelihood.
     """
-    pairs = _demo_pairs(demos)
-    value = _mean_nll(policy, pairs)  # first: it rejects empty demos and bad tokens
-    keys = [key for pid, traj in pairs for key in prefix_keys(pid, traj.tokens)]
-    tokens = [tok for _, traj in pairs for tok in traj.tokens]
+    value = _mean_nll(policy, demos)  # first: it rejects empty demos and bad tokens
+    keys = [key for traj in demos for key in prefix_keys(traj.prompt_id, traj.tokens)]
+    tokens = [tok for traj in demos for tok in traj.tokens]
     return value, score_gradient(policy, keys, prefix_rows(policy, keys), tokens,
-                                 np.full(len(keys), -1.0 / len(pairs)))
+                                 np.full(len(keys), -1.0 / len(demos)))
 
 
 def irl_descent_step(policy: PolicyTable, demos, lr: float,
@@ -283,30 +258,30 @@ def irl_descent_step(policy: PolicyTable, demos, lr: float,
     return policy, val0
 
 
-def _circular_batch(pairs: list, batch_size: int | None, s: int) -> list:
-    n = len(pairs)
+def _circular_batch(demos, batch_size: int | None, s: int):
+    n = len(demos)
     if batch_size is None or batch_size >= n:
-        return pairs
+        return demos
     start = (s * batch_size) % n
-    return [pairs[(start + j) % n] for j in range(batch_size)]
+    return [demos[(start + j) % n] for j in range(batch_size)]
 
 
 def irl_step(policy: PolicyTable, demo_sets, cfg: SpsConfig, s: int) -> tuple[PolicyTable, float]:
     """Step s of the IRL stage; returns the new policy and the mean IRL loss.
 
-    demo_sets holds one demo set per prompt. In "per_prompt" scope each set
-    gets its own guarded descent step and the loss is the mean over prompts;
-    in "full_suite" scope one step descends on all demos pooled. Each
-    descent sees the circular irl_batch_size slice of its demos that starts
-    at s * irl_batch_size, or all of them when the size is unset.
+    demo_sets holds one sequence of demo Trajectories per prompt. In
+    "per_prompt" scope each sequence gets its own guarded descent step and
+    the loss is the mean over prompts; in "full_suite" scope one step
+    descends on all of them concatenated into one block. Each descent sees
+    the circular irl_batch_size slice of its demos that starts at
+    s * irl_batch_size, or all of them when the size is unset.
     """
-    pair_sets = [_demo_pairs(demos) for demos in demo_sets]
     if cfg.irl_scope == "full_suite":
-        pair_sets = [[p for pairs in pair_sets for p in pairs]]
+        demo_sets = [[traj for demos in demo_sets for traj in demos]]
     losses = []
-    for pairs in pair_sets:
+    for demos in demo_sets:
         policy, loss = irl_descent_step(
-            policy, _circular_batch(pairs, cfg.irl_batch_size, s), cfg.irl_lr)
+            policy, _circular_batch(demos, cfg.irl_batch_size, s), cfg.irl_lr)
         losses.append(loss)
     return policy, float(np.mean(losses))
 
@@ -403,15 +378,16 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
     global_step = 0
     prev_avg = None
     for it in range(cfg.max_iterations):
-        pool = RolloutPool()
+        sampled: list[RolloutGroup] = []  # the groups each step sampled fresh
         ref = policy
         cached_groups = None
         for s in range(cfg.rl_steps_per_iteration):
             seed = _step_seed(master, it, s)
-            policy, record, delta, groups = rl_step(
+            policy, record, groups = rl_step(
                 policy, tasks, cfg, seed, ref_policy=ref, step_index=global_step,
                 groups=cached_groups)
-            pool.extend(delta)
+            if cached_groups is None:
+                sampled += groups
             if cfg.reuse_rollouts:
                 cached_groups = groups
             pk, cov = _trace_eval(policy, tasks, cfg, master, global_step)
@@ -425,7 +401,7 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
             trace.step_records.append(record)
             global_step += 1
         if irl_enabled and cfg.irl_steps_per_iteration > 0 and cfg.irl_lr > 0:
-            demo_sets = [l2te_select(pool, t.prompt_id, cfg) for t in tasks]
+            demo_sets = [l2te_select(sampled, t.prompt_id, cfg).trajectories for t in tasks]
             for s in range(cfg.irl_steps_per_iteration):
                 policy, mean_loss = irl_step(policy, demo_sets, cfg, s)
                 pk, cov = _trace_eval(policy, tasks, cfg, master, global_step)

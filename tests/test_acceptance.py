@@ -47,7 +47,6 @@ from squeezelab.sps import (
     irl_loss,
     irl_value,
     l2te_select,
-    RolloutPool,
     sps_loop,
 )
 from squeezelab.squeeze import penalize_token, sequence_squeeze
@@ -226,11 +225,9 @@ def test_criterion_5_irl_reduction(diamond_task):
     cfg = SpsConfig(group_size=8, sampling_size=3, irl_steps_per_iteration=4,
                     irl_lr=0.05, rl_lr=0.0, clip=ClipConfig.grpo(beta=0.0))
     base = PolicyTable(Vocab(4), max_len=2)
-    _, _, delta, _ = rl_step(base, [diamond_task], cfg, 5)
-    pool = RolloutPool()
-    pool.extend(delta)
-    selected = l2te_select(pool, 0, cfg)
-    fitted = irl_stage(base, [selected], cfg)
+    _, _, groups = rl_step(base, [diamond_task], cfg, 5)
+    selected = l2te_select(groups, 0, cfg)
+    fitted = irl_stage(base, [selected.trajectories], cfg)
     demo_seqs = {d.trajectory.tokens for d in selected.entries}
     assert total_mass(fitted, demo_seqs) > total_mass(base, demo_seqs)
     space = complete_sequences(4, 2)

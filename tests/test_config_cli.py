@@ -100,8 +100,9 @@ def test_parse_validates_cross_field_rules():
         parse_config_text("rl.objective = ppo\n")
     with pytest.raises(ConfigError, match="eval.k"):
         parse_config_text("eval.k =\n")
-    with pytest.raises(ConfigError, match="rl.scope"):
-        parse_config_text("rl.scope = per_token\n")
+    for key in ("rl.scope", "sps.irl_scope"):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config_text(f"{key} = per_token\n")
     with pytest.raises(ConfigError, match="seed"):
         parse_config_text("seed = -1\n")
     with pytest.raises(ConfigError, match="sps.holdout_count.*suite.count"):
@@ -231,6 +232,27 @@ def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,key", [
+    (["--k", "0"], "eval.k"),
+    (["--k", ","], "eval.k"),
+    (["--n", "0", "--k", "1"], "eval.n"),
+    (["--n", "1"], "eval.n"),
+    (["--seed", "-1"], "seed"),
+    (["--prob-floor", "-1"], "eval.prob_floor"),
+])
+def test_eval_flags_obey_the_config_rules(flags, key, training_runs, capsys):
+    run_dir = training_runs[0]
+    argv = ["eval", str(run_dir / "checkpoint_final.txt"), str(run_dir / "suite.json")]
+    assert cli.main(argv + flags) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+def test_eval_rejects_a_non_integer_k():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "ckpt.txt", "suite.json", "--k", "1,a"])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # training runs and their artifacts
 
@@ -326,6 +348,22 @@ def test_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SQUEEZELAB_SEED", "not-a-number")
     with pytest.raises(ConfigError):
         runner.run(str(cfg))
+
+
+def test_env_seed_override_obeys_the_seed_rule(tmp_path, monkeypatch, capsys):
+    # A rejected override must leave an earlier run's out_dir as it was.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    for name in ("checkpoint_iter001.txt", "checkpoint_best.txt", "suite.json.partial"):
+        (out_dir / name).write_text(name, encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"suite.count = 2\nsps.max_iterations = 1\nout_dir = {out_dir}\n",
+                   encoding="utf-8")
+    before = {p.name: p.read_text() for p in out_dir.iterdir()}
+    monkeypatch.setenv("SQUEEZELAB_SEED", "-1")
+    assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: ")
+    assert {p.name: p.read_text() for p in out_dir.iterdir()} == before
 
 
 def test_training_modes_pin_the_objective(tmp_path):

@@ -681,10 +681,10 @@ def test_rl_steps_on_reused_groups_match_the_per_token_loop(overrides):
     records = []
     for step in range(4):
         expected = reference_objective(groups, policy, ref, sps_cfg.clip)
-        new_policy, record, delta, stepped = rl_step(policy, suite, sps_cfg, 11, ref_policy=ref,
-                                                     step_index=step, groups=groups)
-        # A step on handed-in groups pools nothing and steps on those groups.
-        assert delta == [] and stepped is groups
+        new_policy, record, stepped = rl_step(policy, suite, sps_cfg, 11, ref_policy=ref,
+                                              step_index=step, groups=groups)
+        # A step on handed-in groups steps on those groups.
+        assert stepped is groups
         assert record.value == expected.value
         assert record.kl == expected.kl_to_ref
         assert record.clipped_frac == expected.clipped_token_fraction
@@ -716,7 +716,7 @@ def test_grpo_and_dapo_steps_gather_no_per_trajectory_log_probs(monkeypatch):
         base = build_suite_policy(suite, cfg["suite.skew"], seed)
         sps_cfg = cfg.sps_config()
         assert sps_cfg.clip.beta > 0 or sps_cfg.clip.objective_kind == "dapo"
-        new_policy, record, _, _ = rl_step(base, suite, sps_cfg, seed, ref_policy=base)
+        new_policy, record, _ = rl_step(base, suite, sps_cfg, seed, ref_policy=base)
         assert new_policy is not base
         # A second step against a distinct reference policy reads its table too.
         rl_step(new_policy, suite, sps_cfg, seed + 1, ref_policy=base)
@@ -739,10 +739,11 @@ def test_sample_group_scores_with_validator(diamond_task):
 def test_rl_step_zero_lr_keeps_policy_and_fills_pool(diamond_task):
     policy = PolicyTable(Vocab(4), max_len=2)
     cfg = SpsConfig(rl_lr=0.0, group_size=8, clip=ClipConfig.grpo(beta=0.0))
-    new_policy, record, pool, _ = rl_step(policy, [diamond_task], cfg, 123)
+    new_policy, record, groups = rl_step(policy, [diamond_task], cfg, 123)
+    pool = [traj for group in groups for traj in group.trajectories]
     assert new_policy is policy
     assert len(pool) == 8
-    assert all(entry.behavior_total_logp <= 0 for entry in pool)
+    assert all(traj.total_logp <= 0 for traj in pool)
     assert record.objective_kind == "grpo"
 
 
@@ -752,7 +753,8 @@ def test_rl_step_deterministic_under_seed(diamond_task):
     a = rl_step(policy, [diamond_task], cfg, 42)
     b = rl_step(policy, [diamond_task], cfg, 42)
     assert a[1] == b[1]
-    assert [e.trajectory.tokens for e in a[2]] == [e.trajectory.tokens for e in b[2]]
+    assert ([t.tokens for g in a[2] for t in g.trajectories]
+            == [t.tokens for g in b[2] for t in g.trajectories])
 
 
 def test_rl_step_raises_positive_rollout_likelihood(diamond_task):
@@ -763,8 +765,9 @@ def test_rl_step_raises_positive_rollout_likelihood(diamond_task):
     counted = 0
     for seed in range(20):
         policy = skewed_base_policy(diamond_task, 2.0, seed=7)
-        new_policy, record, pool, _ = rl_step(policy, [diamond_task], cfg, seed)
-        positives = [e.trajectory for e in pool if e.reward == 1]
+        new_policy, record, groups = rl_step(policy, [diamond_task], cfg, seed)
+        pool = [(t, r) for g in groups for t, r in zip(g.trajectories, g.rewards)]
+        positives = [t for t, r in pool if r == 1]
         if not positives or len(positives) == len(pool):
             continue
         counted += 1
@@ -794,7 +797,7 @@ def test_rl_step_computes_each_log_prob_row_once_per_policy_version(monkeypatch)
         return kernel(z)
 
     monkeypatch.setattr(policy_module, "_log_softmax", counting_kernel)
-    new_policy, _, _, _ = rl_step(base, suite, cfg.sps_config(), seed, ref_policy=base)
+    new_policy, _, _ = rl_step(base, suite, cfg.sps_config(), seed, ref_policy=base)
     assert new_policy is not base
     assert 0 < sum(rows) <= (base.stored_prefix_count + 1) + (new_policy.stored_prefix_count + 1)
 

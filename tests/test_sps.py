@@ -1,17 +1,21 @@
 """Demo selection, the IRL stage, and the alternating training loop."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezelab.errors import NoRollouts
 from squeezelab import sps
-from squeezelab.objectives import ClipConfig, PoolEntry, rl_step
+from squeezelab.objectives import ClipConfig, RolloutGroup, rl_step
 from squeezelab.policy import (
     PolicyTable,
+    Trajectory,
     Vocab,
     make_trajectory,
     trajectory_log_prob,
@@ -19,8 +23,6 @@ from squeezelab.policy import (
 from squeezelab.sps import (
     LOW_LIKELIHOOD,
     POSITIVE_AUGMENT,
-    DemoSet,
-    RolloutPool,
     SpsConfig,
     TraceRecord,
     _step_seed,
@@ -40,17 +42,13 @@ LN4 = math.log(4.0)
 
 
 def pooled(logps, rewards, lengths=None):
-    """Pool of synthetic one-prompt entries with prescribed behavior logps."""
+    """One synthetic prompt-0 RolloutGroup with prescribed behavior total logps."""
     policy = PolicyTable(Vocab(4), max_len=3)
-    pool = RolloutPool()
-    entries = []
-    for i, (lp, r) in enumerate(zip(logps, rewards)):
-        length = lengths[i] if lengths else 1
-        traj = make_trajectory(policy, 0, (0,) * length)
-        entries.append(PoolEntry(prompt_id=0, trajectory=traj, reward=r,
-                                 behavior_total_logp=lp, rl_step_index=0))
-    pool.extend(entries)
-    return pool
+    trajs = tuple(
+        dataclasses.replace(make_trajectory(policy, 0, (0,) * (lengths[i] if lengths else 1)),
+                            total_logp=lp)
+        for i, lp in enumerate(logps))
+    return [RolloutGroup(0, trajs, tuple(rewards), tuple(t.per_token_logp for t in trajs))]
 
 
 def policy_state(policy):
@@ -154,15 +152,97 @@ def test_l2te_ties_keep_insertion_order():
 
 
 def test_l2te_empty_pool_raises():
-    pool = RolloutPool()
     with pytest.raises(NoRollouts):
-        l2te_select(pool, 0, SpsConfig())
+        l2te_select([], 0, SpsConfig())
 
 
 def test_l2te_caps_k_at_pool_size():
     pool = pooled([-1.0, -2.0], [0, 0])
     demos = l2te_select(pool, 0, SpsConfig(sampling_size=3, group_size=8))
     assert len(demos) == 2
+
+
+# The selection as it read a pool of per-rollout copies, kept as the oracle
+# for l2te_select on RolloutGroups.
+@dataclasses.dataclass(frozen=True)
+class PoolEntry:
+    prompt_id: int
+    trajectory: Trajectory
+    reward: int
+    behavior_total_logp: float
+    rl_step_index: int
+
+
+class RolloutPool:
+    def __init__(self, groups, groups_per_step):
+        self.entries = [
+            PoolEntry(prompt_id=g.prompt_id, trajectory=traj, reward=reward,
+                      behavior_total_logp=traj.total_logp, rl_step_index=i // groups_per_step)
+            for i, g in enumerate(groups) for traj, reward in zip(g.trajectories, g.rewards)]
+
+    def for_prompt(self, prompt_id):
+        return [e for e in self.entries if e.prompt_id == prompt_id]
+
+
+def reference_l2te_select(pool, prompt_id, cfg):
+    """(trajectory, normalized_logp, quantile_rank, source) of each demo, in order."""
+    def key(entry):
+        if cfg.l2te_raw_total:
+            return entry.behavior_total_logp
+        return entry.behavior_total_logp / max(len(entry.trajectory.tokens), 1)
+
+    cands = pool.for_prompt(prompt_id)
+    n = len(cands)
+    k = min(cfg.sampling_size, n)
+    order = sorted(range(n), key=lambda i: key(cands[i]))
+    rank_of = {idx: pos for pos, idx in enumerate(order)}
+    window = order if cfg.quantile is None else order[:max(k, math.ceil(cfg.quantile * n))]
+    negatives = [i for i in window if cands[i].reward == 0]
+    if len(negatives) >= cfg.min_negatives_for_pure_l2te:
+        chosen = [(i, LOW_LIKELIHOOD) for i in window[:k]]
+    else:
+        chosen = [(i, LOW_LIKELIHOOD) for i in negatives[:k]]
+        for i in window:
+            if len(chosen) >= k:
+                break
+            if cands[i].reward == 1:
+                chosen.append((i, POSITIVE_AUGMENT))
+    return [(cands[i].trajectory, key(cands[i]), rank_of[i] / max(n - 1, 1), src)
+            for i, src in chosen]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_l2te_select_on_groups_matches_the_pool_reference(data):
+    steps = data.draw(st.integers(1, 3))
+    prompts = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
+    group_size = data.draw(st.integers(2, 5))
+    max_len = data.draw(st.integers(1, 4))
+    groups = []
+    for _ in range(steps):
+        for pid in prompts:
+            trajs, rewards = [], []
+            for _ in range(group_size):
+                length = data.draw(st.integers(1, max_len))
+                # Few totals, so raw and length-normalized keys tie often; the
+                # serial in per_token_logp keeps tied trajectories unequal.
+                total = data.draw(st.sampled_from([-4.0, -2.0, -1.0, -0.5]))
+                serial = float(len(groups) * group_size + len(trajs))
+                trajs.append(Trajectory(pid, (0,) * length, (serial,) + (0.0,) * (length - 1),
+                                        total))
+                rewards.append(data.draw(st.integers(0, 1)))
+            groups.append(RolloutGroup(pid, tuple(trajs), tuple(rewards),
+                                       tuple(t.per_token_logp for t in trajs)))
+    cfg = SpsConfig(group_size=group_size,
+                    sampling_size=data.draw(st.integers(1, group_size)),
+                    quantile=data.draw(st.none() | st.floats(0.01, 1.0)),
+                    min_negatives_for_pure_l2te=data.draw(st.integers(0, 4)),
+                    l2te_raw_total=data.draw(st.booleans()))
+    pool = RolloutPool(groups, len(prompts))
+    for pid in prompts:
+        got = [(d.trajectory, d.normalized_logp, d.quantile_rank, d.source)
+               for d in l2te_select(groups, pid, cfg).entries]
+        assert got == reference_l2te_select(pool, pid, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +254,6 @@ def test_irl_value_uniform_policy_reference():
     traj = make_trajectory(policy, 0, (0, 1, 2))
     np.testing.assert_allclose(irl_value(policy, [traj]), 3 * LN4, atol=1e-6)
     np.testing.assert_allclose(3 * LN4, 4.158883, atol=1e-6)
-
-
-def test_irl_value_accepts_equivalent_demo_shapes():
-    policy = PolicyTable(Vocab(4), max_len=2)
-    traj = make_trajectory(policy, 0, (0, 1))
-    as_traj = irl_value(policy, [traj])
-    as_pair = irl_value(policy, [(0, traj)])
-    from squeezelab.sps import DemoEntry
-    entry = DemoEntry(prompt_id=0, trajectory=traj, normalized_logp=-1.0,
-                      quantile_rank=0.0, source=LOW_LIKELIHOOD)
-    as_set = irl_value(policy, DemoSet((entry,)))
-    assert as_traj == as_pair == as_set
 
 
 def test_irl_value_vanishes_on_a_dominant_path():
@@ -284,11 +352,9 @@ def test_irl_stage_restores_demo_mass_and_keeps_normalization(diamond_task):
     policy = skewed_base_policy(diamond_task, 1.0, seed=3)
     cfg = SpsConfig(group_size=8, sampling_size=3, irl_steps_per_iteration=4,
                     irl_lr=0.05, rl_lr=0.0, clip=ClipConfig.grpo(beta=0.0))
-    _, _, delta, _ = rl_step(policy, [diamond_task], cfg, 11)
-    pool = RolloutPool()
-    pool.extend(delta)
-    demos = l2te_select(pool, 0, cfg)
-    after = irl_stage(policy, [demos], cfg)
+    _, _, groups = rl_step(policy, [diamond_task], cfg, 11)
+    demos = l2te_select(groups, 0, cfg)
+    after = irl_stage(policy, [demos.trajectories], cfg)
     demo_seqs = {d.trajectory.tokens for d in demos.entries}
     before_mass = total_mass(policy, demo_seqs)
     after_mass = total_mass(after, demo_seqs)
@@ -381,7 +447,7 @@ def test_sps_loop_irl_batch_size_limits_each_descent(diamond_task, monkeypatch, 
     batches = []
 
     def recording_descent(policy, demos, lr):
-        batches.append([pid for pid, _ in sps._demo_pairs(demos)])
+        batches.append([traj.prompt_id for traj in demos])
         return irl_descent_step(policy, demos, lr)
 
     monkeypatch.setattr(sps, "irl_descent_step", recording_descent)
@@ -406,6 +472,41 @@ def test_sps_loop_reuse_rollouts_freezes_the_batch(diamond_task):
     rl_rewards = [r.mean_reward for r in trace.records if r.phase == "RL"]
     assert len(rl_rewards) == 3
     assert rl_rewards[0] == rl_rewards[1] == rl_rewards[2]
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+def test_sps_loop_demo_candidates_are_the_freshly_sampled_groups(diamond_task, monkeypatch,
+                                                                 reuse):
+    second = TaskInstance(prompt_id=1, label=diamond_task.label, spec=diamond_task.spec)
+    policy = skewed_base_policy(diamond_task, 1.0, seed=5)
+    cfg = small_cfg(reuse_rollouts=reuse, rl_steps_per_iteration=3)
+    fresh, seen = [], []
+
+    def recording_rl_step(*args, **kwargs):
+        result = rl_step(*args, **kwargs)
+        if kwargs["groups"] is None:
+            fresh.append(result[2])
+        return result
+
+    def recording_select(groups, prompt_id, cfg):
+        seen.append((prompt_id, list(groups)))
+        return l2te_select(groups, prompt_id, cfg)
+
+    monkeypatch.setattr(sps, "rl_step", recording_rl_step)
+    monkeypatch.setattr(sps, "l2te_select", recording_select)
+    _, trace = sps_loop(policy, [diamond_task, second], cfg, 17)
+    assert sum(r.phase == "IRL" for r in trace.records) == 4
+    assert len(fresh) == (1 if reuse else 3) * cfg.max_iterations
+    per_iteration = len(fresh) // cfg.max_iterations
+    assert len(seen) == 2 * cfg.max_iterations
+    for i, (prompt_id, groups) in enumerate(seen):
+        it = i // 2
+        assert prompt_id == i % 2
+        assert list(map(id, groups)) == [
+            id(g) for step in fresh[it * per_iteration:(it + 1) * per_iteration] for g in step]
+        candidates = sum(g.size for g in groups if g.prompt_id == prompt_id)
+        steps = 1 if reuse else cfg.rl_steps_per_iteration
+        assert candidates == steps * cfg.group_size
 
 
 def test_sps_loop_convergence_early_stop(diamond_task):
