@@ -41,6 +41,9 @@ MATRIX = {
     "sps_full_suite": ({"mode": "sps", "sps.irl_scope": "full_suite",
                         "sps.irl_batch_size": 5}, 32),
     "sps_every_2": ({"mode": "sps", "sps.checkpoint_every": 2}, 32),
+    # A rate large enough that IRL line searches halve, so some prompts'
+    # blocks retry while others have accepted their step.
+    "sps_irl_halving": ({"mode": "sps", "sps.irl_lr": 20}, 32),
     # Demos from the step-0 groups only, with a quantile window narrow enough
     # that some prompts' selections take positive_augment demos.
     "sps_reuse_l2te": ({"mode": "sps", "rl.reuse_rollouts": True, "sps.quantile": 0.5,

@@ -11,11 +11,11 @@ the clip widths, and whether a KL leash to a reference snapshot is applied
 
 GRPO and DAPO are one clipped surrogate over a flat token batch: each
 RolloutGroup flattens once into its `flat` TokenBatch, kept while the group
-is reused, and one call gathers every new and reference log-prob with one
-index each and forms ratios, clips, values, KL terms and score weights as
-array expressions. Value and KL sums are left folds in token order and each
-token's KL term follows its policy-gradient term, so the bits equal a
-per-token loop's. Every objective hands its terms to policy.score_gradient.
+is reused (the training loop drops it after the group's last step), and one
+call gathers every new and reference log-prob with one index each and forms
+ratios, clips, values, KL terms and score weights as array expressions.
+Value and KL sums are left folds in token order and each token's KL term
+follows its policy-gradient term, so the bits equal a per-token loop's. Every objective hands its terms to policy.score_gradient.
 Values and analytical gradients are exact so they can be checked against
 brute-force summation and finite differences.
 """
@@ -140,6 +140,10 @@ class RolloutGroup:
             advantages=np.repeat(adv.values[:g], lengths),
             lengths=np.repeat(lengths, lengths),
         )
+
+    def drop_flat(self) -> None:
+        """Free the cached flat batch; a later read of flat builds it again."""
+        self.__dict__.pop("flat", None)
 
 
 @dataclass(frozen=True)

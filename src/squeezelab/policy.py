@@ -9,13 +9,13 @@ recomputes only the rows it touched. sample_trajectories is the one sampler,
 at temperature 1: per call it draws n * max_len doubles at once and rewinds
 the generator past the unused ones, walks an append-only prefix tree that
 all versions of a policy share, and steps a task's validator table in the
-same pass, so rewards need no replay. score_gradient is the one place score
-blocks (onehot - probs) are formed and summed, from a flat batch of terms:
-each term's prefix key, its table row (prefix_rows), token and weight. The
-highest token id acts as the terminator: sampling and greedy decoding stop
-when it is emitted or when the sequence reaches max_len. Everything here is
-exact, which makes closed-form claims about softmax update dynamics directly
-checkable.
+same pass, so rewards need no replay; greedy_decode walks the same tree.
+score_gradient is the one place score blocks (onehot - probs) are formed and
+summed, from a flat batch of terms: each term's prefix key, its table row
+(prefix_rows), token and weight. The highest token id acts as the
+terminator: sampling and greedy decoding stop when it is emitted or when the
+sequence reaches max_len. Everything here is exact, which makes closed-form
+claims about softmax update dynamics directly checkable.
 """
 from __future__ import annotations
 
@@ -283,6 +283,28 @@ def make_trajectory(policy: PolicyTable, prompt_id: int, tokens) -> Trajectory:
                       tuple(float(x) for x in per_token), total)
 
 
+def _tree_root(policy: PolicyTable, prompt_id: int) -> int:
+    """The shared prefix tree's node of (prompt_id, ()), added on first use."""
+    keys, children, roots = policy._tree
+    root = roots.get(prompt_id)
+    if root is None:
+        root = roots[prompt_id] = len(keys)
+        keys.append((prompt_id, ()))
+        children += [-1] * policy.vocab.size
+    return root
+
+
+def _tree_child(policy: PolicyTable, node: int, tok: int) -> int:
+    """Add the shared prefix tree's child of node by tok; return it."""
+    keys, children, _ = policy._tree
+    size = policy.vocab.size
+    child = children[node * size + tok] = len(keys)
+    prompt_id, prefix = keys[node]
+    keys.append((prompt_id, prefix + (tok,)))
+    children += [-1] * size
+    return child
+
+
 def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
                         rng: np.random.Generator, walk=None,
                         stop_at_reward: bool = False) -> tuple[list[Trajectory], list[int]]:
@@ -300,13 +322,9 @@ def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
     size = policy.vocab.size
     last = size - 1
     table, state0, accept = walk or ([0] * size, 0, -1)
-    (keys, children, roots), stored, node_rows = policy._tree, policy._rows, policy._node_rows
+    (keys, children, _), stored, node_rows = policy._tree, policy._rows, policy._node_rows
     logp_rows, cum_rows = policy._row_lists()
-    root = roots.get(prompt_id)
-    if root is None:
-        root = roots[prompt_id] = len(keys)
-        keys.append((prompt_id, ()))
-        children += [-1] * size
+    root = _tree_root(policy, prompt_id)
     draws = rng.random(n * policy.max_len).tolist()
     used = 0
     trajectories, rewards = [], []
@@ -324,9 +342,7 @@ def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
             state = table[state + tok]
             child = children[node * size + tok]
             if child < 0:
-                child = children[node * size + tok] = len(keys)
-                keys.append((prompt_id, keys[node][1] + (tok,)))
-                children += [-1] * size
+                child = _tree_child(policy, node, tok)
             node = child
             if tok == last:
                 break
@@ -349,25 +365,32 @@ def sample_trajectory(policy: PolicyTable, prompt_id: int,
 def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:
     """Argmax decoding; ties resolve to the lowest token id.
 
-    total_logp adds the log-probs one at a time in token order, as
-    sample_trajectories does.
+    It walks the shared prefix tree as sample_trajectories does, and total_logp
+    adds the log-probs one at a time in token order, as that sampler does.
     """
-    terminator = policy.vocab.terminator
-    rows = policy._rows
+    size = policy.vocab.size
+    last = size - 1
+    (keys, children, _), stored, node_rows = policy._tree, policy._rows, policy._node_rows
     logp_rows = policy._row_lists()[0]
-    tokens: tuple[int, ...] = ()
+    node = _tree_root(policy, prompt_id)
     logps: list[float] = []
     total = 0.0
     for _ in range(policy.max_len):
-        logp = logp_rows[rows.get((prompt_id, tokens), 0)]
+        row = node_rows.get(node)
+        if row is None:
+            row = node_rows[node] = stored.get(keys[node], 0)
+        logp = logp_rows[row]
         best = max(logp)
         tok = logp.index(best)
-        tokens += (tok,)
         logps.append(best)
         total += best
-        if tok == terminator:
+        child = children[node * size + tok]
+        if child < 0:
+            child = _tree_child(policy, node, tok)
+        node = child
+        if tok == last:
             break
-    return Trajectory(prompt_id, tokens, tuple(logps), total)
+    return Trajectory(prompt_id, keys[node][1], tuple(logps), total)
 
 
 def entropy(d: TokenDistribution | np.ndarray) -> float:

@@ -9,24 +9,29 @@ pushes probability mass back toward trajectories the RL phase squeezed down.
 Each rollout is kept once, in the RolloutGroups the RL steps sampled fresh
 (under reuse_rollouts only the first step samples): l2te_select reads its
 candidates and their behavior log-probs straight from those groups'
-Trajectories, and every IRL function takes a sequence of Trajectories, each
-carrying its own prompt_id.
-The descent's gradient is one call of policy.score_gradient, the one place
-score blocks are formed: irl_loss flattens the demos into one batch of
-prefix keys, table rows, tokens and weights, the same form the RL surrogates
-pass. irl_loss and irl_value share one mean-NLL helper, so the line search
-compares values summed the same way.
+Trajectories, and every IRL function takes a sequence of blocks, each a
+sequence of Trajectories carrying their own prompt_id.
 Every IRL step, in the training loop and outside it, is one call of
-irl_step: step s descends per prompt or over the whole suite (irl_scope), on
-the circular irl_batch_size slice of the demos that starts at s. A baseline
-loop with the IRL stage disabled shares every other code path so the two
-runs differ only by that stage.
+irl_step: step s descends on one block of demos per prompt, or on one block
+of the whole suite's demos (irl_scope), each block the circular
+irl_batch_size slice of its demos that starts at s. One guarded descent
+serves every block at once. Blocks never share a prompt, so they own
+disjoint rows of the policy and each block's loss moves only with its own
+step: irl_loss flattens all demos into one batch of prefix keys, table rows,
+tokens and weights for one policy.score_gradient call (the one place score
+blocks are formed), each line-search pass is one apply_update and one
+irl_value call, and only the blocks whose loss rose halve their step and
+retry. Values are per-block left folds from one gather of the log-prob
+table, so the result is bit for bit a descent on each block in turn.
+A baseline loop with the IRL stage disabled shares every other code path so
+the two runs differ only by that stage.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress, islice
 
 import numpy as np
 
@@ -45,12 +50,12 @@ from .policy import (
     PrefixKey,
     Trajectory,
     apply_update,
+    check_sequence,
     derive_rng,
     prefix_keys,
     prefix_rows,
     save_checkpoint,
     score_gradient,
-    trajectory_log_prob,
 )
 
 LOW_LIKELIHOOD = "low_likelihood"
@@ -66,11 +71,12 @@ class SpsConfig:
     parameter blocks. The blocks are disjoint, so a full-batch mean scales
     every prompt's gradient by 1/prompts and the stated learning rates would
     do nothing observable at suite size; "per_prompt" (the default for both)
-    makes each rate a per-prompt rate. For IRL it runs the descent prompt by
-    prompt on that prompt's own demos; "full_suite" averages the loss over
-    every selected demo at once, concatenated into one block. irl_batch_size,
-    when set, limits each IRL descent to a circular slice of that many demos
-    in either scope. The demo candidates of an iteration are the rollouts its
+    makes each rate a per-prompt rate. For IRL it makes each prompt's demos a
+    block with its own mean loss and its own line search; "full_suite"
+    averages the loss over every selected demo at once, concatenated into one
+    block. Either way one descent step serves every block. irl_batch_size,
+    when set, limits each block to a circular slice of that many demos in
+    either scope. The demo candidates of an iteration are the rollouts its
     RL steps sampled: rl_steps_per_iteration * group_size per prompt, or
     group_size with reuse_rollouts, which samples only at the first step.
     """
@@ -205,57 +211,118 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     return DemoSet(entries)
 
 
-def _mean_nll(policy: PolicyTable, demos) -> float:
-    """Mean negative log-likelihood of a sequence of Trajectories."""
-    if not demos:
-        raise ValueError("demos must be nonempty")
-    total = 0.0
-    for traj in demos:
-        _, logp = trajectory_log_prob(policy, traj.prompt_id, traj.tokens)
-        total += logp
-    return -total / len(demos)
+def _demo_terms(policy: PolicyTable, blocks) -> tuple[list[PrefixKey], np.ndarray, list[int]]:
+    """Every demo token of the blocks as one flat term batch, in block, demo
+    and token order: each term's prefix key and token, and each demo's length."""
+    keys, tokens, lengths = [], [], []
+    for block in blocks:
+        if not block:
+            raise ValueError("demos must be nonempty")
+        for traj in block:
+            check_sequence(policy, traj.tokens)
+            keys += prefix_keys(traj.prompt_id, traj.tokens)
+            tokens += traj.tokens
+            lengths.append(len(traj.tokens))
+    return keys, np.array(tokens, dtype=np.intp), lengths
 
 
-def irl_value(policy: PolicyTable, demos) -> float:
-    """Mean negative log-likelihood of a sequence of demo Trajectories."""
-    return _mean_nll(policy, demos)
+def _block_values(policy: PolicyTable, blocks, rows, tokens, lengths) -> list[float]:
+    """Each block's mean demo NLL, gathered from the cached log-prob table at once.
 
-
-def irl_loss(policy: PolicyTable, demos) -> tuple[float, dict[PrefixKey, np.ndarray]]:
-    """Forward-KL fit to the degenerate distribution over demo Trajectories.
-
-    Reduces to the mean demo NLL, bit for bit the value irl_value gives; the
-    gradient with respect to the logits is the negated mean score, so
-    descending it raises demo likelihood.
+    Each demo's total and each block's sum of totals are left folds, so a
+    block's value is bit for bit the one trajectory_log_prob's totals give.
     """
-    value = _mean_nll(policy, demos)  # first: it rejects empty demos and bad tokens
-    keys = [key for traj in demos for key in prefix_keys(traj.prompt_id, traj.tokens)]
-    tokens = [tok for traj in demos for tok in traj.tokens]
-    return value, score_gradient(policy, keys, prefix_rows(policy, keys), tokens,
-                                 np.full(len(keys), -1.0 / len(demos)))
+    logps = iter(policy._log_prob_table()[rows, tokens].tolist())
+    lengths = iter(lengths)
+    values = []
+    for block in blocks:
+        total = 0.0
+        for _ in block:
+            demo_total = 0.0
+            for logp in islice(logps, next(lengths)):
+                demo_total += logp
+            total += demo_total
+        values.append(-total / len(block))
+    return values
 
 
-def irl_descent_step(policy: PolicyTable, demos, lr: float,
-                     max_halvings: int = 30) -> tuple[PolicyTable, float]:
-    """One guarded descent step on irl_loss.
+def irl_value(policy: PolicyTable, blocks) -> list[float]:
+    """Mean negative log-likelihood of each block of demo Trajectories."""
+    keys, tokens, lengths = _demo_terms(policy, blocks)
+    return _block_values(policy, blocks, prefix_rows(policy, keys), tokens, lengths)
 
-    The step is accepted only if the loss does not increase; otherwise the
-    rate is halved and retried, and a policy already at a stationary point
-    is returned untouched.
+
+def irl_loss(policy: PolicyTable, blocks) -> tuple[list[float], dict[PrefixKey, np.ndarray]]:
+    """Forward-KL fit to the degenerate distribution over each block of demos.
+
+    Each block's loss reduces to its mean demo NLL, bit for bit the value
+    irl_value gives; the gradient with respect to the logits is the sum over
+    blocks of the negated mean score, so descending it raises every block's
+    demo likelihood. All terms go to one score_gradient call in block order,
+    so each prefix's terms add up in the order a per-block call would add them.
     """
+    keys, tokens, lengths = _demo_terms(policy, blocks)
+    rows = prefix_rows(policy, keys)
+    weights = np.repeat([-1.0 / len(block) for block in blocks for _ in block], lengths)
+    return (_block_values(policy, blocks, rows, tokens, lengths),
+            score_gradient(policy, keys, rows, tokens, weights))
+
+
+def irl_descent_step(policy: PolicyTable, blocks, lr: float,
+                     max_halvings: int = 30) -> tuple[PolicyTable, list[float]]:
+    """One guarded descent step on irl_loss over disjoint blocks of demos.
+
+    No two blocks may hold demos of the same prompt, so each block owns its
+    own rows and its loss moves only with its own step. A block's step is
+    accepted only if its loss does not increase; otherwise its rate is halved
+    and retried, while accepted blocks keep theirs. Each line-search pass is
+    one apply_update and one irl_value call over the blocks still searching,
+    and gives every block the result a descent on it alone would give. A
+    block that gives up, or sits at a stationary point, keeps its rows
+    untouched and allocates none. Returns the policy and each block's loss;
+    the input policy itself when no block moved.
+    """
+    owner: dict[int, int] = {}
+    for b, block in enumerate(blocks):
+        for traj in block:
+            if owner.setdefault(traj.prompt_id, b) != b:
+                raise ValueError(f"demo blocks share prompt {traj.prompt_id}")
     if lr == 0.0:
-        return policy, irl_value(policy, demos)
-    val0, grad = irl_loss(policy, demos)
+        return policy, irl_value(policy, blocks)
+    values, grad = irl_loss(policy, blocks)
     if not grad:
-        return policy, val0
-    step = lr
-    for _ in range(max_halvings + 1):
-        cand = apply_update(policy, grad, -step)
-        val1 = irl_value(cand, demos)
-        if val1 <= val0:
-            return cand, val1
-        step /= 2.0
-    return policy, val0
+        return policy, values
+    keys = list(grad)
+    key_block = np.fromiter((owner[prompt_id] for prompt_id, _ in keys), np.intp, len(keys))
+    grads = np.array(list(grad.values()))
+    steps = np.full(len(blocks), float(lr))
+    searching = np.zeros(len(blocks), dtype=bool)
+    searching[key_block] = True
+    moved = np.zeros(len(blocks), dtype=bool)
+
+    def update(on: np.ndarray) -> PolicyTable:
+        # x + 1.0 * (-step * g) is bitwise x + (-step) * g.
+        live = on[key_block]
+        scaled = -steps[key_block[live], None] * grads[live]
+        return apply_update(policy, dict(zip(compress(keys, live), scaled)), 1.0)
+
+    for attempt in range(max_halvings + 1):
+        cand = update(searching)
+        pending = np.flatnonzero(searching).tolist()
+        for b, value in zip(pending, irl_value(cand, [blocks[b] for b in pending])):
+            if value <= values[b]:
+                values[b] = value
+                searching[b] = False
+                moved[b] = True
+            else:
+                steps[b] /= 2.0
+        if not searching.any():
+            if attempt == 0:
+                return cand, values
+            break
+    if not moved.any():
+        return policy, values
+    return update(moved), values
 
 
 def _circular_batch(demos, batch_size: int | None, s: int):
@@ -270,19 +337,17 @@ def irl_step(policy: PolicyTable, demo_sets, cfg: SpsConfig, s: int) -> tuple[Po
     """Step s of the IRL stage; returns the new policy and the mean IRL loss.
 
     demo_sets holds one sequence of demo Trajectories per prompt. In
-    "per_prompt" scope each sequence gets its own guarded descent step and
-    the loss is the mean over prompts; in "full_suite" scope one step
-    descends on all of them concatenated into one block. Each descent sees
-    the circular irl_batch_size slice of its demos that starts at
+    "per_prompt" scope each sequence is its own block; in "full_suite" scope
+    they are concatenated into one block. One guarded descent step serves
+    every block, and the loss is the mean over blocks. Each block is the
+    circular irl_batch_size slice of its demos that starts at
     s * irl_batch_size, or all of them when the size is unset.
     """
     if cfg.irl_scope == "full_suite":
         demo_sets = [[traj for demos in demo_sets for traj in demos]]
-    losses = []
-    for demos in demo_sets:
-        policy, loss = irl_descent_step(
-            policy, _circular_batch(demos, cfg.irl_batch_size, s), cfg.irl_lr)
-        losses.append(loss)
+    policy, losses = irl_descent_step(
+        policy, [_circular_batch(demos, cfg.irl_batch_size, s) for demos in demo_sets],
+        cfg.irl_lr)
     return policy, float(np.mean(losses))
 
 
@@ -390,6 +455,9 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
                 sampled += groups
             if cfg.reuse_rollouts:
                 cached_groups = groups
+            if not cfg.reuse_rollouts or s + 1 == cfg.rl_steps_per_iteration:
+                for group in groups:  # no later step reads their token batches
+                    group.drop_flat()
             pk, cov = _trace_eval(policy, tasks, cfg, master, global_step)
             trace.records.append(TraceRecord(
                 iter=it, phase="RL", step=global_step,

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from squeezelab import sps
 from squeezelab.policy import PolicyTable, Vocab, prefix_rows, score_gradient
 from squeezelab.tasks import PathTaskSpec, TaskInstance
 
@@ -85,3 +86,23 @@ def flat_score_gradient(policy, terms):
     keys = [(prompt_id, prefix) for prompt_id, prefix, _tok, _w in terms]
     return score_gradient(policy, keys, prefix_rows(policy, keys),
                           [tok for *_, tok, _w in terms], [w for *_, w in terms])
+
+
+# The IRL functions take a sequence of demo blocks; these give their
+# one-block form, a flat demo list in and one value out.
+
+def irl_value(policy, demos):
+    """sps.irl_value of demos as one block."""
+    return sps.irl_value(policy, [demos])[0]
+
+
+def irl_loss(policy, demos):
+    """sps.irl_loss of demos as one block: (value, gradient)."""
+    (value,), grad = sps.irl_loss(policy, [demos])
+    return value, grad
+
+
+def irl_descent_step(policy, demos, lr):
+    """sps.irl_descent_step on demos as one block: (policy, value)."""
+    policy, (value,) = sps.irl_descent_step(policy, [demos], lr)
+    return policy, value

@@ -44,15 +44,13 @@ from squeezelab.runner import run as runner_run
 from squeezelab.sps import (
     SpsConfig,
     grpo_baseline_loop,
-    irl_loss,
-    irl_value,
     l2te_select,
     sps_loop,
 )
 from squeezelab.squeeze import penalize_token, sequence_squeeze
 from squeezelab.tasks import FamilyParams, build_suite_policy, make_benchmark_suite
 
-from conftest import finite_difference_blocks, random_policy
+from conftest import finite_difference_blocks, irl_loss, irl_value, random_policy
 from test_metrics import matrix_from_counts
 from test_objectives import (
     build_batch,

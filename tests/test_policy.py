@@ -22,6 +22,7 @@ from squeezelab.errors import (
 from squeezelab.policy import (
     PolicyTable,
     Prefix,
+    Trajectory,
     Vocab,
     apply_update,
     derive_rng,
@@ -291,6 +292,46 @@ def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n):
         assert got == _sequential_block(version, task, n, ref_rng)
         assert all(type(t.total_logp) is float for t in trajs)
         assert block_rng.random() == ref_rng.random()
+
+
+def _tuple_key_greedy(policy, prompt_id):
+    """Greedy decoding by one fresh (prompt_id, tokens) key lookup per token."""
+    logp_rows = policy._row_lists()[0]
+    tokens, logps, total = (), [], 0.0
+    for _ in range(policy.max_len):
+        logp = logp_rows[policy._rows.get((prompt_id, tokens), 0)]
+        best = max(logp)
+        tokens += (logp.index(best),)
+        logps.append(best)
+        total += best
+        if tokens[-1] == policy.vocab.terminator:
+            break
+    return Trajectory(prompt_id, tokens, tuple(logps), total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6), max_len=st.integers(1, 6))
+def test_greedy_decode_on_the_prefix_tree_matches_the_tuple_key_loop(seed, vocab, max_len):
+    rng = np.random.default_rng(seed)
+    policy = random_policy(vocab, max_len, rng, prompt_ids=(0, 1),
+                           scale=float(rng.choice([0.5, 3.0])))
+    for version in range(6):
+        for prompt_id in (0, 1, 5):  # prompt 5 has no stored rows
+            assert greedy_decode(policy, prompt_id) == _tuple_key_greedy(policy, prompt_id)
+            # Sampling grows the shared tree and fills this version's node rows.
+            sample_trajectories(policy, prompt_id, 4, rng)
+            assert greedy_decode(policy, prompt_id) == _tuple_key_greedy(policy, prompt_id)
+        # Either a new version that shares the tree, from an update with a new
+        # key on prompt 5's greedy path, or an in-place write to a greedy-path row.
+        if version % 2 == 0:
+            path = greedy_decode(policy, 5).tokens
+            policy = apply_update(policy, {(5, path[:int(rng.integers(len(path)))]):
+                                           rng.normal(size=vocab),
+                                           (0, ()): rng.normal(size=vocab)}, 2.0)
+        else:
+            path = greedy_decode(policy, 1).tokens
+            policy.set_logits(1, path[:int(rng.integers(len(path)))],
+                              3.0 * rng.normal(size=vocab))
 
 
 def test_block_sampler_stops_at_a_reward_and_leaves_the_stream_there(diamond_task):

@@ -11,13 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelab.errors import NoRollouts
-from squeezelab import sps
-from squeezelab.objectives import ClipConfig, RolloutGroup, rl_step
+from squeezelab import objectives, sps
+from squeezelab.objectives import ClipConfig, RolloutGroup, TokenBatch, rl_step
 from squeezelab.policy import (
     PolicyTable,
     Trajectory,
     Vocab,
+    apply_update,
     make_trajectory,
+    prefix_keys,
+    prefix_rows,
+    score_gradient,
     trajectory_log_prob,
 )
 from squeezelab.sps import (
@@ -27,16 +31,19 @@ from squeezelab.sps import (
     TraceRecord,
     _step_seed,
     grpo_baseline_loop,
-    irl_descent_step,
-    irl_loss,
     irl_step,
-    irl_value,
     l2te_select,
     sps_loop,
 )
 from squeezelab.tasks import TaskInstance, skewed_base_policy
 
-from conftest import finite_difference_blocks, random_policy
+from conftest import (
+    finite_difference_blocks,
+    irl_descent_step,
+    irl_loss,
+    irl_value,
+    random_policy,
+)
 
 LN4 = math.log(4.0)
 
@@ -348,6 +355,114 @@ def test_irl_step_circular_batches_still_descend():
     assert irl_value(after, demos) < irl_value(policy, demos)
 
 
+def _sequential_mean_nll(policy, demos):
+    total = 0.0
+    for traj in demos:
+        total += trajectory_log_prob(policy, traj.prompt_id, traj.tokens)[1]
+    return -total / len(demos)
+
+
+def _sequential_descent(policy, demos, lr, max_halvings=30):
+    """One block's guarded descent step, as irl_descent_step ran it block by block."""
+    if lr == 0.0:
+        return policy, _sequential_mean_nll(policy, demos)
+    val0 = _sequential_mean_nll(policy, demos)
+    keys = [key for traj in demos for key in prefix_keys(traj.prompt_id, traj.tokens)]
+    tokens = [tok for traj in demos for tok in traj.tokens]
+    grad = score_gradient(policy, keys, prefix_rows(policy, keys), tokens,
+                          np.full(len(keys), -1.0 / len(demos)))
+    if not grad:
+        return policy, val0
+    step = lr
+    for _ in range(max_halvings + 1):
+        cand = apply_update(policy, grad, -step)
+        val1 = _sequential_mean_nll(cand, demos)
+        if val1 <= val0:
+            return cand, val1
+        step /= 2.0
+    return policy, val0
+
+
+def _sequential_irl_step(policy, demo_sets, cfg, s):
+    """The IRL step as a loop of one descent per prompt, prompt after prompt."""
+    if cfg.irl_scope == "full_suite":
+        demo_sets = [[traj for demos in demo_sets for traj in demos]]
+    losses = []
+    for demos in demo_sets:
+        policy, loss = _sequential_descent(
+            policy, sps._circular_batch(demos, cfg.irl_batch_size, s), cfg.irl_lr)
+        losses.append(loss)
+    return policy, float(np.mean(losses))
+
+
+def assert_same_policy(got, ref):
+    assert list(got._rows.items()) == list(ref._rows.items())
+    assert np.array_equal(got._logit_rows(), ref._logit_rows())
+    assert np.array_equal(got._log_prob_table(), ref._log_prob_table())
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 5), max_len=st.integers(1, 4),
+       prompts=st.integers(1, 4), scope=st.sampled_from(sps.SCOPES),
+       batch_size=st.sampled_from([None, 1, 2]), lr=st.sampled_from([0.005, 0.5, 20.0, 1e4]))
+def test_irl_step_matches_the_sequential_per_prompt_loop(seed, vocab, max_len, prompts,
+                                                          scope, batch_size, lr):
+    rng = np.random.default_rng(seed)
+    # A few stored prefixes per prompt, so descents also allocate new keys.
+    policy = PolicyTable(Vocab(vocab), max_len)
+    for prompt_id in range(prompts):
+        for _ in range(int(rng.integers(0, 4))):
+            prefix = tuple(int(t) for t in rng.integers(0, vocab, size=rng.integers(0, max_len)))
+            policy.set_logits(prompt_id, prefix, float(rng.choice([0.5, 4.0]))
+                              * rng.normal(size=vocab))
+    demo_sets = [[make_trajectory(policy, prompt_id,
+                                  tuple(int(t) for t in rng.integers(
+                                      0, vocab, size=rng.integers(0, max_len + 1))))
+                  for _ in range(int(rng.integers(1, 5)))]
+                 for prompt_id in range(prompts)]
+    cfg = SpsConfig(irl_lr=lr, irl_scope=scope, irl_batch_size=batch_size)
+    got = ref = policy
+    for s in range(3):
+        got, got_loss = irl_step(got, demo_sets, cfg, s)
+        ref, ref_loss = _sequential_irl_step(ref, demo_sets, cfg, s)
+        assert got_loss == ref_loss
+        assert_same_policy(got, ref)
+
+
+def test_irl_descent_step_blocks_that_give_up_allocate_no_rows():
+    policy = PolicyTable(Vocab(3), max_len=2)
+    policy.set_logits(1, (), [4.0, 0.0, 0.0])
+    policy.set_logits(2, (), [4.0, 0.0, 0.0])
+    # One demo per prefix only gains likelihood along its score; two demos
+    # that split prompt 1's and 2's root overshoot at a huge rate.
+    accepts = [make_trajectory(policy, 0, (0, 1))]
+    gives_up = [make_trajectory(policy, 1, (0, 1)), make_trajectory(policy, 1, (1, 0))]
+    also_gives_up = [make_trajectory(policy, 2, (0, 1)), make_trajectory(policy, 2, (1, 0))]
+    blocks = [gives_up, accepts, also_gives_up]
+    before = sps.irl_value(policy, blocks)
+    after, values = sps.irl_descent_step(policy, blocks, 1e4, max_halvings=0)
+    assert values[0] == before[0] and values[2] == before[2]
+    assert values[1] < before[1]
+    assert {key for key in after._rows if key not in policy._rows} == {(0, ()), (0, (0,))}
+    ref, ref_values = policy, []
+    for block in blocks:
+        ref, value = _sequential_descent(ref, block, 1e4, max_halvings=0)
+        ref_values.append(value)
+    assert values == ref_values
+    assert_same_policy(after, ref)
+    # With no block moving, the input policy comes back.
+    same, values = sps.irl_descent_step(policy, [gives_up, also_gives_up], 1e4, max_halvings=0)
+    assert same is policy
+    assert values == [before[0], before[2]]
+
+
+def test_irl_descent_step_rejects_blocks_that_share_a_prompt():
+    policy = PolicyTable(Vocab(3), max_len=2)
+    demo = make_trajectory(policy, 0, (0, 1))
+    with pytest.raises(ValueError, match="share prompt 0"):
+        sps.irl_descent_step(policy, [[demo], [demo]], 0.1)
+
+
 def test_irl_stage_restores_demo_mass_and_keeps_normalization(diamond_task):
     policy = skewed_base_policy(diamond_task, 1.0, seed=3)
     cfg = SpsConfig(group_size=8, sampling_size=3, irl_steps_per_iteration=4,
@@ -444,24 +559,25 @@ def test_sps_loop_irl_batch_size_limits_each_descent(diamond_task, monkeypatch, 
     second = TaskInstance(prompt_id=1, label=diamond_task.label,
                           spec=diamond_task.spec)
     policy = skewed_base_policy(diamond_task, 1.0, seed=8)
-    batches = []
+    steps = []
+    descent = sps.irl_descent_step
 
-    def recording_descent(policy, demos, lr):
-        batches.append([traj.prompt_id for traj in demos])
-        return irl_descent_step(policy, demos, lr)
+    def recording_descent(policy, blocks, lr):
+        steps.append([[traj.prompt_id for traj in block] for block in blocks])
+        return descent(policy, blocks, lr)
 
     monkeypatch.setattr(sps, "irl_descent_step", recording_descent)
     cfg = small_cfg(irl_scope=scope, max_iterations=1, irl_batch_size=1)
     sps_loop(policy, [diamond_task, second], cfg, 13)
     if scope == "per_prompt":
-        # One demo of each prompt per step, prompt after prompt.
-        assert batches == [[0], [1]] * cfg.irl_steps_per_iteration
+        # One descent per step over one block per prompt, one demo each.
+        assert steps == [[[0], [1]]] * cfg.irl_steps_per_iteration
     else:
-        assert batches == [[0]] * cfg.irl_steps_per_iteration
-    batches.clear()
+        assert steps == [[[0]]] * cfg.irl_steps_per_iteration
+    steps.clear()
     sps_loop(policy, [diamond_task, second], small_cfg(irl_scope=scope, max_iterations=1), 13)
     full = [[0] * 2, [1] * 2] if scope == "per_prompt" else [[0] * 2 + [1] * 2]
-    assert batches == full * cfg.irl_steps_per_iteration
+    assert steps == [full] * cfg.irl_steps_per_iteration
 
 
 def test_sps_loop_reuse_rollouts_freezes_the_batch(diamond_task):
@@ -507,6 +623,36 @@ def test_sps_loop_demo_candidates_are_the_freshly_sampled_groups(diamond_task, m
         candidates = sum(g.size for g in groups if g.prompt_id == prompt_id)
         steps = 1 if reuse else cfg.rl_steps_per_iteration
         assert candidates == steps * cfg.group_size
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+def test_sps_loop_flattens_each_group_once_and_frees_the_batch(diamond_task, monkeypatch,
+                                                               reuse):
+    policy = skewed_base_policy(diamond_task, 1.0, seed=5)
+    cfg = small_cfg(reuse_rollouts=reuse, rl_steps_per_iteration=3)
+    fresh, built, held = [], [], []
+
+    def recording_rl_step(*args, **kwargs):
+        result = rl_step(*args, **kwargs)
+        if kwargs["groups"] is None:
+            fresh.extend(result[2])
+        return result
+
+    def recording_batch(**fields):
+        built.append(fields)
+        return TokenBatch(**fields)
+
+    def recording_select(groups, prompt_id, cfg):
+        held.extend("flat" in vars(group) for group in groups)
+        return l2te_select(groups, prompt_id, cfg)
+
+    monkeypatch.setattr(sps, "rl_step", recording_rl_step)
+    monkeypatch.setattr(objectives, "TokenBatch", recording_batch)
+    monkeypatch.setattr(sps, "l2te_select", recording_select)
+    sps_loop(policy, [diamond_task], cfg, 17)
+    # Reused groups keep their batch across steps; none is held into the IRL stage.
+    assert len(built) == len(fresh) == (1 if reuse else 3) * cfg.max_iterations
+    assert held and not any(held)
 
 
 def test_sps_loop_convergence_early_stop(diamond_task):
