@@ -48,6 +48,8 @@ MATRIX = {
     # that some prompts' selections take positive_augment demos.
     "sps_reuse_l2te": ({"mode": "sps", "rl.reuse_rollouts": True, "sps.quantile": 0.5,
                         "sps.min_negatives": 3}, 32),
+    # Every config above runs at vocabulary size 4; prefix ids depend on it.
+    "wide_vocab": ({"mode": "sps", "suite.vocab_size": 5}, 32),
 }
 PAIRED = ("sps", "grpo")
 SKIPPED = "manifest.json"

@@ -70,7 +70,9 @@ from .policy import (
     grad_log_prob,
     greedy_decode,
     load_checkpoint,
-    prefix_keys,
+    prefix_id,
+    prefix_ids,
+    prefix_key,
     prefix_rows,
     sample_trajectories,
     sample_trajectory,

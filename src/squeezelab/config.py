@@ -171,6 +171,8 @@ def _validate(values: dict[str, Any]) -> None:
         raise ConfigError("eval.k: every k must be >= 1")
     if values["eval.prob_floor"] < 0:
         raise ConfigError("eval.prob_floor: must be >= 0")
+    if values["suite.skew"] < 0:
+        raise ConfigError("suite.skew: must be >= 0")
     cfg = ExperimentConfig(values).with_mode_objective()
     try:
         cfg.sps_config()

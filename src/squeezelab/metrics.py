@@ -9,8 +9,9 @@ enumeration bit for bit. Samples come from the block sampler, one call per
 task, with rewards from the task's fused validator.
 
 Each task enumerates its correct set once (TaskInstance.correct_sequences,
-flattened once into TaskInstance.correct_set), so support and mass take one
-row lookup and one gather from the policy's cached log-prob table per task. Similarity compares each pair of
+flattened once into TaskInstance.correct_set, with prefix ids), so support
+and mass take one row lookup and one gather from the policy's cached
+log-prob table per task. Similarity compares each pair of
 distinct sampled sequences once and folds the pair values back in sample
 order. Both give the bits of the per-sequence and per-pair loops they replace.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, KExceedsN
-from .policy import (PolicyTable, Trajectory, _left_fold, check_sequence, greedy_decode,
+from .policy import (PolicyTable, Trajectory, _left_fold, greedy_decode, prefix_ids,
                      prefix_rows, sample_trajectories)
 from .tasks import TaskInstance
 
@@ -195,23 +196,22 @@ def support_coverage(policy: PolicyTable, task: TaskInstance,
     covered counts enumerated correct trajectories whose exact policy
     probability is at least prob_floor; mass_on_correct sums those
     probabilities over the whole correct set regardless of the floor.
-    The task's cached correct set gives every token's prefix key, so one
+    The task's cached correct set gives every token's prefix id, so one
     gather from the log-prob table reads all token log-probs. Each
     sequence's total is a left fold over depth in a zero-padded array
     (adding 0.0 is exact), its probability is math.exp of that, and the mass
     is a left fold in the set's iteration order: the bits of
-    trajectory_log_prob per sequence. A sequence longer than the policy's
-    max_len or with a token outside its vocabulary raises as
-    trajectory_log_prob would.
+    trajectory_log_prob per sequence. A policy of another shape numbers the
+    ids again at its own, so a sequence longer than its max_len or with a
+    token outside its vocabulary raises as trajectory_log_prob would.
     """
     sequences, correct = task.correct_sequences, task.correct_set
-    if (correct.longest > policy.max_len
-            or correct.tokens.max(initial=0) >= policy.vocab.size):
-        for tokens in sequences:
-            check_sequence(policy, tokens)
+    ids = correct.ids
+    if (task.spec.vocab_size, task.spec.max_len) != (policy.vocab.size, policy.max_len):
+        ids = [i for tokens in sequences for i in prefix_ids(policy, task.prompt_id, tokens)]
     logps = np.zeros((len(sequences), correct.longest))
     logps[correct.seq, correct.depth] = policy._log_prob_table()[
-        prefix_rows(policy, correct.keys), correct.tokens]
+        prefix_rows(policy, ids), correct.tokens]
     totals = np.zeros(len(sequences))
     for column in logps.T:
         totals += column

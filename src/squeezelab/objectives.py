@@ -10,28 +10,27 @@ the clip widths, and whether a KL leash to a reference snapshot is applied
 (GRPO only). Groups with all-equal rewards carry no signal and are skipped.
 
 GRPO and DAPO are one clipped surrogate over a flat token batch: each
-RolloutGroup flattens once into its `flat` TokenBatch, kept while the group
-is reused (the training loop drops it after the group's last step), and one
-call gathers every new and reference log-prob with one index each and forms
-ratios, clips, values, KL terms and score weights as array expressions.
-Value and KL sums are left folds in token order and each token's KL term
-follows its policy-gradient term, so the bits equal a per-token loop's. Every objective hands its terms to policy.score_gradient.
-Values and analytical gradients are exact so they can be checked against
-brute-force summation and finite differences.
+RolloutGroup flattens once into its `flat` TokenBatch of prefix ids, kept
+while the group is reused (the training loop drops it after the group's last
+step), and one call gathers every new and reference log-prob with one index
+each and forms ratios, clips, values, KL terms and score weights as array
+expressions. Value and KL sums are left folds in token order and each
+token's KL term follows its policy-gradient term, so the bits equal a
+per-token loop's. Every objective hands its terms to policy.score_gradient,
+so its gradient maps prefix ids to blocks. Values and analytical gradients
+are exact, so brute-force summation and finite differences can check them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from .errors import EmptyTrajectory, OneSidedGroup
+from .errors import EmptyTrajectory, NumericOverflow, OneSidedGroup
 from .policy import (
     PolicyTable,
-    PrefixKey,
     Trajectory,
     _left_fold,
     _log_probs,
@@ -40,7 +39,7 @@ from .policy import (
     derive_rng,
     entropy,
     greedy_decode,
-    prefix_keys,
+    prefix_ids,
     prefix_rows,
     sample_trajectories,
     sample_trajectory,  # noqa: F401  (callers read objectives.sample_trajectory)
@@ -92,7 +91,7 @@ class ClipConfig:
 class TokenBatch:
     """Tokens of a set of trajectories as flat arrays, in trajectory then token order."""
 
-    keys: list[PrefixKey]    # the (prompt_id, prefix) each token was drawn at
+    ids: list[int]           # the prefix id each token was drawn at
     tokens: np.ndarray       # token ids
     old_logps: np.ndarray    # behavior log-probs
     advantages: np.ndarray   # the advantage of the token's trajectory
@@ -122,28 +121,33 @@ class RolloutGroup:
     def size(self) -> int:
         return len(self.trajectories)
 
-    @cached_property
-    def flat(self) -> TokenBatch:
-        """The group's tokens as one TokenBatch, built on first use.
+    def flat(self, policy: PolicyTable) -> TokenBatch:
+        """The group's tokens as one TokenBatch of policy's prefix ids, kept per policy shape.
 
         A degenerate group carries no signal and flattens to no tokens; so
         does an empty trajectory.
         """
+        shape = (policy.vocab.size, policy.max_len)
+        cached = self.__dict__.get("_flat")
+        if cached is not None and cached[0] == shape:
+            return cached[1]
         adv = group_advantages(self.rewards)
         g = 0 if adv.degenerate else self.size
         trajs = self.trajectories[:g]
         lengths = np.array([len(t.tokens) for t in trajs], dtype=np.intp)
-        return TokenBatch(
-            keys=[key for t in trajs for key in prefix_keys(t.prompt_id, t.tokens)],
+        batch = TokenBatch(
+            ids=[i for t in trajs for i in prefix_ids(policy, t.prompt_id, t.tokens)],
             tokens=np.fromiter(chain.from_iterable(t.tokens for t in trajs), np.intp),
             old_logps=np.fromiter(chain.from_iterable(self.old_logps[:g]), float),
             advantages=np.repeat(adv.values[:g], lengths),
             lengths=np.repeat(lengths, lengths),
         )
+        self.__dict__["_flat"] = (shape, batch)
+        return batch
 
     def drop_flat(self) -> None:
-        """Free the cached flat batch; a later read of flat builds it again."""
-        self.__dict__.pop("flat", None)
+        """Free the cached flat batch; a later call of flat builds it again."""
+        self.__dict__.pop("_flat", None)
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,7 @@ def sequence_ratio_gspo(policy: PolicyTable, old_logps, trajectory: Trajectory) 
 @dataclass
 class ObjectiveReport:
     value: float
-    gradient: dict[PrefixKey, np.ndarray]
+    gradient: dict[int, np.ndarray]  # prefix id -> block
     clipped_token_fraction: float
     kl_to_ref: float
     objective_kind: str
@@ -212,9 +216,9 @@ def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | N
     lengths to the tokens' weights. All tokens of the batch are computed in
     one pass of array expressions over the groups' flat forms.
     """
-    flats = [group.flat for group in batch]
-    keys = [key for flat in flats for key in flat.keys]
-    n = len(keys)
+    flats = [group.flat(policy) for group in batch]
+    ids = [i for flat in flats for i in flat.ids]
+    n = len(ids)
     if not n:
         return ObjectiveReport(value=0.0, gradient={}, clipped_token_fraction=0.0,
                                kl_to_ref=0.0, objective_kind=cfg.objective_kind)
@@ -222,7 +226,7 @@ def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | N
     adv = np.concatenate([flat.advantages for flat in flats])
     w = np.concatenate([token_weight(group.size, flat.lengths)
                         for group, flat in zip(batch, flats)])
-    rows = prefix_rows(policy, keys)
+    rows = prefix_rows(policy, ids)
     new_lp = policy._log_prob_table()[rows, tokens]
     ratios = np.exp(new_lp - np.concatenate([flat.old_logps for flat in flats]))
     unclipped_term = ratios * adv
@@ -231,10 +235,13 @@ def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | N
     pg_value = _left_fold(w * np.where(clipped, clipped_term, unclipped_term))
     pg_weights = (w * adv) * ratios
     if cfg.beta > 0.0 and ref_policy is not None:
-        ref_lp = ref_policy._log_prob_table()[prefix_rows(ref_policy, keys), tokens]
+        ref_lp = ref_policy._log_prob_table()[prefix_rows(ref_policy, ids), tokens]
         log_rr = ref_lp - new_lp
         # math.exp, not np.exp: the two differ in the last bit on some inputs.
-        rr = np.fromiter(map(math.exp, log_rr.tolist()), float, n)
+        try:
+            rr = np.fromiter(map(math.exp, log_rr.tolist()), float, n)
+        except OverflowError as exc:
+            raise NumericOverflow(f"KL ratio pi_ref/pi = exp({log_rr.max()}) overflows") from exc
         kl_value = _left_fold(w * (rr - log_rr - 1.0))
         # Each token's KL term follows its policy-gradient term, if it has one.
         emit = np.column_stack([~clipped, np.ones(n, dtype=bool)]).ravel()
@@ -244,7 +251,7 @@ def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | N
         kl_value = 0.0
         term_token = np.flatnonzero(~clipped)
         weights = pg_weights[term_token]
-    gradient = score_gradient(policy, [keys[i] for i in term_token.tolist()],
+    gradient = score_gradient(policy, [ids[i] for i in term_token.tolist()],
                               rows[term_token], tokens[term_token], weights)
     return ObjectiveReport(value=float(pg_value - cfg.beta * kl_value),
                            gradient=gradient,
@@ -305,7 +312,7 @@ def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     if not batch:
         raise ValueError("empty batch")
     n_groups = len(batch)
-    keys: list[PrefixKey] = []
+    ids: list[int] = []
     tokens: list[int] = []
     weights: list[float] = []
     value = 0.0
@@ -332,11 +339,11 @@ def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
                 clipped_tokens += length
             else:
                 value += w * unclipped_term
-                keys += prefix_keys(traj.prompt_id, traj.tokens)
+                ids += prefix_ids(policy, traj.prompt_id, traj.tokens)
                 tokens += traj.tokens
                 weights += [w * a * s / length] * length
     frac = clipped_tokens / considered_tokens if considered_tokens else 0.0
-    gradient = score_gradient(policy, keys, prefix_rows(policy, keys), tokens, weights)
+    gradient = score_gradient(policy, ids, prefix_rows(policy, ids), tokens, weights)
     return ObjectiveReport(value=float(value), gradient=gradient,
                            clipped_token_fraction=frac,
                            kl_to_ref=0.0, objective_kind=GSPO)

@@ -3,19 +3,21 @@
 A policy stores one logit vector per (prompt, prefix) pair as a row of one
 dense array; any prefix without a stored vector reads the shared all-zero
 row, so every conditional distribution is defined (uniform) without
-allocation. Each policy version computes the log-softmax of all its rows at
-most once, on the first read, and every reader uses that table; an update
-recomputes only the rows it touched. sample_trajectories is the one sampler,
-at temperature 1: per call it draws n * max_len doubles at once and rewinds
-the generator past the unused ones, walks an append-only prefix tree that
-all versions of a policy share, and steps a task's validator table in the
-same pass, so rewards need no replay; greedy_decode walks the same tree.
+allocation. Inside the package a prefix is one integer, its prefix id, found
+by arithmetic alone (prefix_id); each version maps ids to rows with one dict
+and computes the log-softmax of all its rows at most once, on the first
+read, and every reader uses that table; an update recomputes only the rows
+it touched. sample_trajectories is the one sampler, at temperature 1: per
+call it draws n * max_len doubles at once and rewinds the generator past the
+unused ones, steps each draw's prefix id and a task's validator table in the
+same pass, so rewards need no replay; greedy_decode steps ids the same way.
 score_gradient is the one place score blocks (onehot - probs) are formed and
-summed, from a flat batch of terms: each term's prefix key, its table row
-(prefix_rows), token and weight. The highest token id acts as the
-terminator: sampling and greedy decoding stop when it is emitted or when the
-sequence reaches max_len. Everything here is exact, which makes closed-form
-claims about softmax update dynamics directly checkable.
+summed, from a flat batch of terms: each term's prefix id, its table row
+(prefix_rows), token and weight. Gradients map prefix ids to blocks. The
+highest token id acts as the terminator: sampling and greedy decoding stop
+when it is emitted or when the sequence reaches max_len. Everything here is
+exact, which makes closed-form claims about softmax update dynamics directly
+checkable.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from .errors import (
 # Rows a new table allocates before its first doubling (row 0 is the zero row).
 _INITIAL_ROWS = 8
 
-# Internal key for a conditional distribution: (prompt_id, tokens-so-far).
+# Public key for a conditional distribution: (prompt_id, tokens-so-far).
 PrefixKey = tuple[int, tuple[int, ...]]
 
 
@@ -71,10 +73,6 @@ class Prefix:
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
 
-    @property
-    def key(self) -> PrefixKey:
-        return (self.prompt_id, self.tokens)
-
 
 @dataclass(frozen=True)
 class TokenDistribution:
@@ -100,17 +98,14 @@ class PolicyTable:
     """Prefix-indexed logit table defining an autoregressive softmax policy.
 
     Logits live in one dense (rows, V) array. Row 0 is all zeros and serves
-    every prefix without a stored vector; each stored (prompt_id, prefix) key
-    owns one later row through the _rows index. Rows grow by doubling the
-    array, so adding a prefix costs amortised O(1).
+    every prefix without a stored vector; each stored prefix owns one later
+    row through the _rows index, keyed by prefix id, in order of first
+    allocation. Rows grow by doubling the array, so adding a prefix costs
+    amortised O(1). span is the number of prefixes of length 0..max_len,
+    the range of ids one prompt owns.
 
     A table computes the log-softmax of all its rows once, on the first read,
     and every reader uses that cached table; set_logits drops the cache.
-    Copies share the sampler's append-only prefix tree (keys, children,
-    roots): node i is the prefix keys[i], children[i * V + token] its child
-    node or -1 until a walk takes that edge, and roots[prompt_id] the node of
-    (). Nodes never move, so each version only maps them to its own rows, as
-    walks reach them; set_logits drops that map too.
     """
 
     def __init__(self, vocab: Vocab, max_len: int):
@@ -118,26 +113,25 @@ class PolicyTable:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         self.vocab = vocab
         self.max_len = max_len
-        self._rows: dict[PrefixKey, int] = {}
+        self.span = (vocab.size ** (max_len + 1) - 1) // (vocab.size - 1)
+        self._rows: dict[int, int] = {}
         self._data = np.zeros((_INITIAL_ROWS, vocab.size))
         # Read-only log-softmax of _logit_rows(), or None until first read.
         self._logp: np.ndarray | None = None
         # The same table as per-row lists of log-probs and of cumulative
         # probabilities (for the sampler), or None until first read.
         self._lists: tuple[list, list] | None = None
-        self._tree: tuple[list[PrefixKey], list[int], dict[int, int]] = ([], [], {})
-        self._node_rows: dict[int, int] = {}
 
-    def _allocate(self, key: PrefixKey) -> int:
-        """Row of a stored key; a new key gets the next row, initially zero."""
-        row = self._rows.get(key)
+    def _allocate(self, ident: int) -> int:
+        """Row of a stored prefix id; a new id gets the next row, initially zero."""
+        row = self._rows.get(ident)
         if row is None:
             row = len(self._rows) + 1
             if row == len(self._data):
                 grown = np.zeros((2 * row, self.vocab.size))
                 grown[:row] = self._data
                 self._data = grown
-            self._rows[key] = row
+            self._rows[ident] = row
         return row
 
     def _logit_rows(self) -> np.ndarray:
@@ -159,22 +153,23 @@ class PolicyTable:
 
     def logit_vector(self, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
         """Stored logits for a prefix, or the implicit zero vector (read-only)."""
-        return _read_only(self._data[self._rows.get((prompt_id, tuple(tokens)), 0)])
+        return _read_only(self._data[self._rows.get(prefix_id(self, prompt_id, tokens), 0)])
 
     def set_logits(self, prompt_id: int, tokens, vec) -> None:
+        """Store logits for a prefix; raises as prefix_id does."""
+        ident = prefix_id(self, prompt_id, tokens)
         arr = np.asarray(vec, dtype=float)
         if arr.shape != (self.vocab.size,):
             raise ValueError(f"logit vector must have length {self.vocab.size}")
         if not np.isfinite(arr).all():
             raise InvalidLogits("logit vector contains non-finite entries")
-        row = self._allocate((int(prompt_id), tuple(int(t) for t in tokens)))
+        row = self._allocate(ident)
         self._data[row] = arr
         self._logp = self._lists = None
-        self._node_rows = {}
 
     def stored_items(self) -> list[tuple[PrefixKey, np.ndarray]]:
         rows = self._logit_rows()
-        return [(key, rows[row]) for key, row in self._rows.items()]
+        return [(prefix_key(self, ident), rows[row]) for ident, row in self._rows.items()]
 
     @property
     def stored_prefix_count(self) -> int:
@@ -186,7 +181,6 @@ class PolicyTable:
         clone._data = self._data.copy()
         # The caches are never written in place, so the clone can share them.
         clone._logp, clone._lists = self._logp, self._lists
-        clone._tree = self._tree
         return clone
 
 
@@ -217,22 +211,53 @@ def softmax(logits) -> TokenDistribution:
 
 def _log_probs(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
     """Read-only row of the policy's cached log-prob table for one prefix."""
-    return policy._log_prob_table()[policy._rows.get((prompt_id, tokens), 0)]
+    return policy._log_prob_table()[policy._rows.get(prefix_id(policy, prompt_id, tokens), 0)]
 
 
-def prefix_keys(prompt_id: int, tokens: tuple[int, ...]) -> list[PrefixKey]:
-    """The (prompt_id, prefix) key each token of a sequence is drawn at."""
-    return [(prompt_id, tokens[:t]) for t in range(len(tokens))]
+def prefix_ids(policy: PolicyTable, prompt_id: int, tokens) -> list[int]:
+    """The prefix id each token of a sequence is drawn at.
+
+    prompt_id * span + h, where h is the prefix's index in a complete
+    V-ary tree: 0 for (), h * V + token + 1 for a child. Ids are Python
+    ints: V ** (max_len + 1) can pass 2 ** 63, so they never go into a numpy
+    integer array. Raises as check_sequence does.
+    """
+    check_sequence(policy, tokens)
+    size, base, h = policy.vocab.size, int(prompt_id) * policy.span, 0
+    ids = []
+    for tok in tokens:
+        ids.append(base + h)
+        h = h * size + int(tok) + 1
+    return ids
 
 
-def prefix_rows(policy: PolicyTable, keys) -> np.ndarray:
-    """Each key's row of the policy's tables; 0, the zero row, if it is not stored."""
-    return np.fromiter(map(policy._rows.get, keys, repeat(0)), np.intp, len(keys))
+def prefix_id(policy: PolicyTable, prompt_id: int, tokens) -> int:
+    """The id of the prefix (prompt_id, tokens); raises as check_sequence does."""
+    check_sequence(policy, tokens)
+    size, h = policy.vocab.size, 0
+    for tok in tokens:
+        h = h * size + int(tok) + 1
+    return int(prompt_id) * policy.span + h
+
+
+def prefix_key(policy: PolicyTable, ident: int) -> PrefixKey:
+    """The (prompt_id, prefix) key of a prefix id."""
+    prompt_id, h = divmod(ident, policy.span)
+    tokens = []
+    while h:
+        h, tok = divmod(h - 1, policy.vocab.size)
+        tokens.append(tok)
+    return prompt_id, tuple(reversed(tokens))
+
+
+def prefix_rows(policy: PolicyTable, ids) -> np.ndarray:
+    """Each prefix id's row of the policy's tables; 0, the zero row, if it is not stored."""
+    return np.fromiter(map(policy._rows.get, ids, repeat(0)), np.intp, len(ids))
 
 
 def _token_logps(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
     """log pi(tokens[t] | tokens[:t]) for every t, gathered from the cached table."""
-    rows = prefix_rows(policy, prefix_keys(prompt_id, tokens))
+    rows = prefix_rows(policy, prefix_ids(policy, prompt_id, tokens))
     return policy._log_prob_table()[rows, list(tokens)]
 
 
@@ -250,9 +275,7 @@ def trajectory_log_prob(policy: PolicyTable, prompt_id: int, tokens) -> tuple[np
 
     The empty sequence has total log-prob 0 (empty product).
     """
-    toks = tuple(int(t) for t in tokens)
-    check_sequence(policy, toks)
-    per_token = _token_logps(policy, prompt_id, toks)
+    per_token = _token_logps(policy, prompt_id, tuple(int(t) for t in tokens))
     return per_token, _left_fold(per_token)
 
 
@@ -283,28 +306,6 @@ def make_trajectory(policy: PolicyTable, prompt_id: int, tokens) -> Trajectory:
                       tuple(float(x) for x in per_token), total)
 
 
-def _tree_root(policy: PolicyTable, prompt_id: int) -> int:
-    """The shared prefix tree's node of (prompt_id, ()), added on first use."""
-    keys, children, roots = policy._tree
-    root = roots.get(prompt_id)
-    if root is None:
-        root = roots[prompt_id] = len(keys)
-        keys.append((prompt_id, ()))
-        children += [-1] * policy.vocab.size
-    return root
-
-
-def _tree_child(policy: PolicyTable, node: int, tok: int) -> int:
-    """Add the shared prefix tree's child of node by tok; return it."""
-    keys, children, _ = policy._tree
-    size = policy.vocab.size
-    child = children[node * size + tok] = len(keys)
-    prompt_id, prefix = keys[node]
-    keys.append((prompt_id, prefix + (tok,)))
-    children += [-1] * size
-    return child
-
-
 def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
                         rng: np.random.Generator, walk=None,
                         stop_at_reward: bool = False) -> tuple[list[Trajectory], list[int]]:
@@ -322,32 +323,27 @@ def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
     size = policy.vocab.size
     last = size - 1
     table, state0, accept = walk or ([0] * size, 0, -1)
-    (keys, children, _), stored, node_rows = policy._tree, policy._rows, policy._node_rows
+    stored, base = policy._rows, int(prompt_id) * policy.span
     logp_rows, cum_rows = policy._row_lists()
-    root = _tree_root(policy, prompt_id)
     draws = rng.random(n * policy.max_len).tolist()
     used = 0
     trajectories, rewards = [], []
     for _ in range(n):
-        node, state, total, logps = root, state0, 0.0, []
+        h, state, total, tokens, logps = 0, state0, 0.0, [], []
         for u in draws[used:used + policy.max_len]:
-            row = node_rows.get(node)
-            if row is None:
-                row = node_rows[node] = stored.get(keys[node], 0)
+            row = stored.get(base + h, 0)
             tok = bisect_right(cum_rows[row], u)
             if tok > last:
                 tok = last
+            tokens.append(tok)
             logps.append(logp_rows[row][tok])
             total += logps[-1]
             state = table[state + tok]
-            child = children[node * size + tok]
-            if child < 0:
-                child = _tree_child(policy, node, tok)
-            node = child
             if tok == last:
                 break
+            h = h * size + tok + 1
         used += len(logps)
-        trajectories.append(Trajectory(prompt_id, keys[node][1], tuple(logps), total))
+        trajectories.append(Trajectory(prompt_id, tuple(tokens), tuple(logps), total))
         rewards.append(int(state == accept))
         if stop_at_reward and state == accept:
             break
@@ -365,32 +361,25 @@ def sample_trajectory(policy: PolicyTable, prompt_id: int,
 def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:
     """Argmax decoding; ties resolve to the lowest token id.
 
-    It walks the shared prefix tree as sample_trajectories does, and total_logp
-    adds the log-probs one at a time in token order, as that sampler does.
+    It steps prefix ids as sample_trajectories does, and total_logp adds the
+    log-probs one at a time in token order, as that sampler does.
     """
     size = policy.vocab.size
     last = size - 1
-    (keys, children, _), stored, node_rows = policy._tree, policy._rows, policy._node_rows
+    stored, base = policy._rows, int(prompt_id) * policy.span
     logp_rows = policy._row_lists()[0]
-    node = _tree_root(policy, prompt_id)
-    logps: list[float] = []
-    total = 0.0
+    h, tokens, logps, total = 0, [], [], 0.0
     for _ in range(policy.max_len):
-        row = node_rows.get(node)
-        if row is None:
-            row = node_rows[node] = stored.get(keys[node], 0)
-        logp = logp_rows[row]
+        logp = logp_rows[stored.get(base + h, 0)]
         best = max(logp)
         tok = logp.index(best)
+        tokens.append(tok)
         logps.append(best)
         total += best
-        child = children[node * size + tok]
-        if child < 0:
-            child = _tree_child(policy, node, tok)
-        node = child
         if tok == last:
             break
-    return Trajectory(prompt_id, keys[node][1], tuple(logps), total)
+        h = h * size + tok + 1
+    return Trajectory(prompt_id, tuple(tokens), tuple(logps), total)
 
 
 def entropy(d: TokenDistribution | np.ndarray) -> float:
@@ -400,49 +389,47 @@ def entropy(d: TokenDistribution | np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def score_gradient(policy: PolicyTable, keys, rows, tokens, weights) -> dict[PrefixKey, np.ndarray]:
+def score_gradient(policy: PolicyTable, ids, rows, tokens, weights) -> dict[int, np.ndarray]:
     """Weighted sum of score functions, sum_i w_i * grad log pi(token_i | prefix_i).
 
-    The terms come as a flat batch: keys[i] is term i's (prompt_id, prefix),
-    rows[i] its row of the policy's table (prefix_rows(policy, keys) gives
-    them), tokens[i] its token and weights[i] its weight. The gradient of
+    The terms come as a flat batch: ids[i] is term i's prefix id, rows[i] its
+    row of the policy's table (prefix_rows(policy, ids) gives them),
+    tokens[i] its token and weights[i] its weight. The gradient of
     log pi(token | prefix) w.r.t. that prefix's logits is onehot(token) - probs,
-    so the result maps each prefix key, in order of first appearance, to the
+    so the result maps each prefix id, in order of first appearance, to the
     sum over its terms of weight * (onehot - probs), added in term order.
     Every term's row is gathered from the cached log-prob table at once. This
     is the one place score blocks are formed.
     """
-    if not len(keys):
+    if not len(ids):
         return {}
     blocks = -np.exp(policy._log_prob_table()[rows])
-    blocks[np.arange(len(keys)), tokens] += 1.0
+    blocks[np.arange(len(ids)), tokens] += 1.0
     blocks *= np.asarray(weights, dtype=float)[:, None]
-    slots: dict[PrefixKey, int] = {}
-    index = [slots.setdefault(key, len(slots)) for key in keys]
+    slots: dict[int, int] = {}
+    index = [slots.setdefault(ident, len(slots)) for ident in ids]
     # -0.0 is the exact additive identity, so each sum starts at its first term.
     sums = np.full((len(slots), policy.vocab.size), -0.0)
     np.add.at(sums, index, blocks)
     return dict(zip(slots, sums))
 
 
-def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> dict[PrefixKey, np.ndarray]:
-    """Analytical gradient of total_logp w.r.t. the policy's logits.
+def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> dict[int, np.ndarray]:
+    """Analytical gradient of total_logp w.r.t. the policy's logits, by prefix id.
 
     For each visited prefix the block is indicator(chosen) - probs, the
     softmax score function; the blocks of a repeated prefix add up.
     """
-    for tok in trajectory.tokens:
-        if not 0 <= tok < policy.vocab.size:
-            raise InvalidToken(f"token {tok} outside vocab of size {policy.vocab.size}")
-    keys = prefix_keys(trajectory.prompt_id, trajectory.tokens)
-    return score_gradient(policy, keys, prefix_rows(policy, keys), trajectory.tokens,
-                          np.ones(len(keys)))
+    ids = prefix_ids(policy, trajectory.prompt_id, trajectory.tokens)
+    return score_gradient(policy, ids, prefix_rows(policy, ids), trajectory.tokens,
+                          np.ones(len(ids)))
 
 
-def apply_update(policy: PolicyTable, gradient: dict[PrefixKey, np.ndarray],
+def apply_update(policy: PolicyTable, gradient: dict[int, np.ndarray],
                  step_size: float) -> PolicyTable:
     """Return a new policy with logits[prefix] += step_size * gradient[prefix].
 
+    gradient maps prefix ids to blocks.
     The input policy is left untouched. The touched rows are gathered, updated
     and scattered back in one pass; a prefix seen for the first time gets a
     new row starting from zero. If the input's log-prob table is already
@@ -451,15 +438,17 @@ def apply_update(policy: PolicyTable, gradient: dict[PrefixKey, np.ndarray],
     """
     if not math.isfinite(step_size):
         raise NumericOverflow(f"non-finite step size {step_size}")
+    ids = list(gradient)
+    if not all(type(ident) is int for ident in ids):
+        raise TypeError("gradient keys must be prefix ids (int)")
     out = policy.copy()
-    keys = list(gradient)
-    rows = np.fromiter(map(out._allocate, keys), dtype=np.intp, count=len(keys))
+    rows = np.fromiter(map(out._allocate, ids), dtype=np.intp, count=len(ids))
     blocks = np.array(list(gradient.values()), dtype=float).reshape(
-        len(keys), policy.vocab.size)
+        len(ids), policy.vocab.size)
     updated = out._data[rows] + step_size * blocks
     finite = np.isfinite(updated).all(axis=1)
     if not finite.all():
-        key = keys[int(np.argmin(finite))]
+        key = prefix_key(policy, ids[int(np.argmin(finite))])
         raise NumericOverflow(f"update produced non-finite logits at prefix {key}")
     out._data[rows] = updated
     out._lists = None
@@ -503,7 +492,6 @@ def load_checkpoint(path) -> PolicyTable:
     if size < 2 or max_len < 1:
         raise CheckpointCorrupt(f"invalid dimensions vocab={size} max_len={max_len}", line=1)
     policy = PolicyTable(Vocab(size), max_len)
-    seen: set[PrefixKey] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             raise CheckpointCorrupt("blank line inside checkpoint", line=lineno)
@@ -517,18 +505,15 @@ def load_checkpoint(path) -> PolicyTable:
             vec = np.array([float(x) for x in fields[2:]])
         except ValueError as exc:
             raise CheckpointCorrupt(str(exc), line=lineno) from exc
-        if any(not 0 <= t < size for t in tokens):
-            raise CheckpointCorrupt(f"token id outside vocab in prefix {fields[1]!r}",
-                                    line=lineno)
-        if len(tokens) > max_len:
-            raise CheckpointCorrupt(f"prefix longer than max_len={max_len}", line=lineno)
+        try:
+            ident = prefix_id(policy, prompt_id, tokens)
+        except (InvalidToken, PrefixExhausted) as exc:
+            raise CheckpointCorrupt(f"prefix {fields[1]!r}: {exc}", line=lineno) from exc
         if not np.all(np.isfinite(vec)):
             raise CheckpointCorrupt("non-finite logit value", line=lineno)
-        key = (prompt_id, tokens)
-        if key in seen:
+        if ident in policy._rows:
             raise CheckpointCorrupt(f"duplicate prefix {fields[0]} {fields[1]}", line=lineno)
-        seen.add(key)
-        row = policy._allocate(key)
+        row = policy._allocate(ident)
         policy._data[row] = vec
     return policy
 

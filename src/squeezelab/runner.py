@@ -209,10 +209,11 @@ def _remove_stale_artifacts(out_dir: str) -> None:
 def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
     seed = cfg["seed"]
     mode = cfg["mode"]
-    _remove_stale_artifacts(art.out_dir)
     t0 = time.perf_counter()
     suite = make_benchmark_suite(seed, cfg.family_params())
     base = build_suite_policy(suite, cfg["suite.skew"], seed)
+    # Only a run that has its suite and base policy replaces an earlier run's files.
+    _remove_stale_artifacts(art.out_dir)
     save_suite(suite, art.partial_path("suite.json"))
     save_checkpoint(base, art.direct("checkpoint_base.txt"))
     timings["setup"] = time.perf_counter() - t0
@@ -297,11 +298,13 @@ def compare(run_a_dir: str, run_b_dir: str, out_dir: str | None = None) -> dict:
 
     Each run's best checkpoint is picked by Avg@k from its checkpoints.csv
     (ties to the earliest iteration); both are re-evaluated with their own
-    stored config and seed, and per-metric deltas (a minus b) are written as
-    compare.json and compare.csv into out_dir (default: run_a_dir).
+    stored config and seed (once if both name one directory), and per-metric
+    deltas (a minus b) are written as compare.json and compare.csv into
+    out_dir (default: run_a_dir).
     """
     report_a = _best_checkpoint_report(run_a_dir)
-    report_b = _best_checkpoint_report(run_b_dir)
+    same_run = os.path.realpath(run_a_dir) == os.path.realpath(run_b_dir)
+    report_b = report_a if same_run else _best_checkpoint_report(run_b_dir)
     flat_a = _flat_metrics(report_a)
     flat_b = _flat_metrics(report_b)
     metrics = sorted(set(flat_a) & set(flat_b))

@@ -17,7 +17,7 @@ of the whole suite's demos (irl_scope), each block the circular
 irl_batch_size slice of its demos that starts at s. One guarded descent
 serves every block at once. Blocks never share a prompt, so they own
 disjoint rows of the policy and each block's loss moves only with its own
-step: irl_loss flattens all demos into one batch of prefix keys, table rows,
+step: irl_loss flattens all demos into one batch of prefix ids, table rows,
 tokens and weights for one policy.score_gradient call (the one place score
 blocks are formed), each line-search pass is one apply_update and one
 irl_value call, and only the blocks whose loss rose halve their step and
@@ -47,12 +47,10 @@ from .objectives import (
 )
 from .policy import (
     PolicyTable,
-    PrefixKey,
     Trajectory,
     apply_update,
-    check_sequence,
     derive_rng,
-    prefix_keys,
+    prefix_ids,
     prefix_rows,
     save_checkpoint,
     score_gradient,
@@ -211,19 +209,18 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     return DemoSet(entries)
 
 
-def _demo_terms(policy: PolicyTable, blocks) -> tuple[list[PrefixKey], np.ndarray, list[int]]:
+def _demo_terms(policy: PolicyTable, blocks) -> tuple[list[int], np.ndarray, list[int]]:
     """Every demo token of the blocks as one flat term batch, in block, demo
-    and token order: each term's prefix key and token, and each demo's length."""
-    keys, tokens, lengths = [], [], []
+    and token order: each term's prefix id and token, and each demo's length."""
+    ids, tokens, lengths = [], [], []
     for block in blocks:
         if not block:
             raise ValueError("demos must be nonempty")
         for traj in block:
-            check_sequence(policy, traj.tokens)
-            keys += prefix_keys(traj.prompt_id, traj.tokens)
+            ids += prefix_ids(policy, traj.prompt_id, traj.tokens)
             tokens += traj.tokens
             lengths.append(len(traj.tokens))
-    return keys, np.array(tokens, dtype=np.intp), lengths
+    return ids, np.array(tokens, dtype=np.intp), lengths
 
 
 def _block_values(policy: PolicyTable, blocks, rows, tokens, lengths) -> list[float]:
@@ -248,11 +245,11 @@ def _block_values(policy: PolicyTable, blocks, rows, tokens, lengths) -> list[fl
 
 def irl_value(policy: PolicyTable, blocks) -> list[float]:
     """Mean negative log-likelihood of each block of demo Trajectories."""
-    keys, tokens, lengths = _demo_terms(policy, blocks)
-    return _block_values(policy, blocks, prefix_rows(policy, keys), tokens, lengths)
+    ids, tokens, lengths = _demo_terms(policy, blocks)
+    return _block_values(policy, blocks, prefix_rows(policy, ids), tokens, lengths)
 
 
-def irl_loss(policy: PolicyTable, blocks) -> tuple[list[float], dict[PrefixKey, np.ndarray]]:
+def irl_loss(policy: PolicyTable, blocks) -> tuple[list[float], dict[int, np.ndarray]]:
     """Forward-KL fit to the degenerate distribution over each block of demos.
 
     Each block's loss reduces to its mean demo NLL, bit for bit the value
@@ -260,12 +257,13 @@ def irl_loss(policy: PolicyTable, blocks) -> tuple[list[float], dict[PrefixKey, 
     blocks of the negated mean score, so descending it raises every block's
     demo likelihood. All terms go to one score_gradient call in block order,
     so each prefix's terms add up in the order a per-block call would add them.
+    The gradient maps prefix ids to blocks.
     """
-    keys, tokens, lengths = _demo_terms(policy, blocks)
-    rows = prefix_rows(policy, keys)
+    ids, tokens, lengths = _demo_terms(policy, blocks)
+    rows = prefix_rows(policy, ids)
     weights = np.repeat([-1.0 / len(block) for block in blocks for _ in block], lengths)
     return (_block_values(policy, blocks, rows, tokens, lengths),
-            score_gradient(policy, keys, rows, tokens, weights))
+            score_gradient(policy, ids, rows, tokens, weights))
 
 
 def irl_descent_step(policy: PolicyTable, blocks, lr: float,
@@ -292,19 +290,19 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
     values, grad = irl_loss(policy, blocks)
     if not grad:
         return policy, values
-    keys = list(grad)
-    key_block = np.fromiter((owner[prompt_id] for prompt_id, _ in keys), np.intp, len(keys))
+    ids = list(grad)
+    id_block = np.fromiter((owner[ident // policy.span] for ident in ids), np.intp, len(ids))
     grads = np.array(list(grad.values()))
     steps = np.full(len(blocks), float(lr))
     searching = np.zeros(len(blocks), dtype=bool)
-    searching[key_block] = True
+    searching[id_block] = True
     moved = np.zeros(len(blocks), dtype=bool)
 
     def update(on: np.ndarray) -> PolicyTable:
         # x + 1.0 * (-step * g) is bitwise x + (-step) * g.
-        live = on[key_block]
-        scaled = -steps[key_block[live], None] * grads[live]
-        return apply_update(policy, dict(zip(compress(keys, live), scaled)), 1.0)
+        live = on[id_block]
+        scaled = -steps[id_block[live], None] * grads[live]
+        return apply_update(policy, dict(zip(compress(ids, live), scaled)), 1.0)
 
     for attempt in range(max_halvings + 1):
         cand = update(searching)

@@ -5,7 +5,8 @@ target node by emitting edge tokens. Validation replays the walk: each token
 must name an outgoing edge of the current node, the terminator ends the walk
 early, and the reward is 1 exactly when the walk stops on the target. Because
 the graphs are tiny the full set of correct trajectories is enumerable, which
-turns exploration into a measurable quantity instead of a proxy.
+turns exploration into a measurable quantity instead of a proxy. Each task
+caches it once, as prefix ids at its own shape (TaskInstance.correct_set).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import GenerationFailed, SpaceTooLarge
-from .policy import PolicyTable, PrefixKey, Vocab, derive_rng, prefix_keys
+from .policy import PolicyTable, Vocab, derive_rng, prefix_ids
 
 MAX_NODE_COUNT = 64
 ENUMERATION_BOUND = 1_000_000
@@ -106,15 +107,16 @@ class TaskInstance:
 
     @cached_property
     def correct_set(self) -> CorrectSet:
-        """correct_sequences as one flat token batch, built on first use.
+        """correct_sequences as one flat token batch of prefix ids, built on first use.
 
         Suite generation and skewing read only correct_sequences, so a
         rejected generation candidate never builds it.
         """
         sequences = self.correct_sequences
         lengths = [len(s) for s in sequences]
+        table = PolicyTable(Vocab(self.spec.vocab_size), self.spec.max_len)
         return CorrectSet(
-            keys=[key for s in sequences for key in prefix_keys(self.prompt_id, s)],
+            ids=[i for s in sequences for i in prefix_ids(table, self.prompt_id, s)],
             tokens=np.fromiter(chain.from_iterable(sequences), np.intp),
             seq=np.repeat(np.arange(len(sequences)), lengths),
             depth=np.fromiter(chain.from_iterable(map(range, lengths)), np.intp),
@@ -127,7 +129,7 @@ class CorrectSet:
     """Every token of a task's correct sequences, sequence after sequence in
     the task's correct_sequences order."""
 
-    keys: list[PrefixKey]    # the (prompt_id, prefix) each token is drawn at
+    ids: list[int]           # the prefix id each token is drawn at, at the task's shape
     tokens: np.ndarray       # token ids
     seq: np.ndarray          # the token's sequence, an index into correct_sequences
     depth: np.ndarray        # the token's position in its sequence

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from squeezelab import sps
-from squeezelab.policy import PolicyTable, Vocab, prefix_rows, score_gradient
+from squeezelab.policy import (PolicyTable, Vocab, prefix_id, prefix_key, prefix_rows,
+                               score_gradient)
 from squeezelab.tasks import PathTaskSpec, TaskInstance
 
 
@@ -81,10 +82,20 @@ def finite_difference_blocks(value_fn, policy, keys, h=1e-5):
     return out
 
 
+def by_key(policy, gradient):
+    """A gradient keyed by prefix id, rekeyed by (prompt_id, prefix), in the same order."""
+    return {prefix_key(policy, ident): block for ident, block in gradient.items()}
+
+
+def by_id(policy, gradient):
+    """A gradient keyed by (prompt_id, prefix), rekeyed by prefix id, in the same order."""
+    return {prefix_id(policy, *key): block for key, block in gradient.items()}
+
+
 def flat_score_gradient(policy, terms):
     """score_gradient of (prompt_id, prefix, token, weight) terms, passed as a flat batch."""
-    keys = [(prompt_id, prefix) for prompt_id, prefix, _tok, _w in terms]
-    return score_gradient(policy, keys, prefix_rows(policy, keys),
+    ids = [prefix_id(policy, prompt_id, prefix) for prompt_id, prefix, _tok, _w in terms]
+    return score_gradient(policy, ids, prefix_rows(policy, ids),
                           [tok for *_, tok, _w in terms], [w for *_, w in terms])
 
 
@@ -97,9 +108,9 @@ def irl_value(policy, demos):
 
 
 def irl_loss(policy, demos):
-    """sps.irl_loss of demos as one block: (value, gradient)."""
+    """sps.irl_loss of demos as one block: (value, gradient by (prompt_id, prefix))."""
     (value,), grad = sps.irl_loss(policy, [demos])
-    return value, grad
+    return value, by_key(policy, grad)
 
 
 def irl_descent_step(policy, demos, lr):

@@ -50,7 +50,7 @@ from squeezelab.sps import (
 from squeezelab.squeeze import penalize_token, sequence_squeeze
 from squeezelab.tasks import FamilyParams, build_suite_policy, make_benchmark_suite
 
-from conftest import finite_difference_blocks, irl_loss, irl_value, random_policy
+from conftest import by_key, finite_difference_blocks, irl_loss, irl_value, random_policy
 from test_metrics import matrix_from_counts
 from test_objectives import (
     build_batch,
@@ -149,7 +149,7 @@ def test_criterion_3_objective_oracles():
         assert report.clipped_token_fraction == 0.0
         fd = finite_difference_blocks(value_fn, current, visited_keys(groups))
         for key, fd_block in fd.items():
-            got = report.gradient.get(key, np.zeros(3))
+            got = by_key(current, report.gradient).get(key, np.zeros(3))
             np.testing.assert_allclose(got, fd_block, rtol=1e-4, atol=1e-8)
 
     # On-policy values vanish at beta = 0 (equal-length batch for the

@@ -12,7 +12,7 @@ import pytest
 from squeezelab import cli, policy, runner, tasks
 from squeezelab.config import ExperimentConfig, parse_config_text
 from squeezelab.errors import ConfigError
-from squeezelab.metrics import avg_at_k, sample_matrix
+from squeezelab.metrics import avg_at_k, evaluation_report, sample_matrix
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,7 @@ REJECTED_AT_PARSE = {
     "rl.lr": "rl.lr = -0.1\n",
     "rl.steps_per_iteration": "rl.steps_per_iteration = 0\n",
     "suite.vocab_size": "suite.vocab_size = 2\n",
+    "suite.skew": "suite.skew = -0.5\n",
     # The convergence check holds tasks out, and at least one must be left to train.
     "sps.holdout_count": "sps.holdout_count = 32\nsps.convergence_epsilon = 0.01\n",
     # gspo mode pins the objective, whose clip range must not be inverted.
@@ -462,3 +463,58 @@ def test_default_run_trains_and_ranks_without_validate_or_reloading(tmp_path, mo
     matrix = sample_matrix(policy.load_checkpoint(str(tmp_path / "run" / name)), suite,
                            cfg["eval.n"], policy.derive_rng(cfg["seed"], 7100, int(it)))
     assert repr(avg_at_k(matrix)) == avg
+
+
+def test_kl_ratio_overflow_is_a_named_error(tmp_path, capsys):
+    # The reference's per-token ratio pi_ref/pi passes the exp range once
+    # reused rollouts at this rate have driven the policy far from it.
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("mode = grpo\n"
+                   "seed = 489\n"
+                   f"out_dir = {tmp_path / 'out'}\n"
+                   "rl.reuse_rollouts = true\n"
+                   "rl.lr = 200\n"
+                   "rl.group_size = 3\n"
+                   "suite.max_len = 3\n"
+                   "suite.decoy_count = 0\n"
+                   "suite.skew = 0\n"
+                   "sps.holdout_count = 1\n"
+                   "sps.trace_metrics = true\n"
+                   "sps.checkpoint_every = 0\n"
+                   "eval.k = 1\n"
+                   "eval.prob_floor = 0\n", encoding="utf-8")
+    assert cli.main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: KL ratio pi_ref/pi = exp(") and "Traceback" not in err
+
+
+def test_a_suite_that_cannot_be_generated_leaves_earlier_files(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    earlier = {name: f"{name} of an earlier run\n" for name in (
+        "checkpoint_iter001.txt", "checkpoint_best.txt", "checkpoints.csv", "trace.jsonl.partial")}
+    for name, text in earlier.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    cfg = tmp_path / "ungeneratable.cfg"
+    cfg.write_text(f"out_dir = {out_dir}\nsuite.count = 1\nsuite.min_solutions = 100000\n",
+                   encoding="utf-8")
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: no valid task")
+    assert {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()} == earlier
+
+
+def test_compare_evaluates_a_run_with_itself_once(training_runs, tmp_path, monkeypatch):
+    run_a, run_b = training_runs
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evaluation_report(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "evaluation_report", counting)
+    same = runner.compare(str(run_a), os.path.join(str(run_a), "."), str(tmp_path / "same"))
+    assert len(calls) == 1
+    twins = runner.compare(str(run_a), str(run_b), str(tmp_path / "twins"))
+    assert len(calls) == 3
+    assert same["run_a"]["metrics"] == same["run_b"]["metrics"] == twins["run_b"]["metrics"]
+    assert all(v == 0.0 for v in same["delta"].values())

@@ -36,6 +36,7 @@ from squeezelab.policy import (
     derive_rng,
     grad_log_prob,
     make_trajectory,
+    prefix_id,
     trajectory_log_prob,
 )
 from squeezelab.sps import SpsConfig, sps_loop
@@ -46,6 +47,8 @@ from squeezelab.tasks import (
     make_benchmark_suite,
     skewed_base_policy,
 )
+
+from conftest import random_policy
 
 
 def matrix_from_counts(counts, n):
@@ -283,7 +286,8 @@ def test_support_coverage_matches_the_per_sequence_loop(seed, max_len, data):
         correct = sorted(enumerate_correct(task))
         tokens = correct[int(rng.integers(len(correct)))]
         gradient = grad_log_prob(policy, make_trajectory(policy, task.prompt_id, tokens))
-        gradient[(task.prompt_id, (params.vocab_size - 1,))] = rng.normal(size=params.vocab_size)
+        gradient[prefix_id(policy, task.prompt_id, (params.vocab_size - 1,))] = \
+            rng.normal(size=params.vocab_size)
         policy = apply_update(policy, gradient, float(rng.choice([0.5, 5.0])))
 
 
@@ -295,6 +299,16 @@ def test_support_coverage_raises_as_the_per_sequence_loop(diamond_task, ladder_t
         with pytest.raises(error) as expected:
             reference_coverage(policy, task, 1e-4)
         assert str(got.value) == str(expected.value)
+
+
+def test_support_coverage_reads_a_policy_of_a_wider_shape(diamond_task):
+    # The task's cached ids are numbered for vocab 4 and max_len 2; a policy
+    # that can hold its sequences at another shape reads its own rows.
+    policy = random_policy(5, 3, np.random.default_rng(3))
+    for floor in (0.0, 0.05):
+        rec = support_coverage(policy, diamond_task, floor)
+        assert (rec.covered, rec.total, rec.mass_on_correct) == \
+            reference_coverage(policy, diamond_task, floor)
 
 
 def test_training_and_evaluation_enumerate_each_task_once(monkeypatch):

@@ -46,7 +46,7 @@ from squeezelab.config import ExperimentConfig
 from squeezelab.sps import SpsConfig
 from squeezelab.tasks import build_suite_policy, make_benchmark_suite, skewed_base_policy, validate
 
-from conftest import finite_difference_blocks, flat_score_gradient, random_policy
+from conftest import by_key, finite_difference_blocks, flat_score_gradient, random_policy
 
 SQRT3 = 1.7320508075688772
 
@@ -371,7 +371,7 @@ def test_grpo_clipped_token_has_zero_gradient():
     policy, group = one_token_clip_fixture(1.0 + 2 * 0.2)
     report = grpo_objective([group], policy, None, ClipConfig.grpo(beta=0.0))
     assert report.clipped_token_fraction == 0.5
-    block = report.gradient[(0, ())]
+    block = by_key(policy, report.gradient)[(0, ())]
     # The clipped positive token contributes nothing; what remains is the
     # negative-advantage token's score at weight -1/(2*1).
     probs = np.exp([naive_logp(policy, 0, (), v) for v in range(3)])
@@ -404,11 +404,11 @@ def test_gspo_clipped_sequence_drops_all_its_tokens():
     # Positive sequence clipped (2 of 4 tokens); its prefixes carry only the
     # negative trajectory's contributions at weight a*s/(G*|y|) = -1/4.
     assert report.clipped_token_fraction == 0.5
-    assert (0, (0,)) not in report.gradient
-    assert set(report.gradient) == {(0, ()), (0, (1,))}
+    assert (0, (0,)) not in by_key(policy, report.gradient)
+    assert set(by_key(policy, report.gradient)) == {(0, ()), (0, (1,))}
     probs = np.exp([naive_logp(policy, 0, (), v) for v in range(3)])
     expected = -0.25 * (np.eye(3)[1] - probs)
-    np.testing.assert_allclose(report.gradient[(0, ())], expected,
+    np.testing.assert_allclose(by_key(policy, report.gradient)[(0, ())], expected,
                                atol=1e-12)
 
 
@@ -459,7 +459,7 @@ def test_grpo_gradient_matches_finite_differences():
                 lambda p: grpo_objective(groups, p, ref, cfg).value,
                 current, visited_keys(groups))
             for key in visited_keys(groups):
-                got = report.gradient.get(key, np.zeros(3))
+                got = by_key(current, report.gradient).get(key, np.zeros(3))
                 np.testing.assert_allclose(got, fd[key], rtol=1e-4, atol=1e-8)
 
 
@@ -475,7 +475,7 @@ def test_dapo_gradient_matches_finite_differences():
             lambda p: dapo_objective(groups, p, cfg).value,
             current, visited_keys(groups))
         for key in visited_keys(groups):
-            got = report.gradient.get(key, np.zeros(3))
+            got = by_key(current, report.gradient).get(key, np.zeros(3))
             np.testing.assert_allclose(got, fd[key], rtol=1e-4, atol=1e-8)
 
 
@@ -491,7 +491,7 @@ def test_gspo_gradient_matches_finite_differences():
             lambda p: gspo_objective(groups, p, cfg).value,
             current, visited_keys(groups))
         for key in visited_keys(groups):
-            got = report.gradient.get(key, np.zeros(3))
+            got = by_key(current, report.gradient).get(key, np.zeros(3))
             np.testing.assert_allclose(got, fd[key], rtol=1e-4, atol=1e-8)
 
 

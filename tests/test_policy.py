@@ -31,6 +31,9 @@ from squeezelab.policy import (
     greedy_decode,
     load_checkpoint,
     make_trajectory,
+    prefix_id,
+    prefix_ids,
+    prefix_key,
     sample_trajectories,
     sample_trajectory,
     save_checkpoint,
@@ -42,7 +45,7 @@ from squeezelab.policy import (
 )
 from squeezelab.tasks import PathTaskSpec, TaskInstance, validate
 
-from conftest import finite_difference_blocks, flat_score_gradient, random_policy
+from conftest import by_id, by_key, finite_difference_blocks, flat_score_gradient, random_policy
 
 # softmax([2, 1, 0, -3]), oracle digits
 ORACLE_PROBS = [0.662272413524, 0.243636405391, 0.0896288246641, 0.00446235642128]
@@ -281,9 +284,9 @@ def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n):
         prefixes = [p for p in prefixes if p != child[:-1]] + [child]
     for prefix in prefixes:
         policy.set_logits(0, prefix, float(rng.choice([0.5, 4.0])) * rng.normal(size=vocab))
-    # The second draw runs on an updated version that shares the first one's prefix tree.
-    updated = apply_update(policy, {(0, ()): rng.normal(size=vocab), (0, (0,)): np.ones(vocab)},
-                           0.7)
+    # The second draw runs on an updated version.
+    updated = apply_update(policy, by_id(policy, {(0, ()): rng.normal(size=vocab),
+                                                  (0, (0,)): np.ones(vocab)}), 0.7)
     for version in (policy, policy, updated):
         draw_seed = int(rng.integers(2**32))
         block_rng, ref_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
@@ -295,11 +298,11 @@ def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n):
 
 
 def _tuple_key_greedy(policy, prompt_id):
-    """Greedy decoding by one fresh (prompt_id, tokens) key lookup per token."""
+    """Greedy decoding by one fresh prefix_id(prompt_id, tokens) lookup per token."""
     logp_rows = policy._row_lists()[0]
     tokens, logps, total = (), [], 0.0
     for _ in range(policy.max_len):
-        logp = logp_rows[policy._rows.get((prompt_id, tokens), 0)]
+        logp = logp_rows[policy._rows.get(prefix_id(policy, prompt_id, tokens), 0)]
         best = max(logp)
         tokens += (logp.index(best),)
         logps.append(best)
@@ -318,16 +321,16 @@ def test_greedy_decode_on_the_prefix_tree_matches_the_tuple_key_loop(seed, vocab
     for version in range(6):
         for prompt_id in (0, 1, 5):  # prompt 5 has no stored rows
             assert greedy_decode(policy, prompt_id) == _tuple_key_greedy(policy, prompt_id)
-            # Sampling grows the shared tree and fills this version's node rows.
+            # Sampling in between leaves the decode unchanged.
             sample_trajectories(policy, prompt_id, 4, rng)
             assert greedy_decode(policy, prompt_id) == _tuple_key_greedy(policy, prompt_id)
-        # Either a new version that shares the tree, from an update with a new
-        # key on prompt 5's greedy path, or an in-place write to a greedy-path row.
+        # Either a new version, from an update with a new key on prompt 5's
+        # greedy path, or an in-place write to a greedy-path row.
         if version % 2 == 0:
             path = greedy_decode(policy, 5).tokens
-            policy = apply_update(policy, {(5, path[:int(rng.integers(len(path)))]):
-                                           rng.normal(size=vocab),
-                                           (0, ()): rng.normal(size=vocab)}, 2.0)
+            policy = apply_update(policy, by_id(policy, {(5, path[:int(rng.integers(len(path)))]):
+                                                         rng.normal(size=vocab),
+                                                         (0, ()): rng.normal(size=vocab)}), 2.0)
         else:
             path = greedy_decode(policy, 1).tokens
             policy.set_logits(1, path[:int(rng.integers(len(path)))],
@@ -358,7 +361,7 @@ def test_set_logits_after_a_sample_changes_later_samples():
 def test_grad_log_prob_uniform_case_and_score_identity():
     policy = PolicyTable(Vocab(4), max_len=3)
     traj = make_trajectory(policy, 0, (2,))
-    grad = grad_log_prob(policy, traj)
+    grad = by_key(policy, grad_log_prob(policy, traj))
     block = grad[(0, ())]
     np.testing.assert_allclose(block, [-0.25, -0.25, 0.75, -0.25], atol=1e-12)
     rng = np.random.default_rng(5)
@@ -373,7 +376,7 @@ def test_grad_log_prob_matches_finite_differences():
     for trial in range(12):
         policy = random_policy(4, 5, rng, scale=1.5)
         traj = sample_trajectory(policy, 0, rng)
-        grad = grad_log_prob(policy, traj)
+        grad = by_key(policy, grad_log_prob(policy, traj))
         fd = finite_difference_blocks(
             lambda p: trajectory_log_prob(p, 0, traj.tokens)[1],
             policy, list(grad))
@@ -409,7 +412,7 @@ def test_score_gradient_matches_a_sequential_reference(seed, vocab, max_len, n_t
     # Repeat some terms' prefixes so that sums of several terms are covered.
     terms += [(p, prefix, int(rng.integers(0, vocab)), float(rng.normal()))
               for p, prefix, _tok, _w in terms[:n_terms // 2]]
-    got = flat_score_gradient(policy, terms)
+    got = by_key(policy, flat_score_gradient(policy, terms))
     expected = _sequential_score_sum(policy, terms)
     assert list(got) == list(expected)
     for key, block in expected.items():
@@ -419,7 +422,8 @@ def test_score_gradient_matches_a_sequential_reference(seed, vocab, max_len, n_t
 def test_score_gradient_sums_repeated_prefixes_and_reads_row_zero():
     policy = PolicyTable(Vocab(4), max_len=3)
     assert flat_score_gradient(policy, []) == {}
-    grad = flat_score_gradient(policy, [(9, (1,), 2, 1.0), (9, (1,), 0, 0.5), (9, (), 3, 0.0)])
+    grad = by_key(policy, flat_score_gradient(policy, [(9, (1,), 2, 1.0), (9, (1,), 0, 0.5),
+                                                       (9, (), 3, 0.0)]))
     assert list(grad) == [(9, (1,)), (9, ())]
     np.testing.assert_allclose(grad[(9, (1,))], [0.125, -0.375, 0.625, -0.375], atol=1e-15)
     assert not grad[(9, ())].any()
@@ -463,7 +467,7 @@ def test_apply_update_identity_inverse_and_definition():
     for key, vec in policy.stored_items():
         np.testing.assert_allclose(roundtrip.logit_vector(*key), vec, atol=1e-12)
 
-    single = {(0, ()): np.array([0.0, 1.0, 0.0, 0.0])}
+    single = by_id(policy, {(0, ()): np.array([0.0, 1.0, 0.0, 0.0])})
     bumped = apply_update(policy, single, 0.5)
     np.testing.assert_allclose(
         bumped.logit_vector(0, ()) - policy.logit_vector(0, ()),
@@ -472,7 +476,7 @@ def test_apply_update_identity_inverse_and_definition():
 
 def test_apply_update_allocates_missing_prefix_as_zero():
     policy = PolicyTable(Vocab(3), max_len=2)
-    grad = {(7, (1,)): np.array([1.0, -1.0, 0.0])}
+    grad = by_id(policy, {(7, (1,)): np.array([1.0, -1.0, 0.0])})
     updated = apply_update(policy, grad, 2.0)
     np.testing.assert_allclose(updated.logit_vector(7, (1,)), [2.0, -2.0, 0.0])
     assert policy.stored_prefix_count == 0
@@ -499,6 +503,50 @@ def test_checkpoint_fresh_policy_has_no_prefix_lines(tmp_path):
     lines = path.read_text().splitlines()
     assert lines == ["squeezelab-policy v1 vocab=5 max_len=2"]
     assert load_checkpoint(path).stored_prefix_count == 0
+
+
+def test_set_logits_rejects_a_prefix_no_checkpoint_can_hold(tmp_path):
+    policy = PolicyTable(Vocab(4), max_len=3)
+    for tokens, error in (((7,), InvalidToken), ((0, 0, 0, 0), PrefixExhausted)):
+        with pytest.raises(error):
+            policy.set_logits(0, tokens, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(error):
+            policy.logit_vector(0, tokens)
+    assert policy.stored_prefix_count == 0
+    # A prefix of length max_len is stored, and survives save -> load.
+    policy.set_logits(-2, (3, 0, 1), [1.0, 2.0, 3.0, 4.0])
+    path = tmp_path / "full_length.txt"
+    save_checkpoint(policy, path)
+    assert load_checkpoint(path).logit_vector(-2, (3, 0, 1)).tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+# Shapes of V ** (max_len + 1) beyond 2 ** 63, where ids outgrow numpy's int64.
+WIDE_SHAPES = [(6, 30), (2, 70)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(2, 6), st.integers(1, 6)),
+                       st.sampled_from(WIDE_SHAPES)),
+       data=st.data())
+def test_prefix_ids_number_every_key_once(shape, data):
+    vocab, max_len = shape
+    policy = PolicyTable(Vocab(vocab), max_len)
+    keys = data.draw(st.lists(
+        st.tuples(st.integers(-40, 40),
+                  st.lists(st.integers(0, vocab - 1), max_size=max_len).map(tuple)),
+        min_size=1, max_size=30, unique=True))
+    # Length-max_len prefixes and the last id of a prompt's range.
+    keys.append((-1, (vocab - 1,) * max_len))
+    keys.append((0, ()))
+    keys = list(dict.fromkeys(keys))
+    ids = [prefix_id(policy, *key) for key in keys]
+    assert all(type(ident) is int for ident in ids)
+    assert [prefix_key(policy, ident) for ident in ids] == keys
+    assert len(set(ids)) == len(keys)
+    assert prefix_id(policy, -1, (vocab - 1,) * max_len) == -1
+    for prompt_id, tokens in keys:
+        assert prefix_ids(policy, prompt_id, tokens) == [
+            prefix_id(policy, prompt_id, tokens[:t]) for t in range(len(tokens))]
 
 
 def test_checkpoint_rejects_malformed_files(tmp_path):
@@ -561,7 +609,7 @@ def test_dense_table_matches_the_scalar_kernel_through_updates(seed, vocab, max_
         new_key = (int(rng.integers(4, 8)),
                    tuple(int(t) for t in rng.integers(0, vocab, size=rng.integers(0, max_len))))
         grad[new_key] = rng.normal(size=vocab)
-        updated = apply_update(policy, grad, float(rng.normal()))
+        updated = apply_update(policy, by_id(policy, grad), float(rng.normal()))
         assert updated.stored_prefix_count == len(set(keys) | {new_key})
         # Reading the parent first means the update carried its table over.
         assert (updated._logp is not None) == parent_read

@@ -19,7 +19,8 @@ from squeezelab.policy import (
     Vocab,
     apply_update,
     make_trajectory,
-    prefix_keys,
+    prefix_ids,
+    prefix_key,
     prefix_rows,
     score_gradient,
     trajectory_log_prob,
@@ -367,10 +368,10 @@ def _sequential_descent(policy, demos, lr, max_halvings=30):
     if lr == 0.0:
         return policy, _sequential_mean_nll(policy, demos)
     val0 = _sequential_mean_nll(policy, demos)
-    keys = [key for traj in demos for key in prefix_keys(traj.prompt_id, traj.tokens)]
+    ids = [i for traj in demos for i in prefix_ids(policy, traj.prompt_id, traj.tokens)]
     tokens = [tok for traj in demos for tok in traj.tokens]
-    grad = score_gradient(policy, keys, prefix_rows(policy, keys), tokens,
-                          np.full(len(keys), -1.0 / len(demos)))
+    grad = score_gradient(policy, ids, prefix_rows(policy, ids), tokens,
+                          np.full(len(ids), -1.0 / len(demos)))
     if not grad:
         return policy, val0
     step = lr
@@ -443,7 +444,8 @@ def test_irl_descent_step_blocks_that_give_up_allocate_no_rows():
     after, values = sps.irl_descent_step(policy, blocks, 1e4, max_halvings=0)
     assert values[0] == before[0] and values[2] == before[2]
     assert values[1] < before[1]
-    assert {key for key in after._rows if key not in policy._rows} == {(0, ()), (0, (0,))}
+    assert ({prefix_key(after, key) for key in after._rows if key not in policy._rows}
+            == {(0, ()), (0, (0,))})
     ref, ref_values = policy, []
     for block in blocks:
         ref, value = _sequential_descent(ref, block, 1e4, max_halvings=0)
@@ -643,7 +645,7 @@ def test_sps_loop_flattens_each_group_once_and_frees_the_batch(diamond_task, mon
         return TokenBatch(**fields)
 
     def recording_select(groups, prompt_id, cfg):
-        held.extend("flat" in vars(group) for group in groups)
+        held.extend("_flat" in vars(group) for group in groups)
         return l2te_select(groups, prompt_id, cfg)
 
     monkeypatch.setattr(sps, "rl_step", recording_rl_step)
