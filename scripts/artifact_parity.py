@@ -50,6 +50,9 @@ MATRIX = {
                         "sps.min_negatives": 3}, 32),
     # Every config above runs at vocabulary size 4; prefix ids depend on it.
     "wide_vocab": ({"mode": "sps", "suite.vocab_size": 5}, 32),
+    # Every config above samples groups of G <= 8; the per-token group sizes
+    # and the advantage cache are checked at a wider group too.
+    "grpo_wide_group": ({"mode": "grpo", "rl.group_size": 16}, 32),
 }
 PAIRED = ("sps", "grpo")
 SKIPPED = "manifest.json"

@@ -10,13 +10,17 @@ the clip widths, and whether a KL leash to a reference snapshot is applied
 (GRPO only). Groups with all-equal rewards carry no signal and are skipped.
 
 GRPO and DAPO are one clipped surrogate over a flat token batch: each
-RolloutGroup flattens once into its `flat` TokenBatch of prefix ids, kept
-while the group is reused (the training loop drops it after the group's last
-step), and one call gathers every new and reference log-prob with one index
-each and forms ratios, clips, values, KL terms and score weights as array
-expressions. Value and KL sums are left folds in token order and each
-token's KL term follows its policy-gradient term, so the bits equal a
-per-token loop's. Every objective hands its terms to policy.score_gradient,
+RolloutGroup flattens once into its `flat` TokenBatch, plain lists of every
+token's prefix id, token, old log-prob, advantage and trajectory length,
+kept while the group is reused (the training loop drops it after the
+group's last step). A sampled group's ids are the ones the sampler recorded
+while drawing, so no sampled trajectory is numbered again. One call turns
+the groups' lists into one array per field, gathers every new and reference
+log-prob with one index each and forms ratios, clips, values, KL terms and
+score weights as array expressions. Advantages are computed once per reward
+tuple and shared read-only. Value and KL sums are left folds in token order
+and each token's KL term follows its policy-gradient term, so the bits equal
+a per-token loop's. Every objective hands its terms to policy.score_gradient,
 so its gradient maps prefix ids to blocks. Values and analytical gradients
 are exact, so brute-force summation and finite differences can check them.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -34,6 +39,7 @@ from .policy import (
     Trajectory,
     _left_fold,
     _log_probs,
+    _read_only,
     _token_logps,
     apply_update,
     derive_rng,
@@ -89,13 +95,13 @@ class ClipConfig:
 
 @dataclass(frozen=True)
 class TokenBatch:
-    """Tokens of a set of trajectories as flat arrays, in trajectory then token order."""
+    """Tokens of a set of trajectories as flat lists, in trajectory then token order."""
 
     ids: list[int]           # the prefix id each token was drawn at
-    tokens: np.ndarray       # token ids
-    old_logps: np.ndarray    # behavior log-probs
-    advantages: np.ndarray   # the advantage of the token's trajectory
-    lengths: np.ndarray      # the length of the token's trajectory
+    tokens: list[int]        # token ids
+    old_logps: list[float]   # behavior log-probs
+    advantages: list[float]  # the advantage of the token's trajectory
+    lengths: list[int]       # the length of the token's trajectory
 
 
 @dataclass(frozen=True)
@@ -121,33 +127,52 @@ class RolloutGroup:
     def size(self) -> int:
         return len(self.trajectories)
 
+    def keep_ids(self, policy: PolicyTable, ids: list[int]) -> None:
+        """Keep the prefix ids the group's tokens were drawn at under policy,
+        in trajectory then token order, for flat to read."""
+        self.__dict__["_ids"] = (_shape(policy), ids)
+
     def flat(self, policy: PolicyTable) -> TokenBatch:
         """The group's tokens as one TokenBatch of policy's prefix ids, kept per policy shape.
 
-        A degenerate group carries no signal and flattens to no tokens; so
-        does an empty trajectory.
+        The ids are the ones keep_ids kept at that shape, or else prefix_ids
+        gives them. A degenerate group carries no signal and flattens to no
+        tokens; so does an empty trajectory.
         """
-        shape = (policy.vocab.size, policy.max_len)
+        shape = _shape(policy)
         cached = self.__dict__.get("_flat")
         if cached is not None and cached[0] == shape:
             return cached[1]
+        kept = self.__dict__.pop("_ids", None)
         adv = group_advantages(self.rewards)
-        g = 0 if adv.degenerate else self.size
-        trajs = self.trajectories[:g]
-        lengths = np.array([len(t.tokens) for t in trajs], dtype=np.intp)
-        batch = TokenBatch(
-            ids=[i for t in trajs for i in prefix_ids(policy, t.prompt_id, t.tokens)],
-            tokens=np.fromiter(chain.from_iterable(t.tokens for t in trajs), np.intp),
-            old_logps=np.fromiter(chain.from_iterable(self.old_logps[:g]), float),
-            advantages=np.repeat(adv.values[:g], lengths),
-            lengths=np.repeat(lengths, lengths),
-        )
+        ids, tokens, old_logps, advantages, lengths = [], [], [], [], []
+        if not adv.degenerate:
+            if kept is not None and kept[0] == shape:
+                ids = kept[1]
+            else:
+                ids = [i for t in self.trajectories
+                       for i in prefix_ids(policy, t.prompt_id, t.tokens)]
+            for traj, a in zip(self.trajectories, adv.values.tolist()):
+                n = len(traj.tokens)
+                tokens += traj.tokens
+                advantages += [a] * n
+                lengths += [n] * n
+            old_logps = list(chain.from_iterable(self.old_logps))
+        batch = TokenBatch(ids=ids, tokens=tokens, old_logps=old_logps,
+                           advantages=advantages, lengths=lengths)
         self.__dict__["_flat"] = (shape, batch)
         return batch
 
     def drop_flat(self) -> None:
-        """Free the cached flat batch; a later call of flat builds it again."""
+        """Free the cached flat batch and the kept ids; a later call of flat
+        builds the batch again, with prefix_ids."""
         self.__dict__.pop("_flat", None)
+        self.__dict__.pop("_ids", None)
+
+
+def _shape(policy: PolicyTable) -> tuple[int, int]:
+    """What a policy's prefix ids depend on: its vocabulary size and max_len."""
+    return policy.vocab.size, policy.max_len
 
 
 @dataclass(frozen=True)
@@ -160,16 +185,23 @@ def group_advantages(rewards) -> AdvantageVector:
     """Group-normalized advantages (R - mean)/std with population std.
 
     All-equal rewards have zero variance; those groups get all-zero
-    advantages and the degenerate flag.
+    advantages and the degenerate flag. The result depends on the reward
+    tuple alone, so it is computed once per tuple and shared: its values
+    array is read-only.
     """
+    return _advantages(tuple(rewards))
+
+
+@lru_cache(maxsize=1024)
+def _advantages(rewards: tuple) -> AdvantageVector:
     r = np.asarray(rewards, dtype=float)
     if r.shape[0] < 2:
         raise ValueError("a group needs at least 2 rollouts")
     mean = r.mean()
     std = r.std()  # population convention (divide by G)
     if std == 0.0:
-        return AdvantageVector(np.zeros_like(r), degenerate=True)
-    return AdvantageVector((r - mean) / std, degenerate=False)
+        return AdvantageVector(_read_only(np.zeros_like(r)), degenerate=True)
+    return AdvantageVector(_read_only((r - mean) / std), degenerate=False)
 
 
 def token_ratio(policy: PolicyTable, old_logps, trajectory: Trajectory, t: int) -> float:
@@ -212,23 +244,29 @@ def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | N
     and empty trajectories are skipped. With cfg.beta > 0 and a reference
     policy, beta times the per-token KL(pi || pi_ref) estimate
     r_ref - log r_ref - 1 (r_ref = pi_ref/pi), weighted the same way, is
-    subtracted. token_weight maps a group size and an array of trajectory
-    lengths to the tokens' weights. All tokens of the batch are computed in
-    one pass of array expressions over the groups' flat forms.
+    subtracted. token_weight maps the arrays of each token's group size and
+    trajectory length to the tokens' weights. The groups' flat lists become
+    one array per field for the whole batch, and all tokens are computed in
+    one pass of array expressions.
     """
     flats = [group.flat(policy) for group in batch]
-    ids = [i for flat in flats for i in flat.ids]
+    ids = list(chain.from_iterable(flat.ids for flat in flats))
     n = len(ids)
     if not n:
         return ObjectiveReport(value=0.0, gradient={}, clipped_token_fraction=0.0,
                                kl_to_ref=0.0, objective_kind=cfg.objective_kind)
-    tokens = np.concatenate([flat.tokens for flat in flats])
-    adv = np.concatenate([flat.advantages for flat in flats])
-    w = np.concatenate([token_weight(group.size, flat.lengths)
-                        for group, flat in zip(batch, flats)])
+
+    def column(field: str, dtype) -> np.ndarray:
+        return np.fromiter(chain.from_iterable(getattr(flat, field) for flat in flats),
+                           dtype, n)
+
+    tokens = column("tokens", np.intp)
+    adv = column("advantages", float)
+    sizes = np.repeat([group.size for group in batch], [len(flat.ids) for flat in flats])
+    w = token_weight(sizes, column("lengths", np.intp))
     rows = prefix_rows(policy, ids)
     new_lp = policy._log_prob_table()[rows, tokens]
-    ratios = np.exp(new_lp - np.concatenate([flat.old_logps for flat in flats]))
+    ratios = np.exp(new_lp - column("old_logps", float))
     unclipped_term = ratios * adv
     clipped_term = np.minimum(np.maximum(ratios, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high) * adv
     clipped = clipped_term < unclipped_term
@@ -274,7 +312,7 @@ def grpo_objective(groups, policy: PolicyTable, ref_policy: PolicyTable | None,
         raise ValueError("empty batch")
     n_groups = len(batch)
     return _clipped_token_batch(batch, policy, ref_policy, cfg,
-                                lambda g, lengths: 1.0 / (n_groups * g * lengths))
+                                lambda sizes, lengths: 1.0 / (n_groups * sizes * lengths))
 
 
 def dapo_filter(groups) -> tuple[list[RolloutGroup], int]:
@@ -296,7 +334,7 @@ def dapo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     batch, _ = dapo_filter(groups)
     total_tokens = sum(len(t.tokens) for g in batch for t in g.trajectories)
     return _clipped_token_batch(batch, policy, None, cfg,
-                                lambda g, lengths: np.full(len(lengths), 1.0 / total_tokens))
+                                lambda sizes, lengths: np.full(len(lengths), 1.0 / total_tokens))
 
 
 def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveReport:
@@ -408,10 +446,18 @@ class StepRecord:
 
 def sample_group(policy: PolicyTable, task: TaskInstance, group_size: int,
                  rng: np.random.Generator) -> RolloutGroup:
-    """Sample G rollouts for one task, rewarded by the task's fused validator."""
-    trajs, rewards = sample_trajectories(policy, task.prompt_id, group_size, rng, task.walk)
-    return RolloutGroup(task.prompt_id, tuple(trajs), tuple(rewards),
-                        tuple(t.per_token_logp for t in trajs))
+    """Sample G rollouts for one task, rewarded by the task's fused validator.
+
+    The group keeps the prefix ids the sampler drew its tokens at, so its
+    flat batch needs no prefix_ids.
+    """
+    ids: list[int] = []
+    trajs, rewards = sample_trajectories(policy, task.prompt_id, group_size, rng, task.walk,
+                                         ids=ids)
+    group = RolloutGroup(task.prompt_id, tuple(trajs), tuple(rewards),
+                         tuple(t.per_token_logp for t in trajs))
+    group.keep_ids(policy, ids)
+    return group
 
 
 def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,
@@ -472,7 +518,19 @@ def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,
 
 
 def _mean_root_entropy(policy: PolicyTable, tasks) -> float:
-    vals = [entropy(np.exp(_log_probs(policy, t.prompt_id, ()))) for t in tasks]
+    """np.mean of each task's root entropy, bit for bit the per-row entropy's.
+
+    The root rows come from one gather of the cached log-prob table, and the
+    entropies from one row-wise pass; a row with a probability that underflows
+    to 0 goes to entropy, which drops such entries from its sum.
+    """
+    rows = prefix_rows(policy, [int(t.prompt_id) * policy.span for t in tasks])
+    probs = np.exp(policy._log_prob_table()[rows])
+    positive = (probs > 0.0).all(axis=1)
+    vals = np.empty(len(rows))
+    vals[positive] = -(probs[positive] * np.log(probs[positive])).sum(axis=1)
+    for i in np.flatnonzero(~positive).tolist():
+        vals[i] = entropy(probs[i])
     return float(np.mean(vals))
 
 

@@ -10,7 +10,9 @@ read, and every reader uses that table; an update recomputes only the rows
 it touched. sample_trajectories is the one sampler, at temperature 1: per
 call it draws n * max_len doubles at once and rewinds the generator past the
 unused ones, steps each draw's prefix id and a task's validator table in the
-same pass, so rewards need no replay; greedy_decode steps ids the same way.
+same pass, so rewards need no replay, and on request records every drawn
+token's prefix id, which RL groups keep for their token batch;
+greedy_decode steps ids the same way.
 score_gradient is the one place score blocks (onehot - probs) are formed and
 summed, from a flat batch of terms: each term's prefix id, its table row
 (prefix_rows), token and weight. Gradients map prefix ids to blocks. The
@@ -308,7 +310,8 @@ def make_trajectory(policy: PolicyTable, prompt_id: int, tokens) -> Trajectory:
 
 def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
                         rng: np.random.Generator, walk=None,
-                        stop_at_reward: bool = False) -> tuple[list[Trajectory], list[int]]:
+                        stop_at_reward: bool = False,
+                        ids: list | None = None) -> tuple[list[Trajectory], list[int]]:
     """n ancestral samples from the policy, with their rewards.
 
     Each token takes the next double u of rng and is the first token whose
@@ -319,6 +322,8 @@ def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
     small-integer draw). walk is a task's validator table, TaskInstance.walk:
     a reward is 1 exactly when the walk ends in its accept state, and 0
     without a walk. With stop_at_reward sampling ends at the first reward.
+    When ids is a list, the sampler appends each drawn token's prefix id to
+    it, in trajectory then token order: the ids prefix_ids gives.
     """
     size = policy.vocab.size
     last = size - 1
@@ -331,7 +336,10 @@ def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
     for _ in range(n):
         h, state, total, tokens, logps = 0, state0, 0.0, [], []
         for u in draws[used:used + policy.max_len]:
-            row = stored.get(base + h, 0)
+            ident = base + h
+            if ids is not None:
+                ids.append(ident)
+            row = stored.get(ident, 0)
             tok = bisect_right(cum_rows[row], u)
             if tok > last:
                 tok = last
@@ -467,13 +475,15 @@ def save_checkpoint(policy: PolicyTable, path) -> None:
     """Write the policy as a line-oriented text checkpoint.
 
     Floats are printed with repr so a load reproduces the exact bit pattern;
-    prefixes are sorted so save -> load -> save is byte-identical.
+    prefixes are sorted so save -> load -> save is byte-identical. The rows
+    become Python floats with one tolist call.
     """
     lines = [f"squeezelab-policy v1 vocab={policy.vocab.size} max_len={policy.max_len}"]
-    for (prompt_id, tokens), vec in sorted(policy.stored_items()):
+    keys = [prefix_key(policy, ident) for ident in policy._rows]
+    rows = policy._logit_rows()[list(policy._rows.values())].tolist()
+    for (prompt_id, tokens), vec in sorted(zip(keys, rows)):
         prefix_txt = ",".join(str(t) for t in tokens) if tokens else "-"
-        values = " ".join(repr(float(x)) for x in vec)
-        lines.append(f"{prompt_id} {prefix_txt} {values}")
+        lines.append(f"{prompt_id} {prefix_txt} {' '.join(map(repr, vec))}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -20,9 +20,10 @@ disjoint rows of the policy and each block's loss moves only with its own
 step: irl_loss flattens all demos into one batch of prefix ids, table rows,
 tokens and weights for one policy.score_gradient call (the one place score
 blocks are formed), each line-search pass is one apply_update and one
-irl_value call, and only the blocks whose loss rose halve their step and
-retry. Values are per-block left folds from one gather of the log-prob
-table, so the result is bit for bit a descent on each block in turn.
+irl_value call on the demo terms the descent built once, and only the
+blocks whose loss rose halve their step and retry. Values are per-block
+left folds from one gather of the log-prob table, so the result is bit for
+bit a descent on each block in turn.
 A baseline loop with the IRL stage disabled shares every other code path so
 the two runs differ only by that stage.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -209,47 +210,58 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     return DemoSet(entries)
 
 
-def _demo_terms(policy: PolicyTable, blocks) -> tuple[list[int], np.ndarray, list[int]]:
-    """Every demo token of the blocks as one flat term batch, in block, demo
-    and token order: each term's prefix id and token, and each demo's length."""
-    ids, tokens, lengths = [], [], []
+def _demo_terms(policy: PolicyTable, blocks) -> list[tuple[list[int], list[int], list[int]]]:
+    """Each block's demo tokens as a term batch, in demo and token order:
+    each term's prefix id and token, and each demo's length."""
+    terms = []
     for block in blocks:
         if not block:
             raise ValueError("demos must be nonempty")
+        ids, tokens, lengths = [], [], []
         for traj in block:
             ids += prefix_ids(policy, traj.prompt_id, traj.tokens)
             tokens += traj.tokens
             lengths.append(len(traj.tokens))
-    return ids, np.array(tokens, dtype=np.intp), lengths
+        terms.append((ids, tokens, lengths))
+    return terms
 
 
-def _block_values(policy: PolicyTable, blocks, rows, tokens, lengths) -> list[float]:
+def _block_values(policy: PolicyTable, blocks, terms, rows=None) -> list[float]:
     """Each block's mean demo NLL, gathered from the cached log-prob table at once.
 
-    Each demo's total and each block's sum of totals are left folds, so a
-    block's value is bit for bit the one trajectory_log_prob's totals give.
+    terms are the blocks' _demo_terms, and rows, if given, their terms' rows
+    of the policy's table. Each demo's total and each block's sum of totals
+    are left folds, so a block's value is bit for bit the one
+    trajectory_log_prob's totals give.
     """
+    if rows is None:
+        rows = prefix_rows(policy, list(chain.from_iterable(ids for ids, _, _ in terms)))
+    tokens = list(chain.from_iterable(toks for _, toks, _ in terms))
     logps = iter(policy._log_prob_table()[rows, tokens].tolist())
-    lengths = iter(lengths)
     values = []
-    for block in blocks:
+    for block, (_, _, lengths) in zip(blocks, terms):
         total = 0.0
-        for _ in block:
+        for length in lengths:
             demo_total = 0.0
-            for logp in islice(logps, next(lengths)):
+            for logp in islice(logps, length):
                 demo_total += logp
             total += demo_total
         values.append(-total / len(block))
     return values
 
 
-def irl_value(policy: PolicyTable, blocks) -> list[float]:
-    """Mean negative log-likelihood of each block of demo Trajectories."""
-    ids, tokens, lengths = _demo_terms(policy, blocks)
-    return _block_values(policy, blocks, prefix_rows(policy, ids), tokens, lengths)
+def irl_value(policy: PolicyTable, blocks, terms=None) -> list[float]:
+    """Mean negative log-likelihood of each block of demo Trajectories.
+
+    terms, if given, are the blocks' _demo_terms under a policy of the same
+    shape, so a caller that holds them skips rebuilding them.
+    """
+    return _block_values(policy, blocks,
+                         _demo_terms(policy, blocks) if terms is None else terms)
 
 
-def irl_loss(policy: PolicyTable, blocks) -> tuple[list[float], dict[int, np.ndarray]]:
+def irl_loss(policy: PolicyTable, blocks,
+             terms=None) -> tuple[list[float], dict[int, np.ndarray]]:
     """Forward-KL fit to the degenerate distribution over each block of demos.
 
     Each block's loss reduces to its mean demo NLL, bit for bit the value
@@ -257,12 +269,16 @@ def irl_loss(policy: PolicyTable, blocks) -> tuple[list[float], dict[int, np.nda
     blocks of the negated mean score, so descending it raises every block's
     demo likelihood. All terms go to one score_gradient call in block order,
     so each prefix's terms add up in the order a per-block call would add them.
-    The gradient maps prefix ids to blocks.
+    The gradient maps prefix ids to blocks. terms are as irl_value takes them.
     """
-    ids, tokens, lengths = _demo_terms(policy, blocks)
+    if terms is None:
+        terms = _demo_terms(policy, blocks)
+    ids = list(chain.from_iterable(ids for ids, _, _ in terms))
+    tokens = np.fromiter(chain.from_iterable(toks for _, toks, _ in terms), np.intp, len(ids))
     rows = prefix_rows(policy, ids)
-    weights = np.repeat([-1.0 / len(block) for block in blocks for _ in block], lengths)
-    return (_block_values(policy, blocks, rows, tokens, lengths),
+    weights = np.repeat([-1.0 / len(block) for block in blocks for _ in block],
+                        [length for _, _, lengths in terms for length in lengths])
+    return (_block_values(policy, blocks, terms, rows),
             score_gradient(policy, ids, rows, tokens, weights))
 
 
@@ -287,7 +303,9 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
                 raise ValueError(f"demo blocks share prompt {traj.prompt_id}")
     if lr == 0.0:
         return policy, irl_value(policy, blocks)
-    values, grad = irl_loss(policy, blocks)
+    # The demos do not change during the descent: their terms are built once.
+    terms = _demo_terms(policy, blocks)
+    values, grad = irl_loss(policy, blocks, terms)
     if not grad:
         return policy, values
     ids = list(grad)
@@ -307,7 +325,8 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
     for attempt in range(max_halvings + 1):
         cand = update(searching)
         pending = np.flatnonzero(searching).tolist()
-        for b, value in zip(pending, irl_value(cand, [blocks[b] for b in pending])):
+        cand_values = irl_value(cand, [blocks[b] for b in pending], [terms[b] for b in pending])
+        for b, value in zip(pending, cand_values):
             if value <= values[b]:
                 values[b] = value
                 searching[b] = False

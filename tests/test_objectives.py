@@ -7,7 +7,9 @@ central finite differences of the implementation's own value function.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from squeezelab.objectives import (
     grpo_objective,
     group_advantages,
     gspo_objective,
+    _mean_root_entropy,
     rl_step,
     sample_group,
     sequence_ratio_gspo,
@@ -35,16 +38,20 @@ from squeezelab.objectives import (
 from squeezelab.policy import (
     PolicyTable,
     Vocab,
+    _log_probs,
     _token_logps,
     apply_update,
+    entropy,
     make_trajectory,
+    prefix_ids,
     sample_trajectory,
     trajectory_log_prob,
 )
 from squeezelab import policy as policy_module
 from squeezelab.config import ExperimentConfig
 from squeezelab.sps import SpsConfig
-from squeezelab.tasks import build_suite_policy, make_benchmark_suite, skewed_base_policy, validate
+from squeezelab.tasks import (TaskInstance, build_suite_policy, make_benchmark_suite,
+                              skewed_base_policy, validate)
 
 from conftest import by_key, finite_difference_blocks, flat_score_gradient, random_policy
 
@@ -203,6 +210,34 @@ def test_group_advantages_binary_rewards_give_two_values():
         if adv.degenerate:
             continue
         assert len({round(v, 12) for v in adv.values}) == 2
+
+
+def uncached_advantages(rewards):
+    """group_advantages as computed before it was memoised: numpy mean and std per call."""
+    r = np.asarray(rewards, dtype=float)
+    std = r.std()
+    if std == 0.0:
+        return np.zeros_like(r), True
+    return (r - r.mean()) / std, False
+
+
+def test_memoised_group_advantages_equal_the_uncached_computation():
+    rng = np.random.default_rng(41)
+    tuples = [r for g in range(2, 11) for r in itertools.product((0, 1), repeat=g)]
+    tuples += [tuple(int(x) for x in rng.integers(0, 2, size=int(rng.integers(11, 65))))
+               for _ in range(300)]
+    for rewards in tuples:
+        values, degenerate = uncached_advantages(rewards)
+        # A tuple, then a list and an array of the same rewards, read from the cache.
+        for form in (rewards, list(rewards), np.array(rewards)):
+            adv = group_advantages(form)
+            assert adv.degenerate == degenerate
+            assert adv.values.dtype == values.dtype and adv.values.shape == values.shape
+            assert (adv.values == values).all()
+            assert adv.values.tobytes() == values.tobytes()
+            assert not adv.values.flags.writeable
+    with pytest.raises(ValueError):
+        group_advantages((0, 1, 1)).values[0] = 5.0
 
 
 def test_token_ratio_on_policy_is_exactly_one():
@@ -723,6 +758,57 @@ def test_grpo_and_dapo_steps_gather_no_per_trajectory_log_probs(monkeypatch):
     assert calls == []
 
 
+def test_grpo_and_dapo_steps_build_no_prefix_ids_for_sampled_trajectories(monkeypatch):
+    # Sampled groups keep the ids the sampler drew their tokens at, so the flat
+    # batch of a fresh, a resampled or a reused group needs no prefix_ids.
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return prefix_ids(*args)
+
+    def counting_groups(*args):
+        sampled.append(args[1].prompt_id)
+        return sample_group(*args)
+
+    monkeypatch.setattr(policy_module, "prefix_ids", counting)
+    monkeypatch.setattr(objectives_module, "prefix_ids", counting)
+    monkeypatch.setattr(objectives_module, "sample_group", counting_groups)
+    for overrides in ({}, {"rl.objective": "dapo", "rl.dapo_max_resamples": 2}):
+        sampled = []
+        cfg = ExperimentConfig.from_dict(overrides)
+        seed = cfg["seed"]
+        suite = make_benchmark_suite(seed, cfg.family_params())
+        base = build_suite_policy(suite, cfg["suite.skew"], seed)
+        sps_cfg = cfg.sps_config()
+        new_policy, _, groups = rl_step(base, suite, sps_cfg, seed, ref_policy=base)
+        assert new_policy is not base
+        rl_step(new_policy, suite, sps_cfg, seed + 1, ref_policy=base, groups=groups)
+        assert calls == []
+        # DAPO resampled some degenerate groups.
+        assert (len(sampled) > len(suite)) == (sps_cfg.clip.objective_kind == "dapo")
+        # Built again without the kept ids, each batch is the same.
+        for group in groups:
+            kept = group.flat(new_policy)
+            group.drop_flat()
+            assert group.flat(new_policy) == kept
+        assert calls
+        calls.clear()
+
+
+def test_flat_batch_of_a_group_sampled_at_another_shape_uses_the_policys_ids(diamond_task):
+    # Prompt 0's ids do not depend on the span.
+    task = TaskInstance(prompt_id=3, label=diamond_task.label, spec=diamond_task.spec)
+    sampler = PolicyTable(Vocab(4), max_len=2)
+    group = sample_group(sampler, task, 8, np.random.default_rng(3))
+    assert not group_advantages(group.rewards).degenerate
+    wider = PolicyTable(Vocab(4), max_len=3)
+    assert wider.span != sampler.span
+    for policy in (wider, sampler):
+        assert group.flat(policy).ids == [i for t in group.trajectories
+                                          for i in prefix_ids(policy, t.prompt_id, t.tokens)]
+
+
 # ---------------------------------------------------------------------------
 # rl_step
 
@@ -825,3 +911,26 @@ def test_clip_config_validation():
     assert (cfg.eps_low, cfg.eps_high) == (3e-4, 4e-4)
     cfg = ClipConfig.grpo()
     assert (cfg.eps_low, cfg.eps_high, cfg.beta) == (0.2, 0.2, 0.01)
+
+
+# ---------------------------------------------------------------------------
+# per-step diagnostics
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 12), n_tasks=st.integers(1, 40),
+       scale=st.sampled_from([0.5, 5.0, 500.0]))
+def test_mean_root_entropy_is_the_mean_of_per_row_entropies(seed, vocab, n_tasks, scale):
+    rng = np.random.default_rng(seed)
+    policy = PolicyTable(Vocab(vocab), max_len=2)
+    for pid in range(n_tasks):
+        if rng.random() < 0.8:  # the others read the zero row
+            policy.set_logits(pid, (), scale * rng.normal(size=vocab))
+    # A row whose probabilities, all but one, underflow to exactly 0.
+    policy.set_logits(n_tasks + 1, (), [0.0] + [-800.0] * (vocab - 1))
+    # _mean_root_entropy reads only each task's prompt_id.
+    tasks = [SimpleNamespace(prompt_id=pid) for pid in rng.permutation(n_tasks + 2).tolist()]
+    expected = float(np.mean([entropy(np.exp(_log_probs(policy, t.prompt_id, ())))
+                              for t in tasks]))
+    assert (np.exp(policy._log_prob_table()) == 0.0).any()
+    assert _mean_root_entropy(policy, tasks) == expected

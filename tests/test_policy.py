@@ -348,6 +348,32 @@ def test_block_sampler_stops_at_a_reward_and_leaves_the_stream_there(diamond_tas
     assert block_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 8), max_len=st.integers(1, 9),
+       n=st.integers(1, 12), stop_at_reward=st.booleans())
+def test_block_sampler_records_the_prefix_id_of_every_draw(seed, vocab, max_len, n,
+                                                           stop_at_reward):
+    rng = np.random.default_rng(seed)
+    task = _random_task(vocab, max_len, rng)
+    policy = PolicyTable(Vocab(vocab), max_len)
+    for _ in range(12):
+        prefix = tuple(int(t) for t in rng.integers(0, vocab - 1, size=rng.integers(0, max_len)))
+        policy.set_logits(int(rng.integers(3)), prefix,
+                          float(rng.choice([0.5, 4.0])) * rng.normal(size=vocab))
+    prompt_id = int(rng.integers(4))  # prompt 3 has no stored rows
+    draw_seed = int(rng.integers(2**32))
+    recording_rng, plain_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+    ids = [-1]  # the sampler appends to the list it is given
+    trajs, rewards = sample_trajectories(policy, prompt_id, n, recording_rng, task.walk,
+                                         stop_at_reward, ids=ids)
+    assert ids[0] == -1
+    assert ids[1:] == [ident for t in trajs for ident in prefix_ids(policy, prompt_id, t.tokens)]
+    # Recording changes neither the samples nor the stream.
+    assert (trajs, rewards) == sample_trajectories(policy, prompt_id, n, plain_rng, task.walk,
+                                                   stop_at_reward)
+    assert recording_rng.bit_generator.state == plain_rng.bit_generator.state
+
+
 def test_set_logits_after_a_sample_changes_later_samples():
     policy = PolicyTable(Vocab(4), max_len=2)
     first, _ = sample_trajectories(policy, 0, 40, np.random.default_rng(1))
@@ -494,6 +520,22 @@ def test_checkpoint_round_trip_and_idempotence(tmp_path):
         assert (loaded.logit_vector(*key) == vec).all()
     save_checkpoint(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_lines_are_the_repr_of_every_stored_logit(tmp_path):
+    rng = np.random.default_rng(12)
+    policy = random_policy(4, 3, rng, prompt_ids=(2, 0), scale=3.0)
+    policy.set_logits(1, (2, 0), [-0.0, 1e-300, 1e16, -2.5e-8])
+    policy = apply_update(policy, by_id(policy, {(0, (1, 1, 0)): rng.normal(size=4),
+                                                 (2, ()): rng.normal(size=4)}), 0.3)
+    path = tmp_path / "c.txt"
+    save_checkpoint(policy, path)
+    # The layout written one numpy scalar at a time, in sorted prefix order.
+    lines = ["squeezelab-policy v1 vocab=4 max_len=3"]
+    for (prompt_id, tokens), vec in sorted(policy.stored_items(), key=lambda item: item[0]):
+        prefix_txt = ",".join(str(t) for t in tokens) if tokens else "-"
+        lines.append(f"{prompt_id} {prefix_txt} " + " ".join(repr(float(x)) for x in vec))
+    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_checkpoint_fresh_policy_has_no_prefix_lines(tmp_path):

@@ -22,6 +22,7 @@ from squeezelab.policy import (
     prefix_ids,
     prefix_key,
     prefix_rows,
+    sample_trajectory,
     score_gradient,
     trajectory_log_prob,
 )
@@ -328,6 +329,32 @@ def test_irl_descent_step_halving_guard_never_increases_loss():
     before = irl_value(policy, demos)
     _, after = irl_descent_step(policy, demos, 1e6)
     assert after <= before
+
+
+def test_irl_descent_builds_the_demo_terms_once(monkeypatch):
+    # The demos do not change during a descent, so every line-search pass
+    # reuses the terms built for the loss.
+    rng = np.random.default_rng(31)
+    policy = random_policy(4, 3, rng, prompt_ids=(0, 1, 2), scale=2.0)
+    blocks = [[sample_trajectory(policy, pid, rng) for _ in range(3)] for pid in (0, 1, 2)]
+    built, valued = [], []
+
+    def counting_terms(*args):
+        built.append(args)
+        return demo_terms(*args)
+
+    def counting_value(*args):
+        valued.append(args)
+        return irl_value_blocks(*args)
+
+    demo_terms, irl_value_blocks = sps._demo_terms, sps.irl_value
+    monkeypatch.setattr(sps, "_demo_terms", counting_terms)
+    monkeypatch.setattr(sps, "irl_value", counting_value)
+    after, values = sps.irl_descent_step(policy, blocks, 50.0)
+    assert len(built) == 1 and len(valued) > 1  # the rate is large enough to halve
+    # Every block moved, and each value has the bits of a fresh irl_value.
+    assert all(map(float.__lt__, values, irl_value_blocks(policy, blocks)))
+    assert values == irl_value_blocks(after, blocks)
 
 
 def irl_stage(policy, demo_sets, cfg):
@@ -645,14 +672,15 @@ def test_sps_loop_flattens_each_group_once_and_frees_the_batch(diamond_task, mon
         return TokenBatch(**fields)
 
     def recording_select(groups, prompt_id, cfg):
-        held.extend("_flat" in vars(group) for group in groups)
+        held.extend("_flat" in vars(group) or "_ids" in vars(group) for group in groups)
         return l2te_select(groups, prompt_id, cfg)
 
     monkeypatch.setattr(sps, "rl_step", recording_rl_step)
     monkeypatch.setattr(objectives, "TokenBatch", recording_batch)
     monkeypatch.setattr(sps, "l2te_select", recording_select)
     sps_loop(policy, [diamond_task], cfg, 17)
-    # Reused groups keep their batch across steps; none is held into the IRL stage.
+    # Reused groups keep their batch across steps; no batch and no sampled ids
+    # are held into the IRL stage.
     assert len(built) == len(fresh) == (1 if reuse else 3) * cfg.max_iterations
     assert held and not any(held)
 
