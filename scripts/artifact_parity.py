@@ -53,6 +53,10 @@ MATRIX = {
     # Every config above samples groups of G <= 8; the per-token group sizes
     # and the advantage cache are checked at a wider group too.
     "grpo_wide_group": ({"mode": "grpo", "rl.group_size": 16}, 32),
+    # Every config above runs GSPO only on fresh rollouts (ratios exactly 1)
+    # and samples at most 4 tokens; reused rollouts clip some sequences, and
+    # from 8 tokens on np.mean sums a sequence ratio's terms pairwise.
+    "gspo_reuse_long": ({"mode": "gspo", "rl.reuse_rollouts": True, "suite.max_len": 9}, 32),
 }
 PAIRED = ("sps", "grpo")
 SKIPPED = "manifest.json"

@@ -9,9 +9,9 @@ enumeration bit for bit. Samples come from the block sampler, one call per
 task, with rewards from the task's fused validator.
 
 Each task enumerates its correct set once (TaskInstance.correct_sequences,
-flattened once into TaskInstance.correct_set, with prefix ids), so support
-and mass take one row lookup and one gather from the policy's cached
-log-prob table per task. Similarity compares each pair of
+flattened once into TaskInstance.correct_set, a policy.SequenceBatch), so
+support and mass take one call of the sequence_log_probs kernel per task.
+Similarity compares each pair of
 distinct sampled sequences once and folds the pair values back in sample
 order. Both give the bits of the per-sequence and per-pair loops they replace.
 """
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, KExceedsN
-from .policy import (PolicyTable, Trajectory, _left_fold, greedy_decode, prefix_ids,
-                     prefix_rows, sample_trajectories)
+from .policy import (PolicyTable, Trajectory, _left_fold, greedy_decode, sample_trajectories,
+                     sequence_batch, sequence_log_probs)
 from .tasks import TaskInstance
 
 BUCKET_CENTERS = tuple(i / 10 for i in range(11))
@@ -196,25 +196,17 @@ def support_coverage(policy: PolicyTable, task: TaskInstance,
     covered counts enumerated correct trajectories whose exact policy
     probability is at least prob_floor; mass_on_correct sums those
     probabilities over the whole correct set regardless of the floor.
-    The task's cached correct set gives every token's prefix id, so one
-    gather from the log-prob table reads all token log-probs. Each
-    sequence's total is a left fold over depth in a zero-padded array
-    (adding 0.0 is exact), its probability is math.exp of that, and the mass
-    is a left fold in the set's iteration order: the bits of
+    The task's cached correct set goes to the sequence_log_probs kernel,
+    whose totals are left folds; each probability is math.exp of its total,
+    and the mass is a left fold in the set's iteration order: the bits of
     trajectory_log_prob per sequence. A policy of another shape numbers the
-    ids again at its own, so a sequence longer than its max_len or with a
+    set again at its own, so a sequence longer than its max_len or with a
     token outside its vocabulary raises as trajectory_log_prob would.
     """
-    sequences, correct = task.correct_sequences, task.correct_set
-    ids = correct.ids
+    batch = task.correct_set
     if (task.spec.vocab_size, task.spec.max_len) != (policy.vocab.size, policy.max_len):
-        ids = [i for tokens in sequences for i in prefix_ids(policy, task.prompt_id, tokens)]
-    logps = np.zeros((len(sequences), correct.longest))
-    logps[correct.seq, correct.depth] = policy._log_prob_table()[
-        prefix_rows(policy, ids), correct.tokens]
-    totals = np.zeros(len(sequences))
-    for column in logps.T:
-        totals += column
+        batch = sequence_batch(policy, ((task.prompt_id, s) for s in task.correct_sequences))
+    totals = sequence_log_probs(policy, batch)[1]
     probs = np.fromiter(map(math.exp, totals.tolist()), float, len(totals))
     return CoverageRecord(covered=int(np.count_nonzero(probs >= prob_floor)),
                           total=len(probs), mass_on_correct=_left_fold(probs))

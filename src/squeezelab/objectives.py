@@ -9,18 +9,18 @@ averaged (per-sequence mean for GRPO/GSPO, one global token mean for DAPO),
 the clip widths, and whether a KL leash to a reference snapshot is applied
 (GRPO only). Groups with all-equal rewards carry no signal and are skipped.
 
-GRPO and DAPO are one clipped surrogate over a flat token batch: each
-RolloutGroup flattens once into its `flat` TokenBatch, plain lists of every
-token's prefix id, token, old log-prob, advantage and trajectory length,
+Every objective reads each RolloutGroup as its `flat` policy.SequenceBatch,
 kept while the group is reused (the training loop drops it after the
-group's last step). A sampled group's ids are the ones the sampler recorded
-while drawing, so no sampled trajectory is numbered again. One call turns
-the groups' lists into one array per field, gathers every new and reference
-log-prob with one index each and forms ratios, clips, values, KL terms and
-score weights as array expressions. Advantages are computed once per reward
-tuple and shared read-only. Value and KL sums are left folds in token order
-and each token's KL term follows its policy-gradient term, so the bits equal
-a per-token loop's. Every objective hands its terms to policy.score_gradient,
+group's last step); a sampled group's ids are the ones the sampler recorded,
+so no sampled trajectory is numbered again. One call joins the groups'
+batches, gathers the new and the reference log-probs with one
+token_log_probs call each and spreads each trajectory's advantage and
+length over its tokens with np.repeat. GRPO and DAPO are one clipped token
+surrogate of array expressions; GSPO takes each sequence ratio from its
+slice of the flat log-prob difference. Advantages are computed once per
+reward tuple and shared read-only. Value and KL sums are left folds in token
+order and each token's KL term follows its policy-gradient term, so the bits
+equal a per-token loop's. Every objective hands its terms to policy.score_gradient,
 so its gradient maps prefix ids to blocks. Values and analytical gradients
 are exact, so brute-force summation and finite differences can check them.
 """
@@ -36,6 +36,7 @@ import numpy as np
 from .errors import EmptyTrajectory, NumericOverflow, OneSidedGroup
 from .policy import (
     PolicyTable,
+    SequenceBatch,
     Trajectory,
     _left_fold,
     _log_probs,
@@ -45,11 +46,14 @@ from .policy import (
     derive_rng,
     entropy,
     greedy_decode,
-    prefix_ids,
+    join_batches,
     prefix_rows,
     sample_trajectories,
     sample_trajectory,  # noqa: F401  (callers read objectives.sample_trajectory)
     score_gradient,
+    sequence_batch,
+    sequence_log_probs,
+    token_log_probs,
 )
 from .tasks import TaskInstance
 
@@ -94,17 +98,6 @@ class ClipConfig:
 
 
 @dataclass(frozen=True)
-class TokenBatch:
-    """Tokens of a set of trajectories as flat lists, in trajectory then token order."""
-
-    ids: list[int]           # the prefix id each token was drawn at
-    tokens: list[int]        # token ids
-    old_logps: list[float]   # behavior log-probs
-    advantages: list[float]  # the advantage of the token's trajectory
-    lengths: list[int]       # the length of the token's trajectory
-
-
-@dataclass(frozen=True)
 class RolloutGroup:
     """G trajectories for one prompt with rewards and behavior log-probs."""
 
@@ -132,34 +125,23 @@ class RolloutGroup:
         in trajectory then token order, for flat to read."""
         self.__dict__["_ids"] = (_shape(policy), ids)
 
-    def flat(self, policy: PolicyTable) -> TokenBatch:
-        """The group's tokens as one TokenBatch of policy's prefix ids, kept per policy shape.
+    def flat(self, policy: PolicyTable) -> SequenceBatch:
+        """The group's trajectories as a SequenceBatch of policy's prefix ids, kept per shape.
 
         The ids are the ones keep_ids kept at that shape, or else prefix_ids
         gives them. A degenerate group carries no signal and flattens to no
-        tokens; so does an empty trajectory.
+        sequences.
         """
         shape = _shape(policy)
         cached = self.__dict__.get("_flat")
         if cached is not None and cached[0] == shape:
             return cached[1]
-        kept = self.__dict__.pop("_ids", None)
-        adv = group_advantages(self.rewards)
-        ids, tokens, old_logps, advantages, lengths = [], [], [], [], []
-        if not adv.degenerate:
-            if kept is not None and kept[0] == shape:
-                ids = kept[1]
-            else:
-                ids = [i for t in self.trajectories
-                       for i in prefix_ids(policy, t.prompt_id, t.tokens)]
-            for traj, a in zip(self.trajectories, adv.values.tolist()):
-                n = len(traj.tokens)
-                tokens += traj.tokens
-                advantages += [a] * n
-                lengths += [n] * n
-            old_logps = list(chain.from_iterable(self.old_logps))
-        batch = TokenBatch(ids=ids, tokens=tokens, old_logps=old_logps,
-                           advantages=advantages, lengths=lengths)
+        kept = self.__dict__.pop("_ids", (None, None))
+        if group_advantages(self.rewards).degenerate:
+            batch = sequence_batch(policy, ())
+        else:
+            batch = sequence_batch(policy, ((t.prompt_id, t.tokens) for t in self.trajectories),
+                                   kept[1] if kept[0] == shape else None)
         self.__dict__["_flat"] = (shape, batch)
         return batch
 
@@ -228,10 +210,17 @@ class ObjectiveReport:
     objective_kind: str
 
 
-def _as_groups(groups) -> list[RolloutGroup]:
-    if isinstance(groups, RolloutGroup):
-        return [groups]
-    return list(groups)
+def _joined_groups(batch, policy: PolicyTable):
+    """The groups' flat batches joined, with every token's old log-prob and
+    each sequence's advantage and group size."""
+    live = [(group, group.flat(policy)) for group in batch]
+    live = [(group, flat) for group, flat in live if len(flat.lengths)]
+    joined = join_batches(flat for _, flat in live)
+    old = np.fromiter(chain.from_iterable(lp for group, _ in live for lp in group.old_logps),
+                      float, len(joined.ids))
+    adv = np.concatenate([group_advantages(group.rewards).values for group, _ in live] or [[]])
+    sizes = np.repeat([group.size for group, _ in live], [len(flat.lengths) for _, flat in live])
+    return joined, old, adv, sizes
 
 
 def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | None,
@@ -245,35 +234,27 @@ def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | N
     policy, beta times the per-token KL(pi || pi_ref) estimate
     r_ref - log r_ref - 1 (r_ref = pi_ref/pi), weighted the same way, is
     subtracted. token_weight maps the arrays of each token's group size and
-    trajectory length to the tokens' weights. The groups' flat lists become
-    one array per field for the whole batch, and all tokens are computed in
-    one pass of array expressions.
+    trajectory length to the tokens' weights. The groups' flat batches are
+    joined once, and all tokens are computed in one pass of array expressions.
     """
-    flats = [group.flat(policy) for group in batch]
-    ids = list(chain.from_iterable(flat.ids for flat in flats))
+    joined, old_logps, seq_adv, seq_sizes = _joined_groups(batch, policy)
+    ids, tokens, lengths = joined.ids, joined.tokens, joined.lengths
     n = len(ids)
     if not n:
         return ObjectiveReport(value=0.0, gradient={}, clipped_token_fraction=0.0,
                                kl_to_ref=0.0, objective_kind=cfg.objective_kind)
-
-    def column(field: str, dtype) -> np.ndarray:
-        return np.fromiter(chain.from_iterable(getattr(flat, field) for flat in flats),
-                           dtype, n)
-
-    tokens = column("tokens", np.intp)
-    adv = column("advantages", float)
-    sizes = np.repeat([group.size for group in batch], [len(flat.ids) for flat in flats])
-    w = token_weight(sizes, column("lengths", np.intp))
+    adv = np.repeat(seq_adv, lengths)
+    w = token_weight(np.repeat(seq_sizes, lengths), np.repeat(lengths, lengths))
     rows = prefix_rows(policy, ids)
-    new_lp = policy._log_prob_table()[rows, tokens]
-    ratios = np.exp(new_lp - column("old_logps", float))
+    new_lp = token_log_probs(policy, joined, rows)
+    ratios = np.exp(new_lp - old_logps)
     unclipped_term = ratios * adv
     clipped_term = np.minimum(np.maximum(ratios, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high) * adv
     clipped = clipped_term < unclipped_term
     pg_value = _left_fold(w * np.where(clipped, clipped_term, unclipped_term))
     pg_weights = (w * adv) * ratios
     if cfg.beta > 0.0 and ref_policy is not None:
-        ref_lp = ref_policy._log_prob_table()[prefix_rows(ref_policy, ids), tokens]
+        ref_lp = token_log_probs(ref_policy, joined)
         log_rr = ref_lp - new_lp
         # math.exp, not np.exp: the two differ in the last bit on some inputs.
         try:
@@ -307,7 +288,7 @@ def grpo_objective(groups, policy: PolicyTable, ref_policy: PolicyTable | None,
     Degenerate (all-equal-reward) groups contribute zero.
     """
     assert cfg.objective_kind == GRPO
-    batch = _as_groups(groups)
+    batch = list(groups)
     if not batch:
         raise ValueError("empty batch")
     n_groups = len(batch)
@@ -317,7 +298,7 @@ def grpo_objective(groups, policy: PolicyTable, ref_policy: PolicyTable | None,
 
 def dapo_filter(groups) -> tuple[list[RolloutGroup], int]:
     """Drop groups whose rewards are all-0 or all-1 (no learning signal)."""
-    batch = _as_groups(groups)
+    batch = list(groups)
     kept = [g for g in batch if 0 < sum(g.rewards) < g.size]
     return kept, len(batch) - len(kept)
 
@@ -346,42 +327,30 @@ def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     A_i * s_i / |y_i| share of the score.
     """
     assert cfg.objective_kind == GSPO
-    batch = _as_groups(groups)
+    batch = list(groups)
     if not batch:
         raise ValueError("empty batch")
-    n_groups = len(batch)
-    ids: list[int] = []
-    tokens: list[int] = []
-    weights: list[float] = []
-    value = 0.0
-    clipped_tokens = 0
-    considered_tokens = 0
-    for group in batch:
-        adv = group_advantages(group.rewards)
-        if adv.degenerate:
-            continue
-        g = group.size
-        for i, traj in enumerate(group.trajectories):
-            a = adv.values[i]
-            length = len(traj.tokens)
-            if length == 0:
-                continue
-            considered_tokens += length
-            s = sequence_ratio_gspo(policy, group.old_logps[i], traj)
-            clipped_s = min(max(s, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
-            unclipped_term = s * a
-            clipped_term = clipped_s * a
-            w = 1.0 / (n_groups * g)
-            if clipped_term < unclipped_term:
-                value += w * clipped_term
-                clipped_tokens += length
-            else:
-                value += w * unclipped_term
-                ids += prefix_ids(policy, traj.prompt_id, traj.tokens)
-                tokens += traj.tokens
-                weights += [w * a * s / length] * length
-    frac = clipped_tokens / considered_tokens if considered_tokens else 0.0
-    gradient = score_gradient(policy, ids, prefix_rows(policy, ids), tokens, weights)
+    joined, old_logps, adv, sizes = _joined_groups(batch, policy)
+    rows = prefix_rows(policy, joined.ids)
+    diff = token_log_probs(policy, joined, rows) - old_logps
+    lengths = joined.lengths
+    # Each ratio is the np.mean of its own slice, as sequence_ratio_gspo takes it.
+    ratios = np.ones(len(lengths))
+    for i, (stop, length) in enumerate(zip(np.cumsum(lengths).tolist(), lengths.tolist())):
+        if length:
+            ratios[i] = np.exp(diff[stop - length:stop].mean())
+    w = 1.0 / (len(batch) * sizes)
+    unclipped_term = ratios * adv
+    clipped_term = np.minimum(np.maximum(ratios, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high) * adv
+    clipped = clipped_term < unclipped_term
+    nonempty = lengths > 0
+    value = _left_fold((w * np.where(clipped, clipped_term, unclipped_term))[nonempty])
+    terms = np.flatnonzero(np.repeat(~clipped, lengths))
+    weights = np.repeat(w * adv * ratios / np.maximum(lengths, 1), lengths)[terms]
+    gradient = score_gradient(policy, [joined.ids[i] for i in terms.tolist()], rows[terms],
+                              joined.tokens[terms], weights)
+    considered = int(lengths.sum())
+    frac = int(lengths[clipped].sum()) / considered if considered else 0.0
     return ObjectiveReport(value=float(value), gradient=gradient,
                            clipped_token_fraction=frac,
                            kl_to_ref=0.0, objective_kind=GSPO)
@@ -405,17 +374,18 @@ def contrastive_decomposition(group: RolloutGroup, policy: PolicyTable) -> Contr
 
     Expectations are empirical means over the group's positive and negative
     rollouts of pi_theta(y|x)/|y| under the current policy, with log pi_theta(y|x)
-    the left-fold total trajectory_log_prob gives.
+    the left-fold total sequence_log_probs gives, as trajectory_log_prob's.
     """
     rewards = np.asarray(group.rewards)
     if rewards.min() == rewards.max():
         raise OneSidedGroup("need at least one positive and one negative rollout")
     p_hat = float(rewards.mean())
     var_term = math.sqrt(p_hat * (1.0 - p_hat))
+    totals = sequence_log_probs(policy, sequence_batch(
+        policy, ((t.prompt_id, t.tokens) for t in group.trajectories)))[1]
     pos, neg = [], []
-    for reward, traj in zip(group.rewards, group.trajectories):
-        lik = (math.exp(_left_fold(_token_logps(policy, traj.prompt_id, traj.tokens)))
-               / max(len(traj.tokens), 1))
+    for reward, traj, total in zip(group.rewards, group.trajectories, totals.tolist()):
+        lik = math.exp(total) / max(len(traj.tokens), 1)
         (pos if reward == 1 else neg).append(lik)
     return ContrastiveRecord(var_term=var_term,
                              pos_expectation=float(np.mean(pos)),

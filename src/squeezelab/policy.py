@@ -11,8 +11,12 @@ it touched. sample_trajectories is the one sampler, at temperature 1: per
 call it draws n * max_len doubles at once and rewinds the generator past the
 unused ones, steps each draw's prefix id and a task's validator table in the
 same pass, so rewards need no replay, and on request records every drawn
-token's prefix id, which RL groups keep for their token batch;
+token's prefix id, which RL groups keep for their sequence batch;
 greedy_decode steps ids the same way.
+Every set of sequences (RL groups, IRL demos, correct sets) is one
+SequenceBatch of flat terms, built by sequence_batch from recorded ids or
+prefix_ids, and one kernel reads it: token_log_probs gathers every token's
+log-prob at once, and sequence_log_probs adds each sequence's left-fold total.
 score_gradient is the one place score blocks (onehot - probs) are formed and
 summed, from a flat batch of terms: each term's prefix id, its table row
 (prefix_rows), token and weight. Gradients map prefix ids to blocks. The
@@ -27,7 +31,8 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -261,6 +266,73 @@ def _token_logps(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -
     """log pi(tokens[t] | tokens[:t]) for every t, gathered from the cached table."""
     rows = prefix_rows(policy, prefix_ids(policy, prompt_id, tokens))
     return policy._log_prob_table()[rows, list(tokens)]
+
+
+@dataclass(frozen=True, eq=False)
+class SequenceBatch:
+    """Sequences as flat terms, sequence after sequence in token order (see sequence_batch)."""
+
+    ids: list[int]       # the prefix id each token is drawn at (Python ints)
+    tokens: np.ndarray   # each token's id
+    lengths: np.ndarray  # each sequence's length
+
+    @cached_property
+    def padding(self) -> tuple[np.ndarray, tuple[int, int]]:
+        """Where sequence_log_probs puts each token's log-prob, built on first
+        use: its index in a flat array of the given shape, a row of zeros and
+        then one row per token depth, with a column per sequence."""
+        n = len(self.lengths)
+        seq = np.repeat(np.arange(n), self.lengths)
+        depth = np.arange(len(self.tokens)) - (np.cumsum(self.lengths) - self.lengths)[seq]
+        return (depth + 1) * n + seq, (int(self.lengths.max(initial=0)) + 1, n)
+
+
+def sequence_batch(policy: PolicyTable, sequences, ids: list[int] | None = None) -> SequenceBatch:
+    """The (prompt_id, tokens) pairs of sequences as one SequenceBatch at policy's shape.
+
+    ids, when given, are the prefix ids the sampler recorded for these tokens
+    (sample_trajectories' ids); otherwise prefix_ids numbers them, raising as
+    check_sequence does.
+    """
+    sequences = list(sequences)
+    if ids is None:
+        ids = [i for pid, tokens in sequences for i in prefix_ids(policy, pid, tokens)]
+    return SequenceBatch(
+        ids=ids,
+        tokens=np.fromiter(chain.from_iterable(t for _, t in sequences), np.intp, len(ids)),
+        lengths=np.fromiter((len(t) for _, t in sequences), np.intp, len(sequences)))
+
+
+def join_batches(batches) -> SequenceBatch:
+    """Several SequenceBatches as one, batch after batch."""
+    batches = list(batches) or [SequenceBatch([], np.empty(0, np.intp), np.empty(0, np.intp))]
+    return SequenceBatch(ids=list(chain.from_iterable(b.ids for b in batches)),
+                         tokens=np.concatenate([b.tokens for b in batches]),
+                         lengths=np.concatenate([b.lengths for b in batches]))
+
+
+def token_log_probs(policy: PolicyTable, batch: SequenceBatch, rows=None) -> np.ndarray:
+    """Every token's log-prob under policy, from one gather of the cached table;
+    rows, if given, are the batch ids' rows (prefix_rows)."""
+    if rows is None:
+        rows = prefix_rows(policy, batch.ids)
+    return policy._log_prob_table()[rows, batch.tokens]
+
+
+def sequence_log_probs(policy: PolicyTable, batch: SequenceBatch,
+                       rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """token_log_probs and every sequence's total log-prob under policy.
+
+    Each total is a left fold from 0.0 in token order, as
+    trajectory_log_prob's: the log-probs go into a zero-padded array below a
+    row of zeros, and np.add.accumulate adds its rows in order; adding 0.0 is
+    exact. An empty sequence totals 0.0.
+    """
+    logps = token_log_probs(policy, batch, rows)
+    slots, shape = batch.padding
+    padded = np.zeros(shape)
+    padded.reshape(-1)[slots] = logps
+    return logps, np.add.accumulate(padded)[-1]
 
 
 def token_distribution(policy: PolicyTable, prefix: Prefix) -> TokenDistribution:

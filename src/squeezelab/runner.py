@@ -252,10 +252,6 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
     timings["eval"] = time.perf_counter() - t0
 
 
-COMPARED_METRICS = ("avg_at_k", "similarity_bigram_jaccard", "greedy_drift_mean",
-                    "support_covered", "support_mass")
-
-
 def _best_checkpoint_report(run_dir: str) -> dict:
     manifest_path = os.path.join(run_dir, "manifest.json")
     checkpoints_path = os.path.join(run_dir, "checkpoints.csv")

@@ -17,13 +17,13 @@ of the whole suite's demos (irl_scope), each block the circular
 irl_batch_size slice of its demos that starts at s. One guarded descent
 serves every block at once. Blocks never share a prompt, so they own
 disjoint rows of the policy and each block's loss moves only with its own
-step: irl_loss flattens all demos into one batch of prefix ids, table rows,
-tokens and weights for one policy.score_gradient call (the one place score
-blocks are formed), each line-search pass is one apply_update and one
-irl_value call on the demo terms the descent built once, and only the
-blocks whose loss rose halve their step and retry. Values are per-block
-left folds from one gather of the log-prob table, so the result is bit for
-bit a descent on each block in turn.
+step: irl_loss flattens all demos into one policy.SequenceBatch, built once
+per descent, for one policy.score_gradient call (the one place score blocks
+are formed), each line-search pass is one apply_update and one irl_value
+call on that batch, and only the blocks whose loss rose halve their step and
+retry. Values are per-block left folds of the demo totals one
+policy.sequence_log_probs call gives, so the result is bit for bit a descent
+on each block in turn.
 A baseline loop with the IRL stage disabled shares every other code path so
 the two runs differ only by that stage.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import compress
 
 import numpy as np
 
@@ -48,13 +48,16 @@ from .objectives import (
 )
 from .policy import (
     PolicyTable,
+    SequenceBatch,
     Trajectory,
+    _left_fold,
     apply_update,
     derive_rng,
-    prefix_ids,
     prefix_rows,
     save_checkpoint,
     score_gradient,
+    sequence_batch,
+    sequence_log_probs,
 )
 
 LOW_LIKELIHOOD = "low_likelihood"
@@ -100,8 +103,6 @@ class SpsConfig:
     holdout_count: int = 0
     convergence_eval_n: int = 16
     trace_metrics: bool = False
-    trace_eval_n: int = 8
-    trace_pass_k: int = 3
     trace_prob_floor: float = 1e-4
     checkpoint_every: int = 1
 
@@ -130,6 +131,8 @@ class SpsConfig:
             raise ValueError("rl_lr and irl_lr must be >= 0")
         if self.holdout_count < 0:
             raise ValueError("holdout_count must be >= 0")
+        if self.dapo_max_resamples < 0:
+            raise ValueError("dapo_max_resamples must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -210,44 +213,25 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     return DemoSet(entries)
 
 
-def _demo_terms(policy: PolicyTable, blocks) -> list[tuple[list[int], list[int], list[int]]]:
-    """Each block's demo tokens as a term batch, in demo and token order:
-    each term's prefix id and token, and each demo's length."""
-    terms = []
-    for block in blocks:
-        if not block:
-            raise ValueError("demos must be nonempty")
-        ids, tokens, lengths = [], [], []
-        for traj in block:
-            ids += prefix_ids(policy, traj.prompt_id, traj.tokens)
-            tokens += traj.tokens
-            lengths.append(len(traj.tokens))
-        terms.append((ids, tokens, lengths))
-    return terms
+def _demo_terms(policy: PolicyTable, blocks) -> SequenceBatch:
+    """Every block's demos as one SequenceBatch, in block then demo order."""
+    if not all(blocks):
+        raise ValueError("demos must be nonempty")
+    return sequence_batch(policy, ((t.prompt_id, t.tokens) for block in blocks for t in block))
 
 
-def _block_values(policy: PolicyTable, blocks, terms, rows=None) -> list[float]:
-    """Each block's mean demo NLL, gathered from the cached log-prob table at once.
+def _block_values(policy: PolicyTable, blocks, terms: SequenceBatch, rows=None) -> list[float]:
+    """Each block's mean demo NLL from one sequence_log_probs call.
 
-    terms are the blocks' _demo_terms, and rows, if given, their terms' rows
-    of the policy's table. Each demo's total and each block's sum of totals
-    are left folds, so a block's value is bit for bit the one
-    trajectory_log_prob's totals give.
+    terms are the blocks' _demo_terms, and rows, if given, their rows of the
+    policy's table. Each demo's total and each block's sum of totals are left
+    folds, so a block's value is bit for bit the one trajectory_log_prob's
+    totals give.
     """
-    if rows is None:
-        rows = prefix_rows(policy, list(chain.from_iterable(ids for ids, _, _ in terms)))
-    tokens = list(chain.from_iterable(toks for _, toks, _ in terms))
-    logps = iter(policy._log_prob_table()[rows, tokens].tolist())
-    values = []
-    for block, (_, _, lengths) in zip(blocks, terms):
-        total = 0.0
-        for length in lengths:
-            demo_total = 0.0
-            for logp in islice(logps, length):
-                demo_total += logp
-            total += demo_total
-        values.append(-total / len(block))
-    return values
+    totals = sequence_log_probs(policy, terms, rows)[1]
+    stops = np.cumsum([len(block) for block in blocks]).tolist()
+    return [-_left_fold(totals[stop - len(block):stop]) / len(block)
+            for block, stop in zip(blocks, stops)]
 
 
 def irl_value(policy: PolicyTable, blocks, terms=None) -> list[float]:
@@ -273,13 +257,10 @@ def irl_loss(policy: PolicyTable, blocks,
     """
     if terms is None:
         terms = _demo_terms(policy, blocks)
-    ids = list(chain.from_iterable(ids for ids, _, _ in terms))
-    tokens = np.fromiter(chain.from_iterable(toks for _, toks, _ in terms), np.intp, len(ids))
-    rows = prefix_rows(policy, ids)
-    weights = np.repeat([-1.0 / len(block) for block in blocks for _ in block],
-                        [length for _, _, lengths in terms for length in lengths])
+    rows = prefix_rows(policy, terms.ids)
+    weights = np.repeat([-1.0 / len(block) for block in blocks for _ in block], terms.lengths)
     return (_block_values(policy, blocks, terms, rows),
-            score_gradient(policy, ids, rows, tokens, weights))
+            score_gradient(policy, terms.ids, rows, terms.tokens, weights))
 
 
 def irl_descent_step(policy: PolicyTable, blocks, lr: float,
@@ -324,11 +305,11 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
 
     for attempt in range(max_halvings + 1):
         cand = update(searching)
-        pending = np.flatnonzero(searching).tolist()
-        cand_values = irl_value(cand, [blocks[b] for b in pending], [terms[b] for b in pending])
-        for b, value in zip(pending, cand_values):
-            if value <= values[b]:
-                values[b] = value
+        # Blocks no longer searching keep their rows, so their values stand.
+        cand_values = irl_value(cand, blocks, terms)
+        for b in np.flatnonzero(searching).tolist():
+            if cand_values[b] <= values[b]:
+                values[b] = cand_values[b]
                 searching[b] = False
                 moved[b] = True
             else:
@@ -418,24 +399,22 @@ class TrainTrace:
                 fh.write(rec.csv_row() + "\n")
 
 
-def _master_seed(rng) -> int:
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    return int(rng.integers(0, 2**32))
-
-
 def _step_seed(master: int, iteration: int, step: int) -> int:
     return int(np.random.SeedSequence([master, iteration, step]).generate_state(1)[0])
+
+
+# Samples per task and the k of the sampled Pass@k in each traced step.
+_TRACE_EVAL_N = 8
+_TRACE_PASS_K = 3
 
 
 def _trace_eval(policy, tasks, cfg: SpsConfig, master: int, tag: int):
     if not cfg.trace_metrics:
         return None, None
     rng = derive_rng(master, 7001, tag)
-    matrix = sample_matrix(policy, tasks, cfg.trace_eval_n, rng)
-    k = min(cfg.trace_pass_k, cfg.trace_eval_n)
+    matrix = sample_matrix(policy, tasks, _TRACE_EVAL_N, rng)
     pk = float(np.mean([
-        pass_at_k_unbiased(cfg.trace_eval_n, int(row.sum()), k)
+        pass_at_k_unbiased(_TRACE_EVAL_N, int(row.sum()), _TRACE_PASS_K)
         for row in matrix.rewards
     ]))
     covs = []
@@ -445,9 +424,9 @@ def _trace_eval(policy, tasks, cfg: SpsConfig, master: int, tag: int):
     return pk, float(np.mean(covs))
 
 
-def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
+def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
           irl_enabled: bool, out_dir=None, on_checkpoint=None) -> tuple[PolicyTable, TrainTrace]:
-    master = _master_seed(rng)
+    master = int(seed)
     tasks = list(task_suite)
     holdout = []
     if cfg.convergence_epsilon is not None and cfg.holdout_count > 0:
@@ -513,19 +492,20 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
     return policy, trace
 
 
-def sps_loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, rng,
+def sps_loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
              out_dir=None, on_checkpoint=None) -> tuple[PolicyTable, TrainTrace]:
     """Alternate RL phases with the IRL stage for cfg.max_iterations.
 
     With out_dir set, each checkpoint written is also handed to
     on_checkpoint(iteration, policy), if given.
     """
-    return _loop(base_policy, task_suite, cfg, rng, irl_enabled=True,
+    return _loop(base_policy, task_suite, cfg, seed, irl_enabled=True,
                  out_dir=out_dir, on_checkpoint=on_checkpoint)
 
 
 def grpo_baseline_loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig,
-                       rng, out_dir=None, on_checkpoint=None) -> tuple[PolicyTable, TrainTrace]:
+                       seed: int, out_dir=None,
+                       on_checkpoint=None) -> tuple[PolicyTable, TrainTrace]:
     """The same schedule with the IRL stage disabled, for fair comparison."""
-    return _loop(base_policy, task_suite, cfg, rng, irl_enabled=False,
+    return _loop(base_policy, task_suite, cfg, seed, irl_enabled=False,
                  out_dir=out_dir, on_checkpoint=on_checkpoint)

@@ -6,7 +6,8 @@ must name an outgoing edge of the current node, the terminator ends the walk
 early, and the reward is 1 exactly when the walk stops on the target. Because
 the graphs are tiny the full set of correct trajectories is enumerable, which
 turns exploration into a measurable quantity instead of a proxy. Each task
-caches it once, as prefix ids at its own shape (TaskInstance.correct_set).
+caches it once, as a policy.SequenceBatch of prefix ids at its own shape
+(TaskInstance.correct_set).
 """
 from __future__ import annotations
 
@@ -14,12 +15,11 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .errors import GenerationFailed, SpaceTooLarge
-from .policy import PolicyTable, Vocab, derive_rng, prefix_ids
+from .policy import PolicyTable, SequenceBatch, Vocab, derive_rng, sequence_batch
 
 MAX_NODE_COUNT = 64
 ENUMERATION_BOUND = 1_000_000
@@ -106,34 +106,14 @@ class TaskInstance:
         return tuple(enumerate_correct(self))
 
     @cached_property
-    def correct_set(self) -> CorrectSet:
-        """correct_sequences as one flat token batch of prefix ids, built on first use.
+    def correct_set(self) -> SequenceBatch:
+        """correct_sequences as one SequenceBatch at the task's shape, built on first use.
 
         Suite generation and skewing read only correct_sequences, so a
         rejected generation candidate never builds it.
         """
-        sequences = self.correct_sequences
-        lengths = [len(s) for s in sequences]
         table = PolicyTable(Vocab(self.spec.vocab_size), self.spec.max_len)
-        return CorrectSet(
-            ids=[i for s in sequences for i in prefix_ids(table, self.prompt_id, s)],
-            tokens=np.fromiter(chain.from_iterable(sequences), np.intp),
-            seq=np.repeat(np.arange(len(sequences)), lengths),
-            depth=np.fromiter(chain.from_iterable(map(range, lengths)), np.intp),
-            longest=max(lengths, default=0),
-        )
-
-
-@dataclass(frozen=True)
-class CorrectSet:
-    """Every token of a task's correct sequences, sequence after sequence in
-    the task's correct_sequences order."""
-
-    ids: list[int]           # the prefix id each token is drawn at, at the task's shape
-    tokens: np.ndarray       # token ids
-    seq: np.ndarray          # the token's sequence, an index into correct_sequences
-    depth: np.ndarray        # the token's position in its sequence
-    longest: int             # the length of the longest sequence
+        return sequence_batch(table, ((self.prompt_id, s) for s in self.correct_sequences))
 
 
 @dataclass(frozen=True)
@@ -229,12 +209,15 @@ class FamilyParams:
     decoy_count: int = 1
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        for name, least in (("count", 1), ("max_len", 1), ("mid_layers", 0), ("decoy_count", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.vocab_size < 3:
             raise ValueError("vocab_size must be >= 3: two edge tokens plus the terminator")
         if not 0.0 < self.edge_density <= 1.0:
             raise ValueError("edge_density must be in (0, 1]")
+        if self.mid_layers and self.layer_width < 1:
+            raise ValueError("layer_width must be >= 1 when mid_layers >= 1")
 
 
 def _generate_task(prompt_id: int, params: FamilyParams,

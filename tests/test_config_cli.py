@@ -1,15 +1,21 @@
 """Config parsing, the run orchestrator, and the command-line surface."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import pathlib
 import re
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from squeezelab import cli, policy, runner, tasks
+from squeezelab import cli, config, policy, runner, tasks
 from squeezelab.config import ExperimentConfig, parse_config_text
 from squeezelab.errors import ConfigError
 from squeezelab.metrics import avg_at_k, evaluation_report, sample_matrix
@@ -126,6 +132,13 @@ REJECTED_AT_PARSE = {
     "sps.holdout_count": "sps.holdout_count = 32\nsps.convergence_epsilon = 0.01\n",
     # gspo mode pins the objective, whose clip range must not be inverted.
     "rl.eps_low": "mode = gspo\nrl.eps_low = 0.5\nrl.eps_high = 0.4\n",
+    # Suite shapes the task generator cannot build.
+    "suite.layer_width": "suite.layer_width = 0\n",
+    "suite.decoy_count": "suite.decoy_count = -1\n",
+    "suite.mid_layers": "suite.mid_layers = -1\n",
+    "suite.max_len": "suite.max_len = 0\n",
+    # A negative count leaves DAPO no sampling attempt at all.
+    "rl.dapo_max_resamples": "mode = dapo\nrl.dapo_max_resamples = -1\n",
 }
 
 
@@ -149,6 +162,85 @@ def test_parse_keeps_settings_the_run_accepts():
     parse_config_text("sps.irl_batch_size = none\nrl.group_size = 2\nsps.sampling_size = 2\n"
                       "eval.n = 2\n")
     parse_config_text("mode = grpo\nrl.eps_low = 0.5\nrl.eps_high = 0.4\n")
+    # With no middle layer the layer width is never read.
+    parse_config_text("suite.layer_width = 0\nsuite.mid_layers = 0\n")
+
+
+# Keys a run's cost grows with, and the largest value the property test gives them.
+SMALL_RUN = {"suite.count": 2, "sps.max_iterations": 1, "rl.steps_per_iteration": 2,
+             "sps.irl_steps_per_iteration": 2, "rl.group_size": 4, "eval.n": 6}
+CHOICES = {"mode": config.MODES, "rl.objective": ("grpo", "dapo", "gspo"),
+           "rl.scope": ("per_prompt", "full_suite"), "sps.irl_scope": ("per_prompt", "full_suite")}
+# Path keys keep their defaults: the test writes its own out_dir.
+FIXED_KEYS = ("out_dir", "eval.checkpoint", "eval.suite_path", "eval.base_checkpoint")
+
+
+def key_values(key):
+    """Values for one config key, by its SCHEMA type: ordinary ones and ones a rule rejects."""
+    tag, default = config.SCHEMA[key]
+    if key in SMALL_RUN:
+        return st.integers(-1, SMALL_RUN[key])
+    return {
+        "int": lambda: st.integers(-1, default + 1),
+        "opt_int": lambda: st.none() | st.integers(-1, 3),
+        "float": lambda: st.sampled_from([-0.5, 0.0, default, 1.0, 2 * default + 1]),
+        "opt_float": lambda: st.none() | st.sampled_from([-0.5, 0.0, 0.01, 0.3, 1.5]),
+        "bool": st.booleans,
+        "int_list": lambda: st.lists(st.integers(-1, 8), max_size=3),
+        "float_list": lambda: st.lists(st.sampled_from([-3.0, 0.0, 1.0, 2.0]), max_size=5),
+        "str": lambda: st.sampled_from(CHOICES.get(key, (default,)) + ("bogus",)),
+    }[tag]()
+
+
+CONFIGS = st.lists(st.sampled_from([k for k in config.SCHEMA if k not in FIXED_KEYS]),
+                   unique=True, max_size=6).flatmap(
+    lambda keys: st.fixed_dictionaries({key: key_values(key) for key in keys}))
+
+
+def render(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(overrides={"suite.layer_width": 0})
+@example(overrides={"suite.decoy_count": -1})
+@example(overrides={"suite.mid_layers": -1})
+@given(overrides=CONFIGS)
+def test_every_config_is_rejected_at_parse_time_or_runs_without_a_traceback(
+        overrides, tmp_path, monkeypatch):
+    # A config either fails to parse, with exit 2 and nothing written, or runs:
+    # to the end, or to a named squeezelab error. No other exception escapes
+    # the CLI, which would print a traceback.
+    monkeypatch.delenv("SQUEEZELAB_SEED", raising=False)
+    root = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    out_dir = root / "out"
+    values = {**SMALL_RUN, "eval.k": [1, 2], **overrides}
+    text = "".join(f"{key} = {render(value)}\n" for key, value in values.items())
+    text += f"out_dir = {out_dir}\n"
+    try:
+        parse_config_text(text)
+        parsed = True
+    except ConfigError:
+        parsed = False
+    (root / "run.cfg").write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["run", str(root / "run.cfg")])
+    err = err.getvalue()
+    if not parsed:
+        assert code == 2 and err.startswith("config error: ")
+        assert not out_dir.exists()
+    elif code == 0:
+        assert (out_dir / "manifest.json").exists()
+    else:
+        assert code in (1, 2) and err.startswith(("error: ", "config error: ")), err
 
 
 def test_config_text_round_trip():

@@ -644,7 +644,43 @@ def reference_clipped_token_loop(batch, policy, ref_policy, cfg, token_weight):
                            objective_kind=cfg.objective_kind)
 
 
+def reference_gspo_loop(groups, policy, cfg):
+    """The per-trajectory GSPO loop, one sequence_ratio_gspo and one prefix_ids per
+    trajectory: the flat GSPO objective's bit-for-bit reference."""
+    terms = []
+    value = 0.0
+    clipped_tokens = 0
+    considered_tokens = 0
+    for group in groups:
+        adv = group_advantages(group.rewards)
+        if adv.degenerate:
+            continue
+        for i, traj in enumerate(group.trajectories):
+            a = adv.values[i]
+            length = len(traj.tokens)
+            if length == 0:
+                continue
+            considered_tokens += length
+            s = sequence_ratio_gspo(policy, group.old_logps[i], traj)
+            clipped_s = min(max(s, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
+            unclipped_term = s * a
+            clipped_term = clipped_s * a
+            w = 1.0 / (len(groups) * group.size)
+            if clipped_term < unclipped_term:
+                value += w * clipped_term
+                clipped_tokens += length
+            else:
+                value += w * unclipped_term
+                terms += [(traj.prompt_id, traj.tokens[:t], tok, w * a * s / length)
+                          for t, tok in enumerate(traj.tokens)]
+    frac = clipped_tokens / considered_tokens if considered_tokens else 0.0
+    return ObjectiveReport(value=float(value), gradient=flat_score_gradient(policy, terms),
+                           clipped_token_fraction=frac, kl_to_ref=0.0, objective_kind="gspo")
+
+
 def reference_objective(groups, policy, ref_policy, cfg):
+    if cfg.objective_kind == "gspo":
+        return reference_gspo_loop(groups, policy, cfg)
     if cfg.objective_kind == "grpo":
         n_groups = len(groups)
         return reference_clipped_token_loop(groups, policy, ref_policy, cfg,
@@ -681,26 +717,35 @@ def random_groups(rng, behavior, vocab, prompt_ids, n_groups, off_policy):
     return groups
 
 
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 5), max_len=st.integers(1, 4),
-       n_groups=st.integers(1, 4), kind=st.sampled_from(["grpo", "dapo"]),
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 5), max_len=st.integers(1, 10),
+       n_groups=st.integers(1, 4), kind=st.sampled_from(["grpo", "dapo", "gspo"]),
        beta=st.sampled_from([0.0, 0.01, 0.3]), ref=st.sampled_from(["none", "self", "other"]),
        off_policy=st.sampled_from([0.0, 0.05, 0.5]), steps=st.integers(1, 3))
 def test_token_batch_kernel_matches_the_per_token_loop(seed, vocab, max_len, n_groups, kind,
                                                        beta, ref, off_policy, steps):
     rng = np.random.default_rng(seed)
     # Prompt 7 has no stored rows; small vocabularies repeat prefixes often.
-    behavior = random_policy(vocab, max_len, rng, prompt_ids=(0, 1), scale=1.5)
+    # Random rows go down to depth 4; deeper prefixes start uniform. From 8
+    # tokens on, np.mean sums pairwise, so GSPO's per-slice means are checked
+    # on long trajectories too.
+    behavior = PolicyTable(Vocab(vocab), max_len)
+    for key, vec in random_policy(vocab, min(max_len, 4), rng, prompt_ids=(0, 1),
+                                  scale=1.5).stored_items():
+        behavior.set_logits(*key, vec)
     groups = random_groups(rng, behavior, vocab, (0, 1, 7), n_groups, off_policy)
-    cfg = ClipConfig.grpo(beta=beta) if kind == "grpo" else ClipConfig.dapo()
+    cfg = {"grpo": ClipConfig.grpo(beta=beta), "dapo": ClipConfig.dapo(),
+           "gspo": ClipConfig("gspo", 0.02, 0.025)}[kind]
     policy = perturb(behavior, rng, radius=0.3)
     ref_policy = {"none": None, "self": policy, "other": behavior}[ref]
     # The same group objects serve every step, as reused rollouts do.
     for _ in range(steps):
         if kind == "grpo":
             got = grpo_objective(groups, policy, ref_policy, cfg)
-        else:
+        elif kind == "dapo":
             got = dapo_objective(groups, policy, cfg)
+        else:
+            got = gspo_objective(groups, policy, cfg)
         assert_same_report(got, reference_objective(groups, policy, ref_policy, cfg))
         policy = apply_update(policy, got.gradient, float(rng.choice([0.5, 4.0])))
 
@@ -760,7 +805,8 @@ def test_grpo_and_dapo_steps_gather_no_per_trajectory_log_probs(monkeypatch):
 
 def test_grpo_and_dapo_steps_build_no_prefix_ids_for_sampled_trajectories(monkeypatch):
     # Sampled groups keep the ids the sampler drew their tokens at, so the flat
-    # batch of a fresh, a resampled or a reused group needs no prefix_ids.
+    # batch of a fresh, a resampled or a reused group needs no prefix_ids, in
+    # GRPO, DAPO and GSPO steps alike.
     calls = []
 
     def counting(*args):
@@ -771,10 +817,14 @@ def test_grpo_and_dapo_steps_build_no_prefix_ids_for_sampled_trajectories(monkey
         sampled.append(args[1].prompt_id)
         return sample_group(*args)
 
+    def forbidden(*args):
+        raise AssertionError("GSPO reads its ratios off the flat batch")
+
     monkeypatch.setattr(policy_module, "prefix_ids", counting)
-    monkeypatch.setattr(objectives_module, "prefix_ids", counting)
     monkeypatch.setattr(objectives_module, "sample_group", counting_groups)
-    for overrides in ({}, {"rl.objective": "dapo", "rl.dapo_max_resamples": 2}):
+    monkeypatch.setattr(objectives_module, "sequence_ratio_gspo", forbidden)
+    for overrides in ({}, {"rl.objective": "dapo", "rl.dapo_max_resamples": 2},
+                      {"rl.objective": "gspo"}):
         sampled = []
         cfg = ExperimentConfig.from_dict(overrides)
         seed = cfg["seed"]
@@ -791,7 +841,10 @@ def test_grpo_and_dapo_steps_build_no_prefix_ids_for_sampled_trajectories(monkey
         for group in groups:
             kept = group.flat(new_policy)
             group.drop_flat()
-            assert group.flat(new_policy) == kept
+            again = group.flat(new_policy)
+            assert again.ids == kept.ids
+            assert np.array_equal(again.tokens, kept.tokens)
+            assert np.array_equal(again.lengths, kept.lengths)
         assert calls
         calls.clear()
 

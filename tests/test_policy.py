@@ -29,19 +29,24 @@ from squeezelab.policy import (
     entropy,
     grad_log_prob,
     greedy_decode,
+    join_batches,
     load_checkpoint,
     make_trajectory,
     prefix_id,
     prefix_ids,
     prefix_key,
+    prefix_rows,
     sample_trajectories,
     sample_trajectory,
     save_checkpoint,
+    sequence_batch,
+    sequence_log_probs,
     softmax,
     token_distribution,
     trajectory_log_prob,
     _log_probs,
     _log_softmax,
+    _token_logps,
 )
 from squeezelab.tasks import PathTaskSpec, TaskInstance, validate
 
@@ -589,6 +594,36 @@ def test_prefix_ids_number_every_key_once(shape, data):
     for prompt_id, tokens in keys:
         assert prefix_ids(policy, prompt_id, tokens) == [
             prefix_id(policy, prompt_id, tokens[:t]) for t in range(len(tokens))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(vocab=st.integers(2, 6), max_len=st.integers(1, 12), data=st.data())
+def test_sequence_log_probs_kernel_matches_the_per_sequence_path(vocab, max_len, data):
+    # From 8 tokens on np.sum pairs terms, so a total that is not a left fold
+    # shows up on long sequences.
+    policy = PolicyTable(Vocab(vocab), max_len)
+    sequences = data.draw(st.lists(
+        st.tuples(st.integers(-3, 3),
+                  st.lists(st.integers(0, vocab - 1), max_size=max_len).map(tuple)),
+        max_size=12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for prompt_id, tokens in sequences:
+        for t in range(len(tokens)):
+            if rng.random() < 0.7:  # the others read the zero row
+                policy.set_logits(prompt_id, tokens[:t], 3.0 * rng.normal(size=vocab))
+    cut = data.draw(st.integers(0, len(sequences)))
+    batch = sequence_batch(policy, sequences)
+    joined = join_batches([sequence_batch(policy, sequences[:cut]),
+                           sequence_batch(policy, sequences[cut:])])
+    assert batch.ids == joined.ids == [i for prompt_id, tokens in sequences
+                                       for i in prefix_ids(policy, prompt_id, tokens)]
+    expected_logps = [_token_logps(policy, prompt_id, tokens) for prompt_id, tokens in sequences]
+    expected_totals = [trajectory_log_prob(policy, prompt_id, tokens)[1]
+                       for prompt_id, tokens in sequences]
+    for b, rows in ((batch, None), (joined, prefix_rows(policy, joined.ids))):
+        logps, totals = sequence_log_probs(policy, b, rows)
+        assert np.array_equal(logps, np.concatenate([np.empty(0)] + expected_logps))
+        assert totals.tolist() == expected_totals
 
 
 def test_checkpoint_rejects_malformed_files(tmp_path):

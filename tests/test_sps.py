@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from squeezelab.errors import NoRollouts
 from squeezelab import objectives, sps
-from squeezelab.objectives import ClipConfig, RolloutGroup, TokenBatch, rl_step
+from squeezelab.objectives import ClipConfig, RolloutGroup, rl_step
 from squeezelab.policy import (
     PolicyTable,
     Trajectory,
@@ -24,6 +24,7 @@ from squeezelab.policy import (
     prefix_rows,
     sample_trajectory,
     score_gradient,
+    sequence_batch,
     trajectory_log_prob,
 )
 from squeezelab.sps import (
@@ -667,16 +668,16 @@ def test_sps_loop_flattens_each_group_once_and_frees_the_batch(diamond_task, mon
             fresh.extend(result[2])
         return result
 
-    def recording_batch(**fields):
-        built.append(fields)
-        return TokenBatch(**fields)
+    def recording_batch(*args):
+        built.append(args)
+        return sequence_batch(*args)
 
     def recording_select(groups, prompt_id, cfg):
         held.extend("_flat" in vars(group) or "_ids" in vars(group) for group in groups)
         return l2te_select(groups, prompt_id, cfg)
 
     monkeypatch.setattr(sps, "rl_step", recording_rl_step)
-    monkeypatch.setattr(objectives, "TokenBatch", recording_batch)
+    monkeypatch.setattr(objectives, "sequence_batch", recording_batch)
     monkeypatch.setattr(sps, "l2te_select", recording_select)
     sps_loop(policy, [diamond_task], cfg, 17)
     # Reused groups keep their batch across steps; no batch and no sampled ids
