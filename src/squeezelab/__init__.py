@@ -36,6 +36,8 @@ from .metrics import (
     avg_at_k,
     evaluation_report,
     greedy_logprob_report,
+    mean_mass_on_correct,
+    pass_at_k_exact,
     pass_at_k_mc,
     pass_at_k_unbiased,
     sample_matrix,

@@ -11,9 +11,12 @@ task, with rewards from the task's fused validator.
 Each task enumerates its correct set once (TaskInstance.correct_sequences,
 flattened once into TaskInstance.correct_set, a policy.SequenceBatch), so
 support and mass take one call of the sequence_log_probs kernel per task.
-Similarity compares each pair of
-distinct sampled sequences once and folds the pair values back in sample
-order. Both give the bits of the per-sequence and per-pair loops they replace.
+The mass p gives exact Avg@k (mean_mass_on_correct) and exact i.i.d. Pass@k
+(pass_at_k_exact), the expectations of the sampled estimators; the training
+loop reads only these and samples nothing to measure. Similarity compares
+each pair of distinct sampled sequences once and folds the pair values back
+in sample order. Coverage, mass and similarity give the bits of the
+per-sequence and per-pair loops they replace.
 """
 from __future__ import annotations
 
@@ -89,6 +92,16 @@ def pass_at_k_unbiased(n: int, c: int, k: int) -> float:
         raise KExceedsN(f"k={k} exceeds sample count n={n}")
     total = math.comb(n, k)
     return (total - math.comb(n - c, k)) / total
+
+
+def pass_at_k_exact(p: float, k: int) -> float:
+    """Exact i.i.d. Pass@k of a task whose correct set holds mass p: 1 - (1 - p)^k.
+
+    It is the expectation of pass_at_k_unbiased over n >= k samples.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    return 1.0 - (1.0 - p) ** k
 
 
 def pass_at_k_mc(policy: PolicyTable, task: TaskInstance, k: int, trials: int,
@@ -210,6 +223,16 @@ def support_coverage(policy: PolicyTable, task: TaskInstance,
     probs = np.fromiter(map(math.exp, totals.tolist()), float, len(totals))
     return CoverageRecord(covered=int(np.count_nonzero(probs >= prob_floor)),
                           total=len(probs), mass_on_correct=_left_fold(probs))
+
+
+def mean_mass_on_correct(policy: PolicyTable, tasks) -> float:
+    """Exact Avg@k: the task mean of each task's mass on its correct set.
+
+    It is the expectation of avg_at_k over any number of samples, and the
+    expression evaluation_report writes as its support mass.
+    """
+    return float(np.mean([support_coverage(policy, task, 0.0).mass_on_correct
+                          for task in tasks]))
 
 
 @dataclass(frozen=True)

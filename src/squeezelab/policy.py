@@ -574,6 +574,8 @@ def load_checkpoint(path) -> PolicyTable:
     if size < 2 or max_len < 1:
         raise CheckpointCorrupt(f"invalid dimensions vocab={size} max_len={max_len}", line=1)
     policy = PolicyTable(Vocab(size), max_len)
+    # Rows are parsed as Python floats and become the table in one array.
+    vecs = [[0.0] * size]
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             raise CheckpointCorrupt("blank line inside checkpoint", line=lineno)
@@ -584,19 +586,20 @@ def load_checkpoint(path) -> PolicyTable:
         try:
             prompt_id = int(fields[0])
             tokens = () if fields[1] == "-" else tuple(int(t) for t in fields[1].split(","))
-            vec = np.array([float(x) for x in fields[2:]])
+            vec = list(map(float, fields[2:]))
         except ValueError as exc:
             raise CheckpointCorrupt(str(exc), line=lineno) from exc
         try:
             ident = prefix_id(policy, prompt_id, tokens)
         except (InvalidToken, PrefixExhausted) as exc:
             raise CheckpointCorrupt(f"prefix {fields[1]!r}: {exc}", line=lineno) from exc
-        if not np.all(np.isfinite(vec)):
+        if not all(map(math.isfinite, vec)):
             raise CheckpointCorrupt("non-finite logit value", line=lineno)
         if ident in policy._rows:
             raise CheckpointCorrupt(f"duplicate prefix {fields[0]} {fields[1]}", line=lineno)
-        row = policy._allocate(ident)
-        policy._data[row] = vec
+        policy._rows[ident] = len(vecs)
+        vecs.append(vec)
+    policy._data = np.array(vecs)
     return policy
 
 

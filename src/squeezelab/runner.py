@@ -6,7 +6,8 @@ suite, checkpoints, trace files, evaluation report, and a manifest embedding
 the fully resolved config. Non-checkpoint artifacts are written under
 `.partial` names and renamed only when the run completes, so a crashed run
 is recognizable by its suffixes while the last checkpoint stays usable.
-Checkpoints are ranked from the policies in memory as the loop writes them.
+Checkpoints are ranked by exact Avg@k, the mean mass on each task's correct
+set, from the policies in memory as the loop writes them.
 """
 from __future__ import annotations
 
@@ -23,13 +24,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError, MissingArtifacts
-from .metrics import (
-    AccuracyHistogram,
-    avg_at_k,
-    evaluation_report,
-    report_to_json,
-    sample_matrix,
-)
+from .metrics import AccuracyHistogram, evaluation_report, mean_mass_on_correct, report_to_json
 from .policy import derive_rng, load_checkpoint, save_checkpoint
 from .sps import grpo_baseline_loop, sps_loop
 from .squeeze import penalize_token, verify_squeeze
@@ -104,6 +99,7 @@ def run(config) -> RunManifest:
     cfg = _resolve_config(config).with_mode_objective()
     mode = cfg["mode"]
     out_dir = cfg["out_dir"]
+    _check_mode_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     art = _Artifacts(out_dir)
     timings: dict[str, float] = {}
@@ -120,6 +116,17 @@ def run(config) -> RunManifest:
                            timings=timings)
     manifest.save(os.path.join(out_dir, "manifest.json"))
     return manifest
+
+
+def _check_mode_config(cfg: ExperimentConfig) -> None:
+    """The mode's own config rules, checked before run creates out_dir."""
+    if cfg["mode"] == "squeeze-demo":
+        m, count = cfg["squeeze.m"], len(cfg["squeeze.logits"])
+        if not 0 <= m < count:
+            raise ConfigError(f"squeeze.m: index {m} out of range for {count} logits")
+    elif cfg["mode"] == "eval":
+        if not cfg["eval.checkpoint"] or not cfg["eval.suite_path"]:
+            raise ConfigError("eval.checkpoint and eval.suite_path are required in eval mode")
 
 
 def squeeze_demo(logits: np.ndarray, m: int, eta: float):
@@ -143,10 +150,7 @@ def squeeze_demo(logits: np.ndarray, m: int, eta: float):
 
 def _run_squeeze_demo(cfg: ExperimentConfig, art: _Artifacts) -> None:
     logits = np.asarray(cfg["squeeze.logits"], dtype=float)
-    m = cfg["squeeze.m"]
-    if not 0 <= m < logits.shape[0]:
-        raise ConfigError(f"squeeze.m: index {m} out of range for {logits.shape[0]} logits")
-    report, checks = squeeze_demo(logits, m, cfg["squeeze.eta"])
+    report, checks = squeeze_demo(logits, cfg["squeeze.m"], cfg["squeeze.eta"])
     payload = {
         "before": [float(p) for p in report.before.probs],
         "after": [float(p) for p in report.after.probs],
@@ -162,13 +166,9 @@ def _run_squeeze_demo(cfg: ExperimentConfig, art: _Artifacts) -> None:
 
 
 def _run_eval(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
-    ckpt = cfg["eval.checkpoint"]
-    suite_path = cfg["eval.suite_path"]
-    if not ckpt or not suite_path:
-        raise ConfigError("eval.checkpoint and eval.suite_path are required in eval mode")
     t0 = time.perf_counter()
-    policy = load_checkpoint(ckpt)
-    suite = load_suite(suite_path, vocab_size=policy.vocab.size)
+    policy = load_checkpoint(cfg["eval.checkpoint"])
+    suite = load_suite(cfg["eval.suite_path"], vocab_size=policy.vocab.size)
     base = policy
     if cfg["eval.base_checkpoint"]:
         base = load_checkpoint(cfg["eval.base_checkpoint"])
@@ -219,12 +219,11 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
     timings["setup"] = time.perf_counter() - t0
 
     # Logits round-trip exactly through a checkpoint, so the policy in memory
-    # samples as its file would.
+    # has its file's mass.
     rows = []
 
     def rank(it: int, snapshot) -> None:
-        matrix = sample_matrix(snapshot, suite, cfg["eval.n"], derive_rng(seed, 7100, it))
-        rows.append((it, f"checkpoint_iter{it:03d}.txt", avg_at_k(matrix)))
+        rows.append((it, f"checkpoint_iter{it:03d}.txt", mean_mass_on_correct(snapshot, suite)))
 
     t0 = time.perf_counter()
     loop = sps_loop if mode == "sps" else grpo_baseline_loop
@@ -292,11 +291,11 @@ def _flat_metrics(report: dict) -> dict[str, float]:
 def compare(run_a_dir: str, run_b_dir: str, out_dir: str | None = None) -> dict:
     """Tabulate two runs' best checkpoints side by side.
 
-    Each run's best checkpoint is picked by Avg@k from its checkpoints.csv
-    (ties to the earliest iteration); both are re-evaluated with their own
-    stored config and seed (once if both name one directory), and per-metric
-    deltas (a minus b) are written as compare.json and compare.csv into
-    out_dir (default: run_a_dir).
+    Each run's best checkpoint is picked by the exact Avg@k in its
+    checkpoints.csv (ties to the earliest iteration); both are re-evaluated
+    with their own stored config and seed (once if both name one directory),
+    and per-metric deltas (a minus b) are written as compare.json and
+    compare.csv into out_dir (default: run_a_dir).
     """
     report_a = _best_checkpoint_report(run_a_dir)
     same_run = os.path.realpath(run_a_dir) == os.path.realpath(run_b_dir)

@@ -37,7 +37,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import NoRollouts
-from .metrics import sample_matrix, avg_at_k, support_coverage, pass_at_k_unbiased
+from .metrics import mean_mass_on_correct, pass_at_k_exact, support_coverage
 from .objectives import (
     ClipConfig,
     RolloutGroup,
@@ -52,7 +52,6 @@ from .policy import (
     Trajectory,
     _left_fold,
     apply_update,
-    derive_rng,
     prefix_rows,
     save_checkpoint,
     score_gradient,
@@ -101,7 +100,6 @@ class SpsConfig:
     reuse_rollouts: bool = False
     convergence_epsilon: float | None = None
     holdout_count: int = 0
-    convergence_eval_n: int = 16
     trace_metrics: bool = False
     trace_prob_floor: float = 1e-4
     checkpoint_every: int = 1
@@ -403,25 +401,17 @@ def _step_seed(master: int, iteration: int, step: int) -> int:
     return int(np.random.SeedSequence([master, iteration, step]).generate_state(1)[0])
 
 
-# Samples per task and the k of the sampled Pass@k in each traced step.
-_TRACE_EVAL_N = 8
+# The k of the exact i.i.d. Pass@k in each traced step.
 _TRACE_PASS_K = 3
 
 
-def _trace_eval(policy, tasks, cfg: SpsConfig, master: int, tag: int):
+def _trace_eval(policy, tasks, cfg: SpsConfig):
+    """Exact Pass@k and mean support coverage, from one support_coverage per task."""
     if not cfg.trace_metrics:
         return None, None
-    rng = derive_rng(master, 7001, tag)
-    matrix = sample_matrix(policy, tasks, _TRACE_EVAL_N, rng)
-    pk = float(np.mean([
-        pass_at_k_unbiased(_TRACE_EVAL_N, int(row.sum()), _TRACE_PASS_K)
-        for row in matrix.rewards
-    ]))
-    covs = []
-    for task in tasks:
-        rec = support_coverage(policy, task, cfg.trace_prob_floor)
-        covs.append(rec.covered / rec.total if rec.total else 0.0)
-    return pk, float(np.mean(covs))
+    recs = [support_coverage(policy, task, cfg.trace_prob_floor) for task in tasks]
+    pk = float(np.mean([pass_at_k_exact(rec.mass_on_correct, _TRACE_PASS_K) for rec in recs]))
+    return pk, float(np.mean([rec.covered / rec.total if rec.total else 0.0 for rec in recs]))
 
 
 def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
@@ -454,7 +444,7 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
             if not cfg.reuse_rollouts or s + 1 == cfg.rl_steps_per_iteration:
                 for group in groups:  # no later step reads their token batches
                     group.drop_flat()
-            pk, cov = _trace_eval(policy, tasks, cfg, master, global_step)
+            pk, cov = _trace_eval(policy, tasks, cfg)
             trace.records.append(TraceRecord(
                 iter=it, phase="RL", step=global_step,
                 objective=record.value, irl_loss=None,
@@ -468,7 +458,7 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
             demo_sets = [l2te_select(sampled, t.prompt_id, cfg).trajectories for t in tasks]
             for s in range(cfg.irl_steps_per_iteration):
                 policy, mean_loss = irl_step(policy, demo_sets, cfg, s)
-                pk, cov = _trace_eval(policy, tasks, cfg, master, global_step)
+                pk, cov = _trace_eval(policy, tasks, cfg)
                 trace.records.append(TraceRecord(
                     iter=it, phase="IRL", step=global_step,
                     objective=None, irl_loss=mean_loss,
@@ -483,9 +473,7 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
             if on_checkpoint is not None:
                 on_checkpoint(it + 1, policy)
         if cfg.convergence_epsilon is not None and holdout:
-            rng_eval = derive_rng(master, 7002, it)
-            matrix = sample_matrix(policy, holdout, cfg.convergence_eval_n, rng_eval)
-            avg = avg_at_k(matrix)
+            avg = mean_mass_on_correct(policy, holdout)
             if prev_avg is not None and abs(avg - prev_avg) < cfg.convergence_epsilon:
                 break
             prev_avg = avg

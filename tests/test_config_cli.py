@@ -15,10 +15,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from squeezelab import cli, config, policy, runner, tasks
+from squeezelab import cli, config, metrics, policy, runner, tasks
 from squeezelab.config import ExperimentConfig, parse_config_text
 from squeezelab.errors import ConfigError
-from squeezelab.metrics import avg_at_k, evaluation_report, sample_matrix
+from squeezelab.metrics import evaluation_report, support_coverage
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +212,8 @@ def render(value) -> str:
 @example(overrides={"suite.layer_width": 0})
 @example(overrides={"suite.decoy_count": -1})
 @example(overrides={"suite.mid_layers": -1})
+@example(overrides={"mode": "eval"})
+@example(overrides={"mode": "squeeze-demo", "squeeze.m": 9})
 @given(overrides=CONFIGS)
 def test_every_config_is_rejected_at_parse_time_or_runs_without_a_traceback(
         overrides, tmp_path, monkeypatch):
@@ -239,8 +241,11 @@ def test_every_config_is_rejected_at_parse_time_or_runs_without_a_traceback(
         assert not out_dir.exists()
     elif code == 0:
         assert (out_dir / "manifest.json").exists()
+    elif code == 2:
+        # A config error found after parsing still comes before out_dir exists.
+        assert err.startswith("config error: ") and not out_dir.exists(), err
     else:
-        assert code in (1, 2) and err.startswith(("error: ", "config error: ")), err
+        assert code == 1 and err.startswith("error: "), err
 
 
 def test_config_text_round_trip():
@@ -317,6 +322,22 @@ def test_run_with_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("grop_size = 8\n", encoding="utf-8")
     assert cli.main(["run", str(cfg)]) == 2
     assert "grop_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines,message", [
+    ("mode = eval\n", "eval.checkpoint and eval.suite_path are required in eval mode"),
+    ("mode = eval\neval.checkpoint = ckpt.txt\n",
+     "eval.checkpoint and eval.suite_path are required in eval mode"),
+    ("mode = squeeze-demo\nsqueeze.m = 4\n", "squeeze.m: index 4 out of range for 4 logits"),
+    ("mode = squeeze-demo\nsqueeze.m = -1\n", "squeeze.m: index -1 out of range for 4 logits"),
+])
+def test_mode_config_errors_leave_no_out_dir(lines, message, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text(lines + f"out_dir = {out_dir}\n", encoding="utf-8")
+    assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):
@@ -547,14 +568,42 @@ def test_default_run_trains_and_ranks_without_validate_or_reloading(tmp_path, mo
     assert calls == []
     monkeypatch.undo()
     assert tasks.validate is originals["validate"]
-    # The ranking equals one computed from the checkpoint file.
+    # The ranking is the exact mean mass of the checkpoint file's policy.
     rows = (tmp_path / "run" / "checkpoints.csv").read_text().splitlines()[1:]
     assert len(rows) == cfg["sps.max_iterations"]
     it, name, avg = rows[-1].split(",")
     suite = tasks.load_suite(str(tmp_path / "run" / "suite.json"), cfg["suite.vocab_size"])
-    matrix = sample_matrix(policy.load_checkpoint(str(tmp_path / "run" / name)), suite,
-                           cfg["eval.n"], policy.derive_rng(cfg["seed"], 7100, int(it)))
-    assert repr(avg_at_k(matrix)) == avg
+    snapshot = policy.load_checkpoint(str(tmp_path / "run" / name))
+    masses = [support_coverage(snapshot, task, 0.0).mass_on_correct for task in suite]
+    assert repr(float(np.mean(masses))) == avg
+    # The last checkpoint is the final policy, so its rank is the report's mass.
+    report = json.loads((tmp_path / "run" / "eval_report.json").read_text())
+    assert float(avg) == report["support"]["mass"]
+
+
+def test_training_run_samples_only_for_its_evaluation_report(tmp_path, monkeypatch):
+    # Ranking, the trace and the convergence check read exact masses; the
+    # one sample_matrix call of a training run is the evaluation report's.
+    callers = []
+    original = metrics.sample_matrix
+
+    def recording(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("squeezelab")]:
+        if getattr(module, "sample_matrix", None) is original:
+            monkeypatch.setattr(module, "sample_matrix", recording)
+    monkeypatch.delenv("SQUEEZELAB_SEED", raising=False)
+    cfg = ExperimentConfig.from_dict({
+        "out_dir": str(tmp_path / "run"), "suite.count": 3, "sps.max_iterations": 2,
+        "rl.steps_per_iteration": 2, "sps.trace_metrics": True,
+        "sps.convergence_epsilon": 1e-9, "sps.holdout_count": 1})
+    runner.run(cfg)
+    assert callers == ["evaluation_report"]
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "trace.jsonl").read_text().splitlines()]
+    assert records and all(r["pass_at_k"] is not None for r in records)
 
 
 def test_kl_ratio_overflow_is_a_named_error(tmp_path, capsys):

@@ -21,6 +21,8 @@ from squeezelab.metrics import (
     avg_at_k,
     evaluation_report,
     greedy_logprob_report,
+    mean_mass_on_correct,
+    pass_at_k_exact,
     pass_at_k_mc,
     pass_at_k_unbiased,
     report_to_json,
@@ -42,6 +44,7 @@ from squeezelab.policy import (
 from squeezelab.sps import SpsConfig, sps_loop
 from squeezelab.tasks import (
     FamilyParams,
+    TaskInstance,
     build_suite_policy,
     enumerate_correct,
     make_benchmark_suite,
@@ -105,6 +108,36 @@ def test_pass_at_k_monotone_in_k_and_c():
         for k in (1, 2, n):
             vals = [pass_at_k_unbiased(n, c, k) for c in range(n + 1)]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-6, 0.05, 0.125, 1 / 3, 0.5, 0.81, 0.97, 1.0])
+def test_exact_pass_at_k_is_the_expectation_of_the_unbiased_estimator(p):
+    # With c ~ Binomial(n, p) correct samples, the estimator's mean is the
+    # i.i.d. Pass@k 1 - (1 - p)^k, so the exact form replaces the sampled one.
+    n = 8
+    for k in range(1, n + 1):
+        expected = math.fsum(math.comb(n, c) * p ** c * (1 - p) ** (n - c)
+                             * pass_at_k_unbiased(n, c, k) for c in range(n + 1))
+        assert abs(expected - pass_at_k_exact(p, k)) <= 1e-12
+    assert pass_at_k_exact(p, 1) == 1.0 - (1.0 - p)
+    with pytest.raises(ValueError):
+        pass_at_k_exact(p, 0)
+
+
+def test_mean_mass_on_correct_is_the_reports_support_mass(diamond_task):
+    rng = np.random.default_rng(4)
+    policy = PolicyTable(Vocab(4), max_len=2)
+    suite = [diamond_task, TaskInstance(prompt_id=1, label=diamond_task.label,
+                                        spec=diamond_task.spec)]
+    for task in suite:
+        for tokens in ((), (0,), (1,)):
+            policy.set_logits(task.prompt_id, tokens, rng.normal(size=4))
+    report = evaluation_report(policy, policy, suite, "unit", n=4, ks=[1],
+                               prob_floor=0.5, rng=derive_rng(5))
+    mass = mean_mass_on_correct(policy, suite)
+    assert mass == report["support"]["mass"]
+    assert mass == float(np.mean([support_coverage(policy, task, 0.0).mass_on_correct
+                                  for task in suite]))
 
 
 def test_pass_at_k_monte_carlo_agrees_with_closed_form(diamond_task):

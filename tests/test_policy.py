@@ -640,6 +640,55 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     assert err.value.line == 2
 
 
+_HEADER = "squeezelab-policy v1 vocab=3 max_len=2\n"
+_ROW = "0 - 0.5 -1.0 2.0\n"
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("", 1, "empty checkpoint file"),
+    ("not-a-header\n", 1, "bad header 'not-a-header'"),
+    ("squeezelab-policy v1 vocab=1 max_len=2\n", 1, "invalid dimensions vocab=1 max_len=2"),
+    ("squeezelab-policy v1 vocab=3 max_len=0\n", 1, "invalid dimensions vocab=3 max_len=0"),
+    (_HEADER + _ROW + "\n1 - 1.0 2.0 3.0\n", 3, "blank line inside checkpoint"),
+    (_HEADER + _ROW + " \n", 3, "blank line inside checkpoint"),
+    (_HEADER + _ROW + "1 - 1.0 2.0\n", 3, "expected 5 fields, got 4"),
+    (_HEADER + "x - 1.0 2.0 3.0\n", 2, "invalid literal for int() with base 10: 'x'"),
+    (_HEADER + "0 0,a 1.0 2.0 3.0\n", 2, "invalid literal for int() with base 10: 'a'"),
+    (_HEADER + "0 - 1.0 2.0 nanx\n", 2, "could not convert string to float: 'nanx'"),
+    (_HEADER + "0 3 1.0 2.0 3.0\n", 2, "prefix '3': token 3 outside vocab of size 3"),
+    (_HEADER + "0 0,0,0 1.0 2.0 3.0\n", 2,
+     "prefix '0,0,0': sequence of length 3 exceeds max_len=2"),
+    (_HEADER + "0 - 1.0 inf 3.0\n", 2, "non-finite logit value"),
+    (_HEADER + _ROW + "1 0 nan 2.0 3.0\n", 3, "non-finite logit value"),
+    (_HEADER + _ROW + "0 - 1.0 2.0 3.0\n", 3, "duplicate prefix 0 -"),
+    # Each line's checks run in order: prefix, then finiteness, then duplicates.
+    (_HEADER + "0 3 nan 2.0 3.0\n", 2, "prefix '3': token 3 outside vocab of size 3"),
+    (_HEADER + _ROW + "0 - -inf 2.0 3.0\n", 3, "non-finite logit value"),
+])
+def test_corrupt_checkpoint_names_its_error_and_line(text, line, message, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CheckpointCorrupt) as err:
+        load_checkpoint(path)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_loaded_checkpoint_table_grows_like_a_built_one(tmp_path):
+    # The loader sizes the table to its rows; later updates still allocate.
+    path = tmp_path / "ok.txt"
+    path.write_text(_HEADER + _ROW + "0 1 1.0 -2.0 0.25\n", encoding="utf-8")
+    loaded = load_checkpoint(path)
+    built = PolicyTable(Vocab(3), 2)
+    built.set_logits(0, (), [0.5, -1.0, 2.0])
+    built.set_logits(0, (1,), [1.0, -2.0, 0.25])
+    assert np.array_equal(loaded._logit_rows(), built._logit_rows())
+    for table in (loaded, built):
+        table.set_logits(0, (2,), [3.0, 0.0, -1.0])
+    assert np.array_equal(loaded._logit_rows(), built._logit_rows())
+    assert loaded._rows == built._rows
+
+
 def test_derive_rng_streams_are_stable_and_distinct():
     a = derive_rng(1234, 0, 5).random(4)
     b = derive_rng(1234, 0, 5).random(4)

@@ -691,7 +691,7 @@ def test_sps_loop_convergence_early_stop(diamond_task):
                           spec=diamond_task.spec)
     policy = skewed_base_policy(diamond_task, 1.0, seed=9)
     cfg = small_cfg(max_iterations=5, convergence_epsilon=10.0,
-                    holdout_count=1, convergence_eval_n=4)
+                    holdout_count=1)
     final, trace = sps_loop(policy, [diamond_task, second], cfg, 31)
     assert max(r.iter for r in trace.records) == 1
 
