@@ -41,6 +41,13 @@ MATRIX = {
     "sps_full_suite": ({"mode": "sps", "sps.irl_scope": "full_suite",
                         "sps.irl_batch_size": 5}, 32),
     "sps_every_2": ({"mode": "sps", "sps.checkpoint_every": 2}, 32),
+    # The last of 8 iterations is not checkpointed, so the final policy is
+    # saved; every other config ends on a checkpoint and copies it.
+    "sps_every_3": ({"mode": "sps", "sps.checkpoint_every": 3}, 32),
+    # A run that stops early: the held-out prompts' rows are never trained,
+    # so their mass does not move and both seeds stop after iteration 2.
+    "sps_converge": ({"mode": "sps", "sps.convergence_epsilon": 0.01,
+                      "sps.holdout_count": 4}, 32),
     # A rate large enough that IRL line searches halve, so some prompts'
     # blocks retry while others have accepted their step.
     "sps_irl_halving": ({"mode": "sps", "sps.irl_lr": 20}, 32),

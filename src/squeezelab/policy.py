@@ -12,7 +12,10 @@ call it draws n * max_len doubles at once and rewinds the generator past the
 unused ones, steps each draw's prefix id and a task's validator table in the
 same pass, so rewards need no replay, and on request records every drawn
 token's prefix id, which RL groups keep for their sequence batch;
-greedy_decode steps ids the same way.
+greedy_decode steps ids the same way; an update patches the sampler's row
+lists rather than dropping them. A checkpoint save keeps its rendering on
+the policy, and copies hand it on, so the next save of a lineage prints
+only the rows that are new or whose bits changed.
 Every set of sequences (RL groups, IRL demos, correct sets) is one
 SequenceBatch of flat terms, built by sequence_batch from recorded ids or
 prefix_ids, and one kernel reads it: token_log_probs gathers every token's
@@ -28,6 +31,7 @@ checkable.
 from __future__ import annotations
 
 import math
+import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -128,6 +132,11 @@ class PolicyTable:
         # The same table as per-row lists of log-probs and of cumulative
         # probabilities (for the sampler), or None until first read.
         self._lists: tuple[list, list] | None = None
+        # The rows as the last save_checkpoint of this lineage wrote them:
+        # their logits' uint64 bits, each row's line and (prompt_id, prefix)
+        # sort key, and the row indices in key order. Never changed once
+        # built.
+        self._rendering: tuple[np.ndarray, list, list, list] | None = None
 
     def _allocate(self, ident: int) -> int:
         """Row of a stored prefix id; a new id gets the next row, initially zero."""
@@ -188,6 +197,7 @@ class PolicyTable:
         clone._data = self._data.copy()
         # The caches are never written in place, so the clone can share them.
         clone._logp, clone._lists = self._logp, self._lists
+        clone._rendering = self._rendering
         return clone
 
 
@@ -535,8 +545,17 @@ def apply_update(policy: PolicyTable, gradient: dict[int, np.ndarray],
     if policy._logp is not None:
         logp = np.empty((out.stored_prefix_count + 1, policy.vocab.size))
         logp[:len(policy._logp)] = policy._logp
-        logp[rows] = _log_softmax(updated)
+        fresh = _log_softmax(updated)
+        logp[rows] = fresh
         out._logp = _read_only(logp)
+        if policy._lists is not None:
+            # New outer lists; the untouched rows' inner lists are shared.
+            grow = [None] * (len(logp) - len(policy._lists[0]))
+            logp_rows, cum_rows = policy._lists[0] + grow, policy._lists[1] + grow
+            for row, lp, cum in zip(rows.tolist(), fresh.tolist(),
+                                    np.cumsum(np.exp(fresh), axis=1).tolist()):
+                logp_rows[row], cum_rows[row] = lp, cum
+            out._lists = (logp_rows, cum_rows)
     return out
 
 
@@ -547,17 +566,39 @@ def save_checkpoint(policy: PolicyTable, path) -> None:
     """Write the policy as a line-oriented text checkpoint.
 
     Floats are printed with repr so a load reproduces the exact bit pattern;
-    prefixes are sorted so save -> load -> save is byte-identical. The rows
-    become Python floats with one tolist call.
+    prefixes are sorted so save -> load -> save is byte-identical. The file
+    is written as path + ".partial" and renamed to path, so a write that is
+    cut leaves any earlier file at path whole.
+
+    A save reuses the rendering its policy's lineage last saved (copy and
+    apply_update hand it on): only rows appended since then, or whose logits
+    changed bit for bit, are printed again. Bits, not floats, are compared,
+    since 0.0 == -0.0 but their reprs differ. A table only ever appends
+    rows, so a rendering's rows are the first rows of every table that holds
+    it. A policy without one, such as a loaded one, prints every row.
     """
-    lines = [f"squeezelab-policy v1 vocab={policy.vocab.size} max_len={policy.max_len}"]
-    keys = [prefix_key(policy, ident) for ident in policy._rows]
-    rows = policy._logit_rows()[list(policy._rows.values())].tolist()
-    for (prompt_id, tokens), vec in sorted(zip(keys, rows)):
-        prefix_txt = ",".join(str(t) for t in tokens) if tokens else "-"
-        lines.append(f"{prompt_id} {prefix_txt} {' '.join(map(repr, vec))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ids = list(policy._rows)  # numbered 1, 2, ... in insertion order
+    values = policy._logit_rows()[1:]
+    bits = values.view(np.uint64)
+    old_bits, old_lines, old_keys, old_order = policy._rendering or (bits[:0], [], [], [])
+    done, count = len(old_lines), len(ids)
+    keys = old_keys + [prefix_key(policy, ident) for ident in ids[done:]]
+    lines = old_lines + [""] * (count - done)
+    redo = np.flatnonzero((bits[:done] != old_bits).any(axis=1)).tolist()
+    redo += range(done, count)
+    for i, vec in zip(redo, values[redo].tolist()):
+        prompt_id, tokens = keys[i]
+        lines[i] = f"{prompt_id} {','.join(map(str, tokens)) or '-'} {' '.join(map(repr, vec))}"
+    order = old_order + list(range(done, count))
+    if count > done:
+        order.sort(key=keys.__getitem__)
+    header = f"squeezelab-policy v1 vocab={policy.vocab.size} max_len={policy.max_len}"
+    text = "\n".join([header, *map(lines.__getitem__, order)]) + "\n"
+    partial = os.fspath(path) + ".partial"
+    with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(partial, path)
+    policy._rendering = (bits.copy(), lines, keys, order)
 
 
 def load_checkpoint(path) -> PolicyTable:

@@ -6,8 +6,12 @@ suite, checkpoints, trace files, evaluation report, and a manifest embedding
 the fully resolved config. Non-checkpoint artifacts are written under
 `.partial` names and renamed only when the run completes, so a crashed run
 is recognizable by its suffixes while the last checkpoint stays usable.
-Checkpoints are ranked by exact Avg@k, the mean mass on each task's correct
-set, from the policies in memory as the loop writes them.
+Each checkpoint, copies included, is written under its `.partial` name and
+renamed at once, so a cut write leaves no truncated checkpoint. Checkpoints
+are ranked by exact Avg@k, the mean mass on each task's correct set, from
+the policies in memory as the loop writes them. When the loop returns the
+very policy it last checkpointed, checkpoint_final.txt is a copy of that
+file; otherwise the final policy is saved.
 """
 from __future__ import annotations
 
@@ -25,9 +29,9 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ConfigError, MissingArtifacts
 from .metrics import AccuracyHistogram, evaluation_report, mean_mass_on_correct, report_to_json
-from .policy import derive_rng, load_checkpoint, save_checkpoint
+from .policy import derive_rng, load_checkpoint, save_checkpoint, softmax
 from .sps import grpo_baseline_loop, sps_loop
-from .squeeze import penalize_token, verify_squeeze
+from .squeeze import check_squeeze_setting, penalize_token, verify_squeeze
 from .tasks import build_suite_policy, load_suite, make_benchmark_suite, save_suite
 
 @dataclass
@@ -124,6 +128,7 @@ def _check_mode_config(cfg: ExperimentConfig) -> None:
         m, count = cfg["squeeze.m"], len(cfg["squeeze.logits"])
         if not 0 <= m < count:
             raise ConfigError(f"squeeze.m: index {m} out of range for {count} logits")
+        check_squeeze_setting(softmax(cfg["squeeze.logits"]).probs, m, cfg["squeeze.eta"])
     elif cfg["mode"] == "eval":
         if not cfg["eval.checkpoint"] or not cfg["eval.suite_path"]:
             raise ConfigError("eval.checkpoint and eval.suite_path are required in eval mode")
@@ -132,8 +137,10 @@ def _check_mode_config(cfg: ExperimentConfig) -> None:
 def squeeze_demo(logits: np.ndarray, m: int, eta: float):
     """Penalize token m by eta, run the squeeze checks, and print both.
 
-    Returns the SqueezeReport and the list of CheckResults.
+    Returns the SqueezeReport and the list of CheckResults. A setting that
+    is not a squeeze raises NotASqueezeSetting before the update is made.
     """
+    check_squeeze_setting(softmax(logits).probs, m, eta)
     _, report = penalize_token(logits, m, eta)
     checks = verify_squeeze(report)
     print(f"logits: {[float(v) for v in logits]}  m={m}  eta={eta}")
@@ -206,6 +213,12 @@ def _remove_stale_artifacts(out_dir: str) -> None:
             os.remove(path)
 
 
+def _copy_file(src: str, dst: str) -> None:
+    """Copy src to dst through dst.partial, as save_checkpoint writes."""
+    shutil.copyfile(src, dst + ".partial")
+    os.replace(dst + ".partial", dst)
+
+
 def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
     seed = cfg["seed"]
     mode = cfg["mode"]
@@ -221,9 +234,12 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
     # Logits round-trip exactly through a checkpoint, so the policy in memory
     # has its file's mass.
     rows = []
+    last = None  # the policy the last per-iteration checkpoint holds
 
     def rank(it: int, snapshot) -> None:
+        nonlocal last
         rows.append((it, f"checkpoint_iter{it:03d}.txt", mean_mass_on_correct(snapshot, suite)))
+        last = snapshot
 
     t0 = time.perf_counter()
     loop = sps_loop if mode == "sps" else grpo_baseline_loop
@@ -234,12 +250,15 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
     t0 = time.perf_counter()
     trace.save(art.partial_path("trace.jsonl"))
     trace.save_step_csv(art.partial_path("steps.csv"))
-    save_checkpoint(final_policy, art.direct("checkpoint_final.txt"))
+    final_path = art.direct("checkpoint_final.txt")
+    if rows and final_policy is last:
+        _copy_file(os.path.join(art.out_dir, rows[-1][1]), final_path)
+    else:
+        save_checkpoint(final_policy, final_path)
     art.final += [name for _, name, _ in rows]
     if rows:
         best = max(rows, key=lambda r: (r[2], -r[0]))
-        shutil.copyfile(os.path.join(art.out_dir, best[1]),
-                        art.direct("checkpoint_best.txt"))
+        _copy_file(os.path.join(art.out_dir, best[1]), art.direct("checkpoint_best.txt"))
         csv_lines = ["iter,path,avg_at_k"]
         csv_lines += [f"{it},{name},{repr(avg)}" for it, name, avg in rows]
         art.write_text("checkpoints.csv", "\n".join(csv_lines) + "\n")

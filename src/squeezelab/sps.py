@@ -131,6 +131,10 @@ class SpsConfig:
             raise ValueError("holdout_count must be >= 0")
         if self.dapo_max_resamples < 0:
             raise ValueError("dapo_max_resamples must be >= 0")
+        if self.convergence_epsilon is not None and self.convergence_epsilon <= 0:
+            raise ValueError("convergence_epsilon must be > 0 (or unset)")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -88,20 +88,27 @@ def penalize_token(logits, m: int, eta: float) -> tuple[np.ndarray, SqueezeRepor
     return new_logits, report
 
 
+def check_squeeze_setting(before: np.ndarray, m: int, eta: float) -> None:
+    """Raise NotASqueezeSetting unless eta < 0 and token m of the distribution
+    before is not its argmax nor tied with it."""
+    argmax = int(np.argmax(before))
+    if eta >= 0:
+        raise NotASqueezeSetting(f"eta must be negative, got {float(eta)}")
+    if m == argmax or before[m] >= before[argmax]:
+        raise NotASqueezeSetting("penalized token is the dominant one")
+
+
 def verify_squeeze(report: SqueezeReport, tol: float = 1e-12) -> list[CheckResult]:
     """Run the five named squeeze checks on a report.
 
-    Requires a genuine squeeze setting: eta < 0 and the penalized token is
-    not the current argmax.
+    Requires a genuine squeeze setting (check_squeeze_setting): eta < 0 and
+    the penalized token is not the current argmax.
     """
     before = report.before.probs
     after = report.after.probs
     m = report.m
     argmax = int(np.argmax(before))
-    if report.eta >= 0:
-        raise NotASqueezeSetting(f"eta must be negative, got {report.eta}")
-    if m == argmax or before[m] >= before[argmax]:
-        raise NotASqueezeSetting("penalized token is the dominant one")
+    check_squeeze_setting(before, m, report.eta)
 
     others = np.arange(before.shape[0]) != m
     closed_form = before[others] / report.denom

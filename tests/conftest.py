@@ -92,6 +92,19 @@ def by_id(policy, gradient):
     return {prefix_id(policy, *key): block for key, block in gradient.items()}
 
 
+def reference_save_checkpoint(policy, path):
+    """save_checkpoint as it was before saves reused a rendering: every row
+    printed afresh, written straight to path."""
+    lines = [f"squeezelab-policy v1 vocab={policy.vocab.size} max_len={policy.max_len}"]
+    keys = [prefix_key(policy, ident) for ident in policy._rows]
+    rows = policy._logit_rows()[list(policy._rows.values())].tolist()
+    for (prompt_id, tokens), vec in sorted(zip(keys, rows)):
+        prefix_txt = ",".join(str(t) for t in tokens) if tokens else "-"
+        lines.append(f"{prompt_id} {prefix_txt} {' '.join(map(repr, vec))}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def flat_score_gradient(policy, terms):
     """score_gradient of (prompt_id, prefix, token, weight) terms, passed as a flat batch."""
     ids = [prefix_id(policy, prompt_id, prefix) for prompt_id, prefix, _tok, _w in terms]

@@ -9,16 +9,19 @@ import pathlib
 import re
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from squeezelab import cli, config, metrics, policy, runner, tasks
+from squeezelab import cli, config, metrics, policy, runner, sps, tasks
 from squeezelab.config import ExperimentConfig, parse_config_text
 from squeezelab.errors import ConfigError
 from squeezelab.metrics import evaluation_report, support_coverage
+
+from conftest import reference_save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,10 @@ REJECTED_AT_PARSE = {
     "suite.max_len": "suite.max_len = 0\n",
     # A negative count leaves DAPO no sampling attempt at all.
     "rl.dapo_max_resamples": "mode = dapo\nrl.dapo_max_resamples = -1\n",
+    # -1 used to turn checkpoints off, as 0 does.
+    "sps.checkpoint_every": "sps.checkpoint_every = -1\n",
+    # With no positive epsilon the run never stops early, yet holds tasks out.
+    "sps.convergence_epsilon": "sps.convergence_epsilon = 0\nsps.holdout_count = 1\n",
 }
 
 
@@ -315,6 +322,28 @@ def test_squeeze_demo_rejects_non_squeeze_settings(capsys):
     assert "config error:" in capsys.readouterr().err
     assert cli.main(["squeeze-demo", "--logits", "a,b"]) == 2
     assert "--logits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines,message", [
+    ("squeeze.eta = 0.5\n", "eta must be negative, got 0.5"),
+    ("squeeze.m = 0\n", "penalized token is the dominant one"),
+    ("squeeze.logits = 1,1\nsqueeze.m = 1\n", "penalized token is the dominant one"),
+])
+def test_squeeze_demo_mode_checks_the_setting_before_out_dir(lines, message, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(f"mode = squeeze-demo\nout_dir = {out_dir}\n" + lines, encoding="utf-8")
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_squeeze_demo_rejects_a_large_eta_before_the_update(capsys):
+    # e^800 overflows; the setting is refused before the update computes it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["squeeze-demo", "--eta", "800"]) == 1
+    assert capsys.readouterr().err == "error: eta must be negative, got 800.0\n"
 
 
 def test_run_with_unknown_key_exits_2(tmp_path, capsys):
@@ -579,6 +608,43 @@ def test_default_run_trains_and_ranks_without_validate_or_reloading(tmp_path, mo
     # The last checkpoint is the final policy, so its rank is the report's mass.
     report = json.loads((tmp_path / "run" / "eval_report.json").read_text())
     assert float(avg) == report["support"]["mass"]
+
+
+@pytest.mark.parametrize("overrides,saves,copied", [
+    # The base and 8 iterations; the final policy is the last checkpointed one.
+    ({}, 9, True),
+    # The base, iterations 3 and 6, and the final policy after iteration 8.
+    ({"sps.checkpoint_every": 3}, 4, False),
+    # Stops after iteration 2, checkpointed: the base and 2 iterations.
+    ({"sps.convergence_epsilon": 10.0, "sps.holdout_count": 1}, 3, True),
+])
+def test_final_checkpoint_holds_the_final_policy(overrides, saves, copied, tmp_path,
+                                                 monkeypatch):
+    saved, returned = [], []
+    original_save, original_loop = policy.save_checkpoint, runner.sps_loop
+
+    def counted(pol, path):
+        saved.append(os.path.basename(path))
+        original_save(pol, path)
+
+    def recording(*args, **kwargs):
+        returned.append(original_loop(*args, **kwargs))
+        return returned[-1]
+
+    for module in (runner, sps):
+        monkeypatch.setattr(module, "save_checkpoint", counted)
+    monkeypatch.setattr(runner, "sps_loop", recording)
+    monkeypatch.delenv("SQUEEZELAB_SEED", raising=False)
+    out_dir = tmp_path / "run"
+    runner.run(ExperimentConfig.from_dict({"out_dir": str(out_dir), **overrides}))
+    assert len(saved) == saves
+    assert ("checkpoint_final.txt" not in saved) == copied
+    (final, trace), = returned
+    if "sps.convergence_epsilon" in overrides:
+        assert trace.checkpoint_iters == [1, 2]
+    reference_save_checkpoint(final, tmp_path / "fresh.txt")
+    assert (out_dir / "checkpoint_final.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+    assert not list(out_dir.glob("*.partial"))
 
 
 def test_training_run_samples_only_for_its_evaluation_report(tmp_path, monkeypatch):

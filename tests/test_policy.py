@@ -7,12 +7,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squeezelab import policy as policy_module, runner
 from squeezelab.errors import (
     CheckpointCorrupt,
     InvalidLogits,
@@ -50,7 +53,8 @@ from squeezelab.policy import (
 )
 from squeezelab.tasks import PathTaskSpec, TaskInstance, validate
 
-from conftest import by_id, by_key, finite_difference_blocks, flat_score_gradient, random_policy
+from conftest import (by_id, by_key, finite_difference_blocks, flat_score_gradient, random_policy,
+                      reference_save_checkpoint)
 
 # softmax([2, 1, 0, -3]), oracle digits
 ORACLE_PROBS = [0.662272413524, 0.243636405391, 0.0896288246641, 0.00446235642128]
@@ -550,6 +554,131 @@ def test_checkpoint_fresh_policy_has_no_prefix_lines(tmp_path):
     lines = path.read_text().splitlines()
     assert lines == ["squeezelab-policy v1 vocab=5 max_len=2"]
     assert load_checkpoint(path).stored_prefix_count == 0
+
+
+# Logits and update blocks with both zeros, which compare equal but print
+# differently.
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 0.1])
+
+
+def _flip_zeros(vec) -> list[float]:
+    return [math.copysign(0.0, -math.copysign(1.0, x)) if x == 0 else x for x in vec]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_saves_that_reuse_a_rendering_match_a_full_rendering(data):
+    size, max_len = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 3))
+    key = st.tuples(st.integers(0, 1),
+                    st.lists(st.integers(0, size - 1), max_size=max_len).map(tuple))
+    vec = st.lists(SIGNED_ZEROS, min_size=size, max_size=size)
+    op = st.one_of(
+        st.tuples(st.just("update"), st.dictionaries(key, vec, max_size=4),
+                  st.sampled_from([1.0, 0.5, -2.0])),
+        st.tuples(st.just("set"), key, vec),
+        st.sampled_from([("flip",), ("zero_step",), ("save",), ("load",), ("older",),
+                         ("other",)]))
+    ops = data.draw(st.lists(op, max_size=16))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, ref = os.path.join(tmp, "ckpt.txt"), os.path.join(tmp, "ref.txt")
+
+        def check(pol):
+            save_checkpoint(pol, path)
+            reference_save_checkpoint(pol, ref)
+            with open(path, "rb") as got, open(ref, "rb") as want:
+                assert got.read() == want.read()
+
+        policy = PolicyTable(Vocab(size), max_len)
+        versions = [policy]
+        for kind, *args in ops:
+            stored = policy.stored_items()
+            if kind == "update":
+                policy = apply_update(policy, by_id(policy, args[0]), args[1])
+            elif kind == "set":  # in place, on a version that may share a rendering
+                policy.set_logits(*args[0], args[1])
+            elif kind == "flip" and stored:  # in place: every zero of one row changes sign
+                (pid, tokens), row = stored[data.draw(st.integers(0, len(stored) - 1))]
+                policy.set_logits(pid, tokens, _flip_zeros(row))
+            elif kind == "zero_step":  # -0.0 + 0.0 is 0.0; every other logit stays
+                policy = apply_update(policy, by_id(policy, {
+                    k: np.zeros(size) for k, _ in stored}), 1.0)
+            elif kind == "save":
+                check(policy)
+            elif kind == "load":
+                check(policy)
+                policy = load_checkpoint(path)
+            elif kind == "older":
+                check(versions[data.draw(st.integers(0, len(versions) - 1))])
+            elif kind == "other":  # a table of another shape, saved to the same path
+                check(random_policy(size + 1, max_len, np.random.default_rng(len(versions))))
+            if policy is not versions[-1]:
+                versions.append(policy)
+        # Versions saved after their successors, then before them.
+        for pol in versions[::-1] + versions:
+            check(pol)
+        assert not os.path.exists(path + ".partial")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 6))
+def test_updates_patch_the_sampler_lists_as_a_rebuild_would(seed, steps):
+    rng = np.random.default_rng(seed)
+    policy = random_policy(4, 3, rng, prompt_ids=(0, 1))
+    policy._row_lists()
+    for _ in range(steps):
+        # Stored rows and rows of prompts the table has not seen yet.
+        keys = {(int(rng.integers(4)), tuple(rng.integers(4, size=rng.integers(3)).tolist()))
+                for _ in range(rng.integers(1, 8))}
+        grad = {key: rng.normal(size=4) for key in keys}
+        policy = apply_update(policy, by_id(policy, grad), float(rng.normal()))
+        patched = policy._lists
+        assert patched is not None
+        policy._lists = None
+        assert policy._row_lists() == patched
+        policy._lists = patched
+
+
+def test_a_checkpoint_write_cut_midway_leaves_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(random_policy(4, 3, np.random.default_rng(3)), path)
+    earlier = path.read_bytes()
+
+    class CutFile:
+        """A file whose first write stops halfway and raises."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(policy_module, "open", lambda *a, **k: CutFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(random_policy(4, 3, np.random.default_rng(4)), path)
+    assert path.read_bytes() == earlier
+    assert 0 < (tmp_path / "ckpt.txt.partial").stat().st_size < len(earlier)
+
+    # The runner's copies of a checkpoint are written the same way.
+    final = tmp_path / "final.txt"
+    final.write_bytes(b"an earlier final checkpoint\n")
+
+    def cut_copy(src, dst):
+        with open(src, "rb") as a, open(dst, "wb") as b:
+            b.write(a.read()[:10])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(runner.shutil, "copyfile", cut_copy)
+    with pytest.raises(OSError):
+        runner._copy_file(str(path), str(final))
+    assert final.read_bytes() == b"an earlier final checkpoint\n"
 
 
 def test_set_logits_rejects_a_prefix_no_checkpoint_can_hold(tmp_path):
