@@ -41,8 +41,8 @@ MATRIX = {
     "sps_full_suite": ({"mode": "sps", "sps.irl_scope": "full_suite",
                         "sps.irl_batch_size": 5}, 32),
     "sps_every_2": ({"mode": "sps", "sps.checkpoint_every": 2}, 32),
-    # The last of 8 iterations is not checkpointed, so the final policy is
-    # saved; every other config ends on a checkpoint and copies it.
+    # The last of 8 iterations is not checkpointed, so the final save starts
+    # from iteration 6's rendering and prints every row changed since.
     "sps_every_3": ({"mode": "sps", "sps.checkpoint_every": 3}, 32),
     # A run that stops early: the held-out prompts' rows are never trained,
     # so their mass does not move and both seeds stop after iteration 2.

@@ -562,13 +562,26 @@ def apply_update(policy: PolicyTable, gradient: dict[int, np.ndarray],
 CHECKPOINT_HEADER_RE = re.compile(r"^squeezelab-policy v1 vocab=(\d+) max_len=(\d+)$")
 
 
+PARTIAL_SUFFIX = ".partial"
+
+
+def partial_path(path) -> str:
+    """The name a file bound for path is written under until it is whole."""
+    return os.fspath(path) + PARTIAL_SUFFIX
+
+
+def publish_partial(path) -> None:
+    """Rename path's partial file to path, replacing any earlier file."""
+    os.replace(partial_path(path), path)
+
+
 def save_checkpoint(policy: PolicyTable, path) -> None:
     """Write the policy as a line-oriented text checkpoint.
 
     Floats are printed with repr so a load reproduces the exact bit pattern;
     prefixes are sorted so save -> load -> save is byte-identical. The file
-    is written as path + ".partial" and renamed to path, so a write that is
-    cut leaves any earlier file at path whole.
+    is written under partial_path(path) and renamed to path, so a write that
+    is cut leaves any earlier file at path whole.
 
     A save reuses the rendering its policy's lineage last saved (copy and
     apply_update hand it on): only rows appended since then, or whose logits
@@ -594,10 +607,9 @@ def save_checkpoint(policy: PolicyTable, path) -> None:
         order.sort(key=keys.__getitem__)
     header = f"squeezelab-policy v1 vocab={policy.vocab.size} max_len={policy.max_len}"
     text = "\n".join([header, *map(lines.__getitem__, order)]) + "\n"
-    partial = os.fspath(path) + ".partial"
-    with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+    with open(partial_path(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    os.replace(partial, path)
+    publish_partial(path)
     policy._rendering = (bits.copy(), lines, keys, order)
 
 

@@ -6,12 +6,11 @@ suite, checkpoints, trace files, evaluation report, and a manifest embedding
 the fully resolved config. Non-checkpoint artifacts are written under
 `.partial` names and renamed only when the run completes, so a crashed run
 is recognizable by its suffixes while the last checkpoint stays usable.
-Each checkpoint, copies included, is written under its `.partial` name and
-renamed at once, so a cut write leaves no truncated checkpoint. Checkpoints
-are ranked by exact Avg@k, the mean mass on each task's correct set, from
-the policies in memory as the loop writes them. When the loop returns the
-very policy it last checkpointed, checkpoint_final.txt is a copy of that
-file; otherwise the final policy is saved.
+Each checkpoint, the best one's copy included, is written under its
+`.partial` name and renamed at once, so a cut write leaves no truncated
+checkpoint; policy.partial_path and policy.publish_partial own that rule.
+Checkpoints are ranked by exact Avg@k, the mean mass on each task's correct
+set, from the policies in memory as the loop writes them.
 """
 from __future__ import annotations
 
@@ -29,7 +28,8 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ConfigError, MissingArtifacts
 from .metrics import AccuracyHistogram, evaluation_report, mean_mass_on_correct, report_to_json
-from .policy import derive_rng, load_checkpoint, save_checkpoint, softmax
+from .policy import (PARTIAL_SUFFIX, derive_rng, load_checkpoint, partial_path, publish_partial,
+                     save_checkpoint, softmax)
 from .sps import grpo_baseline_loop, sps_loop
 from .squeeze import check_squeeze_setting, penalize_token, verify_squeeze
 from .tasks import build_suite_policy, load_suite, make_benchmark_suite, save_suite
@@ -62,14 +62,12 @@ class _Artifacts:
         self.final: list[str] = []
 
     def write_text(self, name: str, text: str) -> None:
-        with open(os.path.join(self.out_dir, name + ".partial"), "w",
-                  encoding="utf-8", newline="\n") as fh:
+        with open(self.partial_path(name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        self.staged.append(name)
 
     def partial_path(self, name: str) -> str:
         self.staged.append(name)
-        return os.path.join(self.out_dir, name + ".partial")
+        return partial_path(os.path.join(self.out_dir, name))
 
     def direct(self, name: str) -> str:
         self.final.append(name)
@@ -77,8 +75,7 @@ class _Artifacts:
 
     def finalize(self) -> list[str]:
         for name in self.staged:
-            os.replace(os.path.join(self.out_dir, name + ".partial"),
-                       os.path.join(self.out_dir, name))
+            publish_partial(os.path.join(self.out_dir, name))
         return sorted(set(self.final + self.staged))
 
 
@@ -197,7 +194,7 @@ def _write_eval_report(art: _Artifacts, report: dict) -> None:
 # or only when it fails: an earlier run into the same out_dir can leave some
 # that this run would not overwrite.
 STALE_TRAINING_ARTIFACTS = ("checkpoint_iter*.txt", "checkpoint_best.txt",
-                            "checkpoints.csv", "*.partial")
+                            "checkpoints.csv", "*" + PARTIAL_SUFFIX)
 
 
 def _remove_stale_artifacts(out_dir: str) -> None:
@@ -211,12 +208,6 @@ def _remove_stale_artifacts(out_dir: str) -> None:
         if (any(fnmatch.fnmatchcase(name, pattern) for pattern in STALE_TRAINING_ARTIFACTS)
                 and os.path.isfile(path)):
             os.remove(path)
-
-
-def _copy_file(src: str, dst: str) -> None:
-    """Copy src to dst through dst.partial, as save_checkpoint writes."""
-    shutil.copyfile(src, dst + ".partial")
-    os.replace(dst + ".partial", dst)
 
 
 def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
@@ -234,12 +225,9 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
     # Logits round-trip exactly through a checkpoint, so the policy in memory
     # has its file's mass.
     rows = []
-    last = None  # the policy the last per-iteration checkpoint holds
 
     def rank(it: int, snapshot) -> None:
-        nonlocal last
         rows.append((it, f"checkpoint_iter{it:03d}.txt", mean_mass_on_correct(snapshot, suite)))
-        last = snapshot
 
     t0 = time.perf_counter()
     loop = sps_loop if mode == "sps" else grpo_baseline_loop
@@ -250,15 +238,13 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
     t0 = time.perf_counter()
     trace.save(art.partial_path("trace.jsonl"))
     trace.save_step_csv(art.partial_path("steps.csv"))
-    final_path = art.direct("checkpoint_final.txt")
-    if rows and final_policy is last:
-        _copy_file(os.path.join(art.out_dir, rows[-1][1]), final_path)
-    else:
-        save_checkpoint(final_policy, final_path)
+    save_checkpoint(final_policy, art.direct("checkpoint_final.txt"))
     art.final += [name for _, name, _ in rows]
     if rows:
         best = max(rows, key=lambda r: (r[2], -r[0]))
-        _copy_file(os.path.join(art.out_dir, best[1]), art.direct("checkpoint_best.txt"))
+        best_path = art.direct("checkpoint_best.txt")
+        shutil.copyfile(os.path.join(art.out_dir, best[1]), partial_path(best_path))
+        publish_partial(best_path)
         csv_lines = ["iter,path,avg_at_k"]
         csv_lines += [f"{it},{name},{repr(avg)}" for it, name, avg in rows]
         art.write_text("checkpoints.csv", "\n".join(csv_lines) + "\n")

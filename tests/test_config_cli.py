@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from squeezelab import cli, config, metrics, policy, runner, sps, tasks
+from squeezelab import cli, config, metrics, policy, runner, tasks
 from squeezelab.config import ExperimentConfig, parse_config_text
 from squeezelab.errors import ConfigError
 from squeezelab.metrics import evaluation_report, support_coverage
@@ -610,41 +610,47 @@ def test_default_run_trains_and_ranks_without_validate_or_reloading(tmp_path, mo
     assert float(avg) == report["support"]["mass"]
 
 
-@pytest.mark.parametrize("overrides,saves,copied", [
-    # The base and 8 iterations; the final policy is the last checkpointed one.
-    ({}, 9, True),
-    # The base, iterations 3 and 6, and the final policy after iteration 8.
-    ({"sps.checkpoint_every": 3}, 4, False),
-    # Stops after iteration 2, checkpointed: the base and 2 iterations.
-    ({"sps.convergence_epsilon": 10.0, "sps.holdout_count": 1}, 3, True),
+@pytest.mark.parametrize("overrides", [
+    # 8 iterations, each checkpointed: the final policy is the last checkpointed one.
+    {},
+    # Iterations 3 and 6 are checkpointed; the final policy is after iteration 8.
+    {"sps.checkpoint_every": 3},
+    # Stops after iteration 2, checkpointed.
+    {"sps.convergence_epsilon": 10.0, "sps.holdout_count": 1},
 ])
-def test_final_checkpoint_holds_the_final_policy(overrides, saves, copied, tmp_path,
-                                                 monkeypatch):
-    saved, returned = [], []
-    original_save, original_loop = policy.save_checkpoint, runner.sps_loop
-
-    def counted(pol, path):
-        saved.append(os.path.basename(path))
-        original_save(pol, path)
+def test_final_checkpoint_holds_the_final_policy(overrides, tmp_path, monkeypatch):
+    returned = []
+    original_loop = runner.sps_loop
 
     def recording(*args, **kwargs):
         returned.append(original_loop(*args, **kwargs))
         return returned[-1]
 
-    for module in (runner, sps):
-        monkeypatch.setattr(module, "save_checkpoint", counted)
     monkeypatch.setattr(runner, "sps_loop", recording)
     monkeypatch.delenv("SQUEEZELAB_SEED", raising=False)
     out_dir = tmp_path / "run"
     runner.run(ExperimentConfig.from_dict({"out_dir": str(out_dir), **overrides}))
-    assert len(saved) == saves
-    assert ("checkpoint_final.txt" not in saved) == copied
     (final, trace), = returned
     if "sps.convergence_epsilon" in overrides:
         assert trace.checkpoint_iters == [1, 2]
     reference_save_checkpoint(final, tmp_path / "fresh.txt")
     assert (out_dir / "checkpoint_final.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
     assert not list(out_dir.glob("*.partial"))
+
+
+def test_a_cut_copy_of_the_best_checkpoint_leaves_no_truncated_file(tmp_path, monkeypatch):
+    def cut_copy(src, dst):
+        with open(src, "rb") as a, open(dst, "wb") as b:
+            b.write(a.read()[:10])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(runner.shutil, "copyfile", cut_copy)
+    monkeypatch.delenv("SQUEEZELAB_SEED", raising=False)
+    out_dir = tmp_path / "run"
+    with pytest.raises(OSError):
+        runner.run(ExperimentConfig.from_dict({"out_dir": str(out_dir), **SMALL_RUN}))
+    assert not (out_dir / "checkpoint_best.txt").exists()
+    assert (out_dir / "checkpoint_best.txt.partial").stat().st_size == 10
 
 
 def test_training_run_samples_only_for_its_evaluation_report(tmp_path, monkeypatch):

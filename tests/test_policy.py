@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squeezelab import policy as policy_module, runner
+from squeezelab import policy as policy_module
 from squeezelab.errors import (
     CheckpointCorrupt,
     InvalidLogits,
@@ -665,20 +665,6 @@ def test_a_checkpoint_write_cut_midway_leaves_the_earlier_file(tmp_path, monkeyp
         save_checkpoint(random_policy(4, 3, np.random.default_rng(4)), path)
     assert path.read_bytes() == earlier
     assert 0 < (tmp_path / "ckpt.txt.partial").stat().st_size < len(earlier)
-
-    # The runner's copies of a checkpoint are written the same way.
-    final = tmp_path / "final.txt"
-    final.write_bytes(b"an earlier final checkpoint\n")
-
-    def cut_copy(src, dst):
-        with open(src, "rb") as a, open(dst, "wb") as b:
-            b.write(a.read()[:10])
-        raise OSError("no space left on device")
-
-    monkeypatch.setattr(runner.shutil, "copyfile", cut_copy)
-    with pytest.raises(OSError):
-        runner._copy_file(str(path), str(final))
-    assert final.read_bytes() == b"an earlier final checkpoint\n"
 
 
 def test_set_logits_rejects_a_prefix_no_checkpoint_can_hold(tmp_path):
