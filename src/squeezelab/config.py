@@ -65,7 +65,6 @@ SCHEMA: dict[str, tuple[str, Any]] = {
     "sps.irl_scope": (_STR, "per_prompt"),
     "sps.l2te_raw_total": (_BOOL, False),
     "sps.convergence_epsilon": (_OPT_FLOAT, None),
-    "sps.holdout_count": (_INT, 0),
     "sps.trace_metrics": (_BOOL, False),
     "sps.checkpoint_every": (_INT, 1),
     "eval.n": (_INT, 32),
@@ -97,7 +96,6 @@ _SPS_KEYS = {
     "dapo_max_resamples": "rl.dapo_max_resamples",
     "reuse_rollouts": "rl.reuse_rollouts",
     "convergence_epsilon": "sps.convergence_epsilon",
-    "holdout_count": "sps.holdout_count",
     "trace_metrics": "sps.trace_metrics",
     "trace_prob_floor": "eval.prob_floor",
     "checkpoint_every": "sps.checkpoint_every",
@@ -180,10 +178,6 @@ def _validate(values: dict[str, Any]) -> None:
     except ValueError as exc:
         raise ConfigError(re.sub(r"\w+", lambda m: _FIELD_KEYS.get(m[0], m[0]),
                                  str(exc))) from exc
-    if (values["sps.convergence_epsilon"] is not None
-            and values["sps.holdout_count"] >= values["suite.count"]):
-        raise ConfigError("sps.holdout_count: must be below suite.count when "
-                          "sps.convergence_epsilon is set, to leave a training task")
 
 
 @dataclass(frozen=True)

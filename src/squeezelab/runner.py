@@ -10,7 +10,7 @@ Each checkpoint, the best one's copy included, is written under its
 `.partial` name and renamed at once, so a cut write leaves no truncated
 checkpoint; policy.partial_path and policy.publish_partial own that rule.
 Checkpoints are ranked by exact Avg@k, the mean mass on each task's correct
-set, from the policies in memory as the loop writes them.
+set, which the loop computes from the policy in memory as it writes each one.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError, MissingArtifacts
-from .metrics import AccuracyHistogram, evaluation_report, mean_mass_on_correct, report_to_json
+from .metrics import AccuracyHistogram, evaluation_report, report_to_json
 from .policy import (PARTIAL_SUFFIX, derive_rng, load_checkpoint, partial_path, publish_partial,
                      save_checkpoint, softmax)
 from .sps import grpo_baseline_loop, sps_loop
@@ -222,23 +222,18 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
     save_checkpoint(base, art.direct("checkpoint_base.txt"))
     timings["setup"] = time.perf_counter() - t0
 
-    # Logits round-trip exactly through a checkpoint, so the policy in memory
-    # has its file's mass.
-    rows = []
-
-    def rank(it: int, snapshot) -> None:
-        rows.append((it, f"checkpoint_iter{it:03d}.txt", mean_mass_on_correct(snapshot, suite)))
-
     t0 = time.perf_counter()
     loop = sps_loop if mode == "sps" else grpo_baseline_loop
-    final_policy, trace = loop(base, suite, cfg.sps_config(), seed, out_dir=art.out_dir,
-                               on_checkpoint=rank)
+    final_policy, trace = loop(base, suite, cfg.sps_config(), seed, out_dir=art.out_dir)
     timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     trace.save(art.partial_path("trace.jsonl"))
     trace.save_step_csv(art.partial_path("steps.csv"))
     save_checkpoint(final_policy, art.direct("checkpoint_final.txt"))
+    # Logits round-trip exactly through a checkpoint, so each row's mass,
+    # taken from the policy in memory, is its file's mass.
+    rows = trace.checkpoints
     art.final += [name for _, name, _ in rows]
     if rows:
         best = max(rows, key=lambda r: (r[2], -r[0]))

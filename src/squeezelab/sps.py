@@ -99,7 +99,6 @@ class SpsConfig:
     dapo_max_resamples: int = 0
     reuse_rollouts: bool = False
     convergence_epsilon: float | None = None
-    holdout_count: int = 0
     trace_metrics: bool = False
     trace_prob_floor: float = 1e-4
     checkpoint_every: int = 1
@@ -127,8 +126,6 @@ class SpsConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.rl_lr < 0 or self.irl_lr < 0:
             raise ValueError("rl_lr and irl_lr must be >= 0")
-        if self.holdout_count < 0:
-            raise ValueError("holdout_count must be >= 0")
         if self.dapo_max_resamples < 0:
             raise ValueError("dapo_max_resamples must be >= 0")
         if self.convergence_epsilon is not None and self.convergence_epsilon <= 0:
@@ -385,7 +382,8 @@ class TraceRecord:
 class TrainTrace:
     records: list[TraceRecord] = field(default_factory=list)
     step_records: list[StepRecord] = field(default_factory=list)
-    checkpoint_iters: list[int] = field(default_factory=list)
+    # (iteration, file name, exact Avg@k) of each checkpoint the loop wrote.
+    checkpoints: list[tuple[int, str, float]] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
         return "".join(r.to_json() + "\n" for r in self.records)
@@ -419,15 +417,9 @@ def _trace_eval(policy, tasks, cfg: SpsConfig):
 
 
 def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
-          irl_enabled: bool, out_dir=None, on_checkpoint=None) -> tuple[PolicyTable, TrainTrace]:
+          irl_enabled: bool, out_dir=None) -> tuple[PolicyTable, TrainTrace]:
     master = int(seed)
     tasks = list(task_suite)
-    holdout = []
-    if cfg.convergence_epsilon is not None and cfg.holdout_count > 0:
-        if cfg.holdout_count >= len(tasks):
-            raise ValueError("holdout_count must leave at least one training task")
-        holdout = tasks[len(tasks) - cfg.holdout_count:]
-        tasks = tasks[:len(tasks) - cfg.holdout_count]
     policy = base_policy
     trace = TrainTrace()
     global_step = 0
@@ -471,13 +463,17 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
                     greedy_logp=_mean_greedy_logp(policy, tasks),
                     pass_at_k=pk, support_coverage=cov, seed=master))
                 global_step += 1
-        if out_dir is not None and cfg.checkpoint_every > 0 and (it + 1) % cfg.checkpoint_every == 0:
-            save_checkpoint(policy, f"{out_dir}/checkpoint_iter{it + 1:03d}.txt")
-            trace.checkpoint_iters.append(it + 1)
-            if on_checkpoint is not None:
-                on_checkpoint(it + 1, policy)
-        if cfg.convergence_epsilon is not None and holdout:
-            avg = mean_mass_on_correct(policy, holdout)
+        checkpoint = (out_dir is not None and cfg.checkpoint_every > 0
+                      and (it + 1) % cfg.checkpoint_every == 0)
+        if not checkpoint and cfg.convergence_epsilon is None:
+            continue
+        # One exact mass serves the checkpoint's rank and the stop rule.
+        avg = mean_mass_on_correct(policy, tasks)
+        if checkpoint:
+            name = f"checkpoint_iter{it + 1:03d}.txt"
+            save_checkpoint(policy, f"{out_dir}/{name}")
+            trace.checkpoints.append((it + 1, name, avg))
+        if cfg.convergence_epsilon is not None:
             if prev_avg is not None and abs(avg - prev_avg) < cfg.convergence_epsilon:
                 break
             prev_avg = avg
@@ -485,19 +481,17 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
 
 
 def sps_loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
-             out_dir=None, on_checkpoint=None) -> tuple[PolicyTable, TrainTrace]:
+             out_dir=None) -> tuple[PolicyTable, TrainTrace]:
     """Alternate RL phases with the IRL stage for cfg.max_iterations.
 
-    With out_dir set, each checkpoint written is also handed to
-    on_checkpoint(iteration, policy), if given.
+    With cfg.convergence_epsilon set, the loop stops after the first
+    iteration whose exact Avg@k over the training tasks moved by less than
+    epsilon since the iteration before.
     """
-    return _loop(base_policy, task_suite, cfg, seed, irl_enabled=True,
-                 out_dir=out_dir, on_checkpoint=on_checkpoint)
+    return _loop(base_policy, task_suite, cfg, seed, irl_enabled=True, out_dir=out_dir)
 
 
 def grpo_baseline_loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig,
-                       seed: int, out_dir=None,
-                       on_checkpoint=None) -> tuple[PolicyTable, TrainTrace]:
+                       seed: int, out_dir=None) -> tuple[PolicyTable, TrainTrace]:
     """The same schedule with the IRL stage disabled, for fair comparison."""
-    return _loop(base_policy, task_suite, cfg, seed, irl_enabled=False,
-                 out_dir=out_dir, on_checkpoint=on_checkpoint)
+    return _loop(base_policy, task_suite, cfg, seed, irl_enabled=False, out_dir=out_dir)

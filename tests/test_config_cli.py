@@ -72,9 +72,10 @@ def test_parse_rejects_unknown_key_with_line_number():
         parse_config_text("seed = 1\nrl.grop_size = 8\n")
 
 
-def test_parse_rejects_the_removed_workers_key():
-    with pytest.raises(ConfigError, match="line 1.*runtime.workers"):
-        parse_config_text("runtime.workers = 2\n")
+@pytest.mark.parametrize("key", ["runtime.workers", "sps.holdout_count"])
+def test_parse_rejects_a_removed_key(key):
+    with pytest.raises(ConfigError, match=f"line 1: unknown config key '{re.escape(key)}'"):
+        parse_config_text(f"{key} = 1\n")
 
 
 def test_parse_rejects_duplicates_and_bad_lines():
@@ -114,10 +115,6 @@ def test_parse_validates_cross_field_rules():
             parse_config_text(f"{key} = per_token\n")
     with pytest.raises(ConfigError, match="seed"):
         parse_config_text("seed = -1\n")
-    with pytest.raises(ConfigError, match="sps.holdout_count.*suite.count"):
-        parse_config_text("suite.count = 2\nsps.holdout_count = 2\n"
-                          "sps.convergence_epsilon = 0.01\n")
-    parse_config_text("suite.count = 2\nsps.holdout_count = 1\nsps.convergence_epsilon = 0.01\n")
 
 
 # Values a run would reject only after writing files, each with the key the
@@ -131,8 +128,6 @@ REJECTED_AT_PARSE = {
     "rl.steps_per_iteration": "rl.steps_per_iteration = 0\n",
     "suite.vocab_size": "suite.vocab_size = 2\n",
     "suite.skew": "suite.skew = -0.5\n",
-    # The convergence check holds tasks out, and at least one must be left to train.
-    "sps.holdout_count": "sps.holdout_count = 32\nsps.convergence_epsilon = 0.01\n",
     # gspo mode pins the objective, whose clip range must not be inverted.
     "rl.eps_low": "mode = gspo\nrl.eps_low = 0.5\nrl.eps_high = 0.4\n",
     # Suite shapes the task generator cannot build.
@@ -144,8 +139,8 @@ REJECTED_AT_PARSE = {
     "rl.dapo_max_resamples": "mode = dapo\nrl.dapo_max_resamples = -1\n",
     # -1 used to turn checkpoints off, as 0 does.
     "sps.checkpoint_every": "sps.checkpoint_every = -1\n",
-    # With no positive epsilon the run never stops early, yet holds tasks out.
-    "sps.convergence_epsilon": "sps.convergence_epsilon = 0\nsps.holdout_count = 1\n",
+    # No change of the mass is below an epsilon of 0, so the run could never stop early.
+    "sps.convergence_epsilon": "sps.convergence_epsilon = 0\n",
 }
 
 
@@ -616,7 +611,7 @@ def test_default_run_trains_and_ranks_without_validate_or_reloading(tmp_path, mo
     # Iterations 3 and 6 are checkpointed; the final policy is after iteration 8.
     {"sps.checkpoint_every": 3},
     # Stops after iteration 2, checkpointed.
-    {"sps.convergence_epsilon": 10.0, "sps.holdout_count": 1},
+    {"sps.convergence_epsilon": 10.0},
 ])
 def test_final_checkpoint_holds_the_final_policy(overrides, tmp_path, monkeypatch):
     returned = []
@@ -632,10 +627,42 @@ def test_final_checkpoint_holds_the_final_policy(overrides, tmp_path, monkeypatc
     runner.run(ExperimentConfig.from_dict({"out_dir": str(out_dir), **overrides}))
     (final, trace), = returned
     if "sps.convergence_epsilon" in overrides:
-        assert trace.checkpoint_iters == [1, 2]
+        assert [it for it, _, _ in trace.checkpoints] == [1, 2]
     reference_save_checkpoint(final, tmp_path / "fresh.txt")
     assert (out_dir / "checkpoint_final.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
     assert not list(out_dir.glob("*.partial"))
+
+
+@pytest.mark.parametrize("seed,stop", [(3, 3), (101, 6)])
+def test_the_stop_rule_reads_the_training_mass(seed, stop, tmp_path, monkeypatch):
+    # The exact mass of the training tasks moves by 1e-4 to 5e-4 an iteration
+    # at the default config, so an epsilon inside that range stops the run
+    # partway, after the first iteration that moved it by less.
+    monkeypatch.delenv("SQUEEZELAB_SEED", raising=False)
+    epsilon = 3e-4
+
+    def csv_and_trace(name, overrides):
+        out_dir = tmp_path / name
+        runner.run(ExperimentConfig.from_dict({"seed": seed, "out_dir": str(out_dir),
+                                               **overrides}))
+        csv_path = out_dir / "checkpoints.csv"
+        records = [json.loads(line) for line in
+                   (out_dir / "trace.jsonl").read_text().splitlines()]
+        return csv_path.read_bytes() if csv_path.exists() else None, records
+
+    full, _ = csv_and_trace("default", {})
+    stopped, records = csv_and_trace("stopped", {"sps.convergence_epsilon": epsilon})
+    # Stopping changes nothing before the stop: the rows are the default run's first ones.
+    assert full.startswith(stopped)
+    masses = [float(row.split(",")[2]) for row in stopped.decode().splitlines()[1:]]
+    assert len(masses) == stop == max(r["iter"] for r in records) + 1
+    moves = np.abs(np.diff(masses))
+    assert moves[-1] < epsilon and (moves[:-1] >= epsilon).all()
+    # With no checkpoint to rank, the rule still reads the mass and stops there.
+    unranked, records = csv_and_trace("unranked", {"sps.convergence_epsilon": epsilon,
+                                                   "sps.checkpoint_every": 0})
+    assert unranked is None
+    assert max(r["iter"] for r in records) + 1 == stop
 
 
 def test_a_cut_copy_of_the_best_checkpoint_leaves_no_truncated_file(tmp_path, monkeypatch):
@@ -654,7 +681,7 @@ def test_a_cut_copy_of_the_best_checkpoint_leaves_no_truncated_file(tmp_path, mo
 
 
 def test_training_run_samples_only_for_its_evaluation_report(tmp_path, monkeypatch):
-    # Ranking, the trace and the convergence check read exact masses; the
+    # Ranking, the trace and the stop rule read exact masses; the
     # one sample_matrix call of a training run is the evaluation report's.
     callers = []
     original = metrics.sample_matrix
@@ -670,7 +697,7 @@ def test_training_run_samples_only_for_its_evaluation_report(tmp_path, monkeypat
     cfg = ExperimentConfig.from_dict({
         "out_dir": str(tmp_path / "run"), "suite.count": 3, "sps.max_iterations": 2,
         "rl.steps_per_iteration": 2, "sps.trace_metrics": True,
-        "sps.convergence_epsilon": 1e-9, "sps.holdout_count": 1})
+        "sps.convergence_epsilon": 1e-9})
     runner.run(cfg)
     assert callers == ["evaluation_report"]
     records = [json.loads(line) for line in
@@ -691,7 +718,6 @@ def test_kl_ratio_overflow_is_a_named_error(tmp_path, capsys):
                    "suite.max_len = 3\n"
                    "suite.decoy_count = 0\n"
                    "suite.skew = 0\n"
-                   "sps.holdout_count = 1\n"
                    "sps.trace_metrics = true\n"
                    "sps.checkpoint_every = 0\n"
                    "eval.k = 1\n"

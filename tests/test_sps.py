@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelab.errors import NoRollouts
+from squeezelab.metrics import mean_mass_on_correct
 from squeezelab import objectives, sps
 from squeezelab.objectives import ClipConfig, RolloutGroup, rl_step
 from squeezelab.policy import (
@@ -690,10 +691,11 @@ def test_sps_loop_convergence_early_stop(diamond_task):
     second = TaskInstance(prompt_id=1, label=diamond_task.label,
                           spec=diamond_task.spec)
     policy = skewed_base_policy(diamond_task, 1.0, seed=9)
-    cfg = small_cfg(max_iterations=5, convergence_epsilon=10.0,
-                    holdout_count=1)
+    # Any move of the mass is below this epsilon: the first comparison stops the loop.
+    cfg = small_cfg(max_iterations=5, convergence_epsilon=10.0)
     final, trace = sps_loop(policy, [diamond_task, second], cfg, 31)
     assert max(r.iter for r in trace.records) == 1
+    assert trace.checkpoints == []
 
 
 def test_sps_loop_writes_checkpoints(diamond_task, tmp_path):
@@ -705,9 +707,10 @@ def test_sps_loop_writes_checkpoints(diamond_task, tmp_path):
     assert names == ["checkpoint_iter001.txt", "checkpoint_iter002.txt"]
     _, trace = sps_loop(policy, [diamond_task], small_cfg(checkpoint_every=2), 3,
                         out_dir=str(tmp_path))
-    assert trace.checkpoint_iters == [2]
     restored = load_checkpoint(str(tmp_path / "checkpoint_iter002.txt"))
     assert policy_state(restored) == policy_state(final)
+    assert trace.checkpoints == [
+        (2, "checkpoint_iter002.txt", mean_mass_on_correct(restored, [diamond_task]))]
 
 
 def test_trace_record_json_layout():
