@@ -48,7 +48,6 @@ from .objectives import (
     ClipConfig,
     ContrastiveRecord,
     ObjectiveReport,
-    RolloutGroup,
     StepRecord,
     contrastive_decomposition,
     dapo_filter,
@@ -63,6 +62,7 @@ from .objectives import (
 from .policy import (
     PolicyTable,
     Prefix,
+    RolloutGroup,
     TokenDistribution,
     Trajectory,
     Vocab,

@@ -37,11 +37,11 @@ BUCKET_CENTERS = tuple(i / 10 for i in range(11))
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """n sampled trajectories per prompt with their binary rewards."""
+    """n sampled token sequences per prompt with their binary rewards."""
 
     prompt_ids: tuple[int, ...]
     rewards: np.ndarray
-    trajectories: tuple[tuple[Trajectory, ...], ...] | None = None
+    sequences: tuple[list[tuple[int, ...]], ...] | None = None
 
     def __post_init__(self):
         r = np.asarray(self.rewards)
@@ -65,8 +65,8 @@ def sample_matrix(policy: PolicyTable, tasks, n: int,
     tasks = list(tasks)
     rows = [sample_trajectories(policy, task.prompt_id, n, rng, task.walk) for task in tasks]
     return SampleMatrix(prompt_ids=tuple(task.prompt_id for task in tasks),
-                        rewards=np.asarray([rewards for _, rewards in rows], dtype=int),
-                        trajectories=tuple(tuple(trajs) for trajs, _ in rows))
+                        rewards=np.asarray([row.rewards for row in rows], dtype=int),
+                        sequences=tuple(row.sequences() for row in rows))
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,12 @@ def pass_at_k_mc(policy: PolicyTable, task: TaskInstance, k: int, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if k < 1:
+        raise ValueError("need k >= 1")
     hits = 0
     for _ in range(trials):
         hits += sample_trajectories(policy, task.prompt_id, k, rng, task.walk,
-                                    stop_at_reward=True)[1][-1]
+                                    stop_at_reward=True).rewards[-1]
     p_hat = hits / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return PassAtKEstimate(k=k, value=p_hat, method="monte_carlo", stderr=stderr)
@@ -297,7 +299,7 @@ def evaluation_report(policy: PolicyTable, base_policy: PolicyTable, tasks,
     for k in used_ks:
         vals = [pass_at_k_unbiased(n, int(row.sum()), k) for row in matrix.rewards]
         pass_rates[str(k)] = float(np.mean(vals))
-    sims = [similarity(row) for row in matrix.trajectories]
+    sims = [similarity(row) for row in matrix.sequences]
     covered = 0
     total = 0
     masses = []

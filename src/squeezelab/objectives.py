@@ -9,18 +9,17 @@ averaged (per-sequence mean for GRPO/GSPO, one global token mean for DAPO),
 the clip widths, and whether a KL leash to a reference snapshot is applied
 (GRPO only). Groups with all-equal rewards carry no signal and are skipped.
 
-Every objective reads each RolloutGroup as its `flat` policy.SequenceBatch,
-kept while the group is reused (the training loop drops it after the
-group's last step); a sampled group's ids are the ones the sampler recorded,
-so no sampled trajectory is numbered again. One call joins the groups'
-batches, gathers the new and the reference log-probs with one
-token_log_probs call each and spreads each trajectory's advantage and
-length over its tokens with np.repeat. GRPO and DAPO are one clipped token
-surrogate of array expressions; GSPO takes each sequence ratio from its
-slice of the flat log-prob difference. Advantages are computed once per
-reward tuple and shared read-only. Value and KL sums are left folds in token
-order and each token's KL term follows its policy-gradient term, so the bits
-equal a per-token loop's. Every objective hands its terms to policy.score_gradient,
+Each RolloutGroup is the sampler's record: its policy.SequenceBatch holds
+the prefix ids the sampler drew at, so no rollout is numbered again. One
+call joins the non-degenerate groups' batches and behavior log-probs,
+gathers the new and the reference log-probs with one token_log_probs call
+each and spreads each rollout's advantage and length over its tokens with
+np.repeat. GRPO and DAPO are one clipped token surrogate of array
+expressions; GSPO takes each sequence ratio from its slice of the flat
+log-prob difference. Advantages are computed once per reward tuple and
+shared read-only. Value and KL sums are left folds in token order and each
+token's KL term follows its policy-gradient term, so the bits equal a
+per-token loop's. Every objective hands its terms to policy.score_gradient,
 so its gradient maps prefix ids to blocks. Values and analytical gradients
 are exact, so brute-force summation and finite differences can check them.
 """
@@ -29,14 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from .errors import EmptyTrajectory, NumericOverflow, OneSidedGroup
 from .policy import (
     PolicyTable,
-    SequenceBatch,
+    RolloutGroup,
     Trajectory,
     _left_fold,
     _log_probs,
@@ -51,7 +49,6 @@ from .policy import (
     sample_trajectories,
     sample_trajectory,  # noqa: F401  (callers read objectives.sample_trajectory)
     score_gradient,
-    sequence_batch,
     sequence_log_probs,
     token_log_probs,
 )
@@ -95,66 +92,6 @@ class ClipConfig:
     @staticmethod
     def gspo(eps_low: float = 3e-4, eps_high: float = 4e-4) -> "ClipConfig":
         return ClipConfig(GSPO, eps_low, eps_high, 0.0)
-
-
-@dataclass(frozen=True)
-class RolloutGroup:
-    """G trajectories for one prompt with rewards and behavior log-probs."""
-
-    prompt_id: int
-    trajectories: tuple[Trajectory, ...]
-    rewards: tuple[int, ...]
-    old_logps: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        g = len(self.trajectories)
-        if len(self.rewards) != g or len(self.old_logps) != g:
-            raise ValueError("trajectories, rewards, and old_logps must align")
-        if any(r not in (0, 1) for r in self.rewards):
-            raise ValueError("rewards must be binary")
-        for traj, old in zip(self.trajectories, self.old_logps):
-            if len(traj.tokens) != len(old):
-                raise ValueError("old_logps length must match trajectory length")
-
-    @property
-    def size(self) -> int:
-        return len(self.trajectories)
-
-    def keep_ids(self, policy: PolicyTable, ids: list[int]) -> None:
-        """Keep the prefix ids the group's tokens were drawn at under policy,
-        in trajectory then token order, for flat to read."""
-        self.__dict__["_ids"] = (_shape(policy), ids)
-
-    def flat(self, policy: PolicyTable) -> SequenceBatch:
-        """The group's trajectories as a SequenceBatch of policy's prefix ids, kept per shape.
-
-        The ids are the ones keep_ids kept at that shape, or else prefix_ids
-        gives them. A degenerate group carries no signal and flattens to no
-        sequences.
-        """
-        shape = _shape(policy)
-        cached = self.__dict__.get("_flat")
-        if cached is not None and cached[0] == shape:
-            return cached[1]
-        kept = self.__dict__.pop("_ids", (None, None))
-        if group_advantages(self.rewards).degenerate:
-            batch = sequence_batch(policy, ())
-        else:
-            batch = sequence_batch(policy, ((t.prompt_id, t.tokens) for t in self.trajectories),
-                                   kept[1] if kept[0] == shape else None)
-        self.__dict__["_flat"] = (shape, batch)
-        return batch
-
-    def drop_flat(self) -> None:
-        """Free the cached flat batch and the kept ids; a later call of flat
-        builds the batch again, with prefix_ids."""
-        self.__dict__.pop("_flat", None)
-        self.__dict__.pop("_ids", None)
-
-
-def _shape(policy: PolicyTable) -> tuple[int, int]:
-    """What a policy's prefix ids depend on: its vocabulary size and max_len."""
-    return policy.vocab.size, policy.max_len
 
 
 @dataclass(frozen=True)
@@ -210,16 +147,15 @@ class ObjectiveReport:
     objective_kind: str
 
 
-def _joined_groups(batch, policy: PolicyTable):
-    """The groups' flat batches joined, with every token's old log-prob and
-    each sequence's advantage and group size."""
-    live = [(group, group.flat(policy)) for group in batch]
-    live = [(group, flat) for group, flat in live if len(flat.lengths)]
-    joined = join_batches(flat for _, flat in live)
-    old = np.fromiter(chain.from_iterable(lp for group, _ in live for lp in group.old_logps),
-                      float, len(joined.ids))
-    adv = np.concatenate([group_advantages(group.rewards).values for group, _ in live] or [[]])
-    sizes = np.repeat([group.size for group, _ in live], [len(flat.lengths) for _, flat in live])
+def _joined_groups(batch):
+    """The non-degenerate groups' batches joined, with every token's behavior
+    log-prob and each sequence's advantage and group size."""
+    advs = [group_advantages(group.rewards) for group in batch]
+    live = [(group, adv.values) for group, adv in zip(batch, advs) if not adv.degenerate]
+    joined = join_batches(group.batch for group, _ in live)
+    old = np.concatenate([group.logps for group, _ in live] or [[]])
+    adv = np.concatenate([values for _, values in live] or [[]])
+    sizes = np.repeat([group.size for group, _ in live], [group.size for group, _ in live])
     return joined, old, adv, sizes
 
 
@@ -237,7 +173,7 @@ def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | N
     trajectory length to the tokens' weights. The groups' flat batches are
     joined once, and all tokens are computed in one pass of array expressions.
     """
-    joined, old_logps, seq_adv, seq_sizes = _joined_groups(batch, policy)
+    joined, old_logps, seq_adv, seq_sizes = _joined_groups(batch)
     ids, tokens, lengths = joined.ids, joined.tokens, joined.lengths
     n = len(ids)
     if not n:
@@ -313,7 +249,7 @@ def dapo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     """
     assert cfg.objective_kind == DAPO
     batch, _ = dapo_filter(groups)
-    total_tokens = sum(len(t.tokens) for g in batch for t in g.trajectories)
+    total_tokens = sum(int(g.batch.lengths.sum()) for g in batch)
     return _clipped_token_batch(batch, policy, None, cfg,
                                 lambda sizes, lengths: np.full(len(lengths), 1.0 / total_tokens))
 
@@ -330,7 +266,7 @@ def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     batch = list(groups)
     if not batch:
         raise ValueError("empty batch")
-    joined, old_logps, adv, sizes = _joined_groups(batch, policy)
+    joined, old_logps, adv, sizes = _joined_groups(batch)
     rows = prefix_rows(policy, joined.ids)
     diff = token_log_probs(policy, joined, rows) - old_logps
     lengths = joined.lengths
@@ -381,11 +317,11 @@ def contrastive_decomposition(group: RolloutGroup, policy: PolicyTable) -> Contr
         raise OneSidedGroup("need at least one positive and one negative rollout")
     p_hat = float(rewards.mean())
     var_term = math.sqrt(p_hat * (1.0 - p_hat))
-    totals = sequence_log_probs(policy, sequence_batch(
-        policy, ((t.prompt_id, t.tokens) for t in group.trajectories)))[1]
+    totals = sequence_log_probs(policy, group.batch)[1]
     pos, neg = [], []
-    for reward, traj, total in zip(group.rewards, group.trajectories, totals.tolist()):
-        lik = math.exp(total) / max(len(traj.tokens), 1)
+    for reward, total, length in zip(group.rewards, totals.tolist(),
+                                     group.batch.lengths.tolist()):
+        lik = math.exp(total) / max(length, 1)
         (pos if reward == 1 else neg).append(lik)
     return ContrastiveRecord(var_term=var_term,
                              pos_expectation=float(np.mean(pos)),
@@ -416,18 +352,8 @@ class StepRecord:
 
 def sample_group(policy: PolicyTable, task: TaskInstance, group_size: int,
                  rng: np.random.Generator) -> RolloutGroup:
-    """Sample G rollouts for one task, rewarded by the task's fused validator.
-
-    The group keeps the prefix ids the sampler drew its tokens at, so its
-    flat batch needs no prefix_ids.
-    """
-    ids: list[int] = []
-    trajs, rewards = sample_trajectories(policy, task.prompt_id, group_size, rng, task.walk,
-                                         ids=ids)
-    group = RolloutGroup(task.prompt_id, tuple(trajs), tuple(rewards),
-                         tuple(t.per_token_logp for t in trajs))
-    group.keep_ids(policy, ids)
-    return group
+    """Sample G rollouts for one task, rewarded by the task's fused validator."""
+    return sample_trajectories(policy, task.prompt_id, group_size, rng, task.walk)
 
 
 def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,
@@ -437,7 +363,7 @@ def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,
     `cfg` is an SpsConfig (group size, clip config, learning rate). Each
     prompt's rollouts come from the stream derive_rng(seed, retry, prompt_id).
     Pre-sampled `groups` may be passed to reuse a rollout batch across several
-    gradient steps; old_logps inside them then refer to the policy that
+    gradient steps; their behavior log-probs then refer to the policy that
     sampled them. Returns the new policy, a StepRecord and the groups it
     stepped on, which are the rollouts it sampled unless it was handed
     `groups`.

@@ -10,16 +10,17 @@ read, and every reader uses that table; an update recomputes only the rows
 it touched. sample_trajectories is the one sampler, at temperature 1: per
 call it draws n * max_len doubles at once and rewinds the generator past the
 unused ones, steps each draw's prefix id and a task's validator table in the
-same pass, so rewards need no replay, and on request records every drawn
-token's prefix id, which RL groups keep for their sequence batch;
-greedy_decode steps ids the same way; an update patches the sampler's row
-lists rather than dropping them. A checkpoint save keeps its rendering on
-the policy, and copies hand it on, so the next save of a lineage prints
-only the rows that are new or whose bits changed.
-Every set of sequences (RL groups, IRL demos, correct sets) is one
-SequenceBatch of flat terms, built by sequence_batch from recorded ids or
-prefix_ids, and one kernel reads it: token_log_probs gathers every token's
-log-prob at once, and sequence_log_probs adds each sequence's left-fold total.
+same pass, so rewards need no replay, and returns one RolloutGroup of
+arrays: the SequenceBatch of the ids it drew at, each token's log-prob and
+each rollout's total and reward. greedy_decode steps ids the same way; an
+update patches the sampler's row lists rather than dropping them. A
+checkpoint save keeps its rendering on the policy, and copies hand it on,
+so the next save of a lineage prints only the rows that are new or whose
+bits changed. Every set of sequences (RL groups, IRL demos, correct sets)
+is one SequenceBatch of flat terms, recorded by the sampler or built by
+sequence_batch from prefix_ids, and one kernel reads it: token_log_probs
+gathers every token's log-prob at once, and sequence_log_probs adds each
+sequence's left-fold total.
 score_gradient is the one place score blocks (onehot - probs) are formed and
 summed, from a flat batch of terms: each term's prefix id, its table row
 (prefix_rows), token and weight. Gradients map prefix ids to blocks. The
@@ -36,7 +37,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -297,16 +298,11 @@ class SequenceBatch:
         return (depth + 1) * n + seq, (int(self.lengths.max(initial=0)) + 1, n)
 
 
-def sequence_batch(policy: PolicyTable, sequences, ids: list[int] | None = None) -> SequenceBatch:
-    """The (prompt_id, tokens) pairs of sequences as one SequenceBatch at policy's shape.
-
-    ids, when given, are the prefix ids the sampler recorded for these tokens
-    (sample_trajectories' ids); otherwise prefix_ids numbers them, raising as
-    check_sequence does.
-    """
+def sequence_batch(policy: PolicyTable, sequences) -> SequenceBatch:
+    """The (prompt_id, tokens) pairs of sequences as one SequenceBatch at policy's
+    shape, numbered by prefix_ids; raises as check_sequence does."""
     sequences = list(sequences)
-    if ids is None:
-        ids = [i for pid, tokens in sequences for i in prefix_ids(policy, pid, tokens)]
+    ids = [i for pid, tokens in sequences for i in prefix_ids(policy, pid, tokens)]
     return SequenceBatch(
         ids=ids,
         tokens=np.fromiter(chain.from_iterable(t for _, t in sequences), np.intp, len(ids)),
@@ -319,6 +315,34 @@ def join_batches(batches) -> SequenceBatch:
     return SequenceBatch(ids=list(chain.from_iterable(b.ids for b in batches)),
                          tokens=np.concatenate([b.tokens for b in batches]),
                          lengths=np.concatenate([b.lengths for b in batches]))
+
+
+@dataclass(frozen=True, eq=False)
+class RolloutGroup:
+    """Rollouts of one prompt as arrays, as sample_trajectories draws them."""
+
+    prompt_id: int
+    batch: SequenceBatch      # their tokens and the prefix ids they were drawn at
+    logps: np.ndarray         # each token's behavior log-prob
+    totals: np.ndarray        # each rollout's left-fold total of them
+    rewards: tuple[int, ...]  # each rollout's reward, 0 or 1
+
+    @property
+    def size(self) -> int:
+        return len(self.rewards)
+
+    def sequences(self) -> list[tuple[int, ...]]:
+        """Each rollout's tokens."""
+        tokens, lengths = self.batch.tokens.tolist(), self.batch.lengths.tolist()
+        return [tuple(tokens[stop - n:stop]) for n, stop in zip(lengths, accumulate(lengths))]
+
+    def trajectory(self, i: int) -> Trajectory:
+        """Rollout i as a Trajectory."""
+        lengths = self.batch.lengths.tolist()
+        start = sum(lengths[:i])
+        stop = start + lengths[i]
+        return Trajectory(self.prompt_id, tuple(self.batch.tokens[start:stop].tolist()),
+                          tuple(self.logps[start:stop].tolist()), self.totals[i].item())
 
 
 def token_log_probs(policy: PolicyTable, batch: SequenceBatch, rows=None) -> np.ndarray:
@@ -392,9 +416,8 @@ def make_trajectory(policy: PolicyTable, prompt_id: int, tokens) -> Trajectory:
 
 def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
                         rng: np.random.Generator, walk=None,
-                        stop_at_reward: bool = False,
-                        ids: list | None = None) -> tuple[list[Trajectory], list[int]]:
-    """n ancestral samples from the policy, with their rewards.
+                        stop_at_reward: bool = False) -> RolloutGroup:
+    """n ancestral samples from the policy, with their rewards, as one RolloutGroup.
 
     Each token takes the next double u of rng and is the first token whose
     cumulative probability exceeds u (the last if rounding leaves u above
@@ -404,8 +427,8 @@ def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
     small-integer draw). walk is a task's validator table, TaskInstance.walk:
     a reward is 1 exactly when the walk ends in its accept state, and 0
     without a walk. With stop_at_reward sampling ends at the first reward.
-    When ids is a list, the sampler appends each drawn token's prefix id to
-    it, in trajectory then token order: the ids prefix_ids gives.
+    The record's batch holds the prefix id each token was drawn at, the ids
+    prefix_ids gives, and each total adds the log-probs in token order.
     """
     size = policy.vocab.size
     last = size - 1
@@ -413,14 +436,12 @@ def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
     stored, base = policy._rows, int(prompt_id) * policy.span
     logp_rows, cum_rows = policy._row_lists()
     draws = rng.random(n * policy.max_len).tolist()
-    used = 0
-    trajectories, rewards = [], []
+    ids, tokens, logps, lengths, totals, rewards = [], [], [], [], [], []
     for _ in range(n):
-        h, state, total, tokens, logps = 0, state0, 0.0, [], []
-        for u in draws[used:used + policy.max_len]:
+        h, state, total, start = 0, state0, 0.0, len(tokens)
+        for u in draws[start:start + policy.max_len]:
             ident = base + h
-            if ids is not None:
-                ids.append(ident)
+            ids.append(ident)
             row = stored.get(ident, 0)
             tok = bisect_right(cum_rows[row], u)
             if tok > last:
@@ -432,20 +453,22 @@ def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
             if tok == last:
                 break
             h = h * size + tok + 1
-        used += len(logps)
-        trajectories.append(Trajectory(prompt_id, tuple(tokens), tuple(logps), total))
+        lengths.append(len(tokens) - start)
+        totals.append(total)
         rewards.append(int(state == accept))
         if stop_at_reward and state == accept:
             break
-    if used < len(draws):
-        rng.bit_generator.advance((1 << 128) - (len(draws) - used))
-    return trajectories, rewards
+    if len(tokens) < len(draws):
+        rng.bit_generator.advance((1 << 128) - (len(draws) - len(tokens)))
+    batch = SequenceBatch(ids, np.array(tokens, np.intp), np.array(lengths, np.intp))
+    return RolloutGroup(prompt_id, batch, np.array(logps, float), np.array(totals, float),
+                        tuple(rewards))
 
 
 def sample_trajectory(policy: PolicyTable, prompt_id: int,
                       rng: np.random.Generator) -> Trajectory:
     """One ancestral sample: sample_trajectories with n = 1."""
-    return sample_trajectories(policy, prompt_id, 1, rng)[0][0]
+    return sample_trajectories(policy, prompt_id, 1, rng).trajectory(0)
 
 
 def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:

@@ -6,11 +6,11 @@ rollouts (L2TE), and fits the policy to those demos by gradient descent on
 their mean negative log-likelihood. Fitting a degenerate empirical
 distribution over the demos is exactly maximizing demo likelihood, which
 pushes probability mass back toward trajectories the RL phase squeezed down.
-Each rollout is kept once, in the RolloutGroups the RL steps sampled fresh
-(under reuse_rollouts only the first step samples): l2te_select reads its
-candidates and their behavior log-probs straight from those groups'
-Trajectories, and every IRL function takes a sequence of blocks, each a
-sequence of Trajectories carrying their own prompt_id.
+Each rollout is kept once, in the RolloutGroup arrays the RL steps sampled
+fresh (under reuse_rollouts only the first step samples): l2te_select ranks
+its candidates by those groups' behavior totals and builds a Trajectory
+only for each demo it picks, and every IRL function takes a sequence of
+blocks, each a sequence of Trajectories carrying their own prompt_id.
 Every IRL step, in the training loop and outside it, is one call of
 irl_step: step s descends on one block of demos per prompt, or on one block
 of the whole suite's demos (irl_scope), each block the circular
@@ -40,7 +40,6 @@ from .errors import NoRollouts
 from .metrics import mean_mass_on_correct, pass_at_k_exact, support_coverage
 from .objectives import (
     ClipConfig,
-    RolloutGroup,
     StepRecord,
     _mean_greedy_logp,
     _mean_root_entropy,
@@ -48,6 +47,7 @@ from .objectives import (
 )
 from .policy import (
     PolicyTable,
+    RolloutGroup,
     SequenceBatch,
     Trajectory,
     _left_fold,
@@ -154,35 +154,30 @@ class DemoSet:
         return len(self.entries)
 
 
-def _l2te_key(traj: Trajectory, raw_total: bool) -> float:
-    if raw_total:
-        return traj.total_logp
-    return traj.total_logp / max(len(traj.tokens), 1)
-
-
 def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     """Pick the k lowest-likelihood rollouts for one prompt as IRL demos.
 
     The candidates are the prompt's rollouts in `groups`, a sequence of
-    RolloutGroups, in group then trajectory order. They are ranked by
-    length-normalized behavior log-prob (total_logp) ascending, ties keeping
-    that order. With enough negative-reward rollouts around
-    (>= min_negatives_for_pure_l2te) the bottom k are taken as they come;
-    otherwise every available negative is taken and the lowest-ranked
-    positive-reward rollouts fill up the remaining slots, marked
-    positive_augment. A quantile q widens or narrows the candidate window
-    to the bottom ceil(q*n) ranks (never below k, so the set stays full).
+    RolloutGroups, in group then draw order. They are ranked by behavior
+    total log-prob per token (the raw total with l2te_raw_total)
+    ascending, ties keeping that order. With enough negative-reward
+    rollouts around (>= min_negatives_for_pure_l2te) the bottom k are taken
+    as they come; otherwise every available negative is taken and the
+    lowest-ranked positive-reward rollouts fill up the remaining slots,
+    marked positive_augment. A quantile q widens or narrows the candidate
+    window to the bottom ceil(q*n) ranks (never below k, so the set stays
+    full). Only the k demos become Trajectories.
     """
-    trajs, rewards = [], []
-    for group in groups:
-        if group.prompt_id == prompt_id:
-            trajs += group.trajectories
-            rewards += group.rewards
-    if not trajs:
+    live = [group for group in groups if group.prompt_id == prompt_id]
+    if not live:
         raise NoRollouts(f"no rollouts sampled for prompt {prompt_id}")
-    n = len(trajs)
+    rewards = [r for group in live for r in group.rewards]
+    keys = [total for group in live for total in group.totals.tolist()]
+    if not cfg.l2te_raw_total:
+        lengths = [length for group in live for length in group.batch.lengths.tolist()]
+        keys = [total / max(length, 1) for total, length in zip(keys, lengths)]
+    n = len(keys)
     k = min(cfg.sampling_size, n)
-    keys = [_l2te_key(traj, cfg.l2te_raw_total) for traj in trajs]
     order = sorted(range(n), key=keys.__getitem__)
     rank_of = {idx: pos for pos, idx in enumerate(order)}
     if cfg.quantile is not None:
@@ -202,7 +197,7 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     denom = max(n - 1, 1)
     entries = tuple(
         DemoEntry(
-            trajectory=trajs[i],
+            trajectory=_rollout(live, i),
             normalized_logp=keys[i],
             quantile_rank=rank_of[i] / denom,
             source=src,
@@ -210,6 +205,14 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
         for i, src in chosen
     )
     return DemoSet(entries)
+
+
+def _rollout(groups, i: int) -> Trajectory:
+    """Rollout i of groups, counted in group then draw order, as a Trajectory."""
+    for group in groups:
+        if i < group.size:
+            return group.trajectory(i)
+        i -= group.size
 
 
 def _demo_terms(policy: PolicyTable, blocks) -> SequenceBatch:
@@ -437,9 +440,6 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
                 sampled += groups
             if cfg.reuse_rollouts:
                 cached_groups = groups
-            if not cfg.reuse_rollouts or s + 1 == cfg.rl_steps_per_iteration:
-                for group in groups:  # no later step reads their token batches
-                    group.drop_flat()
             pk, cov = _trace_eval(policy, tasks, cfg)
             trace.records.append(TraceRecord(
                 iter=it, phase="RL", step=global_step,

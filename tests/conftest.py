@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from squeezelab import sps
-from squeezelab.policy import (PolicyTable, Vocab, prefix_id, prefix_key, prefix_rows,
-                               score_gradient)
+from squeezelab.policy import (PolicyTable, RolloutGroup, Trajectory, Vocab, prefix_id,
+                               prefix_key, prefix_rows, score_gradient, sequence_batch)
 from squeezelab.tasks import PathTaskSpec, TaskInstance
 
 
@@ -60,6 +60,32 @@ def random_policy(vocab_size: int, max_len: int, rng: np.random.Generator,
                 for tok in range(vocab_size - 1):
                     stack.append(prefix + (tok,))
     return policy
+
+
+def rollout_group(policy, prompt_id, trajectories, rewards, old_logps=None):
+    """A RolloutGroup of Trajectories, numbered by prefix_ids at policy's shape.
+
+    Each rollout's behavior log-probs are old_logps[i], or else its own
+    per_token_logp, and its total is its total_logp.
+    """
+    trajectories = tuple(trajectories)
+    if old_logps is None:
+        old_logps = [t.per_token_logp for t in trajectories]
+    return RolloutGroup(
+        prompt_id, sequence_batch(policy, ((prompt_id, t.tokens) for t in trajectories)),
+        np.array([lp for old in old_logps for lp in old], float),
+        np.array([t.total_logp for t in trajectories], float), tuple(rewards))
+
+
+def trajectories(group):
+    """A RolloutGroup's rollouts as Trajectories, read off its arrays; each
+    per_token_logp holds the rollout's behavior log-probs."""
+    tokens, logps, start, out = group.batch.tokens.tolist(), group.logps.tolist(), 0, []
+    for length, total in zip(group.batch.lengths.tolist(), group.totals.tolist()):
+        out.append(Trajectory(group.prompt_id, tuple(tokens[start:start + length]),
+                              tuple(logps[start:start + length]), total))
+        start += length
+    return out
 
 
 def finite_difference_blocks(value_fn, policy, keys, h=1e-5):

@@ -23,7 +23,6 @@ from squeezelab.metrics import (
 )
 from squeezelab.objectives import (
     ClipConfig,
-    RolloutGroup,
     contrastive_decomposition,
     dapo_filter,
     dapo_objective,
@@ -50,7 +49,8 @@ from squeezelab.sps import (
 from squeezelab.squeeze import penalize_token, sequence_squeeze
 from squeezelab.tasks import FamilyParams, build_suite_policy, make_benchmark_suite
 
-from conftest import by_key, finite_difference_blocks, irl_loss, irl_value, random_policy
+from conftest import (by_key, finite_difference_blocks, irl_loss, irl_value, random_policy,
+                      rollout_group)
 from test_metrics import matrix_from_counts
 from test_objectives import (
     build_batch,
@@ -161,9 +161,7 @@ def test_criterion_3_objective_oracles():
             make_trajectory(policy, pid,
                             tuple(int(t) for t in rng.integers(2, size=2)))
             for _ in range(4))
-        fixed_groups.append(RolloutGroup(
-            prompt_id=pid, trajectories=trajs, rewards=(1, 0, 1, 0),
-            old_logps=tuple(t.per_token_logp for t in trajs)))
+        fixed_groups.append(rollout_group(policy, pid, trajs, (1, 0, 1, 0)))
     assert abs(grpo_objective(fixed_groups, policy, None,
                               ClipConfig.grpo(beta=0.0)).value) < 1e-12
     assert abs(dapo_objective(fixed_groups, policy, ClipConfig.dapo()).value) < 1e-12
@@ -172,8 +170,7 @@ def test_criterion_3_objective_oracles():
     # The filter drops exactly the degenerate groups.
     def with_rewards(rewards):
         trajs = tuple(make_trajectory(policy, 0, (0, 1)) for _ in rewards)
-        return RolloutGroup(0, trajs, tuple(rewards),
-                            tuple(t.per_token_logp for t in trajs))
+        return rollout_group(policy, 0, trajs, rewards)
     mixed = [with_rewards([1, 0, 0]), with_rewards([1, 1, 0])]
     pure = [with_rewards([1, 1, 1]), with_rewards([0, 0, 0])]
     kept, dropped = dapo_filter(pure + mixed)
@@ -199,8 +196,7 @@ def test_criterion_4_advantage_normalization():
     np.testing.assert_array_equal(degenerate.values, np.zeros(3))
     policy = PolicyTable(Vocab(3), max_len=2)
     trajs = tuple(make_trajectory(policy, 0, (0, 1)) for _ in range(8))
-    group = RolloutGroup(0, trajs, (1, 0, 0, 0, 0, 0, 0, 0),
-                         tuple(t.per_token_logp for t in trajs))
+    group = rollout_group(policy, 0, trajs, (1, 0, 0, 0, 0, 0, 0, 0))
     record = contrastive_decomposition(group, policy)
     np.testing.assert_allclose(record.var_term, 0.330719, atol=1e-6)
     print("criterion 4 advantage normalization: PASS")

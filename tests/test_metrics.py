@@ -152,6 +152,13 @@ def test_pass_at_k_monte_carlo_agrees_with_closed_form(diamond_task):
     assert abs(est.value - truth) <= 3.0 * est.stderr
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_pass_at_k_monte_carlo_rejects_k_below_one(diamond_task, k):
+    policy = PolicyTable(Vocab(4), max_len=2)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        pass_at_k_mc(policy, diamond_task, k=k, trials=3, rng=derive_rng(99, 0))
+
+
 def test_avg_at_k_mixes_prompt_rates():
     matrix = matrix_from_counts([1, 3], n=4)
     np.testing.assert_allclose(avg_at_k(matrix), 0.5, atol=1e-12)
@@ -400,7 +407,7 @@ def test_sample_matrix_shape_and_determinism(diamond_task):
     assert a.rewards.shape == (1, 6)
     assert a.n == 6 and a.prompt_count == 1
     np.testing.assert_array_equal(a.rewards, b.rewards)
-    assert [t.tokens for t in a.trajectories[0]] == [t.tokens for t in b.trajectories[0]]
+    assert len(a.sequences[0]) == 6 and a.sequences == b.sequences
 
 
 def test_sample_matrix_validation():

@@ -21,7 +21,6 @@ from squeezelab import objectives as objectives_module
 from squeezelab.objectives import (
     ClipConfig,
     ObjectiveReport,
-    RolloutGroup,
     StepRecord,
     contrastive_decomposition,
     dapo_filter,
@@ -50,10 +49,10 @@ from squeezelab.policy import (
 from squeezelab import policy as policy_module
 from squeezelab.config import ExperimentConfig
 from squeezelab.sps import SpsConfig
-from squeezelab.tasks import (TaskInstance, build_suite_policy, make_benchmark_suite,
-                              skewed_base_policy, validate)
+from squeezelab.tasks import build_suite_policy, make_benchmark_suite, skewed_base_policy, validate
 
-from conftest import by_key, finite_difference_blocks, flat_score_gradient, random_policy
+from conftest import (by_key, finite_difference_blocks, flat_score_gradient, random_policy,
+                      rollout_group, trajectories)
 
 SQRT3 = 1.7320508075688772
 
@@ -85,13 +84,13 @@ def naive_grpo_value(groups, policy, ref_policy, eps, beta):
         if adv is None:
             continue
         inner = 0.0
-        for i, traj in enumerate(group.trajectories):
+        for i, traj in enumerate(trajectories(group)):
             if not traj.tokens:
                 continue
             per_traj = 0.0
             for t, tok in enumerate(traj.tokens):
                 new_lp = naive_logp(policy, traj.prompt_id, traj.tokens[:t], tok)
-                r = math.exp(new_lp - group.old_logps[i][t])
+                r = math.exp(new_lp - traj.per_token_logp[t])
                 clipped = min(max(r, 1.0 - eps), 1.0 + eps)
                 term = min(r * adv[i], clipped * adv[i])
                 if beta > 0.0:
@@ -101,19 +100,19 @@ def naive_grpo_value(groups, policy, ref_policy, eps, beta):
                     term -= beta * (rr - (ref_lp - new_lp) - 1.0)
                 per_traj += term
             inner += per_traj / len(traj.tokens)
-        total += inner / len(group.trajectories)
+        total += inner / group.size
     return total / len(groups)
 
 
 def naive_dapo_value(groups, policy, eps_low, eps_high):
-    total_tokens = sum(len(t.tokens) for g in groups for t in g.trajectories)
+    total_tokens = sum(len(t.tokens) for g in groups for t in trajectories(g))
     acc = 0.0
     for group in groups:
         adv = naive_advantages(group.rewards)
-        for i, traj in enumerate(group.trajectories):
+        for i, traj in enumerate(trajectories(group)):
             for t, tok in enumerate(traj.tokens):
                 new_lp = naive_logp(policy, traj.prompt_id, traj.tokens[:t], tok)
-                r = math.exp(new_lp - group.old_logps[i][t])
+                r = math.exp(new_lp - traj.per_token_logp[t])
                 clipped = min(max(r, 1.0 - eps_low), 1.0 + eps_high)
                 acc += min(r * adv[i], clipped * adv[i])
     return acc / total_tokens
@@ -126,18 +125,18 @@ def naive_gspo_value(groups, policy, eps_low, eps_high):
         if adv is None:
             continue
         inner = 0.0
-        for i, traj in enumerate(group.trajectories):
+        for i, traj in enumerate(trajectories(group)):
             if not traj.tokens:
                 continue
             diffs = [
                 naive_logp(policy, traj.prompt_id, traj.tokens[:t], tok)
-                - group.old_logps[i][t]
+                - traj.per_token_logp[t]
                 for t, tok in enumerate(traj.tokens)
             ]
             s = math.exp(sum(diffs) / len(diffs))
             clipped = min(max(s, 1.0 - eps_low), 1.0 + eps_high)
             inner += min(s * adv[i], clipped * adv[i])
-        total += inner / len(group.trajectories)
+        total += inner / group.size
     return total / len(groups)
 
 
@@ -156,9 +155,7 @@ def build_batch(rng, n_groups=2, group_size=3, vocab=3, max_len=2):
         rewards = [int(rng.integers(2)) for _ in trajs]
         if len(set(rewards)) == 1:
             rewards[0] = 1 - rewards[0]
-        groups.append(RolloutGroup(
-            prompt_id=pid, trajectories=trajs, rewards=tuple(rewards),
-            old_logps=tuple(t.per_token_logp for t in trajs)))
+        groups.append(rollout_group(behavior, pid, trajs, rewards))
     return behavior, groups
 
 
@@ -174,7 +171,7 @@ def perturb(policy, rng, radius=0.05):
 def visited_keys(groups):
     keys = set()
     for g in groups:
-        for traj in g.trajectories:
+        for traj in trajectories(g):
             for t in range(len(traj.tokens)):
                 keys.add((traj.prompt_id, traj.tokens[:t]))
     return sorted(keys)
@@ -349,8 +346,7 @@ def test_grpo_degenerate_group_contributes_zero_but_counts_in_mean():
     behavior, groups = build_batch(rng, n_groups=1, group_size=3)
     mixed = groups[0]
     flat_trajs = tuple(sample_trajectory(behavior, 0, rng) for _ in range(3))
-    flat = RolloutGroup(0, flat_trajs, (1, 1, 1),
-                        tuple(t.per_token_logp for t in flat_trajs))
+    flat = rollout_group(behavior, 0, flat_trajs, (1, 1, 1))
     current = perturb(behavior, rng)
     alone = grpo_objective([mixed], current, None, ClipConfig.grpo(beta=0.0))
     padded = grpo_objective([mixed, flat], current, None, ClipConfig.grpo(beta=0.0))
@@ -363,8 +359,7 @@ def test_dapo_length_weighting_differs_from_grpo():
     policy = PolicyTable(Vocab(4), max_len=3)
     t_short = make_trajectory(policy, 0, (3,))
     t_long = make_trajectory(policy, 0, (0, 1, 3))
-    group = RolloutGroup(0, (t_short, t_long), (1, 0),
-                         (t_short.per_token_logp, t_long.per_token_logp))
+    group = rollout_group(policy, 0, (t_short, t_long), (1, 0))
     current = perturb(policy_with_all_prefixes(policy), np.random.default_rng(6))
     grpo = grpo_objective([group], current, None, ClipConfig.grpo(beta=0.0))
     dapo = dapo_objective([group], current, ClipConfig.dapo())
@@ -398,8 +393,8 @@ def one_token_clip_fixture(ratio_pos):
     t_pos = make_trajectory(policy, 0, (0,))
     t_neg = make_trajectory(policy, 0, (1,))
     old_pos = (t_pos.per_token_logp[0] - math.log(ratio_pos),)
-    return policy, RolloutGroup(0, (t_pos, t_neg), (1, 0),
-                                (old_pos, t_neg.per_token_logp))
+    return policy, rollout_group(policy, 0, (t_pos, t_neg), (1, 0),
+                                 (old_pos, t_neg.per_token_logp))
 
 
 def test_grpo_clipped_token_has_zero_gradient():
@@ -431,8 +426,8 @@ def test_gspo_clipped_sequence_drops_all_its_tokens():
     t_neg = make_trajectory(policy, 0, (1, 2))
     shift = math.log(1.0 + 1e-3)
     old_pos = tuple(lp - shift for lp in t_pos.per_token_logp)
-    group = RolloutGroup(0, (t_pos, t_neg), (1, 0),
-                         (old_pos, t_neg.per_token_logp))
+    group = rollout_group(policy, 0, (t_pos, t_neg), (1, 0),
+                          (old_pos, t_neg.per_token_logp))
     report = gspo_objective([group], policy, ClipConfig.gspo())
     s = sequence_ratio_gspo(policy, old_pos, t_pos)
     np.testing.assert_allclose(s, 1.0 + 1e-3, rtol=1e-10)
@@ -453,8 +448,7 @@ def test_dapo_filter_partitions_and_keeps_mixed_groups():
     def with_rewards(rewards):
         trajs = tuple(sample_trajectory(behavior, 0, rng)
                       for _ in rewards)
-        return RolloutGroup(0, trajs, tuple(rewards),
-                            tuple(t.per_token_logp for t in trajs))
+        return rollout_group(behavior, 0, trajs, rewards)
     groups = [with_rewards([1, 1, 1, 1]), with_rewards([0, 0, 0, 0]),
               with_rewards([1, 0, 0, 0]), with_rewards([0, 1, 1, 1])]
     kept, dropped = dapo_filter(groups)
@@ -468,8 +462,7 @@ def test_dapo_all_filtered_is_a_zero_step():
     rng = np.random.default_rng(56)
     behavior = random_policy(3, 2, rng)
     trajs = tuple(sample_trajectory(behavior, 0, rng) for _ in range(4))
-    group = RolloutGroup(0, trajs, (1, 1, 1, 1),
-                         tuple(t.per_token_logp for t in trajs))
+    group = rollout_group(behavior, 0, trajs, (1, 1, 1, 1))
     report = dapo_objective([group], behavior, ClipConfig.dapo())
     assert report.value == 0.0
     assert report.gradient == {}
@@ -546,8 +539,7 @@ def test_grpo_kl_estimate_is_nonnegative():
 def test_contrastive_var_term_reference_value():
     policy = PolicyTable(Vocab(3), max_len=2)
     trajs = tuple(make_trajectory(policy, 0, (0, 1)) for _ in range(8))
-    group = RolloutGroup(0, trajs, (1, 0, 0, 0, 0, 0, 0, 0),
-                         tuple(t.per_token_logp for t in trajs))
+    group = rollout_group(policy, 0, trajs, (1, 0, 0, 0, 0, 0, 0, 0))
     record = contrastive_decomposition(group, policy)
     np.testing.assert_allclose(record.var_term, 0.330718913883, atol=1e-9)
     # Identical trajectories on both sides: the expectation gap closes.
@@ -560,8 +552,7 @@ def test_contrastive_value_rises_with_positive_likelihood():
     policy = PolicyTable(Vocab(3), max_len=2)
     t_pos = make_trajectory(policy, 0, (0, 2))
     t_neg = make_trajectory(policy, 0, (1, 2))
-    group = RolloutGroup(0, (t_pos, t_neg), (1, 0),
-                         (t_pos.per_token_logp, t_neg.per_token_logp))
+    group = rollout_group(policy, 0, (t_pos, t_neg), (1, 0))
     base_value = contrastive_decomposition(group, policy).value
     boosted = policy.copy()
     boosted.set_logits(0, (), [1.0, 0.0, 0.0])
@@ -571,8 +562,7 @@ def test_contrastive_value_rises_with_positive_likelihood():
 def test_contrastive_requires_both_sides():
     policy = PolicyTable(Vocab(3), max_len=1)
     trajs = tuple(make_trajectory(policy, 0, (0,)) for _ in range(3))
-    group = RolloutGroup(0, trajs, (1, 1, 1),
-                         tuple(t.per_token_logp for t in trajs))
+    group = rollout_group(policy, 0, trajs, (1, 1, 1))
     with pytest.raises(OneSidedGroup):
         contrastive_decomposition(group, policy)
 
@@ -588,7 +578,7 @@ def test_contrastive_likelihoods_are_left_fold_totals():
             policy.set_logits(0, seq[:t], rng.normal(scale=2.0, size=4))
     for pos, neg in zip(seqs[::2], seqs[1::2]):
         trajs = (make_trajectory(policy, 0, pos), make_trajectory(policy, 0, neg))
-        group = RolloutGroup(0, trajs, (1, 0), tuple(t.per_token_logp for t in trajs))
+        group = rollout_group(policy, 0, trajs, (1, 0))
         record = contrastive_decomposition(group, policy)
         assert record.pos_expectation == math.exp(trajectory_log_prob(policy, 0, pos)[1]) / 10
         assert record.neg_expectation == math.exp(trajectory_log_prob(policy, 0, neg)[1]) / 10
@@ -610,13 +600,13 @@ def reference_clipped_token_loop(batch, policy, ref_policy, cfg, token_weight):
         adv = group_advantages(group.rewards)
         if adv.degenerate:
             continue
-        for i, traj in enumerate(group.trajectories):
+        for i, traj in enumerate(trajectories(group)):
             a = adv.values[i]
             if not traj.tokens:
                 continue
             w = token_weight(group.size, len(traj.tokens))
             new_lp = _token_logps(policy, traj.prompt_id, traj.tokens)
-            ratios = np.exp(new_lp - np.asarray(group.old_logps[i]))
+            ratios = np.exp(new_lp - np.asarray(traj.per_token_logp))
             if use_kl:
                 ref_lp = _token_logps(ref_policy, traj.prompt_id, traj.tokens)
             for t, tok in enumerate(traj.tokens):
@@ -655,13 +645,13 @@ def reference_gspo_loop(groups, policy, cfg):
         adv = group_advantages(group.rewards)
         if adv.degenerate:
             continue
-        for i, traj in enumerate(group.trajectories):
+        for i, traj in enumerate(trajectories(group)):
             a = adv.values[i]
             length = len(traj.tokens)
             if length == 0:
                 continue
             considered_tokens += length
-            s = sequence_ratio_gspo(policy, group.old_logps[i], traj)
+            s = sequence_ratio_gspo(policy, traj.per_token_logp, traj)
             clipped_s = min(max(s, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
             unclipped_term = s * a
             clipped_term = clipped_s * a
@@ -686,7 +676,7 @@ def reference_objective(groups, policy, ref_policy, cfg):
         return reference_clipped_token_loop(groups, policy, ref_policy, cfg,
                                             lambda g, length: 1.0 / (n_groups * g * length))
     kept, _ = dapo_filter(groups)
-    total = sum(len(t.tokens) for g in kept for t in g.trajectories)
+    total = sum(len(t.tokens) for g in kept for t in trajectories(g))
     return reference_clipped_token_loop(kept, policy, None, cfg, lambda g, length: 1.0 / total)
 
 
@@ -713,7 +703,7 @@ def random_groups(rng, behavior, vocab, prompt_ids, n_groups, off_policy):
             rewards = (rewards[0],) * size
         old = tuple(tuple(lp + off_policy * rng.normal() for lp in t.per_token_logp)
                     for t in trajs)
-        groups.append(RolloutGroup(pid, tuple(trajs), rewards, old))
+        groups.append(rollout_group(behavior, pid, trajs, rewards, old))
     return groups
 
 
@@ -804,9 +794,9 @@ def test_grpo_and_dapo_steps_gather_no_per_trajectory_log_probs(monkeypatch):
 
 
 def test_grpo_and_dapo_steps_build_no_prefix_ids_for_sampled_trajectories(monkeypatch):
-    # Sampled groups keep the ids the sampler drew their tokens at, so the flat
-    # batch of a fresh, a resampled or a reused group needs no prefix_ids, in
-    # GRPO, DAPO and GSPO steps alike.
+    # A sampled group holds the ids the sampler drew its tokens at, so a step
+    # on a fresh, a resampled or a reused group calls no prefix_ids, in GRPO,
+    # DAPO and GSPO steps alike.
     calls = []
 
     def counting(*args):
@@ -837,29 +827,6 @@ def test_grpo_and_dapo_steps_build_no_prefix_ids_for_sampled_trajectories(monkey
         assert calls == []
         # DAPO resampled some degenerate groups.
         assert (len(sampled) > len(suite)) == (sps_cfg.clip.objective_kind == "dapo")
-        # Built again without the kept ids, each batch is the same.
-        for group in groups:
-            kept = group.flat(new_policy)
-            group.drop_flat()
-            again = group.flat(new_policy)
-            assert again.ids == kept.ids
-            assert np.array_equal(again.tokens, kept.tokens)
-            assert np.array_equal(again.lengths, kept.lengths)
-        assert calls
-        calls.clear()
-
-
-def test_flat_batch_of_a_group_sampled_at_another_shape_uses_the_policys_ids(diamond_task):
-    # Prompt 0's ids do not depend on the span.
-    task = TaskInstance(prompt_id=3, label=diamond_task.label, spec=diamond_task.spec)
-    sampler = PolicyTable(Vocab(4), max_len=2)
-    group = sample_group(sampler, task, 8, np.random.default_rng(3))
-    assert not group_advantages(group.rewards).degenerate
-    wider = PolicyTable(Vocab(4), max_len=3)
-    assert wider.span != sampler.span
-    for policy in (wider, sampler):
-        assert group.flat(policy).ids == [i for t in group.trajectories
-                                          for i in prefix_ids(policy, t.prompt_id, t.tokens)]
 
 
 # ---------------------------------------------------------------------------
@@ -870,16 +837,16 @@ def test_sample_group_scores_with_validator(diamond_task):
     policy = PolicyTable(Vocab(4), max_len=2)
     group = sample_group(policy, diamond_task, 8, np.random.default_rng(0))
     assert group.size == 8
-    for i, (traj, reward) in enumerate(zip(group.trajectories, group.rewards)):
+    for traj, reward in zip(trajectories(group), group.rewards):
         assert reward == validate(diamond_task, traj.tokens).reward
-        assert group.old_logps[i] == traj.per_token_logp
+        assert traj.per_token_logp == tuple(trajectory_log_prob(policy, 0, traj.tokens)[0])
 
 
 def test_rl_step_zero_lr_keeps_policy_and_fills_pool(diamond_task):
     policy = PolicyTable(Vocab(4), max_len=2)
     cfg = SpsConfig(rl_lr=0.0, group_size=8, clip=ClipConfig.grpo(beta=0.0))
     new_policy, record, groups = rl_step(policy, [diamond_task], cfg, 123)
-    pool = [traj for group in groups for traj in group.trajectories]
+    pool = [traj for group in groups for traj in trajectories(group)]
     assert new_policy is policy
     assert len(pool) == 8
     assert all(traj.total_logp <= 0 for traj in pool)
@@ -892,8 +859,8 @@ def test_rl_step_deterministic_under_seed(diamond_task):
     a = rl_step(policy, [diamond_task], cfg, 42)
     b = rl_step(policy, [diamond_task], cfg, 42)
     assert a[1] == b[1]
-    assert ([t.tokens for g in a[2] for t in g.trajectories]
-            == [t.tokens for g in b[2] for t in g.trajectories])
+    assert ([t.tokens for g in a[2] for t in trajectories(g)]
+            == [t.tokens for g in b[2] for t in trajectories(g)])
 
 
 def test_rl_step_raises_positive_rollout_likelihood(diamond_task):
@@ -905,7 +872,7 @@ def test_rl_step_raises_positive_rollout_likelihood(diamond_task):
     for seed in range(20):
         policy = skewed_base_policy(diamond_task, 2.0, seed=7)
         new_policy, record, groups = rl_step(policy, [diamond_task], cfg, seed)
-        pool = [(t, r) for g in groups for t, r in zip(g.trajectories, g.rewards)]
+        pool = [(t, r) for g in groups for t, r in zip(trajectories(g), g.rewards)]
         positives = [t for t, r in pool if r == 1]
         if not positives or len(positives) == len(pool):
             continue

@@ -54,7 +54,7 @@ from squeezelab.policy import (
 from squeezelab.tasks import PathTaskSpec, TaskInstance, validate
 
 from conftest import (by_id, by_key, finite_difference_blocks, flat_score_gradient, random_policy,
-                      reference_save_checkpoint)
+                      reference_save_checkpoint, trajectories)
 
 # softmax([2, 1, 0, -3]), oracle digits
 ORACLE_PROBS = [0.662272413524, 0.243636405391, 0.0896288246641, 0.00446235642128]
@@ -299,10 +299,13 @@ def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n):
     for version in (policy, policy, updated):
         draw_seed = int(rng.integers(2**32))
         block_rng, ref_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
-        trajs, rewards = sample_trajectories(version, 0, n, block_rng, task.walk)
-        got = [(t.tokens, t.per_token_logp, t.total_logp, r) for t, r in zip(trajs, rewards)]
+        group = sample_trajectories(version, 0, n, block_rng, task.walk)
+        trajs = trajectories(group)
+        got = [(t.tokens, t.per_token_logp, t.total_logp, r) for t, r in zip(trajs, group.rewards)]
         assert got == _sequential_block(version, task, n, ref_rng)
-        assert all(type(t.total_logp) is float for t in trajs)
+        assert group.sequences() == [t.tokens for t in trajs]
+        assert [group.trajectory(i) for i in range(n)] == trajs
+        assert all(type(group.trajectory(i).total_logp) is float for i in range(n))
         assert block_rng.random() == ref_rng.random()
 
 
@@ -349,11 +352,12 @@ def test_greedy_decode_on_the_prefix_tree_matches_the_tuple_key_loop(seed, vocab
 def test_block_sampler_stops_at_a_reward_and_leaves_the_stream_there(diamond_task):
     policy = PolicyTable(Vocab(4), max_len=2)
     block_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    trajs, rewards = sample_trajectories(policy, 0, 50, block_rng, diamond_task.walk,
-                                         stop_at_reward=True)
-    reference = _sequential_block(policy, diamond_task, len(trajs), ref_rng)
-    assert [(t.tokens, r) for t, r in zip(trajs, rewards)] == [(x[0], x[3]) for x in reference]
-    assert rewards.count(1) == 1 and rewards[-1] == 1
+    group = sample_trajectories(policy, 0, 50, block_rng, diamond_task.walk,
+                                stop_at_reward=True)
+    reference = _sequential_block(policy, diamond_task, group.size, ref_rng)
+    assert [(t.tokens, r) for t, r in zip(trajectories(group), group.rewards)] == \
+        [(x[0], x[3]) for x in reference]
+    assert group.rewards.count(1) == 1 and group.rewards[-1] == 1
     assert block_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -370,27 +374,23 @@ def test_block_sampler_records_the_prefix_id_of_every_draw(seed, vocab, max_len,
         policy.set_logits(int(rng.integers(3)), prefix,
                           float(rng.choice([0.5, 4.0])) * rng.normal(size=vocab))
     prompt_id = int(rng.integers(4))  # prompt 3 has no stored rows
-    draw_seed = int(rng.integers(2**32))
-    recording_rng, plain_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
-    ids = [-1]  # the sampler appends to the list it is given
-    trajs, rewards = sample_trajectories(policy, prompt_id, n, recording_rng, task.walk,
-                                         stop_at_reward, ids=ids)
-    assert ids[0] == -1
-    assert ids[1:] == [ident for t in trajs for ident in prefix_ids(policy, prompt_id, t.tokens)]
-    # Recording changes neither the samples nor the stream.
-    assert (trajs, rewards) == sample_trajectories(policy, prompt_id, n, plain_rng, task.walk,
-                                                   stop_at_reward)
-    assert recording_rng.bit_generator.state == plain_rng.bit_generator.state
+    group = sample_trajectories(policy, prompt_id, n, rng, task.walk, stop_at_reward)
+    trajs = trajectories(group)
+    assert group.batch.ids == [ident for t in trajs
+                               for ident in prefix_ids(policy, prompt_id, t.tokens)]
+    numbered = sequence_batch(policy, ((prompt_id, t.tokens) for t in trajs))
+    assert np.array_equal(group.batch.tokens, numbered.tokens)
+    assert np.array_equal(group.batch.lengths, numbered.lengths)
 
 
 def test_set_logits_after_a_sample_changes_later_samples():
     policy = PolicyTable(Vocab(4), max_len=2)
-    first, _ = sample_trajectories(policy, 0, 40, np.random.default_rng(1))
-    assert {t.tokens[0] for t in first} == {0, 1, 2, 3}
+    first = sample_trajectories(policy, 0, 40, np.random.default_rng(1)).sequences()
+    assert {tokens[0] for tokens in first} == {0, 1, 2, 3}
     policy.set_logits(0, (), [0.0, 0.0, 60.0, 0.0])
     policy.set_logits(0, (2,), [0.0, 60.0, 0.0, 0.0])
-    again, _ = sample_trajectories(policy, 0, 40, np.random.default_rng(1))
-    assert {t.tokens for t in again} == {(2, 1)}
+    again = sample_trajectories(policy, 0, 40, np.random.default_rng(1)).sequences()
+    assert set(again) == {(2, 1)}
 
 
 def test_grad_log_prob_uniform_case_and_score_identity():
@@ -483,6 +483,7 @@ def test_sampled_and_greedy_totals_are_the_log_prob_of_their_tokens(seed, vocab,
             logits[len(edge):] -= 4.0
             policy.set_logits(0, prefix, logits)
     for traj in [sample_trajectory(policy, 0, rng) for _ in range(5)] + \
+            trajectories(sample_trajectories(policy, 0, 5, rng)) + \
             [greedy_decode(policy, 0), greedy_decode(policy, 3)]:
         assert traj.total_logp == trajectory_log_prob(policy, traj.prompt_id, traj.tokens)[1]
         assert type(traj.total_logp) is float

@@ -11,21 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelab.errors import NoRollouts
-from squeezelab.metrics import mean_mass_on_correct
+from squeezelab.metrics import mean_mass_on_correct, sample_matrix
 from squeezelab import objectives, sps
-from squeezelab.objectives import ClipConfig, RolloutGroup, rl_step
+from squeezelab.objectives import ClipConfig, rl_step
 from squeezelab.policy import (
     PolicyTable,
     Trajectory,
     Vocab,
     apply_update,
+    derive_rng,
     make_trajectory,
     prefix_ids,
     prefix_key,
     prefix_rows,
     sample_trajectory,
     score_gradient,
-    sequence_batch,
     trajectory_log_prob,
 )
 from squeezelab.sps import (
@@ -47,6 +47,8 @@ from conftest import (
     irl_loss,
     irl_value,
     random_policy,
+    rollout_group,
+    trajectories,
 )
 
 LN4 = math.log(4.0)
@@ -59,7 +61,7 @@ def pooled(logps, rewards, lengths=None):
         dataclasses.replace(make_trajectory(policy, 0, (0,) * (lengths[i] if lengths else 1)),
                             total_logp=lp)
         for i, lp in enumerate(logps))
-    return [RolloutGroup(0, trajs, tuple(rewards), tuple(t.per_token_logp for t in trajs))]
+    return [rollout_group(policy, 0, trajs, rewards)]
 
 
 def policy_state(policy):
@@ -173,6 +175,31 @@ def test_l2te_caps_k_at_pool_size():
     assert len(demos) == 2
 
 
+def test_only_the_picked_demos_become_trajectories(diamond_task, monkeypatch):
+    # Sampled rollouts stay arrays: sampling builds no Trajectory, and
+    # l2te_select builds one per demo it picks, none per candidate.
+    few = pooled([-1.0, -2.0], [0, 0])
+    built = []
+    init = Trajectory.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trajectory, "__init__", counting)
+    policy = skewed_base_policy(diamond_task, 2.0, seed=1)
+    groups = [objectives.sample_group(policy, diamond_task, 8, derive_rng(5, step))
+              for step in range(4)]
+    matrix = sample_matrix(policy, [diamond_task] * 3, 16, derive_rng(5, 9))
+    assert matrix.rewards.shape == (3, 16)
+    assert built == []
+    for pool, sampling_size, picked in ((groups, 1, 1), (groups, 3, 3), (groups, 8, 8),
+                                        (few, 3, 2)):
+        demos = l2te_select(pool, 0, SpsConfig(group_size=8, sampling_size=sampling_size))
+        assert len(built) == len(demos) == picked
+        built.clear()
+
+
 # The selection as it read a pool of per-rollout copies, kept as the oracle
 # for l2te_select on RolloutGroups.
 @dataclasses.dataclass(frozen=True)
@@ -189,7 +216,7 @@ class RolloutPool:
         self.entries = [
             PoolEntry(prompt_id=g.prompt_id, trajectory=traj, reward=reward,
                       behavior_total_logp=traj.total_logp, rl_step_index=i // groups_per_step)
-            for i, g in enumerate(groups) for traj, reward in zip(g.trajectories, g.rewards)]
+            for i, g in enumerate(groups) for traj, reward in zip(trajectories(g), g.rewards)]
 
     def for_prompt(self, prompt_id):
         return [e for e in self.entries if e.prompt_id == prompt_id]
@@ -229,6 +256,7 @@ def test_l2te_select_on_groups_matches_the_pool_reference(data):
     prompts = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
     group_size = data.draw(st.integers(2, 5))
     max_len = data.draw(st.integers(1, 4))
+    policy = PolicyTable(Vocab(4), max_len)
     groups = []
     for _ in range(steps):
         for pid in prompts:
@@ -242,8 +270,7 @@ def test_l2te_select_on_groups_matches_the_pool_reference(data):
                 trajs.append(Trajectory(pid, (0,) * length, (serial,) + (0.0,) * (length - 1),
                                         total))
                 rewards.append(data.draw(st.integers(0, 1)))
-            groups.append(RolloutGroup(pid, tuple(trajs), tuple(rewards),
-                                       tuple(t.per_token_logp for t in trajs)))
+            groups.append(rollout_group(policy, pid, trajs, rewards))
     cfg = SpsConfig(group_size=group_size,
                     sampling_size=data.draw(st.integers(1, group_size)),
                     quantile=data.draw(st.none() | st.floats(0.01, 1.0)),
@@ -654,37 +681,6 @@ def test_sps_loop_demo_candidates_are_the_freshly_sampled_groups(diamond_task, m
         candidates = sum(g.size for g in groups if g.prompt_id == prompt_id)
         steps = 1 if reuse else cfg.rl_steps_per_iteration
         assert candidates == steps * cfg.group_size
-
-
-@pytest.mark.parametrize("reuse", [True, False])
-def test_sps_loop_flattens_each_group_once_and_frees_the_batch(diamond_task, monkeypatch,
-                                                               reuse):
-    policy = skewed_base_policy(diamond_task, 1.0, seed=5)
-    cfg = small_cfg(reuse_rollouts=reuse, rl_steps_per_iteration=3)
-    fresh, built, held = [], [], []
-
-    def recording_rl_step(*args, **kwargs):
-        result = rl_step(*args, **kwargs)
-        if kwargs["groups"] is None:
-            fresh.extend(result[2])
-        return result
-
-    def recording_batch(*args):
-        built.append(args)
-        return sequence_batch(*args)
-
-    def recording_select(groups, prompt_id, cfg):
-        held.extend("_flat" in vars(group) or "_ids" in vars(group) for group in groups)
-        return l2te_select(groups, prompt_id, cfg)
-
-    monkeypatch.setattr(sps, "rl_step", recording_rl_step)
-    monkeypatch.setattr(objectives, "sequence_batch", recording_batch)
-    monkeypatch.setattr(sps, "l2te_select", recording_select)
-    sps_loop(policy, [diamond_task], cfg, 17)
-    # Reused groups keep their batch across steps; no batch and no sampled ids
-    # are held into the IRL stage.
-    assert len(built) == len(fresh) == (1 if reuse else 3) * cfg.max_iterations
-    assert held and not any(held)
 
 
 def test_sps_loop_convergence_early_stop(diamond_task):
