@@ -55,6 +55,8 @@ MATRIX = {
     # that some prompts' selections take positive_augment demos.
     "sps_reuse_l2te": ({"mode": "sps", "rl.reuse_rollouts": True, "sps.quantile": 0.5,
                         "sps.min_negatives": 3}, 32),
+    # Circular irl_batch_size slices of each prompt's demos in per_prompt scope.
+    "sps_irl_batch": ({"mode": "sps", "sps.irl_batch_size": 2}, 32),
     # Every config above ranks L2TE candidates per token; this one by raw total.
     "sps_raw_total": ({"mode": "sps", "sps.l2te_raw_total": True}, 32),
     # Every config above runs at vocabulary size 4; prefix ids depend on it.

@@ -26,6 +26,7 @@ from .errors import (
     PrefixExhausted,
     SpaceTooLarge,
     SqueezeLabError,
+    SuiteCorrupt,
 )
 from .metrics import (
     AccuracyHistogram,

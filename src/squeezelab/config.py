@@ -52,7 +52,6 @@ SCHEMA: dict[str, tuple[str, Any]] = {
     "rl.lr": (_FLOAT, 0.05),
     "rl.group_size": (_INT, 8),
     "rl.steps_per_iteration": (_INT, 4),
-    "rl.scope": (_STR, "per_prompt"),
     "rl.reuse_rollouts": (_BOOL, False),
     "rl.dapo_max_resamples": (_INT, 0),
     "sps.sampling_size": (_INT, 3),
@@ -91,7 +90,6 @@ _SPS_KEYS = {
     "min_negatives_for_pure_l2te": "sps.min_negatives",
     "max_iterations": "sps.max_iterations",
     "l2te_raw_total": "sps.l2te_raw_total",
-    "rl_scope": "rl.scope",
     "irl_scope": "sps.irl_scope",
     "dapo_max_resamples": "rl.dapo_max_resamples",
     "reuse_rollouts": "rl.reuse_rollouts",

@@ -39,6 +39,16 @@ class CheckpointCorrupt(SqueezeLabError):
         self.line = line
 
 
+class SuiteCorrupt(SqueezeLabError):
+    """A suite file failed validation; carries the 0-based index of the failing entry."""
+
+    def __init__(self, message: str, entry: int | None = None):
+        if entry is not None:
+            message = f"entry {entry}: {message}"
+        super().__init__(message)
+        self.entry = entry
+
+
 class NotASqueezeSetting(SqueezeLabError):
     """Squeeze verification preconditions violated (eta >= 0 or m is the argmax)."""
 

@@ -390,11 +390,9 @@ def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,
         report = gspo_objective(groups, policy, cfg.clip)
 
     # Parameter blocks are disjoint per prompt, so the batch-mean gradient
-    # shrinks every block by 1/batch. per_prompt scope undoes that factor and
-    # makes rl_lr a per-prompt rate independent of suite size.
-    step = cfg.rl_lr
-    if cfg.rl_scope == "per_prompt":
-        step *= len(groups)
+    # shrinks every block by 1/batch. The step undoes that factor and makes
+    # rl_lr a per-prompt rate independent of suite size.
+    step = cfg.rl_lr * len(groups)
     new_policy = policy
     if step != 0.0 and report.gradient:
         new_policy = apply_update(policy, report.gradient, step)

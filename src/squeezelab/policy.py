@@ -17,10 +17,10 @@ update patches the sampler's row lists rather than dropping them. A
 checkpoint save keeps its rendering on the policy, and copies hand it on,
 so the next save of a lineage prints only the rows that are new or whose
 bits changed. Every set of sequences (RL groups, IRL demos, correct sets)
-is one SequenceBatch of flat terms, recorded by the sampler or built by
-sequence_batch from prefix_ids, and one kernel reads it: token_log_probs
-gathers every token's log-prob at once, and sequence_log_probs adds each
-sequence's left-fold total.
+is one SequenceBatch of flat terms, recorded by the sampler (demos are taken
+out of it) or built by sequence_batch from prefix_ids, and one kernel reads
+it: token_log_probs gathers every token's log-prob at once, and
+sequence_log_probs adds each sequence's left-fold total.
 score_gradient is the one place score blocks (onehot - probs) are formed and
 summed, from a flat batch of terms: each term's prefix id, its table row
 (prefix_rows), token and weight. Gradients map prefix ids to blocks. The
@@ -296,6 +296,12 @@ class SequenceBatch:
         seq = np.repeat(np.arange(n), self.lengths)
         depth = np.arange(len(self.tokens)) - (np.cumsum(self.lengths) - self.lengths)[seq]
         return (depth + 1) * n + seq, (int(self.lengths.max(initial=0)) + 1, n)
+
+    def take(self, indices) -> SequenceBatch:
+        """The sequences at indices, in that order, with their recorded ids."""
+        stops, lengths = np.cumsum(self.lengths).tolist(), self.lengths.tolist()
+        flat = [j for i in indices for j in range(stops[i] - lengths[i], stops[i])]
+        return SequenceBatch([self.ids[j] for j in flat], self.tokens[flat], self.lengths[indices])
 
 
 def sequence_batch(policy: PolicyTable, sequences) -> SequenceBatch:

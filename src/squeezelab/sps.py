@@ -8,22 +8,22 @@ distribution over the demos is exactly maximizing demo likelihood, which
 pushes probability mass back toward trajectories the RL phase squeezed down.
 Each rollout is kept once, in the RolloutGroup arrays the RL steps sampled
 fresh (under reuse_rollouts only the first step samples): l2te_select ranks
-its candidates by those groups' behavior totals and builds a Trajectory
-only for each demo it picks, and every IRL function takes a sequence of
-blocks, each a sequence of Trajectories carrying their own prompt_id.
+its candidates by those groups' behavior totals and takes the demos it picks
+out of their arrays as one SequenceBatch, with the prefix ids the sampler
+recorded, so no demo token is numbered again. Every IRL function takes a
+sequence of blocks, each a SequenceBatch of demos whose ids name its prompts.
 Every IRL step, in the training loop and outside it, is one call of
 irl_step: step s descends on one block of demos per prompt, or on one block
 of the whole suite's demos (irl_scope), each block the circular
 irl_batch_size slice of its demos that starts at s. One guarded descent
 serves every block at once. Blocks never share a prompt, so they own
 disjoint rows of the policy and each block's loss moves only with its own
-step: irl_loss flattens all demos into one policy.SequenceBatch, built once
-per descent, for one policy.score_gradient call (the one place score blocks
-are formed), each line-search pass is one apply_update and one irl_value
-call on that batch, and only the blocks whose loss rose halve their step and
-retry. Values are per-block left folds of the demo totals one
-policy.sequence_log_probs call gives, so the result is bit for bit a descent
-on each block in turn.
+step: the descent joins all blocks into one SequenceBatch once, for one
+policy.score_gradient call (the one place score blocks are formed), each
+line-search pass is one apply_update and one irl_value call on that batch,
+and only the blocks whose loss rose halve their step and retry. Values are
+per-block left folds of the demo totals one policy.sequence_log_probs call
+gives, so the result is bit for bit a descent on each block in turn.
 A baseline loop with the IRL stage disabled shares every other code path so
 the two runs differ only by that stage.
 """
@@ -49,13 +49,12 @@ from .policy import (
     PolicyTable,
     RolloutGroup,
     SequenceBatch,
-    Trajectory,
     _left_fold,
     apply_update,
+    join_batches,
     prefix_rows,
     save_checkpoint,
     score_gradient,
-    sequence_batch,
     sequence_log_probs,
 )
 
@@ -68,18 +67,17 @@ SCOPES = ("per_prompt", "full_suite")
 class SpsConfig:
     """Schedule and stage constants for the alternating loop.
 
-    rl_scope and irl_scope control how batch averaging meets the per-prompt
-    parameter blocks. The blocks are disjoint, so a full-batch mean scales
-    every prompt's gradient by 1/prompts and the stated learning rates would
-    do nothing observable at suite size; "per_prompt" (the default for both)
-    makes each rate a per-prompt rate. For IRL it makes each prompt's demos a
-    block with its own mean loss and its own line search; "full_suite"
-    averages the loss over every selected demo at once, concatenated into one
-    block. Either way one descent step serves every block. irl_batch_size,
-    when set, limits each block to a circular slice of that many demos in
-    either scope. The demo candidates of an iteration are the rollouts its
-    RL steps sampled: rl_steps_per_iteration * group_size per prompt, or
-    group_size with reuse_rollouts, which samples only at the first step.
+    The policy's parameter blocks are disjoint per prompt, so a full-batch
+    mean scales every prompt's gradient by 1/prompts; rl_step undoes that, so
+    rl_lr is a per-prompt rate. irl_scope "per_prompt" (the default) makes
+    each prompt's demos a block with its own mean loss and its own line
+    search; "full_suite" averages the loss over every selected demo at once,
+    joined into one block. Either way one descent step serves every block.
+    irl_batch_size, when set, limits each block to a circular slice of that
+    many demos in either scope. The demo candidates of an iteration are the
+    rollouts its RL steps sampled: rl_steps_per_iteration * group_size per
+    prompt, or group_size with reuse_rollouts, which samples only at the
+    first step.
     """
 
     group_size: int = 8
@@ -94,7 +92,6 @@ class SpsConfig:
     max_iterations: int = 8
     clip: ClipConfig = field(default_factory=ClipConfig.grpo)
     l2te_raw_total: bool = False
-    rl_scope: str = "per_prompt"
     irl_scope: str = "per_prompt"
     dapo_max_resamples: int = 0
     reuse_rollouts: bool = False
@@ -118,8 +115,6 @@ class SpsConfig:
             raise ValueError("quantile must satisfy 0 < q <= 1")
         if self.irl_scope not in SCOPES:
             raise ValueError(f"irl_scope must be one of {SCOPES}")
-        if self.rl_scope not in SCOPES:
-            raise ValueError(f"rl_scope must be one of {SCOPES}")
         if self.min_negatives_for_pure_l2te < 0:
             raise ValueError("min_negatives_for_pure_l2te must be >= 0")
         if self.max_iterations < 0:
@@ -136,7 +131,6 @@ class SpsConfig:
 
 @dataclass(frozen=True)
 class DemoEntry:
-    trajectory: Trajectory
     normalized_logp: float
     quantile_rank: float
     source: str
@@ -145,10 +139,7 @@ class DemoEntry:
 @dataclass(frozen=True)
 class DemoSet:
     entries: tuple[DemoEntry, ...]
-
-    @property
-    def trajectories(self) -> tuple[Trajectory, ...]:
-        return tuple(e.trajectory for e in self.entries)
+    batch: SequenceBatch  # the demos' sequences, in entry order
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -166,16 +157,17 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     lowest-ranked positive-reward rollouts fill up the remaining slots,
     marked positive_augment. A quantile q widens or narrows the candidate
     window to the bottom ceil(q*n) ranks (never below k, so the set stays
-    full). Only the k demos become Trajectories.
+    full). The demos' batch is taken from the candidates' recorded arrays.
     """
     live = [group for group in groups if group.prompt_id == prompt_id]
     if not live:
         raise NoRollouts(f"no rollouts sampled for prompt {prompt_id}")
+    candidates = join_batches(group.batch for group in live)
     rewards = [r for group in live for r in group.rewards]
-    keys = [total for group in live for total in group.totals.tolist()]
+    keys = np.concatenate([group.totals for group in live]).tolist()
     if not cfg.l2te_raw_total:
-        lengths = [length for group in live for length in group.batch.lengths.tolist()]
-        keys = [total / max(length, 1) for total, length in zip(keys, lengths)]
+        keys = [total / max(length, 1)
+                for total, length in zip(keys, candidates.lengths.tolist())]
     n = len(keys)
     k = min(cfg.sampling_size, n)
     order = sorted(range(n), key=keys.__getitem__)
@@ -196,54 +188,35 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
             chosen.append((i, POSITIVE_AUGMENT))
     denom = max(n - 1, 1)
     entries = tuple(
-        DemoEntry(
-            trajectory=_rollout(live, i),
-            normalized_logp=keys[i],
-            quantile_rank=rank_of[i] / denom,
-            source=src,
-        )
+        DemoEntry(normalized_logp=keys[i], quantile_rank=rank_of[i] / denom, source=src)
         for i, src in chosen
     )
-    return DemoSet(entries)
-
-
-def _rollout(groups, i: int) -> Trajectory:
-    """Rollout i of groups, counted in group then draw order, as a Trajectory."""
-    for group in groups:
-        if i < group.size:
-            return group.trajectory(i)
-        i -= group.size
-
-
-def _demo_terms(policy: PolicyTable, blocks) -> SequenceBatch:
-    """Every block's demos as one SequenceBatch, in block then demo order."""
-    if not all(blocks):
-        raise ValueError("demos must be nonempty")
-    return sequence_batch(policy, ((t.prompt_id, t.tokens) for block in blocks for t in block))
+    return DemoSet(entries, candidates.take([i for i, _ in chosen]))
 
 
 def _block_values(policy: PolicyTable, blocks, terms: SequenceBatch, rows=None) -> list[float]:
     """Each block's mean demo NLL from one sequence_log_probs call.
 
-    terms are the blocks' _demo_terms, and rows, if given, their rows of the
-    policy's table. Each demo's total and each block's sum of totals are left
-    folds, so a block's value is bit for bit the one trajectory_log_prob's
-    totals give.
+    terms are the blocks joined (join_batches), and rows, if given, their
+    rows of the policy's table. Each demo's total and each block's sum of
+    totals are left folds, so a block's value is bit for bit the one
+    trajectory_log_prob's totals give.
     """
+    sizes = [len(block.lengths) for block in blocks]
+    if not all(sizes):
+        raise ValueError("demos must be nonempty")
     totals = sequence_log_probs(policy, terms, rows)[1]
-    stops = np.cumsum([len(block) for block in blocks]).tolist()
-    return [-_left_fold(totals[stop - len(block):stop]) / len(block)
-            for block, stop in zip(blocks, stops)]
+    stops = np.cumsum(sizes).tolist()
+    return [-_left_fold(totals[stop - size:stop]) / size for size, stop in zip(sizes, stops)]
 
 
 def irl_value(policy: PolicyTable, blocks, terms=None) -> list[float]:
-    """Mean negative log-likelihood of each block of demo Trajectories.
+    """Mean negative log-likelihood of each block of demos, a SequenceBatch.
 
-    terms, if given, are the blocks' _demo_terms under a policy of the same
-    shape, so a caller that holds them skips rebuilding them.
+    terms, if given, are the blocks joined, so a caller that holds them
+    skips the join.
     """
-    return _block_values(policy, blocks,
-                         _demo_terms(policy, blocks) if terms is None else terms)
+    return _block_values(policy, blocks, join_batches(blocks) if terms is None else terms)
 
 
 def irl_loss(policy: PolicyTable, blocks,
@@ -258,11 +231,12 @@ def irl_loss(policy: PolicyTable, blocks,
     The gradient maps prefix ids to blocks. terms are as irl_value takes them.
     """
     if terms is None:
-        terms = _demo_terms(policy, blocks)
+        terms = join_batches(blocks)
     rows = prefix_rows(policy, terms.ids)
-    weights = np.repeat([-1.0 / len(block) for block in blocks for _ in block], terms.lengths)
-    return (_block_values(policy, blocks, terms, rows),
-            score_gradient(policy, terms.ids, rows, terms.tokens, weights))
+    values = _block_values(policy, blocks, terms, rows)
+    weights = np.repeat([-1.0 / len(block.lengths) for block in blocks],
+                        [len(block.tokens) for block in blocks])
+    return values, score_gradient(policy, terms.ids, rows, terms.tokens, weights)
 
 
 def irl_descent_step(policy: PolicyTable, blocks, lr: float,
@@ -281,13 +255,13 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
     """
     owner: dict[int, int] = {}
     for b, block in enumerate(blocks):
-        for traj in block:
-            if owner.setdefault(traj.prompt_id, b) != b:
-                raise ValueError(f"demo blocks share prompt {traj.prompt_id}")
+        for prompt_id in {ident // policy.span for ident in block.ids}:
+            if owner.setdefault(prompt_id, b) != b:
+                raise ValueError(f"demo blocks share prompt {prompt_id}")
+    # The demos do not change during the descent: they are joined once.
+    terms = join_batches(blocks)
     if lr == 0.0:
-        return policy, irl_value(policy, blocks)
-    # The demos do not change during the descent: their terms are built once.
-    terms = _demo_terms(policy, blocks)
+        return policy, irl_value(policy, blocks, terms)
     values, grad = irl_loss(policy, blocks, terms)
     if not grad:
         return policy, values
@@ -325,26 +299,25 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
     return update(moved), values
 
 
-def _circular_batch(demos, batch_size: int | None, s: int):
-    n = len(demos)
+def _circular_batch(demos: SequenceBatch, batch_size: int | None, s: int) -> SequenceBatch:
+    n = len(demos.lengths)
     if batch_size is None or batch_size >= n:
         return demos
-    start = (s * batch_size) % n
-    return [demos[(start + j) % n] for j in range(batch_size)]
+    return demos.take((s * batch_size + np.arange(batch_size)) % n)
 
 
 def irl_step(policy: PolicyTable, demo_sets, cfg: SpsConfig, s: int) -> tuple[PolicyTable, float]:
     """Step s of the IRL stage; returns the new policy and the mean IRL loss.
 
-    demo_sets holds one sequence of demo Trajectories per prompt. In
-    "per_prompt" scope each sequence is its own block; in "full_suite" scope
-    they are concatenated into one block. One guarded descent step serves
-    every block, and the loss is the mean over blocks. Each block is the
-    circular irl_batch_size slice of its demos that starts at
-    s * irl_batch_size, or all of them when the size is unset.
+    demo_sets holds one SequenceBatch of demos per prompt. In "per_prompt"
+    scope each is its own block; in "full_suite" scope they are joined into
+    one block. One guarded descent step serves every block, and the loss is
+    the mean over blocks. Each block is the circular irl_batch_size slice of
+    its demos that starts at s * irl_batch_size, or all of them when the
+    size is unset.
     """
     if cfg.irl_scope == "full_suite":
-        demo_sets = [[traj for demos in demo_sets for traj in demos]]
+        demo_sets = [join_batches(demo_sets)]
     policy, losses = irl_descent_step(
         policy, [_circular_batch(demos, cfg.irl_batch_size, s) for demos in demo_sets],
         cfg.irl_lr)
@@ -451,7 +424,7 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
             trace.step_records.append(record)
             global_step += 1
         if irl_enabled and cfg.irl_steps_per_iteration > 0 and cfg.irl_lr > 0:
-            demo_sets = [l2te_select(sampled, t.prompt_id, cfg).trajectories for t in tasks]
+            demo_sets = [l2te_select(sampled, t.prompt_id, cfg).batch for t in tasks]
             for s in range(cfg.irl_steps_per_iteration):
                 policy, mean_loss = irl_step(policy, demo_sets, cfg, s)
                 pk, cov = _trace_eval(policy, tasks, cfg)

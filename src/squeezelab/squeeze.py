@@ -24,7 +24,8 @@ from .policy import (
     entropy,
     grad_log_prob,
     greedy_decode,
-    make_trajectory,
+    sequence_batch,
+    sequence_log_probs,
     softmax,
     _log_probs,
 )
@@ -145,13 +146,8 @@ def enumerate_sequence_space(vocab_size: int, max_len: int) -> tuple[tuple[int, 
 
 def _sequence_probs(policy: PolicyTable, prompt_id: int,
                     space: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    out = np.empty(len(space))
-    for i, seq in enumerate(space):
-        total = 0.0
-        for t, tok in enumerate(seq):
-            total += _log_probs(policy, prompt_id, seq[:t])[tok]
-        out[i] = np.exp(total)
-    return out
+    batch = sequence_batch(policy, ((prompt_id, seq) for seq in space))
+    return np.exp(sequence_log_probs(policy, batch)[1])
 
 
 def sequence_squeeze(policy: PolicyTable, y_minus: Trajectory | tuple[int, ...],
@@ -217,15 +213,14 @@ def peakedness_trace(policy: PolicyTable, prompts) -> list[PeakednessRecord]:
     records = []
     for prompt_id in prompts:
         traj = greedy_decode(policy, prompt_id)
-        recomputed = make_trajectory(policy, prompt_id, traj.tokens)
         step_entropies = [
             entropy(np.exp(_log_probs(policy, prompt_id, traj.tokens[:t])))
             for t in range(len(traj.tokens))
         ]
         records.append(PeakednessRecord(
             prompt_id=prompt_id,
-            max_seq_prob_est=float(np.exp(recomputed.total_logp)),
+            max_seq_prob_est=float(np.exp(traj.total_logp)),
             mean_token_entropy=float(np.mean(step_entropies)),
-            greedy_total_logp=recomputed.total_logp,
+            greedy_total_logp=traj.total_logp,
         ))
     return records

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GenerationFailed, SpaceTooLarge
+from .errors import GenerationFailed, SpaceTooLarge, SuiteCorrupt
 from .policy import PolicyTable, SequenceBatch, Vocab, derive_rng, sequence_batch
 
 MAX_NODE_COUNT = 64
@@ -343,22 +343,32 @@ def load_suite(path, vocab_size: int | None = None) -> list[TaskInstance]:
     token plus the terminator.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise SuiteCorrupt(f"not a JSON file: {exc}") from exc
+    if not isinstance(payload, list):
+        raise SuiteCorrupt(f"expected a JSON list of tasks, got {type(payload).__name__}")
     tasks = []
-    for obj in payload:
-        edges = tuple((int(u), int(v), int(t)) for u, v, t in obj["edges"])
-        size = vocab_size
-        if size is None:
-            max_tok = max((t for _u, _v, t in edges), default=0)
-            size = max_tok + 2
-        spec = PathTaskSpec(
-            node_count=int(obj["nodes"]),
-            edges=edges,
-            start=int(obj["start"]),
-            target=int(obj["label"]),
-            max_len=int(obj["max_len"]),
-            vocab_size=size,
-        )
-        tasks.append(TaskInstance(prompt_id=int(obj["prompt_id"]),
-                                  label=int(obj["label"]), spec=spec))
+    for entry, obj in enumerate(payload):
+        try:
+            edges = tuple((int(u), int(v), int(t)) for u, v, t in obj["edges"])
+            size = vocab_size
+            if size is None:
+                max_tok = max((t for _u, _v, t in edges), default=0)
+                size = max_tok + 2
+            spec = PathTaskSpec(
+                node_count=int(obj["nodes"]),
+                edges=edges,
+                start=int(obj["start"]),
+                target=int(obj["label"]),
+                max_len=int(obj["max_len"]),
+                vocab_size=size,
+            )
+            tasks.append(TaskInstance(prompt_id=int(obj["prompt_id"]),
+                                      label=int(obj["label"]), spec=spec))
+        except KeyError as exc:
+            raise SuiteCorrupt(f"missing key {exc}", entry) from exc
+        except (TypeError, ValueError) as exc:
+            raise SuiteCorrupt(str(exc), entry) from exc
     return tasks

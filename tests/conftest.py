@@ -138,21 +138,38 @@ def flat_score_gradient(policy, terms):
                           [tok for *_, tok, _w in terms], [w for *_, w in terms])
 
 
-# The IRL functions take a sequence of demo blocks; these give their
-# one-block form, a flat demo list in and one value out.
+# The IRL functions take a sequence of demo blocks, each a SequenceBatch;
+# these give their one-block form, a flat Trajectory list in and one value out.
+
+def demo_batch(policy, demos):
+    """Demo Trajectories as the SequenceBatch the IRL functions take, numbered by prefix_ids."""
+    return sequence_batch(policy, ((t.prompt_id, t.tokens) for t in demos))
+
+
+def demo_blocks(policy, blocks):
+    """Each block of demo Trajectories as a SequenceBatch."""
+    return [demo_batch(policy, block) for block in blocks]
+
+
+def batch_sequences(batch):
+    """Each sequence of a SequenceBatch as a token tuple."""
+    tokens, lengths = batch.tokens.tolist(), batch.lengths.tolist()
+    starts = np.cumsum([0] + lengths).tolist()
+    return [tuple(tokens[start:start + n]) for start, n in zip(starts, lengths)]
+
 
 def irl_value(policy, demos):
     """sps.irl_value of demos as one block."""
-    return sps.irl_value(policy, [demos])[0]
+    return sps.irl_value(policy, [demo_batch(policy, demos)])[0]
 
 
 def irl_loss(policy, demos):
     """sps.irl_loss of demos as one block: (value, gradient by (prompt_id, prefix))."""
-    (value,), grad = sps.irl_loss(policy, [demos])
+    (value,), grad = sps.irl_loss(policy, [demo_batch(policy, demos)])
     return value, by_key(policy, grad)
 
 
 def irl_descent_step(policy, demos, lr):
     """sps.irl_descent_step on demos as one block: (policy, value)."""
-    policy, (value,) = sps.irl_descent_step(policy, [demos], lr)
+    policy, (value,) = sps.irl_descent_step(policy, [demo_batch(policy, demos)], lr)
     return policy, value

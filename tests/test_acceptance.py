@@ -49,8 +49,8 @@ from squeezelab.sps import (
 from squeezelab.squeeze import penalize_token, sequence_squeeze
 from squeezelab.tasks import FamilyParams, build_suite_policy, make_benchmark_suite
 
-from conftest import (by_key, finite_difference_blocks, irl_loss, irl_value, random_policy,
-                      rollout_group)
+from conftest import (batch_sequences, by_key, finite_difference_blocks, irl_loss, irl_value,
+                      random_policy, rollout_group)
 from test_metrics import matrix_from_counts
 from test_objectives import (
     build_batch,
@@ -221,8 +221,8 @@ def test_criterion_5_irl_reduction(diamond_task):
     base = PolicyTable(Vocab(4), max_len=2)
     _, _, groups = rl_step(base, [diamond_task], cfg, 5)
     selected = l2te_select(groups, 0, cfg)
-    fitted = irl_stage(base, [selected.trajectories], cfg)
-    demo_seqs = {d.trajectory.tokens for d in selected.entries}
+    fitted = irl_stage(base, [selected.batch], cfg)
+    demo_seqs = set(batch_sequences(selected.batch))
     assert total_mass(fitted, demo_seqs) > total_mass(base, demo_seqs)
     space = complete_sequences(4, 2)
     np.testing.assert_allclose(total_mass(fitted, space), 1.0, atol=1e-9)

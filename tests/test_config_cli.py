@@ -72,7 +72,7 @@ def test_parse_rejects_unknown_key_with_line_number():
         parse_config_text("seed = 1\nrl.grop_size = 8\n")
 
 
-@pytest.mark.parametrize("key", ["runtime.workers", "sps.holdout_count"])
+@pytest.mark.parametrize("key", ["runtime.workers", "sps.holdout_count", "rl.scope"])
 def test_parse_rejects_a_removed_key(key):
     with pytest.raises(ConfigError, match=f"line 1: unknown config key '{re.escape(key)}'"):
         parse_config_text(f"{key} = 1\n")
@@ -110,9 +110,8 @@ def test_parse_validates_cross_field_rules():
         parse_config_text("rl.objective = ppo\n")
     with pytest.raises(ConfigError, match="eval.k"):
         parse_config_text("eval.k =\n")
-    for key in ("rl.scope", "sps.irl_scope"):
-        with pytest.raises(ConfigError, match=re.escape(key)):
-            parse_config_text(f"{key} = per_token\n")
+    with pytest.raises(ConfigError, match=re.escape("sps.irl_scope")):
+        parse_config_text("sps.irl_scope = per_token\n")
     with pytest.raises(ConfigError, match="seed"):
         parse_config_text("seed = -1\n")
 
@@ -172,7 +171,7 @@ def test_parse_keeps_settings_the_run_accepts():
 SMALL_RUN = {"suite.count": 2, "sps.max_iterations": 1, "rl.steps_per_iteration": 2,
              "sps.irl_steps_per_iteration": 2, "rl.group_size": 4, "eval.n": 6}
 CHOICES = {"mode": config.MODES, "rl.objective": ("grpo", "dapo", "gspo"),
-           "rl.scope": ("per_prompt", "full_suite"), "sps.irl_scope": ("per_prompt", "full_suite")}
+           "sps.irl_scope": ("per_prompt", "full_suite")}
 # Path keys keep their defaults: the test writes its own out_dir.
 FIXED_KEYS = ("out_dir", "eval.checkpoint", "eval.suite_path", "eval.base_checkpoint")
 
@@ -368,6 +367,29 @@ def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):
     assert cli.main(["eval", str(tmp_path / "nope.txt"),
                      str(tmp_path / "suite.json")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Malformed suite.json files, each with the error line it gives.
+GOOD_ENTRY = ('{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0,'
+              ' "max_len": 2}')
+CORRUPT_SUITES = [
+    (f'[{GOOD_ENTRY}, {{"prompt_id": 1}}]', "error: entry 1: missing key 'edges'"),
+    ("[{", "error: not a JSON file: "),
+    ('{"tasks": []}', "error: expected a JSON list of tasks, got dict"),
+    (f'[{GOOD_ENTRY.replace("[[0, 1, 0]]", "[[0, 1, 7]]")}]',
+     "error: entry 0: edge token 7 outside vocab of size 4"),
+]
+
+
+@pytest.mark.parametrize("text,message", CORRUPT_SUITES)
+def test_eval_on_a_corrupt_suite_exits_1_without_a_traceback(text, message, training_runs,
+                                                             tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(text, encoding="utf-8")
+    checkpoint = training_runs[0] / "checkpoint_final.txt"
+    assert cli.main(["eval", str(checkpoint), str(suite)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags,key", [

@@ -383,6 +383,30 @@ def test_block_sampler_records_the_prefix_id_of_every_draw(seed, vocab, max_len,
     assert np.array_equal(group.batch.lengths, numbered.lengths)
 
 
+def assert_same_batch(got, want):
+    assert got.ids == want.ids
+    assert got.tokens.dtype == want.tokens.dtype and np.array_equal(got.tokens, want.tokens)
+    assert got.lengths.dtype == want.lengths.dtype and np.array_equal(got.lengths, want.lengths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6), max_len=st.integers(1, 6),
+       n=st.integers(1, 8), data=st.data())
+def test_take_equals_the_numbered_batch_of_the_same_sequences(seed, vocab, max_len, n, data):
+    rng = np.random.default_rng(seed)
+    policy = PolicyTable(Vocab(vocab), max_len)
+    group = sample_trajectories(policy, int(rng.integers(3)), n, rng)
+    sequences = [(group.prompt_id, tokens) for tokens in group.sequences()]
+    start = data.draw(st.integers(0, n - 1))
+    selections = [[], [start], [start, start], [(start + j) % n for j in range(n + 1)],
+                  data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))]
+    for indices in selections:
+        want = sequence_batch(policy, [sequences[i] for i in indices])
+        assert_same_batch(group.batch.take(indices), want)
+        assert_same_batch(join_batches([group.batch, group.batch]).take([i + n for i in indices]),
+                          want)
+
+
 def test_set_logits_after_a_sample_changes_later_samples():
     policy = PolicyTable(Vocab(4), max_len=2)
     first = sample_trajectories(policy, 0, 40, np.random.default_rng(1)).sequences()

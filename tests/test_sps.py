@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from squeezelab.errors import NoRollouts
 from squeezelab.metrics import mean_mass_on_correct, sample_matrix
 from squeezelab import objectives, sps
+from squeezelab import policy as policy_module
+from squeezelab.config import ExperimentConfig
 from squeezelab.objectives import ClipConfig, rl_step
 from squeezelab.policy import (
     PolicyTable,
@@ -39,9 +41,13 @@ from squeezelab.sps import (
     l2te_select,
     sps_loop,
 )
-from squeezelab.tasks import TaskInstance, skewed_base_policy
+from squeezelab.tasks import (TaskInstance, build_suite_policy, make_benchmark_suite,
+                              skewed_base_policy)
 
 from conftest import (
+    batch_sequences,
+    demo_batch,
+    demo_blocks,
     finite_difference_blocks,
     irl_descent_step,
     irl_loss,
@@ -155,13 +161,13 @@ def test_l2te_raw_total_flag_flips_length_normalization():
     assert normalized.entries[0].normalized_logp == -2.0
     raw = l2te_select(pool, 0, SpsConfig(sampling_size=1, l2te_raw_total=True))
     assert raw.entries[0].normalized_logp == -3.0
-    assert len(raw.entries[0].trajectory.tokens) == 3
+    assert raw.batch.lengths.tolist() == [3]
 
 
 def test_l2te_ties_keep_insertion_order():
     pool = pooled([-3.0, -3.0, -3.0], [0, 0, 0], lengths=[1, 2, 3])
     demos = l2te_select(pool, 0, SpsConfig(sampling_size=1, l2te_raw_total=True))
-    assert len(demos.entries[0].trajectory.tokens) == 1
+    assert demos.batch.lengths.tolist() == [1]
 
 
 def test_l2te_empty_pool_raises():
@@ -175,9 +181,9 @@ def test_l2te_caps_k_at_pool_size():
     assert len(demos) == 2
 
 
-def test_only_the_picked_demos_become_trajectories(diamond_task, monkeypatch):
+def test_sampling_and_demo_selection_build_no_trajectories(diamond_task, monkeypatch):
     # Sampled rollouts stay arrays: sampling builds no Trajectory, and
-    # l2te_select builds one per demo it picks, none per candidate.
+    # l2te_select takes the demos it picks out of the candidates' arrays.
     few = pooled([-1.0, -2.0], [0, 0])
     built = []
     init = Trajectory.__init__
@@ -196,8 +202,8 @@ def test_only_the_picked_demos_become_trajectories(diamond_task, monkeypatch):
     for pool, sampling_size, picked in ((groups, 1, 1), (groups, 3, 3), (groups, 8, 8),
                                         (few, 3, 2)):
         demos = l2te_select(pool, 0, SpsConfig(group_size=8, sampling_size=sampling_size))
-        assert len(built) == len(demos) == picked
-        built.clear()
+        assert len(demos) == len(demos.batch.lengths) == picked
+    assert built == []
 
 
 # The selection as it read a pool of per-rollout copies, kept as the oracle
@@ -223,7 +229,7 @@ class RolloutPool:
 
 
 def reference_l2te_select(pool, prompt_id, cfg):
-    """(trajectory, normalized_logp, quantile_rank, source) of each demo, in order."""
+    """(tokens, normalized_logp, quantile_rank, source) of each demo, in order."""
     def key(entry):
         if cfg.l2te_raw_total:
             return entry.behavior_total_logp
@@ -245,7 +251,7 @@ def reference_l2te_select(pool, prompt_id, cfg):
                 break
             if cands[i].reward == 1:
                 chosen.append((i, POSITIVE_AUGMENT))
-    return [(cands[i].trajectory, key(cands[i]), rank_of[i] / max(n - 1, 1), src)
+    return [(cands[i].trajectory.tokens, key(cands[i]), rank_of[i] / max(n - 1, 1), src)
             for i, src in chosen]
 
 
@@ -256,7 +262,7 @@ def test_l2te_select_on_groups_matches_the_pool_reference(data):
     prompts = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
     group_size = data.draw(st.integers(2, 5))
     max_len = data.draw(st.integers(1, 4))
-    policy = PolicyTable(Vocab(4), max_len)
+    policy = PolicyTable(Vocab(64), max_len)
     groups = []
     for _ in range(steps):
         for pid in prompts:
@@ -264,10 +270,10 @@ def test_l2te_select_on_groups_matches_the_pool_reference(data):
             for _ in range(group_size):
                 length = data.draw(st.integers(1, max_len))
                 # Few totals, so raw and length-normalized keys tie often; the
-                # serial in per_token_logp keeps tied trajectories unequal.
+                # serial in the first token keeps tied trajectories unequal.
                 total = data.draw(st.sampled_from([-4.0, -2.0, -1.0, -0.5]))
-                serial = float(len(groups) * group_size + len(trajs))
-                trajs.append(Trajectory(pid, (0,) * length, (serial,) + (0.0,) * (length - 1),
+                serial = len(groups) * group_size + len(trajs)
+                trajs.append(Trajectory(pid, (serial,) + (0,) * (length - 1), (0.0,) * length,
                                         total))
                 rewards.append(data.draw(st.integers(0, 1)))
             groups.append(rollout_group(policy, pid, trajs, rewards))
@@ -278,8 +284,9 @@ def test_l2te_select_on_groups_matches_the_pool_reference(data):
                     l2te_raw_total=data.draw(st.booleans()))
     pool = RolloutPool(groups, len(prompts))
     for pid in prompts:
-        got = [(d.trajectory, d.normalized_logp, d.quantile_rank, d.source)
-               for d in l2te_select(groups, pid, cfg).entries]
+        demos = l2te_select(groups, pid, cfg)
+        got = [(tokens, d.normalized_logp, d.quantile_rank, d.source)
+               for tokens, d in zip(batch_sequences(demos.batch), demos.entries)]
         assert got == reference_l2te_select(pool, pid, cfg)
 
 
@@ -365,19 +372,20 @@ def test_irl_descent_builds_the_demo_terms_once(monkeypatch):
     # reuses the terms built for the loss.
     rng = np.random.default_rng(31)
     policy = random_policy(4, 3, rng, prompt_ids=(0, 1, 2), scale=2.0)
-    blocks = [[sample_trajectory(policy, pid, rng) for _ in range(3)] for pid in (0, 1, 2)]
+    blocks = demo_blocks(policy, [[sample_trajectory(policy, pid, rng) for _ in range(3)]
+                                  for pid in (0, 1, 2)])
     built, valued = [], []
 
-    def counting_terms(*args):
+    def counting_join(*args):
         built.append(args)
-        return demo_terms(*args)
+        return join_batches(*args)
 
     def counting_value(*args):
         valued.append(args)
         return irl_value_blocks(*args)
 
-    demo_terms, irl_value_blocks = sps._demo_terms, sps.irl_value
-    monkeypatch.setattr(sps, "_demo_terms", counting_terms)
+    join_batches, irl_value_blocks = sps.join_batches, sps.irl_value
+    monkeypatch.setattr(sps, "join_batches", counting_join)
     monkeypatch.setattr(sps, "irl_value", counting_value)
     after, values = sps.irl_descent_step(policy, blocks, 50.0)
     assert len(built) == 1 and len(valued) > 1  # the rate is large enough to halve
@@ -397,9 +405,9 @@ def test_irl_step_raises_mean_demo_likelihood():
     policy = PolicyTable(Vocab(4), max_len=2)
     demos = [make_trajectory(policy, 0, (0, 1)), make_trajectory(policy, 0, (2,))]
     cfg = SpsConfig(irl_steps_per_iteration=5, irl_lr=0.1)
-    after = irl_stage(policy, [demos], cfg)
+    after = irl_stage(policy, demo_blocks(policy, [demos]), cfg)
     assert irl_value(after, demos) < irl_value(policy, demos)
-    assert irl_step(policy, [demos], SpsConfig(irl_lr=0.0), 0)[0] is policy
+    assert irl_step(policy, demo_blocks(policy, [demos]), SpsConfig(irl_lr=0.0), 0)[0] is policy
 
 
 def test_irl_step_circular_batches_still_descend():
@@ -408,7 +416,7 @@ def test_irl_step_circular_batches_still_descend():
              make_trajectory(policy, 0, (1, 0)),
              make_trajectory(policy, 0, (2,))]
     cfg = SpsConfig(irl_steps_per_iteration=6, irl_lr=0.05, irl_batch_size=2)
-    after = irl_stage(policy, [demos], cfg)
+    after = irl_stage(policy, demo_blocks(policy, [demos]), cfg)
     assert irl_value(after, demos) < irl_value(policy, demos)
 
 
@@ -440,6 +448,15 @@ def _sequential_descent(policy, demos, lr, max_halvings=30):
     return policy, val0
 
 
+def _circular_slice(demos, batch_size, s):
+    """The batch_size demos from s * batch_size on, wrapping around; all of them if fewer."""
+    n = len(demos)
+    if batch_size is None or batch_size >= n:
+        return demos
+    start = (s * batch_size) % n
+    return [demos[(start + j) % n] for j in range(batch_size)]
+
+
 def _sequential_irl_step(policy, demo_sets, cfg, s):
     """The IRL step as a loop of one descent per prompt, prompt after prompt."""
     if cfg.irl_scope == "full_suite":
@@ -447,7 +464,7 @@ def _sequential_irl_step(policy, demo_sets, cfg, s):
     losses = []
     for demos in demo_sets:
         policy, loss = _sequential_descent(
-            policy, sps._circular_batch(demos, cfg.irl_batch_size, s), cfg.irl_lr)
+            policy, _circular_slice(demos, cfg.irl_batch_size, s), cfg.irl_lr)
         losses.append(loss)
     return policy, float(np.mean(losses))
 
@@ -480,7 +497,7 @@ def test_irl_step_matches_the_sequential_per_prompt_loop(seed, vocab, max_len, p
     cfg = SpsConfig(irl_lr=lr, irl_scope=scope, irl_batch_size=batch_size)
     got = ref = policy
     for s in range(3):
-        got, got_loss = irl_step(got, demo_sets, cfg, s)
+        got, got_loss = irl_step(got, demo_blocks(policy, demo_sets), cfg, s)
         ref, ref_loss = _sequential_irl_step(ref, demo_sets, cfg, s)
         assert got_loss == ref_loss
         assert_same_policy(got, ref)
@@ -496,8 +513,9 @@ def test_irl_descent_step_blocks_that_give_up_allocate_no_rows():
     gives_up = [make_trajectory(policy, 1, (0, 1)), make_trajectory(policy, 1, (1, 0))]
     also_gives_up = [make_trajectory(policy, 2, (0, 1)), make_trajectory(policy, 2, (1, 0))]
     blocks = [gives_up, accepts, also_gives_up]
-    before = sps.irl_value(policy, blocks)
-    after, values = sps.irl_descent_step(policy, blocks, 1e4, max_halvings=0)
+    before = sps.irl_value(policy, demo_blocks(policy, blocks))
+    after, values = sps.irl_descent_step(policy, demo_blocks(policy, blocks), 1e4,
+                                         max_halvings=0)
     assert values[0] == before[0] and values[2] == before[2]
     assert values[1] < before[1]
     assert ({prefix_key(after, key) for key in after._rows if key not in policy._rows}
@@ -509,16 +527,26 @@ def test_irl_descent_step_blocks_that_give_up_allocate_no_rows():
     assert values == ref_values
     assert_same_policy(after, ref)
     # With no block moving, the input policy comes back.
-    same, values = sps.irl_descent_step(policy, [gives_up, also_gives_up], 1e4, max_halvings=0)
+    same, values = sps.irl_descent_step(policy, demo_blocks(policy, [gives_up, also_gives_up]),
+                                        1e4, max_halvings=0)
     assert same is policy
     assert values == [before[0], before[2]]
 
 
 def test_irl_descent_step_rejects_blocks_that_share_a_prompt():
     policy = PolicyTable(Vocab(3), max_len=2)
-    demo = make_trajectory(policy, 0, (0, 1))
+    demo = demo_batch(policy, [make_trajectory(policy, 0, (0, 1))])
     with pytest.raises(ValueError, match="share prompt 0"):
-        sps.irl_descent_step(policy, [[demo], [demo]], 0.1)
+        sps.irl_descent_step(policy, [demo, demo], 0.1)
+
+
+def test_irl_functions_reject_an_empty_block():
+    policy = PolicyTable(Vocab(3), max_len=2)
+    demo = demo_batch(policy, [make_trajectory(policy, 0, (0, 1))])
+    for call in (sps.irl_value, sps.irl_loss,
+                 lambda policy, blocks: sps.irl_descent_step(policy, blocks, 0.1)):
+        with pytest.raises(ValueError, match="demos must be nonempty"):
+            call(policy, [demo, demo.take([])])
 
 
 def test_irl_stage_restores_demo_mass_and_keeps_normalization(diamond_task):
@@ -527,8 +555,8 @@ def test_irl_stage_restores_demo_mass_and_keeps_normalization(diamond_task):
                     irl_lr=0.05, rl_lr=0.0, clip=ClipConfig.grpo(beta=0.0))
     _, _, groups = rl_step(policy, [diamond_task], cfg, 11)
     demos = l2te_select(groups, 0, cfg)
-    after = irl_stage(policy, [demos.trajectories], cfg)
-    demo_seqs = {d.trajectory.tokens for d in demos.entries}
+    after = irl_stage(policy, [demos.batch], cfg)
+    demo_seqs = set(batch_sequences(demos.batch))
     before_mass = total_mass(policy, demo_seqs)
     after_mass = total_mass(after, demo_seqs)
     assert after_mass > before_mass
@@ -621,7 +649,10 @@ def test_sps_loop_irl_batch_size_limits_each_descent(diamond_task, monkeypatch, 
     descent = sps.irl_descent_step
 
     def recording_descent(policy, blocks, lr):
-        steps.append([[traj.prompt_id for traj in block] for block in blocks])
+        # Each demo's prompt, read off the prefix id of its first token.
+        steps.append([[block.ids[start] // policy.span
+                       for start in (np.cumsum(block.lengths) - block.lengths).tolist()]
+                      for block in blocks])
         return descent(policy, blocks, lr)
 
     monkeypatch.setattr(sps, "irl_descent_step", recording_descent)
@@ -707,6 +738,31 @@ def test_sps_loop_writes_checkpoints(diamond_task, tmp_path):
     assert policy_state(restored) == policy_state(final)
     assert trace.checkpoints == [
         (2, "checkpoint_iter002.txt", mean_mass_on_correct(restored, [diamond_task]))]
+
+
+def test_sps_loop_numbers_no_sampled_token_again(monkeypatch, tmp_path):
+    # The demos are slices of the sampled groups, which hold the ids each
+    # token was drawn at; with the tasks' correct sets built beforehand, the
+    # loop calls prefix_ids nowhere, trace metrics, checkpoints and stop
+    # rule included.
+    cfg = ExperimentConfig.from_dict({"sps.max_iterations": 2, "sps.trace_metrics": True,
+                                      "sps.convergence_epsilon": 1e-9})
+    seed = cfg["seed"]
+    suite = make_benchmark_suite(seed, cfg.family_params())
+    base = build_suite_policy(suite, cfg["suite.skew"], seed)
+    for task in suite:
+        task.correct_set
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return prefix_ids(*args)
+
+    monkeypatch.setattr(policy_module, "prefix_ids", counting)
+    _, trace = sps_loop(base, suite, cfg.sps_config(), seed, out_dir=str(tmp_path))
+    assert [it for it, _, _ in trace.checkpoints] == [1, 2]
+    assert sum(r.phase == "IRL" for r in trace.records) == 2 * cfg["sps.irl_steps_per_iteration"]
+    assert calls == []
 
 
 def test_trace_record_json_layout():

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from squeezelab.errors import GenerationFailed
+from squeezelab.errors import GenerationFailed, SuiteCorrupt
 from squeezelab.policy import entropy, greedy_decode, softmax
 from squeezelab.tasks import (
     FamilyParams,
@@ -159,6 +159,27 @@ def test_suite_round_trip(tmp_path):
     # because the generator uses every edge token somewhere.
     inferred = load_suite(path)
     assert [t.spec.vocab_size for t in inferred] == [t.spec.vocab_size for t in suite]
+
+
+@pytest.mark.parametrize("text,entry,message", [
+    ('[{"prompt_id": 0}]', 0, "entry 0: missing key 'edges'"),
+    ("not json", None, "not a JSON file: Expecting value"),
+    ("[{", None, "not a JSON file: "),
+    ('{"prompt_id": 0}', None, "expected a JSON list of tasks, got dict"),
+    ('[{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2},'
+     ' {"prompt_id": 1, "label": 1, "nodes": 2, "edges": [[0, 1, 7]], "start": 0, "max_len": 2}]',
+     1, "entry 1: edge token 7 outside vocab of size 4"),
+    ('[{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1]], "start": 0, "max_len": 2}]',
+     0, "entry 0: not enough values to unpack"),
+    ("[3]", 0, "entry 0: "),
+])
+def test_load_suite_names_the_corrupt_entry(text, entry, message, tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SuiteCorrupt) as err:
+        load_suite(path, vocab_size=4)
+    assert err.value.entry == entry
+    assert str(err.value).startswith(message)
 
 
 def test_reward_is_binary_over_random_walks(diamond_task, ladder_task):
