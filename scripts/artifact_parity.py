@@ -45,8 +45,8 @@ MATRIX = {
     # from iteration 6's rendering and prints every row changed since.
     "sps_every_3": ({"mode": "sps", "sps.checkpoint_every": 3}, 32),
     # A run that stops early: the training tasks' exact mass first moves by
-    # less than epsilon after iteration 3 at seed 3 and after iteration 6 at
-    # seed 101, so its checkpoints are the first 3 and 6 of the `sps` config's.
+    # less than epsilon after iteration 5 at seed 3 and after iteration 3 at
+    # seed 101, so its checkpoints are the first 5 and 3 of the `sps` config's.
     "sps_converge": ({"mode": "sps", "sps.convergence_epsilon": 3e-4}, 32),
     # A rate large enough that IRL line searches halve, so some prompts'
     # blocks retry while others have accepted their step.

@@ -23,7 +23,7 @@ class InvalidToken(SqueezeLabError):
 
 
 class NumericOverflow(SqueezeLabError):
-    """A parameter update produced a non-finite logit."""
+    """A value left its range: a logit after an update, a KL ratio or an int64 prefix id."""
 
 
 class CheckpointCorrupt(SqueezeLabError):

@@ -5,8 +5,8 @@ The tabular setting permits exact versions of quantities that are only
 estimable at scale: support coverage reads the probability of every correct
 trajectory straight off the policy, and the unbiased Pass@k estimator is
 computed with exact integer binomials so it matches brute-force subset
-enumeration bit for bit. Samples come from the block sampler, one call per
-task, with rewards from the task's fused validator.
+enumeration bit for bit. Samples come from one sampler call per matrix or
+Monte Carlo estimate, with rewards from the tasks' fused validators.
 
 Each task enumerates its correct set once (TaskInstance.correct_sequences,
 flattened once into TaskInstance.correct_set, a policy.SequenceBatch), so
@@ -61,9 +61,11 @@ class SampleMatrix:
 
 def sample_matrix(policy: PolicyTable, tasks, n: int,
                   rng: np.random.Generator) -> SampleMatrix:
-    """Draw n fresh samples per task, task after task from one rng, and score them."""
+    """Draw n fresh samples per task from one (tasks, n, max_len) block of rng; score them."""
     tasks = list(tasks)
-    rows = [sample_trajectories(policy, task.prompt_id, n, rng, task.walk) for task in tasks]
+    rows = sample_trajectories(policy, [task.prompt_id for task in tasks],
+                               rng.random((len(tasks), n, policy.max_len)),
+                               [task.walk for task in tasks])
     return SampleMatrix(prompt_ids=tuple(task.prompt_id for task in tasks),
                         rewards=np.asarray([row.rewards for row in rows], dtype=int),
                         sequences=tuple(row.sequences() for row in rows))
@@ -106,19 +108,15 @@ def pass_at_k_exact(p: float, k: int) -> float:
 
 def pass_at_k_mc(policy: PolicyTable, task: TaskInstance, k: int, trials: int,
                  rng: np.random.Generator) -> PassAtKEstimate:
-    """Monte Carlo Pass@k: mean over trials of max reward among k samples.
-
-    A trial stops sampling at its first success.
-    """
+    """Monte Carlo Pass@k: the share of trials with a reward among their k samples,
+    all drawn from one rng.random((trials, k, max_len)) block."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if k < 1:
         raise ValueError("need k >= 1")
-    hits = 0
-    for _ in range(trials):
-        hits += sample_trajectories(policy, task.prompt_id, k, rng, task.walk,
-                                    stop_at_reward=True).rewards[-1]
-    p_hat = hits / trials
+    groups = sample_trajectories(policy, [task.prompt_id] * trials,
+                                 rng.random((trials, k, policy.max_len)), [task.walk] * trials)
+    p_hat = sum(1 in group.rewards for group in groups) / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return PassAtKEstimate(k=k, value=p_hat, method="monte_carlo", stderr=stderr)
 
@@ -300,14 +298,7 @@ def evaluation_report(policy: PolicyTable, base_policy: PolicyTable, tasks,
         vals = [pass_at_k_unbiased(n, int(row.sum()), k) for row in matrix.rewards]
         pass_rates[str(k)] = float(np.mean(vals))
     sims = [similarity(row) for row in matrix.sequences]
-    covered = 0
-    total = 0
-    masses = []
-    for task in tasks:
-        rec = support_coverage(policy, task, prob_floor)
-        covered += rec.covered
-        total += rec.total
-        masses.append(rec.mass_on_correct)
+    records = [support_coverage(policy, task, prob_floor) for task in tasks]
     drift = greedy_logprob_report(policy, base_policy, tasks)
     hist = accuracy_histogram(matrix)
     return {
@@ -319,8 +310,9 @@ def evaluation_report(policy: PolicyTable, base_policy: PolicyTable, tasks,
         "histogram": {"edges": list(hist.bucket_edges), "counts": list(hist.counts)},
         "similarity_bigram_jaccard": float(np.mean(sims)),
         "greedy_drift_mean": drift.mean_drift,
-        "support": {"covered": covered, "total": total,
-                    "mass": float(np.mean(masses))},
+        "support": {"covered": sum(rec.covered for rec in records),
+                    "total": sum(rec.total for rec in records),
+                    "mass": float(np.mean([rec.mass_on_correct for rec in records]))},
     }
 
 

@@ -1,7 +1,8 @@
 """Group-relative policy-gradient objectives: GRPO, DAPO, and GSPO.
 
-All three share one skeleton: sample G rollouts per prompt (sample_group,
-one block-sampler call rewarded by the task's fused validator), normalize
+All three share one skeleton: sample G rollouts per prompt (one
+sample_trajectories call per step serves every prompt, rewarded by the
+tasks' fused validators), normalize
 the binary rewards within each group into advantages, and maximize a clipped
 importance-weighted surrogate. They differ in where the ratio lives (token
 level for GRPO/DAPO, a per-sequence geometric mean for GSPO), how tokens are
@@ -353,33 +354,34 @@ class StepRecord:
 def sample_group(policy: PolicyTable, task: TaskInstance, group_size: int,
                  rng: np.random.Generator) -> RolloutGroup:
     """Sample G rollouts for one task, rewarded by the task's fused validator."""
-    return sample_trajectories(policy, task.prompt_id, group_size, rng, task.walk)
+    return sample_trajectories(policy, [task.prompt_id],
+                               rng.random((1, group_size, policy.max_len)), [task.walk])[0]
 
 
 def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,
             ref_policy: PolicyTable | None = None, step_index: int = 0, groups=None):
     """One RL update: sample, score, normalize, step the policy.
 
-    `cfg` is an SpsConfig (group size, clip config, learning rate). Each
-    prompt's rollouts come from the stream derive_rng(seed, retry, prompt_id).
-    Pre-sampled `groups` may be passed to reuse a rollout batch across several
-    gradient steps; their behavior log-probs then refer to the policy that
-    sampled them. Returns the new policy, a StepRecord and the groups it
-    stepped on, which are the rollouts it sampled unless it was handed
-    `groups`.
+    `cfg` is an SpsConfig (group size, clip config, learning rate). Retry r
+    samples its prompts, every task at r = 0 and then, under DAPO, those
+    still degenerate, from one block, derive_rng(seed, r).random((prompts,
+    group_size, max_len)). Pre-sampled `groups` may be passed to reuse a
+    rollout batch across several gradient steps; their behavior log-probs
+    then refer to the policy that sampled them. Returns the new policy, a
+    StepRecord and the groups it stepped on.
     """
     tasks = list(task_batch)
     if groups is None:
-        # DAPO resamples a degenerate group, from stream (retry, prompt_id).
         attempts = 1 + (cfg.dapo_max_resamples if cfg.clip.objective_kind == DAPO else 0)
-        groups = []
-        for task in tasks:
-            for retry in range(attempts):
-                group = sample_group(policy, task, cfg.group_size,
-                                     derive_rng(seed, retry, task.prompt_id))
-                if 0 < sum(group.rewards) < group.size:
-                    break
-            groups.append(group)
+        groups, todo = [None] * len(tasks), list(range(len(tasks)))
+        for retry in range(attempts):
+            u = derive_rng(seed, retry).random((len(todo), cfg.group_size, policy.max_len))
+            for i, group in zip(todo, sample_trajectories(
+                    policy, [tasks[i].prompt_id for i in todo], u, [tasks[i].walk for i in todo])):
+                groups[i] = group
+            todo = [i for i in todo if not 0 < sum(groups[i].rewards) < cfg.group_size]
+            if not todo:
+                break
 
     kind = cfg.clip.objective_kind
     if kind == GRPO:

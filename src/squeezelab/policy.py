@@ -1,40 +1,33 @@
 """Tabular autoregressive softmax policies over small token vocabularies.
 
 A policy stores one logit vector per (prompt, prefix) pair as a row of one
-dense array; any prefix without a stored vector reads the shared all-zero
-row, so every conditional distribution is defined (uniform) without
-allocation. Inside the package a prefix is one integer, its prefix id, found
-by arithmetic alone (prefix_id); each version maps ids to rows with one dict
-and computes the log-softmax of all its rows at most once, on the first
-read, and every reader uses that table; an update recomputes only the rows
-it touched. sample_trajectories is the one sampler, at temperature 1: per
-call it draws n * max_len doubles at once and rewinds the generator past the
-unused ones, steps each draw's prefix id and a task's validator table in the
-same pass, so rewards need no replay, and returns one RolloutGroup of
-arrays: the SequenceBatch of the ids it drew at, each token's log-prob and
-each rollout's total and reward. greedy_decode steps ids the same way; an
-update patches the sampler's row lists rather than dropping them. A
-checkpoint save keeps its rendering on the policy, and copies hand it on,
-so the next save of a lineage prints only the rows that are new or whose
-bits changed. Every set of sequences (RL groups, IRL demos, correct sets)
-is one SequenceBatch of flat terms, recorded by the sampler (demos are taken
-out of it) or built by sequence_batch from prefix_ids, and one kernel reads
-it: token_log_probs gathers every token's log-prob at once, and
-sequence_log_probs adds each sequence's left-fold total.
-score_gradient is the one place score blocks (onehot - probs) are formed and
-summed, from a flat batch of terms: each term's prefix id, its table row
-(prefix_rows), token and weight. Gradients map prefix ids to blocks. The
-highest token id acts as the terminator: sampling and greedy decoding stop
-when it is emitted or when the sequence reaches max_len. Everything here is
-exact, which makes closed-form claims about softmax update dynamics directly
-checkable.
+dense array; a prefix without one reads the shared all-zero row (uniform).
+A prefix is one integer, its prefix id, found by arithmetic alone
+(prefix_id); each version maps ids to rows with one dict and computes the
+log-softmax of all its rows once, on the first read, for every reader; an
+update recomputes only the rows it touched. sample_trajectories is the one
+sampler, at temperature 1: it reads a caller's block of uniforms, advances
+every rollout of every prompt together one token depth per numpy step on
+int64 prefix ids, steps the tasks' validator tables in the same pass, and
+returns one RolloutGroup of arrays per prompt. A checkpoint save keeps its
+rendering on the policy, and copies hand it on, so the next save of a
+lineage prints only the rows that are new or whose bits changed. Every set
+of sequences (RL groups, IRL demos, correct sets) is one SequenceBatch of
+flat terms, recorded by the sampler or built by sequence_batch, and one
+kernel reads it: token_log_probs gathers every token's log-prob at once,
+and sequence_log_probs adds each sequence's left-fold total.
+score_gradient is the one place score blocks (onehot - probs) are formed,
+from a flat batch of terms: each term's prefix id, table row, token and
+weight; gradients map prefix ids to blocks. The highest token id is the
+terminator: sampling and greedy decoding stop when it is emitted or at
+max_len. Everything here is exact, so closed-form claims about softmax
+update dynamics are directly checkable.
 """
 from __future__ import annotations
 
 import math
 import os
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -130,9 +123,10 @@ class PolicyTable:
         self._data = np.zeros((_INITIAL_ROWS, vocab.size))
         # Read-only log-softmax of _logit_rows(), or None until first read.
         self._logp: np.ndarray | None = None
-        # The same table as per-row lists of log-probs and of cumulative
-        # probabilities (for the sampler), or None until first read.
-        self._lists: tuple[list, list] | None = None
+        # The same table as per-row lists (greedy_decode) and as cumulative
+        # probabilities (the sampler), or None until first read.
+        self._lists: list | None = None
+        self._cum: np.ndarray | None = None
         # The rows as the last save_checkpoint of this lineage wrote them:
         # their logits' uint64 bits, each row's line and (prompt_id, prefix)
         # sort key, and the row indices in key order. Never changed once
@@ -161,11 +155,10 @@ class PolicyTable:
             self._logp = _read_only(_log_softmax(self._logit_rows()))
         return self._logp
 
-    def _row_lists(self) -> tuple[list, list]:
-        """Per-row log-probs and cumulative probabilities as Python lists."""
+    def _row_lists(self) -> list:
+        """Per-row log-probs as Python lists."""
         if self._lists is None:
-            logp = self._log_prob_table()
-            self._lists = (logp.tolist(), np.cumsum(np.exp(logp), axis=1).tolist())
+            self._lists = self._log_prob_table().tolist()
         return self._lists
 
     def logit_vector(self, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
@@ -182,7 +175,7 @@ class PolicyTable:
             raise InvalidLogits("logit vector contains non-finite entries")
         row = self._allocate(ident)
         self._data[row] = arr
-        self._logp = self._lists = None
+        self._logp = self._lists = self._cum = None
 
     def stored_items(self) -> list[tuple[PrefixKey, np.ndarray]]:
         rows = self._logit_rows()
@@ -197,7 +190,7 @@ class PolicyTable:
         clone._rows = dict(self._rows)
         clone._data = self._data.copy()
         # The caches are never written in place, so the clone can share them.
-        clone._logp, clone._lists = self._logp, self._lists
+        clone._logp, clone._lists, clone._cum = self._logp, self._lists, self._cum
         clone._rendering = self._rendering
         return clone
 
@@ -237,8 +230,8 @@ def prefix_ids(policy: PolicyTable, prompt_id: int, tokens) -> list[int]:
 
     prompt_id * span + h, where h is the prefix's index in a complete
     V-ary tree: 0 for (), h * V + token + 1 for a child. Ids are Python
-    ints: V ** (max_len + 1) can pass 2 ** 63, so they never go into a numpy
-    integer array. Raises as check_sequence does.
+    ints; the sampler computes them as int64 and rejects prompts whose ids
+    leave that range. Raises as check_sequence does.
     """
     check_sequence(policy, tokens)
     size, base, h = policy.vocab.size, int(prompt_id) * policy.span, 0
@@ -297,11 +290,21 @@ class SequenceBatch:
         depth = np.arange(len(self.tokens)) - (np.cumsum(self.lengths) - self.lengths)[seq]
         return (depth + 1) * n + seq, (int(self.lengths.max(initial=0)) + 1, n)
 
-    def take(self, indices) -> SequenceBatch:
-        """The sequences at indices, in that order, with their recorded ids."""
-        stops, lengths = np.cumsum(self.lengths).tolist(), self.lengths.tolist()
-        flat = [j for i in indices for j in range(stops[i] - lengths[i], stops[i])]
-        return SequenceBatch([self.ids[j] for j in flat], self.tokens[flat], self.lengths[indices])
+    @cached_property
+    def starts(self) -> list[int]:
+        """Where each sequence's terms start, then where the last one's end."""
+        return [0, *accumulate(self.lengths.tolist())]
+
+
+def take_sequences(picks) -> SequenceBatch:
+    """Sequence i of batch b for each (b, i) of picks, in that order, with its recorded ids."""
+    ids, tokens, lengths = [], [np.empty(0, np.intp)], []
+    for batch, i in picks:
+        start, stop = batch.starts[i], batch.starts[i + 1]
+        ids += batch.ids[start:stop]
+        tokens.append(batch.tokens[start:stop])
+        lengths.append(stop - start)
+    return SequenceBatch(ids, np.concatenate(tokens), np.array(lengths, np.intp))
 
 
 def sequence_batch(policy: PolicyTable, sequences) -> SequenceBatch:
@@ -339,16 +342,8 @@ class RolloutGroup:
 
     def sequences(self) -> list[tuple[int, ...]]:
         """Each rollout's tokens."""
-        tokens, lengths = self.batch.tokens.tolist(), self.batch.lengths.tolist()
-        return [tuple(tokens[stop - n:stop]) for n, stop in zip(lengths, accumulate(lengths))]
-
-    def trajectory(self, i: int) -> Trajectory:
-        """Rollout i as a Trajectory."""
-        lengths = self.batch.lengths.tolist()
-        start = sum(lengths[:i])
-        stop = start + lengths[i]
-        return Trajectory(self.prompt_id, tuple(self.batch.tokens[start:stop].tolist()),
-                          tuple(self.logps[start:stop].tolist()), self.totals[i].item())
+        tokens, starts = self.batch.tokens.tolist(), self.batch.starts
+        return [tuple(tokens[start:stop]) for start, stop in zip(starts, starts[1:])]
 
 
 def token_log_probs(policy: PolicyTable, batch: SequenceBatch, rows=None) -> np.ndarray:
@@ -420,61 +415,68 @@ def make_trajectory(policy: PolicyTable, prompt_id: int, tokens) -> Trajectory:
                       tuple(float(x) for x in per_token), total)
 
 
-def sample_trajectories(policy: PolicyTable, prompt_id: int, n: int,
-                        rng: np.random.Generator, walk=None,
-                        stop_at_reward: bool = False) -> RolloutGroup:
-    """n ancestral samples from the policy, with their rewards, as one RolloutGroup.
+def sample_trajectories(policy: PolicyTable, prompt_ids, u: np.ndarray,
+                        walks=None) -> list[RolloutGroup]:
+    """Ancestral samples from the policy, one RolloutGroup per prompt.
 
-    Each token takes the next double u of rng and is the first token whose
-    cumulative probability exceeds u (the last if rounding leaves u above
-    them all). The doubles come as one rng.random(n * max_len) block, then
-    the PCG64 generator is rewound past the unused ones, as if it had drawn
-    one per token (advance drops a 32-bit half-word buffered by an earlier
-    small-integer draw). walk is a task's validator table, TaskInstance.walk:
-    a reward is 1 exactly when the walk ends in its accept state, and 0
-    without a walk. With stop_at_reward sampling ends at the first reward.
-    The record's batch holds the prefix id each token was drawn at, the ids
-    prefix_ids gives, and each total adds the log-probs in token order.
+    u has shape (prompts, n, max_len): token t of rollout j of prompt i is
+    the first token whose cumulative probability exceeds u[i, j, t], or the
+    terminator if rounding leaves u above them all. All rollouts advance
+    together on int64 prefix ids (NumericOverflow if a prompt's ids leave
+    int64). The reward is 1 exactly when prompt i's walks[i], a
+    TaskInstance.walk, ends in its accept state, and 0 without walks. Each
+    total adds the log-probs in token order.
     """
-    size = policy.vocab.size
-    last = size - 1
-    table, state0, accept = walk or ([0] * size, 0, -1)
-    stored, base = policy._rows, int(prompt_id) * policy.span
-    logp_rows, cum_rows = policy._row_lists()
-    draws = rng.random(n * policy.max_len).tolist()
-    ids, tokens, logps, lengths, totals, rewards = [], [], [], [], [], []
-    for _ in range(n):
-        h, state, total, start = 0, state0, 0.0, len(tokens)
-        for u in draws[start:start + policy.max_len]:
-            ident = base + h
-            ids.append(ident)
-            row = stored.get(ident, 0)
-            tok = bisect_right(cum_rows[row], u)
-            if tok > last:
-                tok = last
-            tokens.append(tok)
-            logps.append(logp_rows[row][tok])
-            total += logps[-1]
-            state = table[state + tok]
-            if tok == last:
-                break
-            h = h * size + tok + 1
-        lengths.append(len(tokens) - start)
-        totals.append(total)
-        rewards.append(int(state == accept))
-        if stop_at_reward and state == accept:
-            break
-    if len(tokens) < len(draws):
-        rng.bit_generator.advance((1 << 128) - (len(draws) - len(tokens)))
-    batch = SequenceBatch(ids, np.array(tokens, np.intp), np.array(lengths, np.intp))
-    return RolloutGroup(prompt_id, batch, np.array(logps, float), np.array(totals, float),
-                        tuple(rewards))
+    prompt_ids, (count, n, depth), size = [int(p) for p in prompt_ids], u.shape, policy.vocab.size
+    if (count, depth) != (len(prompt_ids), policy.max_len):
+        raise ValueError(f"u of shape {u.shape} for {len(prompt_ids)} prompts at max_len {depth}")
+    if prompt_ids and not (-1 << 63 <= min(prompt_ids) * policy.span
+                           < (max(prompt_ids) + 1) * policy.span < 1 << 63):
+        raise NumericOverflow(f"prompts {min(prompt_ids)}..{max(prompt_ids)} at vocab={size} "
+                              f"max_len={depth} have prefix ids beyond 2**63")
+    logp, stored = policy._log_prob_table(), policy._rows
+    if policy._cum is None:
+        policy._cum = _read_only(np.cumsum(np.exp(logp), axis=1))
+    # One table for all walks, each shifted past the last; no accept is reached without walks.
+    walks = walks or [(np.zeros(size, np.intp), 0, -1)] * count
+    sizes = [len(walk[0]) for walk in walks]
+    shift = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
+    table = np.concatenate([np.empty(0, int)] + [w[0] for w in walks]) + np.repeat(shift, sizes)
+    state, accept = (np.repeat(np.array([w[i] for w in walks], int) + shift, n) for i in (1, 2))
+    walkers = count * n
+    ids, tokens = np.zeros((walkers, depth), np.int64), np.zeros((walkers, depth), np.intp)
+    logps, totals = np.zeros((walkers, depth)), np.zeros(walkers)
+    live, base = np.arange(walkers), np.repeat(np.array(prompt_ids, np.int64) * policy.span, n)
+    u, h = u.reshape(walkers, depth), np.zeros(walkers, np.int64)
+    for t in range(depth):
+        ident = base + h
+        rows = np.fromiter(map(stored.get, ident.tolist(), repeat(0)), np.intp, len(live))
+        tok = np.minimum((policy._cum[rows] <= u[live, t][:, None]).sum(axis=1), size - 1)
+        lp = logp[rows, tok]
+        ids[live, t], tokens[live, t], logps[live, t] = ident, tok, lp
+        totals[live] += lp
+        # The terminator keeps a walk's state, so a stopped walk's state is final.
+        state[live] = table[state[live] + tok]
+        more = tok != size - 1
+        live, base, h = live[more], base[more], h[more] * size + tok[more] + 1
+    ended = tokens == size - 1
+    lengths = np.where(ended.any(axis=1), ended.argmax(axis=1) + 1, depth)
+    drawn = np.arange(depth) < lengths[:, None]
+    flat_ids, flat_tokens, flat_logps = ids[drawn].tolist(), tokens[drawn], logps[drawn]
+    lengths, totals = lengths.reshape(count, n), totals.reshape(count, n)
+    rewards = (state == accept).astype(np.intp).reshape(count, n).tolist()
+    ends = [0, *accumulate(lengths.sum(axis=1).tolist())]
+    return [RolloutGroup(pid, SequenceBatch(flat_ids[a:b], flat_tokens[a:b], lengths[i]),
+                         flat_logps[a:b], totals[i], tuple(rewards[i]))
+            for i, (pid, a, b) in enumerate(zip(prompt_ids, ends, ends[1:]))]
 
 
 def sample_trajectory(policy: PolicyTable, prompt_id: int,
                       rng: np.random.Generator) -> Trajectory:
-    """One ancestral sample: sample_trajectories with n = 1."""
-    return sample_trajectories(policy, prompt_id, 1, rng).trajectory(0)
+    """One ancestral sample from one rng.random(max_len) block."""
+    (group,) = sample_trajectories(policy, [prompt_id], rng.random((1, 1, policy.max_len)))
+    return Trajectory(group.prompt_id, tuple(group.batch.tokens.tolist()),
+                      tuple(group.logps.tolist()), group.totals.item())
 
 
 def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:
@@ -486,7 +488,7 @@ def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:
     size = policy.vocab.size
     last = size - 1
     stored, base = policy._rows, int(prompt_id) * policy.span
-    logp_rows = policy._row_lists()[0]
+    logp_rows = policy._row_lists()
     h, tokens, logps, total = 0, [], [], 0.0
     for _ in range(policy.max_len):
         logp = logp_rows[stored.get(base + h, 0)]
@@ -570,7 +572,7 @@ def apply_update(policy: PolicyTable, gradient: dict[int, np.ndarray],
         key = prefix_key(policy, ids[int(np.argmin(finite))])
         raise NumericOverflow(f"update produced non-finite logits at prefix {key}")
     out._data[rows] = updated
-    out._lists = None
+    out._lists = out._cum = None
     if policy._logp is not None:
         logp = np.empty((out.stored_prefix_count + 1, policy.vocab.size))
         logp[:len(policy._logp)] = policy._logp
@@ -578,13 +580,10 @@ def apply_update(policy: PolicyTable, gradient: dict[int, np.ndarray],
         logp[rows] = fresh
         out._logp = _read_only(logp)
         if policy._lists is not None:
-            # New outer lists; the untouched rows' inner lists are shared.
-            grow = [None] * (len(logp) - len(policy._lists[0]))
-            logp_rows, cum_rows = policy._lists[0] + grow, policy._lists[1] + grow
-            for row, lp, cum in zip(rows.tolist(), fresh.tolist(),
-                                    np.cumsum(np.exp(fresh), axis=1).tolist()):
-                logp_rows[row], cum_rows[row] = lp, cum
-            out._lists = (logp_rows, cum_rows)
+            # A new outer list; the untouched rows' inner lists are shared.
+            out._lists = policy._lists + [None] * (len(logp) - len(policy._lists))
+            for row, lp in zip(rows.tolist(), fresh.tolist()):
+                out._lists[row] = lp
     return out
 
 

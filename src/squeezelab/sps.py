@@ -7,11 +7,11 @@ their mean negative log-likelihood. Fitting a degenerate empirical
 distribution over the demos is exactly maximizing demo likelihood, which
 pushes probability mass back toward trajectories the RL phase squeezed down.
 Each rollout is kept once, in the RolloutGroup arrays the RL steps sampled
-fresh (under reuse_rollouts only the first step samples): l2te_select ranks
-its candidates by those groups' behavior totals and takes the demos it picks
-out of their arrays as one SequenceBatch, with the prefix ids the sampler
-recorded, so no demo token is numbered again. Every IRL function takes a
-sequence of blocks, each a SequenceBatch of demos whose ids name its prompts.
+fresh (under reuse_rollouts only the first step samples): l2te_select gets
+each prompt's own groups, ranks them by behavior totals and takes each demo
+it picks out of its group's arrays, with the ids the sampler recorded, so no
+demo token is numbered again. Every IRL function takes a sequence of
+blocks, each a SequenceBatch of demos whose ids name its prompts.
 Every IRL step, in the training loop and outside it, is one call of
 irl_step: step s descends on one block of demos per prompt, or on one block
 of the whole suite's demos (irl_scope), each block the circular
@@ -56,6 +56,7 @@ from .policy import (
     save_checkpoint,
     score_gradient,
     sequence_log_probs,
+    take_sequences,
 )
 
 LOW_LIKELIHOOD = "low_likelihood"
@@ -157,21 +158,18 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     lowest-ranked positive-reward rollouts fill up the remaining slots,
     marked positive_augment. A quantile q widens or narrows the candidate
     window to the bottom ceil(q*n) ranks (never below k, so the set stays
-    full). The demos' batch is taken from the candidates' recorded arrays.
+    full). Each demo is taken from its own group's recorded arrays.
     """
     live = [group for group in groups if group.prompt_id == prompt_id]
     if not live:
         raise NoRollouts(f"no rollouts sampled for prompt {prompt_id}")
-    candidates = join_batches(group.batch for group in live)
     rewards = [r for group in live for r in group.rewards]
-    keys = np.concatenate([group.totals for group in live]).tolist()
-    if not cfg.l2te_raw_total:
-        keys = [total / max(length, 1)
-                for total, length in zip(keys, candidates.lengths.tolist())]
+    totals = np.concatenate([group.totals for group in live])
+    lengths = 1 if cfg.l2te_raw_total else np.concatenate([g.batch.lengths for g in live])
+    keys = (totals / np.maximum(lengths, 1)).tolist()
     n = len(keys)
     k = min(cfg.sampling_size, n)
     order = sorted(range(n), key=keys.__getitem__)
-    rank_of = {idx: pos for pos, idx in enumerate(order)}
     if cfg.quantile is not None:
         window = order[:max(k, math.ceil(cfg.quantile * n))]
     else:
@@ -188,10 +186,11 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
             chosen.append((i, POSITIVE_AUGMENT))
     denom = max(n - 1, 1)
     entries = tuple(
-        DemoEntry(normalized_logp=keys[i], quantile_rank=rank_of[i] / denom, source=src)
+        DemoEntry(normalized_logp=keys[i], quantile_rank=order.index(i) / denom, source=src)
         for i, src in chosen
     )
-    return DemoSet(entries, candidates.take([i for i, _ in chosen]))
+    sources = [(group.batch, j) for group in live for j in range(group.size)]
+    return DemoSet(entries, take_sequences(sources[i] for i, _ in chosen))
 
 
 def _block_values(policy: PolicyTable, blocks, terms: SequenceBatch, rows=None) -> list[float]:
@@ -303,7 +302,7 @@ def _circular_batch(demos: SequenceBatch, batch_size: int | None, s: int) -> Seq
     n = len(demos.lengths)
     if batch_size is None or batch_size >= n:
         return demos
-    return demos.take((s * batch_size + np.arange(batch_size)) % n)
+    return take_sequences((demos, (s * batch_size + j) % n) for j in range(batch_size))
 
 
 def irl_step(policy: PolicyTable, demo_sets, cfg: SpsConfig, s: int) -> tuple[PolicyTable, float]:
@@ -401,7 +400,7 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
     global_step = 0
     prev_avg = None
     for it in range(cfg.max_iterations):
-        sampled: list[RolloutGroup] = []  # the groups each step sampled fresh
+        sampled: list[list[RolloutGroup]] = []  # each fresh step's groups, in task order
         ref = policy
         cached_groups = None
         for s in range(cfg.rl_steps_per_iteration):
@@ -410,7 +409,7 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
                 policy, tasks, cfg, seed, ref_policy=ref, step_index=global_step,
                 groups=cached_groups)
             if cached_groups is None:
-                sampled += groups
+                sampled.append(groups)
             if cfg.reuse_rollouts:
                 cached_groups = groups
             pk, cov = _trace_eval(policy, tasks, cfg)
@@ -424,7 +423,8 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
             trace.step_records.append(record)
             global_step += 1
         if irl_enabled and cfg.irl_steps_per_iteration > 0 and cfg.irl_lr > 0:
-            demo_sets = [l2te_select(sampled, t.prompt_id, cfg).batch for t in tasks]
+            demo_sets = [l2te_select([step[k] for step in sampled], t.prompt_id, cfg).batch
+                         for k, t in enumerate(tasks)]
             for s in range(cfg.irl_steps_per_iteration):
                 policy, mean_loss = irl_step(policy, demo_sets, cfg, s)
                 pk, cov = _trace_eval(policy, tasks, cfg)

@@ -89,13 +89,13 @@ class TaskInstance:
                 f"within {self.spec.max_len} steps")
 
     @cached_property
-    def walk(self) -> tuple[list[int], int, int]:
-        """validate as the block sampler's (table, start, accept): state node * V
+    def walk(self) -> tuple[np.ndarray, int, int]:
+        """validate as the sampler's (table, start, accept): state node * V
         is the walk at node, table[state + token] the state after token; an
         undefined edge leads to a dead node and the terminator keeps the state."""
         size, nodes = self.spec.vocab_size, self.spec.node_count
-        table = [nodes * size] * ((nodes + 1) * size)
-        table[size - 1:nodes * size:size] = range(0, nodes * size, size)
+        table = np.full((nodes + 1) * size, nodes * size, np.intp)
+        table[size - 1:nodes * size:size] = np.arange(0, nodes * size, size)
         for (node, tok), nxt in self.spec.edge_map.items():
             table[node * size + tok] = nxt * size
         return table, self.spec.start * size, self.label * size
@@ -218,6 +218,10 @@ class FamilyParams:
             raise ValueError("edge_density must be in (0, 1]")
         if self.mid_layers and self.layer_width < 1:
             raise ValueError("layer_width must be >= 1 when mid_layers >= 1")
+        size, max_len = self.vocab_size, self.max_len
+        if max_len >= 63 or self.count * (size ** (max_len + 1) - 1) // (size - 1) >= 1 << 63:
+            raise ValueError(f"max_len {self.max_len} at vocab_size {self.vocab_size} and "
+                             f"count {self.count} numbers prefix ids beyond 2**63")
 
 
 def _generate_task(prompt_id: int, params: FamilyParams,
@@ -340,7 +344,7 @@ def load_suite(path, vocab_size: int | None = None) -> list[TaskInstance]:
 
     The on-disk schema does not carry the vocab size; pass it explicitly
     (e.g. from a checkpoint header) or let it default to the highest edge
-    token plus the terminator.
+    token plus the terminator. Prompt ids must be distinct and >= 0.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -349,7 +353,7 @@ def load_suite(path, vocab_size: int | None = None) -> list[TaskInstance]:
             raise SuiteCorrupt(f"not a JSON file: {exc}") from exc
     if not isinstance(payload, list):
         raise SuiteCorrupt(f"expected a JSON list of tasks, got {type(payload).__name__}")
-    tasks = []
+    tasks, seen = [], {}
     for entry, obj in enumerate(payload):
         try:
             edges = tuple((int(u), int(v), int(t)) for u, v, t in obj["edges"])
@@ -365,8 +369,10 @@ def load_suite(path, vocab_size: int | None = None) -> list[TaskInstance]:
                 max_len=int(obj["max_len"]),
                 vocab_size=size,
             )
-            tasks.append(TaskInstance(prompt_id=int(obj["prompt_id"]),
-                                      label=int(obj["label"]), spec=spec))
+            prompt_id = int(obj["prompt_id"])
+            if prompt_id < 0 or seen.setdefault(prompt_id, entry) != entry:
+                raise ValueError(f"prompt_id {prompt_id} is negative or repeats an earlier one")
+            tasks.append(TaskInstance(prompt_id=prompt_id, label=int(obj["label"]), spec=spec))
         except KeyError as exc:
             raise SuiteCorrupt(f"missing key {exc}", entry) from exc
         except (TypeError, ValueError) as exc:

@@ -158,6 +158,23 @@ def test_values_a_run_rejects_fail_at_parse_time(key, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_suites_whose_prefix_ids_pass_int64_fail_at_parse_time(tmp_path, capsys):
+    # At vocab 4 a prompt spans (4**29 - 1) // 3 ids at max_len 28: 96 prompts
+    # stay below 2**63, 97 do not.
+    parse_config_text("suite.max_len = 28\nsuite.count = 96\n")
+    for text in ("suite.max_len = 28\nsuite.count = 97\n", "suite.max_len = 29\n",
+                 "suite.max_len = 100000\n"):
+        with pytest.raises(ConfigError, match="suite.max_len .* beyond 2\\*\\*63"):
+            parse_config_text(text)
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"suite.max_len = 40\nout_dir = {out_dir}\n", encoding="utf-8")
+    assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == ("config error: suite.max_len 40 at suite.vocab_size 4 and "
+                                       "suite.count 32 numbers prefix ids beyond 2**63\n")
+    assert not out_dir.exists()
+
+
 def test_parse_keeps_settings_the_run_accepts():
     # irl_batch_size may stay unset, and grpo mode reads only rl.eps_low.
     parse_config_text("sps.irl_batch_size = none\nrl.group_size = 2\nsps.sampling_size = 2\n"
@@ -378,6 +395,15 @@ CORRUPT_SUITES = [
     ('{"tasks": []}', "error: expected a JSON list of tasks, got dict"),
     (f'[{GOOD_ENTRY.replace("[[0, 1, 0]]", "[[0, 1, 7]]")}]',
      "error: entry 0: edge token 7 outside vocab of size 4"),
+    (f'[{GOOD_ENTRY}, {GOOD_ENTRY.replace("0", "-2", 1)}]',
+     "error: entry 1: prompt_id -2 is negative or repeats an earlier one"),
+    (f'[{GOOD_ENTRY}, {GOOD_ENTRY}]',
+     "error: entry 1: prompt_id 0 is negative or repeats an earlier one"),
+    # A well-formed suite whose prompt ids pass int64 at the checkpoint's
+    # shape (vocab 4, max_len 4: 341 ids a prompt) fails when it is sampled.
+    (f'[{GOOD_ENTRY.replace("0", str((1 << 63) // 341), 1)}]',
+     f"error: prompts {(1 << 63) // 341}..{(1 << 63) // 341} at vocab=4 max_len=4 have "
+     "prefix ids beyond 2**63"),
 ]
 
 
@@ -655,7 +681,7 @@ def test_final_checkpoint_holds_the_final_policy(overrides, tmp_path, monkeypatc
     assert not list(out_dir.glob("*.partial"))
 
 
-@pytest.mark.parametrize("seed,stop", [(3, 3), (101, 6)])
+@pytest.mark.parametrize("seed,stop", [(3, 5), (101, 3)])
 def test_the_stop_rule_reads_the_training_mass(seed, stop, tmp_path, monkeypatch):
     # The exact mass of the training tasks moves by 1e-4 to 5e-4 an iteration
     # at the default config, so an epsilon inside that range stops the run

@@ -410,6 +410,31 @@ def test_sample_matrix_shape_and_determinism(diamond_task):
     assert len(a.sequences[0]) == 6 and a.sequences == b.sequences
 
 
+@pytest.mark.parametrize("iterations", [0, 1])
+def test_sampled_pass_at_k_centres_on_the_exact_value(iterations):
+    # The mean of the unbiased Pass@k over seed-pinned sample matrices lies
+    # within 4 standard errors of the exact 1 - (1 - p)^k of each task's
+    # mass p, averaged over a default suite, on the base policy and after
+    # an SPS iteration. The standard error is exact: each task's estimator
+    # variance summed over its Binomial(n, p) reward counts.
+    suite = make_benchmark_suite(5, FamilyParams())
+    policy = build_suite_policy(suite, 4.0, 5)
+    if iterations:
+        policy, _ = sps_loop(policy, suite, SpsConfig(max_iterations=iterations), 5)
+    n, draws = 16, 150
+    counts = np.array([sample_matrix(policy, suite, n, derive_rng(77, d)).rewards.sum(axis=1)
+                       for d in range(draws)])
+    masses = [support_coverage(policy, task, 0.0).mass_on_correct for task in suite]
+    for k in (1, 4):
+        exact = [pass_at_k_exact(p, k) for p in masses]
+        variance = sum(math.comb(n, c) * p ** c * (1 - p) ** (n - c)
+                       * (pass_at_k_unbiased(n, c, k) - e) ** 2
+                       for p, e in zip(masses, exact) for c in range(n + 1)) / len(suite) ** 2
+        sampled = np.mean([[pass_at_k_unbiased(n, int(c), k) for c in row] for row in counts])
+        z = (sampled - np.mean(exact)) / math.sqrt(variance / draws)
+        assert abs(z) < 4.0, (k, z)
+
+
 def test_sample_matrix_validation():
     with pytest.raises(ValueError):
         SampleMatrix(prompt_ids=(0,), rewards=np.array([0, 1]))

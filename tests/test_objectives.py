@@ -40,9 +40,11 @@ from squeezelab.policy import (
     _log_probs,
     _token_logps,
     apply_update,
+    derive_rng,
     entropy,
     make_trajectory,
     prefix_ids,
+    sample_trajectories,
     sample_trajectory,
     trajectory_log_prob,
 )
@@ -803,15 +805,15 @@ def test_grpo_and_dapo_steps_build_no_prefix_ids_for_sampled_trajectories(monkey
         calls.append(args[1:])
         return prefix_ids(*args)
 
-    def counting_groups(*args):
-        sampled.append(args[1].prompt_id)
-        return sample_group(*args)
+    def counting_blocks(*args):
+        sampled.append(args[1])
+        return sample_trajectories(*args)
 
     def forbidden(*args):
         raise AssertionError("GSPO reads its ratios off the flat batch")
 
     monkeypatch.setattr(policy_module, "prefix_ids", counting)
-    monkeypatch.setattr(objectives_module, "sample_group", counting_groups)
+    monkeypatch.setattr(objectives_module, "sample_trajectories", counting_blocks)
     monkeypatch.setattr(objectives_module, "sequence_ratio_gspo", forbidden)
     for overrides in ({}, {"rl.objective": "dapo", "rl.dapo_max_resamples": 2},
                       {"rl.objective": "gspo"}):
@@ -825,8 +827,52 @@ def test_grpo_and_dapo_steps_build_no_prefix_ids_for_sampled_trajectories(monkey
         assert new_policy is not base
         rl_step(new_policy, suite, sps_cfg, seed + 1, ref_policy=base, groups=groups)
         assert calls == []
-        # DAPO resampled some degenerate groups.
-        assert (len(sampled) > len(suite)) == (sps_cfg.clip.objective_kind == "dapo")
+        # DAPO resampled some degenerate groups, in a block of their own.
+        assert (len(sampled) > 1) == (sps_cfg.clip.objective_kind == "dapo")
+
+
+@pytest.mark.parametrize("overrides", [{}, {"rl.objective": "gspo"},
+                                       {"rl.objective": "dapo", "rl.dapo_max_resamples": 3},
+                                       {"rl.objective": "dapo", "rl.dapo_max_resamples": 1}])
+def test_rl_step_draws_one_block_per_retry(monkeypatch, overrides):
+    # One derive_rng(seed, r) block per retry r: every prompt at r = 0, then
+    # only the prompts still degenerate, in task order, while DAPO retries remain.
+    streams, blocks, used = [], [], []
+
+    def counting_rng(*args):
+        streams.append(args)
+        return derive_rng(*args)
+
+    def counting_blocks(policy, prompt_ids, u, walks):
+        groups = sample_trajectories(policy, prompt_ids, u, walks)
+        degenerate = [p for p, g in zip(prompt_ids, groups) if len(set(g.rewards)) == 1]
+        blocks.append((list(prompt_ids), u.shape, degenerate, groups))
+        return groups
+
+    monkeypatch.setattr(objectives_module, "derive_rng", counting_rng)
+    monkeypatch.setattr(objectives_module, "sample_trajectories", counting_blocks)
+    cfg = ExperimentConfig.from_dict({"suite.count": 12, **overrides})
+    suite = make_benchmark_suite(7, cfg.family_params())
+    sps_cfg = cfg.sps_config()
+    retries = sps_cfg.dapo_max_resamples if sps_cfg.clip.objective_kind == "dapo" else 0
+    policy = build_suite_policy(suite, cfg["suite.skew"], 7)
+    for step in range(4):
+        del streams[:], blocks[:]
+        policy, _, groups = rl_step(policy, suite, sps_cfg, 50 + step, ref_policy=policy)
+        assert streams == [(50 + step, r) for r in range(len(blocks))]
+        assert blocks[0][0] == [t.prompt_id for t in suite]
+        for (_, _, degenerate, _), (todo, _, _, _) in zip(blocks, blocks[1:]):
+            assert todo == degenerate
+        for todo, shape, _, _ in blocks:
+            assert shape == (len(todo), sps_cfg.group_size, policy.max_len)
+        assert len(blocks) == 1 + retries or (len(blocks) < 1 + retries and not blocks[-1][2])
+        # Each prompt steps on the group its last block drew.
+        last = {}
+        for todo, _, _, drawn in blocks:
+            last.update(zip(todo, drawn))
+        assert [id(g) for g in groups] == [id(last[t.prompt_id]) for t in suite]
+        used.append(len(blocks))
+    assert (max(used) > 1) == (retries > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import itertools
 import math
 import os
 import tempfile
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from squeezelab.errors import (
     CheckpointCorrupt,
     InvalidLogits,
     InvalidToken,
+    NumericOverflow,
     PrefixExhausted,
 )
 from squeezelab.policy import (
@@ -45,6 +47,7 @@ from squeezelab.policy import (
     sequence_batch,
     sequence_log_probs,
     softmax,
+    take_sequences,
     token_distribution,
     trajectory_log_prob,
     _log_probs,
@@ -255,19 +258,7 @@ def test_entropy_examples():
     np.testing.assert_allclose(entropy(d), ORACLE_ENTROPY, atol=1e-10)
 
 
-def _sequential_block(policy, task, n, rng):
-    """The block sampler's reference: n scalar samples, left-fold totals, validate."""
-    out = []
-    for _ in range(n):
-        tokens, logps = _reference_sample(policy, task.prompt_id, rng)
-        total = 0.0
-        for logp in logps:
-            total += logp
-        out.append((tokens, logps, total, validate(task, tokens).reward))
-    return out
-
-
-def _random_task(vocab, max_len, rng):
+def _random_task(vocab, max_len, rng, prompt_id=0):
     """A random graph task whose label, node 1, is one token away from the start."""
     nodes = int(rng.integers(2, 7))
     edges = [(0, 1, 0)] + [(u, int(rng.integers(nodes)), t)
@@ -275,43 +266,133 @@ def _random_task(vocab, max_len, rng):
                            if (u, t) != (0, 0) and rng.random() < 0.7]
     spec = PathTaskSpec(node_count=nodes, edges=tuple(edges), start=0, target=1,
                         max_len=max_len, vocab_size=vocab)
-    return TaskInstance(prompt_id=0, label=1, spec=spec)
+    return TaskInstance(prompt_id=prompt_id, label=1, spec=spec)
+
+
+def _sequential_rollouts(policy, prompt_ids, u, tasks=None):
+    """The sampler's reference, one rollout and one token at a time: token t of
+    rollout j of prompt i bisects its prefix's cumulative row at u[i, j, t],
+    capped at the terminator; totals are left folds and rewards come from
+    validate. Each rollout is (prefix ids, tokens, log-probs, total, reward)."""
+    size = policy.vocab.size
+    out = []
+    for i, prompt_id in enumerate(prompt_ids):
+        for j in range(u.shape[1]):
+            tokens, logps, total = (), [], 0.0
+            for t in range(policy.max_len):
+                logp = _log_softmax(policy.logit_vector(prompt_id, tokens))
+                cum = np.cumsum(np.exp(logp)).tolist()
+                tok = min(bisect_right(cum, u[i, j, t]), size - 1)
+                tokens += (tok,)
+                logps.append(float(logp[tok]))
+                total += logps[-1]
+                if tok == size - 1:
+                    break
+            reward = validate(tasks[i], tokens).reward if tasks else 0
+            out.append((prefix_ids(policy, prompt_id, tokens), tokens, logps, total, reward))
+    return out
+
+
+def _bits(values):
+    return np.asarray(values, float).tobytes()
+
+
+def _split(flat, lengths):
+    """flat cut into consecutive lists of the given lengths."""
+    out, start = [], 0
+    for length in lengths.tolist():
+        out.append(list(flat[start:start + length]))
+        start += length
+    return out
+
+
+def _cap_row(vocab, rng):
+    """Logits whose cumulative probabilities end below the largest double under 1."""
+    while True:
+        logits = rng.normal(size=vocab)
+        if np.cumsum(np.exp(_log_softmax(logits)))[-1] < TOP_UNIFORM:
+            return logits
+
+
+# The largest double rng.random() can return.
+TOP_UNIFORM = np.nextafter(1.0, 0.0)
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 8), max_len=st.integers(1, 9),
-       n=st.integers(1, 12))
-def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n):
+       n=st.integers(1, 6), prompts=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+       walked=st.booleans())
+def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n, prompts, walked):
+    # Prompts 3 and 4 have no stored rows; prompt 2's root row ends its
+    # cumulative probabilities below 1, so its top uniforms take the cap;
+    # uniforms on the zero row's cumulative values tie; the last versions
+    # come from updates.
     rng = np.random.default_rng(seed)
-    task = _random_task(vocab, max_len, rng)
+    tasks = [_random_task(vocab, max_len, rng, prompt_id) for prompt_id in prompts]
     policy = PolicyTable(Vocab(vocab), max_len)
-    prefixes = [tuple(int(t) for t in rng.integers(0, vocab - 1, size=rng.integers(0, max_len)))
-                for _ in range(12)]
+    for _ in range(12):
+        prefix = tuple(int(t) for t in rng.integers(0, vocab - 1, size=rng.integers(0, max_len)))
+        policy.set_logits(int(rng.integers(2)), prefix,
+                          float(rng.choice([0.5, 4.0])) * rng.normal(size=vocab))
     if max_len > 1:
         # A stored child of an unstored parent.
-        child = tuple(int(t) for t in rng.integers(0, vocab - 1, size=rng.integers(1, max_len)))
-        prefixes = [p for p in prefixes if p != child[:-1]] + [child]
-    for prefix in prefixes:
-        policy.set_logits(0, prefix, float(rng.choice([0.5, 4.0])) * rng.normal(size=vocab))
-    # The second draw runs on an updated version.
+        policy.set_logits(1, (vocab - 2,) * (max_len - 1), rng.normal(size=vocab))
+    policy.set_logits(2, (), _cap_row(vocab, rng))
+    ties = np.cumsum(np.exp(_log_softmax(np.zeros(vocab))))
     updated = apply_update(policy, by_id(policy, {(0, ()): rng.normal(size=vocab),
-                                                  (0, (0,)): np.ones(vocab)}), 0.7)
-    for version in (policy, policy, updated):
-        draw_seed = int(rng.integers(2**32))
-        block_rng, ref_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
-        group = sample_trajectories(version, 0, n, block_rng, task.walk)
-        trajs = trajectories(group)
-        got = [(t.tokens, t.per_token_logp, t.total_logp, r) for t, r in zip(trajs, group.rewards)]
-        assert got == _sequential_block(version, task, n, ref_rng)
-        assert group.sequences() == [t.tokens for t in trajs]
-        assert [group.trajectory(i) for i in range(n)] == trajs
-        assert all(type(group.trajectory(i).total_logp) is float for i in range(n))
-        assert block_rng.random() == ref_rng.random()
+                                                  (3, (0,) * (max_len - 1)): np.ones(vocab)}), 0.7)
+    walks = [t.walk for t in tasks] if walked else None
+    for version in (policy, policy, updated, apply_update(updated, {}, 1.0)):
+        u = rng.random((len(prompts), n, max_len))
+        special = rng.random(u.shape)
+        u[special < 0.15] = TOP_UNIFORM
+        u[special > 0.85] = rng.choice(ties[:-1], size=int((special > 0.85).sum()))
+        groups = sample_trajectories(version, prompts, u, walks)
+        want = _sequential_rollouts(version, prompts, u, tasks if walked else None)
+        assert [g.prompt_id for g in groups] == prompts
+        got = [(ids, tokens, logps, total, reward)
+               for g in groups
+               for ids, tokens, logps, total, reward in zip(
+                   _split(g.batch.ids, g.batch.lengths), g.sequences(),
+                   _split(g.logps.tolist(), g.batch.lengths), g.totals.tolist(), g.rewards)]
+        assert [x[:2] for x in got] == [x[:2] for x in want]
+        assert [len(x[1]) for x in got] == [k for g in groups for k in g.batch.lengths.tolist()]
+        assert _bits([lp for x in got for lp in x[2]]) == _bits([lp for x in want for lp in x[2]])
+        assert _bits([x[3] for x in got]) == _bits([x[3] for x in want])
+        assert [x[4] for x in got] == [x[4] for x in want]
+        assert all(type(i) is int for g in groups for i in g.batch.ids)
+        assert all(g.batch.tokens.dtype == g.batch.lengths.dtype == np.intp for g in groups)
+
+
+def test_the_block_sampler_takes_the_cap_and_reads_a_fixed_stride():
+    policy = PolicyTable(Vocab(3), max_len=3)
+    policy.set_logits(0, (), [-1.0, 1.0, -1.3])  # probabilities add up below the top uniform
+    u = np.full((1, 2, 3), 0.5)
+    u[0, 0, :2] = TOP_UNIFORM, 0.05
+    (group,) = sample_trajectories(policy, [0], u)
+    # The capped rollout stops at the terminator and leaves u[0, 0, 1:]
+    # unread; the next rollout reads its own row u[0, 1], not the leftovers.
+    assert group.sequences() == [(2,), (1, 1, 1)]
+    assert group.batch.ids == [0, 0, 2, 2 * 3 + 1 + 1]
+
+
+def test_the_sampler_rejects_prefix_ids_beyond_int64():
+    policy = PolicyTable(Vocab(4), max_len=4)
+    bound = (1 << 63) // policy.span
+    u = np.zeros((1, 1, 4))
+    assert sample_trajectories(policy, [bound - 1], u)[0].batch.ids[0] == (bound - 1) * policy.span
+    for prompt_id in (bound, -bound - 1):
+        with pytest.raises(NumericOverflow, match="2\\*\\*63"):
+            sample_trajectories(policy, [prompt_id], u)
+    with pytest.raises(NumericOverflow):
+        sample_trajectories(PolicyTable(Vocab(4), max_len=32), [0], np.zeros((1, 1, 32)))
+    with pytest.raises(ValueError):
+        sample_trajectories(policy, [0, 1], u)
 
 
 def _tuple_key_greedy(policy, prompt_id):
     """Greedy decoding by one fresh prefix_id(prompt_id, tokens) lookup per token."""
-    logp_rows = policy._row_lists()[0]
+    logp_rows = policy._row_lists()
     tokens, logps, total = (), [], 0.0
     for _ in range(policy.max_len):
         logp = logp_rows[policy._rows.get(prefix_id(policy, prompt_id, tokens), 0)]
@@ -334,7 +415,7 @@ def test_greedy_decode_on_the_prefix_tree_matches_the_tuple_key_loop(seed, vocab
         for prompt_id in (0, 1, 5):  # prompt 5 has no stored rows
             assert greedy_decode(policy, prompt_id) == _tuple_key_greedy(policy, prompt_id)
             # Sampling in between leaves the decode unchanged.
-            sample_trajectories(policy, prompt_id, 4, rng)
+            sample_trajectories(policy, [prompt_id], rng.random((1, 4, max_len)))
             assert greedy_decode(policy, prompt_id) == _tuple_key_greedy(policy, prompt_id)
         # Either a new version, from an update with a new key on prompt 5's
         # greedy path, or an in-place write to a greedy-path row.
@@ -349,40 +430,6 @@ def test_greedy_decode_on_the_prefix_tree_matches_the_tuple_key_loop(seed, vocab
                               3.0 * rng.normal(size=vocab))
 
 
-def test_block_sampler_stops_at_a_reward_and_leaves_the_stream_there(diamond_task):
-    policy = PolicyTable(Vocab(4), max_len=2)
-    block_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    group = sample_trajectories(policy, 0, 50, block_rng, diamond_task.walk,
-                                stop_at_reward=True)
-    reference = _sequential_block(policy, diamond_task, group.size, ref_rng)
-    assert [(t.tokens, r) for t, r in zip(trajectories(group), group.rewards)] == \
-        [(x[0], x[3]) for x in reference]
-    assert group.rewards.count(1) == 1 and group.rewards[-1] == 1
-    assert block_rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 8), max_len=st.integers(1, 9),
-       n=st.integers(1, 12), stop_at_reward=st.booleans())
-def test_block_sampler_records_the_prefix_id_of_every_draw(seed, vocab, max_len, n,
-                                                           stop_at_reward):
-    rng = np.random.default_rng(seed)
-    task = _random_task(vocab, max_len, rng)
-    policy = PolicyTable(Vocab(vocab), max_len)
-    for _ in range(12):
-        prefix = tuple(int(t) for t in rng.integers(0, vocab - 1, size=rng.integers(0, max_len)))
-        policy.set_logits(int(rng.integers(3)), prefix,
-                          float(rng.choice([0.5, 4.0])) * rng.normal(size=vocab))
-    prompt_id = int(rng.integers(4))  # prompt 3 has no stored rows
-    group = sample_trajectories(policy, prompt_id, n, rng, task.walk, stop_at_reward)
-    trajs = trajectories(group)
-    assert group.batch.ids == [ident for t in trajs
-                               for ident in prefix_ids(policy, prompt_id, t.tokens)]
-    numbered = sequence_batch(policy, ((prompt_id, t.tokens) for t in trajs))
-    assert np.array_equal(group.batch.tokens, numbered.tokens)
-    assert np.array_equal(group.batch.lengths, numbered.lengths)
-
-
 def assert_same_batch(got, want):
     assert got.ids == want.ids
     assert got.tokens.dtype == want.tokens.dtype and np.array_equal(got.tokens, want.tokens)
@@ -392,28 +439,34 @@ def assert_same_batch(got, want):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6), max_len=st.integers(1, 6),
        n=st.integers(1, 8), data=st.data())
-def test_take_equals_the_numbered_batch_of_the_same_sequences(seed, vocab, max_len, n, data):
+def test_take_sequences_equals_the_numbered_batch_of_the_same_sequences(seed, vocab, max_len, n,
+                                                                       data):
     rng = np.random.default_rng(seed)
     policy = PolicyTable(Vocab(vocab), max_len)
-    group = sample_trajectories(policy, int(rng.integers(3)), n, rng)
+    (group,) = sample_trajectories(policy, [int(rng.integers(3))], rng.random((1, n, max_len)))
     sequences = [(group.prompt_id, tokens) for tokens in group.sequences()]
     start = data.draw(st.integers(0, n - 1))
     selections = [[], [start], [start, start], [(start + j) % n for j in range(n + 1)],
                   data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))]
     for indices in selections:
         want = sequence_batch(policy, [sequences[i] for i in indices])
-        assert_same_batch(group.batch.take(indices), want)
-        assert_same_batch(join_batches([group.batch, group.batch]).take([i + n for i in indices]),
-                          want)
+        assert_same_batch(take_sequences((group.batch, i) for i in indices), want)
+        joined = join_batches([group.batch, group.batch])
+        assert_same_batch(take_sequences((joined, i + n) for i in indices), want)
+        # Picks from several batches.
+        assert_same_batch(take_sequences((batch, i) for i in indices
+                                         for batch in (group.batch, joined)),
+                          sequence_batch(policy, [sequences[i] for i in indices for _ in "ab"]))
 
 
 def test_set_logits_after_a_sample_changes_later_samples():
     policy = PolicyTable(Vocab(4), max_len=2)
-    first = sample_trajectories(policy, 0, 40, np.random.default_rng(1)).sequences()
+    u = np.random.default_rng(1).random((1, 40, 2))
+    first = sample_trajectories(policy, [0], u)[0].sequences()
     assert {tokens[0] for tokens in first} == {0, 1, 2, 3}
     policy.set_logits(0, (), [0.0, 0.0, 60.0, 0.0])
     policy.set_logits(0, (2,), [0.0, 60.0, 0.0, 0.0])
-    again = sample_trajectories(policy, 0, 40, np.random.default_rng(1)).sequences()
+    again = sample_trajectories(policy, [0], u)[0].sequences()
     assert set(again) == {(2, 1)}
 
 
@@ -507,7 +560,7 @@ def test_sampled_and_greedy_totals_are_the_log_prob_of_their_tokens(seed, vocab,
             logits[len(edge):] -= 4.0
             policy.set_logits(0, prefix, logits)
     for traj in [sample_trajectory(policy, 0, rng) for _ in range(5)] + \
-            trajectories(sample_trajectories(policy, 0, 5, rng)) + \
+            trajectories(sample_trajectories(policy, [0], rng.random((1, 5, max_len)))[0]) + \
             [greedy_decode(policy, 0), greedy_decode(policy, 3)]:
         assert traj.total_logp == trajectory_log_prob(policy, traj.prompt_id, traj.tokens)[1]
         assert type(traj.total_logp) is float
@@ -646,10 +699,11 @@ def test_saves_that_reuse_a_rendering_match_a_full_rendering(data):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 6))
-def test_updates_patch_the_sampler_lists_as_a_rebuild_would(seed, steps):
+def test_updates_patch_the_row_lists_as_a_rebuild_would(seed, steps):
     rng = np.random.default_rng(seed)
     policy = random_policy(4, 3, rng, prompt_ids=(0, 1))
     policy._row_lists()
+    sample_trajectories(policy, [0], np.zeros((1, 1, 3)))
     for _ in range(steps):
         # Stored rows and rows of prompts the table has not seen yet.
         keys = {(int(rng.integers(4)), tuple(rng.integers(4, size=rng.integers(3)).tolist()))
@@ -657,7 +711,11 @@ def test_updates_patch_the_sampler_lists_as_a_rebuild_would(seed, steps):
         grad = {key: rng.normal(size=4) for key in keys}
         policy = apply_update(policy, by_id(policy, grad), float(rng.normal()))
         patched = policy._lists
-        assert patched is not None
+        # The sampler's cumulative table is computed again on its next read.
+        assert patched is not None and policy._cum is None
+        sample_trajectories(policy, [0], np.zeros((1, 1, 3)))
+        assert np.array_equal(policy._cum,
+                              np.cumsum(np.exp(_rebuilt(policy)._log_prob_table()), axis=1))
         policy._lists = None
         assert policy._row_lists() == patched
         policy._lists = patched

@@ -28,6 +28,7 @@ from squeezelab.policy import (
     prefix_rows,
     sample_trajectory,
     score_gradient,
+    take_sequences,
     trajectory_log_prob,
 )
 from squeezelab.sps import (
@@ -546,7 +547,7 @@ def test_irl_functions_reject_an_empty_block():
     for call in (sps.irl_value, sps.irl_loss,
                  lambda policy, blocks: sps.irl_descent_step(policy, blocks, 0.1)):
         with pytest.raises(ValueError, match="demos must be nonempty"):
-            call(policy, [demo, demo.take([])])
+            call(policy, [demo, take_sequences([])])
 
 
 def test_irl_stage_restores_demo_mass_and_keeps_normalization(diamond_task):
@@ -708,7 +709,8 @@ def test_sps_loop_demo_candidates_are_the_freshly_sampled_groups(diamond_task, m
         it = i // 2
         assert prompt_id == i % 2
         assert list(map(id, groups)) == [
-            id(g) for step in fresh[it * per_iteration:(it + 1) * per_iteration] for g in step]
+            id(g) for step in fresh[it * per_iteration:(it + 1) * per_iteration] for g in step
+            if g.prompt_id == prompt_id]
         candidates = sum(g.size for g in groups if g.prompt_id == prompt_id)
         steps = 1 if reuse else cfg.rl_steps_per_iteration
         assert candidates == steps * cfg.group_size

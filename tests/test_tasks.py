@@ -172,6 +172,12 @@ def test_suite_round_trip(tmp_path):
     ('[{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1]], "start": 0, "max_len": 2}]',
      0, "entry 0: not enough values to unpack"),
     ("[3]", 0, "entry 0: "),
+    ('[{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2},'
+     ' {"prompt_id": -1, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2}]',
+     1, "entry 1: prompt_id -1 is negative"),
+    ('[{"prompt_id": 3, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2},'
+     ' {"prompt_id": 3, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2}]',
+     1, "entry 1: prompt_id 3 is negative or repeats an earlier one"),
 ])
 def test_load_suite_names_the_corrupt_entry(text, entry, message, tmp_path):
     path = tmp_path / "suite.json"
