@@ -68,6 +68,10 @@ MATRIX = {
     # and samples at most 4 tokens; reused rollouts clip some sequences, and
     # from 8 tokens on np.mean sums a sequence ratio's terms pairwise.
     "gspo_reuse_long": ({"mode": "gspo", "rl.reuse_rollouts": True, "suite.max_len": 9}, 32),
+    # Every config above starts from a skewed base; a uniform one ties every
+    # greedy choice at every depth, so the lowest-id tie rule shows in
+    # steps.csv, trace.jsonl and the eval report.
+    "uniform_base": ({"mode": "grpo", "suite.skew": 0}, 32),
 }
 PAIRED = ("sps", "grpo")
 SKIPPED = "manifest.json"

@@ -72,6 +72,7 @@ from .policy import (
     entropy,
     grad_log_prob,
     greedy_decode,
+    greedy_decode_batch,
     load_checkpoint,
     prefix_id,
     prefix_ids,

@@ -10,9 +10,7 @@ import numpy as np
 from . import runner
 from .config import ExperimentConfig
 from .errors import ConfigError, SqueezeLabError
-from .metrics import evaluation_report, report_to_json
-from .policy import derive_rng, load_checkpoint
-from .tasks import load_suite
+from .metrics import report_to_json
 
 
 def int_list(text: str) -> list[int]:
@@ -73,15 +71,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_eval(args) -> int:
     # The flags obey the rules of the config keys they stand for.
-    cfg = ExperimentConfig.from_dict({"seed": args.seed, "eval.n": args.n, "eval.k": args.k,
-                                      "eval.prob_floor": args.prob_floor})
-    policy = load_checkpoint(args.checkpoint)
-    suite = load_suite(args.suite, vocab_size=policy.vocab.size)
-    base = load_checkpoint(args.base) if args.base else policy
-    report = evaluation_report(
-        policy, base, suite, os.path.basename(args.suite), cfg["eval.n"], cfg["eval.k"],
-        cfg["eval.prob_floor"], derive_rng(cfg["seed"], 7200))
-    text = report_to_json(report)
+    cfg = ExperimentConfig.from_dict({
+        "seed": args.seed, "eval.n": args.n, "eval.k": args.k, "eval.prob_floor": args.prob_floor,
+        "eval.checkpoint": args.checkpoint, "eval.suite_path": args.suite,
+        "eval.base_checkpoint": args.base or "", "suite.name": os.path.basename(args.suite)})
+    text = report_to_json(runner.eval_report(cfg))
     print(text, end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

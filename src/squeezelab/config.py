@@ -221,21 +221,13 @@ class ExperimentConfig:
         return self
 
     def clip_config(self) -> ClipConfig:
+        """rl.objective's ClipConfig factory, given only the keys that are set;
+        GRPO's symmetric range reads rl.eps_low and rl.beta alone."""
         kind = self.values["rl.objective"]
-        eps_low = self.values["rl.eps_low"]
-        eps_high = self.values["rl.eps_high"]
-        beta = self.values["rl.beta"]
-        if kind == GRPO:
-            return ClipConfig.grpo(
-                eps=0.2 if eps_low is None else eps_low,
-                beta=0.01 if beta is None else beta)
-        if kind == DAPO:
-            return ClipConfig.dapo(
-                eps_low=0.2 if eps_low is None else eps_low,
-                eps_high=0.28 if eps_high is None else eps_high)
-        return ClipConfig.gspo(
-            eps_low=3e-4 if eps_low is None else eps_low,
-            eps_high=4e-4 if eps_high is None else eps_high)
+        args = ({"eps": "rl.eps_low", "beta": "rl.beta"} if kind == GRPO
+                else {"eps_low": "rl.eps_low", "eps_high": "rl.eps_high"})
+        return getattr(ClipConfig, kind)(**{arg: self.values[key] for arg, key in args.items()
+                                            if self.values[key] is not None})
 
     def sps_config(self) -> SpsConfig:
         return SpsConfig(clip=self.clip_config(),

@@ -70,7 +70,7 @@ class OneSidedGroup(SqueezeLabError):
 
 
 class NoRollouts(SqueezeLabError):
-    """The rollout pool holds no entries for the requested prompt."""
+    """No rollouts were sampled for the requested prompt."""
 
 
 class KExceedsN(SqueezeLabError):

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, KExceedsN
-from .policy import (PolicyTable, Trajectory, _left_fold, greedy_decode, sample_trajectories,
-                     sequence_batch, sequence_log_probs)
+from .policy import (PolicyTable, Trajectory, _left_fold, greedy_decode_batch,
+                     sample_trajectories, sequence_batch, sequence_log_probs)
 from .tasks import TaskInstance
 
 BUCKET_CENTERS = tuple(i / 10 for i in range(11))
@@ -258,14 +258,11 @@ def greedy_logprob_report(policy: PolicyTable, base_policy: PolicyTable,
     Positive drift (current minus base) signals sharpening: the policy
     concentrates more mass on its modal sequence than the base did.
     """
-    rows = []
-    for task in tasks:
-        cur = greedy_decode(policy, task.prompt_id).total_logp
-        base = greedy_decode(base_policy, task.prompt_id).total_logp
-        rows.append(GreedyDriftRow(prompt_id=task.prompt_id,
-                                   greedy_logp_current=cur,
-                                   greedy_logp_base=base,
-                                   drift=cur - base))
+    prompt_ids = [task.prompt_id for task in tasks]
+    totals = [greedy_decode_batch(pol, prompt_ids)[2].tolist() for pol in (policy, base_policy)]
+    rows = [GreedyDriftRow(prompt_id=prompt_id, greedy_logp_current=cur, greedy_logp_base=base,
+                           drift=cur - base)
+            for prompt_id, cur, base in zip(prompt_ids, *totals)]
     return GreedyDriftReport(
         rows=tuple(rows),
         mean_current=float(np.mean([r.greedy_logp_current for r in rows])),

@@ -44,7 +44,7 @@ from .policy import (
     apply_update,
     derive_rng,
     entropy,
-    greedy_decode,
+    greedy_decode_batch,
     join_batches,
     prefix_rows,
     sample_trajectories,
@@ -431,5 +431,5 @@ def _mean_root_entropy(policy: PolicyTable, tasks) -> float:
 
 
 def _mean_greedy_logp(policy: PolicyTable, tasks) -> float:
-    vals = [greedy_decode(policy, t.prompt_id).total_logp for t in tasks]
-    return float(np.mean(vals))
+    _, _, totals = greedy_decode_batch(policy, [t.prompt_id for t in tasks])
+    return float(np.mean(totals))

@@ -5,11 +5,13 @@ dense array; a prefix without one reads the shared all-zero row (uniform).
 A prefix is one integer, its prefix id, found by arithmetic alone
 (prefix_id); each version maps ids to rows with one dict and computes the
 log-softmax of all its rows once, on the first read, for every reader; an
-update recomputes only the rows it touched. sample_trajectories is the one
-sampler, at temperature 1: it reads a caller's block of uniforms, advances
-every rollout of every prompt together one token depth per numpy step on
-int64 prefix ids, steps the tasks' validator tables in the same pass, and
-returns one RolloutGroup of arrays per prompt. A checkpoint save keeps its
+update recomputes only the rows it touched. _walk is the one walk of the
+prefix tree: it advances every walk of every prompt together one token depth
+per numpy step on int64 prefix ids, and steps the tasks' validator tables in
+the same pass. Sampling and greedy decoding differ only in the token rule:
+sample_trajectories, at temperature 1, draws from a caller's block of
+uniforms and returns one RolloutGroup of arrays per prompt;
+greedy_decode_batch takes each row's argmax. A checkpoint save keeps its
 rendering on the policy, and copies hand it on, so the next save of a
 lineage prints only the rows that are new or whose bits changed. Every set
 of sequences (RL groups, IRL demos, correct sets) is one SequenceBatch of
@@ -123,9 +125,8 @@ class PolicyTable:
         self._data = np.zeros((_INITIAL_ROWS, vocab.size))
         # Read-only log-softmax of _logit_rows(), or None until first read.
         self._logp: np.ndarray | None = None
-        # The same table as per-row lists (greedy_decode) and as cumulative
-        # probabilities (the sampler), or None until first read.
-        self._lists: list | None = None
+        # The same table as cumulative probabilities (the sampler), or None
+        # until first read.
         self._cum: np.ndarray | None = None
         # The rows as the last save_checkpoint of this lineage wrote them:
         # their logits' uint64 bits, each row's line and (prompt_id, prefix)
@@ -155,12 +156,6 @@ class PolicyTable:
             self._logp = _read_only(_log_softmax(self._logit_rows()))
         return self._logp
 
-    def _row_lists(self) -> list:
-        """Per-row log-probs as Python lists."""
-        if self._lists is None:
-            self._lists = self._log_prob_table().tolist()
-        return self._lists
-
     def logit_vector(self, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
         """Stored logits for a prefix, or the implicit zero vector (read-only)."""
         return _read_only(self._data[self._rows.get(prefix_id(self, prompt_id, tokens), 0)])
@@ -175,7 +170,7 @@ class PolicyTable:
             raise InvalidLogits("logit vector contains non-finite entries")
         row = self._allocate(ident)
         self._data[row] = arr
-        self._logp = self._lists = self._cum = None
+        self._logp = self._cum = None
 
     def stored_items(self) -> list[tuple[PrefixKey, np.ndarray]]:
         rows = self._logit_rows()
@@ -190,7 +185,7 @@ class PolicyTable:
         clone._rows = dict(self._rows)
         clone._data = self._data.copy()
         # The caches are never written in place, so the clone can share them.
-        clone._logp, clone._lists, clone._cum = self._logp, self._lists, self._cum
+        clone._logp, clone._cum = self._logp, self._cum
         clone._rendering = self._rendering
         return clone
 
@@ -415,43 +410,49 @@ def make_trajectory(policy: PolicyTable, prompt_id: int, tokens) -> Trajectory:
                       tuple(float(x) for x in per_token), total)
 
 
-def sample_trajectories(policy: PolicyTable, prompt_ids, u: np.ndarray,
-                        walks=None) -> list[RolloutGroup]:
-    """Ancestral samples from the policy, one RolloutGroup per prompt.
+def _walk(policy: PolicyTable, prompt_ids: list[int], n: int, u=None,
+          walks=None) -> tuple[SequenceBatch, np.ndarray, np.ndarray, np.ndarray]:
+    """The one walk of the prefix tree: n walks per prompt advance together,
+    one token depth per numpy step, on int64 prefix ids.
 
-    u has shape (prompts, n, max_len): token t of rollout j of prompt i is
-    the first token whose cumulative probability exceeds u[i, j, t], or the
-    terminator if rounding leaves u above them all. All rollouts advance
-    together on int64 prefix ids (NumericOverflow if a prompt's ids leave
-    int64). The reward is 1 exactly when prompt i's walks[i], a
-    TaskInstance.walk, ends in its accept state, and 0 without walks. Each
-    total adds the log-probs in token order.
+    With u, of shape (prompts * n, max_len), token t of walk j is the first
+    token whose cumulative probability exceeds u[j, t], or the terminator if
+    rounding leaves u above them all; without u it is the argmax of the
+    cached log-prob row, ties going to the lowest id. A walk stops at the
+    terminator or at max_len. NumericOverflow if a prompt's ids leave int64.
+    Returns the walks, prompt after prompt, as one SequenceBatch with the
+    prefix ids they were drawn at; each token's log-prob; each walk's total,
+    a left fold of its log-probs in token order; and each walk's reward, 1
+    exactly when prompt i's walks[i], a TaskInstance.walk, ends in its
+    accept state, and 0 without walks.
     """
-    prompt_ids, (count, n, depth), size = [int(p) for p in prompt_ids], u.shape, policy.vocab.size
-    if (count, depth) != (len(prompt_ids), policy.max_len):
-        raise ValueError(f"u of shape {u.shape} for {len(prompt_ids)} prompts at max_len {depth}")
+    count, depth, size = len(prompt_ids), policy.max_len, policy.vocab.size
     if prompt_ids and not (-1 << 63 <= min(prompt_ids) * policy.span
                            < (max(prompt_ids) + 1) * policy.span < 1 << 63):
         raise NumericOverflow(f"prompts {min(prompt_ids)}..{max(prompt_ids)} at vocab={size} "
                               f"max_len={depth} have prefix ids beyond 2**63")
     logp, stored = policy._log_prob_table(), policy._rows
-    if policy._cum is None:
+    if u is not None and policy._cum is None:
         policy._cum = _read_only(np.cumsum(np.exp(logp), axis=1))
-    # One table for all walks, each shifted past the last; no accept is reached without walks.
-    walks = walks or [(np.zeros(size, np.intp), 0, -1)] * count
-    sizes = [len(walk[0]) for walk in walks]
-    shift = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
-    table = np.concatenate([np.empty(0, int)] + [w[0] for w in walks]) + np.repeat(shift, sizes)
-    state, accept = (np.repeat(np.array([w[i] for w in walks], int) + shift, n) for i in (1, 2))
     walkers = count * n
+    if walks is None:  # one table for every walk, with no accept state
+        table, state, accept = np.zeros(size, np.intp), np.zeros(walkers, np.intp), -1
+    else:  # one table for all walks, each shifted past the last
+        sizes = [len(walk[0]) for walk in walks]
+        shift = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
+        table = np.concatenate([np.empty(0, int)] + [w[0] for w in walks]) + np.repeat(shift, sizes)
+        state, accept = (np.repeat(np.array([w[i] for w in walks], int) + shift, n) for i in (1, 2))
     ids, tokens = np.zeros((walkers, depth), np.int64), np.zeros((walkers, depth), np.intp)
     logps, totals = np.zeros((walkers, depth)), np.zeros(walkers)
     live, base = np.arange(walkers), np.repeat(np.array(prompt_ids, np.int64) * policy.span, n)
-    u, h = u.reshape(walkers, depth), np.zeros(walkers, np.int64)
+    h = np.zeros(walkers, np.int64)
     for t in range(depth):
         ident = base + h
         rows = np.fromiter(map(stored.get, ident.tolist(), repeat(0)), np.intp, len(live))
-        tok = np.minimum((policy._cum[rows] <= u[live, t][:, None]).sum(axis=1), size - 1)
+        if u is None:
+            tok = logp[rows].argmax(axis=1)
+        else:
+            tok = np.minimum((policy._cum[rows] <= u[live, t][:, None]).sum(axis=1), size - 1)
         lp = logp[rows, tok]
         ids[live, t], tokens[live, t], logps[live, t] = ident, tok, lp
         totals[live] += lp
@@ -462,12 +463,27 @@ def sample_trajectories(policy: PolicyTable, prompt_ids, u: np.ndarray,
     ended = tokens == size - 1
     lengths = np.where(ended.any(axis=1), ended.argmax(axis=1) + 1, depth)
     drawn = np.arange(depth) < lengths[:, None]
-    flat_ids, flat_tokens, flat_logps = ids[drawn].tolist(), tokens[drawn], logps[drawn]
-    lengths, totals = lengths.reshape(count, n), totals.reshape(count, n)
-    rewards = (state == accept).astype(np.intp).reshape(count, n).tolist()
+    return (SequenceBatch(ids[drawn].tolist(), tokens[drawn], lengths), logps[drawn], totals,
+            (state == accept).astype(np.intp))
+
+
+def sample_trajectories(policy: PolicyTable, prompt_ids, u: np.ndarray,
+                        walks=None) -> list[RolloutGroup]:
+    """Ancestral samples from the policy, one RolloutGroup per prompt.
+
+    u has shape (prompts, n, max_len): token t of rollout j of prompt i is
+    drawn by _walk from u[i, j, t]; walks and rewards are as there.
+    """
+    prompt_ids, (count, n, depth) = [int(p) for p in prompt_ids], u.shape
+    if (count, depth) != (len(prompt_ids), policy.max_len):
+        raise ValueError(f"u of shape {u.shape} for {len(prompt_ids)} prompts at max_len {depth}")
+    batch, logps, totals, rewards = _walk(policy, prompt_ids, n, u.reshape(count * n, depth),
+                                          walks)
+    lengths, totals = batch.lengths.reshape(count, n), totals.reshape(count, n)
+    rewards = rewards.reshape(count, n).tolist()
     ends = [0, *accumulate(lengths.sum(axis=1).tolist())]
-    return [RolloutGroup(pid, SequenceBatch(flat_ids[a:b], flat_tokens[a:b], lengths[i]),
-                         flat_logps[a:b], totals[i], tuple(rewards[i]))
+    return [RolloutGroup(pid, SequenceBatch(batch.ids[a:b], batch.tokens[a:b], lengths[i]),
+                         logps[a:b], totals[i], tuple(rewards[i]))
             for i, (pid, a, b) in enumerate(zip(prompt_ids, ends, ends[1:]))]
 
 
@@ -479,28 +495,22 @@ def sample_trajectory(policy: PolicyTable, prompt_id: int,
                       tuple(group.logps.tolist()), group.totals.item())
 
 
-def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:
-    """Argmax decoding; ties resolve to the lowest token id.
+def greedy_decode_batch(policy: PolicyTable,
+                        prompt_ids) -> tuple[SequenceBatch, np.ndarray, np.ndarray]:
+    """Argmax decoding of every prompt by _walk; ties resolve to the lowest token id.
 
-    It steps prefix ids as sample_trajectories does, and total_logp adds the
-    log-probs one at a time in token order, as that sampler does.
+    Returns the decodes as one SequenceBatch, sequence i being prompt i's,
+    each token's log-prob and each decode's total. NumericOverflow for
+    prompts whose prefix ids pass 2**63, as the sampler.
     """
-    size = policy.vocab.size
-    last = size - 1
-    stored, base = policy._rows, int(prompt_id) * policy.span
-    logp_rows = policy._row_lists()
-    h, tokens, logps, total = 0, [], [], 0.0
-    for _ in range(policy.max_len):
-        logp = logp_rows[stored.get(base + h, 0)]
-        best = max(logp)
-        tok = logp.index(best)
-        tokens.append(tok)
-        logps.append(best)
-        total += best
-        if tok == last:
-            break
-        h = h * size + tok + 1
-    return Trajectory(prompt_id, tuple(tokens), tuple(logps), total)
+    return _walk(policy, [int(p) for p in prompt_ids], 1)[:3]
+
+
+def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:
+    """greedy_decode_batch of one prompt; total_logp adds the log-probs in token order."""
+    batch, logps, totals = greedy_decode_batch(policy, [prompt_id])
+    return Trajectory(prompt_id, tuple(batch.tokens.tolist()), tuple(logps.tolist()),
+                      totals.item())
 
 
 def entropy(d: TokenDistribution | np.ndarray) -> float:
@@ -572,18 +582,12 @@ def apply_update(policy: PolicyTable, gradient: dict[int, np.ndarray],
         key = prefix_key(policy, ids[int(np.argmin(finite))])
         raise NumericOverflow(f"update produced non-finite logits at prefix {key}")
     out._data[rows] = updated
-    out._lists = out._cum = None
+    out._cum = None
     if policy._logp is not None:
         logp = np.empty((out.stored_prefix_count + 1, policy.vocab.size))
         logp[:len(policy._logp)] = policy._logp
-        fresh = _log_softmax(updated)
-        logp[rows] = fresh
+        logp[rows] = _log_softmax(updated)
         out._logp = _read_only(logp)
-        if policy._lists is not None:
-            # A new outer list; the untouched rows' inner lists are shared.
-            out._lists = policy._lists + [None] * (len(logp) - len(policy._lists))
-            for row, lp in zip(rows.tolist(), fresh.tolist()):
-                out._lists[row] = lp
     return out
 
 

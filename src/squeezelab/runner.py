@@ -169,17 +169,23 @@ def _run_squeeze_demo(cfg: ExperimentConfig, art: _Artifacts) -> None:
     art.write_text("squeeze_report.json", json.dumps(payload, indent=2) + "\n")
 
 
-def _run_eval(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
-    t0 = time.perf_counter()
+def eval_report(cfg: ExperimentConfig) -> dict:
+    """The evaluation report of cfg's eval.checkpoint on the suite at eval.suite_path,
+    named suite.name; greedy drift is against eval.base_checkpoint, or the
+    checkpoint itself if that is empty."""
     policy = load_checkpoint(cfg["eval.checkpoint"])
     suite = load_suite(cfg["eval.suite_path"], vocab_size=policy.vocab.size)
     base = policy
     if cfg["eval.base_checkpoint"]:
         base = load_checkpoint(cfg["eval.base_checkpoint"])
-    report = evaluation_report(
+    return evaluation_report(
         policy, base, suite, cfg["suite.name"], cfg["eval.n"], cfg["eval.k"],
         cfg["eval.prob_floor"], derive_rng(cfg["seed"], 7200))
-    _write_eval_report(art, report)
+
+
+def _run_eval(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
+    t0 = time.perf_counter()
+    _write_eval_report(art, eval_report(cfg))
     timings["eval"] = time.perf_counter() - t0
 
 

@@ -34,6 +34,7 @@ from squeezelab.policy import (
     entropy,
     grad_log_prob,
     greedy_decode,
+    greedy_decode_batch,
     join_batches,
     load_checkpoint,
     make_trajectory,
@@ -392,7 +393,7 @@ def test_the_sampler_rejects_prefix_ids_beyond_int64():
 
 def _tuple_key_greedy(policy, prompt_id):
     """Greedy decoding by one fresh prefix_id(prompt_id, tokens) lookup per token."""
-    logp_rows = policy._row_lists()
+    logp_rows = policy._log_prob_table().tolist()
     tokens, logps, total = (), [], 0.0
     for _ in range(policy.max_len):
         logp = logp_rows[policy._rows.get(prefix_id(policy, prompt_id, tokens), 0)]
@@ -428,6 +429,64 @@ def test_greedy_decode_on_the_prefix_tree_matches_the_tuple_key_loop(seed, vocab
             path = greedy_decode(policy, 1).tokens
             policy.set_logits(1, path[:int(rng.integers(len(path)))],
                               3.0 * rng.normal(size=vocab))
+
+
+def _batch_decodes(policy, prompts):
+    """greedy_decode_batch as one Trajectory per prompt; checks its recorded prefix ids."""
+    batch, logps, totals = greedy_decode_batch(policy, prompts)
+    starts, out = batch.starts, []
+    for p, a, b, total in zip(prompts, starts, starts[1:], totals.tolist()):
+        tokens = tuple(batch.tokens[a:b].tolist())
+        assert batch.ids[a:b] == prefix_ids(policy, p, tokens)
+        out.append(Trajectory(p, tokens, tuple(logps[a:b].tolist()), total))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6), max_len=st.integers(1, 6))
+def test_batched_greedy_walk_matches_the_scalar_reference_per_prompt(seed, vocab, max_len):
+    rng = np.random.default_rng(seed)
+    policy = random_policy(vocab, max_len, rng, prompt_ids=(0,), scale=3.0)
+    # Prompt 1's logits are small integers, so its rows tie often and the
+    # terminator wins some of them: its decodes stop at different depths.
+    # Prompts 2 and 9 have no stored rows, so every depth ties.
+    for _ in range(4 * max_len):
+        prefix = tuple(rng.integers(vocab - 1, size=rng.integers(max_len)).tolist())
+        policy.set_logits(1, prefix, rng.integers(-1, 2, size=vocab))
+    prompts = [1, 0, 9, 1, 2]
+    for _ in range(4):
+        got = _batch_decodes(policy, prompts)
+        assert got == [_tuple_key_greedy(policy, p) for p in prompts]
+        assert got == [greedy_decode(policy, p) for p in prompts]
+        # A new version from an update that stores rows on greedy paths,
+        # prompt 9's included, and touches some other rows.
+        grad = {(p, traj.tokens[:int(rng.integers(len(traj.tokens)))]): rng.normal(size=vocab)
+                for p, traj in zip(prompts, got)}
+        grad[(0, ())] = rng.normal(size=vocab)
+        policy = apply_update(policy, by_id(policy, grad), float(rng.choice([0.5, 3.0])))
+
+
+def test_greedy_walk_ties_stop_depths_and_int64_bound():
+    policy = PolicyTable(Vocab(4), max_len=4)
+    policy.set_logits(0, (), [0.0, 0.0, 0.0, 5.0])      # stops at depth 1
+    policy.set_logits(1, (2,), [1.0, 0.0, 0.0, 1.0])    # a tie with the terminator
+    policy.set_logits(1, (), [0.0, 0.0, 2.0, 0.0])
+    policy.set_logits(2, (0,), [0.0, 0.0, 0.0, 2.0])    # stops at depth 2
+    got = _batch_decodes(policy, [0, 1, 2, 3])
+    assert [traj.tokens for traj in got] == [(3,), (2, 0, 0, 0), (0, 3), (0, 0, 0, 0)]
+    assert got[3].per_token_logp == (-math.log(4),) * 4
+    # Greedy decoding reads the log-prob table only; the sampler's table is not built.
+    assert policy._cum is None
+    # Prefix ids are int64, as the sampler's.
+    bound = (1 << 63) // policy.span
+    assert greedy_decode(policy, bound - 1) == _tuple_key_greedy(policy, bound - 1)
+    for prompt_id in (bound, -bound - 1):
+        with pytest.raises(NumericOverflow, match="2\\*\\*63"):
+            greedy_decode(policy, prompt_id)
+        with pytest.raises(NumericOverflow):
+            greedy_decode_batch(policy, [0, prompt_id])
+    with pytest.raises(NumericOverflow):
+        greedy_decode(PolicyTable(Vocab(4), max_len=32), 0)
 
 
 def assert_same_batch(got, want):
@@ -699,10 +758,9 @@ def test_saves_that_reuse_a_rendering_match_a_full_rendering(data):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 6))
-def test_updates_patch_the_row_lists_as_a_rebuild_would(seed, steps):
+def test_updates_drop_the_cumulative_table_and_the_next_draw_rebuilds_it(seed, steps):
     rng = np.random.default_rng(seed)
     policy = random_policy(4, 3, rng, prompt_ids=(0, 1))
-    policy._row_lists()
     sample_trajectories(policy, [0], np.zeros((1, 1, 3)))
     for _ in range(steps):
         # Stored rows and rows of prompts the table has not seen yet.
@@ -710,15 +768,11 @@ def test_updates_patch_the_row_lists_as_a_rebuild_would(seed, steps):
                 for _ in range(rng.integers(1, 8))}
         grad = {key: rng.normal(size=4) for key in keys}
         policy = apply_update(policy, by_id(policy, grad), float(rng.normal()))
-        patched = policy._lists
         # The sampler's cumulative table is computed again on its next read.
-        assert patched is not None and policy._cum is None
+        assert policy._cum is None
         sample_trajectories(policy, [0], np.zeros((1, 1, 3)))
         assert np.array_equal(policy._cum,
                               np.cumsum(np.exp(_rebuilt(policy)._log_prob_table()), axis=1))
-        policy._lists = None
-        assert policy._row_lists() == patched
-        policy._lists = patched
 
 
 def test_a_checkpoint_write_cut_midway_leaves_the_earlier_file(tmp_path, monkeypatch):
