@@ -58,9 +58,9 @@ from .objectives import (
     gspo_objective,
     rl_step,
     sequence_ratio_gspo,
-    token_ratio,
 )
 from .policy import (
+    Gradient,
     PolicyTable,
     Prefix,
     RolloutGroup,

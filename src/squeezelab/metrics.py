@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, KExceedsN
-from .policy import (PolicyTable, Trajectory, _left_fold, greedy_decode_batch,
+from .policy import (PolicyTable, _left_fold, greedy_decode_batch,
                      sample_trajectories, sequence_batch, sequence_log_probs)
 from .tasks import TaskInstance
 
@@ -176,8 +176,7 @@ def similarity(trajectories) -> float:
     if len(items) < 2:
         raise InsufficientSamples("similarity needs at least 2 trajectories")
     distinct: dict[tuple, int] = {}
-    ids = np.array([distinct.setdefault(t.tokens if isinstance(t, Trajectory) else tuple(t),
-                                        len(distinct)) for t in items])
+    ids = np.array([distinct.setdefault(tuple(t), len(distinct)) for t in items])
     sets = [_bigrams(tokens) for tokens in distinct]
     jac = np.empty((len(sets), len(sets)))
     for i, a in enumerate(sets):

@@ -21,7 +21,7 @@ log-prob difference. Advantages are computed once per reward tuple and
 shared read-only. Value and KL sums are left folds in token order and each
 token's KL term follows its policy-gradient term, so the bits equal a
 per-token loop's. Every objective hands its terms to policy.score_gradient,
-so its gradient maps prefix ids to blocks. Values and analytical gradients
+so its gradient is that call's Gradient. Values and analytical gradients
 are exact, so brute-force summation and finite differences can check them.
 """
 from __future__ import annotations
@@ -34,11 +34,11 @@ import numpy as np
 
 from .errors import EmptyTrajectory, NumericOverflow, OneSidedGroup
 from .policy import (
+    Gradient,
     PolicyTable,
     RolloutGroup,
     Trajectory,
     _left_fold,
-    _log_probs,
     _read_only,
     _token_logps,
     apply_update,
@@ -124,12 +124,6 @@ def _advantages(rewards: tuple) -> AdvantageVector:
     return AdvantageVector(_read_only((r - mean) / std), degenerate=False)
 
 
-def token_ratio(policy: PolicyTable, old_logps, trajectory: Trajectory, t: int) -> float:
-    """Importance ratio pi_theta(y_t|prefix) / pi_old(y_t|prefix)."""
-    new_lp = _log_probs(policy, trajectory.prompt_id, trajectory.tokens[:t])[trajectory.tokens[t]]
-    return float(np.exp(new_lp - old_logps[t]))
-
-
 def sequence_ratio_gspo(policy: PolicyTable, old_logps, trajectory: Trajectory) -> float:
     """Geometric mean of the token ratios over one trajectory."""
     if len(trajectory.tokens) == 0:
@@ -142,7 +136,7 @@ def sequence_ratio_gspo(policy: PolicyTable, old_logps, trajectory: Trajectory) 
 @dataclass
 class ObjectiveReport:
     value: float
-    gradient: dict[int, np.ndarray]  # prefix id -> block
+    gradient: Gradient
     clipped_token_fraction: float
     kl_to_ref: float
     objective_kind: str
@@ -178,8 +172,8 @@ def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | N
     ids, tokens, lengths = joined.ids, joined.tokens, joined.lengths
     n = len(ids)
     if not n:
-        return ObjectiveReport(value=0.0, gradient={}, clipped_token_fraction=0.0,
-                               kl_to_ref=0.0, objective_kind=cfg.objective_kind)
+        return ObjectiveReport(0.0, score_gradient(policy, [], [], [], []), 0.0, 0.0,
+                               cfg.objective_kind)
     adv = np.repeat(seq_adv, lengths)
     w = token_weight(np.repeat(seq_sizes, lengths), np.repeat(lengths, lengths))
     rows = prefix_rows(policy, ids)
@@ -396,7 +390,7 @@ def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,
     # rl_lr a per-prompt rate independent of suite size.
     step = cfg.rl_lr * len(groups)
     new_policy = policy
-    if step != 0.0 and report.gradient:
+    if step != 0.0 and len(report.gradient.ids):
         new_policy = apply_update(policy, report.gradient, step)
 
     all_rewards = [r for g in groups for r in g.rewards]

@@ -19,9 +19,9 @@ flat terms, recorded by the sampler or built by sequence_batch, and one
 kernel reads it: token_log_probs gathers every token's log-prob at once,
 and sequence_log_probs adds each sequence's left-fold total.
 score_gradient is the one place score blocks (onehot - probs) are formed,
-from a flat batch of terms: each term's prefix id, table row, token and
-weight; gradients map prefix ids to blocks. The highest token id is the
-terminator: sampling and greedy decoding stop when it is emitted or at
+from a flat batch of terms (prefix id, table row, token, weight); every
+gradient is one Gradient record, an id array and a block array. The highest
+token id is the terminator: sampling and greedy decoding stop at it or at
 max_len. Everything here is exact, so closed-form claims about softmax
 update dynamics are directly checkable.
 """
@@ -520,20 +520,26 @@ def entropy(d: TokenDistribution | np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def score_gradient(policy: PolicyTable, ids, rows, tokens, weights) -> dict[int, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class Gradient:
+    """A gradient w.r.t. the policy's logits: blocks[i] is the block of ids[i]."""
+
+    ids: np.ndarray     # int64 prefix ids, distinct, in order of first appearance
+    blocks: np.ndarray  # (len(ids), V) floats
+
+
+def score_gradient(policy: PolicyTable, ids, rows, tokens, weights) -> Gradient:
     """Weighted sum of score functions, sum_i w_i * grad log pi(token_i | prefix_i).
 
     The terms come as a flat batch: ids[i] is term i's prefix id, rows[i] its
     row of the policy's table (prefix_rows(policy, ids) gives them),
     tokens[i] its token and weights[i] its weight. The gradient of
     log pi(token | prefix) w.r.t. that prefix's logits is onehot(token) - probs,
-    so the result maps each prefix id, in order of first appearance, to the
-    sum over its terms of weight * (onehot - probs), added in term order.
+    so the result holds each prefix id, in order of first appearance, with
+    the sum over its terms of weight * (onehot - probs), added in term order.
     Every term's row is gathered from the cached log-prob table at once. This
     is the one place score blocks are formed.
     """
-    if not len(ids):
-        return {}
     blocks = -np.exp(policy._log_prob_table()[rows])
     blocks[np.arange(len(ids)), tokens] += 1.0
     blocks *= np.asarray(weights, dtype=float)[:, None]
@@ -542,11 +548,11 @@ def score_gradient(policy: PolicyTable, ids, rows, tokens, weights) -> dict[int,
     # -0.0 is the exact additive identity, so each sum starts at its first term.
     sums = np.full((len(slots), policy.vocab.size), -0.0)
     np.add.at(sums, index, blocks)
-    return dict(zip(slots, sums))
+    return Gradient(np.fromiter(slots, np.int64, len(slots)), sums)
 
 
-def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> dict[int, np.ndarray]:
-    """Analytical gradient of total_logp w.r.t. the policy's logits, by prefix id.
+def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> Gradient:
+    """Analytical gradient of total_logp w.r.t. the policy's logits.
 
     For each visited prefix the block is indicator(chosen) - probs, the
     softmax score function; the blocks of a repeated prefix add up.
@@ -556,11 +562,9 @@ def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> dict[int, np.n
                           np.ones(len(ids)))
 
 
-def apply_update(policy: PolicyTable, gradient: dict[int, np.ndarray],
-                 step_size: float) -> PolicyTable:
-    """Return a new policy with logits[prefix] += step_size * gradient[prefix].
+def apply_update(policy: PolicyTable, gradient: Gradient, step_size: float) -> PolicyTable:
+    """Return a new policy with logits[ids[i]] += step_size * blocks[i] for each i.
 
-    gradient maps prefix ids to blocks.
     The input policy is left untouched. The touched rows are gathered, updated
     and scattered back in one pass; a prefix seen for the first time gets a
     new row starting from zero. If the input's log-prob table is already
@@ -569,14 +573,10 @@ def apply_update(policy: PolicyTable, gradient: dict[int, np.ndarray],
     """
     if not math.isfinite(step_size):
         raise NumericOverflow(f"non-finite step size {step_size}")
-    ids = list(gradient)
-    if not all(type(ident) is int for ident in ids):
-        raise TypeError("gradient keys must be prefix ids (int)")
+    ids = gradient.ids.tolist()
     out = policy.copy()
     rows = np.fromiter(map(out._allocate, ids), dtype=np.intp, count=len(ids))
-    blocks = np.array(list(gradient.values()), dtype=float).reshape(
-        len(ids), policy.vocab.size)
-    updated = out._data[rows] + step_size * blocks
+    updated = out._data[rows] + step_size * gradient.blocks
     finite = np.isfinite(updated).all(axis=1)
     if not finite.all():
         key = prefix_key(policy, ids[int(np.argmin(finite))])

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .objectives import (
     rl_step,
 )
 from .policy import (
+    Gradient,
     PolicyTable,
     RolloutGroup,
     SequenceBatch,
@@ -218,8 +218,7 @@ def irl_value(policy: PolicyTable, blocks, terms=None) -> list[float]:
     return _block_values(policy, blocks, join_batches(blocks) if terms is None else terms)
 
 
-def irl_loss(policy: PolicyTable, blocks,
-             terms=None) -> tuple[list[float], dict[int, np.ndarray]]:
+def irl_loss(policy: PolicyTable, blocks, terms=None) -> tuple[list[float], Gradient]:
     """Forward-KL fit to the degenerate distribution over each block of demos.
 
     Each block's loss reduces to its mean demo NLL, bit for bit the value
@@ -227,7 +226,7 @@ def irl_loss(policy: PolicyTable, blocks,
     blocks of the negated mean score, so descending it raises every block's
     demo likelihood. All terms go to one score_gradient call in block order,
     so each prefix's terms add up in the order a per-block call would add them.
-    The gradient maps prefix ids to blocks. terms are as irl_value takes them.
+    terms are as irl_value takes them.
     """
     if terms is None:
         terms = join_batches(blocks)
@@ -262,11 +261,10 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
     if lr == 0.0:
         return policy, irl_value(policy, blocks, terms)
     values, grad = irl_loss(policy, blocks, terms)
-    if not grad:
+    if not len(grad.ids):
         return policy, values
-    ids = list(grad)
-    id_block = np.fromiter((owner[ident // policy.span] for ident in ids), np.intp, len(ids))
-    grads = np.array(list(grad.values()))
+    id_block = np.fromiter(map(owner.__getitem__, (grad.ids // policy.span).tolist()),
+                           np.intp, len(grad.ids))
     steps = np.full(len(blocks), float(lr))
     searching = np.zeros(len(blocks), dtype=bool)
     searching[id_block] = True
@@ -275,8 +273,8 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
     def update(on: np.ndarray) -> PolicyTable:
         # x + 1.0 * (-step * g) is bitwise x + (-step) * g.
         live = on[id_block]
-        scaled = -steps[id_block[live], None] * grads[live]
-        return apply_update(policy, dict(zip(compress(ids, live), scaled)), 1.0)
+        scaled = -steps[id_block[live], None] * grad.blocks[live]
+        return apply_update(policy, Gradient(grad.ids[live], scaled), 1.0)
 
     for attempt in range(max_halvings + 1):
         cand = update(searching)

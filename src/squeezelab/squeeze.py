@@ -20,9 +20,7 @@ from .policy import (
     PolicyTable,
     TokenDistribution,
     Trajectory,
-    apply_update,
     entropy,
-    grad_log_prob,
     greedy_decode,
     sequence_batch,
     sequence_log_probs,
@@ -185,19 +183,6 @@ def sequence_squeeze(policy: PolicyTable, y_minus: Trajectory | tuple[int, ...],
         max_before=float(before.max()),
         max_after=float(after.max()),
     )
-
-
-def policy_squeeze_step(policy: PolicyTable, y_minus: Trajectory,
-                        eta: float) -> PolicyTable:
-    """Realizable counterpart of sequence_squeeze: one negative gradient step.
-
-    A tabular policy cannot move one sequence's probability in isolation; the
-    closest realizable update is a gradient step of size eta on log P(y-).
-    Useful for measuring how far the realizable update drifts from the
-    idealized renormalization.
-    """
-    grad = grad_log_prob(policy, y_minus)
-    return apply_update(policy, grad, eta)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from squeezelab import sps
-from squeezelab.policy import (PolicyTable, RolloutGroup, Trajectory, Vocab, prefix_id,
-                               prefix_key, prefix_rows, score_gradient, sequence_batch)
+from squeezelab.policy import (Gradient, PolicyTable, RolloutGroup, Trajectory, Vocab,
+                               prefix_id, prefix_key, prefix_rows, score_gradient,
+                               sequence_batch)
 from squeezelab.tasks import PathTaskSpec, TaskInstance
 
 
@@ -109,13 +110,16 @@ def finite_difference_blocks(value_fn, policy, keys, h=1e-5):
 
 
 def by_key(policy, gradient):
-    """A gradient keyed by prefix id, rekeyed by (prompt_id, prefix), in the same order."""
-    return {prefix_key(policy, ident): block for ident, block in gradient.items()}
+    """A Gradient record as a dict from (prompt_id, prefix) to block, in the record's order."""
+    return {prefix_key(policy, ident): block
+            for ident, block in zip(gradient.ids.tolist(), gradient.blocks)}
 
 
 def by_id(policy, gradient):
-    """A gradient keyed by (prompt_id, prefix), rekeyed by prefix id, in the same order."""
-    return {prefix_id(policy, *key): block for key, block in gradient.items()}
+    """A dict from (prompt_id, prefix) to block as a Gradient record, in the dict's order."""
+    ids = [prefix_id(policy, *key) for key in gradient]
+    blocks = np.array(list(gradient.values()), dtype=float).reshape(len(ids), policy.vocab.size)
+    return Gradient(np.array(ids, dtype=np.int64), blocks)
 
 
 def reference_save_checkpoint(policy, path):
@@ -132,7 +136,8 @@ def reference_save_checkpoint(policy, path):
 
 
 def flat_score_gradient(policy, terms):
-    """score_gradient of (prompt_id, prefix, token, weight) terms, passed as a flat batch."""
+    """score_gradient of (prompt_id, prefix, token, weight) terms, passed as a flat batch;
+    the Gradient record it returns."""
     ids = [prefix_id(policy, prompt_id, prefix) for prompt_id, prefix, _tok, _w in terms]
     return score_gradient(policy, ids, prefix_rows(policy, ids),
                           [tok for *_, tok, _w in terms], [w for *_, w in terms])

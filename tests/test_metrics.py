@@ -32,13 +32,11 @@ from squeezelab.metrics import (
 )
 from squeezelab.policy import (
     PolicyTable,
-    Trajectory,
     Vocab,
     apply_update,
     derive_rng,
     grad_log_prob,
     make_trajectory,
-    prefix_id,
     trajectory_log_prob,
 )
 from squeezelab.sps import SpsConfig, sps_loop
@@ -51,7 +49,7 @@ from squeezelab.tasks import (
     skewed_base_policy,
 )
 
-from conftest import random_policy
+from conftest import by_id, by_key, random_policy
 
 
 def matrix_from_counts(counts, n):
@@ -232,12 +230,9 @@ def test_similarity_needs_two_samples():
         similarity([(0, 1)])
 
 
-def reference_similarity(trajectories):
+def reference_similarity(sequences):
     """The all-pairs loop: every pair's Jaccard value added in i < j order."""
-    sets = []
-    for t in trajectories:
-        tokens = t.tokens if isinstance(t, Trajectory) else tuple(t)
-        sets.append(frozenset(zip(tokens, tokens[1:])))
+    sets = [frozenset(zip(tokens, tokens[1:])) for tokens in sequences]
     total = 0.0
     pairs = 0
     for i in range(len(sets)):
@@ -258,9 +253,7 @@ def test_similarity_matches_the_all_pairs_loop(pool, data):
     # empty bigram sets; small pools repeat sequences.
     n = data.draw(st.integers(2, 60))
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
-    wrapped = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    items = [Trajectory(0, pool[p], (0.0,) * len(pool[p]), 0.0) if w else pool[p]
-             for p, w in zip(picks, wrapped)]
+    items = [pool[p] for p in picks]
     assert similarity(items) == reference_similarity(items)
 
 
@@ -325,10 +318,10 @@ def test_support_coverage_matches_the_per_sequence_loop(seed, max_len, data):
         task = suite[int(rng.integers(len(suite)))]
         correct = sorted(enumerate_correct(task))
         tokens = correct[int(rng.integers(len(correct)))]
-        gradient = grad_log_prob(policy, make_trajectory(policy, task.prompt_id, tokens))
-        gradient[prefix_id(policy, task.prompt_id, (params.vocab_size - 1,))] = \
-            rng.normal(size=params.vocab_size)
-        policy = apply_update(policy, gradient, float(rng.choice([0.5, 5.0])))
+        gradient = by_key(policy, grad_log_prob(policy, make_trajectory(policy, task.prompt_id,
+                                                                        tokens)))
+        gradient[(task.prompt_id, (params.vocab_size - 1,))] = rng.normal(size=params.vocab_size)
+        policy = apply_update(policy, by_id(policy, gradient), float(rng.choice([0.5, 5.0])))
 
 
 def test_support_coverage_raises_as_the_per_sequence_loop(diamond_task, ladder_task):

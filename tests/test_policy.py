@@ -343,7 +343,7 @@ def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n, p
     updated = apply_update(policy, by_id(policy, {(0, ()): rng.normal(size=vocab),
                                                   (3, (0,) * (max_len - 1)): np.ones(vocab)}), 0.7)
     walks = [t.walk for t in tasks] if walked else None
-    for version in (policy, policy, updated, apply_update(updated, {}, 1.0)):
+    for version in (policy, policy, updated, apply_update(updated, by_id(updated, {}), 1.0)):
         u = rng.random((len(prompts), n, max_len))
         special = rng.random(u.shape)
         u[special < 0.15] = TOP_UNIFORM
@@ -538,7 +538,7 @@ def test_grad_log_prob_uniform_case_and_score_identity():
     rng = np.random.default_rng(5)
     policy = random_policy(4, 5, rng)
     traj = sample_trajectory(policy, 0, rng)
-    for block in grad_log_prob(policy, traj).values():
+    for block in grad_log_prob(policy, traj).blocks:
         np.testing.assert_allclose(block.sum(), 0.0, atol=1e-10)
 
 
@@ -583,7 +583,11 @@ def test_score_gradient_matches_a_sequential_reference(seed, vocab, max_len, n_t
     # Repeat some terms' prefixes so that sums of several terms are covered.
     terms += [(p, prefix, int(rng.integers(0, vocab)), float(rng.normal()))
               for p, prefix, _tok, _w in terms[:n_terms // 2]]
-    got = by_key(policy, flat_score_gradient(policy, terms))
+    record = flat_score_gradient(policy, terms)
+    # by_key would merge repeated ids, so the record's own ids are checked first.
+    assert record.ids.dtype == np.int64 and len(set(record.ids.tolist())) == len(record.ids)
+    assert record.blocks.shape == (len(record.ids), vocab)
+    got = by_key(policy, record)
     expected = _sequential_score_sum(policy, terms)
     assert list(got) == list(expected)
     for key, block in expected.items():
@@ -592,9 +596,21 @@ def test_score_gradient_matches_a_sequential_reference(seed, vocab, max_len, n_t
 
 def test_score_gradient_sums_repeated_prefixes_and_reads_row_zero():
     policy = PolicyTable(Vocab(4), max_len=3)
-    assert flat_score_gradient(policy, []) == {}
-    grad = by_key(policy, flat_score_gradient(policy, [(9, (1,), 2, 1.0), (9, (1,), 0, 0.5),
-                                                       (9, (), 3, 0.0)]))
+    # No terms give an empty record, and applying it changes no row.
+    empty = flat_score_gradient(policy, [])
+    assert empty.ids.dtype == np.int64 and empty.ids.shape == (0,)
+    assert empty.blocks.shape == (0, 4)
+    stored = random_policy(4, 3, np.random.default_rng(4), prompt_ids=(0, 9))
+    same = apply_update(stored, empty, 1.0)
+    assert list(same._rows.items()) == list(stored._rows.items())
+    assert np.array_equal(same._logit_rows(), stored._logit_rows())
+    # ids are int64 and distinct, in order of first appearance, one block row each.
+    record = flat_score_gradient(policy, [(9, (1,), 2, 1.0), (9, (), 3, 0.0),
+                                          (9, (1,), 0, 0.5)])
+    assert record.ids.dtype == np.int64
+    assert record.ids.tolist() == [prefix_id(policy, 9, (1,)), prefix_id(policy, 9, ())]
+    assert record.blocks.shape == (2, 4)
+    grad = by_key(policy, record)
     assert list(grad) == [(9, (1,)), (9, ())]
     np.testing.assert_allclose(grad[(9, (1,))], [0.125, -0.375, 0.625, -0.375], atol=1e-15)
     assert not grad[(9, ())].any()

@@ -42,8 +42,8 @@ from squeezelab.sps import (
     l2te_select,
     sps_loop,
 )
-from squeezelab.tasks import (TaskInstance, build_suite_policy, make_benchmark_suite,
-                              skewed_base_policy)
+from squeezelab.tasks import (FamilyParams, TaskInstance, build_suite_policy,
+                              make_benchmark_suite, skewed_base_policy)
 
 from conftest import (
     batch_sequences,
@@ -437,7 +437,7 @@ def _sequential_descent(policy, demos, lr, max_halvings=30):
     tokens = [tok for traj in demos for tok in traj.tokens]
     grad = score_gradient(policy, ids, prefix_rows(policy, ids), tokens,
                           np.full(len(ids), -1.0 / len(demos)))
-    if not grad:
+    if not len(grad.ids):
         return policy, val0
     step = lr
     for _ in range(max_halvings + 1):
@@ -765,6 +765,37 @@ def test_sps_loop_numbers_no_sampled_token_again(monkeypatch, tmp_path):
     assert [it for it, _, _ in trace.checkpoints] == [1, 2]
     assert sum(r.phase == "IRL" for r in trace.records) == 2 * cfg["sps.irl_steps_per_iteration"]
     assert calls == []
+
+
+def _shift_prompts(suite, base, d):
+    """The suite with every prompt_id moved by d, and base with its rows moved with them."""
+    tasks = [dataclasses.replace(task, prompt_id=task.prompt_id + d) for task in suite]
+    policy = PolicyTable(base.vocab, base.max_len)
+    for (prompt_id, prefix), vec in base.stored_items():
+        policy.set_logits(prompt_id + d, prefix, vec)
+    return tasks, policy
+
+
+@pytest.mark.parametrize("loop, cfg", [
+    (sps_loop, small_cfg(clip=ClipConfig.grpo(), trace_metrics=True)),
+    (sps_loop, small_cfg(irl_scope="full_suite", irl_batch_size=3)),
+    (grpo_baseline_loop, small_cfg(clip=ClipConfig.dapo(), reuse_rollouts=True,
+                                   dapo_max_resamples=2, rl_steps_per_iteration=3, rl_lr=0.5)),
+], ids=["per_prompt", "full_suite", "dapo_reuse"])
+def test_training_is_invariant_under_a_prompt_id_shift(loop, cfg):
+    # Prompts own disjoint rows, the random blocks are indexed by task order
+    # and the IRL descent reads a block's owner as id // span, so moving
+    # every prompt id by d moves the trained rows by d and changes no bit.
+    suite = make_benchmark_suite(7, FamilyParams(count=4, min_solutions=4))
+    base = build_suite_policy(suite, 1.5, 7)
+    ref, ref_trace = loop(base, suite, cfg, 7)
+    want = [(key, vec.tobytes()) for key, vec in ref.stored_items()]
+    for d in (0, 37, 1000):
+        tasks, policy = _shift_prompts(suite, base, d)
+        got, trace = loop(policy, tasks, cfg, 7)
+        assert [((pid - d, prefix), vec.tobytes())
+                for (pid, prefix), vec in got.stored_items()] == want
+        assert trace.to_jsonl() == ref_trace.to_jsonl()
 
 
 def test_trace_record_json_layout():

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from squeezelab.errors import InvalidToken, NotASqueezeSetting, SpaceTooLarge
-from squeezelab.policy import PolicyTable, Vocab, greedy_decode, make_trajectory
+from squeezelab.policy import PolicyTable, Vocab, greedy_decode
 from squeezelab.squeeze import (
     enumerate_sequence_space,
     peakedness_trace,
     penalize_token,
-    policy_squeeze_step,
     sequence_squeeze,
     verify_squeeze,
 )
@@ -151,16 +150,6 @@ def test_sequence_squeeze_max_after_never_drops_on_random_policies():
 def test_sequence_space_bound():
     with pytest.raises(SpaceTooLarge):
         enumerate_sequence_space(10, 6)
-
-
-def test_policy_squeeze_step_moves_mass_like_the_ideal_update():
-    rng = np.random.default_rng(5)
-    policy = random_policy(2, 2, rng)
-    target = make_trajectory(policy, 0, (0, 0))
-    stepped = policy_squeeze_step(policy, target, -0.5)
-    before = math.exp(make_trajectory(policy, 0, (0, 0)).total_logp)
-    after = math.exp(make_trajectory(stepped, 0, (0, 0)).total_logp)
-    assert after < before
 
 
 def test_peakedness_trace_uniform_policy():
