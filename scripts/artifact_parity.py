@@ -9,15 +9,16 @@ once with TREE/src, in a fresh interpreter each, into the same scratch paths
 (so paths recorded inside artifacts agree), one tree after the other. For
 each config and seed it runs the training run, an eval-mode run of its final
 checkpoint and `compare` of the run with itself; the paired `sps` and `grpo`
-runs are also compared with each other. Every file the runs write other than
-manifest.json, which records timings, is hashed with sha256. The script prints each file
-whose hash differs or that only one tree wrote, and exits 1 if there is any,
-0 otherwise. It takes about half a minute per tree on a 2-vCPU machine.
+runs are also compared with each other. Every file the runs write is hashed
+with sha256; a manifest.json is hashed without its wall-clock timings. The
+script prints each file whose hash differs or that only one tree wrote, and
+exits 1 if there is any, 0 otherwise. It takes about half a minute per tree on a 2-vCPU machine.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -74,7 +75,7 @@ MATRIX = {
     "uniform_base": ({"mode": "grpo", "suite.skew": 0}, 32),
 }
 PAIRED = ("sps", "grpo")
-SKIPPED = "manifest.json"
+MANIFEST = "manifest.json"
 
 
 def _render(value) -> str:
@@ -113,11 +114,16 @@ def digests(work: str) -> dict[str, str]:
     out = {}
     for dirpath, _dirs, files in os.walk(work):
         for name in files:
-            if name == SKIPPED or name.endswith(".cfg"):  # .cfg: the script's own inputs
+            if name.endswith(".cfg"):  # the script's own inputs
                 continue
             path = os.path.join(dirpath, name)
             with open(path, "rb") as fh:
-                out[os.path.relpath(path, work)] = hashlib.sha256(fh.read()).hexdigest()
+                data = fh.read()
+            if name == MANIFEST:
+                manifest = json.loads(data)
+                del manifest["timings"]
+                data = json.dumps(manifest, indent=2).encode()
+            out[os.path.relpath(path, work)] = hashlib.sha256(data).hexdigest()
     return out
 
 
@@ -168,7 +174,7 @@ def main(argv=None) -> int:
         where = ("" if name in parent and name in child
                  else f" (only in {args.parent_tree if name in parent else args.tree})")
         print(f"differs: {name}{where}")
-    print(f"{len(parent.keys() | child.keys())} files compared besides {SKIPPED}; "
+    print(f"{len(parent.keys() | child.keys())} files compared ({MANIFEST} without timings); "
           f"{len(differ)} differ")
     return 1 if differ else 0
 

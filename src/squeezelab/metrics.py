@@ -215,8 +215,9 @@ def support_coverage(policy: PolicyTable, task: TaskInstance,
     set again at its own, so a sequence longer than its max_len or with a
     token outside its vocabulary raises as trajectory_log_prob would.
     """
-    batch = task.correct_set
-    if (task.spec.vocab_size, task.spec.max_len) != (policy.vocab.size, policy.max_len):
+    if (task.spec.vocab_size, task.spec.max_len) == (policy.vocab.size, policy.max_len):
+        batch = task.correct_set
+    else:
         batch = sequence_batch(policy, ((task.prompt_id, s) for s in task.correct_sequences))
     totals = sequence_log_probs(policy, batch)[1]
     probs = np.fromiter(map(math.exp, totals.tolist()), float, len(totals))

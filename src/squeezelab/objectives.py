@@ -172,7 +172,7 @@ def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | N
     ids, tokens, lengths = joined.ids, joined.tokens, joined.lengths
     n = len(ids)
     if not n:
-        return ObjectiveReport(0.0, score_gradient(policy, [], [], [], []), 0.0, 0.0,
+        return ObjectiveReport(0.0, score_gradient(policy, ids, [], [], []), 0.0, 0.0,
                                cfg.objective_kind)
     adv = np.repeat(seq_adv, lengths)
     w = token_weight(np.repeat(seq_sizes, lengths), np.repeat(lengths, lengths))
@@ -201,8 +201,8 @@ def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | N
         kl_value = 0.0
         term_token = np.flatnonzero(~clipped)
         weights = pg_weights[term_token]
-    gradient = score_gradient(policy, [ids[i] for i in term_token.tolist()],
-                              rows[term_token], tokens[term_token], weights)
+    gradient = score_gradient(policy, ids[term_token], rows[term_token], tokens[term_token],
+                              weights)
     return ObjectiveReport(value=float(pg_value - cfg.beta * kl_value),
                            gradient=gradient,
                            clipped_token_fraction=int(np.count_nonzero(clipped)) / n,
@@ -278,8 +278,8 @@ def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     value = _left_fold((w * np.where(clipped, clipped_term, unclipped_term))[nonempty])
     terms = np.flatnonzero(np.repeat(~clipped, lengths))
     weights = np.repeat(w * adv * ratios / np.maximum(lengths, 1), lengths)[terms]
-    gradient = score_gradient(policy, [joined.ids[i] for i in terms.tolist()], rows[terms],
-                              joined.tokens[terms], weights)
+    gradient = score_gradient(policy, joined.ids[terms], rows[terms], joined.tokens[terms],
+                              weights)
     considered = int(lengths.sum())
     frac = int(lengths[clipped].sum()) / considered if considered else 0.0
     return ObjectiveReport(value=float(value), gradient=gradient,

@@ -225,8 +225,8 @@ def prefix_ids(policy: PolicyTable, prompt_id: int, tokens) -> list[int]:
 
     prompt_id * span + h, where h is the prefix's index in a complete
     V-ary tree: 0 for (), h * V + token + 1 for a child. Ids are Python
-    ints; the sampler computes them as int64 and rejects prompts whose ids
-    leave that range. Raises as check_sequence does.
+    ints; a SequenceBatch holds them as int64, and its producers reject
+    prompts whose ids leave that range. Raises as check_sequence does.
     """
     check_sequence(policy, tokens)
     size, base, h = policy.vocab.size, int(prompt_id) * policy.span, 0
@@ -257,8 +257,18 @@ def prefix_key(policy: PolicyTable, ident: int) -> PrefixKey:
 
 
 def prefix_rows(policy: PolicyTable, ids) -> np.ndarray:
-    """Each prefix id's row of the policy's tables; 0, the zero row, if it is not stored."""
-    return np.fromiter(map(policy._rows.get, ids, repeat(0)), np.intp, len(ids))
+    """Each id's row of the policy's tables (0, the zero row, if unstored); ids: int64 or list."""
+    keys = ids.tolist() if isinstance(ids, np.ndarray) else ids
+    return np.fromiter(map(policy._rows.get, keys, repeat(0)), np.intp, len(keys))
+
+
+def _check_int64(policy: PolicyTable, prompt_ids: list[int]) -> None:
+    """NumericOverflow if the prefix ids of prompt_ids leave int64."""
+    if prompt_ids and not (-1 << 63 <= min(prompt_ids) * policy.span
+                           < (max(prompt_ids) + 1) * policy.span < 1 << 63):
+        raise NumericOverflow(f"prompts {min(prompt_ids)}..{max(prompt_ids)} at "
+                              f"vocab={policy.vocab.size} max_len={policy.max_len} "
+                              f"have prefix ids beyond 2**63")
 
 
 def _token_logps(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -> np.ndarray:
@@ -271,7 +281,7 @@ def _token_logps(policy: PolicyTable, prompt_id: int, tokens: tuple[int, ...]) -
 class SequenceBatch:
     """Sequences as flat terms, sequence after sequence in token order (see sequence_batch)."""
 
-    ids: list[int]       # the prefix id each token is drawn at (Python ints)
+    ids: np.ndarray      # the int64 prefix id each token is drawn at
     tokens: np.ndarray   # each token's id
     lengths: np.ndarray  # each sequence's length
 
@@ -293,20 +303,22 @@ class SequenceBatch:
 
 def take_sequences(picks) -> SequenceBatch:
     """Sequence i of batch b for each (b, i) of picks, in that order, with its recorded ids."""
-    ids, tokens, lengths = [], [np.empty(0, np.intp)], []
+    ids, tokens, lengths = [np.empty(0, np.int64)], [np.empty(0, np.intp)], []
     for batch, i in picks:
         start, stop = batch.starts[i], batch.starts[i + 1]
-        ids += batch.ids[start:stop]
+        ids.append(batch.ids[start:stop])
         tokens.append(batch.tokens[start:stop])
         lengths.append(stop - start)
-    return SequenceBatch(ids, np.concatenate(tokens), np.array(lengths, np.intp))
+    return SequenceBatch(np.concatenate(ids), np.concatenate(tokens), np.array(lengths, np.intp))
 
 
 def sequence_batch(policy: PolicyTable, sequences) -> SequenceBatch:
-    """The (prompt_id, tokens) pairs of sequences as one SequenceBatch at policy's
-    shape, numbered by prefix_ids; raises as check_sequence does."""
+    """The (prompt_id, tokens) pairs as one SequenceBatch at policy's shape, numbered by
+    prefix_ids; raises NumericOverflow as _walk, then as check_sequence does."""
     sequences = list(sequences)
-    ids = [i for pid, tokens in sequences for i in prefix_ids(policy, pid, tokens)]
+    _check_int64(policy, [int(pid) for pid, _ in sequences])
+    ids = np.array([i for pid, tokens in sequences for i in prefix_ids(policy, pid, tokens)],
+                   np.int64)
     return SequenceBatch(
         ids=ids,
         tokens=np.fromiter(chain.from_iterable(t for _, t in sequences), np.intp, len(ids)),
@@ -315,8 +327,9 @@ def sequence_batch(policy: PolicyTable, sequences) -> SequenceBatch:
 
 def join_batches(batches) -> SequenceBatch:
     """Several SequenceBatches as one, batch after batch."""
-    batches = list(batches) or [SequenceBatch([], np.empty(0, np.intp), np.empty(0, np.intp))]
-    return SequenceBatch(ids=list(chain.from_iterable(b.ids for b in batches)),
+    batches = list(batches) or [SequenceBatch(np.empty(0, np.int64), np.empty(0, np.intp),
+                                              np.empty(0, np.intp))]
+    return SequenceBatch(ids=np.concatenate([b.ids for b in batches]),
                          tokens=np.concatenate([b.tokens for b in batches]),
                          lengths=np.concatenate([b.lengths for b in batches]))
 
@@ -426,12 +439,9 @@ def _walk(policy: PolicyTable, prompt_ids: list[int], n: int, u=None,
     exactly when prompt i's walks[i], a TaskInstance.walk, ends in its
     accept state, and 0 without walks.
     """
+    _check_int64(policy, prompt_ids)
     count, depth, size = len(prompt_ids), policy.max_len, policy.vocab.size
-    if prompt_ids and not (-1 << 63 <= min(prompt_ids) * policy.span
-                           < (max(prompt_ids) + 1) * policy.span < 1 << 63):
-        raise NumericOverflow(f"prompts {min(prompt_ids)}..{max(prompt_ids)} at vocab={size} "
-                              f"max_len={depth} have prefix ids beyond 2**63")
-    logp, stored = policy._log_prob_table(), policy._rows
+    logp = policy._log_prob_table()
     if u is not None and policy._cum is None:
         policy._cum = _read_only(np.cumsum(np.exp(logp), axis=1))
     walkers = count * n
@@ -448,7 +458,7 @@ def _walk(policy: PolicyTable, prompt_ids: list[int], n: int, u=None,
     h = np.zeros(walkers, np.int64)
     for t in range(depth):
         ident = base + h
-        rows = np.fromiter(map(stored.get, ident.tolist(), repeat(0)), np.intp, len(live))
+        rows = prefix_rows(policy, ident)
         if u is None:
             tok = logp[rows].argmax(axis=1)
         else:
@@ -463,7 +473,7 @@ def _walk(policy: PolicyTable, prompt_ids: list[int], n: int, u=None,
     ended = tokens == size - 1
     lengths = np.where(ended.any(axis=1), ended.argmax(axis=1) + 1, depth)
     drawn = np.arange(depth) < lengths[:, None]
-    return (SequenceBatch(ids[drawn].tolist(), tokens[drawn], lengths), logps[drawn], totals,
+    return (SequenceBatch(ids[drawn], tokens[drawn], lengths), logps[drawn], totals,
             (state == accept).astype(np.intp))
 
 
@@ -513,9 +523,8 @@ def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:
                       totals.item())
 
 
-def entropy(d: TokenDistribution | np.ndarray) -> float:
-    """Shannon entropy in nats, with 0 * ln 0 := 0."""
-    p = d.probs if isinstance(d, TokenDistribution) else np.asarray(d, dtype=float)
+def entropy(p: np.ndarray) -> float:
+    """Shannon entropy in nats of a probability vector, with 0 * ln 0 := 0."""
     nz = p[p > 0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -544,7 +553,7 @@ def score_gradient(policy: PolicyTable, ids, rows, tokens, weights) -> Gradient:
     blocks[np.arange(len(ids)), tokens] += 1.0
     blocks *= np.asarray(weights, dtype=float)[:, None]
     slots: dict[int, int] = {}
-    index = [slots.setdefault(ident, len(slots)) for ident in ids]
+    index = [slots.setdefault(ident, len(slots)) for ident in ids.tolist()]
     # -0.0 is the exact additive identity, so each sum starts at its first term.
     sums = np.full((len(slots), policy.vocab.size), -0.0)
     np.add.at(sums, index, blocks)
@@ -557,9 +566,9 @@ def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> Gradient:
     For each visited prefix the block is indicator(chosen) - probs, the
     softmax score function; the blocks of a repeated prefix add up.
     """
-    ids = prefix_ids(policy, trajectory.prompt_id, trajectory.tokens)
-    return score_gradient(policy, ids, prefix_rows(policy, ids), trajectory.tokens,
-                          np.ones(len(ids)))
+    batch = sequence_batch(policy, [(trajectory.prompt_id, trajectory.tokens)])
+    return score_gradient(policy, batch.ids, prefix_rows(policy, batch.ids), batch.tokens,
+                          np.ones(len(batch.ids)))
 
 
 def apply_update(policy: PolicyTable, gradient: Gradient, step_size: float) -> PolicyTable:

@@ -42,14 +42,8 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
 
     def save(self, path) -> None:
-        payload = {
-            "run_id": self.run_id,
-            "config": self.config,
-            "artifacts": self.artifacts,
-            "timings": self.timings,
-        }
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(vars(self), fh, indent=2)
             fh.write("\n")
 
 

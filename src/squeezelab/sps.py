@@ -251,20 +251,21 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
     untouched and allocates none. Returns the policy and each block's loss;
     the input policy itself when no block moved.
     """
-    owner: dict[int, int] = {}
-    for b, block in enumerate(blocks):
-        for prompt_id in {ident // policy.span for ident in block.ids}:
-            if owner.setdefault(prompt_id, b) != b:
-                raise ValueError(f"demo blocks share prompt {prompt_id}")
     # The demos do not change during the descent: they are joined once.
     terms = join_batches(blocks)
+    term_prompt = terms.ids // policy.span
+    term_block = np.repeat(np.arange(len(blocks)), [len(block.ids) for block in blocks])
+    prompts, first = np.unique(term_prompt, return_index=True)
+    owner = term_block[first]  # each prompt's block
+    shared = owner[np.searchsorted(prompts, term_prompt)] != term_block
+    if shared.any():
+        raise ValueError(f"demo blocks share prompt {term_prompt[shared.argmax()]}")
     if lr == 0.0:
         return policy, irl_value(policy, blocks, terms)
     values, grad = irl_loss(policy, blocks, terms)
     if not len(grad.ids):
         return policy, values
-    id_block = np.fromiter(map(owner.__getitem__, (grad.ids // policy.span).tolist()),
-                           np.intp, len(grad.ids))
+    id_block = owner[np.searchsorted(prompts, grad.ids // policy.span)]
     steps = np.full(len(blocks), float(lr))
     searching = np.zeros(len(blocks), dtype=bool)
     searching[id_block] = True
@@ -336,19 +337,7 @@ class TraceRecord:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "iter": self.iter,
-            "phase": self.phase,
-            "step": self.step,
-            "objective": self.objective,
-            "irl_loss": self.irl_loss,
-            "mean_reward": self.mean_reward,
-            "entropy_root": self.entropy_root,
-            "greedy_logp": self.greedy_logp,
-            "pass_at_k": self.pass_at_k,
-            "support_coverage": self.support_coverage,
-            "seed": self.seed,
-        })
+        return json.dumps(vars(self))
 
 
 @dataclass

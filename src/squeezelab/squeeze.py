@@ -19,7 +19,6 @@ from .errors import InvalidToken, NotASqueezeSetting, SpaceTooLarge
 from .policy import (
     PolicyTable,
     TokenDistribution,
-    Trajectory,
     entropy,
     greedy_decode,
     sequence_batch,
@@ -148,8 +147,8 @@ def _sequence_probs(policy: PolicyTable, prompt_id: int,
     return np.exp(sequence_log_probs(policy, batch)[1])
 
 
-def sequence_squeeze(policy: PolicyTable, y_minus: Trajectory | tuple[int, ...],
-                     eta: float, prompt_id: int | None = None) -> SequenceSqueezeReport:
+def sequence_squeeze(policy: PolicyTable, y_minus: tuple[int, ...],
+                     eta: float, prompt_id: int = 0) -> SequenceSqueezeReport:
     """Idealized sequence-level squeeze: P'(y-) gets the e^eta factor, renormalize.
 
     The space is every length-max_len token string with probability given by
@@ -158,18 +157,13 @@ def sequence_squeeze(policy: PolicyTable, y_minus: Trajectory | tuple[int, ...],
     """
     if eta > 0:
         raise ValueError(f"eta must be <= 0 for a squeeze, got {eta}")
-    if isinstance(y_minus, Trajectory):
-        target = y_minus.tokens
-        prompt = y_minus.prompt_id if prompt_id is None else prompt_id
-    else:
-        target = tuple(int(t) for t in y_minus)
-        prompt = 0 if prompt_id is None else prompt_id
+    target = tuple(int(t) for t in y_minus)
     if len(target) != policy.max_len:
         raise InvalidToken(
             f"penalized sequence must have length max_len={policy.max_len}, "
             f"got {len(target)}")
     space = enumerate_sequence_space(policy.vocab.size, policy.max_len)
-    before = _sequence_probs(policy, prompt, space)
+    before = _sequence_probs(policy, prompt_id, space)
     idx = space.index(target)
     weights = before.copy()
     weights[idx] *= np.exp(eta)

@@ -138,7 +138,8 @@ def reference_save_checkpoint(policy, path):
 def flat_score_gradient(policy, terms):
     """score_gradient of (prompt_id, prefix, token, weight) terms, passed as a flat batch;
     the Gradient record it returns."""
-    ids = [prefix_id(policy, prompt_id, prefix) for prompt_id, prefix, _tok, _w in terms]
+    ids = np.array([prefix_id(policy, prompt_id, prefix) for prompt_id, prefix, _tok, _w in terms],
+                   np.int64)
     return score_gradient(policy, ids, prefix_rows(policy, ids),
                           [tok for *_, tok, _w in terms], [w for *_, w in terms])
 

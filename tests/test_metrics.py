@@ -16,6 +16,7 @@ from squeezelab import tasks as tasks_module
 from squeezelab.errors import InsufficientSamples, InvalidToken, KExceedsN, PrefixExhausted
 from squeezelab.metrics import (
     BUCKET_CENTERS,
+    CoverageRecord,
     SampleMatrix,
     accuracy_histogram,
     avg_at_k,
@@ -42,6 +43,7 @@ from squeezelab.policy import (
 from squeezelab.sps import SpsConfig, sps_loop
 from squeezelab.tasks import (
     FamilyParams,
+    PathTaskSpec,
     TaskInstance,
     build_suite_policy,
     enumerate_correct,
@@ -342,6 +344,13 @@ def test_support_coverage_reads_a_policy_of_a_wider_shape(diamond_task):
         rec = support_coverage(policy, diamond_task, floor)
         assert (rec.covered, rec.total, rec.mass_on_correct) == \
             reference_coverage(policy, diamond_task, floor)
+    # A task whose own shape numbers prefix ids past int64 is read at the
+    # policy's shape only; its cached set at its own shape is never built.
+    wide = TaskInstance(prompt_id=1, label=1, spec=PathTaskSpec(
+        node_count=2, edges=((0, 1, 0),), start=0, target=1, max_len=40, vocab_size=4))
+    rec = support_coverage(PolicyTable(Vocab(4), max_len=4), wide, 0.01)
+    assert rec == CoverageRecord(covered=1, total=1, mass_on_correct=0.0625)
+    assert "correct_set" not in vars(wide)
 
 
 def test_training_and_evaluation_enumerate_each_task_once(monkeypatch):

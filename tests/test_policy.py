@@ -252,11 +252,11 @@ def test_greedy_decode_dominates_equal_length_sequences():
 
 
 def test_entropy_examples():
-    np.testing.assert_allclose(entropy(softmax([0.0] * 4)), math.log(4), atol=1e-12)
+    np.testing.assert_allclose(entropy(softmax([0.0] * 4).probs), math.log(4), atol=1e-12)
     one_hot = np.array([1.0, 0.0, 0.0])
     assert entropy(one_hot) == 0.0
     d = softmax([2.0, 1.0, 0.0, -3.0])
-    np.testing.assert_allclose(entropy(d), ORACLE_ENTROPY, atol=1e-10)
+    np.testing.assert_allclose(entropy(d.probs), ORACLE_ENTROPY, atol=1e-10)
 
 
 def _random_task(vocab, max_len, rng, prompt_id=0):
@@ -361,7 +361,7 @@ def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n, p
         assert _bits([lp for x in got for lp in x[2]]) == _bits([lp for x in want for lp in x[2]])
         assert _bits([x[3] for x in got]) == _bits([x[3] for x in want])
         assert [x[4] for x in got] == [x[4] for x in want]
-        assert all(type(i) is int for g in groups for i in g.batch.ids)
+        assert all(g.batch.ids.dtype == np.int64 for g in groups)
         assert all(g.batch.tokens.dtype == g.batch.lengths.dtype == np.intp for g in groups)
 
 
@@ -374,7 +374,7 @@ def test_the_block_sampler_takes_the_cap_and_reads_a_fixed_stride():
     # The capped rollout stops at the terminator and leaves u[0, 0, 1:]
     # unread; the next rollout reads its own row u[0, 1], not the leftovers.
     assert group.sequences() == [(2,), (1, 1, 1)]
-    assert group.batch.ids == [0, 0, 2, 2 * 3 + 1 + 1]
+    assert group.batch.ids.tolist() == [0, 0, 2, 2 * 3 + 1 + 1]
 
 
 def test_the_sampler_rejects_prefix_ids_beyond_int64():
@@ -382,11 +382,18 @@ def test_the_sampler_rejects_prefix_ids_beyond_int64():
     bound = (1 << 63) // policy.span
     u = np.zeros((1, 1, 4))
     assert sample_trajectories(policy, [bound - 1], u)[0].batch.ids[0] == (bound - 1) * policy.span
+    assert sequence_batch(policy, [(bound - 1, (0,))]).ids.tolist() == [(bound - 1) * policy.span]
     for prompt_id in (bound, -bound - 1):
-        with pytest.raises(NumericOverflow, match="2\\*\\*63"):
+        with pytest.raises(NumericOverflow, match="2\\*\\*63") as sampled:
             sample_trajectories(policy, [prompt_id], u)
+        # sequence_batch applies the sampler's bound, with its message.
+        with pytest.raises(NumericOverflow) as numbered:
+            sequence_batch(policy, [(prompt_id, (0,))])
+        assert str(numbered.value) == str(sampled.value)
     with pytest.raises(NumericOverflow):
         sample_trajectories(PolicyTable(Vocab(4), max_len=32), [0], np.zeros((1, 1, 32)))
+    with pytest.raises(NumericOverflow):
+        sequence_batch(PolicyTable(Vocab(4), max_len=32), [(0, ())])
     with pytest.raises(ValueError):
         sample_trajectories(policy, [0, 1], u)
 
@@ -434,10 +441,11 @@ def test_greedy_decode_on_the_prefix_tree_matches_the_tuple_key_loop(seed, vocab
 def _batch_decodes(policy, prompts):
     """greedy_decode_batch as one Trajectory per prompt; checks its recorded prefix ids."""
     batch, logps, totals = greedy_decode_batch(policy, prompts)
+    assert batch.ids.dtype == np.int64
     starts, out = batch.starts, []
     for p, a, b, total in zip(prompts, starts, starts[1:], totals.tolist()):
         tokens = tuple(batch.tokens[a:b].tolist())
-        assert batch.ids[a:b] == prefix_ids(policy, p, tokens)
+        assert batch.ids[a:b].tolist() == prefix_ids(policy, p, tokens)
         out.append(Trajectory(p, tokens, tuple(logps[a:b].tolist()), total))
     return out
 
@@ -483,14 +491,19 @@ def test_greedy_walk_ties_stop_depths_and_int64_bound():
     for prompt_id in (bound, -bound - 1):
         with pytest.raises(NumericOverflow, match="2\\*\\*63"):
             greedy_decode(policy, prompt_id)
-        with pytest.raises(NumericOverflow):
+        with pytest.raises(NumericOverflow) as decoded:
             greedy_decode_batch(policy, [0, prompt_id])
+        with pytest.raises(NumericOverflow) as numbered:
+            sequence_batch(policy, [(0, (3,)), (prompt_id, ())])
+        assert str(numbered.value) == str(decoded.value)
     with pytest.raises(NumericOverflow):
         greedy_decode(PolicyTable(Vocab(4), max_len=32), 0)
+    with pytest.raises(NumericOverflow):
+        sequence_batch(PolicyTable(Vocab(4), max_len=32), [(0, (1, 3))])
 
 
 def assert_same_batch(got, want):
-    assert got.ids == want.ids
+    assert got.ids.dtype == want.ids.dtype == np.int64 and np.array_equal(got.ids, want.ids)
     assert got.tokens.dtype == want.tokens.dtype and np.array_equal(got.tokens, want.tokens)
     assert got.lengths.dtype == want.lengths.dtype and np.array_equal(got.lengths, want.lengths)
 
@@ -507,6 +520,8 @@ def test_take_sequences_equals_the_numbered_batch_of_the_same_sequences(seed, vo
     start = data.draw(st.integers(0, n - 1))
     selections = [[], [start], [start, start], [(start + j) % n for j in range(n + 1)],
                   data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))]
+    # Every producer gives int64 ids (assert_same_batch), the empty join included.
+    assert_same_batch(join_batches([]), sequence_batch(policy, []))
     for indices in selections:
         want = sequence_batch(policy, [sequences[i] for i in indices])
         assert_same_batch(take_sequences((group.batch, i) for i in indices), want)
@@ -883,8 +898,9 @@ def test_sequence_log_probs_kernel_matches_the_per_sequence_path(vocab, max_len,
     batch = sequence_batch(policy, sequences)
     joined = join_batches([sequence_batch(policy, sequences[:cut]),
                            sequence_batch(policy, sequences[cut:])])
-    assert batch.ids == joined.ids == [i for prompt_id, tokens in sequences
-                                       for i in prefix_ids(policy, prompt_id, tokens)]
+    assert batch.ids.dtype == joined.ids.dtype == np.int64
+    assert batch.ids.tolist() == joined.ids.tolist() == [
+        i for prompt_id, tokens in sequences for i in prefix_ids(policy, prompt_id, tokens)]
     expected_logps = [_token_logps(policy, prompt_id, tokens) for prompt_id, tokens in sequences]
     expected_totals = [trajectory_log_prob(policy, prompt_id, tokens)[1]
                        for prompt_id, tokens in sequences]

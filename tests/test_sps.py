@@ -433,7 +433,8 @@ def _sequential_descent(policy, demos, lr, max_halvings=30):
     if lr == 0.0:
         return policy, _sequential_mean_nll(policy, demos)
     val0 = _sequential_mean_nll(policy, demos)
-    ids = [i for traj in demos for i in prefix_ids(policy, traj.prompt_id, traj.tokens)]
+    ids = np.array([i for traj in demos for i in prefix_ids(policy, traj.prompt_id, traj.tokens)],
+                   np.int64)
     tokens = [tok for traj in demos for tok in traj.tokens]
     grad = score_gradient(policy, ids, prefix_rows(policy, ids), tokens,
                           np.full(len(ids), -1.0 / len(demos)))
@@ -796,6 +797,37 @@ def test_training_is_invariant_under_a_prompt_id_shift(loop, cfg):
         assert [((pid - d, prefix), vec.tobytes())
                 for (pid, prefix), vec in got.stored_items()] == want
         assert trace.to_jsonl() == ref_trace.to_jsonl()
+
+
+def _prompt_rows(policy, prompts):
+    """The keys and logits of the stored rows of the given prompts, in row order."""
+    rows = [(key, vec) for key, vec in policy.stored_items() if key[0] in prompts]
+    return [key for key, _ in rows], np.array([vec for _, vec in rows])
+
+
+# Excluded, because they couple the prompts by design: DAPO's one global
+# token mean weighs each token by the whole batch's token count, and
+# irl_scope "full_suite" fits one mean over every prompt's demos.
+@pytest.mark.parametrize("loop, cfg", [
+    (grpo_baseline_loop, small_cfg(clip=ClipConfig.grpo())),
+    (grpo_baseline_loop, small_cfg(clip=ClipConfig.gspo())),
+    (sps_loop, small_cfg(clip=ClipConfig.grpo())),
+    (sps_loop, small_cfg(reuse_rollouts=True, irl_batch_size=2)),
+], ids=["grpo", "gspo", "sps_per_prompt", "sps_reuse_batch"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+def test_training_a_suite_prefix_trains_its_prompts_as_the_full_suite(loop, cfg, seed):
+    # derive_rng(seed, r).random((P, G, L)) fills in C order, so the first 3
+    # tasks draw the same uniforms in both runs. The weight 1/(groups·G·|y|)
+    # is undone by the step rl_lr·groups only up to rounding, so the values
+    # agree within a tight tolerance rather than bit for bit.
+    suite = make_benchmark_suite(seed, FamilyParams(count=8, min_solutions=4))
+    base = build_suite_policy(suite, 1.5, seed)
+    cfg = dataclasses.replace(cfg, max_iterations=3)
+    prompts = {task.prompt_id for task in suite[:3]}
+    full_keys, full = _prompt_rows(loop(base, suite, cfg, seed)[0], prompts)
+    keys, part = _prompt_rows(loop(base, suite[:3], cfg, seed)[0], prompts)
+    assert keys == full_keys
+    np.testing.assert_allclose(part, full, rtol=1e-14, atol=1e-15)
 
 
 def test_trace_record_json_layout():

@@ -136,7 +136,7 @@ def test_skewed_base_policy_entropy_decreases_with_skew(diamond_task):
     for skew in (0.0, 1.0, 2.0, 4.0):
         policy = skewed_base_policy(diamond_task, skew, seed=9)
         root = policy.logit_vector(diamond_task.prompt_id, ())
-        entropies.append(entropy(softmax(root)))
+        entropies.append(entropy(softmax(root).probs))
     assert all(a > b for a, b in zip(entropies, entropies[1:]))
 
 
