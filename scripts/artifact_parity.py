@@ -73,6 +73,9 @@ MATRIX = {
     # greedy choice at every depth, so the lowest-id tie rule shows in
     # steps.csv, trace.jsonl and the eval report.
     "uniform_base": ({"mode": "grpo", "suite.skew": 0}, 32),
+    # Every config above evaluates at most 256 samples per prompt, one block
+    # of the similarity fold; 600 samples fold in six blocks of whole rows.
+    "eval_600": ({"mode": "sps"}, 600),
 }
 PAIRED = ("sps", "grpo")
 MANIFEST = "manifest.json"

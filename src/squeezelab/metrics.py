@@ -13,10 +13,10 @@ flattened once into TaskInstance.correct_set, a policy.SequenceBatch), so
 support and mass take one call of the sequence_log_probs kernel per task.
 The mass p gives exact Avg@k (mean_mass_on_correct) and exact i.i.d. Pass@k
 (pass_at_k_exact), the expectations of the sampled estimators; the training
-loop reads only these and samples nothing to measure. Similarity compares
-each pair of distinct sampled sequences once and folds the pair values back
-in sample order. Coverage, mass and similarity give the bits of the
-per-sequence and per-pair loops they replace.
+loop reads only these and samples nothing to measure. Similarity counts
+shared bigrams in one table product and folds the pair values in sample
+order, a block of rows per step. Coverage, mass and similarity give the
+bits of the per-sequence and per-pair loops they replace.
 """
 from __future__ import annotations
 
@@ -156,42 +156,49 @@ def accuracy_histogram(matrix: SampleMatrix) -> AccuracyHistogram:
     return AccuracyHistogram(bucket_edges=BUCKET_CENTERS, counts=tuple(counts))
 
 
-def _bigrams(tokens: tuple[int, ...]) -> frozenset:
-    return frozenset(zip(tokens, tokens[1:]))
+_FOLD_BLOCK = 1 << 16  # most cells one block of similarity's fold gathers, or one row
 
 
 def similarity(trajectories) -> float:
     """100 times the mean pairwise Jaccard similarity of token-bigram sets.
 
     Two empty bigram sets count as identical (Jaccard 1). Lower values mean
-    more diverse samples. Samples are mapped to distinct sequences in order
-    of first appearance, and the Jaccard value of each pair of distinct
-    sequences is computed once. The pair values are then added as the
-    all-pairs loop adds them, a left fold over i < j from 0.0: one gathered
-    row of later samples at a time, carried through np.add.accumulate, which
-    adds in order. So the result keeps that loop's bits, and no temporary
-    grows with n squared.
+    more diverse samples. Each distinct sequence gets a 0/1 row over the
+    bigrams seen, so one matrix product counts every intersection, exactly,
+    and inter / union rounds as len(a & b) / union does. The pair values are
+    added as the all-pairs loop adds them, a left fold over i < j from 0.0:
+    one np.add.accumulate per block of whole rows, seeded with the running
+    total. So the result keeps that loop's bits, and no temporary grows with
+    n squared.
     """
     items = list(trajectories)
-    if len(items) < 2:
+    n = len(items)
+    if n < 2:
         raise InsufficientSamples("similarity needs at least 2 trajectories")
     distinct: dict[tuple, int] = {}
     ids = np.array([distinct.setdefault(tuple(t), len(distinct)) for t in items])
-    sets = [_bigrams(tokens) for tokens in distinct]
-    jac = np.empty((len(sets), len(sets)))
-    for i, a in enumerate(sets):
-        for j in range(i, len(sets)):
-            b = sets[j]
-            union = len(a | b)
-            jac[i, j] = jac[j, i] = 1.0 if union == 0 else len(a & b) / union
+    bigrams: dict[tuple, int] = {}
+    rows, cols = [], []
+    for row, tokens in enumerate(distinct):
+        for pair in zip(tokens, tokens[1:]):
+            rows.append(row)
+            cols.append(bigrams.setdefault(pair, len(bigrams)))
+    inc = np.zeros((len(distinct), len(bigrams)))
+    inc[rows, cols] = 1.0
+    inter = inc @ inc.T
+    size = inter.diagonal()
+    union = size[:, None] + size - inter
+    jac = np.where(union == 0, 1.0, inter / np.maximum(union, 1.0))
     total = 0.0
-    for i in range(len(items) - 1):
-        # Row i's pairs, with the running total in the slot of pair (i, i).
-        row = jac[ids[i]].take(ids[i:])
-        row[0] = total
-        total = float(np.add.accumulate(row, out=row)[-1])
-    pairs = len(items) * (len(items) - 1) // 2
-    return 100.0 * total / pairs
+    step = max(1, _FOLD_BLOCK // n)
+    for r0 in range(0, n - 1, step):
+        # Rows r0.. against columns r0 + 1..: the cells kept are the pairs
+        # i < j in row-major order, and pairs[0] += total is the fold's step.
+        block = jac.take(ids[r0 + 1:], 1).take(ids[r0:r0 + step], 0)
+        pairs = block[~np.tri(*block.shape, -1, dtype=bool)]
+        pairs[0] += total
+        total = float(np.add.accumulate(pairs, out=pairs)[-1])
+    return 100.0 * total / (n * (n - 1) // 2)
 
 
 @dataclass(frozen=True)

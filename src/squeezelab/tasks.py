@@ -375,6 +375,6 @@ def load_suite(path, vocab_size: int | None = None) -> list[TaskInstance]:
             tasks.append(TaskInstance(prompt_id=prompt_id, label=int(obj["label"]), spec=spec))
         except KeyError as exc:
             raise SuiteCorrupt(f"missing key {exc}", entry) from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, GenerationFailed) as exc:
             raise SuiteCorrupt(str(exc), entry) from exc
     return tasks

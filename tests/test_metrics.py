@@ -6,12 +6,14 @@ import json
 import math
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squeezelab import metrics as metrics_module
 from squeezelab import tasks as tasks_module
 from squeezelab.errors import InsufficientSamples, InvalidToken, KExceedsN, PrefixExhausted
 from squeezelab.metrics import (
@@ -37,6 +39,7 @@ from squeezelab.policy import (
     apply_update,
     derive_rng,
     grad_log_prob,
+    greedy_decode_batch,
     make_trajectory,
     trajectory_log_prob,
 )
@@ -252,10 +255,25 @@ def reference_similarity(sequences):
        data=st.data())
 def test_similarity_matches_the_all_pairs_loop(pool, data):
     # A one-sequence pool gives all-identical samples; lengths 0 and 1 give
-    # empty bigram sets; small pools repeat sequences.
+    # empty bigram sets; small pools repeat sequences. Blocks of 1, 7 and 64
+    # cells split the fold into one row, or a few rows, per step.
     n = data.draw(st.integers(2, 60))
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
     items = [pool[p] for p in picks]
+    expected = reference_similarity(items)
+    assert similarity(items) == expected
+    for block in (1, 7, 64):
+        with mock.patch.object(metrics_module, "_FOLD_BLOCK", block):
+            assert similarity(items) == expected
+
+
+def test_similarity_is_exact_across_fold_blocks():
+    # 600 samples: 109 rows per block of 2**16 cells, so six blocks.
+    rng = np.random.default_rng(24)
+    pool = [(), (3,)] + [tuple(rng.integers(0, 4, size=rng.integers(2, 8)).tolist())
+                         for _ in range(40)]
+    items = [pool[p] for p in rng.integers(0, len(pool), 600)]
+    assert metrics_module._FOLD_BLOCK // 600 < 599  # fewer rows per block than rows
     assert similarity(items) == reference_similarity(items)
 
 
@@ -395,6 +413,50 @@ def test_greedy_drift_positive_after_sharpening(diamond_task):
                                row.greedy_logp_current - row.greedy_logp_base,
                                rtol=1e-15)
     np.testing.assert_allclose(report.mean_base, 2 * math.log(0.25), atol=1e-12)
+
+
+def test_exact_quantities_survive_token_relabelling():
+    # Relabel the edge tokens of a task, and the columns and prefixes of a
+    # policy with random (so tie-free) logits at every prefix, by one
+    # permutation that keeps the terminator. Coverage counts and the greedy
+    # decode map through it. The mass and the greedy log-prob agree only to
+    # rounding: the correct set iterates in token-id order, and the
+    # log-softmax adds its terms in that order. The sampler reads cumulative
+    # probabilities in token-id order too, so sampled runs are not
+    # invariant; similarity reads only which bigrams samples share, so
+    # relabelled samples keep its bits.
+    task = make_benchmark_suite(4, FamilyParams(count=1, max_len=5, mid_layers=3))[0]
+    perm = (2, 0, 1, 3)
+
+    def relabel(tokens):
+        return tuple(perm[t] for t in tokens)
+
+    spec = task.spec
+    moved = TaskInstance(task.prompt_id, task.label, PathTaskSpec(
+        node_count=spec.node_count, edges=tuple((u, v, perm[t]) for u, v, t in spec.edges),
+        start=spec.start, target=spec.target, max_len=spec.max_len,
+        vocab_size=spec.vocab_size))
+    policy = random_policy(4, spec.max_len, np.random.default_rng(10), (task.prompt_id,))
+    moved_policy = PolicyTable(Vocab(4), spec.max_len)
+    for (prompt_id, prefix), vec in policy.stored_items():
+        assert len(set(vec.tolist())) == 4
+        moved_vec = np.empty(4)
+        moved_vec[list(perm)] = vec
+        moved_policy.set_logits(prompt_id, relabel(prefix), moved_vec)
+
+    assert set(moved.correct_sequences) == set(map(relabel, task.correct_sequences))
+    for floor in (0.0, 5e-4, 1e-3, 2e-3):
+        rec = support_coverage(policy, task, floor)
+        moved_rec = support_coverage(moved_policy, moved, floor)
+        assert (moved_rec.covered, moved_rec.total) == (rec.covered, rec.total)
+        assert moved_rec.mass_on_correct == pytest.approx(rec.mass_on_correct, rel=1e-14)
+    greedy = greedy_decode_batch(policy, [task.prompt_id])
+    moved_greedy = greedy_decode_batch(moved_policy, [task.prompt_id])
+    assert moved_greedy[0].tokens.tolist() == list(relabel(greedy[0].tokens.tolist()))
+    assert moved_greedy[2][0] == pytest.approx(greedy[2][0], rel=1e-14)
+
+    samples = sample_matrix(policy, [task], 300, np.random.default_rng(11)).sequences[0]
+    assert similarity([relabel(s) for s in samples]) == similarity(samples)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,12 @@ def test_suite_round_trip(tmp_path):
     ('[{"prompt_id": 3, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2},'
      ' {"prompt_id": 3, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2}]',
      1, "entry 1: prompt_id 3 is negative or repeats an earlier one"),
+    ('[{"prompt_id": 0, "label": 0, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2}]',
+     0, "entry 0: task 0: start equals target (trivial task)"),
+    ('[{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2},'
+     ' {"prompt_id": 4, "label": 2, "nodes": 3, "edges": [[0, 1, 0], [1, 2, 0]], "start": 0,'
+     ' "max_len": 1}]',
+     1, "entry 1: task 4: target 2 unreachable within 1 steps"),
 ])
 def test_load_suite_names_the_corrupt_entry(text, entry, message, tmp_path):
     path = tmp_path / "suite.json"
