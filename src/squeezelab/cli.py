@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from . import runner
-from .config import ExperimentConfig
+from .config import SCHEMA, ExperimentConfig
 from .errors import ConfigError, SqueezeLabError
 from .metrics import report_to_json
 
@@ -35,9 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p = sub.add_parser("eval", help="evaluate a checkpoint on a suite")
     eval_p.add_argument("checkpoint")
     eval_p.add_argument("suite")
-    eval_p.add_argument("--n", type=int, default=32, help="samples per prompt")
-    eval_p.add_argument("--k", type=int_list, default="1,4,8", help="comma-separated k values")
-    eval_p.add_argument("--prob-floor", type=float, default=1e-4)
+    eval_p.add_argument("--n", type=int, default=SCHEMA["eval.n"][1], help="samples per prompt")
+    eval_p.add_argument("--k", type=int_list, default=SCHEMA["eval.k"][1],
+                        help="comma-separated k values")
+    eval_p.add_argument("--prob-floor", type=float, default=SCHEMA["eval.prob_floor"][1])
     eval_p.add_argument("--seed", type=int, default=0)
     eval_p.add_argument("--base", default=None,
                         help="base checkpoint for greedy drift (default: the checkpoint itself)")

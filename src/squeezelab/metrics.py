@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, KExceedsN
-from .policy import (PolicyTable, _left_fold, greedy_decode_batch,
-                     sample_trajectories, sequence_batch, sequence_log_probs)
+from .policy import (PolicyTable, _left_fold, greedy_decode_batch, sample_trajectories,
+                     sequence_log_probs)
 from .tasks import TaskInstance
 
 BUCKET_CENTERS = tuple(i / 10 for i in range(11))
@@ -218,15 +218,14 @@ def support_coverage(policy: PolicyTable, task: TaskInstance,
     The task's cached correct set goes to the sequence_log_probs kernel,
     whose totals are left folds; each probability is math.exp of its total,
     and the mass is a left fold in the set's iteration order: the bits of
-    trajectory_log_prob per sequence. A policy of another shape numbers the
-    set again at its own, so a sequence longer than its max_len or with a
-    token outside its vocabulary raises as trajectory_log_prob would.
+    trajectory_log_prob per sequence. The set is numbered at the task's
+    shape, so a policy of another vocab size or max_len is a ValueError.
     """
-    if (task.spec.vocab_size, task.spec.max_len) == (policy.vocab.size, policy.max_len):
-        batch = task.correct_set
-    else:
-        batch = sequence_batch(policy, ((task.prompt_id, s) for s in task.correct_sequences))
-    totals = sequence_log_probs(policy, batch)[1]
+    shape = (task.spec.vocab_size, task.spec.max_len)
+    if shape != (policy.vocab.size, policy.max_len):
+        raise ValueError(f"task {task.prompt_id} at vocab={shape[0]} max_len={shape[1]}, "
+                         f"policy at vocab={policy.vocab.size} max_len={policy.max_len}")
+    totals = sequence_log_probs(policy, task.correct_set)[1]
     probs = np.fromiter(map(math.exp, totals.tolist()), float, len(totals))
     return CoverageRecord(covered=int(np.count_nonzero(probs >= prob_floor)),
                           total=len(probs), mass_on_correct=_left_fold(probs))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import ConfigError, MissingArtifacts
+from .errors import CheckpointCorrupt, ConfigError, MissingArtifacts
 from .metrics import AccuracyHistogram, evaluation_report, report_to_json
 from .policy import (PARTIAL_SUFFIX, derive_rng, load_checkpoint, partial_path, publish_partial,
                      save_checkpoint, softmax)
@@ -163,18 +163,29 @@ def _run_squeeze_demo(cfg: ExperimentConfig, art: _Artifacts) -> None:
     art.write_text("squeeze_report.json", json.dumps(payload, indent=2) + "\n")
 
 
-def eval_report(cfg: ExperimentConfig) -> dict:
+def _report(cfg: ExperimentConfig, policy, base, suite, stream: int) -> dict:
+    """evaluation_report of policy on suite with cfg's eval keys, named suite.name,
+    sampling from derive_rng(seed, stream)."""
+    return evaluation_report(policy, base, suite, cfg["suite.name"], cfg["eval.n"],
+                             cfg["eval.k"], cfg["eval.prob_floor"],
+                             derive_rng(cfg["seed"], stream))
+
+
+def eval_report(cfg: ExperimentConfig, stream: int = 7200) -> dict:
     """The evaluation report of cfg's eval.checkpoint on the suite at eval.suite_path,
-    named suite.name; greedy drift is against eval.base_checkpoint, or the
-    checkpoint itself if that is empty."""
+    read at the checkpoint's shape; greedy drift is against eval.base_checkpoint,
+    which must have that shape too, or the checkpoint itself if that is empty."""
     policy = load_checkpoint(cfg["eval.checkpoint"])
-    suite = load_suite(cfg["eval.suite_path"], vocab_size=policy.vocab.size)
+    shape = (policy.vocab.size, policy.max_len)
+    suite = load_suite(cfg["eval.suite_path"], *shape)
     base = policy
     if cfg["eval.base_checkpoint"]:
         base = load_checkpoint(cfg["eval.base_checkpoint"])
-    return evaluation_report(
-        policy, base, suite, cfg["suite.name"], cfg["eval.n"], cfg["eval.k"],
-        cfg["eval.prob_floor"], derive_rng(cfg["seed"], 7200))
+        if (base.vocab.size, base.max_len) != shape:
+            raise CheckpointCorrupt(
+                f"base checkpoint at vocab={base.vocab.size} max_len={base.max_len}, "
+                f"evaluated checkpoint at vocab={shape[0]} max_len={shape[1]}", line=1)
+    return _report(cfg, policy, base, suite, stream)
 
 
 def _run_eval(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
@@ -236,7 +247,7 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
     rows = trace.checkpoints
     art.final += [name for _, name, _ in rows]
     if rows:
-        best = max(rows, key=lambda r: (r[2], -r[0]))
+        best = _best_row(rows)
         best_path = art.direct("checkpoint_best.txt")
         shutil.copyfile(os.path.join(art.out_dir, best[1]), partial_path(best_path))
         publish_partial(best_path)
@@ -244,11 +255,13 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None
         csv_lines += [f"{it},{name},{repr(avg)}" for it, name, avg in rows]
         art.write_text("checkpoints.csv", "\n".join(csv_lines) + "\n")
 
-    report = evaluation_report(
-        final_policy, base, suite, cfg["suite.name"], cfg["eval.n"],
-        cfg["eval.k"], cfg["eval.prob_floor"], derive_rng(seed, 7200))
-    _write_eval_report(art, report)
+    _write_eval_report(art, _report(cfg, final_policy, base, suite, 7200))
     timings["eval"] = time.perf_counter() - t0
+
+
+def _best_row(rows):
+    """The (iter, path, avg_at_k) row of highest Avg@k, ties to the earliest iteration."""
+    return max(rows, key=lambda r: (r[2], -r[0]))
 
 
 def _best_checkpoint_report(run_dir: str) -> dict:
@@ -261,20 +274,18 @@ def _best_checkpoint_report(run_dir: str) -> dict:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         config = json.load(fh)["config"]
     with open(checkpoints_path, "r", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+        rows = [(int(r["iter"]), r["path"], float(r["avg_at_k"])) for r in csv.DictReader(fh)]
     if not rows:
         raise MissingArtifacts(f"no checkpoints listed in {checkpoints_path}")
-    best = max(rows, key=lambda r: (float(r["avg_at_k"]), -int(r["iter"])))
-    policy = load_checkpoint(os.path.join(run_dir, best["path"]))
-    suite = load_suite(suite_path, vocab_size=policy.vocab.size)
+    best_iter, best_path, _ = _best_row(rows)
     base_path = os.path.join(run_dir, "checkpoint_base.txt")
-    base = load_checkpoint(base_path) if os.path.exists(base_path) else policy
-    report = evaluation_report(
-        policy, base, suite, config["suite.name"], config["eval.n"],
-        config["eval.k"], config["eval.prob_floor"],
-        derive_rng(config["seed"], 7300))
-    report["best_checkpoint"] = best["path"]
-    report["best_iter"] = int(best["iter"])
+    # The stored config is not checked again, so an older run still compares.
+    cfg = ExperimentConfig({**config, "eval.checkpoint": os.path.join(run_dir, best_path),
+                            "eval.suite_path": suite_path,
+                            "eval.base_checkpoint": base_path if os.path.exists(base_path) else ""})
+    report = eval_report(cfg, stream=7300)
+    report["best_checkpoint"] = best_path
+    report["best_iter"] = best_iter
     return report
 
 

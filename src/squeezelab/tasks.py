@@ -73,7 +73,11 @@ class PathTaskSpec:
 
 @dataclass(frozen=True)
 class TaskInstance:
-    """A prompt: reach `label` from the spec's start node."""
+    """A prompt: reach `label` from the spec's start node.
+
+    Construction enumerates correct_sequences: GenerationFailed if it is empty
+    or the label is the start, SpaceTooLarge past ENUMERATION_BOUND walks.
+    """
 
     prompt_id: int
     label: int
@@ -83,7 +87,7 @@ class TaskInstance:
         if self.spec.start == self.label:
             raise GenerationFailed(
                 f"task {self.prompt_id}: start equals target (trivial task)")
-        if not _reachable_within(self.spec, self.label):
+        if not self.correct_sequences:
             raise GenerationFailed(
                 f"task {self.prompt_id}: target {self.label} unreachable "
                 f"within {self.spec.max_len} steps")
@@ -120,23 +124,6 @@ class TaskInstance:
 class ValidatorResult:
     reward: int
     extracted: int | None
-
-
-def _reachable_within(spec: PathTaskSpec, target: int) -> bool:
-    frontier = {spec.start}
-    seen = set(frontier)
-    # One edge per step; reaching the target at step max_len leaves no room
-    # for the terminator but still counts as a complete trajectory.
-    for _ in range(spec.max_len):
-        nxt = {v for u, v, _t in spec.edges if u in frontier}
-        if target in nxt:
-            return True
-        nxt -= seen
-        if not nxt:
-            return False
-        seen |= nxt
-        frontier = nxt
-    return False
 
 
 def validate(task: TaskInstance, tokens) -> ValidatorResult:
@@ -257,13 +244,9 @@ def _generate_task(prompt_id: int, params: FamilyParams,
     )
     try:
         task = TaskInstance(prompt_id=prompt_id, label=target, spec=spec)
-    except GenerationFailed:
+    except (GenerationFailed, SpaceTooLarge):
         return None
-    try:
-        solutions = task.correct_sequences
-    except SpaceTooLarge:
-        return None
-    if len(solutions) < params.min_solutions:
+    if len(task.correct_sequences) < params.min_solutions:
         return None
     return task
 
@@ -288,26 +271,17 @@ def make_benchmark_suite(seed: int, params: FamilyParams) -> list[TaskInstance]:
 
 def skewed_base_policy(task: TaskInstance, skew: float, seed: int) -> PolicyTable:
     """Uniform policy with one random correct trajectory boosted by +skew per step."""
-    if skew < 0:
-        raise ValueError(f"skew must be >= 0, got {skew}")
-    spec = task.spec
-    policy = PolicyTable(Vocab(spec.vocab_size), spec.max_len)
-    if skew == 0:
-        return policy
-    solutions = sorted(task.correct_sequences)
-    rng = derive_rng(seed, task.prompt_id)
-    chosen = solutions[int(rng.integers(len(solutions)))]
-    for t, tok in enumerate(chosen):
-        vec = policy.logit_vector(task.prompt_id, chosen[:t]).copy()
-        vec[tok] += skew
-        policy.set_logits(task.prompt_id, chosen[:t], vec)
-    return policy
+    return build_suite_policy([task], skew, seed)
 
 
 def build_suite_policy(tasks, skew: float, seed: int) -> PolicyTable:
-    """One policy table covering a whole suite, skewed per task."""
+    """One policy table covering a whole suite, skewed per task: at each prefix of
+    one random correct trajectory a zero row with +skew at its token (a repeated
+    prompt id keeps the later task's rows)."""
     if not tasks:
         raise ValueError("empty task suite")
+    if skew < 0:
+        raise ValueError(f"skew must be >= 0, got {skew}")
     first = tasks[0].spec
     policy = PolicyTable(Vocab(first.vocab_size), first.max_len)
     for task in tasks:
@@ -315,9 +289,12 @@ def build_suite_policy(tasks, skew: float, seed: int) -> PolicyTable:
             raise ValueError("suite tasks must share vocab_size and max_len")
         if skew == 0:
             continue
-        single = skewed_base_policy(task, skew, seed)
-        for key, vec in single.stored_items():
-            policy.set_logits(key[0], key[1], vec)
+        solutions = sorted(task.correct_sequences)
+        chosen = solutions[int(derive_rng(seed, task.prompt_id).integers(len(solutions)))]
+        for t, tok in enumerate(chosen):
+            vec = np.zeros(policy.vocab.size)
+            vec[tok] = skew
+            policy.set_logits(task.prompt_id, chosen[:t], vec)
     return policy
 
 
@@ -339,12 +316,13 @@ def save_suite(tasks, path) -> None:
         fh.write("\n")
 
 
-def load_suite(path, vocab_size: int | None = None) -> list[TaskInstance]:
-    """Read a suite written by save_suite.
+def load_suite(path, vocab_size: int, max_len: int) -> list[TaskInstance]:
+    """Read a suite written by save_suite at a checkpoint's shape.
 
-    The on-disk schema does not carry the vocab size; pass it explicitly
-    (e.g. from a checkpoint header) or let it default to the highest edge
-    token plus the terminator. Prompt ids must be distinct and >= 0.
+    The on-disk schema does not carry the vocab size, so the checkpoint's
+    is given; every entry's max_len must be the checkpoint's. Prompt ids
+    must be distinct and >= 0. Any entry that fails, another max_len and a
+    correct set past ENUMERATION_BOUND included, is SuiteCorrupt naming it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -357,24 +335,22 @@ def load_suite(path, vocab_size: int | None = None) -> list[TaskInstance]:
     for entry, obj in enumerate(payload):
         try:
             edges = tuple((int(u), int(v), int(t)) for u, v, t in obj["edges"])
-            size = vocab_size
-            if size is None:
-                max_tok = max((t for _u, _v, t in edges), default=0)
-                size = max_tok + 2
             spec = PathTaskSpec(
                 node_count=int(obj["nodes"]),
                 edges=edges,
                 start=int(obj["start"]),
                 target=int(obj["label"]),
                 max_len=int(obj["max_len"]),
-                vocab_size=size,
+                vocab_size=vocab_size,
             )
+            if spec.max_len != max_len:
+                raise ValueError(f"max_len {spec.max_len} is not the checkpoint's max_len {max_len}")
             prompt_id = int(obj["prompt_id"])
             if prompt_id < 0 or seen.setdefault(prompt_id, entry) != entry:
                 raise ValueError(f"prompt_id {prompt_id} is negative or repeats an earlier one")
             tasks.append(TaskInstance(prompt_id=prompt_id, label=int(obj["label"]), spec=spec))
         except KeyError as exc:
             raise SuiteCorrupt(f"missing key {exc}", entry) from exc
-        except (TypeError, ValueError, GenerationFailed) as exc:
+        except (TypeError, ValueError, GenerationFailed, SpaceTooLarge) as exc:
             raise SuiteCorrupt(str(exc), entry) from exc
     return tasks

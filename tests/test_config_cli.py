@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import sys
 import tempfile
 import warnings
@@ -388,7 +389,7 @@ def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):
 
 # Malformed suite.json files, each with the error line it gives.
 GOOD_ENTRY = ('{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0,'
-              ' "max_len": 2}')
+              ' "max_len": 4}')
 CORRUPT_SUITES = [
     (f'[{GOOD_ENTRY}, {{"prompt_id": 1}}]', "error: entry 1: missing key 'edges'"),
     ("[{", "error: not a JSON file: "),
@@ -399,6 +400,8 @@ CORRUPT_SUITES = [
      "error: entry 1: prompt_id -2 is negative or repeats an earlier one"),
     (f'[{GOOD_ENTRY}, {GOOD_ENTRY}]',
      "error: entry 1: prompt_id 0 is negative or repeats an earlier one"),
+    (f'[{GOOD_ENTRY}, {GOOD_ENTRY.replace("0", "1", 1).replace(": 4", ": 3")}]',
+     "error: entry 1: max_len 3 is not the checkpoint's max_len 4"),
     # A well-formed suite whose prompt ids pass int64 at the checkpoint's
     # shape (vocab 4, max_len 4: 341 ids a prompt) fails when it is sampled.
     (f'[{GOOD_ENTRY.replace("0", str((1 << 63) // 341), 1)}]',
@@ -431,6 +434,47 @@ def test_eval_flags_obey_the_config_rules(flags, key, training_runs, capsys):
     argv = ["eval", str(run_dir / "checkpoint_final.txt"), str(run_dir / "suite.json")]
     assert cli.main(argv + flags) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+def test_eval_flag_defaults_are_the_schema_defaults():
+    args = cli.build_parser().parse_args(["eval", "checkpoint.txt", "suite.json"])
+    assert (args.n, args.k, args.prob_floor, args.seed) == (
+        config.SCHEMA["eval.n"][1], config.SCHEMA["eval.k"][1],
+        config.SCHEMA["eval.prob_floor"][1], 0)
+
+
+@pytest.mark.parametrize("size,max_len", [(5, 4), (4, 5), (4, 3)])
+def test_eval_rejects_a_base_checkpoint_of_another_shape(size, max_len, training_runs, tmp_path,
+                                                         capsys):
+    run_dir = training_runs[0]
+    base = tmp_path / "base.txt"
+    policy.save_checkpoint(policy.PolicyTable(policy.Vocab(size), max_len), base)
+    argv = ["eval", str(run_dir / "checkpoint_final.txt"), str(run_dir / "suite.json"),
+            "--base", str(base)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 1: base checkpoint at vocab={size} max_len={max_len}, "
+        "evaluated checkpoint at vocab=4 max_len=4\n")
+
+
+def test_a_suite_of_another_max_len_stops_eval_mode_and_compare(training_runs, tmp_path, capsys):
+    run_dir = training_runs[0]
+    twin = tmp_path / "twin"
+    shutil.copytree(run_dir, twin)
+    suite = json.loads((twin / "suite.json").read_text())
+    for entry in suite:
+        entry["max_len"] = 3
+    (twin / "suite.json").write_text(json.dumps(suite), encoding="utf-8")
+    message = "error: entry 0: max_len 3 is not the checkpoint's max_len 4\n"
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"mode = eval\nout_dir = {tmp_path / 'eval'}\n"
+                   f"eval.checkpoint = {twin / 'checkpoint_final.txt'}\n"
+                   f"eval.suite_path = {twin / 'suite.json'}\n", encoding="utf-8")
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == message
+    assert cli.main(["compare", str(run_dir), str(twin), "--out", str(tmp_path / "cmp")]) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_eval_rejects_a_non_integer_k():
@@ -488,7 +532,6 @@ def test_compare_run_against_its_twin(training_runs, capsys):
 
 
 def test_best_checkpoint_tie_prefers_earliest(training_runs):
-    import shutil
     run_dir = training_runs[0]
     twin = run_dir.parent / "tie_copy"
     if twin.exists():
@@ -504,6 +547,27 @@ def test_best_checkpoint_tie_prefers_earliest(training_runs):
     report = runner._best_checkpoint_report(str(twin))
     assert report["best_iter"] == 1
     assert report["best_checkpoint"] == "checkpoint_iter001.txt"
+
+
+def test_compare_reports_eval_report_of_each_best_checkpoint(training_runs, tmp_path):
+    run_a, run_b = training_runs
+    comparison = runner.compare(str(run_a), str(run_b), str(tmp_path / "cmp"))
+    for side, run_dir in (("run_a", run_a), ("run_b", run_b)):
+        # compare picks the checkpoint the training run copied as its best.
+        best = run_dir / comparison[side]["best_checkpoint"]
+        assert best.read_bytes() == (run_dir / "checkpoint_best.txt").read_bytes()
+        stored = json.loads((run_dir / "manifest.json").read_text())["config"]
+        cfg = ExperimentConfig.from_dict({
+            **stored, "eval.checkpoint": str(best), "eval.suite_path": str(run_dir / "suite.json"),
+            "eval.base_checkpoint": str(run_dir / "checkpoint_base.txt")})
+        report = runner.eval_report(cfg, stream=7300)
+        assert comparison[side]["metrics"] == runner._flat_metrics(report)
+        snapshot = policy.load_checkpoint(best)
+        assert report == evaluation_report(
+            snapshot, policy.load_checkpoint(run_dir / "checkpoint_base.txt"),
+            tasks.load_suite(run_dir / "suite.json", 4, 4), stored["suite.name"],
+            stored["eval.n"], stored["eval.k"], stored["eval.prob_floor"],
+            policy.derive_rng(stored["seed"], 7300))
 
 
 def test_eval_subcommand_round_trip(training_runs, tmp_path, capsys):
@@ -644,7 +708,8 @@ def test_default_run_trains_and_ranks_without_validate_or_reloading(tmp_path, mo
     rows = (tmp_path / "run" / "checkpoints.csv").read_text().splitlines()[1:]
     assert len(rows) == cfg["sps.max_iterations"]
     it, name, avg = rows[-1].split(",")
-    suite = tasks.load_suite(str(tmp_path / "run" / "suite.json"), cfg["suite.vocab_size"])
+    suite = tasks.load_suite(str(tmp_path / "run" / "suite.json"), cfg["suite.vocab_size"],
+                             cfg["suite.max_len"])
     snapshot = policy.load_checkpoint(str(tmp_path / "run" / name))
     masses = [support_coverage(snapshot, task, 0.0).mass_on_correct for task in suite]
     assert repr(float(np.mean(masses))) == avg

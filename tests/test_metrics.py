@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from squeezelab import metrics as metrics_module
 from squeezelab import tasks as tasks_module
-from squeezelab.errors import InsufficientSamples, InvalidToken, KExceedsN, PrefixExhausted
+from squeezelab.errors import InsufficientSamples, KExceedsN
 from squeezelab.metrics import (
     BUCKET_CENTERS,
-    CoverageRecord,
     SampleMatrix,
     accuracy_histogram,
     avg_at_k,
@@ -344,31 +343,14 @@ def test_support_coverage_matches_the_per_sequence_loop(seed, max_len, data):
         policy = apply_update(policy, by_id(policy, gradient), float(rng.choice([0.5, 5.0])))
 
 
-def test_support_coverage_raises_as_the_per_sequence_loop(diamond_task, ladder_task):
-    for policy, task, error in ((PolicyTable(Vocab(4), max_len=1), diamond_task, PrefixExhausted),
-                                (PolicyTable(Vocab(4), max_len=2), ladder_task, InvalidToken)):
-        with pytest.raises(error) as got:
-            support_coverage(policy, task, 1e-4)
-        with pytest.raises(error) as expected:
-            reference_coverage(policy, task, 1e-4)
-        assert str(got.value) == str(expected.value)
-
-
-def test_support_coverage_reads_a_policy_of_a_wider_shape(diamond_task):
-    # The task's cached ids are numbered for vocab 4 and max_len 2; a policy
-    # that can hold its sequences at another shape reads its own rows.
-    policy = random_policy(5, 3, np.random.default_rng(3))
-    for floor in (0.0, 0.05):
-        rec = support_coverage(policy, diamond_task, floor)
-        assert (rec.covered, rec.total, rec.mass_on_correct) == \
-            reference_coverage(policy, diamond_task, floor)
-    # A task whose own shape numbers prefix ids past int64 is read at the
-    # policy's shape only; its cached set at its own shape is never built.
-    wide = TaskInstance(prompt_id=1, label=1, spec=PathTaskSpec(
-        node_count=2, edges=((0, 1, 0),), start=0, target=1, max_len=40, vocab_size=4))
-    rec = support_coverage(PolicyTable(Vocab(4), max_len=4), wide, 0.01)
-    assert rec == CoverageRecord(covered=1, total=1, mass_on_correct=0.0625)
-    assert "correct_set" not in vars(wide)
+def test_support_coverage_rejects_a_policy_of_another_shape(diamond_task):
+    # The task's cached set is numbered at vocab 4 and max_len 2; no other
+    # shape reads it, wider or narrower.
+    for size, max_len in ((4, 1), (4, 3), (5, 2), (3, 2)):
+        with pytest.raises(ValueError) as err:
+            support_coverage(PolicyTable(Vocab(size), max_len), diamond_task, 1e-4)
+        assert str(err.value) == (f"task 0 at vocab=4 max_len=2, "
+                                  f"policy at vocab={size} max_len={max_len}")
 
 
 def test_training_and_evaluation_enumerate_each_task_once(monkeypatch):

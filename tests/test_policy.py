@@ -259,14 +259,20 @@ def test_entropy_examples():
     np.testing.assert_allclose(entropy(d.probs), ORACLE_ENTROPY, atol=1e-10)
 
 
-def _random_task(vocab, max_len, rng, prompt_id=0):
-    """A random graph task whose label, node 1, is one token away from the start."""
+def _random_task(vocab, rng, prompt_id=0):
+    """A random graph task whose label, node 1, is one token away from the start.
+
+    Its max_len is 1. The walk table and validate read no max_len, so the
+    sampler still walks the graph to the policy's depth, while building the
+    task enumerates only its one-step correct set: a deep, dense random graph
+    can hold more walks than ENUMERATION_BOUND.
+    """
     nodes = int(rng.integers(2, 7))
     edges = [(0, 1, 0)] + [(u, int(rng.integers(nodes)), t)
                            for u in range(nodes) for t in range(vocab - 1)
                            if (u, t) != (0, 0) and rng.random() < 0.7]
     spec = PathTaskSpec(node_count=nodes, edges=tuple(edges), start=0, target=1,
-                        max_len=max_len, vocab_size=vocab)
+                        max_len=1, vocab_size=vocab)
     return TaskInstance(prompt_id=prompt_id, label=1, spec=spec)
 
 
@@ -329,7 +335,7 @@ def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n, p
     # uniforms on the zero row's cumulative values tie; the last versions
     # come from updates.
     rng = np.random.default_rng(seed)
-    tasks = [_random_task(vocab, max_len, rng, prompt_id) for prompt_id in prompts]
+    tasks = [_random_task(vocab, rng, prompt_id) for prompt_id in prompts]
     policy = PolicyTable(Vocab(vocab), max_len)
     for _ in range(12):
         prefix = tuple(int(t) for t in rng.integers(0, vocab - 1, size=rng.integers(0, max_len)))

@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezelab.errors import GenerationFailed, SuiteCorrupt
 from squeezelab.policy import entropy, greedy_decode, softmax
 from squeezelab.tasks import (
+    ENUMERATION_BOUND,
     FamilyParams,
     PathTaskSpec,
     TaskInstance,
@@ -92,6 +96,53 @@ def test_task_construction_rejects_trivial_and_unreachable():
         TaskInstance(prompt_id=0, label=2, spec=spec)
 
 
+def reference_reachable(spec, target):
+    """Breadth-first search: some walk of at most max_len edges from the start ends at target."""
+    frontier = seen = {spec.start}
+    for _ in range(spec.max_len):
+        frontier = {v for u, v, _t in spec.edges if u in frontier} - seen
+        if target in frontier:
+            return True
+        seen = seen | frontier
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_task_rejects_exactly_the_targets_a_bfs_cannot_reach(data):
+    # Random deterministic graphs, self-loops and longer cycles allowed.
+    nodes, vocab = data.draw(st.integers(2, 6)), data.draw(st.integers(3, 5))
+    edge_map = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, nodes - 1), st.integers(0, vocab - 2)), st.integers(0, nodes - 1)))
+    start, label = data.draw(st.lists(st.integers(0, nodes - 1), min_size=2, max_size=2,
+                                      unique=True))
+    spec = PathTaskSpec(node_count=nodes, edges=tuple((u, v, t) for (u, t), v in edge_map.items()),
+                        start=start, target=label, max_len=data.draw(st.integers(1, 6)),
+                        vocab_size=vocab)
+    try:
+        task = TaskInstance(prompt_id=5, label=label, spec=spec)
+    except GenerationFailed as exc:
+        assert not reference_reachable(spec, label)
+        assert str(exc) == f"task 5: target {label} unreachable within {spec.max_len} steps"
+    else:
+        assert reference_reachable(spec, label)
+        assert set(task.correct_sequences) == enumerate_correct(task) != set()
+
+
+def test_load_suite_names_an_entry_past_the_enumeration_bound(tmp_path):
+    # Both nodes have three edges, cycles among them, so there are
+    # (3^14 - 1) / 2 walks of at most 13 steps to enumerate.
+    assert (3 ** 14 - 1) // 2 > ENUMERATION_BOUND
+    entry = {"prompt_id": 0, "label": 1, "nodes": 2, "start": 0, "max_len": 13,
+             "edges": [[0, 0, 0], [0, 0, 1], [0, 1, 2], [1, 0, 0], [1, 1, 1], [1, 0, 2]]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    with pytest.raises(SuiteCorrupt) as err:
+        load_suite(path, 4, 13)
+    assert err.value.entry == 0
+    assert str(err.value) == f"entry 0: more than {ENUMERATION_BOUND} walks within length 13"
+
+
 def test_spec_rejects_nondeterministic_edges():
     with pytest.raises(ValueError):
         PathTaskSpec(node_count=3, edges=((0, 1, 0), (0, 2, 0)), start=0,
@@ -153,12 +204,8 @@ def test_suite_round_trip(tmp_path):
     suite = make_benchmark_suite(21, params)
     path = tmp_path / "suite.json"
     save_suite(suite, path)
-    loaded = load_suite(path, vocab_size=params.vocab_size)
+    loaded = load_suite(path, params.vocab_size, params.max_len)
     assert [t.spec for t in loaded] == [t.spec for t in suite]
-    # Vocab size defaulting from edge labels also reproduces the suite here
-    # because the generator uses every edge token somewhere.
-    inferred = load_suite(path)
-    assert [t.spec.vocab_size for t in inferred] == [t.spec.vocab_size for t in suite]
 
 
 @pytest.mark.parametrize("text,entry,message", [
@@ -181,15 +228,18 @@ def test_suite_round_trip(tmp_path):
     ('[{"prompt_id": 0, "label": 0, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2}]',
      0, "entry 0: task 0: start equals target (trivial task)"),
     ('[{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2},'
-     ' {"prompt_id": 4, "label": 2, "nodes": 3, "edges": [[0, 1, 0], [1, 2, 0]], "start": 0,'
-     ' "max_len": 1}]',
-     1, "entry 1: task 4: target 2 unreachable within 1 steps"),
+     ' {"prompt_id": 4, "label": 3, "nodes": 4, "edges": [[0, 1, 0], [1, 2, 0], [2, 3, 0]],'
+     ' "start": 0, "max_len": 2}]',
+     1, "entry 1: task 4: target 3 unreachable within 2 steps"),
+    ('[{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2},'
+     ' {"prompt_id": 1, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 3}]',
+     1, "entry 1: max_len 3 is not the checkpoint's max_len 2"),
 ])
 def test_load_suite_names_the_corrupt_entry(text, entry, message, tmp_path):
     path = tmp_path / "suite.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(SuiteCorrupt) as err:
-        load_suite(path, vocab_size=4)
+        load_suite(path, 4, 2)
     assert err.value.entry == entry
     assert str(err.value).startswith(message)
 
