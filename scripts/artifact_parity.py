@@ -49,6 +49,12 @@ MATRIX = {
     # less than epsilon after iteration 5 at seed 3 and after iteration 3 at
     # seed 101, so its checkpoints are the first 5 and 3 of the `sps` config's.
     "sps_converge": ({"mode": "sps", "sps.convergence_epsilon": 3e-4}, 32),
+    # A traced run without IRL that stops early: its checkpoint ranks and
+    # stop rule read the masses of the last step's trace records. The mass
+    # first moves by less than epsilon after iteration 4 at seed 3 (a
+    # checkpoint) and after iteration 3 at seed 101 (between checkpoints).
+    "grpo_traced_converge": ({"mode": "grpo", "sps.trace_metrics": True,
+                              "sps.convergence_epsilon": 1.2e-3, "sps.checkpoint_every": 2}, 32),
     # A rate large enough that IRL line searches halve, so some prompts'
     # blocks retry while others have accepted their step.
     "sps_irl_halving": ({"mode": "sps", "sps.irl_lr": 20}, 32),

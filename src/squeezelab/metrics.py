@@ -10,7 +10,7 @@ Monte Carlo estimate, with rewards from the tasks' fused validators.
 
 Each task enumerates its correct set once (TaskInstance.correct_sequences,
 flattened once into TaskInstance.correct_set, a policy.SequenceBatch), so
-support and mass take one call of the sequence_log_probs kernel per task.
+a suite's support and mass take one call of the sequence_log_probs kernel.
 The mass p gives exact Avg@k (mean_mass_on_correct) and exact i.i.d. Pass@k
 (pass_at_k_exact), the expectations of the sampled estimators; the training
 loop reads only these and samples nothing to measure. Similarity counts
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, KExceedsN
-from .policy import (PolicyTable, _left_fold, greedy_decode_batch, sample_trajectories,
-                     sequence_log_probs)
+from .policy import (PolicyTable, _left_fold, greedy_decode_batch, join_batches,
+                     sample_trajectories, sequence_log_probs)
 from .tasks import TaskInstance
 
 BUCKET_CENTERS = tuple(i / 10 for i in range(11))
@@ -208,37 +208,39 @@ class CoverageRecord:
     mass_on_correct: float
 
 
-def support_coverage(policy: PolicyTable, task: TaskInstance,
-                     prob_floor: float) -> CoverageRecord:
-    """Count and weigh the correct trajectories the policy still reaches.
+def support_coverage(policy: PolicyTable, tasks, prob_floor: float) -> list[CoverageRecord]:
+    """Count and weigh each task's correct trajectories the policy still reaches.
 
-    covered counts enumerated correct trajectories whose exact policy
-    probability is at least prob_floor; mass_on_correct sums those
-    probabilities over the whole correct set regardless of the floor.
-    The task's cached correct set goes to the sequence_log_probs kernel,
-    whose totals are left folds; each probability is math.exp of its total,
-    and the mass is a left fold in the set's iteration order: the bits of
-    trajectory_log_prob per sequence. The set is numbered at the task's
-    shape, so a policy of another vocab size or max_len is a ValueError.
+    One record per task, in task order: covered counts the trajectories whose
+    exact policy probability is at least prob_floor, and mass_on_correct sums
+    the probabilities of the whole correct set regardless of the floor. The
+    tasks' cached sets are joined for one sequence_log_probs call, which folds
+    each sequence on its own; each probability is math.exp of its total, and a
+    mass is a left fold over the task's slice in set order: the bits of
+    trajectory_log_prob per sequence. Each set is numbered at its task's shape,
+    so a policy of another vocab size or max_len is a ValueError.
     """
-    shape = (task.spec.vocab_size, task.spec.max_len)
-    if shape != (policy.vocab.size, policy.max_len):
-        raise ValueError(f"task {task.prompt_id} at vocab={shape[0]} max_len={shape[1]}, "
-                         f"policy at vocab={policy.vocab.size} max_len={policy.max_len}")
-    totals = sequence_log_probs(policy, task.correct_set)[1]
+    tasks = list(tasks)
+    for task in tasks:
+        shape = (task.spec.vocab_size, task.spec.max_len)
+        if shape != (policy.vocab.size, policy.max_len):
+            raise ValueError(f"task {task.prompt_id} at vocab={shape[0]} max_len={shape[1]}, "
+                             f"policy at vocab={policy.vocab.size} max_len={policy.max_len}")
+    sets = [task.correct_set for task in tasks]
+    totals = sequence_log_probs(policy, join_batches(sets))[1]
     probs = np.fromiter(map(math.exp, totals.tolist()), float, len(totals))
-    return CoverageRecord(covered=int(np.count_nonzero(probs >= prob_floor)),
-                          total=len(probs), mass_on_correct=_left_fold(probs))
+    ends = np.cumsum([0] + [len(batch.lengths) for batch in sets]).tolist()
+    return [CoverageRecord(int(np.count_nonzero(probs[a:b] >= prob_floor)), b - a,
+                           _left_fold(probs[a:b])) for a, b in zip(ends, ends[1:])]
 
 
-def mean_mass_on_correct(policy: PolicyTable, tasks) -> float:
-    """Exact Avg@k: the task mean of each task's mass on its correct set.
+def mean_mass_on_correct(records) -> float:
+    """Exact Avg@k: the task mean of the records' masses on their correct sets.
 
     It is the expectation of avg_at_k over any number of samples, and the
     expression evaluation_report writes as its support mass.
     """
-    return float(np.mean([support_coverage(policy, task, 0.0).mass_on_correct
-                          for task in tasks]))
+    return float(np.mean([rec.mass_on_correct for rec in records]))
 
 
 @dataclass(frozen=True)
@@ -301,7 +303,7 @@ def evaluation_report(policy: PolicyTable, base_policy: PolicyTable, tasks,
         vals = [pass_at_k_unbiased(n, int(row.sum()), k) for row in matrix.rewards]
         pass_rates[str(k)] = float(np.mean(vals))
     sims = [similarity(row) for row in matrix.sequences]
-    records = [support_coverage(policy, task, prob_floor) for task in tasks]
+    records = support_coverage(policy, tasks, prob_floor)
     drift = greedy_logprob_report(policy, base_policy, tasks)
     hist = accuracy_histogram(matrix)
     return {
@@ -315,7 +317,7 @@ def evaluation_report(policy: PolicyTable, base_policy: PolicyTable, tasks,
         "greedy_drift_mean": drift.mean_drift,
         "support": {"covered": sum(rec.covered for rec in records),
                     "total": sum(rec.total for rec in records),
-                    "mass": float(np.mean([rec.mass_on_correct for rec in records]))},
+                    "mass": mean_mass_on_correct(records)},
     }
 
 

@@ -370,12 +370,12 @@ _TRACE_PASS_K = 3
 
 
 def _trace_eval(policy, tasks, cfg: SpsConfig):
-    """Exact Pass@k and mean support coverage, from one support_coverage per task."""
+    """Exact Pass@k, mean support coverage and the records of one suite pass, or Nones."""
     if not cfg.trace_metrics:
-        return None, None
-    recs = [support_coverage(policy, task, cfg.trace_prob_floor) for task in tasks]
+        return None, None, None
+    recs = support_coverage(policy, tasks, cfg.trace_prob_floor)
     pk = float(np.mean([pass_at_k_exact(rec.mass_on_correct, _TRACE_PASS_K) for rec in recs]))
-    return pk, float(np.mean([rec.covered / rec.total if rec.total else 0.0 for rec in recs]))
+    return pk, float(np.mean([rec.covered / rec.total for rec in recs])), recs
 
 
 def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
@@ -399,7 +399,7 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
                 sampled.append(groups)
             if cfg.reuse_rollouts:
                 cached_groups = groups
-            pk, cov = _trace_eval(policy, tasks, cfg)
+            pk, cov, recs = _trace_eval(policy, tasks, cfg)
             trace.records.append(TraceRecord(
                 iter=it, phase="RL", step=global_step,
                 objective=record.value, irl_loss=None,
@@ -414,7 +414,7 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
                          for k, t in enumerate(tasks)]
             for s in range(cfg.irl_steps_per_iteration):
                 policy, mean_loss = irl_step(policy, demo_sets, cfg, s)
-                pk, cov = _trace_eval(policy, tasks, cfg)
+                pk, cov, recs = _trace_eval(policy, tasks, cfg)
                 trace.records.append(TraceRecord(
                     iter=it, phase="IRL", step=global_step,
                     objective=None, irl_loss=mean_loss,
@@ -427,8 +427,9 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
                       and (it + 1) % cfg.checkpoint_every == 0)
         if not checkpoint and cfg.convergence_epsilon is None:
             continue
-        # One exact mass serves the checkpoint's rank and the stop rule.
-        avg = mean_mass_on_correct(policy, tasks)
+        # One exact mass serves the checkpoint's rank and the stop rule; a traced run
+        # reads it off the records of the step that made this policy.
+        avg = mean_mass_on_correct(recs or support_coverage(policy, tasks, 0.0))
         if checkpoint:
             name = f"checkpoint_iter{it + 1:03d}.txt"
             save_checkpoint(policy, f"{out_dir}/{name}")

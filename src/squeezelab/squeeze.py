@@ -87,11 +87,13 @@ def penalize_token(logits, m: int, eta: float) -> tuple[np.ndarray, SqueezeRepor
 
 
 def check_squeeze_setting(before: np.ndarray, m: int, eta: float) -> None:
-    """Raise NotASqueezeSetting unless eta < 0 and token m of the distribution
-    before is not its argmax nor tied with it."""
+    """Raise NotASqueezeSetting unless eta is finite and < 0 and token m of
+    the distribution before is not its argmax nor tied with it."""
     argmax = int(np.argmax(before))
     if eta >= 0:
         raise NotASqueezeSetting(f"eta must be negative, got {float(eta)}")
+    if not np.isfinite(eta):
+        raise NotASqueezeSetting(f"eta must be finite, got {float(eta)}")
     if m == argmax or before[m] >= before[argmax]:
         raise NotASqueezeSetting("penalized token is the dominant one")
 

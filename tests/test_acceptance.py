@@ -266,8 +266,8 @@ def test_criterion_7_sps_limits_squeezing_versus_grpo():
         sps_final, _ = sps_loop(base, suite, cfg, seed)
         grpo_drifts.append(greedy_logprob_report(grpo_final, base, suite).mean_drift)
         sps_drifts.append(greedy_logprob_report(sps_final, base, suite).mean_drift)
-        grpo_cov = sum(support_coverage(grpo_final, t, 1e-4).covered for t in suite)
-        sps_cov = sum(support_coverage(sps_final, t, 1e-4).covered for t in suite)
+        grpo_cov = sum(rec.covered for rec in support_coverage(grpo_final, suite, 1e-4))
+        sps_cov = sum(rec.covered for rec in support_coverage(sps_final, suite, 1e-4))
         if sps_cov >= grpo_cov:
             coverage_wins += 1
     med_sps = statistics.median(sps_drifts)

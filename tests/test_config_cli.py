@@ -330,6 +330,8 @@ def test_squeeze_demo_reference_output(capsys):
 def test_squeeze_demo_rejects_non_squeeze_settings(capsys):
     assert cli.main(["squeeze-demo", "--eta", "0.5"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert cli.main(["squeeze-demo", "--eta", "nan"]) == 1
+    assert capsys.readouterr().err == "error: eta must be finite, got nan\n"
     assert cli.main(["squeeze-demo", "--m", "9"]) == 2
     assert "config error:" in capsys.readouterr().err
     assert cli.main(["squeeze-demo", "--logits", "a,b"]) == 2
@@ -338,6 +340,8 @@ def test_squeeze_demo_rejects_non_squeeze_settings(capsys):
 
 @pytest.mark.parametrize("lines,message", [
     ("squeeze.eta = 0.5\n", "eta must be negative, got 0.5"),
+    ("squeeze.eta = nan\n", "eta must be finite, got nan"),
+    ("squeeze.eta = -inf\n", "eta must be finite, got -inf"),
     ("squeeze.m = 0\n", "penalized token is the dominant one"),
     ("squeeze.logits = 1,1\nsqueeze.m = 1\n", "penalized token is the dominant one"),
 ])
@@ -711,7 +715,7 @@ def test_default_run_trains_and_ranks_without_validate_or_reloading(tmp_path, mo
     suite = tasks.load_suite(str(tmp_path / "run" / "suite.json"), cfg["suite.vocab_size"],
                              cfg["suite.max_len"])
     snapshot = policy.load_checkpoint(str(tmp_path / "run" / name))
-    masses = [support_coverage(snapshot, task, 0.0).mass_on_correct for task in suite]
+    masses = [rec.mass_on_correct for rec in support_coverage(snapshot, suite, 0.0)]
     assert repr(float(np.mean(masses))) == avg
     # The last checkpoint is the final policy, so its rank is the report's mass.
     report = json.loads((tmp_path / "run" / "eval_report.json").read_text())

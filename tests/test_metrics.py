@@ -6,6 +6,7 @@ import json
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -136,10 +137,9 @@ def test_mean_mass_on_correct_is_the_reports_support_mass(diamond_task):
             policy.set_logits(task.prompt_id, tokens, rng.normal(size=4))
     report = evaluation_report(policy, policy, suite, "unit", n=4, ks=[1],
                                prob_floor=0.5, rng=derive_rng(5))
-    mass = mean_mass_on_correct(policy, suite)
+    mass = mean_mass_on_correct(support_coverage(policy, suite, 0.0))
     assert mass == report["support"]["mass"]
-    assert mass == float(np.mean([support_coverage(policy, task, 0.0).mass_on_correct
-                                  for task in suite]))
+    assert mass == float(np.mean([reference_coverage(policy, task, 0.0)[2] for task in suite]))
 
 
 def test_pass_at_k_monte_carlo_agrees_with_closed_form(diamond_task):
@@ -282,24 +282,24 @@ def test_similarity_is_exact_across_fold_blocks():
 
 def test_support_coverage_uniform_diamond(diamond_task):
     policy = PolicyTable(Vocab(4), max_len=2)
-    rec = support_coverage(policy, diamond_task, prob_floor=0.01)
+    (rec,) = support_coverage(policy, [diamond_task], prob_floor=0.01)
     assert (rec.covered, rec.total) == (2, 2)
     np.testing.assert_allclose(rec.mass_on_correct, 0.125, atol=1e-12)
     # A floor above 1/16 hides both paths but leaves the mass untouched.
-    rec = support_coverage(policy, diamond_task, prob_floor=0.07)
+    (rec,) = support_coverage(policy, [diamond_task], prob_floor=0.07)
     assert rec.covered == 0
     np.testing.assert_allclose(rec.mass_on_correct, 0.125, atol=1e-12)
 
 
 def test_support_coverage_zero_floor_counts_everything(diamond_task):
     policy = skewed_base_policy(diamond_task, 3.0, seed=0)
-    rec = support_coverage(policy, diamond_task, prob_floor=0.0)
+    (rec,) = support_coverage(policy, [diamond_task], prob_floor=0.0)
     assert rec.covered == rec.total == 2
 
 
 def test_support_coverage_skew_hides_the_off_path(diamond_task):
     policy = skewed_base_policy(diamond_task, 5.0, seed=0)
-    rec = support_coverage(policy, diamond_task, prob_floor=0.01)
+    (rec,) = support_coverage(policy, [diamond_task], prob_floor=0.01)
     assert rec.covered == 1
     assert rec.mass_on_correct > 0.9
 
@@ -327,9 +327,10 @@ def test_support_coverage_matches_the_per_sequence_loop(seed, max_len, data):
     policy = build_suite_policy(suite, data.draw(st.sampled_from([0.0, 3.0])), seed)
     rng = np.random.default_rng(seed)
     for _ in range(data.draw(st.integers(0, 3)) + 1):
-        for task in suite:
-            for floor in (0.0, 1e-4, 1.0):
-                rec = support_coverage(policy, task, floor)
+        for floor in (0.0, 1e-4, 1.0):
+            records = support_coverage(policy, suite, floor)
+            assert len(records) == len(suite)
+            for rec, task in zip(records, suite):
                 assert (rec.covered, rec.total, rec.mass_on_correct) == \
                     reference_coverage(policy, task, floor)
         # Rows added after the table's first read: one correct sequence of
@@ -345,12 +346,20 @@ def test_support_coverage_matches_the_per_sequence_loop(seed, max_len, data):
 
 def test_support_coverage_rejects_a_policy_of_another_shape(diamond_task):
     # The task's cached set is numbered at vocab 4 and max_len 2; no other
-    # shape reads it, wider or narrower.
+    # shape reads it, wider or narrower, and a suite is checked task by task.
     for size, max_len in ((4, 1), (4, 3), (5, 2), (3, 2)):
         with pytest.raises(ValueError) as err:
-            support_coverage(PolicyTable(Vocab(size), max_len), diamond_task, 1e-4)
+            support_coverage(PolicyTable(Vocab(size), max_len), [diamond_task], 1e-4)
         assert str(err.value) == (f"task 0 at vocab=4 max_len=2, "
                                   f"policy at vocab={size} max_len={max_len}")
+    # At max_len 1 the diamond has no solution, so no such task exists.
+    for size, max_len in ((4, 3), (5, 2), (3, 2)):
+        spec = replace(diamond_task.spec, vocab_size=size, max_len=max_len)
+        suite = [diamond_task, TaskInstance(prompt_id=1, label=diamond_task.label, spec=spec)]
+        with pytest.raises(ValueError) as err:
+            support_coverage(PolicyTable(Vocab(4), 2), suite, 1e-4)
+        assert str(err.value) == (f"task 1 at vocab={size} max_len={max_len}, "
+                                  f"policy at vocab=4 max_len=2")
 
 
 def test_training_and_evaluation_enumerate_each_task_once(monkeypatch):
@@ -428,8 +437,8 @@ def test_exact_quantities_survive_token_relabelling():
 
     assert set(moved.correct_sequences) == set(map(relabel, task.correct_sequences))
     for floor in (0.0, 5e-4, 1e-3, 2e-3):
-        rec = support_coverage(policy, task, floor)
-        moved_rec = support_coverage(moved_policy, moved, floor)
+        (rec,) = support_coverage(policy, [task], floor)
+        (moved_rec,) = support_coverage(moved_policy, [moved], floor)
         assert (moved_rec.covered, moved_rec.total) == (rec.covered, rec.total)
         assert moved_rec.mass_on_correct == pytest.approx(rec.mass_on_correct, rel=1e-14)
     greedy = greedy_decode_batch(policy, [task.prompt_id])
@@ -470,7 +479,7 @@ def test_sampled_pass_at_k_centres_on_the_exact_value(iterations):
     n, draws = 16, 150
     counts = np.array([sample_matrix(policy, suite, n, derive_rng(77, d)).rewards.sum(axis=1)
                        for d in range(draws)])
-    masses = [support_coverage(policy, task, 0.0).mass_on_correct for task in suite]
+    masses = [rec.mass_on_correct for rec in support_coverage(policy, suite, 0.0)]
     for k in (1, 4):
         exact = [pass_at_k_exact(p, k) for p in masses]
         variance = sum(math.comb(n, c) * p ** c * (1 - p) ** (n - c)

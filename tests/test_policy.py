@@ -160,12 +160,15 @@ def test_sample_trajectory_deterministic_under_seed():
 
 
 def test_sample_trajectory_first_step_frequencies_near_uniform():
+    # One block of n rollouts reads the stream in the order n calls of
+    # sample_trajectory read it, one rng.random((1, 1, 5)) each.
     policy = PolicyTable(Vocab(4), max_len=5)
-    rng = np.random.default_rng(2024)
-    counts = np.zeros(4)
     n = 40000
-    for _ in range(n):
-        counts[sample_trajectory(policy, 0, rng).tokens[0]] += 1
+    (group,) = sample_trajectories(policy, [0], np.random.default_rng(2024).random((1, n, 5)))
+    rollouts = group.sequences()
+    rng = np.random.default_rng(2024)
+    assert [sample_trajectory(policy, 0, rng).tokens for _ in range(200)] == rollouts[:200]
+    counts = np.bincount([tokens[0] for tokens in rollouts], minlength=4)
     np.testing.assert_allclose(counts / n, [0.25] * 4, atol=0.01)
 
 

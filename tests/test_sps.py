@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelab.errors import NoRollouts
-from squeezelab.metrics import mean_mass_on_correct, sample_matrix
+from squeezelab.metrics import mean_mass_on_correct, sample_matrix, support_coverage
 from squeezelab import objectives, sps
 from squeezelab import policy as policy_module
 from squeezelab.config import ExperimentConfig
@@ -739,8 +739,39 @@ def test_sps_loop_writes_checkpoints(diamond_task, tmp_path):
                         out_dir=str(tmp_path))
     restored = load_checkpoint(str(tmp_path / "checkpoint_iter002.txt"))
     assert policy_state(restored) == policy_state(final)
-    assert trace.checkpoints == [
-        (2, "checkpoint_iter002.txt", mean_mass_on_correct(restored, [diamond_task]))]
+    mass = mean_mass_on_correct(support_coverage(restored, [diamond_task], 0.0))
+    assert trace.checkpoints == [(2, "checkpoint_iter002.txt", mass)]
+
+
+@pytest.mark.parametrize("loop, epsilon, stop", [(sps_loop, 1e-4, 3),
+                                                  (grpo_baseline_loop, 4e-4, 7)])
+def test_the_loop_measures_each_policy_version_once(loop, epsilon, stop, monkeypatch, tmp_path):
+    # A traced run ranks each checkpoint and tests the stop rule with the
+    # masses of the suite pass that the step which made the policy took; an
+    # untraced run takes one pass per iteration that needs the mass. Both
+    # runs checkpoint, stop and train alike.
+    suite = make_benchmark_suite(3, FamilyParams(count=4))
+    base = build_suite_policy(suite, 1.5, 3)
+    calls = []
+
+    def counting(policy, tasks, prob_floor):
+        calls.append(prob_floor)
+        return support_coverage(policy, tasks, prob_floor)
+
+    monkeypatch.setattr(sps, "support_coverage", counting)
+    runs = []
+    for traced in (False, True):
+        calls.clear()
+        cfg = small_cfg(max_iterations=8, checkpoint_every=1, convergence_epsilon=epsilon,
+                        trace_metrics=traced)
+        out_dir = tmp_path / str(traced)
+        out_dir.mkdir()
+        final, trace = loop(base, suite, cfg, 3, out_dir=str(out_dir))
+        assert len(trace.checkpoints) == stop
+        assert len(calls) == (len(trace.records) if traced else stop)
+        runs.append((trace.checkpoints, trace.step_records,
+                     [(key, vec.tobytes()) for key, vec in final.stored_items()]))
+    assert runs[0] == runs[1]
 
 
 def test_sps_loop_numbers_no_sampled_token_again(monkeypatch, tmp_path):
