@@ -82,6 +82,10 @@ MATRIX = {
     # Every config above evaluates at most 256 samples per prompt, one block
     # of the similarity fold; 600 samples fold in six blocks of whole rows.
     "eval_600": ({"mode": "sps"}, 600),
+    # Every config above numbers fewer prefix ids than a dense row index
+    # covers; at max_len 10 two prompts' ids span 2.8M, past that cap, so
+    # every array lookup of rows takes the dict.
+    "wide_ids": ({"mode": "sps", "suite.count": 2, "suite.max_len": 10}, 32),
 }
 PAIRED = ("sps", "grpo")
 MANIFEST = "manifest.json"

@@ -10,6 +10,7 @@ ConfigError at parse time too, with their field names replaced by the keys.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Any
@@ -165,10 +166,10 @@ def _validate(values: dict[str, Any]) -> None:
         raise ConfigError("eval.k: need at least one k")
     if any(k < 1 for k in values["eval.k"]):
         raise ConfigError("eval.k: every k must be >= 1")
-    if values["eval.prob_floor"] < 0:
+    if not values["eval.prob_floor"] >= 0:
         raise ConfigError("eval.prob_floor: must be >= 0")
-    if values["suite.skew"] < 0:
-        raise ConfigError("suite.skew: must be >= 0")
+    if not 0 <= values["suite.skew"] < math.inf:
+        raise ConfigError("suite.skew: must be finite and >= 0")
     cfg = ExperimentConfig(values).with_mode_objective()
     try:
         cfg.sps_config()

@@ -77,8 +77,8 @@ class ClipConfig:
             raise ValueError("need 0 < eps_low <= eps_high")
         if self.objective_kind == GRPO and self.eps_low != self.eps_high:
             raise ValueError("grpo uses a symmetric clip range")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
         if self.objective_kind != GRPO and self.beta != 0.0:
             raise ValueError("only grpo carries a KL term")
 
@@ -414,7 +414,8 @@ def _mean_root_entropy(policy: PolicyTable, tasks) -> float:
     entropies from one row-wise pass; a row with a probability that underflows
     to 0 goes to entropy, which drops such entries from its sum.
     """
-    rows = prefix_rows(policy, [int(t.prompt_id) * policy.span for t in tasks])
+    rows = prefix_rows(policy, np.array([int(t.prompt_id) * policy.span for t in tasks],
+                                        np.int64))
     probs = np.exp(policy._log_prob_table()[rows])
     positive = (probs > 0.0).all(axis=1)
     vals = np.empty(len(rows))

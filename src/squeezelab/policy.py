@@ -3,9 +3,13 @@
 A policy stores one logit vector per (prompt, prefix) pair as a row of one
 dense array; a prefix without one reads the shared all-zero row (uniform).
 A prefix is one integer, its prefix id, found by arithmetic alone
-(prefix_id); each version maps ids to rows with one dict and computes the
-log-softmax of all its rows once, on the first read, for every reader; an
-update recomputes only the rows it touched. _walk is the one walk of the
+(prefix_id); each version numbers its rows in one dict and, on the first
+array lookup, derives from it one read-only dense index over its prompts' id
+range, so prefix_rows of an int64 array is one subtraction, one clip and one
+gather (past _DENSE_IDS ids, and for lists, the dict serves). Each version
+also computes the log-softmax of all its rows once, on the first read, for
+every reader; an update recomputes only the rows it touched and hands on the
+index patched with its new rows. _walk is the one walk of the
 prefix tree: it advances every walk of every prompt together one token depth
 per numpy step on int64 prefix ids, and steps the tasks' validator tables in
 the same pass. Sampling and greedy decoding differ only in the token rule:
@@ -19,8 +23,9 @@ flat terms, recorded by the sampler or built by sequence_batch, and one
 kernel reads it: token_log_probs gathers every token's log-prob at once,
 and sequence_log_probs adds each sequence's left-fold total.
 score_gradient is the one place score blocks (onehot - probs) are formed,
-from a flat batch of terms (prefix id, table row, token, weight); every
-gradient is one Gradient record, an id array and a block array. The highest
+from a flat batch of terms (prefix id, table row, token, weight), and sums
+them per id with np.bincount; every gradient is one Gradient record, an id
+array and a block array. The highest
 token id is the terminator: sampling and greedy decoding stop at it or at
 max_len. Everything here is exact, so closed-form claims about softmax
 update dynamics are directly checkable.
@@ -46,6 +51,9 @@ from .errors import (
 
 # Rows a new table allocates before its first doubling (row 0 is the zero row).
 _INITIAL_ROWS = 8
+
+# The widest id range a dense row index covers; past it, lookups use the dict.
+_DENSE_IDS = 1 << 20
 
 # Public key for a conditional distribution: (prompt_id, tokens-so-far).
 PrefixKey = tuple[int, tuple[int, ...]]
@@ -112,7 +120,9 @@ class PolicyTable:
     the range of ids one prompt owns.
 
     A table computes the log-softmax of all its rows once, on the first read,
-    and every reader uses that cached table; set_logits drops the cache.
+    and every reader uses that cached table; set_logits drops the cache. The
+    dense row index (_row_index) is derived from _rows and cached the same
+    way.
     """
 
     def __init__(self, vocab: Vocab, max_len: int):
@@ -133,18 +143,46 @@ class PolicyTable:
         # sort key, and the row indices in key order. Never changed once
         # built.
         self._rendering: tuple[np.ndarray, list, list, list] | None = None
+        # Read-only (lo, rows) of _row_index, or None until first read.
+        self._index: tuple[int, np.ndarray | None] | None = None
 
     def _allocate(self, ident: int) -> int:
         """Row of a stored prefix id; a new id gets the next row, initially zero."""
         row = self._rows.get(ident)
         if row is None:
             row = len(self._rows) + 1
-            if row == len(self._data):
-                grown = np.zeros((2 * row, self.vocab.size))
-                grown[:row] = self._data
-                self._data = grown
+            self._reserve(row + 1)
             self._rows[ident] = row
         return row
+
+    def _reserve(self, rows: int) -> None:
+        """Double the array until it holds `rows` rows; the rows it adds are zero."""
+        capacity = len(self._data)
+        while capacity < rows:
+            capacity *= 2
+        if capacity > len(self._data):
+            grown = np.zeros((capacity, self.vocab.size))
+            grown[:len(self._data)] = self._data
+            self._data = grown
+
+    def _row_index(self) -> tuple[int, np.ndarray | None]:
+        """(lo, rows): rows[i] is the row of id lo + i (0 if unstored) over the
+        stored prompts' whole id range, then one trailing 0; rows is None if
+        that range passes _DENSE_IDS ids or int64. Built on first read."""
+        if self._index is None:
+            lo = hi = 0
+            if self._rows:
+                lo = min(self._rows) // self.span * self.span
+                hi = (max(self._rows) // self.span + 1) * self.span
+            rows = None
+            if hi - lo <= _DENSE_IDS and -1 << 63 <= lo and hi <= 1 << 63:
+                count = len(self._rows)
+                rows = np.zeros(hi - lo + 1, np.int32)
+                rows[np.fromiter(self._rows, np.int64, count) - lo] = np.fromiter(
+                    self._rows.values(), np.int32, count)
+                rows = _read_only(rows)
+            self._index = (lo, rows)
+        return self._index
 
     def _logit_rows(self) -> np.ndarray:
         """Read-only view of the zero row and every stored row."""
@@ -170,7 +208,7 @@ class PolicyTable:
             raise InvalidLogits("logit vector contains non-finite entries")
         row = self._allocate(ident)
         self._data[row] = arr
-        self._logp = self._cum = None
+        self._logp = self._cum = self._index = None
 
     def stored_items(self) -> list[tuple[PrefixKey, np.ndarray]]:
         rows = self._logit_rows()
@@ -185,7 +223,7 @@ class PolicyTable:
         clone._rows = dict(self._rows)
         clone._data = self._data.copy()
         # The caches are never written in place, so the clone can share them.
-        clone._logp, clone._cum = self._logp, self._cum
+        clone._logp, clone._cum, clone._index = self._logp, self._cum, self._index
         clone._rendering = self._rendering
         return clone
 
@@ -257,9 +295,19 @@ def prefix_key(policy: PolicyTable, ident: int) -> PrefixKey:
 
 
 def prefix_rows(policy: PolicyTable, ids) -> np.ndarray:
-    """Each id's row of the policy's tables (0, the zero row, if unstored); ids: int64 or list."""
-    keys = ids.tolist() if isinstance(ids, np.ndarray) else ids
-    return np.fromiter(map(policy._rows.get, keys, repeat(0)), np.intp, len(keys))
+    """Each id's row of the policy's tables (0, the zero row, if unstored).
+
+    ids is an int64 array or a list of ints. An array reads the dense index:
+    an id below lo wraps to a large uint64, past every row, so every id
+    outside the index's range reads its trailing 0. A list, or an index too
+    wide to build, reads the dict one id at a time.
+    """
+    if isinstance(ids, np.ndarray):
+        lo, rows = policy._row_index()
+        if rows is not None:
+            return rows.take(np.minimum((ids - lo).view(np.uint64), len(rows) - 1))
+        ids = ids.tolist()
+    return np.fromiter(map(policy._rows.get, ids, repeat(0)), np.intp, len(ids))
 
 
 def _check_int64(policy: PolicyTable, prompt_ids: list[int]) -> None:
@@ -540,24 +588,33 @@ class Gradient:
 def score_gradient(policy: PolicyTable, ids, rows, tokens, weights) -> Gradient:
     """Weighted sum of score functions, sum_i w_i * grad log pi(token_i | prefix_i).
 
-    The terms come as a flat batch: ids[i] is term i's prefix id, rows[i] its
-    row of the policy's table (prefix_rows(policy, ids) gives them),
-    tokens[i] its token and weights[i] its weight. The gradient of
+    The terms come as a flat batch: ids[i] is term i's int64 prefix id,
+    rows[i] its row of the policy's table (prefix_rows(policy, ids) gives
+    them), tokens[i] its token and weights[i] its weight. The gradient of
     log pi(token | prefix) w.r.t. that prefix's logits is onehot(token) - probs,
     so the result holds each prefix id, in order of first appearance, with
     the sum over its terms of weight * (onehot - probs), added in term order.
-    Every term's row is gathered from the cached log-prob table at once. This
-    is the one place score blocks are formed.
+    Every term's row is gathered from the cached log-prob table at once. Ids
+    are slotted by one np.unique, renumbered to first appearance, and
+    np.bincount adds every (slot, token) sum in term order. Its sums start at
+    +0.0, not -0.0, the exact additive identity, so a sum whose every term is
+    -0.0 is set to -0.0. This is the one place score blocks are formed.
     """
+    size = policy.vocab.size
     blocks = -np.exp(policy._log_prob_table()[rows])
     blocks[np.arange(len(ids)), tokens] += 1.0
     blocks *= np.asarray(weights, dtype=float)[:, None]
-    slots: dict[int, int] = {}
-    index = [slots.setdefault(ident, len(slots)) for ident in ids.tolist()]
-    # -0.0 is the exact additive identity, so each sum starts at its first term.
-    sums = np.full((len(slots), policy.vocab.size), -0.0)
-    np.add.at(sums, index, blocks)
-    return Gradient(np.fromiter(slots, np.int64, len(slots)), sums)
+    uniq, first, slot = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cells = (rank[slot][:, None] * size + np.arange(size)).ravel()
+    flat = blocks.ravel()
+    sums = np.bincount(cells, flat, len(uniq) * size)
+    signed = np.signbit(flat) & (flat == 0.0)
+    if signed.any():
+        sums[np.bincount(cells[~signed], minlength=len(sums)) == 0] = -0.0
+    return Gradient(uniq[order], sums.reshape(len(uniq), size))
 
 
 def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> Gradient:
@@ -574,21 +631,38 @@ def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> Gradient:
 def apply_update(policy: PolicyTable, gradient: Gradient, step_size: float) -> PolicyTable:
     """Return a new policy with logits[ids[i]] += step_size * blocks[i] for each i.
 
-    The input policy is left untouched. The touched rows are gathered, updated
-    and scattered back in one pass; a prefix seen for the first time gets a
-    new row starting from zero. If the input's log-prob table is already
-    computed, the new policy's table reuses it and recomputes only the
-    touched rows.
+    The input policy is left untouched. The ids' rows are read with
+    prefix_rows; the ids with none, numbered in gradient order after the
+    stored ones, get new rows starting from zero (the table doubles as it
+    grows). The touched rows are gathered, updated and scattered back in one
+    pass. The new policy's dense index is the input's, patched with the new
+    rows, or none if a new id falls outside its range. If the input's
+    log-prob table is already computed, the new policy's table reuses it and
+    recomputes only the touched rows.
     """
     if not math.isfinite(step_size):
         raise NumericOverflow(f"non-finite step size {step_size}")
-    ids = gradient.ids.tolist()
+    ids = gradient.ids
     out = policy.copy()
-    rows = np.fromiter(map(out._allocate, ids), dtype=np.intp, count=len(ids))
+    rows = prefix_rows(policy, ids)
+    new = np.flatnonzero(rows == 0)
+    if len(new):
+        count = len(out._rows)
+        rows[new] = np.arange(count + 1, count + 1 + len(new))
+        out._rows.update(zip(ids[new].tolist(), rows[new].tolist()))
+        out._reserve(count + len(new) + 1)
+        lo, index = policy._row_index()
+        if index is not None:  # a range too wide stays too wide
+            offsets = (ids[new] - lo).view(np.uint64)
+            out._index = None
+            if offsets.max() < len(index) - 1:
+                patched = index.copy()
+                patched[offsets] = rows[new]
+                out._index = (lo, _read_only(patched))
     updated = out._data[rows] + step_size * gradient.blocks
     finite = np.isfinite(updated).all(axis=1)
     if not finite.all():
-        key = prefix_key(policy, ids[int(np.argmin(finite))])
+        key = prefix_key(policy, int(ids[np.argmin(finite)]))
         raise NumericOverflow(f"update produced non-finite logits at prefix {key}")
     out._data[rows] = updated
     out._cum = None

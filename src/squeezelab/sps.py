@@ -120,11 +120,11 @@ class SpsConfig:
             raise ValueError("min_negatives_for_pure_l2te must be >= 0")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.rl_lr < 0 or self.irl_lr < 0:
-            raise ValueError("rl_lr and irl_lr must be >= 0")
+        if not (0 <= self.rl_lr < math.inf and 0 <= self.irl_lr < math.inf):
+            raise ValueError("rl_lr and irl_lr must be finite and >= 0")
         if self.dapo_max_resamples < 0:
             raise ValueError("dapo_max_resamples must be >= 0")
-        if self.convergence_epsilon is not None and self.convergence_epsilon <= 0:
+        if self.convergence_epsilon is not None and not self.convergence_epsilon > 0:
             raise ValueError("convergence_epsilon must be > 0 (or unset)")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")

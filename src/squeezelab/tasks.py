@@ -12,6 +12,7 @@ caches it once, as a policy.SequenceBatch of prefix ids at its own shape
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -280,8 +281,8 @@ def build_suite_policy(tasks, skew: float, seed: int) -> PolicyTable:
     prompt id keeps the later task's rows)."""
     if not tasks:
         raise ValueError("empty task suite")
-    if skew < 0:
-        raise ValueError(f"skew must be >= 0, got {skew}")
+    if not 0 <= skew < math.inf:
+        raise ValueError(f"skew must be finite and >= 0, got {skew}")
     first = tasks[0].spec
     policy = PolicyTable(Vocab(first.vocab_size), first.max_len)
     for task in tasks:
@@ -322,7 +323,8 @@ def load_suite(path, vocab_size: int, max_len: int) -> list[TaskInstance]:
     The on-disk schema does not carry the vocab size, so the checkpoint's
     is given; every entry's max_len must be the checkpoint's. Prompt ids
     must be distinct and >= 0. Any entry that fails, another max_len and a
-    correct set past ENUMERATION_BOUND included, is SuiteCorrupt naming it.
+    correct set past ENUMERATION_BOUND included, is SuiteCorrupt naming it;
+    so is an empty list.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -331,6 +333,8 @@ def load_suite(path, vocab_size: int, max_len: int) -> list[TaskInstance]:
             raise SuiteCorrupt(f"not a JSON file: {exc}") from exc
     if not isinstance(payload, list):
         raise SuiteCorrupt(f"expected a JSON list of tasks, got {type(payload).__name__}")
+    if not payload:
+        raise SuiteCorrupt("expected a non-empty JSON list of tasks")
     tasks, seen = [], {}
     for entry, obj in enumerate(payload):
         try:

@@ -135,6 +135,20 @@ def reference_save_checkpoint(policy, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def reference_score_gradient(policy, ids, rows, tokens, weights):
+    """score_gradient as it was before np.bincount: ids slotted by a dict in
+    order of first appearance, blocks summed by np.add.at from -0.0."""
+    blocks = -np.exp(policy._log_prob_table()[rows])
+    blocks[np.arange(len(ids)), tokens] += 1.0
+    blocks *= np.asarray(weights, dtype=float)[:, None]
+    slots: dict[int, int] = {}
+    index = [slots.setdefault(ident, len(slots)) for ident in ids.tolist()]
+    # -0.0 is the exact additive identity, so each sum starts at its first term.
+    sums = np.full((len(slots), policy.vocab.size), -0.0)
+    np.add.at(sums, index, blocks)
+    return Gradient(np.fromiter(slots, np.int64, len(slots)), sums)
+
+
 def flat_score_gradient(policy, terms):
     """score_gradient of (prompt_id, prefix, token, weight) terms, passed as a flat batch;
     the Gradient record it returns."""

@@ -144,9 +144,29 @@ REJECTED_AT_PARSE = {
 }
 
 
+# Values that a range check written as `x < 0` let through: a NaN rate,
+# threshold or KL weight gave a run that ignored it, and an infinite rate or
+# a non-finite skew failed only at the first update, after out_dir was made.
+REJECTED_NON_FINITE = [
+    ("rl.lr", "nan"), ("rl.lr", "inf"), ("sps.irl_lr", "nan"), ("sps.irl_lr", "inf"),
+    ("rl.beta", "nan"), ("rl.beta", "inf"), ("sps.convergence_epsilon", "nan"),
+    ("eval.prob_floor", "nan"), ("suite.skew", "nan"), ("suite.skew", "inf"),
+]
+
+
 @pytest.mark.parametrize("key", sorted(REJECTED_AT_PARSE))
 def test_values_a_run_rejects_fail_at_parse_time(key, tmp_path, capsys):
-    text = REJECTED_AT_PARSE[key]
+    _assert_rejected_at_parse(key, REJECTED_AT_PARSE[key], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key,value", REJECTED_NON_FINITE)
+def test_non_finite_values_fail_at_parse_time(key, value, tmp_path, capsys):
+    _assert_rejected_at_parse(key, f"{key} = {value}\n", tmp_path, capsys)
+
+
+def _assert_rejected_at_parse(key, text, tmp_path, capsys):
+    """text fails parse_config_text naming key, and `squeezelab run` with it
+    exits 2 with a config error naming key, before making out_dir."""
     with pytest.raises(ConfigError, match=re.escape(key)):
         parse_config_text(text)
     out_dir = tmp_path / "out"
@@ -411,6 +431,8 @@ CORRUPT_SUITES = [
     (f'[{GOOD_ENTRY.replace("0", str((1 << 63) // 341), 1)}]',
      f"error: prompts {(1 << 63) // 341}..{(1 << 63) // 341} at vocab=4 max_len=4 have "
      "prefix ids beyond 2**63"),
+    # An empty list used to reach the sampler, which raised a ValueError.
+    ("[]", "error: expected a non-empty JSON list of tasks"),
 ]
 
 
@@ -432,6 +454,7 @@ def test_eval_on_a_corrupt_suite_exits_1_without_a_traceback(text, message, trai
     (["--n", "1"], "eval.n"),
     (["--seed", "-1"], "seed"),
     (["--prob-floor", "-1"], "eval.prob_floor"),
+    (["--prob-floor", "nan"], "eval.prob_floor"),
 ])
 def test_eval_flags_obey_the_config_rules(flags, key, training_runs, capsys):
     run_dir = training_runs[0]

@@ -43,12 +43,14 @@ from squeezelab.policy import (
     entropy,
     make_trajectory,
     prefix_ids,
+    prefix_rows,
     sample_trajectories,
     sample_trajectory,
     trajectory_log_prob,
 )
 from squeezelab import policy as policy_module
 from squeezelab.config import ExperimentConfig
+from squeezelab.metrics import support_coverage
 from squeezelab.sps import SpsConfig
 from squeezelab.tasks import build_suite_policy, make_benchmark_suite, skewed_base_policy, validate
 
@@ -808,6 +810,38 @@ def test_grpo_and_dapo_steps_build_no_prefix_ids_for_sampled_trajectories(monkey
         assert calls == []
         # DAPO resampled some degenerate groups, in a block of their own.
         assert (len(sampled) > 1) == (sps_cfg.clip.objective_kind == "dapo")
+
+
+class _CountingRows(dict):
+    """A row dict that counts its get calls."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_steps_and_coverage_passes_read_rows_from_the_dense_index_alone():
+    # Once a policy version's dense row index exists, the sampler, the
+    # surrogates, the update and the exact pass over the suite's correct sets
+    # look up no prefix id in its row dict.
+    cfg = ExperimentConfig.from_dict({})
+    seed = cfg["seed"]
+    suite = make_benchmark_suite(seed, cfg.family_params())
+    base = build_suite_policy(suite, cfg["suite.skew"], seed)
+    grpo_cfg = cfg.sps_config()
+    dapo_cfg = cfg.with_value("rl.objective", "dapo").sps_config()
+    assert grpo_cfg.clip.beta > 0
+    stepped, _, groups = rl_step(base, suite, dapo_cfg, seed)
+    for policy, step in ((base, lambda p: rl_step(p, suite, grpo_cfg, seed + 1, ref_policy=p)),
+                         (stepped, lambda p: rl_step(p, suite, dapo_cfg, seed + 2, groups=groups)),
+                         (stepped, lambda p: support_coverage(p, suite, 1e-4))):
+        prefix_rows(policy, np.zeros(1, np.int64))
+        policy._rows = rows = _CountingRows(policy._rows)
+        step(policy)
+        assert rows.gets == 0
+        policy._rows = dict(rows)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"rl.objective": "gspo"},

@@ -45,6 +45,7 @@ from squeezelab.policy import (
     sample_trajectories,
     sample_trajectory,
     save_checkpoint,
+    score_gradient,
     sequence_batch,
     sequence_log_probs,
     softmax,
@@ -58,7 +59,7 @@ from squeezelab.policy import (
 from squeezelab.tasks import PathTaskSpec, TaskInstance, validate
 
 from conftest import (by_id, by_key, finite_difference_blocks, flat_score_gradient, random_policy,
-                      reference_save_checkpoint, trajectories)
+                      reference_save_checkpoint, reference_score_gradient, trajectories)
 
 # softmax([2, 1, 0, -3]), oracle digits
 ORACLE_PROBS = [0.662272413524, 0.243636405391, 0.0896288246641, 0.00446235642128]
@@ -638,6 +639,153 @@ def test_score_gradient_sums_repeated_prefixes_and_reads_row_zero():
     assert list(grad) == [(9, (1,)), (9, ())]
     np.testing.assert_allclose(grad[(9, (1,))], [0.125, -0.375, 0.625, -0.375], atol=1e-15)
     assert not grad[(9, ())].any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 5), max_len=st.integers(1, 3),
+       n_terms=st.integers(0, 40))
+def test_score_gradient_matches_the_add_at_kernel_bit_for_bit(seed, vocab, max_len, n_terms):
+    # Weights of +0.0 and -0.0 give blocks of signed zeros; a slot whose every
+    # term is -0.0 in a column must keep -0.0 there, as np.add.at from -0.0 did.
+    rng = np.random.default_rng(seed)
+    policy = random_policy(vocab, max_len, rng, prompt_ids=(0, 2))
+    prefixes = [(int(rng.choice([0, 2, 7])),
+                 tuple(int(t) for t in rng.integers(0, vocab - 1, size=rng.integers(0, max_len))))
+                for _ in range(rng.integers(1, 6))]
+    picks = rng.integers(0, len(prefixes), size=n_terms)
+    ids = np.array([prefix_id(policy, *prefixes[i]) for i in picks.tolist()], np.int64)
+    rows = prefix_rows(policy, ids)
+    tokens = rng.integers(0, min(vocab, int(rng.integers(1, 3))), size=n_terms)
+    weights = rng.choice([0.0, -0.0, 1.5, -0.25], size=n_terms) * rng.choice([1.0, 1e-300],
+                                                                              size=n_terms)
+    got = score_gradient(policy, ids, rows, tokens, weights)
+    want = reference_score_gradient(policy, ids, rows, tokens, weights)
+    assert got.ids.dtype == np.int64 and np.array_equal(got.ids, want.ids)
+    assert got.blocks.shape == want.blocks.shape == (len(want.ids), vocab)
+    assert np.array_equal(got.blocks.view(np.uint64), want.blocks.view(np.uint64))
+
+
+def test_score_gradient_keeps_the_sign_of_an_all_negative_zero_sum():
+    policy = random_policy(4, 2, np.random.default_rng(3))
+    ids = np.array([prefix_id(policy, 0, ())] * 3 + [prefix_id(policy, 0, (1,))], np.int64)
+    # A weight of +0.0 times -p is -0.0 in every column but the token's.
+    weights = [0.0, 0.0, 0.0, -0.0]
+    got = score_gradient(policy, ids, prefix_rows(policy, ids), [2, 2, 2, 1], weights)
+    want = reference_score_gradient(policy, ids, prefix_rows(policy, ids), [2, 2, 2, 1], weights)
+    assert np.array_equal(got.blocks.view(np.uint64), want.blocks.view(np.uint64))
+    assert np.signbit(got.blocks).tolist() == [[True, True, False, True],
+                                               [False, True, False, False]]
+    for record in (score_gradient(policy, ids[:0], [], [], []),
+                   reference_score_gradient(policy, ids[:0], [], [], [])):
+        assert record.ids.dtype == np.int64 and record.blocks.shape == (0, 4)
+
+
+# Prompt sets a table stores rows for: ordinary, negative, and those whose ids
+# reach the ends of int64 at vocab 3, max_len 2 (13 ids a prompt).
+EDGE_PROMPTS = [(0,), (0, 5), (-4, 3), ((1 << 63) // 13 - 1,), (-((1 << 63) // 13),),
+                (2, (1 << 63) // 13 - 1)]
+
+
+def _queries(policy, rng):
+    """Int64 ids around every stored prompt's range and at the ends of int64."""
+    span, stored = policy.span, list(policy._rows)
+    edges = [-1 << 63, (-1 << 63) + 1, (1 << 63) - 1, (1 << 63) - 2, 0, -1, span]
+    for ident in stored[:8]:
+        base = ident // span * span
+        edges += [ident, base - 1, base, base + span - 1, base + span, base + 2 * span]
+    edges += rng.integers(-1 << 63, (1 << 63) - 1, size=8, endpoint=True).tolist()
+    return np.array([e for e in edges if -1 << 63 <= e < 1 << 63], np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), prompts=st.sampled_from(EDGE_PROMPTS),
+       build=st.sampled_from(["set_logits", "apply_update", "load_checkpoint", "empty"]),
+       cap=st.sampled_from([None, 26]))
+def test_prefix_rows_reads_the_rows_the_dict_holds(seed, prompts, build, cap):
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:  # past the cap, every lookup takes the dict
+            patch.setattr(policy_module, "_DENSE_IDS", cap)
+        policy = PolicyTable(Vocab(3), 2)
+        if build in ("set_logits", "load_checkpoint"):
+            policy = random_policy(3, 2, rng, prompt_ids=prompts)
+        if build == "apply_update":
+            for pid in prompts:
+                keys = [(pid, (int(t),)) for t in rng.permutation(2)] + [(pid, ())]
+                policy = apply_update(policy, by_id(policy, {key: rng.normal(size=3)
+                                                             for key in keys}), 0.5)
+        if build == "load_checkpoint":
+            with tempfile.TemporaryDirectory() as tmp:
+                save_checkpoint(policy, os.path.join(tmp, "c.txt"))
+                policy = load_checkpoint(os.path.join(tmp, "c.txt"))
+            assert policy._index is None
+        queries = _queries(policy, rng)
+        got = prefix_rows(policy, queries)
+        assert got.tolist() == [policy._rows.get(i, 0) for i in queries.tolist()]
+        assert prefix_rows(policy, queries.tolist()).tolist() == got.tolist()
+        lo, index = policy._row_index()
+        width = (max(prompts) - min(prompts) + 1) * policy.span if policy._rows else 0
+        assert (index is None) == (width > policy_module._DENSE_IDS)
+        if index is not None:
+            assert lo % policy.span == 0 and index[-1] == 0
+            assert not index.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), start=st.sampled_from(["empty", "stored", "loaded"]),
+       steps=st.integers(1, 4))
+def test_apply_update_numbers_new_rows_as_sequential_allocation(seed, start, steps):
+    # New ids take rows count + 1, ... in gradient order, the table doubles as
+    # _allocate doubles it, and a patched index is the one _rows rebuilds.
+    rng = np.random.default_rng(seed)
+    policy = PolicyTable(Vocab(3), 3)
+    if start != "empty":
+        policy = random_policy(3, 3, rng, prompt_ids=(1, 2), scale=2.0)
+    if start == "loaded":
+        with tempfile.TemporaryDirectory() as tmp:
+            save_checkpoint(policy, os.path.join(tmp, "c.txt"))
+            policy = load_checkpoint(os.path.join(tmp, "c.txt"))
+    for _ in range(steps):
+        keys = {(int(rng.choice([0, 1, 2, 6])),
+                 tuple(int(t) for t in rng.integers(0, 3, size=rng.integers(0, 3)))): None
+                for _ in range(rng.integers(1, 12))}
+        grad = by_id(policy, {key: rng.normal(size=3) for key in keys})
+        if rng.random() < 0.5:
+            prefix_rows(policy, grad.ids)  # the input's index exists before the update
+        out = apply_update(policy, grad, 0.75)
+        ref = policy.copy()
+        rows = [ref._allocate(i) for i in grad.ids.tolist()]
+        ref._data[rows] = ref._data[rows] + 0.75 * grad.blocks
+        assert list(out._rows.items()) == list(ref._rows.items())
+        assert np.array_equal(out._logit_rows().view(np.uint64), ref._logit_rows().view(np.uint64))
+        assert out._data.shape == ref._data.shape
+        capacity = len(policy._data)
+        while capacity <= out.stored_prefix_count:
+            capacity *= 2
+        assert len(out._data) == capacity
+        if out._index is not None:
+            fresh = out.copy()
+            fresh._index = None
+            assert out._index[0] == fresh._row_index()[0]
+            assert np.array_equal(out._index[1], fresh._row_index()[1])
+        policy = out
+
+
+def test_apply_update_patches_the_index_inside_its_range_and_drops_it_outside():
+    policy = random_policy(3, 2, np.random.default_rng(5), prompt_ids=(0, 4))
+    lo, index = policy._row_index()
+    inside = apply_update(policy, by_id(policy, {(2, (1,)): np.ones(3)}), 1.0)
+    assert inside._index[0] == lo and inside._index[1] is not index
+    assert prefix_rows(inside, np.array([prefix_id(inside, 2, (1,))])).tolist() == [
+        inside.stored_prefix_count]
+    assert policy._index[1] is index and index[prefix_id(policy, 2, (1,)) - lo] == 0
+    same = apply_update(policy, by_id(policy, {(0, ()): np.ones(3)}), 1.0)
+    assert same._index is policy._index
+    outside = apply_update(policy, by_id(policy, {(5, ()): np.ones(3)}), 1.0)
+    assert outside._index is None
+    assert outside._row_index()[0] == lo and len(outside._row_index()[1]) == 6 * 13 + 1
+    policy.set_logits(0, (), np.zeros(3))
+    assert policy._index is None
 
 
 # From 8 tokens on np.sum pairs terms, so max_len reaches 10 here: every total

@@ -213,6 +213,7 @@ def test_suite_round_trip(tmp_path):
     ("not json", None, "not a JSON file: Expecting value"),
     ("[{", None, "not a JSON file: "),
     ('{"prompt_id": 0}', None, "expected a JSON list of tasks, got dict"),
+    ("[]", None, "expected a non-empty JSON list of tasks"),
     ('[{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2},'
      ' {"prompt_id": 1, "label": 1, "nodes": 2, "edges": [[0, 1, 7]], "start": 0, "max_len": 2}]',
      1, "entry 1: edge token 7 outside vocab of size 4"),
