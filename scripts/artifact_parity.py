@@ -58,6 +58,10 @@ MATRIX = {
     # A rate large enough that IRL line searches halve, so some prompts'
     # blocks retry while others have accepted their step.
     "sps_irl_halving": ({"mode": "sps", "sps.irl_lr": 20}, 32),
+    # The same with one block: every prompt's demos share one line search in
+    # full_suite scope, and at this rate some of its descents halve.
+    "sps_full_suite_halving": ({"mode": "sps", "sps.irl_scope": "full_suite",
+                                "sps.irl_lr": 200}, 32),
     # Demos from the step-0 groups only, with a quantile window narrow enough
     # that some prompts' selections take positive_augment demos.
     "sps_reuse_l2te": ({"mode": "sps", "rl.reuse_rollouts": True, "sps.quantile": 0.5,

@@ -11,6 +11,7 @@ from . import runner
 from .config import SCHEMA, ExperimentConfig
 from .errors import ConfigError, SqueezeLabError
 from .metrics import report_to_json
+from .policy import write_whole
 
 
 def int_list(text: str) -> list[int]:
@@ -79,8 +80,7 @@ def _cmd_eval(args) -> int:
     text = report_to_json(runner.eval_report(cfg))
     print(text, end="")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_whole(args.out, text)
     return 0
 
 

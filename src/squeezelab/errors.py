@@ -82,7 +82,7 @@ class InsufficientSamples(SqueezeLabError):
 
 
 class MissingArtifacts(SqueezeLabError):
-    """A run directory lacks the files a comparison needs."""
+    """A run directory lacks the files a comparison needs, or one is unreadable."""
 
 
 class ConfigError(SqueezeLabError):

@@ -583,7 +583,7 @@ def entropy(p: np.ndarray) -> float:
 class Gradient:
     """A gradient w.r.t. the policy's logits: blocks[i] is the block of ids[i]."""
 
-    ids: np.ndarray     # int64 prefix ids, distinct, in order of first appearance
+    ids: np.ndarray     # int64 prefix ids, distinct, ascending
     blocks: np.ndarray  # (len(ids), V) floats
 
 
@@ -594,27 +594,22 @@ def score_gradient(policy: PolicyTable, ids, rows, tokens, weights) -> Gradient:
     rows[i] its row of the policy's table (prefix_rows(policy, ids) gives
     them), tokens[i] its token and weights[i] its weight. The gradient of
     log pi(token | prefix) w.r.t. that prefix's logits is onehot(token) - probs,
-    so the result holds each prefix id, in order of first appearance, with
-    the sum over its terms of weight * (onehot - probs), added in term order.
-    Every term's row is gathered from the cached log-prob table at once. Ids
-    are slotted by one np.unique, renumbered to first appearance, and
-    np.bincount adds every (slot, token) sum in term order. Its sums start at
-    +0.0, so a sum whose every term is -0.0 reads +0.0: equal in value, and
-    the same once added to a logit unless that logit is -0.0, which new rows
-    (+0.0) and updates (x + -x is +0.0) never produce. This is the one place
-    score blocks are formed.
+    so the result holds each prefix id, in ascending order, with the sum
+    over its terms of weight * (onehot - probs), added in term order. Every
+    term's row is gathered from the cached log-prob table at once. Ids are
+    slotted by one np.unique, and np.bincount adds every (slot, token) sum
+    in term order, from +0.0: a sum of -0.0 terms reads +0.0, the same once
+    added to any logit but -0.0, which no run holds (README). This is the
+    one place score blocks are formed.
     """
     size = policy.vocab.size
     blocks = -np.exp(policy._log_prob_table()[rows])
     blocks[np.arange(len(ids)), tokens] += 1.0
     blocks *= np.asarray(weights, dtype=float)[:, None]
-    uniq, first, slot = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    cells = (rank[slot][:, None] * size + np.arange(size)).ravel()
+    uniq, slot = np.unique(ids, return_inverse=True)
+    cells = (slot[:, None] * size + np.arange(size)).ravel()
     sums = np.bincount(cells, blocks.ravel(), len(uniq) * size)
-    return Gradient(uniq[order], sums.reshape(len(uniq), size))
+    return Gradient(uniq, sums.reshape(len(uniq), size))
 
 
 def grad_log_prob(policy: PolicyTable, trajectory: Trajectory) -> Gradient:
@@ -690,13 +685,20 @@ def publish_partial(path) -> None:
     os.replace(partial_path(path), path)
 
 
+def write_whole(path, text: str) -> None:
+    """Write text to path under partial_path(path) and publish it, so a write
+    that is cut leaves any earlier file at path whole."""
+    with open(partial_path(path), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    publish_partial(path)
+
+
 def save_checkpoint(policy: PolicyTable, path) -> None:
     """Write the policy as a line-oriented text checkpoint.
 
     Floats are printed with repr so a load reproduces the exact bit pattern;
     prefixes are sorted so save -> load -> save is byte-identical. The file
-    is written under partial_path(path) and renamed to path, so a write that
-    is cut leaves any earlier file at path whole.
+    is written whole or not at all (write_whole).
 
     A save reuses the rendering its policy's lineage last saved (copy and
     apply_update hand it on): only rows appended since then, or whose logits
@@ -722,9 +724,7 @@ def save_checkpoint(policy: PolicyTable, path) -> None:
         order.sort(key=keys.__getitem__)
     header = f"squeezelab-policy v1 vocab={policy.vocab.size} max_len={policy.max_len}"
     text = "\n".join([header, *map(lines.__getitem__, order)]) + "\n"
-    with open(partial_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    publish_partial(path)
+    write_whole(path, text)
     policy._rendering = (bits.copy(), lines, keys, order)
 
 

@@ -6,9 +6,9 @@ suite, checkpoints, trace files, evaluation report, and a manifest embedding
 the fully resolved config. Non-checkpoint artifacts are written under
 `.partial` names and renamed only when the run completes, so a crashed run
 is recognizable by its suffixes while the last checkpoint stays usable.
-Each checkpoint, the best one's copy included, is written under its
-`.partial` name and renamed at once, so a cut write leaves no truncated
-checkpoint; policy.partial_path and policy.publish_partial own that rule.
+Each checkpoint, the best one's copy, the manifest and compare's tables are
+written under `.partial` names (policy.partial_path) and renamed at once, so
+a cut write leaves no truncated file. Inputs are read before out_dir is made.
 Checkpoints are ranked by exact Avg@k, the mean mass on each task's correct
 set, which the loop computes from the policy in memory as it writes each one.
 """
@@ -29,7 +29,7 @@ from .config import ExperimentConfig
 from .errors import CheckpointCorrupt, ConfigError, MissingArtifacts
 from .metrics import AccuracyHistogram, evaluation_report, report_to_json
 from .policy import (PARTIAL_SUFFIX, derive_rng, load_checkpoint, partial_path, publish_partial,
-                     save_checkpoint, softmax)
+                     save_checkpoint, softmax, write_whole)
 from .sps import grpo_baseline_loop, sps_loop
 from .squeeze import check_squeeze_setting, penalize_token, verify_squeeze
 from .tasks import build_suite_policy, load_suite, make_benchmark_suite, save_suite
@@ -42,9 +42,7 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(vars(self), fh, indent=2)
-            fh.write("\n")
+        write_whole(path, json.dumps(vars(self), indent=2) + "\n")
 
 
 class _Artifacts:
@@ -74,10 +72,7 @@ class _Artifacts:
 
 
 def _resolve_config(config) -> ExperimentConfig:
-    if isinstance(config, ExperimentConfig):
-        cfg = config
-    else:
-        cfg = ExperimentConfig.from_file(config)
+    cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_file(config)
     env_seed = os.environ.get("SQUEEZELAB_SEED")
     if env_seed is not None:
         try:
@@ -95,20 +90,26 @@ def run(config) -> RunManifest:
     mode = cfg["mode"]
     out_dir = cfg["out_dir"]
     _check_mode_config(cfg)
+    timings: dict[str, float] = {}
+    t0 = time.perf_counter()
+    if mode == "eval":
+        inputs = _eval_inputs(cfg)
+    elif mode != "squeeze-demo":
+        suite = make_benchmark_suite(cfg["seed"], cfg.family_params())
+        base = build_suite_policy(suite, cfg["suite.skew"], cfg["seed"])
     os.makedirs(out_dir, exist_ok=True)
     art = _Artifacts(out_dir)
-    timings: dict[str, float] = {}
     if mode == "squeeze-demo":
         _run_squeeze_demo(cfg, art)
     elif mode == "eval":
-        _run_eval(cfg, art, timings)
+        _write_eval_report(art, _report(cfg, *inputs, 7200))
+        timings["eval"] = time.perf_counter() - t0
     else:
-        _run_training(cfg, art, timings)
+        _run_training(cfg, art, suite, base, t0, timings)
     artifacts = art.finalize()
     run_id = hashlib.sha256(cfg.to_text().encode("utf-8")).hexdigest()[:12]
     manifest = RunManifest(run_id=run_id, config=dict(cfg.values),
-                           artifacts=artifacts + ["manifest.json"],
-                           timings=timings)
+                           artifacts=artifacts + ["manifest.json"], timings=timings)
     manifest.save(os.path.join(out_dir, "manifest.json"))
     return manifest
 
@@ -175,6 +176,11 @@ def eval_report(cfg: ExperimentConfig, stream: int = 7200) -> dict:
     """The evaluation report of cfg's eval.checkpoint on the suite at eval.suite_path,
     read at the checkpoint's shape; greedy drift is against eval.base_checkpoint,
     which must have that shape too, or the checkpoint itself if that is empty."""
+    return _report(cfg, *_eval_inputs(cfg), stream)
+
+
+def _eval_inputs(cfg: ExperimentConfig) -> tuple:
+    """eval_report's (policy, base, suite), read from cfg's eval paths."""
     policy = load_checkpoint(cfg["eval.checkpoint"])
     shape = (policy.vocab.size, policy.max_len)
     suite = load_suite(cfg["eval.suite_path"], *shape)
@@ -185,13 +191,7 @@ def eval_report(cfg: ExperimentConfig, stream: int = 7200) -> dict:
             raise CheckpointCorrupt(
                 f"base checkpoint at vocab={base.vocab.size} max_len={base.max_len}, "
                 f"evaluated checkpoint at vocab={shape[0]} max_len={shape[1]}", line=1)
-    return _report(cfg, policy, base, suite, stream)
-
-
-def _run_eval(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
-    t0 = time.perf_counter()
-    _write_eval_report(art, eval_report(cfg))
-    timings["eval"] = time.perf_counter() - t0
+    return policy, base, suite
 
 
 def _write_eval_report(art: _Artifacts, report: dict) -> None:
@@ -209,11 +209,7 @@ STALE_TRAINING_ARTIFACTS = ("checkpoint_iter*.txt", "checkpoint_best.txt",
 
 
 def _remove_stale_artifacts(out_dir: str) -> None:
-    """Delete an earlier training run's schedule-dependent files from out_dir.
-
-    Only the names in STALE_TRAINING_ARTIFACTS are removed; every other file
-    stays in place.
-    """
+    """Delete the files of out_dir named in STALE_TRAINING_ARTIFACTS, and no other."""
     for name in os.listdir(out_dir):
         path = os.path.join(out_dir, name)
         if (any(fnmatch.fnmatchcase(name, pattern) for pattern in STALE_TRAINING_ARTIFACTS)
@@ -221,12 +217,10 @@ def _remove_stale_artifacts(out_dir: str) -> None:
             os.remove(path)
 
 
-def _run_training(cfg: ExperimentConfig, art: _Artifacts, timings: dict) -> None:
+def _run_training(cfg: ExperimentConfig, art: _Artifacts, suite, base, t0: float,
+                  timings: dict) -> None:
     seed = cfg["seed"]
     mode = cfg["mode"]
-    t0 = time.perf_counter()
-    suite = make_benchmark_suite(seed, cfg.family_params())
-    base = build_suite_policy(suite, cfg["suite.skew"], seed)
     # Only a run that has its suite and base policy replaces an earlier run's files.
     _remove_stale_artifacts(art.out_dir)
     save_suite(suite, art.partial_path("suite.json"))
@@ -272,9 +266,22 @@ def _best_checkpoint_report(run_dir: str) -> dict:
         if not os.path.exists(path):
             raise MissingArtifacts(f"missing artifact: {path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)["config"]
+        try:
+            config = json.load(fh)["config"]
+            missing = [key for key in ("seed", "suite.name", "eval.n", "eval.k",
+                                       "eval.prob_floor") if key not in config]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise MissingArtifacts(f"{manifest_path}: not a run manifest: {exc}") from exc
+    if missing:
+        raise MissingArtifacts(f"{manifest_path}: config has no {missing[0]}")
     with open(checkpoints_path, "r", encoding="utf-8") as fh:
-        rows = [(int(r["iter"]), r["path"], float(r["avg_at_k"])) for r in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        try:
+            rows = [(int(r["iter"]), r["path"], float(r["avg_at_k"])) for r in reader]
+        except KeyError as exc:
+            raise MissingArtifacts(f"{checkpoints_path}: no {exc} column") from exc
+        except (TypeError, ValueError) as exc:
+            raise MissingArtifacts(f"{checkpoints_path}, line {reader.line_num}: {exc}") from exc
     if not rows:
         raise MissingArtifacts(f"no checkpoints listed in {checkpoints_path}")
     best_iter, best_path, _ = _best_row(rows)
@@ -323,14 +330,9 @@ def compare(run_a_dir: str, run_b_dir: str, out_dir: str | None = None) -> dict:
     }
     dest = out_dir or run_a_dir
     os.makedirs(dest, exist_ok=True)
-    with open(os.path.join(dest, "compare.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(comparison, fh, indent=2)
-        fh.write("\n")
+    write_whole(os.path.join(dest, "compare.json"), json.dumps(comparison, indent=2) + "\n")
     lines = ["metric,run_a,run_b,delta"]
     for m in metrics:
         lines.append(f"{m},{repr(flat_a[m])},{repr(flat_b[m])},{repr(flat_a[m] - flat_b[m])}")
-    with open(os.path.join(dest, "compare.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_whole(os.path.join(dest, "compare.csv"), "\n".join(lines) + "\n")
     return comparison

@@ -20,10 +20,10 @@ serves every block at once. Blocks never share a prompt, so they own
 disjoint rows of the policy and each block's loss moves only with its own
 step: the descent joins all blocks into one SequenceBatch once, for one
 policy.score_gradient call (the one place score blocks are formed), each
-line-search pass is one apply_update and one irl_value call on that batch,
-and only the blocks whose loss rose halve their step and retry. Values are
-per-block left folds of the demo totals one policy.sequence_log_probs call
-gives, so the result is bit for bit a descent on each block in turn.
+line-search pass is one apply_update of the searching and accepted blocks'
+steps and one irl_value call, and only blocks whose loss rose halve their
+step and retry. Values are per-block left folds of the demo totals one
+sequence_log_probs call gives: bit for bit a descent on each block in turn.
 A baseline loop with the IRL stage disabled shares every other code path so
 the two runs differ only by that stage.
 """
@@ -245,11 +245,11 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
     own rows and its loss moves only with its own step. A block's step is
     accepted only if its loss does not increase; otherwise its rate is halved
     and retried, while accepted blocks keep theirs. Each line-search pass is
-    one apply_update and one irl_value call over the blocks still searching,
-    and gives every block the result a descent on it alone would give. A
-    block that gives up, or sits at a stationary point, keeps its rows
-    untouched and allocates none. Returns the policy and each block's loss;
-    the input policy itself when no block moved.
+    one apply_update of the searching and accepted blocks' steps and one
+    irl_value call; the pass after which none searches is the result, each
+    block as a descent on it alone. A block that gives up after max_halvings,
+    or sits at a stationary point, keeps its rows and allocates none. Returns
+    the policy and each block's loss; the input itself when no block moved.
     """
     # The demos do not change during the descent: they are joined once.
     terms = join_batches(blocks)
@@ -267,8 +267,7 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
         return policy, values
     id_block = owner[np.searchsorted(prompts, grad.ids // policy.span)]
     steps = np.full(len(blocks), float(lr))
-    searching = np.zeros(len(blocks), dtype=bool)
-    searching[id_block] = True
+    searching = np.bincount(id_block, minlength=len(blocks)) > 0
     moved = np.zeros(len(blocks), dtype=bool)
 
     def update(on: np.ndarray) -> PolicyTable:
@@ -277,9 +276,9 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
         scaled = -steps[id_block[live], None] * grad.blocks[live]
         return apply_update(policy, Gradient(grad.ids[live], scaled), 1.0)
 
-    for attempt in range(max_halvings + 1):
-        cand = update(searching)
-        # Blocks no longer searching keep their rows, so their values stand.
+    for _ in range(max_halvings + 1):
+        cand = update(searching | moved)
+        # Accepted blocks keep their step, so their values stand.
         cand_values = irl_value(cand, blocks, terms)
         for b in np.flatnonzero(searching).tolist():
             if cand_values[b] <= values[b]:
@@ -289,12 +288,8 @@ def irl_descent_step(policy: PolicyTable, blocks, lr: float,
             else:
                 steps[b] /= 2.0
         if not searching.any():
-            if attempt == 0:
-                return cand, values
-            break
-    if not moved.any():
-        return policy, values
-    return update(moved), values
+            return cand, values
+    return (update(moved) if moved.any() else policy), values
 
 
 def _circular_batch(demos: SequenceBatch, batch_size: int | None, s: int) -> SequenceBatch:

@@ -1,6 +1,7 @@
 """Config parsing, the run orchestrator, and the command-line surface."""
 from __future__ import annotations
 
+import builtins
 import contextlib
 import io
 import json
@@ -880,6 +881,116 @@ def test_a_suite_that_cannot_be_generated_leaves_earlier_files(tmp_path, capsys)
     assert cli.main(["run", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: no valid task")
     assert {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()} == earlier
+
+
+@pytest.mark.parametrize("inputs", ["no_checkpoint", "no_base", "ungeneratable"])
+def test_a_run_that_fails_on_its_inputs_creates_no_out_dir(inputs, training_runs, tmp_path,
+                                                            capsys):
+    run_dir = training_runs[0]
+    lines = {
+        "no_checkpoint": (f"mode = eval\neval.checkpoint = {tmp_path / 'nope.txt'}\n"
+                          f"eval.suite_path = {run_dir / 'suite.json'}\n"),
+        "no_base": (f"mode = eval\neval.checkpoint = {run_dir / 'checkpoint_final.txt'}\n"
+                    f"eval.suite_path = {run_dir / 'suite.json'}\n"
+                    f"eval.base_checkpoint = {tmp_path / 'nope.txt'}\n"),
+        "ungeneratable": "mode = grpo\nsuite.count = 1\nsuite.min_solutions = 100000\n",
+    }[inputs]
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "inputs.cfg"
+    cfg.write_text(lines + f"out_dir = {out_dir}\n", encoding="utf-8")
+    assert cli.main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def _corrupt_manifest_text(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:len(text) // 2], encoding="utf-8")
+
+
+def _corrupt_manifest_config(path):
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["config"]["eval.n"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _corrupt_csv_value(path):
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    first = first.rsplit(",", 1)[0] + ",abc"
+    path.write_text("\n".join([header, first, *rest]) + "\n", encoding="utf-8")
+
+
+def _corrupt_csv_column(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,corrupt,message", [
+    ("manifest.json", _corrupt_manifest_text, "manifest.json: not a run manifest: "),
+    ("manifest.json", _corrupt_manifest_config, "manifest.json: config has no eval.n\n"),
+    ("checkpoints.csv", _corrupt_csv_value,
+     "checkpoints.csv, line 2: could not convert string to float: 'abc'\n"),
+    ("checkpoints.csv", _corrupt_csv_column, "checkpoints.csv: no 'avg_at_k' column\n"),
+])
+def test_compare_on_a_corrupt_run_exits_1_without_a_traceback(name, corrupt, message,
+                                                              training_runs, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(training_runs[0], run_dir)
+    corrupt(run_dir / name)
+    dest = tmp_path / "cmp"
+    assert cli.main(["compare", str(training_runs[1]), str(run_dir), "--out", str(dest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir / message}") and err.count("\n") == 1
+    assert "Traceback" not in err and not dest.exists()
+
+
+class _CutFile:
+    """A file whose first write stops after 10 characters, as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:10])
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "compare.json", "compare.csv", "report.json"])
+def test_a_cut_write_leaves_the_earlier_file_whole(name, training_runs, tmp_path, monkeypatch,
+                                                  capsys):
+    dest = tmp_path / "out"
+    dest.mkdir()
+    earlier = dest / name
+    earlier.write_text(f"{name} of an earlier run\n", encoding="utf-8")
+    real_open = builtins.open
+
+    def cutting_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        cut = "w" in mode and os.path.basename(os.fspath(file)) in (name, name + ".partial")
+        return _CutFile(fh) if cut else fh
+
+    monkeypatch.setattr(builtins, "open", cutting_open)
+    run_dir = training_runs[0]
+    if name == "manifest.json":
+        with pytest.raises(OSError):
+            runner.run(ExperimentConfig.from_dict({"mode": "squeeze-demo", "out_dir": str(dest)}))
+    elif name == "report.json":
+        assert cli.main(["eval", str(run_dir / "checkpoint_final.txt"), str(run_dir / "suite.json"),
+                         "--n", "4", "--k", "1", "--out", str(earlier)]) == 1
+        assert capsys.readouterr().err == "error: no space left on device\n"
+    else:
+        with pytest.raises(OSError):
+            runner.compare(str(run_dir), str(run_dir), str(dest))
+    monkeypatch.undo()
+    assert earlier.read_text(encoding="utf-8") == f"{name} of an earlier run\n"
+    assert len((dest / (name + ".partial")).read_text(encoding="utf-8")) == 10
 
 
 def test_compare_evaluates_a_run_with_itself_once(training_runs, tmp_path, monkeypatch):

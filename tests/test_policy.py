@@ -614,7 +614,7 @@ def test_score_gradient_matches_a_sequential_reference(seed, vocab, max_len, n_t
     assert record.blocks.shape == (len(record.ids), vocab)
     got = by_key(policy, record)
     expected = _sequential_score_sum(policy, terms)
-    assert list(got) == list(expected)
+    assert list(got) == sorted(expected, key=lambda key: prefix_id(policy, *key))
     for key, block in expected.items():
         assert np.array_equal(got[key], block)
 
@@ -629,14 +629,14 @@ def test_score_gradient_sums_repeated_prefixes_and_reads_row_zero():
     same = apply_update(stored, empty, 1.0)
     assert list(same._rows.items()) == list(stored._rows.items())
     assert np.array_equal(same._logit_rows(), stored._logit_rows())
-    # ids are int64 and distinct, in order of first appearance, one block row each.
+    # ids are int64, distinct and ascending, one block row each.
     record = flat_score_gradient(policy, [(9, (1,), 2, 1.0), (9, (), 3, 0.0),
                                           (9, (1,), 0, 0.5)])
     assert record.ids.dtype == np.int64
-    assert record.ids.tolist() == [prefix_id(policy, 9, (1,)), prefix_id(policy, 9, ())]
+    assert record.ids.tolist() == [prefix_id(policy, 9, ()), prefix_id(policy, 9, (1,))]
     assert record.blocks.shape == (2, 4)
     grad = by_key(policy, record)
-    assert list(grad) == [(9, (1,)), (9, ())]
+    assert list(grad) == [(9, ()), (9, (1,))]
     np.testing.assert_allclose(grad[(9, (1,))], [0.125, -0.375, 0.625, -0.375], atol=1e-15)
     assert not grad[(9, ())].any()
 
@@ -646,7 +646,8 @@ def test_score_gradient_sums_repeated_prefixes_and_reads_row_zero():
        n_terms=st.integers(0, 40))
 def test_score_gradient_matches_the_add_at_kernel(seed, vocab, max_len, n_terms):
     # Weights of +0.0 and -0.0 give blocks of signed zeros; a slot whose every
-    # term is -0.0 in a column sums to +0.0, equal to np.add.at's -0.0.
+    # term is -0.0 in a column sums to +0.0, equal to np.add.at's -0.0. The
+    # reference slots ids in order of first appearance, the kernel ascending.
     rng = np.random.default_rng(seed)
     policy = random_policy(vocab, max_len, rng, prompt_ids=(0, 2))
     prefixes = [(int(rng.choice([0, 2, 7])),
@@ -660,9 +661,26 @@ def test_score_gradient_matches_the_add_at_kernel(seed, vocab, max_len, n_terms)
                                                                               size=n_terms)
     got = score_gradient(policy, ids, rows, tokens, weights)
     want = reference_score_gradient(policy, ids, rows, tokens, weights)
-    assert got.ids.dtype == np.int64 and np.array_equal(got.ids, want.ids)
+    order = np.argsort(want.ids)
+    assert got.ids.dtype == np.int64 and np.array_equal(got.ids, want.ids[order])
     assert got.blocks.shape == want.blocks.shape == (len(want.ids), vocab)
-    assert np.array_equal(got.blocks, want.blocks)
+    assert np.array_equal(got.blocks, want.blocks[order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_terms=st.integers(0, 40))
+def test_score_gradient_ids_are_strictly_increasing(seed, n_terms):
+    # Whatever order the terms name their ids in, negative ids and the ends
+    # of int64 included, the record holds each once, ascending.
+    rng = np.random.default_rng(seed)
+    policy = random_policy(3, 2, rng, prompt_ids=(-4, 3))
+    pool = np.array([-1 << 63, (1 << 63) - 1, -1, 0, *rng.integers(-60, 60, size=6)], np.int64)
+    ids = rng.choice(pool, size=n_terms)
+    got = score_gradient(policy, ids, prefix_rows(policy, ids), rng.integers(0, 3, size=n_terms),
+                         rng.normal(size=n_terms))
+    assert got.ids.dtype == np.int64 and got.blocks.shape == (len(got.ids), 3)
+    assert (got.ids[1:] > got.ids[:-1]).all()
+    assert set(got.ids.tolist()) == set(ids.tolist())
 
 
 # Prompt sets a table stores rows for: ordinary, negative, and those whose ids

@@ -395,6 +395,34 @@ def test_irl_descent_builds_the_demo_terms_once(monkeypatch):
     assert values == irl_value_blocks(after, blocks)
 
 
+@pytest.mark.parametrize("max_halvings, extra", [(30, 0), (0, 1)])
+def test_irl_descent_makes_one_update_per_line_search_pass(monkeypatch, max_halvings, extra):
+    # Each pass's policy holds the steps of the blocks still searching and of
+    # those accepted, so the last pass's policy is the result; only blocks
+    # that give up after max_halvings need one more update without them.
+    rng = np.random.default_rng(31)
+    policy = random_policy(4, 3, rng, prompt_ids=(0, 1, 2), scale=2.0)
+    blocks = demo_blocks(policy, [[sample_trajectory(policy, pid, rng) for _ in range(3)]
+                                  for pid in (0, 1, 2)])
+    updated, valued = [], []
+
+    def counting_update(*args):
+        updated.append(args)
+        return apply_update(*args)
+
+    def counting_value(*args):
+        valued.append(args)
+        return irl_value_blocks(*args)
+
+    apply_update, irl_value_blocks = sps.apply_update, sps.irl_value
+    monkeypatch.setattr(sps, "apply_update", counting_update)
+    monkeypatch.setattr(sps, "irl_value", counting_value)
+    after, values = sps.irl_descent_step(policy, blocks, 50.0, max_halvings)
+    assert len(valued) == max_halvings + 1 if extra else len(valued) > 1
+    assert len(updated) == len(valued) + extra
+    assert after is not policy and values == irl_value_blocks(after, blocks)
+
+
 def irl_stage(policy, demo_sets, cfg):
     """Every IRL step of one iteration, as the training loop runs them."""
     for s in range(cfg.irl_steps_per_iteration):
