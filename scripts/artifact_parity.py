@@ -8,11 +8,13 @@ config matrix below runs once with PARENT_TREE/src on the import path and
 once with TREE/src, in a fresh interpreter each, into the same scratch paths
 (so paths recorded inside artifacts agree), one tree after the other. For
 each config and seed it runs the training run, an eval-mode run of its final
-checkpoint and `compare` of the run with itself; the paired `sps` and `grpo`
-runs are also compared with each other. Every file the runs write is hashed
-with sha256; a manifest.json is hashed without its wall-clock timings. The
-script prints each file whose hash differs or that only one tree wrote, and
-exits 1 if there is any, 0 otherwise. It takes about half a minute per tree on a 2-vCPU machine.
+checkpoint, `squeezelab eval --out` of the same checkpoint and `compare` of
+the run with itself; the paired `sps` and `grpo` runs are also compared with
+each other, and each SQUEEZE_DEMOS setting runs in `squeeze-demo` mode. Every
+file the runs write is hashed with sha256; a manifest.json is hashed without
+its wall-clock timings. The script prints each file whose hash differs or that
+only one tree wrote, and exits 1 if there is any, 0 otherwise. It takes about
+half a minute per tree on a 2-vCPU machine.
 """
 from __future__ import annotations
 
@@ -92,6 +94,13 @@ MATRIX = {
     "wide_ids": ({"mode": "sps", "suite.count": 2, "suite.max_len": 10}, 32),
 }
 PAIRED = ("sps", "grpo")
+# name -> config overrides of a squeeze-demo run: the default setting, and one
+# whose penalized token is neither the last nor the least likely.
+SQUEEZE_DEMOS = {
+    "squeeze_default": {},
+    "squeeze_mid": {"squeeze.logits": "1.5,0.5,-1,0.25,-2", "squeeze.m": 3,
+                    "squeeze.eta": -2.5},
+}
 MANIFEST = "manifest.json"
 
 
@@ -107,8 +116,13 @@ def _write_config(path: str, values: dict) -> str:
 
 def run_matrix(work: str) -> None:
     """Run every config of MATRIX at every seed into `work` with the importable squeezelab."""
-    from squeezelab import runner
+    from squeezelab import cli, runner
 
+    for name, overrides in SQUEEZE_DEMOS.items():
+        root = os.path.join(work, name)
+        os.makedirs(root)
+        runner.run(_write_config(os.path.join(root, "demo.cfg"), {
+            "mode": "squeeze-demo", **overrides, "out_dir": os.path.join(root, "demo")}))
     for seed in SEEDS:
         for name, (overrides, eval_n) in MATRIX.items():
             root = os.path.join(work, str(seed), name)
@@ -122,6 +136,12 @@ def run_matrix(work: str) -> None:
                 "eval.checkpoint": os.path.join(run_dir, "checkpoint_final.txt"),
                 "eval.base_checkpoint": os.path.join(run_dir, "checkpoint_base.txt"),
                 "eval.suite_path": os.path.join(run_dir, "suite.json")}))
+            argv = ["eval", os.path.join(run_dir, "checkpoint_final.txt"),
+                    os.path.join(run_dir, "suite.json"), "--n", str(eval_n), "--seed", str(seed),
+                    "--base", os.path.join(run_dir, "checkpoint_base.txt"),
+                    "--out", os.path.join(root, "eval_out.json")]
+            if cli.main(argv) != 0:
+                sys.exit(f"squeezelab {' '.join(argv)}: failed")
             runner.compare(run_dir, run_dir, os.path.join(root, "compare"))
         runner.compare(*(os.path.join(work, str(seed), name, "run") for name in PAIRED),
                        os.path.join(work, str(seed), "paired_compare"))

@@ -117,8 +117,8 @@ from .tasks import (
     enumerate_correct,
     load_suite,
     make_benchmark_suite,
-    save_suite,
     skewed_base_policy,
+    suite_json,
     validate,
 )
 

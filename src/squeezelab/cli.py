@@ -8,10 +8,9 @@ import sys
 import numpy as np
 
 from . import runner
+from .artifacts import json_text, write_whole
 from .config import SCHEMA, ExperimentConfig
 from .errors import ConfigError, SqueezeLabError
-from .metrics import report_to_json
-from .policy import write_whole
 
 
 def int_list(text: str) -> list[int]:
@@ -47,10 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sq_p = sub.add_parser("squeeze-demo",
                           help="show the closed-form effect of one negative logit update")
-    sq_p.add_argument("--logits", default="2,1,0,-3",
+    sq_p.add_argument("--logits", default=",".join(map(str, SCHEMA["squeeze.logits"][1])),
                       help="comma-separated logit vector")
-    sq_p.add_argument("--m", type=int, default=3, help="index of the penalized token")
-    sq_p.add_argument("--eta", type=float, default=-1.0, help="logit increment (negative)")
+    sq_p.add_argument("--m", type=int, default=SCHEMA["squeeze.m"][1],
+                      help="index of the penalized token")
+    sq_p.add_argument("--eta", type=float, default=SCHEMA["squeeze.eta"][1],
+                      help="logit increment (negative)")
     return parser
 
 
@@ -62,12 +63,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    comparison = runner.compare(args.run_a, args.run_b, args.out)
-    print("metric,run_a,run_b,delta")
-    metrics_a = comparison["run_a"]["metrics"]
-    metrics_b = comparison["run_b"]["metrics"]
-    for name, delta in comparison["delta"].items():
-        print(f"{name},{metrics_a[name]},{metrics_b[name]},{delta}")
+    print(runner.compare_csv(runner.compare(args.run_a, args.run_b, args.out)), end="")
     return 0
 
 
@@ -77,7 +73,7 @@ def _cmd_eval(args) -> int:
         "seed": args.seed, "eval.n": args.n, "eval.k": args.k, "eval.prob_floor": args.prob_floor,
         "eval.checkpoint": args.checkpoint, "eval.suite_path": args.suite,
         "eval.base_checkpoint": args.base or "", "suite.name": os.path.basename(args.suite)})
-    text = report_to_json(runner.eval_report(cfg))
+    text = json_text(runner.eval_report(cfg))
     print(text, end="")
     if args.out:
         write_whole(args.out, text)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .errors import ConfigError
@@ -222,13 +222,14 @@ class ExperimentConfig:
         return self
 
     def clip_config(self) -> ClipConfig:
-        """rl.objective's ClipConfig factory, given only the keys that are set;
-        GRPO's symmetric range reads rl.eps_low and rl.beta alone."""
+        """rl.objective's ClipConfig factory defaults with every clip key that is
+        set in their place, so ClipConfig rejects a key its objective does not take."""
         kind = self.values["rl.objective"]
-        args = ({"eps": "rl.eps_low", "beta": "rl.beta"} if kind == GRPO
-                else {"eps_low": "rl.eps_low", "eps_high": "rl.eps_high"})
-        return getattr(ClipConfig, kind)(**{arg: self.values[key] for arg, key in args.items()
-                                            if self.values[key] is not None})
+        clip = {field: self.values[f"rl.{field}"] for field in ("eps_low", "eps_high", "beta")}
+        if kind == GRPO and clip["eps_high"] is None:
+            clip["eps_high"] = clip["eps_low"]  # GRPO's factory takes one width for both ends.
+        return replace(getattr(ClipConfig, kind)(),
+                       **{field: value for field, value in clip.items() if value is not None})
 
     def sps_config(self) -> SpsConfig:
         return SpsConfig(clip=self.clip_config(),

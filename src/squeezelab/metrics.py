@@ -20,7 +20,6 @@ bits of the per-sequence and per-pair loops they replace.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -134,11 +133,6 @@ def avg_at_k(matrix: SampleMatrix) -> float:
 class AccuracyHistogram:
     bucket_edges: tuple[float, ...]
     counts: tuple[int, ...]
-
-    def to_csv(self) -> str:
-        lines = ["bucket,count"]
-        lines += [f"{edge},{count}" for edge, count in zip(self.bucket_edges, self.counts)]
-        return "\n".join(lines) + "\n"
 
 
 def accuracy_histogram(matrix: SampleMatrix) -> AccuracyHistogram:
@@ -319,7 +313,3 @@ def evaluation_report(policy: PolicyTable, base_policy: PolicyTable, tasks,
                     "total": sum(rec.total for rec in records),
                     "mass": mean_mass_on_correct(records)},
     }
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"

@@ -76,11 +76,11 @@ class ClipConfig:
         if not (0 < self.eps_low <= self.eps_high):
             raise ValueError("need 0 < eps_low <= eps_high")
         if self.objective_kind == GRPO and self.eps_low != self.eps_high:
-            raise ValueError("grpo uses a symmetric clip range")
+            raise ValueError("grpo uses a symmetric clip range: need eps_high == eps_low")
         if not 0 <= self.beta < math.inf:
             raise ValueError("beta must be finite and >= 0")
         if self.objective_kind != GRPO and self.beta != 0.0:
-            raise ValueError("only grpo carries a KL term")
+            raise ValueError("only grpo carries a KL term: need beta == 0")
 
     @staticmethod
     def grpo(eps: float = 0.2, beta: float = 0.01) -> "ClipConfig":
@@ -333,16 +333,6 @@ class StepRecord:
     mean_reward: float
     entropy_root: float
     greedy_logp: float
-
-    CSV_HEADER = "step,objective_kind,value,clipped_frac,kl,mean_reward,entropy_root,greedy_logp"
-
-    def csv_row(self) -> str:
-        return ",".join([
-            str(self.step), self.objective_kind, repr(float(self.value)),
-            repr(float(self.clipped_frac)), repr(float(self.kl)),
-            repr(float(self.mean_reward)), repr(float(self.entropy_root)),
-            repr(float(self.greedy_logp)),
-        ])
 
 
 def sample_group(policy: PolicyTable, task: TaskInstance, group_size: int,

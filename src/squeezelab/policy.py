@@ -33,7 +33,6 @@ update dynamics are directly checkable.
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +40,7 @@ from itertools import accumulate, chain, repeat
 
 import numpy as np
 
+from .artifacts import write_whole
 from .errors import (
     CheckpointCorrupt,
     InvalidLogits,
@@ -672,33 +672,12 @@ def apply_update(policy: PolicyTable, gradient: Gradient, step_size: float) -> P
 CHECKPOINT_HEADER_RE = re.compile(r"^squeezelab-policy v1 vocab=(\d+) max_len=(\d+)$")
 
 
-PARTIAL_SUFFIX = ".partial"
-
-
-def partial_path(path) -> str:
-    """The name a file bound for path is written under until it is whole."""
-    return os.fspath(path) + PARTIAL_SUFFIX
-
-
-def publish_partial(path) -> None:
-    """Rename path's partial file to path, replacing any earlier file."""
-    os.replace(partial_path(path), path)
-
-
-def write_whole(path, text: str) -> None:
-    """Write text to path under partial_path(path) and publish it, so a write
-    that is cut leaves any earlier file at path whole."""
-    with open(partial_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    publish_partial(path)
-
-
 def save_checkpoint(policy: PolicyTable, path) -> None:
     """Write the policy as a line-oriented text checkpoint.
 
     Floats are printed with repr so a load reproduces the exact bit pattern;
     prefixes are sorted so save -> load -> save is byte-identical. The file
-    is written whole or not at all (write_whole).
+    is written whole or not at all (artifacts.write_whole).
 
     A save reuses the rendering its policy's lineage last saved (copy and
     apply_update hand it on): only rows appended since then, or whose logits

@@ -3,12 +3,11 @@
 A run builds its task suite and base policy from the seed, executes the
 requested training mode, and leaves a self-describing output directory:
 suite, checkpoints, trace files, evaluation report, and a manifest embedding
-the fully resolved config. Non-checkpoint artifacts are written under
-`.partial` names and renamed only when the run completes, so a crashed run
-is recognizable by its suffixes while the last checkpoint stays usable.
-Each checkpoint, the best one's copy, the manifest and compare's tables are
-written under `.partial` names (policy.partial_path) and renamed at once, so
-a cut write leaves no truncated file. Inputs are read before out_dir is made.
+the fully resolved config. Every file is written by the artifacts module
+under its `.partial` name and renamed: checkpoints, the best one's copy, the
+manifest and compare's tables once whole, so a cut write leaves no truncated
+file; the rest when the run completes, so a crashed run is recognizable by
+its suffixes. Inputs are read before out_dir is made.
 Checkpoints are ranked by exact Avg@k, the mean mass on each task's correct
 set, which the loop computes from the policy in memory as it writes each one.
 """
@@ -25,14 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import (PARTIAL_SUFFIX, csv_text, json_text, partial_path, publish_partial,
+                        write_partial, write_whole)
 from .config import ExperimentConfig
 from .errors import CheckpointCorrupt, ConfigError, MissingArtifacts
-from .metrics import AccuracyHistogram, evaluation_report, report_to_json
-from .policy import (PARTIAL_SUFFIX, derive_rng, load_checkpoint, partial_path, publish_partial,
-                     save_checkpoint, softmax, write_whole)
+from .metrics import evaluation_report
+from .policy import derive_rng, load_checkpoint, save_checkpoint, softmax
 from .sps import grpo_baseline_loop, sps_loop
 from .squeeze import check_squeeze_setting, penalize_token, verify_squeeze
-from .tasks import build_suite_policy, load_suite, make_benchmark_suite, save_suite
+from .tasks import build_suite_policy, load_suite, make_benchmark_suite, suite_json
 
 @dataclass
 class RunManifest:
@@ -40,9 +40,6 @@ class RunManifest:
     config: dict
     artifacts: list[str] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
-
-    def save(self, path) -> None:
-        write_whole(path, json.dumps(vars(self), indent=2) + "\n")
 
 
 class _Artifacts:
@@ -54,12 +51,8 @@ class _Artifacts:
         self.final: list[str] = []
 
     def write_text(self, name: str, text: str) -> None:
-        with open(self.partial_path(name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-    def partial_path(self, name: str) -> str:
         self.staged.append(name)
-        return partial_path(os.path.join(self.out_dir, name))
+        write_partial(os.path.join(self.out_dir, name), text)
 
     def direct(self, name: str) -> str:
         self.final.append(name)
@@ -110,7 +103,7 @@ def run(config) -> RunManifest:
     run_id = hashlib.sha256(cfg.to_text().encode("utf-8")).hexdigest()[:12]
     manifest = RunManifest(run_id=run_id, config=dict(cfg.values),
                            artifacts=artifacts + ["manifest.json"], timings=timings)
-    manifest.save(os.path.join(out_dir, "manifest.json"))
+    write_whole(os.path.join(out_dir, "manifest.json"), json_text(vars(manifest)))
     return manifest
 
 
@@ -161,7 +154,7 @@ def _run_squeeze_demo(cfg: ExperimentConfig, art: _Artifacts) -> None:
         "checks": {c.name: {"passed": c.passed, "residual": c.residual}
                    for c in checks},
     }
-    art.write_text("squeeze_report.json", json.dumps(payload, indent=2) + "\n")
+    art.write_text("squeeze_report.json", json_text(payload))
 
 
 def _report(cfg: ExperimentConfig, policy, base, suite, stream: int) -> dict:
@@ -195,10 +188,10 @@ def _eval_inputs(cfg: ExperimentConfig) -> tuple:
 
 
 def _write_eval_report(art: _Artifacts, report: dict) -> None:
-    art.write_text("eval_report.json", report_to_json(report))
+    art.write_text("eval_report.json", json_text(report))
     hist = report["histogram"]
-    art.write_text("histogram.csv",
-                   AccuracyHistogram(tuple(hist["edges"]), tuple(hist["counts"])).to_csv())
+    art.write_text("histogram.csv", csv_text(("bucket", "count"),
+                                             zip(hist["edges"], hist["counts"])))
 
 
 # Files a training run writes under names that depend on the run's schedule,
@@ -223,7 +216,7 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, suite, base, t0: float
     mode = cfg["mode"]
     # Only a run that has its suite and base policy replaces an earlier run's files.
     _remove_stale_artifacts(art.out_dir)
-    save_suite(suite, art.partial_path("suite.json"))
+    art.write_text("suite.json", suite_json(suite))
     save_checkpoint(base, art.direct("checkpoint_base.txt"))
     timings["setup"] = time.perf_counter() - t0
 
@@ -233,8 +226,8 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, suite, base, t0: float
     timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    trace.save(art.partial_path("trace.jsonl"))
-    trace.save_step_csv(art.partial_path("steps.csv"))
+    art.write_text("trace.jsonl", trace.to_jsonl())
+    art.write_text("steps.csv", trace.steps_csv())
     save_checkpoint(final_policy, art.direct("checkpoint_final.txt"))
     # Logits round-trip exactly through a checkpoint, so each row's mass,
     # taken from the policy in memory, is its file's mass.
@@ -245,9 +238,7 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, suite, base, t0: float
         best_path = art.direct("checkpoint_best.txt")
         shutil.copyfile(os.path.join(art.out_dir, best[1]), partial_path(best_path))
         publish_partial(best_path)
-        csv_lines = ["iter,path,avg_at_k"]
-        csv_lines += [f"{it},{name},{repr(avg)}" for it, name, avg in rows]
-        art.write_text("checkpoints.csv", "\n".join(csv_lines) + "\n")
+        art.write_text("checkpoints.csv", csv_text(("iter", "path", "avg_at_k"), rows))
 
     _write_eval_report(art, _report(cfg, final_policy, base, suite, 7200))
     timings["eval"] = time.perf_counter() - t0
@@ -256,6 +247,9 @@ def _run_training(cfg: ExperimentConfig, art: _Artifacts, suite, base, t0: float
 def _best_row(rows):
     """The (iter, path, avg_at_k) row of highest Avg@k, ties to the earliest iteration."""
     return max(rows, key=lambda r: (r[2], -r[0]))
+
+
+_REEVAL_KEYS = ("seed", "suite.name", "eval.n", "eval.k", "eval.prob_floor")
 
 
 def _best_checkpoint_report(run_dir: str) -> dict:
@@ -267,13 +261,21 @@ def _best_checkpoint_report(run_dir: str) -> dict:
             raise MissingArtifacts(f"missing artifact: {path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
-            config = json.load(fh)["config"]
-            missing = [key for key in ("seed", "suite.name", "eval.n", "eval.k",
-                                       "eval.prob_floor") if key not in config]
+            config = dict(json.load(fh)["config"])
         except (ValueError, LookupError, TypeError) as exc:
             raise MissingArtifacts(f"{manifest_path}: not a run manifest: {exc}") from exc
-    if missing:
-        raise MissingArtifacts(f"{manifest_path}: config has no {missing[0]}")
+    # The keys a re-evaluation reads obey the config rules; the other stored
+    # keys are not checked again, so an older run still compares.
+    try:
+        ExperimentConfig.from_dict({key: config[key] for key in _REEVAL_KEYS})
+    except (KeyError, ConfigError, TypeError):
+        for key in _REEVAL_KEYS:  # One at a time, to name the first that fails.
+            if key not in config:
+                raise MissingArtifacts(f"{manifest_path}: config has no {key}") from None
+            try:
+                ExperimentConfig.from_dict({key: config[key]})
+            except (ConfigError, TypeError) as exc:
+                raise MissingArtifacts(f"{manifest_path}: config {key} = {config[key]!r}: {exc}")
     with open(checkpoints_path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -286,7 +288,6 @@ def _best_checkpoint_report(run_dir: str) -> dict:
         raise MissingArtifacts(f"no checkpoints listed in {checkpoints_path}")
     best_iter, best_path, _ = _best_row(rows)
     base_path = os.path.join(run_dir, "checkpoint_base.txt")
-    # The stored config is not checked again, so an older run still compares.
     cfg = ExperimentConfig({**config, "eval.checkpoint": os.path.join(run_dir, best_path),
                             "eval.suite_path": suite_path,
                             "eval.base_checkpoint": base_path if os.path.exists(base_path) else ""})
@@ -330,9 +331,13 @@ def compare(run_a_dir: str, run_b_dir: str, out_dir: str | None = None) -> dict:
     }
     dest = out_dir or run_a_dir
     os.makedirs(dest, exist_ok=True)
-    write_whole(os.path.join(dest, "compare.json"), json.dumps(comparison, indent=2) + "\n")
-    lines = ["metric,run_a,run_b,delta"]
-    for m in metrics:
-        lines.append(f"{m},{repr(flat_a[m])},{repr(flat_b[m])},{repr(flat_a[m] - flat_b[m])}")
-    write_whole(os.path.join(dest, "compare.csv"), "\n".join(lines) + "\n")
+    write_whole(os.path.join(dest, "compare.json"), json_text(comparison))
+    write_whole(os.path.join(dest, "compare.csv"), compare_csv(comparison))
     return comparison
+
+
+def compare_csv(comparison: dict) -> str:
+    """compare.csv of a comparison: each metric of both runs and their delta."""
+    a, b = (comparison[run]["metrics"] for run in ("run_a", "run_b"))
+    return csv_text(("metric", "run_a", "run_b", "delta"),
+                    [(m, a[m], b[m], delta) for m, delta in comparison["delta"].items()])

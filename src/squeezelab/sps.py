@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .artifacts import csv_text
 from .errors import NoRollouts
 from .metrics import mean_mass_on_correct, pass_at_k_exact, support_coverage
 from .objectives import (
@@ -331,9 +332,6 @@ class TraceRecord:
     support_coverage: float | None
     seed: int
 
-    def to_json(self) -> str:
-        return json.dumps(vars(self))
-
 
 @dataclass
 class TrainTrace:
@@ -343,17 +341,14 @@ class TrainTrace:
     checkpoints: list[tuple[int, str, float]] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
-        return "".join(r.to_json() + "\n" for r in self.records)
+        return "".join(json.dumps(vars(r)) + "\n" for r in self.records)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_jsonl())
-
-    def save_step_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(StepRecord.CSV_HEADER + "\n")
-            for rec in self.step_records:
-                fh.write(rec.csv_row() + "\n")
+    def steps_csv(self) -> str:
+        """steps.csv: one line per StepRecord, its fields in order."""
+        names = [f.name for f in fields(StepRecord)]
+        return csv_text(names, [(r.step, r.objective_kind,
+                                 *(float(getattr(r, name)) for name in names[2:]))
+                                for r in self.step_records])
 
 
 def _step_seed(master: int, iteration: int, step: int) -> int:

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .artifacts import json_text
 from .errors import GenerationFailed, SpaceTooLarge, SuiteCorrupt
 from .policy import PolicyTable, SequenceBatch, Vocab, derive_rng, sequence_batch
 
@@ -299,9 +300,9 @@ def build_suite_policy(tasks, skew: float, seed: int) -> PolicyTable:
     return policy
 
 
-def save_suite(tasks, path) -> None:
-    """Write a task suite as a JSON array."""
-    payload = [
+def suite_json(tasks) -> str:
+    """A task suite as the text of a JSON array, the file load_suite reads."""
+    return json_text([
         {
             "prompt_id": task.prompt_id,
             "label": task.label,
@@ -311,14 +312,11 @@ def save_suite(tasks, path) -> None:
             "max_len": task.spec.max_len,
         }
         for task in tasks
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    ])
 
 
 def load_suite(path, vocab_size: int, max_len: int) -> list[TaskInstance]:
-    """Read a suite written by save_suite at a checkpoint's shape.
+    """Read a suite file (suite_json's text) at a checkpoint's shape.
 
     The on-disk schema does not carry the vocab size, so the checkpoint's
     is given; every entry's max_len must be the checkpoint's. Prompt ids

@@ -131,6 +131,10 @@ REJECTED_AT_PARSE = {
     "suite.skew": "suite.skew = -0.5\n",
     # gspo mode pins the objective, whose clip range must not be inverted.
     "rl.eps_low": "mode = gspo\nrl.eps_low = 0.5\nrl.eps_high = 0.4\n",
+    # A clip key the objective does not take: a KL weight outside GRPO, and
+    # an upper width off GRPO's symmetric range, each trained as the default.
+    "rl.beta": "mode = dapo\nrl.beta = 0.05\n",
+    "rl.eps_high": "mode = grpo\nrl.eps_high = 0.9\n",
     # Suite shapes the task generator cannot build.
     "suite.layer_width": "suite.layer_width = 0\n",
     "suite.decoy_count": "suite.decoy_count = -1\n",
@@ -198,10 +202,12 @@ def test_suites_whose_prefix_ids_pass_int64_fail_at_parse_time(tmp_path, capsys)
 
 
 def test_parse_keeps_settings_the_run_accepts():
-    # irl_batch_size may stay unset, and grpo mode reads only rl.eps_low.
+    # irl_batch_size may stay unset, and grpo's symmetric range may be set
+    # by rl.eps_low alone.
     parse_config_text("sps.irl_batch_size = none\nrl.group_size = 2\nsps.sampling_size = 2\n"
                       "eval.n = 2\n")
-    parse_config_text("mode = grpo\nrl.eps_low = 0.5\nrl.eps_high = 0.4\n")
+    parse_config_text("mode = grpo\nrl.eps_low = 0.5\n")
+    parse_config_text("mode = grpo\nrl.eps_low = 0.5\nrl.eps_high = 0.5\nrl.beta = 0\n")
     # With no middle layer the layer width is never read.
     parse_config_text("suite.layer_width = 0\nsuite.mid_layers = 0\n")
 
@@ -319,6 +325,12 @@ def test_clip_config_mapping():
         ("gspo", 3e-4, 4e-4)
     tuned = ExperimentConfig.from_dict({"rl.beta": 0.0}).clip_config()
     assert tuned.beta == 0.0
+    wide = ExperimentConfig.from_dict({"rl.eps_low": 0.3, "rl.beta": 0.05}).clip_config()
+    assert (wide.objective_kind, wide.eps_low, wide.eps_high, wide.beta) == \
+        ("grpo", 0.3, 0.3, 0.05)
+    narrow = ExperimentConfig.from_dict({"rl.objective": "gspo", "rl.eps_low": 5e-4,
+                                         "rl.eps_high": 6e-4}).clip_config()
+    assert (narrow.eps_low, narrow.eps_high, narrow.beta) == (5e-4, 6e-4, 0.0)
 
 
 def test_sps_and_family_mappings():
@@ -503,6 +515,13 @@ def test_a_suite_of_another_max_len_stops_eval_mode_and_compare(training_runs, t
     assert cli.main(["compare", str(run_dir), str(twin), "--out", str(tmp_path / "cmp")]) == 1
     assert capsys.readouterr().err == message
     assert not (tmp_path / "cmp").exists()
+
+
+def test_squeeze_demo_flag_defaults_are_the_schema_defaults():
+    args = cli.build_parser().parse_args(["squeeze-demo"])
+    assert ([float(p) for p in args.logits.split(",")], args.m, args.eta) == (
+        config.SCHEMA["squeeze.logits"][1], config.SCHEMA["squeeze.m"][1],
+        config.SCHEMA["squeeze.eta"][1])
 
 
 def test_eval_rejects_a_non_integer_k():
@@ -915,6 +934,16 @@ def _corrupt_manifest_config(path):
     path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
+def _stored_value(key, value):
+    """A corruption that stores value under key in the manifest's config."""
+    def corrupt(path):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["config"][key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+    corrupt.__name__ = f"_stored_{key}"
+    return corrupt
+
+
 def _corrupt_csv_value(path):
     header, first, *rest = path.read_text(encoding="utf-8").splitlines()
     first = first.rsplit(",", 1)[0] + ",abc"
@@ -929,6 +958,13 @@ def _corrupt_csv_column(path):
 @pytest.mark.parametrize("name,corrupt,message", [
     ("manifest.json", _corrupt_manifest_text, "manifest.json: not a run manifest: "),
     ("manifest.json", _corrupt_manifest_config, "manifest.json: config has no eval.n\n"),
+    # The keys a re-evaluation reads obey the config rules.
+    ("manifest.json", _stored_value("eval.n", "abc"), "manifest.json: config eval.n = 'abc': "),
+    ("manifest.json", _stored_value("eval.k", [0]),
+     "manifest.json: config eval.k = [0]: eval.k: every k must be >= 1\n"),
+    ("manifest.json", _stored_value("seed", "x"), "manifest.json: config seed = 'x': "),
+    ("manifest.json", _stored_value("eval.prob_floor", -1),
+     "manifest.json: config eval.prob_floor = -1: eval.prob_floor: must be >= 0\n"),
     ("checkpoints.csv", _corrupt_csv_value,
      "checkpoints.csv, line 2: could not convert string to float: 'abc'\n"),
     ("checkpoints.csv", _corrupt_csv_column, "checkpoints.csv: no 'avg_at_k' column\n"),
@@ -962,7 +998,13 @@ class _CutFile:
         raise OSError("no space left on device")
 
 
-@pytest.mark.parametrize("name", ["manifest.json", "compare.json", "compare.csv", "report.json"])
+# The files a training run stages under .partial names and publishes when it completes.
+STAGED_TRAINING_ARTIFACTS = ("suite.json", "trace.jsonl", "steps.csv", "checkpoints.csv",
+                             "eval_report.json", "histogram.csv")
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "compare.json", "compare.csv", "report.json",
+                                  "squeeze_report.json", *STAGED_TRAINING_ARTIFACTS])
 def test_a_cut_write_leaves_the_earlier_file_whole(name, training_runs, tmp_path, monkeypatch,
                                                   capsys):
     dest = tmp_path / "out"
@@ -977,10 +1019,26 @@ def test_a_cut_write_leaves_the_earlier_file_whole(name, training_runs, tmp_path
         return _CutFile(fh) if cut else fh
 
     monkeypatch.setattr(builtins, "open", cutting_open)
+    monkeypatch.delenv("SQUEEZELAB_SEED", raising=False)
     run_dir = training_runs[0]
-    if name == "manifest.json":
+    if name in ("manifest.json", "squeeze_report.json"):
         with pytest.raises(OSError):
             runner.run(ExperimentConfig.from_dict({"mode": "squeeze-demo", "out_dir": str(dest)}))
+    elif name in STAGED_TRAINING_ARTIFACTS:
+        remove_stale = runner._remove_stale_artifacts
+
+        def remove_stale_and_keep_earlier(out_dir):
+            # A training run deletes an earlier checkpoints.csv before it
+            # trains; the earlier file is the one in place after that.
+            remove_stale(out_dir)
+            with real_open(earlier, "w", encoding="utf-8") as fh:
+                fh.write(f"{name} of an earlier run\n")
+
+        monkeypatch.setattr(runner, "_remove_stale_artifacts", remove_stale_and_keep_earlier)
+        with pytest.raises(OSError):
+            runner.run(ExperimentConfig.from_dict({"out_dir": str(dest), **SMALL_RUN,
+                                                   "eval.k": [1, 2]}))
+        assert not (dest / "manifest.json").exists()
     elif name == "report.json":
         assert cli.main(["eval", str(run_dir / "checkpoint_final.txt"), str(run_dir / "suite.json"),
                          "--n", "4", "--k", "1", "--out", str(earlier)]) == 1

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from squeezelab import metrics as metrics_module
 from squeezelab import tasks as tasks_module
+from squeezelab.artifacts import csv_text, json_text
 from squeezelab.errors import InsufficientSamples, KExceedsN
 from squeezelab.metrics import (
     BUCKET_CENTERS,
@@ -28,7 +29,6 @@ from squeezelab.metrics import (
     pass_at_k_exact,
     pass_at_k_mc,
     pass_at_k_unbiased,
-    report_to_json,
     sample_matrix,
     similarity,
     support_coverage,
@@ -192,7 +192,7 @@ def test_histogram_skewed_suite_fixture():
     assert len(counts_per_prompt) == 150
     hist = accuracy_histogram(matrix_from_counts(counts_per_prompt, n=10))
     assert hist.counts == (98, 44, 5, 2, 1, 0, 0, 0, 0, 0, 0)
-    lines = hist.to_csv().splitlines()
+    lines = csv_text(("bucket", "count"), zip(hist.bucket_edges, hist.counts)).splitlines()
     assert lines[0] == "bucket,count"
     assert lines[1] == "0.0,98"
     assert lines[2] == "0.1,44"
@@ -511,7 +511,7 @@ def test_evaluation_report_schema(diamond_task):
     assert len(report["histogram"]["counts"]) == 11
     assert report["support"]["total"] == 2
     assert report["greedy_drift_mean"] == 0.0
-    text = report_to_json(report)
+    text = json_text(report)
     assert text.endswith("\n")
     assert json.loads(text) == report
 

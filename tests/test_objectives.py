@@ -51,7 +51,7 @@ from squeezelab.policy import (
 from squeezelab import policy as policy_module
 from squeezelab.config import ExperimentConfig
 from squeezelab.metrics import support_coverage
-from squeezelab.sps import SpsConfig
+from squeezelab.sps import SpsConfig, TrainTrace
 from squeezelab.tasks import build_suite_policy, make_benchmark_suite, skewed_base_policy, validate
 
 from conftest import (by_key, finite_difference_blocks, flat_score_gradient, random_policy,
@@ -968,13 +968,18 @@ def test_rl_step_computes_each_log_prob_row_once_per_policy_version(monkeypatch)
 
 
 def test_step_record_csv_layout():
-    assert StepRecord.CSV_HEADER == (
-        "step,objective_kind,value,clipped_frac,kl,mean_reward,"
-        "entropy_root,greedy_logp")
     rec = StepRecord(step=3, objective_kind="grpo", value=0.125,
                      clipped_frac=0.0, kl=0.5, mean_reward=0.25,
                      entropy_root=1.25, greedy_logp=-2.5)
-    assert rec.csv_row() == "3,grpo,0.125,0.0,0.5,0.25,1.25,-2.5"
+    # Every value field prints as a float, whatever numeric type it holds.
+    ints = StepRecord(step=4, objective_kind="dapo", value=0, clipped_frac=np.float64(0.5),
+                      kl=0, mean_reward=1, entropy_root=np.float64(1.25), greedy_logp=-2)
+    assert TrainTrace(step_records=[rec, ints]).steps_csv() == (
+        "step,objective_kind,value,clipped_frac,kl,mean_reward,"
+        "entropy_root,greedy_logp\n"
+        "3,grpo,0.125,0.0,0.5,0.25,1.25,-2.5\n"
+        "4,dapo,0.0,0.5,0.0,1.0,1.25,-2.0\n")
+    assert TrainTrace().steps_csv().count("\n") == 1
 
 
 def test_clip_config_validation():

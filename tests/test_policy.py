@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squeezelab import artifacts as artifacts_module
 from squeezelab import policy as policy_module
 from squeezelab.errors import (
     CheckpointCorrupt,
@@ -990,7 +991,7 @@ def test_a_checkpoint_write_cut_midway_leaves_the_earlier_file(tmp_path, monkeyp
             self.fh.write(text[:len(text) // 2])
             raise OSError("no space left on device")
 
-    monkeypatch.setattr(policy_module, "open", lambda *a, **k: CutFile(open(*a, **k)),
+    monkeypatch.setattr(artifacts_module, "open", lambda *a, **k: CutFile(open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError):
         save_checkpoint(random_policy(4, 3, np.random.default_rng(4)), path)

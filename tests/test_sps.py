@@ -36,6 +36,7 @@ from squeezelab.sps import (
     POSITIVE_AUGMENT,
     SpsConfig,
     TraceRecord,
+    TrainTrace,
     _step_seed,
     grpo_baseline_loop,
     irl_step,
@@ -893,7 +894,7 @@ def test_trace_record_json_layout():
     rec = TraceRecord(iter=0, phase="RL", step=1, objective=0.5, irl_loss=None,
                       mean_reward=0.25, entropy_root=1.0, greedy_logp=-2.0,
                       pass_at_k=None, support_coverage=None, seed=7)
-    decoded = json.loads(rec.to_json())
+    decoded = json.loads(TrainTrace(records=[rec]).to_jsonl())
     assert list(decoded) == ["iter", "phase", "step", "objective", "irl_loss",
                              "mean_reward", "entropy_root", "greedy_logp",
                              "pass_at_k", "support_coverage", "seed"]

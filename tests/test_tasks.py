@@ -20,8 +20,8 @@ from squeezelab.tasks import (
     enumerate_correct,
     load_suite,
     make_benchmark_suite,
-    save_suite,
     skewed_base_policy,
+    suite_json,
     validate,
 )
 
@@ -203,7 +203,7 @@ def test_suite_round_trip(tmp_path):
     params = FamilyParams(count=3, min_solutions=4)
     suite = make_benchmark_suite(21, params)
     path = tmp_path / "suite.json"
-    save_suite(suite, path)
+    path.write_text(suite_json(suite), encoding="utf-8")
     loaded = load_suite(path, params.vocab_size, params.max_len)
     assert [t.spec for t in loaded] == [t.spec for t in suite]
 
