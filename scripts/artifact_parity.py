@@ -10,11 +10,13 @@ once with TREE/src, in a fresh interpreter each, into the same scratch paths
 each config and seed it runs the training run, an eval-mode run of its final
 checkpoint, `squeezelab eval --out` of the same checkpoint and `compare` of
 the run with itself; the paired `sps` and `grpo` runs are also compared with
-each other, and each SQUEEZE_DEMOS setting runs in `squeeze-demo` mode. Every
-file the runs write is hashed with sha256; a manifest.json is hashed without
-its wall-clock timings. The script prints each file whose hash differs or that
-only one tree wrote, and exits 1 if there is any, 0 otherwise. It takes about
-half a minute per tree on a 2-vCPU machine.
+each other, and each SQUEEZE_DEMOS setting runs in `squeeze-demo` mode. Then
+every checkpoint the runs wrote is loaded and saved again as
+`<name>.reloaded`, so the loader is compared too, and each reloaded file
+must equal its source. Every file is hashed with sha256; a manifest.json is
+hashed without its wall-clock timings. The script prints each file whose hash
+differs or that only one tree wrote, and exits 1 if there is any, 0
+otherwise. It takes about half a minute per tree on a 2-vCPU machine.
 """
 from __future__ import annotations
 
@@ -145,6 +147,21 @@ def run_matrix(work: str) -> None:
             runner.compare(run_dir, run_dir, os.path.join(root, "compare"))
         runner.compare(*(os.path.join(work, str(seed), name, "run") for name in PAIRED),
                        os.path.join(work, str(seed), "paired_compare"))
+    reload_checkpoints(work)
+
+
+def reload_checkpoints(work: str) -> None:
+    """Save every checkpoint under `work` again, as loaded, to <name>.reloaded;
+    exit if a reloaded file differs from its source."""
+    from squeezelab.policy import load_checkpoint, save_checkpoint
+
+    paths = sorted(os.path.join(dirpath, name) for dirpath, _dirs, files in os.walk(work)
+                   for name in files if name.startswith("checkpoint_") and name.endswith(".txt"))
+    for path in paths:
+        save_checkpoint(load_checkpoint(path), path + ".reloaded")
+        with open(path, "rb") as source, open(path + ".reloaded", "rb") as reloaded:
+            if source.read() != reloaded.read():
+                sys.exit(f"{path}: saved again after a load, it differs from the file")
 
 
 def digests(work: str) -> dict[str, str]:

@@ -131,6 +131,28 @@ def _parse_value(key: str, tag: str, raw: str):
         raise ConfigError(f"{key}: cannot parse value {raw!r} as {tag}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# Type tag -> the test a value given as a Python object must pass. An int is
+# a real and is kept as given; a bool is neither.
+_TYPE_CHECKS = {
+    _INT: _is_int,
+    _FLOAT: _is_real,
+    _STR: lambda value: isinstance(value, str),
+    _BOOL: lambda value: isinstance(value, bool),
+    _OPT_INT: lambda value: value is None or _is_int(value),
+    _OPT_FLOAT: lambda value: value is None or _is_real(value),
+    _INT_LIST: lambda value: isinstance(value, (list, tuple)) and all(map(_is_int, value)),
+    _FLOAT_LIST: lambda value: isinstance(value, (list, tuple)) and all(map(_is_real, value)),
+}
+
+
 def parse_config_text(text: str) -> dict[str, Any]:
     """Parse key=value lines into a fully defaulted, validated mapping."""
     values = {key: default for key, (_, default) in SCHEMA.items()}
@@ -196,10 +218,19 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(overrides: dict[str, Any] | None = None) -> "ExperimentConfig":
+        """The config of Python values overrides, every other key at its default.
+
+        Each value must be of its key's type tag, or it is a ConfigError
+        naming the key: a bool is not an int, and an int serves a float key
+        as it is given, so the config's text and run_id keep it.
+        """
         values = {key: default for key, (_, default) in SCHEMA.items()}
         for key, val in (overrides or {}).items():
             if key not in SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
+            tag = SCHEMA[key][0]
+            if not _TYPE_CHECKS[tag](val):
+                raise ConfigError(f"{key}: {val!r} is not a value of type {tag}")
             values[key] = val
         _validate(values)
         return ExperimentConfig(values)

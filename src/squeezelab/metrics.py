@@ -8,9 +8,9 @@ computed with exact integer binomials so it matches brute-force subset
 enumeration bit for bit. Samples come from one sampler call per matrix or
 Monte Carlo estimate, with rewards from the tasks' fused validators.
 
-Each task enumerates its correct set once (TaskInstance.correct_sequences,
-flattened once into TaskInstance.correct_set, a policy.SequenceBatch), so
-a suite's support and mass take one call of the sequence_log_probs kernel.
+Each task enumerates its correct set once (TaskInstance.correct_sequences),
+and a suite's sets are joined and numbered once (tasks.correct_sets), so a
+suite's support and mass take one call of the sequence_log_probs kernel.
 The mass p gives exact Avg@k (mean_mass_on_correct) and exact i.i.d. Pass@k
 (pass_at_k_exact), the expectations of the sampled estimators; the training
 loop reads only these and samples nothing to measure. Similarity counts
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, KExceedsN
-from .policy import (PolicyTable, _left_fold, greedy_decode_batch, join_batches,
-                     sample_trajectories, sequence_log_probs)
-from .tasks import TaskInstance
+from .policy import (PolicyTable, greedy_decode_batch, left_folds, sample_trajectories,
+                     sequence_log_probs)
+from .tasks import TaskInstance, correct_sets
 
 BUCKET_CENTERS = tuple(i / 10 for i in range(11))
 
@@ -208,11 +208,12 @@ def support_coverage(policy: PolicyTable, tasks, prob_floor: float) -> list[Cove
     One record per task, in task order: covered counts the trajectories whose
     exact policy probability is at least prob_floor, and mass_on_correct sums
     the probabilities of the whole correct set regardless of the floor. The
-    tasks' cached sets are joined for one sequence_log_probs call, which folds
-    each sequence on its own; each probability is math.exp of its total, and a
-    mass is a left fold over the task's slice in set order: the bits of
-    trajectory_log_prob per sequence. Each set is numbered at its task's shape,
-    so a policy of another vocab size or max_len is a ValueError.
+    suite's joined sets (tasks.correct_sets) take one sequence_log_probs
+    call, which folds each sequence on its own; each probability is math.exp
+    of its total, each mass a left fold over the task's set in set order
+    (left_folds), and the counts one np.bincount: the bits of
+    trajectory_log_prob per sequence. The sets are numbered at the tasks'
+    shape, so a policy of another vocab size or max_len is a ValueError.
     """
     tasks = list(tasks)
     for task in tasks:
@@ -220,12 +221,14 @@ def support_coverage(policy: PolicyTable, tasks, prob_floor: float) -> list[Cove
         if shape != (policy.vocab.size, policy.max_len):
             raise ValueError(f"task {task.prompt_id} at vocab={shape[0]} max_len={shape[1]}, "
                              f"policy at vocab={policy.vocab.size} max_len={policy.max_len}")
-    sets = [task.correct_set for task in tasks]
-    totals = sequence_log_probs(policy, join_batches(sets))[1]
+    if not tasks:
+        return []
+    sets = correct_sets(tasks)
+    totals = sequence_log_probs(policy, sets.batch)[1]
     probs = np.fromiter(map(math.exp, totals.tolist()), float, len(totals))
-    ends = np.cumsum([0] + [len(batch.lengths) for batch in sets]).tolist()
-    return [CoverageRecord(int(np.count_nonzero(probs[a:b] >= prob_floor)), b - a,
-                           _left_fold(probs[a:b])) for a, b in zip(ends, ends[1:])]
+    masses = left_folds(probs, sets.layout).tolist()
+    covered = np.bincount(sets.owners[probs >= prob_floor], minlength=len(tasks)).tolist()
+    return [CoverageRecord(c, n, m) for c, n, m in zip(covered, sets.sizes.tolist(), masses)]
 
 
 def mean_mass_on_correct(records) -> float:

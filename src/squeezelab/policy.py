@@ -17,10 +17,11 @@ sample_trajectories, at temperature 1, draws from a caller's block of
 uniforms and returns one RolloutGroup of arrays per prompt;
 greedy_decode_batch takes each row's argmax. A checkpoint save keeps its
 rendering on the policy, and copies hand it on, so the next save of a
-lineage prints only the rows that are new or whose bits changed. Every set
+lineage prints only the rows that are new or whose bits changed; a load
+parses each distinct prefix field once and every value in one pass. Every set
 of sequences (RL groups, IRL demos, correct sets) is one SequenceBatch of
-flat terms, recorded by the sampler or built by sequence_batch, and one
-kernel reads it: token_log_probs gathers every token's log-prob at once,
+flat terms, recorded by the sampler or numbered in arrays by sequence_batch,
+and one kernel reads it: token_log_probs gathers every token's log-prob at once,
 and sequence_log_probs adds each sequence's left-fold total.
 score_gradient is the one place score blocks (onehot - probs) are formed,
 from a flat batch of terms (prefix id, table row, token, weight), and sums
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, chain, repeat
 
 import numpy as np
@@ -337,18 +338,34 @@ class SequenceBatch:
 
     @cached_property
     def padding(self) -> tuple[np.ndarray, tuple[int, int]]:
-        """Where sequence_log_probs puts each token's log-prob, built on first
-        use: its index in a flat array of the given shape, a row of zeros and
-        then one row per token depth, with a column per sequence."""
-        n = len(self.lengths)
-        seq = np.repeat(np.arange(n), self.lengths)
-        depth = np.arange(len(self.tokens)) - (np.cumsum(self.lengths) - self.lengths)[seq]
-        return (depth + 1) * n + seq, (int(self.lengths.max(initial=0)) + 1, n)
+        """padded_layout of the sequences, built on first use: where
+        sequence_log_probs puts each token's log-prob."""
+        return padded_layout(self.lengths)
 
     @cached_property
     def starts(self) -> list[int]:
         """Where each sequence's terms start, then where the last one's end."""
         return [0, *accumulate(self.lengths.tolist())]
+
+
+def padded_layout(lengths: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
+    """Where each term of flat runs of the given lengths goes in a zero-padded
+    array: its index in a flat array of the given shape, a row of zeros and
+    then one row per position in a run, with a column per run."""
+    n = len(lengths)
+    run = np.repeat(np.arange(n), lengths)
+    depth = np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
+    return (depth + 1) * n + run, (int(lengths.max(initial=0)) + 1, n)
+
+
+def left_folds(values: np.ndarray, layout: tuple[np.ndarray, tuple[int, int]]) -> np.ndarray:
+    """Each run's left fold from 0.0 of its values in order, for runs laid out
+    by padded_layout: np.add.accumulate adds the padded rows in order, and
+    adding the padding's 0.0 is exact."""
+    slots, shape = layout
+    padded = np.zeros(shape)
+    padded.reshape(-1)[slots] = values
+    return np.add.accumulate(padded)[-1]
 
 
 def take_sequences(picks) -> SequenceBatch:
@@ -363,16 +380,38 @@ def take_sequences(picks) -> SequenceBatch:
 
 
 def sequence_batch(policy: PolicyTable, sequences) -> SequenceBatch:
-    """The (prompt_id, tokens) pairs as one SequenceBatch at policy's shape, numbered by
-    prefix_ids; raises NumericOverflow as _walk, then as check_sequence does."""
+    """The (prompt_id, tokens) pairs as one SequenceBatch at policy's shape.
+
+    The ids are prefix_ids', numbered in arrays: the tokens go into a padded
+    (depth, sequence) matrix, and one Horner step per token depth gives every
+    sequence's next prefix id. Raises NumericOverflow as _walk, then as
+    check_sequence does at the first sequence that fails it.
+    """
     sequences = list(sequences)
-    _check_int64(policy, [int(pid) for pid, _ in sequences])
-    ids = np.array([i for pid, tokens in sequences for i in prefix_ids(policy, pid, tokens)],
-                   np.int64)
-    return SequenceBatch(
-        ids=ids,
-        tokens=np.fromiter(chain.from_iterable(t for _, t in sequences), np.intp, len(ids)),
-        lengths=np.fromiter((len(t) for _, t in sequences), np.intp, len(sequences)))
+    prompt_ids = [int(pid) for pid, _ in sequences]
+    _check_int64(policy, prompt_ids)
+    size, count = policy.vocab.size, len(sequences)
+    lengths = np.fromiter((len(t) for _, t in sequences), np.intp, count)
+    try:
+        tokens = np.fromiter(chain.from_iterable(t for _, t in sequences), np.intp,
+                             int(lengths.sum()))
+    except OverflowError:
+        tokens = None
+    if (tokens is None or lengths.max(initial=0) > policy.max_len
+            or (len(tokens) and not 0 <= tokens.min() <= tokens.max() < size)):
+        for _, t in sequences:
+            check_sequence(policy, t)
+    layout = padded_layout(lengths)
+    depth = layout[1][0] - 1
+    padded = np.zeros(layout[1], np.int64)
+    padded.reshape(-1)[layout[0]] = tokens
+    ids = np.empty_like(padded)
+    h = np.zeros(count, np.int64)
+    base = np.array([pid * policy.span for pid in prompt_ids], np.int64)
+    for t in range(depth):
+        ids[t + 1] = base + h
+        h = h * size + padded[t + 1] + 1
+    return SequenceBatch(ids.reshape(-1)[layout[0]], tokens, lengths)
 
 
 def join_batches(batches) -> SequenceBatch:
@@ -417,15 +456,10 @@ def sequence_log_probs(policy: PolicyTable, batch: SequenceBatch,
     """token_log_probs and every sequence's total log-prob under policy.
 
     Each total is a left fold from 0.0 in token order, as
-    trajectory_log_prob's: the log-probs go into a zero-padded array below a
-    row of zeros, and np.add.accumulate adds its rows in order; adding 0.0 is
-    exact. An empty sequence totals 0.0.
+    trajectory_log_prob's (left_folds). An empty sequence totals 0.0.
     """
     logps = token_log_probs(policy, batch, rows)
-    slots, shape = batch.padding
-    padded = np.zeros(shape)
-    padded.reshape(-1)[slots] = logps
-    return logps, np.add.accumulate(padded)[-1]
+    return logps, left_folds(logps, batch.padding)
 
 
 def token_distribution(policy: PolicyTable, prefix: Prefix) -> TokenDistribution:
@@ -707,8 +741,42 @@ def save_checkpoint(policy: PolicyTable, path) -> None:
     policy._rendering = (bits.copy(), lines, keys, order)
 
 
+def _prefix_tokens(field: str) -> tuple[int, ...]:
+    """The tokens of a checkpoint line's prefix field; ValueError if one is not an int."""
+    return () if field == "-" else tuple(int(t) for t in field.split(","))
+
+
+def _line_fault(policy: PolicyTable, line: str) -> str | None:
+    """The first of a checkpoint line's own checks that fails, as its message:
+    blank, field count, int and float parse, prefix; None if all pass."""
+    if not line.strip():
+        return "blank line inside checkpoint"
+    fields = line.split(" ")
+    if len(fields) != 2 + policy.vocab.size:
+        return f"expected {2 + policy.vocab.size} fields, got {len(fields)}"
+    try:
+        int(fields[0])
+        tokens = _prefix_tokens(fields[1])
+        list(map(float, fields[2:]))
+    except ValueError as exc:
+        return str(exc)
+    try:
+        check_sequence(policy, tokens)
+    except (InvalidToken, PrefixExhausted) as exc:
+        return f"prefix {fields[1]!r}: {exc}"
+    return None
+
+
 def load_checkpoint(path) -> PolicyTable:
-    """Parse a checkpoint file; malformed content raises CheckpointCorrupt."""
+    """Parse a checkpoint file; malformed content raises CheckpointCorrupt.
+
+    Each distinct prompt and prefix field is parsed once; every value goes
+    through float in one pass into one array, and finiteness and duplicate
+    prefixes are checked over all rows at once. A fault names the file's
+    first line that has one, with that line's first failing check in the
+    order blank, field count, int and float parse, prefix (_line_fault),
+    finiteness, duplicate.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     lines = raw.splitlines()
@@ -721,32 +789,54 @@ def load_checkpoint(path) -> PolicyTable:
     if size < 2 or max_len < 1:
         raise CheckpointCorrupt(f"invalid dimensions vocab={size} max_len={max_len}", line=1)
     policy = PolicyTable(Vocab(size), max_len)
-    # Rows are parsed as Python floats and become the table in one array.
-    vecs = [[0.0] * size]
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            raise CheckpointCorrupt("blank line inside checkpoint", line=lineno)
+    body = lines[1:]
+
+    @cache
+    def prompt(field):
+        try:
+            return int(field) * policy.span
+        except ValueError:
+            return None
+
+    @cache
+    def offset(field):
+        try:
+            return prefix_id(policy, 0, _prefix_tokens(field))
+        except (ValueError, InvalidToken, PrefixExhausted):
+            return None
+
+    ids, texts, width = [], [], 2 + size
+    for line in body:  # up to the first line whose count, int or prefix check fails
         fields = line.split(" ")
-        if len(fields) != 2 + size:
-            raise CheckpointCorrupt(
-                f"expected {2 + size} fields, got {len(fields)}", line=lineno)
-        try:
-            prompt_id = int(fields[0])
-            tokens = () if fields[1] == "-" else tuple(int(t) for t in fields[1].split(","))
-            vec = list(map(float, fields[2:]))
-        except ValueError as exc:
-            raise CheckpointCorrupt(str(exc), line=lineno) from exc
-        try:
-            ident = prefix_id(policy, prompt_id, tokens)
-        except (InvalidToken, PrefixExhausted) as exc:
-            raise CheckpointCorrupt(f"prefix {fields[1]!r}: {exc}", line=lineno) from exc
-        if not all(map(math.isfinite, vec)):
-            raise CheckpointCorrupt("non-finite logit value", line=lineno)
-        if ident in policy._rows:
-            raise CheckpointCorrupt(f"duplicate prefix {fields[0]} {fields[1]}", line=lineno)
-        policy._rows[ident] = len(vecs)
-        vecs.append(vec)
-    policy._data = np.array(vecs)
+        if len(fields) != width:
+            break
+        base, h = prompt(fields[0]), offset(fields[1])
+        if base is None or h is None:
+            break
+        ids.append(base + h)
+        texts += fields[2:]
+    count = len(ids)
+    try:
+        values = np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        count = next(i for i in range(count) if _line_fault(policy, body[i]))
+        values = np.fromiter(map(float, texts[:count * size]), float, count * size)
+    values = values.reshape(count, size)
+    faults = []  # (line index, message) of the first fault each check finds
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        faults.append((int(finite.argmin()), "non-finite logit value"))
+    policy._rows = dict(zip(ids[:count], range(1, count + 1)))
+    if len(policy._rows) < count:
+        seen = set()
+        dup = next(i for i, ident in enumerate(ids) if ident in seen or seen.add(ident))
+        faults.append((dup, "duplicate prefix " + " ".join(body[dup].split(" ")[:2])))
+    if count < len(body):
+        faults.append((count, _line_fault(policy, body[count])))
+    if faults:
+        index, message = min(faults, key=lambda fault: fault[0])
+        raise CheckpointCorrupt(message, line=index + 2)
+    policy._data = np.concatenate([np.zeros((1, size)), values])
     return policy
 
 

@@ -6,13 +6,15 @@ must name an outgoing edge of the current node, the terminator ends the walk
 early, and the reward is 1 exactly when the walk stops on the target. Because
 the graphs are tiny the full set of correct trajectories is enumerable, which
 turns exploration into a measurable quantity instead of a proxy. Each task
-caches it once, as a policy.SequenceBatch of prefix ids at its own shape
-(TaskInstance.correct_set).
+enumerates it once (TaskInstance.correct_sequences), and correct_sets joins
+a suite's sets into one policy.SequenceBatch of prefix ids, built once per
+suite.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,7 +23,8 @@ import numpy as np
 
 from .artifacts import json_text
 from .errors import GenerationFailed, SpaceTooLarge, SuiteCorrupt
-from .policy import PolicyTable, SequenceBatch, Vocab, derive_rng, sequence_batch
+from .policy import (PolicyTable, SequenceBatch, Vocab, derive_rng, padded_layout,
+                     sequence_batch)
 
 MAX_NODE_COUNT = 64
 ENUMERATION_BOUND = 1_000_000
@@ -111,15 +114,53 @@ class TaskInstance:
         """enumerate_correct's set in its iteration order, enumerated once."""
         return tuple(enumerate_correct(self))
 
-    @cached_property
-    def correct_set(self) -> SequenceBatch:
-        """correct_sequences as one SequenceBatch at the task's shape, built on first use.
 
-        Suite generation and skewing read only correct_sequences, so a
-        rejected generation candidate never builds it.
-        """
-        table = PolicyTable(Vocab(self.spec.vocab_size), self.spec.max_len)
-        return sequence_batch(table, ((self.prompt_id, s) for s in self.correct_sequences))
+@dataclass(frozen=True, eq=False)
+class CorrectSets:
+    """A suite's correct sets joined: batch holds every task's
+    correct_sequences, task after task and each set in its order, numbered
+    at the tasks' shape. sizes[i] is task i's set size, owners[j] the task
+    of sequence j, and layout the padded_layout of the sets, for a left
+    fold per task over its sequences."""
+
+    tasks: tuple[TaskInstance, ...]
+    batch: SequenceBatch
+    sizes: np.ndarray
+    owners: np.ndarray
+    layout: tuple[np.ndarray, tuple[int, int]]
+
+
+# The suite correct_sets last joined. One entry, so a process keeps at most
+# one suite's batch; its tasks are held, so their identities stay unique.
+_joined: CorrectSets | None = None
+
+
+def correct_sets(tasks) -> CorrectSets:
+    """The tasks' correct sets as one CorrectSets, built once per suite.
+
+    A call with the very task objects of the last call, in the same order,
+    returns the last one's; any other task list is joined afresh. The tasks
+    must share vocab_size and max_len (ValueError). NumericOverflow if their
+    prompts' prefix ids leave int64, as sequence_batch.
+    """
+    global _joined
+    tasks = tuple(tasks)
+    last = _joined
+    if (last is not None and len(last.tasks) == len(tasks)
+            and all(map(operator.is_, last.tasks, tasks))):
+        return last
+    if not tasks:
+        raise ValueError("empty task suite")
+    shape = (tasks[0].spec.vocab_size, tasks[0].spec.max_len)
+    if any((task.spec.vocab_size, task.spec.max_len) != shape for task in tasks):
+        raise ValueError("suite tasks must share vocab_size and max_len")
+    sizes = np.fromiter((len(task.correct_sequences) for task in tasks), np.intp, len(tasks))
+    batch = sequence_batch(PolicyTable(Vocab(shape[0]), shape[1]),
+                           ((task.prompt_id, tokens) for task in tasks
+                            for tokens in task.correct_sequences))
+    _joined = CorrectSets(tasks, batch, sizes, np.repeat(np.arange(len(tasks)), sizes),
+                          padded_layout(sizes))
+    return _joined
 
 
 @dataclass(frozen=True)

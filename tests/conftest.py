@@ -1,13 +1,17 @@
 """Shared fixtures: tiny graph tasks and policies used across the suite."""
 from __future__ import annotations
 
+import math
+from itertools import chain
+
 import numpy as np
 import pytest
 
 from squeezelab import sps
-from squeezelab.policy import (Gradient, PolicyTable, RolloutGroup, Trajectory, Vocab,
-                               prefix_id, prefix_key, prefix_rows, score_gradient,
-                               sequence_batch)
+from squeezelab.metrics import CoverageRecord
+from squeezelab.policy import (Gradient, PolicyTable, RolloutGroup, SequenceBatch, Trajectory,
+                               Vocab, _left_fold, join_batches, prefix_id, prefix_ids, prefix_key,
+                               prefix_rows, score_gradient, sequence_batch, sequence_log_probs)
 from squeezelab.tasks import PathTaskSpec, TaskInstance
 
 
@@ -147,6 +151,32 @@ def reference_score_gradient(policy, ids, rows, tokens, weights):
     sums = np.full((len(slots), policy.vocab.size), -0.0)
     np.add.at(sums, index, blocks)
     return Gradient(np.fromiter(slots, np.int64, len(slots)), sums)
+
+
+def reference_support_coverage(policy, tasks, prob_floor):
+    """support_coverage as it was before a suite's correct sets were joined
+    once: each task's set numbered at its own shape by one prefix_ids call per
+    sequence, the sets joined on every call, each mass a _left_fold of its
+    task's slice and each count a count_nonzero of it."""
+    tasks = list(tasks)
+    for task in tasks:
+        shape = (task.spec.vocab_size, task.spec.max_len)
+        if shape != (policy.vocab.size, policy.max_len):
+            raise ValueError(f"task {task.prompt_id} at vocab={shape[0]} max_len={shape[1]}, "
+                             f"policy at vocab={policy.vocab.size} max_len={policy.max_len}")
+    sets = []
+    for task in tasks:
+        table = PolicyTable(Vocab(task.spec.vocab_size), task.spec.max_len)
+        seqs = task.correct_sequences
+        ids = [i for tokens in seqs for i in prefix_ids(table, task.prompt_id, tokens)]
+        sets.append(SequenceBatch(np.array(ids, np.int64),
+                                  np.fromiter(chain.from_iterable(seqs), np.intp, len(ids)),
+                                  np.fromiter(map(len, seqs), np.intp, len(seqs))))
+    totals = sequence_log_probs(policy, join_batches(sets))[1]
+    probs = np.fromiter(map(math.exp, totals.tolist()), float, len(totals))
+    ends = np.cumsum([0] + [len(batch.lengths) for batch in sets]).tolist()
+    return [CoverageRecord(int(np.count_nonzero(probs[a:b] >= prob_floor)), b - a,
+                           _left_fold(probs[a:b])) for a, b in zip(ends, ends[1:])]
 
 
 def flat_score_gradient(policy, terms):

@@ -313,6 +313,25 @@ def test_with_value_is_functional():
         ExperimentConfig.from_dict({"not.a.key": 1})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("eval.n", 2.5), ("eval.n", True), ("eval.n", "32"), ("seed", None), ("seed", False),
+    ("eval.k", [1, 2.5]), ("eval.k", [True]), ("eval.k", "1,4"), ("rl.lr", "0.1"),
+    ("rl.lr", True), ("rl.reuse_rollouts", 1), ("sps.irl_batch_size", 2.0),
+    ("sps.quantile", "0.5"), ("squeeze.logits", [1.0, "2"]), ("mode", 3),
+])
+def test_from_dict_rejects_a_value_of_another_type(key, value):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({key: value})
+    assert str(err.value) == f"{key}: {value!r} is not a value of type {config.SCHEMA[key][0]}"
+
+
+def test_from_dict_keeps_an_int_given_for_a_float_key():
+    cfg = ExperimentConfig.from_dict({"rl.lr": 1, "sps.quantile": 1, "squeeze.logits": [2, 1.0]})
+    assert type(cfg["rl.lr"]) is int and type(cfg["sps.quantile"]) is int
+    assert cfg["squeeze.logits"] == [2, 1.0] and type(cfg["squeeze.logits"][0]) is int
+    assert "rl.lr = 1\n" in cfg.to_text()
+
+
 def test_clip_config_mapping():
     grpo = ExperimentConfig.from_dict().clip_config()
     assert (grpo.objective_kind, grpo.eps_low, grpo.eps_high, grpo.beta) == \
@@ -965,6 +984,12 @@ def _corrupt_csv_column(path):
     ("manifest.json", _stored_value("seed", "x"), "manifest.json: config seed = 'x': "),
     ("manifest.json", _stored_value("eval.prob_floor", -1),
      "manifest.json: config eval.prob_floor = -1: eval.prob_floor: must be >= 0\n"),
+    # Each value is checked against its key's type.
+    ("manifest.json", _stored_value("eval.n", 2.5),
+     "manifest.json: config eval.n = 2.5: eval.n: 2.5 is not a value of type int\n"),
+    ("manifest.json", _stored_value("eval.k", [1, 2.5]),
+     "manifest.json: config eval.k = [1, 2.5]: eval.k: [1, 2.5] is not a value of type "
+     "int_list\n"),
     ("checkpoints.csv", _corrupt_csv_value,
      "checkpoints.csv, line 2: could not convert string to float: 'abc'\n"),
     ("checkpoints.csv", _corrupt_csv_column, "checkpoints.csv: no 'avg_at_k' column\n"),

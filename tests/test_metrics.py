@@ -54,7 +54,7 @@ from squeezelab.tasks import (
     skewed_base_policy,
 )
 
-from conftest import by_id, by_key, random_policy
+from conftest import by_id, by_key, random_policy, reference_support_coverage
 
 
 def matrix_from_counts(counts, n):
@@ -316,6 +316,10 @@ def reference_coverage(policy, task, prob_floor):
     return covered, len(correct), mass
 
 
+def _bits(records):
+    return [(rec.covered, rec.total, rec.mass_on_correct.hex()) for rec in records]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), max_len=st.integers(1, 6), data=st.data())
 def test_support_coverage_matches_the_per_sequence_loop(seed, max_len, data):
@@ -326,6 +330,13 @@ def test_support_coverage_matches_the_per_sequence_loop(seed, max_len, data):
     # Without skew every prefix reads row 0; with it only the boosted path is stored.
     policy = build_suite_policy(suite, data.draw(st.sampled_from([0.0, 3.0])), seed)
     rng = np.random.default_rng(seed)
+    # Task lists called in turn, none of which may read another's joined sets:
+    # another suite at the same shape, a subset, the suite reordered, and a
+    # copy with every prompt moved by 3.
+    other = make_benchmark_suite(seed + 1, params)
+    subset = data.draw(st.lists(st.sampled_from(suite), min_size=1, max_size=3))
+    shifted = [replace(task, prompt_id=task.prompt_id + 3) for task in suite]
+    lists = [suite, other, suite, subset, suite[::-1], shifted, other, shifted]
     for _ in range(data.draw(st.integers(0, 3)) + 1):
         for floor in (0.0, 1e-4, 1.0):
             records = support_coverage(policy, suite, floor)
@@ -333,6 +344,9 @@ def test_support_coverage_matches_the_per_sequence_loop(seed, max_len, data):
             for rec, task in zip(records, suite):
                 assert (rec.covered, rec.total, rec.mass_on_correct) == \
                     reference_coverage(policy, task, floor)
+            for tasks in lists:
+                assert _bits(support_coverage(policy, tasks, floor)) == \
+                    _bits(reference_support_coverage(policy, tasks, floor))
         # Rows added after the table's first read: one correct sequence of
         # some task, and a prefix no correct sequence of it reaches.
         task = suite[int(rng.integers(len(suite)))]

@@ -1044,6 +1044,26 @@ def test_prefix_ids_number_every_key_once(shape, data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(vocab=st.integers(2, 5), max_len=st.integers(1, 4), data=st.data())
+def test_sequence_batch_rejects_the_first_sequence_prefix_ids_rejects(vocab, max_len, data):
+    # A sequence too long, or with a token outside the vocabulary (2**70
+    # included), fails as the per-sequence numbering fails at the first one.
+    policy = PolicyTable(Vocab(vocab), max_len)
+    token = st.integers(0, vocab - 1) | st.sampled_from([-1, vocab, 1 << 70])
+    sequences = data.draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.lists(token, max_size=max_len + 1).map(tuple)),
+        max_size=6))
+    try:
+        want = [i for prompt_id, tokens in sequences for i in prefix_ids(policy, prompt_id, tokens)]
+    except (InvalidToken, PrefixExhausted) as exc:
+        with pytest.raises(type(exc)) as err:
+            sequence_batch(policy, sequences)
+        assert str(err.value) == str(exc)
+    else:
+        assert sequence_batch(policy, sequences).ids.tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
 @given(vocab=st.integers(2, 6), max_len=st.integers(1, 12), data=st.data())
 def test_sequence_log_probs_kernel_matches_the_per_sequence_path(vocab, max_len, data):
     # From 8 tokens on np.sum pairs terms, so a total that is not a left fold
@@ -1109,9 +1129,34 @@ _ROW = "0 - 0.5 -1.0 2.0\n"
     (_HEADER + "0 - 1.0 inf 3.0\n", 2, "non-finite logit value"),
     (_HEADER + _ROW + "1 0 nan 2.0 3.0\n", 3, "non-finite logit value"),
     (_HEADER + _ROW + "0 - 1.0 2.0 3.0\n", 3, "duplicate prefix 0 -"),
-    # Each line's checks run in order: prefix, then finiteness, then duplicates.
+    # Each line's checks run in order: blank, field count, int and float
+    # parse, prefix, finiteness, duplicate.
     (_HEADER + "0 3 nan 2.0 3.0\n", 2, "prefix '3': token 3 outside vocab of size 3"),
     (_HEADER + _ROW + "0 - -inf 2.0 3.0\n", 3, "non-finite logit value"),
+    (_HEADER + "    \n", 2, "blank line inside checkpoint"),
+    (_HEADER + "x - 1.0 y\n", 2, "expected 5 fields, got 4"),
+    (_HEADER + "x 3 1.0 y 3.0\n", 2, "invalid literal for int() with base 10: 'x'"),
+    (_HEADER + "0 a 1.0 y 3.0\n", 2, "invalid literal for int() with base 10: 'a'"),
+    (_HEADER + "0 3 1.0 y 3.0\n", 2, "could not convert string to float: 'y'"),
+    (_HEADER + "0 0,0,0 inf y 3.0\n", 2, "could not convert string to float: 'y'"),
+    (_HEADER + _ROW + "0 - 1.0 y 3.0\n", 3, "could not convert string to float: 'y'"),
+    # Across lines the earliest bad line wins, whichever check fails there.
+    (_HEADER + _ROW + "1 - inf 2.0 3.0\n1 0 1.0 2.0 3.0\n0 3 1.0 2.0 3.0\n", 3,
+     "non-finite logit value"),
+    (_HEADER + _ROW + "0 3 1.0 2.0 3.0\n1 - inf 2.0 3.0\n", 3,
+     "prefix '3': token 3 outside vocab of size 3"),
+    (_HEADER + _ROW + "1 - nan 2.0 3.0\n0 - 1.0 y 3.0\n", 3, "non-finite logit value"),
+    (_HEADER + _ROW + "1 - 1.0 y 3.0\n0 - inf 2.0 3.0\n", 3,
+     "could not convert string to float: 'y'"),
+    (_HEADER + _ROW + _ROW + "1 - 1.0 y 3.0\n", 3, "duplicate prefix 0 -"),
+    (_HEADER + _ROW + "1 - 1.0 2.0 3.0\n0 - 1.0 2.0 3.0\n1 - inf 2.0 3.0\n", 4,
+     "duplicate prefix 0 -"),
+    (_HEADER + _ROW + "1 - inf 2.0 3.0\n0 - 1.0 2.0 3.0\n", 3, "non-finite logit value"),
+    (_HEADER + _ROW + "0 - 1.0 2.0 3.0\n\n", 3, "duplicate prefix 0 -"),
+    (_HEADER + _ROW + "1 - 1.0 2.0 3.0\n\n0 - inf 2.0 3.0\n", 4,
+     "blank line inside checkpoint"),
+    (_HEADER + "0 1 1.0 2.0 3.0\n0 2 1.0 2.0\n0 1 nan 2.0 3.0\n", 3,
+     "expected 5 fields, got 4"),
 ])
 def test_corrupt_checkpoint_names_its_error_and_line(text, line, message, tmp_path):
     path = tmp_path / "bad.txt"
@@ -1120,6 +1165,42 @@ def test_corrupt_checkpoint_names_its_error_and_line(text, line, message, tmp_pa
         load_checkpoint(path)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+EXTREME_LOGITS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                  -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, -1e16])
+
+
+@settings(max_examples=60, deadline=None)
+@given(vocab=st.integers(2, 5), max_len=st.integers(1, 3), data=st.data())
+def test_a_saved_checkpoint_loads_back_bit_for_bit(vocab, max_len, data):
+    # Rows come back in file order with their bits, -0.0 and the subnormal
+    # and largest floats included, at any prompt id; a header-only file
+    # loads as a table with no rows.
+    keys = data.draw(st.lists(
+        st.tuples(st.integers(-(1 << 40), 1 << 40) | st.integers(-3, 3),
+                  st.lists(st.integers(0, vocab - 1), max_size=max_len).map(tuple)),
+        max_size=12, unique=True))
+    policy = PolicyTable(Vocab(vocab), max_len)
+    for prompt_id, tokens in keys:
+        policy.set_logits(prompt_id, tokens, data.draw(st.lists(
+            EXTREME_LOGITS | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=vocab, max_size=vocab)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.txt")
+        save_checkpoint(policy, path)
+        loaded = load_checkpoint(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    assert (loaded.vocab, loaded.max_len) == (policy.vocab, policy.max_len)
+    assert len(lines) == 1 + len(keys)
+    order = sorted(keys)
+    assert [prefix_key(loaded, ident) for ident in loaded._rows] == order
+    assert list(loaded._rows.values()) == list(range(1, len(keys) + 1))
+    want = np.array([policy.logit_vector(*key) for key in order]).reshape(len(keys), vocab)
+    assert loaded._logit_rows().shape == (len(keys) + 1, vocab)
+    assert np.array_equal(loaded._logit_rows()[1:].view(np.uint64), want.view(np.uint64))
+    assert not loaded._logit_rows()[0].any()
 
 
 def test_loaded_checkpoint_table_grows_like_a_built_one(tmp_path):

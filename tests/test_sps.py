@@ -805,16 +805,14 @@ def test_the_loop_measures_each_policy_version_once(loop, epsilon, stop, monkeyp
 
 def test_sps_loop_numbers_no_sampled_token_again(monkeypatch, tmp_path):
     # The demos are slices of the sampled groups, which hold the ids each
-    # token was drawn at; with the tasks' correct sets built beforehand, the
-    # loop calls prefix_ids nowhere, trace metrics, checkpoints and stop
-    # rule included.
+    # token was drawn at, and the suite's correct sets are numbered in
+    # arrays; so the loop calls prefix_ids nowhere, the first coverage pass,
+    # trace metrics, checkpoints and stop rule included.
     cfg = ExperimentConfig.from_dict({"sps.max_iterations": 2, "sps.trace_metrics": True,
                                       "sps.convergence_epsilon": 1e-9})
     seed = cfg["seed"]
     suite = make_benchmark_suite(seed, cfg.family_params())
     base = build_suite_policy(suite, cfg["suite.skew"], seed)
-    for task in suite:
-        task.correct_set
     calls = []
 
     def counting(*args):

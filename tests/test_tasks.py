@@ -1,6 +1,7 @@
 """Path tasks: validation, exact solution enumeration, suite generation."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -10,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelab.errors import GenerationFailed, SuiteCorrupt
-from squeezelab.policy import entropy, greedy_decode, softmax
+from squeezelab.policy import PolicyTable, Vocab, entropy, greedy_decode, prefix_ids, softmax
 from squeezelab.tasks import (
     ENUMERATION_BOUND,
     FamilyParams,
     PathTaskSpec,
     TaskInstance,
     build_suite_policy,
+    correct_sets,
     enumerate_correct,
     load_suite,
     make_benchmark_suite,
@@ -253,3 +255,30 @@ def test_reward_is_binary_over_random_walks(diamond_task, ladder_task):
             length = int(rng.integers(0, task.spec.max_len + 1))
             seq = tuple(rng.integers(vocab, size=length))
             assert validate(task, seq).reward in (0, 1)
+
+
+def test_correct_sets_join_a_suite_once_and_keep_only_the_last():
+    params = FamilyParams(count=4, max_len=3, min_solutions=2, mid_layers=1)
+    suite = make_benchmark_suite(5, params)
+    joined = correct_sets(suite)
+    # The same task objects, in another list, find the joined sets.
+    assert correct_sets(list(suite)) is joined and correct_sets(tuple(suite)) is joined
+    table = PolicyTable(Vocab(params.vocab_size), params.max_len)
+    sequences = [(task.prompt_id, tokens) for task in suite for tokens in task.correct_sequences]
+    assert joined.batch.ids.tolist() == [i for pid, tokens in sequences
+                                         for i in prefix_ids(table, pid, tokens)]
+    assert joined.batch.tokens.tolist() == [t for _, tokens in sequences for t in tokens]
+    assert joined.sizes.tolist() == [len(task.correct_sequences) for task in suite]
+    assert joined.owners.tolist() == [i for i, task in enumerate(suite)
+                                      for _ in task.correct_sequences]
+    # Equal tasks that are other objects, or the suite in another order, are
+    # joined afresh, and only the last suite joined is kept.
+    for tasks in (suite[::-1], [dataclasses.replace(task) for task in suite], suite[1:]):
+        assert correct_sets(tasks) is not joined
+    again = correct_sets(suite)
+    assert again is not joined and np.array_equal(again.batch.ids, joined.batch.ids)
+    wider = dataclasses.replace(suite[1], spec=dataclasses.replace(suite[1].spec, vocab_size=5))
+    with pytest.raises(ValueError, match="share vocab_size and max_len"):
+        correct_sets([suite[0], wider])
+    with pytest.raises(ValueError, match="empty task suite"):
+        correct_sets([])
