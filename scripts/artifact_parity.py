@@ -15,13 +15,18 @@ every checkpoint the runs wrote is loaded and saved again as
 `<name>.reloaded`, so the loader is compared too, and each reloaded file
 must equal its source. Every file is hashed with sha256; a manifest.json is
 hashed without its wall-clock timings. The script prints each file whose hash
-differs or that only one tree wrote, and exits 1 if there is any, 0
-otherwise. It takes about half a minute per tree on a 2-vCPU machine.
+differs or that only one tree wrote and, under a JSON, JSON-lines or CSV file
+that both trees wrote, each key path or cell whose value differs; then the
+distinct key paths and cell columns that differ anywhere. It exits 1 if any
+file differs, 0 otherwise. It takes about half a minute per tree on a 2-vCPU
+machine.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -87,8 +92,8 @@ MATRIX = {
     # greedy choice at every depth, so the lowest-id tie rule shows in
     # steps.csv, trace.jsonl and the eval report.
     "uniform_base": ({"mode": "grpo", "suite.skew": 0}, 32),
-    # Every config above evaluates at most 256 samples per prompt, one block
-    # of the similarity fold; 600 samples fold in six blocks of whole rows.
+    # Every config above evaluates at most 256 samples per prompt; at 600 each
+    # distinct sample stands for more samples, and weighs its pairs by more.
     "eval_600": ({"mode": "sps"}, 600),
     # Every config above numbers fewer prefix ids than a dense row index
     # covers; at max_len 10 two prompts' ids span 2.8M, past that cap, so
@@ -164,6 +169,17 @@ def reload_checkpoints(work: str) -> None:
                 sys.exit(f"{path}: saved again after a load, it differs from the file")
 
 
+def _read(path: str) -> bytes:
+    """A file's bytes; a manifest.json's without its timings."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == MANIFEST:
+        manifest = json.loads(data)
+        del manifest["timings"]
+        data = json.dumps(manifest, indent=2).encode()
+    return data
+
+
 def digests(work: str) -> dict[str, str]:
     out = {}
     for dirpath, _dirs, files in os.walk(work):
@@ -171,18 +187,49 @@ def digests(work: str) -> dict[str, str]:
             if name.endswith(".cfg"):  # the script's own inputs
                 continue
             path = os.path.join(dirpath, name)
-            with open(path, "rb") as fh:
-                data = fh.read()
-            if name == MANIFEST:
-                manifest = json.loads(data)
-                del manifest["timings"]
-                data = json.dumps(manifest, indent=2).encode()
-            out[os.path.relpath(path, work)] = hashlib.sha256(data).hexdigest()
+            out[os.path.relpath(path, work)] = hashlib.sha256(_read(path)).hexdigest()
     return out
 
 
+def _leaves(value, path: str = "") -> dict[str, object]:
+    """Each leaf of a JSON value by its path of keys and [indices]."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        out = {}
+        for key, item in items:
+            step = f"[{key}]" if isinstance(value, list) else f"{'.' if path else ''}{key}"
+            out.update(_leaves(item, path + step))
+        return out
+    return {path: value}
+
+
+def cells(path: str) -> dict[str, object] | None:
+    """A JSON or JSON-lines file's leaves, or a CSV file's cells named by their
+    row's first cell and their column, by name; None for any other file."""
+    text = _read(path).decode("utf-8")
+    if path.endswith(".json"):
+        return _leaves(json.loads(text))
+    if path.endswith(".jsonl"):
+        return _leaves([json.loads(line) for line in text.splitlines()])
+    if path.endswith(".csv"):
+        header, *rows = csv.reader(io.StringIO(text))
+        return {f"line {i} ({row[0]}) {column}": cell for i, row in enumerate(rows, 2)
+                for column, cell in zip(header, row)}
+    return None
+
+
+def cell_changes(parent_path: str, path: str) -> list[tuple[str, str]]:
+    """(name, "parent -> change") for each key path or cell whose value differs."""
+    before, after = cells(parent_path), cells(path)
+    if before is None or after is None:
+        return []
+    return [(name, f"{before.get(name, '(none)')!r} -> {after.get(name, '(none)')!r}")
+            for name in sorted(before.keys() | after.keys()) if before.get(name) != after.get(name)]
+
+
 def run_tree(tree: str, work: str) -> dict[str, str]:
-    """Run the matrix with tree/src in a fresh interpreter; return the digests."""
+    """Run the matrix with tree/src in a fresh interpreter into work, which it
+    leaves in place; return the digests."""
     src = os.path.abspath(os.path.join(tree, "src"))
     if not os.path.isdir(os.path.join(src, "squeezelab")):
         sys.exit(f"{tree}: no src/squeezelab package")
@@ -196,9 +243,7 @@ def run_tree(tree: str, work: str) -> dict[str, str]:
         sys.exit(f"{tree}: squeezelab does not import from {src}")
     subprocess.run([sys.executable, os.path.abspath(__file__), "--run-matrix", work],
                    env=env, check=True, stdout=subprocess.DEVNULL)
-    result = digests(work)
-    shutil.rmtree(work)
-    return result
+    return digests(work)
 
 
 def main(argv=None) -> int:
@@ -216,20 +261,32 @@ def main(argv=None) -> int:
         parser.error("need PARENT_TREE and TREE")
     temp = None if args.work else tempfile.mkdtemp(prefix="artifact_parity_")
     work = os.path.join(args.work or temp, "runs")
+    kept = os.path.join(args.work or temp, "parent_runs")
     try:
         parent = run_tree(args.parent_tree, work)
+        shutil.rmtree(kept, ignore_errors=True)
+        os.rename(work, kept)
         child = run_tree(args.tree, work)
+        differ = sorted(name for name in parent.keys() | child.keys()
+                        if parent.get(name) != child.get(name))
+        moved = set()
+        for name in differ:
+            where = ("" if name in parent and name in child
+                     else f" (only in {args.parent_tree if name in parent else args.tree})")
+            print(f"differs: {name}{where}")
+            if not where:
+                for cell, change in cell_changes(os.path.join(kept, name),
+                                                 os.path.join(work, name)):
+                    print(f"    {cell}: {change}")
+                    moved.add(cell.split(" ", 2)[2] if cell.startswith("line ") else cell)
     finally:
-        if temp:
-            shutil.rmtree(temp, ignore_errors=True)
-    differ = sorted(name for name in parent.keys() | child.keys()
-                    if parent.get(name) != child.get(name))
-    for name in differ:
-        where = ("" if name in parent and name in child
-                 else f" (only in {args.parent_tree if name in parent else args.tree})")
-        print(f"differs: {name}{where}")
+        for path in (work, kept, temp):
+            if path:
+                shutil.rmtree(path, ignore_errors=True)
     print(f"{len(parent.keys() | child.keys())} files compared ({MANIFEST} without timings); "
           f"{len(differ)} differ")
+    if moved:
+        print("key paths and cell columns that differ: " + ", ".join(sorted(moved)))
     return 1 if differ else 0
 
 

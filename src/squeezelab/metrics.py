@@ -13,22 +13,25 @@ and a suite's sets are joined and numbered once (tasks.correct_sets), so a
 suite's support and mass take one call of the sequence_log_probs kernel.
 The mass p gives exact Avg@k (mean_mass_on_correct) and exact i.i.d. Pass@k
 (pass_at_k_exact), the expectations of the sampled estimators; the training
-loop reads only these and samples nothing to measure. Similarity counts
-shared bigrams in one table product and folds the pair values in sample
-order, a block of rows per step. Coverage, mass and similarity give the
-bits of the per-sequence and per-pair loops they replace.
+loop reads only these and samples nothing to measure. Coverage and mass give
+the bits of the per-sequence loop they replace. Similarity is the exact mean
+over all sample pairs, rounded once: each prompt's distinct samples, found
+in the sampler's arrays, share bigrams by one table product, and their pairs
+weigh by the samples they stand for.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import InsufficientSamples, KExceedsN
-from .policy import (PolicyTable, greedy_decode_batch, left_folds, sample_trajectories,
-                     sequence_log_probs)
+from .policy import (PolicyTable, SequenceBatch, greedy_decode_batch, left_folds, sample_batch,
+                     sample_trajectories, sequence_log_probs)
 from .tasks import TaskInstance, correct_sets
 
 BUCKET_CENTERS = tuple(i / 10 for i in range(11))
@@ -36,11 +39,15 @@ BUCKET_CENTERS = tuple(i / 10 for i in range(11))
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """n sampled token sequences per prompt with their binary rewards."""
+    """n sampled token sequences per prompt with their binary rewards.
+
+    batch holds the samples as the sampler drew them, one flat SequenceBatch
+    of n sequences per prompt, prompt after prompt; rewards is (prompts, n).
+    """
 
     prompt_ids: tuple[int, ...]
     rewards: np.ndarray
-    sequences: tuple[list[tuple[int, ...]], ...] | None = None
+    batch: SequenceBatch | None = None
 
     def __post_init__(self):
         r = np.asarray(self.rewards)
@@ -57,17 +64,21 @@ class SampleMatrix:
     def prompt_count(self) -> int:
         return int(self.rewards.shape[0])
 
+    @cached_property
+    def correct(self) -> np.ndarray:
+        """Each prompt's number of rewarded samples."""
+        return self.rewards.sum(axis=1).astype(np.intp)
+
 
 def sample_matrix(policy: PolicyTable, tasks, n: int,
                   rng: np.random.Generator) -> SampleMatrix:
     """Draw n fresh samples per task from one (tasks, n, max_len) block of rng; score them."""
     tasks = list(tasks)
-    rows = sample_trajectories(policy, [task.prompt_id for task in tasks],
-                               rng.random((len(tasks), n, policy.max_len)),
-                               [task.walk for task in tasks])
+    batch, _, _, rewards = sample_batch(policy, [task.prompt_id for task in tasks],
+                                        rng.random((len(tasks), n, policy.max_len)),
+                                        [task.walk for task in tasks])
     return SampleMatrix(prompt_ids=tuple(task.prompt_id for task in tasks),
-                        rewards=np.asarray([row.rewards for row in rows], dtype=int),
-                        sequences=tuple(row.sequences() for row in rows))
+                        rewards=rewards.reshape(len(tasks), n), batch=batch)
 
 
 @dataclass(frozen=True)
@@ -142,57 +153,97 @@ def accuracy_histogram(matrix: SampleMatrix) -> AccuracyHistogram:
     (20*c + n) // (2*n) is exact integer arithmetic, so boundary rates like
     exactly 0.05 land deterministically in the 0.1 bucket.
     """
-    counts = [0] * 11
     n = matrix.n
-    for row in matrix.rewards:
-        c = int(row.sum())
-        counts[(20 * c + n) // (2 * n)] += 1
-    return AccuracyHistogram(bucket_edges=BUCKET_CENTERS, counts=tuple(counts))
-
-
-_FOLD_BLOCK = 1 << 16  # most cells one block of similarity's fold gathers, or one row
+    counts = np.bincount((20 * matrix.correct + n) // (2 * n), minlength=11)
+    return AccuracyHistogram(bucket_edges=BUCKET_CENTERS, counts=tuple(counts.tolist()))
 
 
 def similarity(trajectories) -> float:
     """100 times the mean pairwise Jaccard similarity of token-bigram sets.
 
     Two empty bigram sets count as identical (Jaccard 1). Lower values mean
-    more diverse samples. Each distinct sequence gets a 0/1 row over the
-    bigrams seen, so one matrix product counts every intersection, exactly,
-    and inter / union rounds as len(a & b) / union does. The pair values are
-    added as the all-pairs loop adds them, a left fold over i < j from 0.0:
-    one np.add.accumulate per block of whole rows, seeded with the running
-    total. So the result keeps that loop's bits, and no temporary grows with
-    n squared.
+    more diverse samples. The value is the exact mean over all pairs,
+    rounded once, so it does not depend on the samples' order. Each sample
+    is keyed by its tuple's number among the distinct ones (_similarities).
     """
-    items = list(trajectories)
-    n = len(items)
+    items, distinct = [tuple(t) for t in trajectories], {}
+    keys = np.array([[distinct.setdefault(t, len(distinct)) for t in items]], np.int64)
+    lengths = np.fromiter(map(len, items), np.intp, len(items))
+    tokens = np.fromiter(chain.from_iterable(items), np.int64, int(lengths.sum()))
+    return _similarities(tokens, lengths, keys)[0]
+
+
+def sample_similarities(policy: PolicyTable, matrix: SampleMatrix) -> list[float]:
+    """similarity of each prompt's samples in matrix, in prompt order. Each
+    sample is keyed by the prefix id it ends in: its last recorded id
+    stepped by its last token (_similarities)."""
+    batch = matrix.batch
+    last = np.cumsum(batch.lengths) - 1
+    ids, tokens = batch.ids[last], batch.tokens[last]
+    base = ids // policy.span * policy.span
+    keys = base + (ids - base) * policy.vocab.size + tokens + 1
+    return _similarities(batch.tokens, batch.lengths, keys.reshape(matrix.rewards.shape))
+
+
+# Most (row, sequence, sequence) cells of one block of _similarities. Each
+# int64 temporary of a block takes 8 bytes a cell: at 1 << 16 cells the
+# 256-sample eval of a 16-task suite peaked 1.3 MB higher, and no faster.
+_SIMILARITY_CELLS = 1 << 14
+
+
+def _similarities(tokens, lengths, keys) -> list[float]:
+    """similarity of each row of samples, for flat tokens of the given lengths,
+    row after row, and a (rows, n) array of keys, equal within a row for
+    equal sequences only.
+
+    Sorting each row's keys finds its distinct sequences and their counts.
+    Each distinct sequence gets a 0/1 row over the bigrams seen, and one
+    matrix product per block of rows counts every intersection. A pair of
+    distinct sequences a, b stands for c_a c_b sample pairs and a with itself
+    for c_a (c_a - 1) / 2, so over the lcm of the union sizes twice a row's
+    sum is an integer, taken in int64 (in Python ints where it could pass
+    2**63), and 100 times the mean is one int true division, correctly
+    rounded.
+    """
+    count, n = keys.shape
     if n < 2:
         raise InsufficientSamples("similarity needs at least 2 trajectories")
-    distinct: dict[tuple, int] = {}
-    ids = np.array([distinct.setdefault(tuple(t), len(distinct)) for t in items])
-    bigrams: dict[tuple, int] = {}
-    rows, cols = [], []
-    for row, tokens in enumerate(distinct):
-        for pair in zip(tokens, tokens[1:]):
-            rows.append(row)
-            cols.append(bigrams.setdefault(pair, len(bigrams)))
-    inc = np.zeros((len(distinct), len(bigrams)))
-    inc[rows, cols] = 1.0
-    inter = inc @ inc.T
-    size = inter.diagonal()
-    union = size[:, None] + size - inter
-    jac = np.where(union == 0, 1.0, inter / np.maximum(union, 1.0))
-    total = 0.0
-    step = max(1, _FOLD_BLOCK // n)
-    for r0 in range(0, n - 1, step):
-        # Rows r0.. against columns r0 + 1..: the cells kept are the pairs
-        # i < j in row-major order, and pairs[0] += total is the fold's step.
-        block = jac.take(ids[r0 + 1:], 1).take(ids[r0:r0 + step], 0)
-        pairs = block[~np.tri(*block.shape, -1, dtype=bool)]
-        pairs[0] += total
-        total = float(np.add.accumulate(pairs, out=pairs)[-1])
-    return 100.0 * total / (n * (n - 1) // 2)
+    order = np.argsort(keys, axis=1)
+    keys = np.take_along_axis(keys, order, 1)
+    new = np.ones(keys.shape, bool)
+    new[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    first, sizes = np.flatnonzero(new), new.sum(axis=1)
+    distinct = np.full(count * n, -1)
+    distinct[(order + np.arange(count)[:, None] * n).reshape(-1)[first]] = np.arange(len(first))
+    seq = np.repeat(distinct, lengths)  # each token's distinct sequence, -1 in a repeat
+    pair = np.flatnonzero((seq[1:] == seq[:-1]) & (seq[1:] >= 0))  # tokens[i], tokens[i + 1]
+    dense = np.unique(np.concatenate([tokens[pair], tokens[pair + 1]]), return_inverse=True)[1]
+    col = np.unique(dense[:len(pair)] * len(dense) + dense[len(pair):], return_inverse=True)[1]
+    owner = np.repeat(np.arange(count), sizes)
+    slot = np.arange(len(first)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = int(sizes.max(initial=1))
+    inc = np.zeros((count, width, col.max(initial=-1) + 1))
+    inc[owner[seq[pair]], slot[seq[pair]], col] = 1.0
+    c = np.zeros((count, width), np.int64)
+    c[owner, slot] = np.diff(first, append=new.size)
+    out, diag, step = [], np.arange(width), max(1, _SIMILARITY_CELLS // width ** 2)
+    for r0 in range(0, count, step):
+        block = inc[r0:r0 + step]
+        inter = np.matmul(block, block.swapaxes(1, 2)).astype(np.int64)
+        size = inter[:, diag, diag]
+        union = size[:, :, None] + size[:, None] - inter
+        top = int(union.max())
+        scale = math.lcm(*range(1, top + 1))
+        dtype = np.int64 if n * n * scale < 1 << 63 else object
+        # Each pair's Jaccard value times scale: scale / union per shared
+        # bigram, and scale for two empty sets, whose union is 0.
+        inter += union == 0
+        pairs = np.array([scale] + [scale // u for u in range(1, top + 1)], dtype)[union]
+        pairs *= inter
+        cb = c[r0:r0 + step].astype(dtype)
+        totals = (cb * (np.matmul(pairs, cb[..., None])[..., 0] - pairs[:, diag, diag])).sum(1)
+        out += [100 * t / (scale * n * (n - 1)) for t in totals.tolist()]
+    return out
 
 
 @dataclass(frozen=True)
@@ -295,11 +346,12 @@ def evaluation_report(policy: PolicyTable, base_policy: PolicyTable, tasks,
             k = n
         if k not in used_ks:
             used_ks.append(k)
+    correct = matrix.correct.tolist()
     pass_rates = {}
     for k in used_ks:
-        vals = [pass_at_k_unbiased(n, int(row.sum()), k) for row in matrix.rewards]
-        pass_rates[str(k)] = float(np.mean(vals))
-    sims = [similarity(row) for row in matrix.sequences]
+        values = {c: pass_at_k_unbiased(n, c, k) for c in set(correct)}
+        pass_rates[str(k)] = float(np.mean([values[c] for c in correct]))
+    sims = sample_similarities(policy, matrix)
     records = support_coverage(policy, tasks, prob_floor)
     drift = greedy_logprob_report(policy, base_policy, tasks)
     hist = accuracy_histogram(matrix)

@@ -13,8 +13,9 @@ index patched with its new rows. _walk is the one walk of the
 prefix tree: it advances every walk of every prompt together one token depth
 per numpy step on int64 prefix ids, and steps the tasks' validator tables in
 the same pass. Sampling and greedy decoding differ only in the token rule:
-sample_trajectories, at temperature 1, draws from a caller's block of
-uniforms and returns one RolloutGroup of arrays per prompt;
+sample_batch, at temperature 1, draws from a caller's block of uniforms
+into one flat batch, which sample_trajectories splits into one RolloutGroup
+of arrays per prompt;
 greedy_decode_batch takes each row's argmax. A checkpoint save keeps its
 rendering on the policy, and copies hand it on, so the next save of a
 lineage prints only the rows that are new or whose bits changed; a load
@@ -437,11 +438,6 @@ class RolloutGroup:
     def size(self) -> int:
         return len(self.rewards)
 
-    def sequences(self) -> list[tuple[int, ...]]:
-        """Each rollout's tokens."""
-        tokens, starts = self.batch.tokens.tolist(), self.batch.starts
-        return [tuple(tokens[start:stop]) for start, stop in zip(starts, starts[1:])]
-
 
 def token_log_probs(policy: PolicyTable, batch: SequenceBatch, rows=None) -> np.ndarray:
     """Every token's log-prob under policy, from one gather of the cached table;
@@ -561,9 +557,8 @@ def _walk(policy: PolicyTable, prompt_ids: list[int], n: int, u=None,
             (state == accept).astype(np.intp))
 
 
-def sample_trajectories(policy: PolicyTable, prompt_ids, u: np.ndarray,
-                        walks=None) -> list[RolloutGroup]:
-    """Ancestral samples from the policy, one RolloutGroup per prompt.
+def sample_batch(policy: PolicyTable, prompt_ids, u: np.ndarray, walks=None):
+    """Ancestral samples from the policy as _walk returns them, prompt after prompt.
 
     u has shape (prompts, n, max_len): token t of rollout j of prompt i is
     drawn by _walk from u[i, j, t]; walks and rewards are as there.
@@ -571,8 +566,14 @@ def sample_trajectories(policy: PolicyTable, prompt_ids, u: np.ndarray,
     prompt_ids, (count, n, depth) = [int(p) for p in prompt_ids], u.shape
     if (count, depth) != (len(prompt_ids), policy.max_len):
         raise ValueError(f"u of shape {u.shape} for {len(prompt_ids)} prompts at max_len {depth}")
-    batch, logps, totals, rewards = _walk(policy, prompt_ids, n, u.reshape(count * n, depth),
-                                          walks)
+    return _walk(policy, prompt_ids, n, u.reshape(count * n, depth), walks)
+
+
+def sample_trajectories(policy: PolicyTable, prompt_ids, u: np.ndarray,
+                        walks=None) -> list[RolloutGroup]:
+    """sample_batch's rollouts as one RolloutGroup per prompt."""
+    prompt_ids, (count, n, _) = [int(p) for p in prompt_ids], u.shape
+    batch, logps, totals, rewards = sample_batch(policy, prompt_ids, u, walks)
     lengths, totals = batch.lengths.reshape(count, n), totals.reshape(count, n)
     rewards = rewards.reshape(count, n).tolist()
     ends = [0, *accumulate(lengths.sum(axis=1).tolist())]

@@ -256,12 +256,14 @@ def _best_checkpoint_report(run_dir: str) -> dict:
     manifest_path = os.path.join(run_dir, "manifest.json")
     checkpoints_path = os.path.join(run_dir, "checkpoints.csv")
     suite_path = os.path.join(run_dir, "suite.json")
-    for path in (manifest_path, checkpoints_path, suite_path):
+    for path in (manifest_path, suite_path):
         if not os.path.exists(path):
             raise MissingArtifacts(f"missing artifact: {path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
-            config = dict(json.load(fh)["config"])
+            manifest = json.load(fh)
+            config = dict(manifest["config"])
+            ranked = "checkpoints.csv" in manifest.get("artifacts", ["checkpoints.csv"])
         except (ValueError, LookupError, TypeError) as exc:
             raise MissingArtifacts(f"{manifest_path}: not a run manifest: {exc}") from exc
     # The keys a re-evaluation reads obey the config rules; the other stored
@@ -276,17 +278,22 @@ def _best_checkpoint_report(run_dir: str) -> dict:
                 ExperimentConfig.from_dict({key: config[key]})
             except (ConfigError, TypeError) as exc:
                 raise MissingArtifacts(f"{manifest_path}: config {key} = {config[key]!r}: {exc}")
-    with open(checkpoints_path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            rows = [(int(r["iter"]), r["path"], float(r["avg_at_k"])) for r in reader]
-        except KeyError as exc:
-            raise MissingArtifacts(f"{checkpoints_path}: no {exc} column") from exc
-        except (TypeError, ValueError) as exc:
-            raise MissingArtifacts(f"{checkpoints_path}, line {reader.line_num}: {exc}") from exc
-    if not rows:
-        raise MissingArtifacts(f"no checkpoints listed in {checkpoints_path}")
-    best_iter, best_path, _ = _best_row(rows)
+    best_iter, best_path = None, "checkpoint_final.txt"  # if no checkpoints.csv is listed
+    if ranked:
+        if not os.path.exists(checkpoints_path):
+            raise MissingArtifacts(f"missing artifact: {checkpoints_path}")
+        with open(checkpoints_path, "r", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            try:
+                rows = [(int(r["iter"]), r["path"], float(r["avg_at_k"])) for r in reader]
+            except KeyError as exc:
+                raise MissingArtifacts(f"{checkpoints_path}: no {exc} column") from exc
+            except (TypeError, ValueError) as exc:
+                raise MissingArtifacts(
+                    f"{checkpoints_path}, line {reader.line_num}: {exc}") from exc
+        if not rows:
+            raise MissingArtifacts(f"no checkpoints listed in {checkpoints_path}")
+        best_iter, best_path, _ = _best_row(rows)
     base_path = os.path.join(run_dir, "checkpoint_base.txt")
     cfg = ExperimentConfig({**config, "eval.checkpoint": os.path.join(run_dir, best_path),
                             "eval.suite_path": suite_path,
@@ -311,7 +318,9 @@ def compare(run_a_dir: str, run_b_dir: str, out_dir: str | None = None) -> dict:
     """Tabulate two runs' best checkpoints side by side.
 
     Each run's best checkpoint is picked by the exact Avg@k in its
-    checkpoints.csv (ties to the earliest iteration); both are re-evaluated
+    checkpoints.csv (ties to the earliest iteration), or is its
+    checkpoint_final.txt if its manifest lists no checkpoints.csv (a run
+    that wrote no per-iteration checkpoint); both are re-evaluated
     with their own stored config and seed (once if both name one directory),
     and per-metric deltas (a minus b) are written as compare.json and
     compare.csv into out_dir (default: run_a_dir).

@@ -1006,6 +1006,46 @@ def test_compare_on_a_corrupt_run_exits_1_without_a_traceback(name, corrupt, mes
     assert "Traceback" not in err and not dest.exists()
 
 
+def test_compare_ranks_the_final_checkpoint_of_a_run_without_checkpoints_csv(tmp_path, capsys):
+    # With sps.checkpoint_every = 0 a run writes no per-iteration checkpoint,
+    # so its manifest lists no checkpoints.csv: compare re-evaluates
+    # checkpoint_final.txt, and reads no checkpoints.csv put there later.
+    run_dir = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mode = sps\nseed = 7\nout_dir = {run_dir}\nsuite.count = 4\n"
+                   "rl.steps_per_iteration = 2\nsps.max_iterations = 2\n"
+                   "sps.irl_steps_per_iteration = 2\nsps.checkpoint_every = 0\n"
+                   "eval.n = 8\neval.k = 1,4\n", encoding="utf-8")
+    assert cli.main(["run", str(cfg)]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert "checkpoints.csv" not in manifest["artifacts"]
+    assert not (run_dir / "checkpoints.csv").exists()
+    final = runner.eval_report(ExperimentConfig({
+        **manifest["config"], "eval.checkpoint": str(run_dir / "checkpoint_final.txt"),
+        "eval.suite_path": str(run_dir / "suite.json"),
+        "eval.base_checkpoint": str(run_dir / "checkpoint_base.txt")}), stream=7300)
+    for stale in (False, True):
+        if stale:
+            (run_dir / "checkpoints.csv").write_text("iter,path\nx,y\n", encoding="utf-8")
+        dest = tmp_path / f"cmp_{stale}"
+        assert cli.main(["compare", str(run_dir), str(run_dir), "--out", str(dest)]) == 0
+        comparison = json.loads((dest / "compare.json").read_text(encoding="utf-8"))
+        assert comparison["run_a"]["best_checkpoint"] == "checkpoint_final.txt"
+        assert comparison["run_a"]["metrics"] == runner._flat_metrics(final)
+    capsys.readouterr()
+
+
+def test_compare_on_a_run_that_lists_a_missing_checkpoints_csv_exits_1(training_runs, tmp_path,
+                                                                       capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(training_runs[0], run_dir)
+    (run_dir / "checkpoints.csv").unlink()
+    dest = tmp_path / "cmp"
+    assert cli.main(["compare", str(run_dir), str(run_dir), "--out", str(dest)]) == 1
+    assert capsys.readouterr().err == f"error: missing artifact: {run_dir / 'checkpoints.csv'}\n"
+    assert not dest.exists()
+
+
 class _CutFile:
     """A file whose first write stops after 10 characters, as a full disk does."""
 

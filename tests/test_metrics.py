@@ -7,6 +7,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from squeezelab.metrics import (
     pass_at_k_mc,
     pass_at_k_unbiased,
     sample_matrix,
+    sample_similarities,
     similarity,
     support_coverage,
 )
@@ -54,7 +56,8 @@ from squeezelab.tasks import (
     skewed_base_policy,
 )
 
-from conftest import by_id, by_key, random_policy, reference_support_coverage
+from conftest import (batch_sequences, by_id, by_key, random_policy,
+                      reference_support_coverage)
 
 
 def matrix_from_counts(counts, n):
@@ -219,9 +222,8 @@ def test_similarity_symmetric_and_permutation_invariant():
     trio = [(0, 1, 2), (0, 1, 3), (4, 5)]
     baseline = similarity(trio)
     for perm in itertools.permutations(trio):
-        np.testing.assert_allclose(similarity(list(perm)), baseline, rtol=1e-12)
-    np.testing.assert_allclose(similarity([trio[1], trio[0]]),
-                               similarity([trio[0], trio[1]]), rtol=1e-12)
+        assert similarity(list(perm)) == baseline
+    assert similarity([trio[1], trio[0]]) == similarity([trio[0], trio[1]])
 
 
 def test_similarity_short_sequences_count_as_identical():
@@ -235,17 +237,18 @@ def test_similarity_needs_two_samples():
 
 
 def reference_similarity(sequences):
-    """The all-pairs loop: every pair's Jaccard value added in i < j order."""
+    """The all-pairs loop: every pair's Jaccard value added exactly, as a
+    Fraction, and 100 times the mean rounded once."""
     sets = [frozenset(zip(tokens, tokens[1:])) for tokens in sequences]
-    total = 0.0
+    total = Fraction(0)
     pairs = 0
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             a, b = sets[i], sets[j]
             union = len(a | b)
-            total += 1.0 if union == 0 else len(a & b) / union
+            total += 1 if union == 0 else Fraction(len(a & b), union)
             pairs += 1
-    return 100.0 * total / pairs
+    return float(100 * total / pairs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,26 +257,49 @@ def reference_similarity(sequences):
        data=st.data())
 def test_similarity_matches_the_all_pairs_loop(pool, data):
     # A one-sequence pool gives all-identical samples; lengths 0 and 1 give
-    # empty bigram sets; small pools repeat sequences. Blocks of 1, 7 and 64
-    # cells split the fold into one row, or a few rows, per step.
+    # empty bigram sets; small pools repeat sequences.
     n = data.draw(st.integers(2, 60))
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
     items = [pool[p] for p in picks]
-    expected = reference_similarity(items)
-    assert similarity(items) == expected
-    for block in (1, 7, 64):
-        with mock.patch.object(metrics_module, "_FOLD_BLOCK", block):
-            assert similarity(items) == expected
+    assert similarity(items) == reference_similarity(items)
 
 
-def test_similarity_is_exact_across_fold_blocks():
-    # 600 samples: 109 rows per block of 2**16 cells, so six blocks.
+def test_similarity_of_600_samples_is_exact():
+    # 600 samples of 42 distinct sequences, some with empty bigram sets.
     rng = np.random.default_rng(24)
     pool = [(), (3,)] + [tuple(rng.integers(0, 4, size=rng.integers(2, 8)).tolist())
                          for _ in range(40)]
     items = [pool[p] for p in rng.integers(0, len(pool), 600)]
-    assert metrics_module._FOLD_BLOCK // 600 < 599  # fewer rows per block than rows
     assert similarity(items) == reference_similarity(items)
+
+
+def test_similarity_is_exact_past_int64():
+    # Long sequences over 40 tokens: the lcm of the union sizes up to the
+    # largest passes 2**63, so the sums are taken in Python ints.
+    rng = np.random.default_rng(31)
+    pool = [tuple(rng.integers(0, 40, size=rng.integers(2, 30)).tolist()) for _ in range(12)]
+    items = [pool[p] for p in rng.integers(0, len(pool), 50)]
+    sets = [frozenset(zip(tokens, tokens[1:])) for tokens in pool]
+    assert math.lcm(*range(1, max(len(a | b) for a in sets for b in sets) + 1)) >= 1 << 63
+    assert similarity(items) == reference_similarity(items)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), data=st.data())
+def test_one_kernel_call_gives_each_prompts_similarity(seed, n, data):
+    # Several prompts' samples in one call: a repeated task, a task moved to
+    # a negative prompt id, and a cell budget small enough that the prompts
+    # are taken a few at a time, or one at a time.
+    suite = make_benchmark_suite(seed % 1000, FamilyParams(count=3, max_len=5, mid_layers=3))
+    policy = build_suite_policy(suite, data.draw(st.sampled_from([0.0, 2.0])), seed)
+    tasks = suite + [suite[0], replace(suite[1], prompt_id=-7)]
+    matrix = sample_matrix(policy, tasks, n, np.random.default_rng(seed))
+    samples = batch_sequences(matrix.batch)
+    expected = [reference_similarity(samples[i * n:(i + 1) * n]) for i in range(len(tasks))]
+    assert [similarity(samples[i * n:(i + 1) * n]) for i in range(len(tasks))] == expected
+    for cells in (1, 64, 1 << 16):
+        with mock.patch.object(metrics_module, "_SIMILARITY_CELLS", cells):
+            assert sample_similarities(policy, matrix) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +486,7 @@ def test_exact_quantities_survive_token_relabelling():
     assert moved_greedy[0].tokens.tolist() == list(relabel(greedy[0].tokens.tolist()))
     assert moved_greedy[2][0] == pytest.approx(greedy[2][0], rel=1e-14)
 
-    samples = sample_matrix(policy, [task], 300, np.random.default_rng(11)).sequences[0]
+    samples = batch_sequences(sample_matrix(policy, [task], 300, np.random.default_rng(11)).batch)
     assert similarity([relabel(s) for s in samples]) == similarity(samples)
 
 
@@ -476,7 +502,8 @@ def test_sample_matrix_shape_and_determinism(diamond_task):
     assert a.rewards.shape == (1, 6)
     assert a.n == 6 and a.prompt_count == 1
     np.testing.assert_array_equal(a.rewards, b.rewards)
-    assert len(a.sequences[0]) == 6 and a.sequences == b.sequences
+    samples_a, samples_b = batch_sequences(a.batch), batch_sequences(b.batch)
+    assert len(samples_a) == 6 and samples_a == samples_b
 
 
 @pytest.mark.parametrize("iterations", [0, 1])

@@ -59,8 +59,9 @@ from squeezelab.policy import (
 )
 from squeezelab.tasks import PathTaskSpec, TaskInstance, validate
 
-from conftest import (by_id, by_key, finite_difference_blocks, flat_score_gradient, random_policy,
-                      reference_save_checkpoint, reference_score_gradient, trajectories)
+from conftest import (batch_sequences, by_id, by_key, finite_difference_blocks,
+                      flat_score_gradient, random_policy, reference_save_checkpoint,
+                      reference_score_gradient, trajectories)
 
 # softmax([2, 1, 0, -3]), oracle digits
 ORACLE_PROBS = [0.662272413524, 0.243636405391, 0.0896288246641, 0.00446235642128]
@@ -167,7 +168,7 @@ def test_sample_trajectory_first_step_frequencies_near_uniform():
     policy = PolicyTable(Vocab(4), max_len=5)
     n = 40000
     (group,) = sample_trajectories(policy, [0], np.random.default_rng(2024).random((1, n, 5)))
-    rollouts = group.sequences()
+    rollouts = batch_sequences(group.batch)
     rng = np.random.default_rng(2024)
     assert [sample_trajectory(policy, 0, rng).tokens for _ in range(200)] == rollouts[:200]
     counts = np.bincount([tokens[0] for tokens in rollouts], minlength=4)
@@ -365,7 +366,7 @@ def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n, p
         got = [(ids, tokens, logps, total, reward)
                for g in groups
                for ids, tokens, logps, total, reward in zip(
-                   _split(g.batch.ids, g.batch.lengths), g.sequences(),
+                   _split(g.batch.ids, g.batch.lengths), batch_sequences(g.batch),
                    _split(g.logps.tolist(), g.batch.lengths), g.totals.tolist(), g.rewards)]
         assert [x[:2] for x in got] == [x[:2] for x in want]
         assert [len(x[1]) for x in got] == [k for g in groups for k in g.batch.lengths.tolist()]
@@ -384,7 +385,7 @@ def test_the_block_sampler_takes_the_cap_and_reads_a_fixed_stride():
     (group,) = sample_trajectories(policy, [0], u)
     # The capped rollout stops at the terminator and leaves u[0, 0, 1:]
     # unread; the next rollout reads its own row u[0, 1], not the leftovers.
-    assert group.sequences() == [(2,), (1, 1, 1)]
+    assert batch_sequences(group.batch) == [(2,), (1, 1, 1)]
     assert group.batch.ids.tolist() == [0, 0, 2, 2 * 3 + 1 + 1]
 
 
@@ -527,7 +528,7 @@ def test_take_sequences_equals_the_numbered_batch_of_the_same_sequences(seed, vo
     rng = np.random.default_rng(seed)
     policy = PolicyTable(Vocab(vocab), max_len)
     (group,) = sample_trajectories(policy, [int(rng.integers(3))], rng.random((1, n, max_len)))
-    sequences = [(group.prompt_id, tokens) for tokens in group.sequences()]
+    sequences = [(group.prompt_id, tokens) for tokens in batch_sequences(group.batch)]
     start = data.draw(st.integers(0, n - 1))
     selections = [[], [start], [start, start], [(start + j) % n for j in range(n + 1)],
                   data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))]
@@ -547,11 +548,11 @@ def test_take_sequences_equals_the_numbered_batch_of_the_same_sequences(seed, vo
 def test_set_logits_after_a_sample_changes_later_samples():
     policy = PolicyTable(Vocab(4), max_len=2)
     u = np.random.default_rng(1).random((1, 40, 2))
-    first = sample_trajectories(policy, [0], u)[0].sequences()
+    first = batch_sequences(sample_trajectories(policy, [0], u)[0].batch)
     assert {tokens[0] for tokens in first} == {0, 1, 2, 3}
     policy.set_logits(0, (), [0.0, 0.0, 60.0, 0.0])
     policy.set_logits(0, (2,), [0.0, 60.0, 0.0, 0.0])
-    again = sample_trajectories(policy, [0], u)[0].sequences()
+    again = batch_sequences(sample_trajectories(policy, [0], u)[0].batch)
     assert set(again) == {(2, 1)}
 
 
