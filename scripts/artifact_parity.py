@@ -44,6 +44,10 @@ MATRIX = {
                     "rl.dapo_max_resamples": 2, "rl.lr": 0.5}, 32),
     "ledger_deep": ({"mode": "sps", "sps.trace_metrics": True, "sps.max_iterations": 4,
                      "suite.count": 16, "suite.max_len": 5, "suite.mid_layers": 3}, 256),
+    # Reused rollouts without resampling: each record keeps its degenerate
+    # groups, which DAPO's filter, read once per record, drops at every step.
+    "dapo_reuse_no_resample": ({"mode": "dapo", "rl.reuse_rollouts": True,
+                                "rl.dapo_max_resamples": 0}, 32),
     "gspo": ({"mode": "gspo"}, 32),
     "grpo_kl_reuse": ({"mode": "grpo", "rl.beta": 0.05, "rl.reuse_rollouts": True}, 32),
     "dapo_one_prompt": ({"mode": "dapo", "suite.count": 1, "rl.group_size": 4,

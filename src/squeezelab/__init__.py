@@ -63,7 +63,6 @@ from .policy import (
     Gradient,
     PolicyTable,
     Prefix,
-    RolloutGroup,
     TokenDistribution,
     Trajectory,
     Vocab,
@@ -78,7 +77,6 @@ from .policy import (
     prefix_ids,
     prefix_key,
     prefix_rows,
-    sample_trajectories,
     sample_trajectory,
     save_checkpoint,
     score_gradient,
@@ -86,6 +84,7 @@ from .policy import (
     token_distribution,
     trajectory_log_prob,
 )
+from .rollouts import RolloutGroup, Rollouts, sample_trajectories
 from .runner import RunManifest, compare, run
 from .sps import (
     DemoEntry,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, KExceedsN
 from .policy import (PolicyTable, SequenceBatch, greedy_decode_batch, left_folds, sample_batch,
-                     sample_trajectories, sequence_log_probs)
+                     sequence_log_probs)
 from .tasks import TaskInstance, correct_sets
 
 BUCKET_CENTERS = tuple(i / 10 for i in range(11))
@@ -124,9 +124,9 @@ def pass_at_k_mc(policy: PolicyTable, task: TaskInstance, k: int, trials: int,
         raise ValueError("trials must be >= 1")
     if k < 1:
         raise ValueError("need k >= 1")
-    groups = sample_trajectories(policy, [task.prompt_id] * trials,
-                                 rng.random((trials, k, policy.max_len)), [task.walk] * trials)
-    p_hat = sum(1 in group.rewards for group in groups) / trials
+    rewards = sample_batch(policy, [task.prompt_id] * trials,
+                           rng.random((trials, k, policy.max_len)), [task.walk] * trials)[3]
+    p_hat = int(np.count_nonzero(rewards.reshape(trials, k).any(axis=1))) / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return PassAtKEstimate(k=k, value=p_hat, method="monte_carlo", stderr=stderr)
 

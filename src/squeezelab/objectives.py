@@ -10,25 +10,22 @@ averaged (per-sequence mean for GRPO/GSPO, one global token mean for DAPO),
 the clip widths, and whether a KL leash to a reference snapshot is applied
 (GRPO only). Groups with all-equal rewards carry no signal and are skipped.
 
-Each RolloutGroup is the sampler's record: its policy.SequenceBatch holds
-the prefix ids the sampler drew at, so no rollout is numbered again. One
-call joins the non-degenerate groups' batches and behavior log-probs,
-gathers the new and the reference log-probs with one token_log_probs call
-each and spreads each rollout's advantage and length over its tokens with
-np.repeat. GRPO and DAPO are one clipped token surrogate of array
-expressions; GSPO takes each sequence ratio from its slice of the flat
-log-prob difference. Advantages are computed once per reward tuple and
-shared read-only. Value and KL sums are left folds in token order and each
-token's KL term follows its policy-gradient term, so the bits equal a
-per-token loop's. Every objective hands its terms to policy.score_gradient,
-so its gradient is that call's Gradient. Values and analytical gradients
+A step's rollouts are one policy.Rollouts record, the sampler's flat batch
+with the prefix ids it drew at (rollout_record joins hand-built
+RolloutGroups into one). The record keeps what depends on the rollouts
+alone, so steps that reuse it derive that once. Each objective gathers the
+new and reference log-probs with one token_log_probs call each; GRPO and
+DAPO are one clipped token surrogate of array expressions, and GSPO takes
+each sequence ratio from its slice of the flat log-prob difference. Value
+and KL sums are left folds in token order and each token's KL term follows
+its policy-gradient term, so the bits equal a per-token loop's; every
+gradient is one policy.score_gradient call. Values and analytical gradients
 are exact, so brute-force summation and finite differences can check them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,22 +33,26 @@ from .errors import EmptyTrajectory, NumericOverflow, OneSidedGroup
 from .policy import (
     Gradient,
     PolicyTable,
-    RolloutGroup,
     Trajectory,
     _left_fold,
-    _read_only,
     _token_logps,
     apply_update,
     derive_rng,
     entropy,
     greedy_decode_batch,
-    join_batches,
     prefix_rows,
-    sample_trajectories,
     sample_trajectory,  # noqa: F401  (callers read objectives.sample_trajectory)
     score_gradient,
     sequence_log_probs,
     token_log_probs,
+)
+from .rollouts import (
+    RolloutGroup,
+    Rollouts,
+    dapo_filter,  # noqa: F401  (callers read objectives.dapo_filter)
+    group_advantages,  # noqa: F401  (callers read objectives.group_advantages)
+    rollout_record,
+    sample_trajectories,
 )
 from .tasks import TaskInstance
 
@@ -95,35 +96,6 @@ class ClipConfig:
         return ClipConfig(GSPO, eps_low, eps_high, 0.0)
 
 
-@dataclass(frozen=True)
-class AdvantageVector:
-    values: np.ndarray
-    degenerate: bool
-
-
-def group_advantages(rewards) -> AdvantageVector:
-    """Group-normalized advantages (R - mean)/std with population std.
-
-    All-equal rewards have zero variance; those groups get all-zero
-    advantages and the degenerate flag. The result depends on the reward
-    tuple alone, so it is computed once per tuple and shared: its values
-    array is read-only.
-    """
-    return _advantages(tuple(rewards))
-
-
-@lru_cache(maxsize=1024)
-def _advantages(rewards: tuple) -> AdvantageVector:
-    r = np.asarray(rewards, dtype=float)
-    if r.shape[0] < 2:
-        raise ValueError("a group needs at least 2 rollouts")
-    mean = r.mean()
-    std = r.std()  # population convention (divide by G)
-    if std == 0.0:
-        return AdvantageVector(_read_only(np.zeros_like(r)), degenerate=True)
-    return AdvantageVector(_read_only((r - mean) / std), degenerate=False)
-
-
 def sequence_ratio_gspo(policy: PolicyTable, old_logps, trajectory: Trajectory) -> float:
     """Geometric mean of the token ratios over one trajectory."""
     if len(trajectory.tokens) == 0:
@@ -142,43 +114,27 @@ class ObjectiveReport:
     objective_kind: str
 
 
-def _joined_groups(batch):
-    """The non-degenerate groups' batches joined, with every token's behavior
-    log-prob and each sequence's advantage and group size."""
-    advs = [group_advantages(group.rewards) for group in batch]
-    live = [(group, adv.values) for group, adv in zip(batch, advs) if not adv.degenerate]
-    joined = join_batches(group.batch for group, _ in live)
-    old = np.concatenate([group.logps for group, _ in live] or [[]])
-    adv = np.concatenate([values for _, values in live] or [[]])
-    sizes = np.repeat([group.size for group, _ in live], [group.size for group, _ in live])
-    return joined, old, adv, sizes
-
-
-def _clipped_token_batch(batch, policy: PolicyTable, ref_policy: PolicyTable | None,
-                         cfg: ClipConfig, token_weight) -> ObjectiveReport:
+def _clipped_token_batch(record: Rollouts, policy: PolicyTable, ref_policy: PolicyTable | None,
+                         cfg: ClipConfig, w: np.ndarray) -> ObjectiveReport:
     """The clipped token-ratio surrogate shared by GRPO and DAPO.
 
-    Each token of trajectory y in a group of size G adds
-    token_weight(G, |y|) * min(r * A, clip(r, 1-eps_low, 1+eps_high) * A);
-    tokens in the clipped branch contribute zero gradient. Degenerate groups
-    and empty trajectories are skipped. With cfg.beta > 0 and a reference
+    Each token of the record's live groups adds its weight in w times
+    min(r * A, clip(r, 1-eps_low, 1+eps_high) * A); tokens in the clipped
+    branch contribute zero gradient. With cfg.beta > 0 and a reference
     policy, beta times the per-token KL(pi || pi_ref) estimate
     r_ref - log r_ref - 1 (r_ref = pi_ref/pi), weighted the same way, is
-    subtracted. token_weight maps the arrays of each token's group size and
-    trajectory length to the tokens' weights. The groups' flat batches are
-    joined once, and all tokens are computed in one pass of array expressions.
+    subtracted. All tokens are computed in one pass of array expressions.
     """
-    joined, old_logps, seq_adv, seq_sizes = _joined_groups(batch)
-    ids, tokens, lengths = joined.ids, joined.tokens, joined.lengths
+    live, _, adv, _ = record.live
+    joined = live.batch
+    ids, tokens = joined.ids, joined.tokens
     n = len(ids)
     if not n:
         return ObjectiveReport(0.0, score_gradient(policy, ids, [], [], []), 0.0, 0.0,
                                cfg.objective_kind)
-    adv = np.repeat(seq_adv, lengths)
-    w = token_weight(np.repeat(seq_sizes, lengths), np.repeat(lengths, lengths))
     rows = prefix_rows(policy, ids)
     new_lp = token_log_probs(policy, joined, rows)
-    ratios = np.exp(new_lp - old_logps)
+    ratios = np.exp(new_lp - live.logps)
     unclipped_term = ratios * adv
     clipped_term = np.minimum(np.maximum(ratios, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high) * adv
     clipped = clipped_term < unclipped_term
@@ -219,19 +175,11 @@ def grpo_objective(groups, policy: PolicyTable, ref_policy: PolicyTable | None,
     Degenerate (all-equal-reward) groups contribute zero.
     """
     assert cfg.objective_kind == GRPO
-    batch = list(groups)
-    if not batch:
+    record = rollout_record(groups)
+    if not len(record):
         raise ValueError("empty batch")
-    n_groups = len(batch)
-    return _clipped_token_batch(batch, policy, ref_policy, cfg,
-                                lambda sizes, lengths: 1.0 / (n_groups * sizes * lengths))
-
-
-def dapo_filter(groups) -> tuple[list[RolloutGroup], int]:
-    """Drop groups whose rewards are all-0 or all-1 (no learning signal)."""
-    batch = list(groups)
-    kept = [g for g in batch if 0 < sum(g.rewards) < g.size]
-    return kept, len(batch) - len(kept)
+    *_, w = record.live
+    return _clipped_token_batch(record, policy, ref_policy, cfg, w)
 
 
 def dapo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveReport:
@@ -243,10 +191,10 @@ def dapo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     zero report: value 0, no gradient blocks. No KL term.
     """
     assert cfg.objective_kind == DAPO
-    batch, _ = dapo_filter(groups)
-    total_tokens = sum(int(g.batch.lengths.sum()) for g in batch)
-    return _clipped_token_batch(batch, policy, None, cfg,
-                                lambda sizes, lengths: np.full(len(lengths), 1.0 / total_tokens))
+    kept = rollout_record(groups).kept
+    _, _, adv, _ = kept.live
+    w = np.full(len(adv), 1.0 / max(len(kept.batch.tokens), 1))
+    return _clipped_token_batch(kept, policy, None, cfg, w)
 
 
 def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveReport:
@@ -258,19 +206,19 @@ def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     A_i * s_i / |y_i| share of the score.
     """
     assert cfg.objective_kind == GSPO
-    batch = list(groups)
-    if not batch:
+    record = rollout_record(groups)
+    if not len(record):
         raise ValueError("empty batch")
-    joined, old_logps, adv, sizes = _joined_groups(batch)
+    live, adv, *_ = record.live
+    joined, lengths = live.batch, live.batch.lengths
     rows = prefix_rows(policy, joined.ids)
-    diff = token_log_probs(policy, joined, rows) - old_logps
-    lengths = joined.lengths
+    diff = token_log_probs(policy, joined, rows) - live.logps
     # Each ratio is the np.mean of its own slice, as sequence_ratio_gspo takes it.
     ratios = np.ones(len(lengths))
     for i, (stop, length) in enumerate(zip(np.cumsum(lengths).tolist(), lengths.tolist())):
         if length:
             ratios[i] = np.exp(diff[stop - length:stop].mean())
-    w = 1.0 / (len(batch) * sizes)
+    w = 1.0 / (len(record) * np.repeat(live.sizes, live.sizes))
     unclipped_term = ratios * adv
     clipped_term = np.minimum(np.maximum(ratios, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high) * adv
     clipped = clipped_term < unclipped_term
@@ -352,49 +300,54 @@ def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,
     group_size, max_len)). Pre-sampled `groups` may be passed to reuse a
     rollout batch across several gradient steps; their behavior log-probs
     then refer to the policy that sampled them. Returns the new policy, a
-    StepRecord and the groups it stepped on.
+    StepRecord and the groups it stepped on: the handed-in groups, or the
+    Rollouts record it sampled, each prompt's last draw in task order.
     """
     tasks = list(task_batch)
     if groups is None:
         attempts = 1 + (cfg.dapo_max_resamples if cfg.clip.objective_kind == DAPO else 0)
-        groups, todo = [None] * len(tasks), list(range(len(tasks)))
+        blocks, last, todo = [], {}, list(range(len(tasks)))
         for retry in range(attempts):
             u = derive_rng(seed, retry).random((len(todo), cfg.group_size, policy.max_len))
-            for i, group in zip(todo, sample_trajectories(
-                    policy, [tasks[i].prompt_id for i in todo], u, [tasks[i].walk for i in todo])):
-                groups[i] = group
-            todo = [i for i in todo if not 0 < sum(groups[i].rewards) < cfg.group_size]
+            block = sample_trajectories(policy, [tasks[i].prompt_id for i in todo], u,
+                                        [tasks[i].walk for i in todo])
+            # Each task's last draw, by its position in the blocks joined.
+            last.update((i, sum(map(len, blocks)) + k) for k, i in enumerate(todo))
+            blocks.append(block)
+            todo = [i for i, rewards in zip(todo, block.reward_tuples)
+                    if not 0 < sum(rewards) < cfg.group_size]
             if not todo:
                 break
+        groups = rollout_record(blocks).take([last[i] for i in range(len(tasks))])
+    record = rollout_record(groups)
 
     kind = cfg.clip.objective_kind
     if kind == GRPO:
-        report = grpo_objective(groups, policy, ref_policy or policy, cfg.clip)
+        report = grpo_objective(record, policy, ref_policy or policy, cfg.clip)
     elif kind == DAPO:
-        report = dapo_objective(groups, policy, cfg.clip)
+        report = dapo_objective(record, policy, cfg.clip)
     else:
-        report = gspo_objective(groups, policy, cfg.clip)
+        report = gspo_objective(record, policy, cfg.clip)
 
     # Parameter blocks are disjoint per prompt, so the batch-mean gradient
     # shrinks every block by 1/batch. The step undoes that factor and makes
     # rl_lr a per-prompt rate independent of suite size.
-    step = cfg.rl_lr * len(groups)
+    step = cfg.rl_lr * len(record)
     new_policy = policy
     if step != 0.0 and len(report.gradient.ids):
         new_policy = apply_update(policy, report.gradient, step)
 
-    all_rewards = [r for g in groups for r in g.rewards]
-    record = StepRecord(
+    step_record = StepRecord(
         step=step_index,
         objective_kind=kind,
         value=report.value,
         clipped_frac=report.clipped_token_fraction,
         kl=report.kl_to_ref,
-        mean_reward=float(np.mean(all_rewards)) if all_rewards else 0.0,
+        mean_reward=record.mean_reward,
         entropy_root=_mean_root_entropy(new_policy, tasks),
         greedy_logp=_mean_greedy_logp(new_policy, tasks),
     )
-    return new_policy, record, groups
+    return new_policy, step_record, groups
 
 
 def _mean_root_entropy(policy: PolicyTable, tasks) -> float:

@@ -13,12 +13,12 @@ index patched with its new rows. _walk is the one walk of the
 prefix tree: it advances every walk of every prompt together one token depth
 per numpy step on int64 prefix ids, and steps the tasks' validator tables in
 the same pass. Sampling and greedy decoding differ only in the token rule:
-sample_batch, at temperature 1, draws from a caller's block of uniforms
-into one flat batch, which sample_trajectories splits into one RolloutGroup
-of arrays per prompt;
-greedy_decode_batch takes each row's argmax. A checkpoint save keeps its
-rendering on the policy, and copies hand it on, so the next save of a
-lineage prints only the rows that are new or whose bits changed; a load
+sample_batch, at temperature 1, counts each row's first V - 1 cumulative
+probabilities at or below the walk's uniform, into one flat batch (which
+rollouts.sample_trajectories keeps as an RL step's record);
+greedy_decode_batch takes each row's argmax. A checkpoint save
+keeps its rendering on the policy, and copies hand it on, so the next save
+of a lineage prints only the rows that are new or whose bits changed; a load
 parses each distinct prefix field once and every value in one pass. Every set
 of sequences (RL groups, IRL demos, correct sets) is one SequenceBatch of
 flat terms, recorded by the sampler or numbered in arrays by sequence_batch,
@@ -424,21 +424,6 @@ def join_batches(batches) -> SequenceBatch:
                          lengths=np.concatenate([b.lengths for b in batches]))
 
 
-@dataclass(frozen=True, eq=False)
-class RolloutGroup:
-    """Rollouts of one prompt as arrays, as sample_trajectories draws them."""
-
-    prompt_id: int
-    batch: SequenceBatch      # their tokens and the prefix ids they were drawn at
-    logps: np.ndarray         # each token's behavior log-prob
-    totals: np.ndarray        # each rollout's left-fold total of them
-    rewards: tuple[int, ...]  # each rollout's reward, 0 or 1
-
-    @property
-    def size(self) -> int:
-        return len(self.rewards)
-
-
 def token_log_probs(policy: PolicyTable, batch: SequenceBatch, rows=None) -> np.ndarray:
     """Every token's log-prob under policy, from one gather of the cached table;
     rows, if given, are the batch ids' rows (prefix_rows)."""
@@ -525,9 +510,8 @@ def _walk(policy: PolicyTable, prompt_ids: list[int], n: int, u=None,
     if u is not None and policy._cum is None:
         policy._cum = _read_only(np.cumsum(np.exp(logp), axis=1))
     walkers = count * n
-    if walks is None:  # one table for every walk, with no accept state
-        table, state, accept = np.zeros(size, np.intp), np.zeros(walkers, np.intp), -1
-    else:  # one table for all walks, each shifted past the last
+    table, state, accept = None, np.zeros(walkers, np.intp), -1  # without walks, no reward
+    if walks is not None:  # one table for all walks, each shifted past the last
         sizes = [len(walk[0]) for walk in walks]
         shift = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
         table = np.concatenate([np.empty(0, int)] + [w[0] for w in walks]) + np.repeat(shift, sizes)
@@ -536,18 +520,27 @@ def _walk(policy: PolicyTable, prompt_ids: list[int], n: int, u=None,
     logps, totals = np.zeros((walkers, depth)), np.zeros(walkers)
     live, base = np.arange(walkers), np.repeat(np.array(prompt_ids, np.int64) * policy.span, n)
     h = np.zeros(walkers, np.int64)
+    flat_logp = logp.reshape(-1)
+    # Column v of the cumulative table, read at a row's first cell.
+    columns = [] if u is None else [policy._cum.reshape(-1)[v:] for v in range(size - 1)]
     for t in range(depth):
         ident = base + h
         rows = prefix_rows(policy, ident)
+        cells = rows * size
         if u is None:
             tok = logp[rows].argmax(axis=1)
         else:
-            tok = np.minimum((policy._cum[rows] <= u[live, t][:, None]).sum(axis=1), size - 1)
-        lp = logp[rows, tok]
+            # A row's cumulative values never decrease, so the count of its first
+            # V - 1 values <= u is the first token past u, capped at the terminator.
+            x, tok = u[live, t], np.zeros(len(rows), np.intp)
+            for column in columns:
+                tok += column.take(cells) <= x
+        lp = flat_logp.take(cells + tok)
         ids[live, t], tokens[live, t], logps[live, t] = ident, tok, lp
         totals[live] += lp
         # The terminator keeps a walk's state, so a stopped walk's state is final.
-        state[live] = table[state[live] + tok]
+        if table is not None:
+            state[live] = table[state[live] + tok]
         more = tok != size - 1
         live, base, h = live[more], base[more], h[more] * size + tok[more] + 1
     ended = tokens == size - 1
@@ -569,25 +562,12 @@ def sample_batch(policy: PolicyTable, prompt_ids, u: np.ndarray, walks=None):
     return _walk(policy, prompt_ids, n, u.reshape(count * n, depth), walks)
 
 
-def sample_trajectories(policy: PolicyTable, prompt_ids, u: np.ndarray,
-                        walks=None) -> list[RolloutGroup]:
-    """sample_batch's rollouts as one RolloutGroup per prompt."""
-    prompt_ids, (count, n, _) = [int(p) for p in prompt_ids], u.shape
-    batch, logps, totals, rewards = sample_batch(policy, prompt_ids, u, walks)
-    lengths, totals = batch.lengths.reshape(count, n), totals.reshape(count, n)
-    rewards = rewards.reshape(count, n).tolist()
-    ends = [0, *accumulate(lengths.sum(axis=1).tolist())]
-    return [RolloutGroup(pid, SequenceBatch(batch.ids[a:b], batch.tokens[a:b], lengths[i]),
-                         logps[a:b], totals[i], tuple(rewards[i]))
-            for i, (pid, a, b) in enumerate(zip(prompt_ids, ends, ends[1:]))]
-
-
 def sample_trajectory(policy: PolicyTable, prompt_id: int,
                       rng: np.random.Generator) -> Trajectory:
     """One ancestral sample from one rng.random(max_len) block."""
-    (group,) = sample_trajectories(policy, [prompt_id], rng.random((1, 1, policy.max_len)))
-    return Trajectory(group.prompt_id, tuple(group.batch.tokens.tolist()),
-                      tuple(group.logps.tolist()), group.totals.item())
+    batch, logps, totals, _ = sample_batch(policy, [prompt_id], rng.random((1, 1, policy.max_len)))
+    return Trajectory(int(prompt_id), tuple(batch.tokens.tolist()), tuple(logps.tolist()),
+                      totals.item())
 
 
 def greedy_decode_batch(policy: PolicyTable,

@@ -6,12 +6,13 @@ rollouts (L2TE), and fits the policy to those demos by gradient descent on
 their mean negative log-likelihood. Fitting a degenerate empirical
 distribution over the demos is exactly maximizing demo likelihood, which
 pushes probability mass back toward trajectories the RL phase squeezed down.
-Each rollout is kept once, in the RolloutGroup arrays the RL steps sampled
-fresh (under reuse_rollouts only the first step samples): l2te_select gets
-each prompt's own groups, ranks them by behavior totals and takes each demo
-it picks out of its group's arrays, with the ids the sampler recorded, so no
-demo token is numbered again. Every IRL function takes a sequence of
-blocks, each a SequenceBatch of demos whose ids name its prompts.
+Each rollout is kept once, in the Rollouts record of the RL step that
+sampled it (under reuse_rollouts only the first step samples): l2te_select
+gets each prompt's RolloutGroup of each record, a view of its arrays, ranks
+them by behavior totals and takes each demo it picks out of its group's
+arrays, with the ids the sampler recorded, so no demo token is numbered
+again. Every IRL function takes a sequence of blocks, each a SequenceBatch
+of demos whose ids name its prompts.
 Every IRL step, in the training loop and outside it, is one call of
 irl_step: step s descends on one block of demos per prompt, or on one block
 of the whole suite's demos (irl_scope), each block the circular
@@ -48,7 +49,6 @@ from .objectives import (
 from .policy import (
     Gradient,
     PolicyTable,
-    RolloutGroup,
     SequenceBatch,
     _left_fold,
     apply_update,
@@ -59,6 +59,7 @@ from .policy import (
     sequence_log_probs,
     take_sequences,
 )
+from .rollouts import Rollouts
 
 LOW_LIKELIHOOD = "low_likelihood"
 POSITIVE_AUGMENT = "positive_augment"
@@ -377,7 +378,7 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
     global_step = 0
     prev_avg = None
     for it in range(cfg.max_iterations):
-        sampled: list[list[RolloutGroup]] = []  # each fresh step's groups, in task order
+        sampled: list[Rollouts] = []  # each fresh step's rollouts, in task order
         ref = policy
         cached_groups = None
         for s in range(cfg.rl_steps_per_iteration):

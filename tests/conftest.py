@@ -9,9 +9,11 @@ import pytest
 
 from squeezelab import sps
 from squeezelab.metrics import CoverageRecord
-from squeezelab.policy import (Gradient, PolicyTable, RolloutGroup, SequenceBatch, Trajectory,
-                               Vocab, _left_fold, join_batches, prefix_id, prefix_ids, prefix_key,
-                               prefix_rows, score_gradient, sequence_batch, sequence_log_probs)
+from squeezelab.policy import (Gradient, PolicyTable, SequenceBatch, Trajectory, Vocab,
+                               _left_fold, derive_rng, join_batches, prefix_id, prefix_ids,
+                               prefix_key, prefix_rows, sample_batch, score_gradient,
+                               sequence_batch, sequence_log_probs)
+from squeezelab.rollouts import RolloutGroup
 from squeezelab.tasks import PathTaskSpec, TaskInstance
 
 
@@ -91,6 +93,37 @@ def trajectories(group):
                               tuple(logps[start:start + length]), total))
         start += length
     return out
+
+
+def reference_sample_groups(policy, tasks, cfg, seed):
+    """The groups rl_step samples for tasks, as it drew them before one record
+    held a step's rollouts: each retry's flat batch split into one RolloutGroup
+    per prompt, every task at retry 0 and then, under DAPO, those still
+    degenerate, each task keeping its last draw."""
+    attempts = 1 + (cfg.dapo_max_resamples if cfg.clip.objective_kind == "dapo" else 0)
+    groups, todo, n = [None] * len(tasks), list(range(len(tasks))), cfg.group_size
+    for retry in range(attempts):
+        u = derive_rng(seed, retry).random((len(todo), n, policy.max_len))
+        batch, logps, totals, rewards = sample_batch(
+            policy, [tasks[i].prompt_id for i in todo], u, [tasks[i].walk for i in todo])
+        lengths, totals = batch.lengths.reshape(-1, n), totals.reshape(-1, n)
+        rewards = rewards.reshape(-1, n).tolist()
+        ends = np.cumsum([0] + lengths.sum(axis=1).tolist()).tolist()
+        for k, (i, a, b) in enumerate(zip(todo, ends, ends[1:])):
+            groups[i] = RolloutGroup(tasks[i].prompt_id, SequenceBatch(
+                batch.ids[a:b], batch.tokens[a:b], lengths[k]), logps[a:b], totals[k],
+                tuple(rewards[k]))
+        todo = [i for i in todo if not 0 < sum(groups[i].rewards) < n]
+        if not todo:
+            break
+    return groups
+
+
+def group_fields(group):
+    """A RolloutGroup's contents as plain values, to compare groups by what they hold."""
+    return (group.prompt_id, group.batch.ids.tolist(), group.batch.tokens.tolist(),
+            group.batch.lengths.tolist(), group.logps.tolist(), group.totals.tolist(),
+            group.rewards)
 
 
 def finite_difference_blocks(value_fn, policy, keys, h=1e-5):

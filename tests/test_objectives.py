@@ -28,6 +28,7 @@ from squeezelab.objectives import (
     grpo_objective,
     group_advantages,
     gspo_objective,
+    _mean_greedy_logp,
     _mean_root_entropy,
     rl_step,
     sample_group,
@@ -44,18 +45,20 @@ from squeezelab.policy import (
     make_trajectory,
     prefix_ids,
     prefix_rows,
-    sample_trajectories,
     sample_trajectory,
     trajectory_log_prob,
 )
+from squeezelab.rollouts import sample_trajectories
 from squeezelab import policy as policy_module
+from squeezelab import rollouts as rollouts_module
 from squeezelab.config import ExperimentConfig
 from squeezelab.metrics import support_coverage
-from squeezelab.sps import SpsConfig, TrainTrace
+from squeezelab import sps as sps_module
+from squeezelab.sps import SpsConfig, TrainTrace, _step_seed, grpo_baseline_loop
 from squeezelab.tasks import build_suite_policy, make_benchmark_suite, skewed_base_policy, validate
 
-from conftest import (by_key, finite_difference_blocks, flat_score_gradient, random_policy,
-                      rollout_group, trajectories)
+from conftest import (by_key, finite_difference_blocks, flat_score_gradient, group_fields,
+                      random_policy, reference_sample_groups, rollout_group, trajectories)
 
 SQRT3 = 1.7320508075688772
 
@@ -751,6 +754,78 @@ def test_rl_steps_on_reused_groups_match_the_per_token_loop(overrides):
     assert any(r.clipped_frac > 0 for r in records)
 
 
+def reference_rl_phases(policy, tasks, cfg, master):
+    """The steps of grpo_baseline_loop on per-prompt groups (reference_sample_groups)
+    that every step, reused or not, passes through the per-token loop afresh: each
+    step's StepRecord, and the final policy."""
+    records = []
+    for it in range(cfg.max_iterations):
+        ref, groups = policy, None
+        for s in range(cfg.rl_steps_per_iteration):
+            if groups is None or not cfg.reuse_rollouts:
+                groups = reference_sample_groups(policy, tasks, cfg, _step_seed(master, it, s))
+            report = reference_objective(groups, policy, ref, cfg.clip)
+            new_policy = policy
+            if cfg.rl_lr and len(report.gradient.ids):
+                new_policy = apply_update(policy, report.gradient, cfg.rl_lr * len(groups))
+            records.append(StepRecord(
+                len(records), cfg.clip.objective_kind, report.value,
+                report.clipped_token_fraction, report.kl_to_ref,
+                float(np.mean([r for g in groups for r in g.rewards])),
+                _mean_root_entropy(new_policy, tasks), _mean_greedy_logp(new_policy, tasks)))
+            policy = new_policy
+    return records, policy
+
+
+@pytest.mark.parametrize("overrides,seed", [
+    ({"rl.beta": 0.05, "rl.reuse_rollouts": True, "suite.count": 6, "rl.lr": 0.5}, 5),
+    # One prompt at a large rate: some iterations' records hold no trainable
+    # group even after resampling, so their steps are zero reports.
+    ({"rl.objective": "dapo", "rl.reuse_rollouts": True, "rl.dapo_max_resamples": 2,
+      "suite.count": 1, "rl.group_size": 4, "rl.lr": 2.0}, 3),
+    # Resamples of several prompts, merged back into task order at every step.
+    ({"rl.objective": "dapo", "rl.dapo_max_resamples": 2, "suite.count": 8, "rl.lr": 0.5}, 7),
+    ({"rl.objective": "gspo", "suite.count": 6}, 9),
+])
+def test_rl_phases_on_one_record_per_step_match_the_per_prompt_reference(monkeypatch, overrides,
+                                                                         seed):
+    # Every StepRecord and the final logits equal, bit for bit, a reference that
+    # splits each sampler call per prompt and takes every step from its groups
+    # afresh; group_advantages runs once per group of each record, so once per
+    # iteration under reuse.
+    cfg = ExperimentConfig.from_dict({"sps.max_iterations": 4, "rl.steps_per_iteration": 3,
+                                      **overrides})
+    suite = make_benchmark_suite(seed, cfg.family_params())
+    base = build_suite_policy(suite, cfg["suite.skew"], seed)
+    sps_cfg = cfg.sps_config()
+    expected, expected_policy = reference_rl_phases(base, suite, sps_cfg, seed)
+    records, advantages = [], []
+
+    def recording_rl_step(*args, **kwargs):
+        result = rl_step(*args, **kwargs)
+        records.append(result[2])
+        return result
+
+    def counting_advantages(rewards):
+        advantages.append(tuple(rewards))
+        return group_advantages(rewards)
+
+    monkeypatch.setattr(sps_module, "rl_step", recording_rl_step)
+    monkeypatch.setattr(rollouts_module, "group_advantages", counting_advantages)
+    final, trace = grpo_baseline_loop(base, suite, sps_cfg, seed)
+    assert trace.step_records == expected
+    assert final._rows == expected_policy._rows
+    assert final._logit_rows().tobytes() == expected_policy._logit_rows().tobytes()
+    distinct = list({id(record): record for record in records}.values())
+    steps_per_record = sps_cfg.rl_steps_per_iteration if sps_cfg.reuse_rollouts else 1
+    assert len(distinct) * steps_per_record == len(records)
+    dapo = sps_cfg.clip.objective_kind == "dapo"
+    assert advantages == [g.rewards for record in distinct
+                          for g in (record.kept if dapo else record)]
+    if overrides.get("suite.count") == 1:
+        assert any(not len(record.kept) for record in distinct)
+
+
 def test_grpo_and_dapo_steps_gather_no_per_trajectory_log_probs(monkeypatch):
     # The surrogate reads every token's log-prob from one gather over the flat
     # batch; no per-trajectory gather is left on its path.
@@ -883,7 +958,7 @@ def test_rl_step_draws_one_block_per_retry(monkeypatch, overrides):
         last = {}
         for todo, _, _, drawn in blocks:
             last.update(zip(todo, drawn))
-        assert [id(g) for g in groups] == [id(last[t.prompt_id]) for t in suite]
+        assert list(map(group_fields, groups)) == [group_fields(last[t.prompt_id]) for t in suite]
         used.append(len(blocks))
     assert (max(used) > 1) == (retries > 0)
 

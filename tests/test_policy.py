@@ -43,7 +43,6 @@ from squeezelab.policy import (
     prefix_ids,
     prefix_key,
     prefix_rows,
-    sample_trajectories,
     sample_trajectory,
     save_checkpoint,
     score_gradient,
@@ -57,6 +56,7 @@ from squeezelab.policy import (
     _log_softmax,
     _token_logps,
 )
+from squeezelab.rollouts import sample_trajectories
 from squeezelab.tasks import PathTaskSpec, TaskInstance, validate
 
 from conftest import (batch_sequences, by_id, by_key, finite_difference_blocks,

@@ -51,6 +51,7 @@ from conftest import (
     demo_batch,
     demo_blocks,
     finite_difference_blocks,
+    group_fields,
     irl_descent_step,
     irl_loss,
     irl_value,
@@ -738,9 +739,9 @@ def test_sps_loop_demo_candidates_are_the_freshly_sampled_groups(diamond_task, m
     for i, (prompt_id, groups) in enumerate(seen):
         it = i // 2
         assert prompt_id == i % 2
-        assert list(map(id, groups)) == [
-            id(g) for step in fresh[it * per_iteration:(it + 1) * per_iteration] for g in step
-            if g.prompt_id == prompt_id]
+        assert list(map(group_fields, groups)) == [
+            group_fields(g) for step in fresh[it * per_iteration:(it + 1) * per_iteration]
+            for g in step if g.prompt_id == prompt_id]
         candidates = sum(g.size for g in groups if g.prompt_id == prompt_id)
         steps = 1 if reuse else cfg.rl_steps_per_iteration
         assert candidates == steps * cfg.group_size
