@@ -10,7 +10,9 @@ once with TREE/src, in a fresh interpreter each, into the same scratch paths
 each config and seed it runs the training run, an eval-mode run of its final
 checkpoint, `squeezelab eval --out` of the same checkpoint and `compare` of
 the run with itself; the paired `sps` and `grpo` runs are also compared with
-each other, and each SQUEEZE_DEMOS setting runs in `squeeze-demo` mode. Then
+each other, and the `sps` run with the `ledger_deep` run (CROSS_SHAPE), whose
+suite has another size and max_len, so one process re-evaluates two suites of
+different shapes; each SQUEEZE_DEMOS setting runs in `squeeze-demo` mode. Then
 every checkpoint the runs wrote is loaded and saved again as
 `<name>.reloaded`, so the loader is compared too, and each reloaded file
 must equal its source. Every file is hashed with sha256; a manifest.json is
@@ -105,6 +107,7 @@ MATRIX = {
     "wide_ids": ({"mode": "sps", "suite.count": 2, "suite.max_len": 10}, 32),
 }
 PAIRED = ("sps", "grpo")
+CROSS_SHAPE = ("sps", "ledger_deep")
 # name -> config overrides of a squeeze-demo run: the default setting, and one
 # whose penalized token is neither the last nor the least likely.
 SQUEEZE_DEMOS = {
@@ -154,8 +157,9 @@ def run_matrix(work: str) -> None:
             if cli.main(argv) != 0:
                 sys.exit(f"squeezelab {' '.join(argv)}: failed")
             runner.compare(run_dir, run_dir, os.path.join(root, "compare"))
-        runner.compare(*(os.path.join(work, str(seed), name, "run") for name in PAIRED),
-                       os.path.join(work, str(seed), "paired_compare"))
+        for pair, dest in ((PAIRED, "paired_compare"), (CROSS_SHAPE, "cross_shape_compare")):
+            runner.compare(*(os.path.join(work, str(seed), name, "run") for name in pair),
+                           os.path.join(work, str(seed), dest))
     reload_checkpoints(work)
 
 

@@ -110,6 +110,7 @@ from .squeeze import (
 from .tasks import (
     FamilyParams,
     PathTaskSpec,
+    Suite,
     TaskInstance,
     ValidatorResult,
     build_suite_policy,

@@ -9,7 +9,7 @@ enumeration bit for bit. Samples come from one sampler call per matrix or
 Monte Carlo estimate, with rewards from the tasks' fused validators.
 
 Each task enumerates its correct set once (TaskInstance.correct_sequences),
-and a suite's sets are joined and numbered once (tasks.correct_sets), so a
+and a suite's sets are joined and numbered once (tasks.Suite.correct), so a
 suite's support and mass take one call of the sequence_log_probs kernel.
 The mass p gives exact Avg@k (mean_mass_on_correct) and exact i.i.d. Pass@k
 (pass_at_k_exact), the expectations of the sampled estimators; the training
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InsufficientSamples, KExceedsN
 from .policy import (PolicyTable, SequenceBatch, greedy_decode_batch, left_folds, sample_batch,
                      sequence_log_probs)
-from .tasks import TaskInstance, correct_sets
+from .tasks import Suite, TaskInstance
 
 BUCKET_CENTERS = tuple(i / 10 for i in range(11))
 
@@ -73,10 +73,9 @@ class SampleMatrix:
 def sample_matrix(policy: PolicyTable, tasks, n: int,
                   rng: np.random.Generator) -> SampleMatrix:
     """Draw n fresh samples per task from one (tasks, n, max_len) block of rng; score them."""
-    tasks = list(tasks)
+    tasks = Suite(tasks)
     batch, _, _, rewards = sample_batch(policy, [task.prompt_id for task in tasks],
-                                        rng.random((len(tasks), n, policy.max_len)),
-                                        [task.walk for task in tasks])
+                                        rng.random((len(tasks), n, policy.max_len)), tasks.walks)
     return SampleMatrix(prompt_ids=tuple(task.prompt_id for task in tasks),
                         rewards=rewards.reshape(len(tasks), n), batch=batch)
 
@@ -118,15 +117,14 @@ def pass_at_k_exact(p: float, k: int) -> float:
 
 def pass_at_k_mc(policy: PolicyTable, task: TaskInstance, k: int, trials: int,
                  rng: np.random.Generator) -> PassAtKEstimate:
-    """Monte Carlo Pass@k: the share of trials with a reward among their k samples,
-    all drawn from one rng.random((trials, k, max_len)) block."""
+    """Monte Carlo Pass@k: the share of trials with a reward among their k
+    samples, taken in order from sample_matrix's trials * k samples of task."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if k < 1:
         raise ValueError("need k >= 1")
-    rewards = sample_batch(policy, [task.prompt_id] * trials,
-                           rng.random((trials, k, policy.max_len)), [task.walk] * trials)[3]
-    p_hat = int(np.count_nonzero(rewards.reshape(trials, k).any(axis=1))) / trials
+    rewards = sample_matrix(policy, [task], trials * k, rng).rewards.reshape(trials, k)
+    p_hat = int(np.count_nonzero(rewards.any(axis=1))) / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return PassAtKEstimate(k=k, value=p_hat, method="monte_carlo", stderr=stderr)
 
@@ -259,22 +257,21 @@ def support_coverage(policy: PolicyTable, tasks, prob_floor: float) -> list[Cove
     One record per task, in task order: covered counts the trajectories whose
     exact policy probability is at least prob_floor, and mass_on_correct sums
     the probabilities of the whole correct set regardless of the floor. The
-    suite's joined sets (tasks.correct_sets) take one sequence_log_probs
+    suite's joined sets (tasks.Suite.correct) take one sequence_log_probs
     call, which folds each sequence on its own; each probability is math.exp
     of its total, each mass a left fold over the task's set in set order
     (left_folds), and the counts one np.bincount: the bits of
     trajectory_log_prob per sequence. The sets are numbered at the tasks'
     shape, so a policy of another vocab size or max_len is a ValueError.
     """
-    tasks = list(tasks)
+    if not tasks:
+        return []
     for task in tasks:
         shape = (task.spec.vocab_size, task.spec.max_len)
         if shape != (policy.vocab.size, policy.max_len):
             raise ValueError(f"task {task.prompt_id} at vocab={shape[0]} max_len={shape[1]}, "
                              f"policy at vocab={policy.vocab.size} max_len={policy.max_len}")
-    if not tasks:
-        return []
-    sets = correct_sets(tasks)
+    sets = Suite(tasks).correct
     totals = sequence_log_probs(policy, sets.batch)[1]
     probs = np.fromiter(map(math.exp, totals.tolist()), float, len(totals))
     masses = left_folds(probs, sets.layout).tolist()

@@ -54,7 +54,7 @@ from .rollouts import (
     rollout_record,
     sample_trajectories,
 )
-from .tasks import TaskInstance
+from .tasks import Suite, TaskInstance
 
 GRPO = "grpo"
 DAPO = "dapo"
@@ -287,7 +287,7 @@ def sample_group(policy: PolicyTable, task: TaskInstance, group_size: int,
                  rng: np.random.Generator) -> RolloutGroup:
     """Sample G rollouts for one task, rewarded by the task's fused validator."""
     return sample_trajectories(policy, [task.prompt_id],
-                               rng.random((1, group_size, policy.max_len)), [task.walk])[0]
+                               rng.random((1, group_size, policy.max_len)), Suite([task]).walks)[0]
 
 
 def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,
@@ -303,14 +303,15 @@ def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,
     StepRecord and the groups it stepped on: the handed-in groups, or the
     Rollouts record it sampled, each prompt's last draw in task order.
     """
-    tasks = list(task_batch)
+    tasks = Suite(task_batch)
     if groups is None:
         attempts = 1 + (cfg.dapo_max_resamples if cfg.clip.objective_kind == DAPO else 0)
         blocks, last, todo = [], {}, list(range(len(tasks)))
+        table, starts, accepts = tasks.walks
         for retry in range(attempts):
             u = derive_rng(seed, retry).random((len(todo), cfg.group_size, policy.max_len))
             block = sample_trajectories(policy, [tasks[i].prompt_id for i in todo], u,
-                                        [tasks[i].walk for i in todo])
+                                        (table, starts[todo], accepts[todo]))
             # Each task's last draw, by its position in the blocks joined.
             last.update((i, sum(map(len, blocks)) + k) for k, i in enumerate(todo))
             blocks.append(block)

@@ -11,9 +11,9 @@ also computes the log-softmax of all its rows once, on the first read, for
 every reader; an update recomputes only the rows it touched and hands on the
 index patched with its new rows. _walk is the one walk of the
 prefix tree: it advances every walk of every prompt together one token depth
-per numpy step on int64 prefix ids, and steps the tasks' validator tables in
-the same pass. Sampling and greedy decoding differ only in the token rule:
-sample_batch, at temperature 1, counts each row's first V - 1 cumulative
+per numpy step on int64 prefix ids, and steps a suite's joined walk table
+in the same pass. Sampling and greedy decoding differ only in the token
+rule: sample_batch, at temperature 1, counts each row's first V - 1 cumulative
 probabilities at or below the walk's uniform, into one flat batch (which
 rollouts.sample_trajectories keeps as an RL step's record);
 greedy_decode_batch takes each row's argmax. A checkpoint save
@@ -501,8 +501,9 @@ def _walk(policy: PolicyTable, prompt_ids: list[int], n: int, u=None,
     Returns the walks, prompt after prompt, as one SequenceBatch with the
     prefix ids they were drawn at; each token's log-prob; each walk's total,
     a left fold of its log-probs in token order; and each walk's reward, 1
-    exactly when prompt i's walks[i], a TaskInstance.walk, ends in its
-    accept state, and 0 without walks.
+    exactly when a walk of prompt i ends in accept[i] of walks, a joined
+    (table, start, accept) as tasks.Suite.walks indexed by the prompts'
+    tasks, and 0 without walks.
     """
     _check_int64(policy, prompt_ids)
     count, depth, size = len(prompt_ids), policy.max_len, policy.vocab.size
@@ -511,11 +512,8 @@ def _walk(policy: PolicyTable, prompt_ids: list[int], n: int, u=None,
         policy._cum = _read_only(np.cumsum(np.exp(logp), axis=1))
     walkers = count * n
     table, state, accept = None, np.zeros(walkers, np.intp), -1  # without walks, no reward
-    if walks is not None:  # one table for all walks, each shifted past the last
-        sizes = [len(walk[0]) for walk in walks]
-        shift = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
-        table = np.concatenate([np.empty(0, int)] + [w[0] for w in walks]) + np.repeat(shift, sizes)
-        state, accept = (np.repeat(np.array([w[i] for w in walks], int) + shift, n) for i in (1, 2))
+    if walks is not None:
+        table, state, accept = walks[0], np.repeat(walks[1], n), np.repeat(walks[2], n)
     ids, tokens = np.zeros((walkers, depth), np.int64), np.zeros((walkers, depth), np.intp)
     logps, totals = np.zeros((walkers, depth)), np.zeros(walkers)
     live, base = np.arange(walkers), np.repeat(np.array(prompt_ids, np.int64) * policy.span, n)

@@ -60,6 +60,7 @@ from .policy import (
     take_sequences,
 )
 from .rollouts import Rollouts
+from .tasks import Suite
 
 LOW_LIKELIHOOD = "low_likelihood"
 POSITIVE_AUGMENT = "positive_augment"
@@ -372,7 +373,7 @@ def _trace_eval(policy, tasks, cfg: SpsConfig):
 def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
           irl_enabled: bool, out_dir=None) -> tuple[PolicyTable, TrainTrace]:
     master = int(seed)
-    tasks = list(task_suite)
+    tasks = Suite(task_suite)
     policy = base_policy
     trace = TrainTrace()
     global_step = 0

@@ -6,15 +6,13 @@ must name an outgoing edge of the current node, the terminator ends the walk
 early, and the reward is 1 exactly when the walk stops on the target. Because
 the graphs are tiny the full set of correct trajectories is enumerable, which
 turns exploration into a measurable quantity instead of a proxy. Each task
-enumerates it once (TaskInstance.correct_sequences), and correct_sets joins
-a suite's sets into one policy.SequenceBatch of prefix ids, built once per
-suite.
+enumerates it once (TaskInstance.correct_sequences); a Suite joins its tasks'
+sets (Suite.correct) and walk tables (Suite.walks) once per suite.
 """
 from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -123,44 +121,52 @@ class CorrectSets:
     of sequence j, and layout the padded_layout of the sets, for a left
     fold per task over its sequences."""
 
-    tasks: tuple[TaskInstance, ...]
     batch: SequenceBatch
     sizes: np.ndarray
     owners: np.ndarray
     layout: tuple[np.ndarray, tuple[int, int]]
 
 
-# The suite correct_sets last joined. One entry, so a process keeps at most
-# one suite's batch; its tasks are held, so their identities stay unique.
-_joined: CorrectSets | None = None
+class Suite(tuple):
+    """TaskInstances of one shape, with tables joined from them on first
+    read and kept as long as the suite. Suite(tasks) is tasks itself when
+    tasks is a Suite, so a suite handed down keeps its tables; ValueError
+    if tasks is empty or mixes vocab_size or max_len."""
 
+    def __new__(cls, tasks):
+        if isinstance(tasks, Suite):
+            return tasks
+        suite = super().__new__(cls, tasks)
+        if not suite:
+            raise ValueError("empty task suite")
+        if any((task.spec.vocab_size, task.spec.max_len) != suite.shape for task in suite):
+            raise ValueError("suite tasks must share vocab_size and max_len")
+        return suite
 
-def correct_sets(tasks) -> CorrectSets:
-    """The tasks' correct sets as one CorrectSets, built once per suite.
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The tasks' (vocab_size, max_len)."""
+        return self[0].spec.vocab_size, self[0].spec.max_len
 
-    A call with the very task objects of the last call, in the same order,
-    returns the last one's; any other task list is joined afresh. The tasks
-    must share vocab_size and max_len (ValueError). NumericOverflow if their
-    prompts' prefix ids leave int64, as sequence_batch.
-    """
-    global _joined
-    tasks = tuple(tasks)
-    last = _joined
-    if (last is not None and len(last.tasks) == len(tasks)
-            and all(map(operator.is_, last.tasks, tasks))):
-        return last
-    if not tasks:
-        raise ValueError("empty task suite")
-    shape = (tasks[0].spec.vocab_size, tasks[0].spec.max_len)
-    if any((task.spec.vocab_size, task.spec.max_len) != shape for task in tasks):
-        raise ValueError("suite tasks must share vocab_size and max_len")
-    sizes = np.fromiter((len(task.correct_sequences) for task in tasks), np.intp, len(tasks))
-    batch = sequence_batch(PolicyTable(Vocab(shape[0]), shape[1]),
-                           ((task.prompt_id, tokens) for task in tasks
-                            for tokens in task.correct_sequences))
-    _joined = CorrectSets(tasks, batch, sizes, np.repeat(np.arange(len(tasks)), sizes),
-                          padded_layout(sizes))
-    return _joined
+    @cached_property
+    def walks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every task's walk in one (table, start, accept): each table shifted
+        past those before it, start[i] and accept[i] task i's states there."""
+        tables, starts, accepts = zip(*(task.walk for task in self))
+        sizes = [len(table) for table in tables]
+        shift = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        return (np.concatenate(tables) + np.repeat(shift, sizes),
+                np.array(starts, np.intp) + shift, np.array(accepts, np.intp) + shift)
+
+    @cached_property
+    def correct(self) -> CorrectSets:
+        """The correct sets joined; NumericOverflow as sequence_batch."""
+        sizes = np.fromiter((len(task.correct_sequences) for task in self), np.intp, len(self))
+        batch = sequence_batch(PolicyTable(Vocab(self.shape[0]), self.shape[1]),
+                               ((task.prompt_id, tokens) for task in self
+                                for tokens in task.correct_sequences))
+        return CorrectSets(batch, sizes, np.repeat(np.arange(len(self)), sizes),
+                           padded_layout(sizes))
 
 
 @dataclass(frozen=True)
@@ -294,7 +300,7 @@ def _generate_task(prompt_id: int, params: FamilyParams,
     return task
 
 
-def make_benchmark_suite(seed: int, params: FamilyParams) -> list[TaskInstance]:
+def make_benchmark_suite(seed: int, params: FamilyParams) -> Suite:
     """Deterministically generate `params.count` tasks, each with enough solutions."""
     tasks = []
     for prompt_id in range(params.count):
@@ -309,7 +315,7 @@ def make_benchmark_suite(seed: int, params: FamilyParams) -> list[TaskInstance]:
                 f"no valid task for prompt {prompt_id} after 1000 attempts "
                 f"(min_solutions={params.min_solutions})")
         tasks.append(task)
-    return tasks
+    return Suite(tasks)
 
 
 def skewed_base_policy(task: TaskInstance, skew: float, seed: int) -> PolicyTable:
@@ -321,17 +327,13 @@ def build_suite_policy(tasks, skew: float, seed: int) -> PolicyTable:
     """One policy table covering a whole suite, skewed per task: at each prefix of
     one random correct trajectory a zero row with +skew at its token (a repeated
     prompt id keeps the later task's rows)."""
-    if not tasks:
-        raise ValueError("empty task suite")
+    tasks = Suite(tasks)
     if not 0 <= skew < math.inf:
         raise ValueError(f"skew must be finite and >= 0, got {skew}")
-    first = tasks[0].spec
-    policy = PolicyTable(Vocab(first.vocab_size), first.max_len)
+    policy = PolicyTable(Vocab(tasks.shape[0]), tasks.shape[1])
+    if skew == 0:
+        return policy
     for task in tasks:
-        if task.spec.vocab_size != first.vocab_size or task.spec.max_len != first.max_len:
-            raise ValueError("suite tasks must share vocab_size and max_len")
-        if skew == 0:
-            continue
         solutions = sorted(task.correct_sequences)
         chosen = solutions[int(derive_rng(seed, task.prompt_id).integers(len(solutions)))]
         for t, tok in enumerate(chosen):
@@ -356,7 +358,7 @@ def suite_json(tasks) -> str:
     ])
 
 
-def load_suite(path, vocab_size: int, max_len: int) -> list[TaskInstance]:
+def load_suite(path, vocab_size: int, max_len: int) -> Suite:
     """Read a suite file (suite_json's text) at a checkpoint's shape.
 
     The on-disk schema does not carry the vocab size, so the checkpoint's
@@ -396,4 +398,4 @@ def load_suite(path, vocab_size: int, max_len: int) -> list[TaskInstance]:
             raise SuiteCorrupt(f"missing key {exc}", entry) from exc
         except (TypeError, ValueError, GenerationFailed, SpaceTooLarge) as exc:
             raise SuiteCorrupt(str(exc), entry) from exc
-    return tasks
+    return Suite(tasks)

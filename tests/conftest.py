@@ -14,7 +14,7 @@ from squeezelab.policy import (Gradient, PolicyTable, SequenceBatch, Trajectory,
                                prefix_key, prefix_rows, sample_batch, score_gradient,
                                sequence_batch, sequence_log_probs)
 from squeezelab.rollouts import RolloutGroup
-from squeezelab.tasks import PathTaskSpec, TaskInstance
+from squeezelab.tasks import PathTaskSpec, Suite, TaskInstance
 
 
 @pytest.fixture
@@ -102,10 +102,11 @@ def reference_sample_groups(policy, tasks, cfg, seed):
     degenerate, each task keeping its last draw."""
     attempts = 1 + (cfg.dapo_max_resamples if cfg.clip.objective_kind == "dapo" else 0)
     groups, todo, n = [None] * len(tasks), list(range(len(tasks))), cfg.group_size
+    table, starts, accepts = Suite(tasks).walks
     for retry in range(attempts):
         u = derive_rng(seed, retry).random((len(todo), n, policy.max_len))
         batch, logps, totals, rewards = sample_batch(
-            policy, [tasks[i].prompt_id for i in todo], u, [tasks[i].walk for i in todo])
+            policy, [tasks[i].prompt_id for i in todo], u, (table, starts[todo], accepts[todo]))
         lengths, totals = batch.lengths.reshape(-1, n), totals.reshape(-1, n)
         rewards = rewards.reshape(-1, n).tolist()
         ends = np.cumsum([0] + lengths.sum(axis=1).tolist()).tolist()

@@ -7,6 +7,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 from fractions import Fraction
 from unittest import mock
 
@@ -49,6 +50,7 @@ from squeezelab.sps import SpsConfig, sps_loop
 from squeezelab.tasks import (
     FamilyParams,
     PathTaskSpec,
+    Suite,
     TaskInstance,
     build_suite_policy,
     enumerate_correct,
@@ -292,7 +294,7 @@ def test_one_kernel_call_gives_each_prompts_similarity(seed, n, data):
     # are taken a few at a time, or one at a time.
     suite = make_benchmark_suite(seed % 1000, FamilyParams(count=3, max_len=5, mid_layers=3))
     policy = build_suite_policy(suite, data.draw(st.sampled_from([0.0, 2.0])), seed)
-    tasks = suite + [suite[0], replace(suite[1], prompt_id=-7)]
+    tasks = [*suite, suite[0], replace(suite[1], prompt_id=-7)]
     matrix = sample_matrix(policy, tasks, n, np.random.default_rng(seed))
     samples = batch_sequences(matrix.batch)
     expected = [reference_similarity(samples[i * n:(i + 1) * n]) for i in range(len(tasks))]
@@ -404,7 +406,8 @@ def test_support_coverage_rejects_a_policy_of_another_shape(diamond_task):
 
 def test_training_and_evaluation_enumerate_each_task_once(monkeypatch):
     # A small ledger_deep-style run: generation, skew, the per-step ledger
-    # and the evaluation report all read one enumeration per task.
+    # and the evaluation report all read one enumeration per task, and one
+    # join of the suite's correct sets and of its walk tables.
     original = tasks_module.enumerate_correct
     calls = Counter()
 
@@ -415,6 +418,14 @@ def test_training_and_evaluation_enumerate_each_task_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("squeezelab") and getattr(module, "enumerate_correct", None) is original:
             monkeypatch.setattr(module, "enumerate_correct", counting)
+    builds = Counter()
+    for table in ("correct", "walks"):
+        def counted(suite, build=getattr(Suite, table).func, table=table):
+            builds[table, id(suite)] += 1
+            return build(suite)
+        prop = cached_property(counted)
+        prop.__set_name__(Suite, table)
+        monkeypatch.setattr(Suite, table, prop)
     suite = make_benchmark_suite(4, FamilyParams(count=4, max_len=5, mid_layers=3))
     base = build_suite_policy(suite, 4.0, 4)
     cfg = SpsConfig(max_iterations=2, rl_steps_per_iteration=2, irl_steps_per_iteration=2,
@@ -424,6 +435,7 @@ def test_training_and_evaluation_enumerate_each_task_once(monkeypatch):
                       rng=derive_rng(4))
     assert all(calls[task] == 1 for task in suite)
     assert max(calls.values()) == 1
+    assert builds == {("correct", id(suite)): 1, ("walks", id(suite)): 1}
 
 
 def test_greedy_drift_zero_against_self(diamond_task):

@@ -57,7 +57,7 @@ from squeezelab.policy import (
     _token_logps,
 )
 from squeezelab.rollouts import sample_trajectories
-from squeezelab.tasks import PathTaskSpec, TaskInstance, validate
+from squeezelab.tasks import PathTaskSpec, Suite, TaskInstance, validate
 
 from conftest import (batch_sequences, by_id, by_key, finite_difference_blocks,
                       flat_score_gradient, random_policy, reference_save_checkpoint,
@@ -354,7 +354,11 @@ def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n, p
     ties = np.cumsum(np.exp(_log_softmax(np.zeros(vocab))))
     updated = apply_update(policy, by_id(policy, {(0, ()): rng.normal(size=vocab),
                                                   (3, (0,) * (max_len - 1)): np.ones(vocab)}), 0.7)
-    walks = [t.walk for t in tasks] if walked else None
+    walks = Suite(tasks).walks if walked else None
+    # DAPO's resample path samples at an index into the tasks: here a random
+    # order that skips one task and repeats another.
+    order = rng.permutation(len(tasks))
+    pick = np.append(order[1:], order[-1]) if len(tasks) > 1 else order
     for version in (policy, policy, updated, apply_update(updated, by_id(updated, {}), 1.0)):
         u = rng.random((len(prompts), n, max_len))
         special = rng.random(u.shape)
@@ -375,6 +379,12 @@ def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n, p
         assert [x[4] for x in got] == [x[4] for x in want]
         assert all(g.batch.ids.dtype == np.int64 for g in groups)
         assert all(g.batch.tokens.dtype == g.batch.lengths.dtype == np.intp for g in groups)
+        if walked:
+            picked = [prompts[i] for i in pick]
+            sub = sample_trajectories(version, picked, u[pick],
+                                      (walks[0], walks[1][pick], walks[2][pick]))
+            want = _sequential_rollouts(version, picked, u[pick], [tasks[i] for i in pick])
+            assert [r for g in sub for r in g.rewards] == [x[4] for x in want]
 
 
 def test_the_block_sampler_takes_the_cap_and_reads_a_fixed_stride():

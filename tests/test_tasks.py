@@ -16,9 +16,9 @@ from squeezelab.tasks import (
     ENUMERATION_BOUND,
     FamilyParams,
     PathTaskSpec,
+    Suite,
     TaskInstance,
     build_suite_policy,
-    correct_sets,
     enumerate_correct,
     load_suite,
     make_benchmark_suite,
@@ -257,12 +257,14 @@ def test_reward_is_binary_over_random_walks(diamond_task, ladder_task):
             assert validate(task, seq).reward in (0, 1)
 
 
-def test_correct_sets_join_a_suite_once_and_keep_only_the_last():
+def test_a_suite_joins_its_tables_once_and_keeps_them():
     params = FamilyParams(count=4, max_len=3, min_solutions=2, mid_layers=1)
     suite = make_benchmark_suite(5, params)
-    joined = correct_sets(suite)
-    # The same task objects, in another list, find the joined sets.
-    assert correct_sets(list(suite)) is joined and correct_sets(tuple(suite)) is joined
+    assert isinstance(suite, Suite) and Suite(suite) is suite
+    joined = suite.correct
+    # Each table is built on its first read and kept; a suite handed down
+    # reads the same tables.
+    assert suite.correct is joined and Suite(suite).walks is suite.walks
     table = PolicyTable(Vocab(params.vocab_size), params.max_len)
     sequences = [(task.prompt_id, tokens) for task in suite for tokens in task.correct_sequences]
     assert joined.batch.ids.tolist() == [i for pid, tokens in sequences
@@ -271,14 +273,14 @@ def test_correct_sets_join_a_suite_once_and_keep_only_the_last():
     assert joined.sizes.tolist() == [len(task.correct_sequences) for task in suite]
     assert joined.owners.tolist() == [i for i, task in enumerate(suite)
                                       for _ in task.correct_sequences]
-    # Equal tasks that are other objects, or the suite in another order, are
-    # joined afresh, and only the last suite joined is kept.
-    for tasks in (suite[::-1], [dataclasses.replace(task) for task in suite], suite[1:]):
-        assert correct_sets(tasks) is not joined
-    again = correct_sets(suite)
-    assert again is not joined and np.array_equal(again.batch.ids, joined.batch.ids)
+    # A second Suite of the same tasks builds its own tables, equal to these.
+    again = Suite(list(suite))
+    assert again is not suite and again == suite
+    assert again.correct is not joined and np.array_equal(again.correct.batch.ids, joined.batch.ids)
+    assert again.walks[0] is not suite.walks[0]
+    assert all(map(np.array_equal, again.walks, suite.walks))
     wider = dataclasses.replace(suite[1], spec=dataclasses.replace(suite[1].spec, vocab_size=5))
     with pytest.raises(ValueError, match="share vocab_size and max_len"):
-        correct_sets([suite[0], wider])
+        Suite([suite[0], wider])
     with pytest.raises(ValueError, match="empty task suite"):
-        correct_sets([])
+        Suite([])
