@@ -81,6 +81,9 @@ MATRIX = {
     # that some prompts' selections take positive_augment demos.
     "sps_reuse_l2te": ({"mode": "sps", "rl.reuse_rollouts": True, "sps.quantile": 0.5,
                         "sps.min_negatives": 3}, 32),
+    # SPS on DAPO: the L2TE candidates come from records gathered out of
+    # DAPO's merged resamples, not from contiguous sampler batches.
+    "sps_dapo_resample": ({"mode": "sps", "rl.objective": "dapo", "rl.dapo_max_resamples": 2}, 32),
     # Circular irl_batch_size slices of each prompt's demos in per_prompt scope.
     "sps_irl_batch": ({"mode": "sps", "sps.irl_batch_size": 2}, 32),
     # Every config above ranks L2TE candidates per token; this one by raw total.

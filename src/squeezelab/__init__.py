@@ -84,7 +84,7 @@ from .policy import (
     token_distribution,
     trajectory_log_prob,
 )
-from .rollouts import RolloutGroup, Rollouts, sample_trajectories
+from .rollouts import Rollouts, sample_trajectories
 from .runner import RunManifest, compare, run
 from .sps import (
     DemoEntry,

@@ -10,10 +10,10 @@ averaged (per-sequence mean for GRPO/GSPO, one global token mean for DAPO),
 the clip widths, and whether a KL leash to a reference snapshot is applied
 (GRPO only). Groups with all-equal rewards carry no signal and are skipped.
 
-A step's rollouts are one policy.Rollouts record, the sampler's flat batch
-with the prefix ids it drew at (rollout_record joins hand-built
-RolloutGroups into one). The record keeps what depends on the rollouts
-alone, so steps that reuse it derive that once. Each objective gathers the
+A step's rollouts are one rollouts.Rollouts record, the sampler's flat
+batch with the prefix ids it drew at (rollout_record joins hand-built
+records into one). The record keeps what depends on the rollouts alone, so
+steps that reuse it derive that once. Each objective gathers the
 new and reference log-probs with one token_log_probs call each; GRPO and
 DAPO are one clipped token surrogate of array expressions, and GSPO takes
 each sequence ratio from its slice of the flat log-prob difference. Value
@@ -47,7 +47,6 @@ from .policy import (
     token_log_probs,
 )
 from .rollouts import (
-    RolloutGroup,
     Rollouts,
     dapo_filter,  # noqa: F401  (callers read objectives.dapo_filter)
     group_advantages,  # noqa: F401  (callers read objectives.group_advantages)
@@ -248,21 +247,22 @@ class ContrastiveRecord:
         return self.var_term * (self.pos_expectation - self.neg_expectation)
 
 
-def contrastive_decomposition(group: RolloutGroup, policy: PolicyTable) -> ContrastiveRecord:
+def contrastive_decomposition(group: Rollouts, policy: PolicyTable) -> ContrastiveRecord:
     """Bernoulli-variance times the gap in length-normalized likelihoods.
 
-    Expectations are empirical means over the group's positive and negative
-    rollouts of pi_theta(y|x)/|y| under the current policy, with log pi_theta(y|x)
-    the left-fold total sequence_log_probs gives, as trajectory_log_prob's.
+    group is a one-prompt record. Expectations are empirical means over its
+    positive and negative rollouts of pi_theta(y|x)/|y| under the current
+    policy, with log pi_theta(y|x) the left-fold total sequence_log_probs
+    gives, as trajectory_log_prob's.
     """
-    rewards = np.asarray(group.rewards)
+    rewards = group.rewards
     if rewards.min() == rewards.max():
         raise OneSidedGroup("need at least one positive and one negative rollout")
     p_hat = float(rewards.mean())
     var_term = math.sqrt(p_hat * (1.0 - p_hat))
     totals = sequence_log_probs(policy, group.batch)[1]
     pos, neg = [], []
-    for reward, total, length in zip(group.rewards, totals.tolist(),
+    for reward, total, length in zip(rewards.tolist(), totals.tolist(),
                                      group.batch.lengths.tolist()):
         lik = math.exp(total) / max(length, 1)
         (pos if reward == 1 else neg).append(lik)
@@ -284,10 +284,11 @@ class StepRecord:
 
 
 def sample_group(policy: PolicyTable, task: TaskInstance, group_size: int,
-                 rng: np.random.Generator) -> RolloutGroup:
-    """Sample G rollouts for one task, rewarded by the task's fused validator."""
+                 rng: np.random.Generator) -> Rollouts:
+    """Sample G rollouts for one task, rewarded by the task's fused validator,
+    as a one-prompt record."""
     return sample_trajectories(policy, [task.prompt_id],
-                               rng.random((1, group_size, policy.max_len)), Suite([task]).walks)[0]
+                               rng.random((1, group_size, policy.max_len)), Suite([task]).walks)
 
 
 def rl_step(policy: PolicyTable, task_batch, cfg, seed: int,

@@ -38,7 +38,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -343,11 +343,6 @@ class SequenceBatch:
         sequence_log_probs puts each token's log-prob."""
         return padded_layout(self.lengths)
 
-    @cached_property
-    def starts(self) -> list[int]:
-        """Where each sequence's terms start, then where the last one's end."""
-        return [0, *accumulate(self.lengths.tolist())]
-
 
 def padded_layout(lengths: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
     """Where each term of flat runs of the given lengths goes in a zero-padded
@@ -369,15 +364,17 @@ def left_folds(values: np.ndarray, layout: tuple[np.ndarray, tuple[int, int]]) -
     return np.add.accumulate(padded)[-1]
 
 
-def take_sequences(picks) -> SequenceBatch:
-    """Sequence i of batch b for each (b, i) of picks, in that order, with its recorded ids."""
-    ids, tokens, lengths = [np.empty(0, np.int64)], [np.empty(0, np.intp)], []
-    for batch, i in picks:
-        start, stop = batch.starts[i], batch.starts[i + 1]
-        ids.append(batch.ids[start:stop])
-        tokens.append(batch.tokens[start:stop])
-        lengths.append(stop - start)
-    return SequenceBatch(np.concatenate(ids), np.concatenate(tokens), np.array(lengths, np.intp))
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices starts[i], ..., starts[i] + lengths[i] - 1 of each run i, run after run."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def take_sequences(batch: SequenceBatch, picks) -> SequenceBatch:
+    """Sequence i of batch for each i of picks, in that order, with its recorded ids."""
+    picks, lengths = np.asarray(picks, np.intp), batch.lengths
+    token = _runs((np.cumsum(lengths) - lengths)[picks], lengths[picks])
+    return SequenceBatch(batch.ids[token], batch.tokens[token], lengths[picks])
 
 
 def sequence_batch(policy: PolicyTable, sequences) -> SequenceBatch:

@@ -1,11 +1,11 @@
 """An RL step's rollouts as one record: the sampler's flat batch.
 
 sample_trajectories keeps one policy.sample_batch call as a Rollouts record;
-record[k] is prompt k's RolloutGroup, a view built on demand, and
-rollout_record joins RolloutGroups or records into one. A record computes
-what a step derives from its rollouts alone (group_advantages, DAPO's kept
-groups, the live groups joined with each token's advantage and weight, the
-mean reward) on first use and keeps it, so reused steps derive it once.
+record[k] is prompt k's rollouts as a one-prompt record, and rollout_record
+joins records into one. A record computes what a step derives from its
+rollouts alone (group_advantages, DAPO's kept groups, the live groups joined
+with each token's advantage and weight, the mean reward) on first use and
+keeps it, so reused steps derive it once.
 """
 from __future__ import annotations
 
@@ -15,22 +15,8 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .policy import PolicyTable, SequenceBatch, _read_only, join_batches, sample_batch
-
-
-@dataclass(frozen=True, eq=False)
-class RolloutGroup:
-    """Rollouts of one prompt as arrays, as sample_trajectories draws them."""
-
-    prompt_id: int
-    batch: SequenceBatch      # their tokens and the prefix ids they were drawn at
-    logps: np.ndarray         # each token's behavior log-prob
-    totals: np.ndarray        # each rollout's left-fold total of them
-    rewards: tuple[int, ...]  # each rollout's reward, 0 or 1
-
-    @property
-    def size(self) -> int:
-        return len(self.rewards)
+from .policy import (PolicyTable, SequenceBatch, _read_only, _runs, join_batches,
+                     sample_batch)
 
 
 @dataclass(frozen=True)
@@ -62,13 +48,13 @@ def _advantages(rewards: tuple) -> AdvantageVector:
     return AdvantageVector(_read_only((r - mean) / std), degenerate=False)
 
 
-def dapo_filter(groups) -> tuple[Rollouts | list[RolloutGroup], int]:
+def dapo_filter(groups) -> tuple[Rollouts | list[Rollouts], int]:
     """Drop groups whose rewards are all-0 or all-1 (no learning signal): the
-    others, a record's as a record and RolloutGroups as a list, and how many
-    were dropped."""
+    others, a record's as a record and a list of one-prompt records as a list,
+    and how many were dropped."""
     if not isinstance(groups, Rollouts):
         batch = list(groups)
-        kept = [g for g in batch if 0 < sum(g.rewards) < g.size]
+        kept = [g for g in batch if 0 < g.rewards.sum() < len(g.rewards)]
         return kept, len(batch) - len(kept)
     kept = [k for k, rewards in enumerate(groups.reward_tuples) if 0 < sum(rewards) < len(rewards)]
     return groups.take(kept), len(groups) - len(kept)
@@ -88,23 +74,14 @@ class Rollouts:
     def __len__(self) -> int:
         return len(self.prompt_ids)
 
-    def __getitem__(self, k: int) -> RolloutGroup:
-        k = range(len(self))[k]  # IndexError past the end, which ends iteration
-        a, b = self.bounds[k], self.bounds[k + 1]
-        start, stop = self.batch.starts[a], self.batch.starts[b]
-        return RolloutGroup(self.prompt_ids[k], SequenceBatch(
-            self.batch.ids[start:stop], self.batch.tokens[start:stop], self.batch.lengths[a:b]),
-            self.logps[start:stop], self.totals[a:b], self.reward_tuples[k])
-
-    @cached_property
-    def bounds(self) -> list[int]:
-        """Where each prompt's rollouts start, then where the last one's end."""
-        return [0, *accumulate(self.sizes.tolist())]
+    def __getitem__(self, k: int) -> Rollouts:
+        """Prompt k's rollouts as a one-prompt record."""
+        return self.take([range(len(self))[k]])  # IndexError past the end, which ends iteration
 
     @cached_property
     def reward_tuples(self) -> list[tuple[int, ...]]:
-        rewards = self.rewards.tolist()
-        return [tuple(rewards[a:b]) for a, b in zip(self.bounds, self.bounds[1:])]
+        rewards, bounds = self.rewards.tolist(), [0, *accumulate(self.sizes.tolist())]
+        return [tuple(rewards[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def take(self, picks) -> Rollouts:
         """The groups at positions picks, in that order, as one record; all of
@@ -140,20 +117,11 @@ class Rollouts:
         return float(np.mean(self.rewards)) if len(self.rewards) else 0.0
 
 
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The indices starts[i], ..., starts[i] + lengths[i] - 1 of each run i, run after run."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
-
-
 def rollout_record(groups) -> Rollouts:
-    """groups as one Rollouts record: a record as it is, and RolloutGroups or
-    records joined in order."""
+    """groups as one Rollouts record: a record as it is, and records joined in order."""
     if isinstance(groups, Rollouts):
         return groups
-    parts = [g if isinstance(g, Rollouts) else Rollouts(
-        (g.prompt_id,), g.batch, g.logps, g.totals, np.array(g.rewards, np.intp),
-        np.array([g.size], np.intp)) for g in groups]
+    parts = list(groups)
     if len(parts) == 1:
         return parts[0]
     return Rollouts(tuple(chain.from_iterable(p.prompt_ids for p in parts)),

@@ -7,12 +7,13 @@ their mean negative log-likelihood. Fitting a degenerate empirical
 distribution over the demos is exactly maximizing demo likelihood, which
 pushes probability mass back toward trajectories the RL phase squeezed down.
 Each rollout is kept once, in the Rollouts record of the RL step that
-sampled it (under reuse_rollouts only the first step samples): l2te_select
-gets each prompt's RolloutGroup of each record, a view of its arrays, ranks
-them by behavior totals and takes each demo it picks out of its group's
-arrays, with the ids the sampler recorded, so no demo token is numbered
-again. Every IRL function takes a sequence of blocks, each a SequenceBatch
-of demos whose ids name its prompts.
+sampled it (under reuse_rollouts only the first step samples). An
+iteration's fresh records are joined once (rollout_record); l2te_select
+finds each prompt's rollouts in the joined record by one mask, ranks them by
+behavior totals and takes each demo it picks out of the record's arrays,
+with the ids the sampler recorded, so no demo token is numbered again.
+Every IRL function takes a sequence of blocks, each a SequenceBatch of
+demos whose ids name its prompts.
 Every IRL step, in the training loop and outside it, is one call of
 irl_step: step s descends on one block of demos per prompt, or on one block
 of the whole suite's demos (irl_scope), each block the circular
@@ -59,7 +60,7 @@ from .policy import (
     sequence_log_probs,
     take_sequences,
 )
-from .rollouts import Rollouts
+from .rollouts import Rollouts, rollout_record
 from .tasks import Suite
 
 LOW_LIKELIHOOD = "low_likelihood"
@@ -152,24 +153,24 @@ class DemoSet:
 def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     """Pick the k lowest-likelihood rollouts for one prompt as IRL demos.
 
-    The candidates are the prompt's rollouts in `groups`, a sequence of
-    RolloutGroups, in group then draw order. They are ranked by behavior
-    total log-prob per token (the raw total with l2te_raw_total)
-    ascending, ties keeping that order. With enough negative-reward
-    rollouts around (>= min_negatives_for_pure_l2te) the bottom k are taken
-    as they come; otherwise every available negative is taken and the
-    lowest-ranked positive-reward rollouts fill up the remaining slots,
-    marked positive_augment. A quantile q widens or narrows the candidate
-    window to the bottom ceil(q*n) ranks (never below k, so the set stays
-    full). Each demo is taken from its own group's recorded arrays.
+    The candidates are the rollouts of prompt_id in `groups`, a Rollouts
+    record or records joined by rollout_record, in record order. They are
+    ranked by behavior total log-prob per token (the raw total with
+    l2te_raw_total) ascending, ties keeping that order. With enough
+    negative-reward rollouts around (>= min_negatives_for_pure_l2te) the
+    bottom k are taken as they come; otherwise every available negative is
+    taken and the lowest-ranked positive-reward rollouts fill up the
+    remaining slots, marked positive_augment. A quantile q widens or narrows
+    the candidate window to the bottom ceil(q*n) ranks (never below k, so the
+    set stays full). Each demo is taken from the record's recorded arrays.
     """
-    live = [group for group in groups if group.prompt_id == prompt_id]
-    if not live:
+    record = rollout_record(groups)
+    live = np.flatnonzero(np.repeat(np.array(record.prompt_ids) == prompt_id, record.sizes))
+    if not len(live):
         raise NoRollouts(f"no rollouts sampled for prompt {prompt_id}")
-    rewards = [r for group in live for r in group.rewards]
-    totals = np.concatenate([group.totals for group in live])
-    lengths = 1 if cfg.l2te_raw_total else np.concatenate([g.batch.lengths for g in live])
-    keys = (totals / np.maximum(lengths, 1)).tolist()
+    rewards = record.rewards[live].tolist()
+    lengths = 1 if cfg.l2te_raw_total else record.batch.lengths[live]
+    keys = (record.totals[live] / np.maximum(lengths, 1)).tolist()
     n = len(keys)
     k = min(cfg.sampling_size, n)
     order = sorted(range(n), key=keys.__getitem__)
@@ -192,8 +193,7 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
         DemoEntry(normalized_logp=keys[i], quantile_rank=order.index(i) / denom, source=src)
         for i, src in chosen
     )
-    sources = [(group.batch, j) for group in live for j in range(group.size)]
-    return DemoSet(entries, take_sequences(sources[i] for i, _ in chosen))
+    return DemoSet(entries, take_sequences(record.batch, live[[i for i, _ in chosen]]))
 
 
 def _block_values(policy: PolicyTable, blocks, terms: SequenceBatch, rows=None) -> list[float]:
@@ -299,7 +299,7 @@ def _circular_batch(demos: SequenceBatch, batch_size: int | None, s: int) -> Seq
     n = len(demos.lengths)
     if batch_size is None or batch_size >= n:
         return demos
-    return take_sequences((demos, (s * batch_size + j) % n) for j in range(batch_size))
+    return take_sequences(demos, (s * batch_size + np.arange(batch_size)) % n)
 
 
 def irl_step(policy: PolicyTable, demo_sets, cfg: SpsConfig, s: int) -> tuple[PolicyTable, float]:
@@ -402,8 +402,8 @@ def _loop(base_policy: PolicyTable, task_suite, cfg: SpsConfig, seed: int,
             trace.step_records.append(record)
             global_step += 1
         if irl_enabled and cfg.irl_steps_per_iteration > 0 and cfg.irl_lr > 0:
-            demo_sets = [l2te_select([step[k] for step in sampled], t.prompt_id, cfg).batch
-                         for k, t in enumerate(tasks)]
+            candidates = rollout_record(sampled)
+            demo_sets = [l2te_select(candidates, t.prompt_id, cfg).batch for t in tasks]
             for s in range(cfg.irl_steps_per_iteration):
                 policy, mean_loss = irl_step(policy, demo_sets, cfg, s)
                 pk, cov, recs = _trace_eval(policy, tasks, cfg)

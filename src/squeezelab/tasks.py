@@ -358,14 +358,22 @@ def suite_json(tasks) -> str:
     ])
 
 
+def _json_int(value, key: str) -> int:
+    """value, which must be a JSON integer: not a float, a bool or a string."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError(f"{key}: {json.dumps(value)} is not a JSON integer")
+    return value
+
+
 def load_suite(path, vocab_size: int, max_len: int) -> Suite:
     """Read a suite file (suite_json's text) at a checkpoint's shape.
 
     The on-disk schema does not carry the vocab size, so the checkpoint's
     is given; every entry's max_len must be the checkpoint's. Prompt ids
-    must be distinct and >= 0. Any entry that fails, another max_len and a
-    correct set past ENUMERATION_BOUND included, is SuiteCorrupt naming it;
-    so is an empty list.
+    must be distinct and >= 0. Every number must be a JSON integer. Any
+    entry that fails, another max_len and a correct set past
+    ENUMERATION_BOUND included, is SuiteCorrupt naming it; so is an empty
+    list.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -379,21 +387,22 @@ def load_suite(path, vocab_size: int, max_len: int) -> Suite:
     tasks, seen = [], {}
     for entry, obj in enumerate(payload):
         try:
-            edges = tuple((int(u), int(v), int(t)) for u, v, t in obj["edges"])
+            edges = tuple((_json_int(u, "edges"), _json_int(v, "edges"), _json_int(t, "edges"))
+                          for u, v, t in obj["edges"])
             spec = PathTaskSpec(
-                node_count=int(obj["nodes"]),
+                node_count=_json_int(obj["nodes"], "nodes"),
                 edges=edges,
-                start=int(obj["start"]),
-                target=int(obj["label"]),
-                max_len=int(obj["max_len"]),
+                start=_json_int(obj["start"], "start"),
+                target=_json_int(obj["label"], "label"),
+                max_len=_json_int(obj["max_len"], "max_len"),
                 vocab_size=vocab_size,
             )
             if spec.max_len != max_len:
                 raise ValueError(f"max_len {spec.max_len} is not the checkpoint's max_len {max_len}")
-            prompt_id = int(obj["prompt_id"])
+            prompt_id = _json_int(obj["prompt_id"], "prompt_id")
             if prompt_id < 0 or seen.setdefault(prompt_id, entry) != entry:
                 raise ValueError(f"prompt_id {prompt_id} is negative or repeats an earlier one")
-            tasks.append(TaskInstance(prompt_id=prompt_id, label=int(obj["label"]), spec=spec))
+            tasks.append(TaskInstance(prompt_id=prompt_id, label=spec.target, spec=spec))
         except KeyError as exc:
             raise SuiteCorrupt(f"missing key {exc}", entry) from exc
         except (TypeError, ValueError, GenerationFailed, SpaceTooLarge) as exc:

@@ -13,7 +13,7 @@ from squeezelab.policy import (Gradient, PolicyTable, SequenceBatch, Trajectory,
                                _left_fold, derive_rng, join_batches, prefix_id, prefix_ids,
                                prefix_key, prefix_rows, sample_batch, score_gradient,
                                sequence_batch, sequence_log_probs)
-from squeezelab.rollouts import RolloutGroup
+from squeezelab.rollouts import Rollouts
 from squeezelab.tasks import PathTaskSpec, Suite, TaskInstance
 
 
@@ -70,7 +70,8 @@ def random_policy(vocab_size: int, max_len: int, rng: np.random.Generator,
 
 
 def rollout_group(policy, prompt_id, trajectories, rewards, old_logps=None):
-    """A RolloutGroup of Trajectories, numbered by prefix_ids at policy's shape.
+    """A one-prompt Rollouts record of Trajectories, numbered by prefix_ids at
+    policy's shape.
 
     Each rollout's behavior log-probs are old_logps[i], or else its own
     per_token_logp, and its total is its total_logp.
@@ -78,18 +79,21 @@ def rollout_group(policy, prompt_id, trajectories, rewards, old_logps=None):
     trajectories = tuple(trajectories)
     if old_logps is None:
         old_logps = [t.per_token_logp for t in trajectories]
-    return RolloutGroup(
-        prompt_id, sequence_batch(policy, ((prompt_id, t.tokens) for t in trajectories)),
+    return Rollouts(
+        (prompt_id,), sequence_batch(policy, ((prompt_id, t.tokens) for t in trajectories)),
         np.array([lp for old in old_logps for lp in old], float),
-        np.array([t.total_logp for t in trajectories], float), tuple(rewards))
+        np.array([t.total_logp for t in trajectories], float), np.array(rewards, np.intp),
+        np.array([len(trajectories)], np.intp))
 
 
 def trajectories(group):
-    """A RolloutGroup's rollouts as Trajectories, read off its arrays; each
+    """A record's rollouts as Trajectories, read off its arrays; each
     per_token_logp holds the rollout's behavior log-probs."""
     tokens, logps, start, out = group.batch.tokens.tolist(), group.logps.tolist(), 0, []
-    for length, total in zip(group.batch.lengths.tolist(), group.totals.tolist()):
-        out.append(Trajectory(group.prompt_id, tuple(tokens[start:start + length]),
+    prompts = np.repeat(group.prompt_ids, group.sizes).tolist()
+    for prompt_id, length, total in zip(prompts, group.batch.lengths.tolist(),
+                                        group.totals.tolist()):
+        out.append(Trajectory(prompt_id, tuple(tokens[start:start + length]),
                               tuple(logps[start:start + length]), total))
         start += length
     return out
@@ -97,8 +101,8 @@ def trajectories(group):
 
 def reference_sample_groups(policy, tasks, cfg, seed):
     """The groups rl_step samples for tasks, as it drew them before one record
-    held a step's rollouts: each retry's flat batch split into one RolloutGroup
-    per prompt, every task at retry 0 and then, under DAPO, those still
+    held a step's rollouts: each retry's flat batch split into one one-prompt
+    record per prompt, every task at retry 0 and then, under DAPO, those still
     degenerate, each task keeping its last draw."""
     attempts = 1 + (cfg.dapo_max_resamples if cfg.clip.objective_kind == "dapo" else 0)
     groups, todo, n = [None] * len(tasks), list(range(len(tasks))), cfg.group_size
@@ -108,23 +112,23 @@ def reference_sample_groups(policy, tasks, cfg, seed):
         batch, logps, totals, rewards = sample_batch(
             policy, [tasks[i].prompt_id for i in todo], u, (table, starts[todo], accepts[todo]))
         lengths, totals = batch.lengths.reshape(-1, n), totals.reshape(-1, n)
-        rewards = rewards.reshape(-1, n).tolist()
+        rewards = rewards.reshape(-1, n)
         ends = np.cumsum([0] + lengths.sum(axis=1).tolist()).tolist()
         for k, (i, a, b) in enumerate(zip(todo, ends, ends[1:])):
-            groups[i] = RolloutGroup(tasks[i].prompt_id, SequenceBatch(
+            groups[i] = Rollouts((tasks[i].prompt_id,), SequenceBatch(
                 batch.ids[a:b], batch.tokens[a:b], lengths[k]), logps[a:b], totals[k],
-                tuple(rewards[k]))
-        todo = [i for i in todo if not 0 < sum(groups[i].rewards) < n]
+                rewards[k], np.array([n], np.intp))
+        todo = [i for i in todo if not 0 < groups[i].rewards.sum() < n]
         if not todo:
             break
     return groups
 
 
 def group_fields(group):
-    """A RolloutGroup's contents as plain values, to compare groups by what they hold."""
-    return (group.prompt_id, group.batch.ids.tolist(), group.batch.tokens.tolist(),
+    """A record's contents as plain values, to compare records by what they hold."""
+    return (group.prompt_ids, group.batch.ids.tolist(), group.batch.tokens.tolist(),
             group.batch.lengths.tolist(), group.logps.tolist(), group.totals.tolist(),
-            group.rewards)
+            group.rewards.tolist(), group.sizes.tolist())
 
 
 def finite_difference_blocks(value_fn, policy, keys, h=1e-5):

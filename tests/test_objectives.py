@@ -106,7 +106,7 @@ def naive_grpo_value(groups, policy, ref_policy, eps, beta):
                     term -= beta * (rr - (ref_lp - new_lp) - 1.0)
                 per_traj += term
             inner += per_traj / len(traj.tokens)
-        total += inner / group.size
+        total += inner / len(group.rewards)
     return total / len(groups)
 
 
@@ -142,7 +142,7 @@ def naive_gspo_value(groups, policy, eps_low, eps_high):
             s = math.exp(sum(diffs) / len(diffs))
             clipped = min(max(s, 1.0 - eps_low), 1.0 + eps_high)
             inner += min(s * adv[i], clipped * adv[i])
-        total += inner / group.size
+        total += inner / len(group.rewards)
     return total / len(groups)
 
 
@@ -442,7 +442,7 @@ def test_dapo_filter_partitions_and_keeps_mixed_groups():
     assert dropped == 2
     assert [sum(g.rewards) for g in kept] == [1, 3]
     for g in kept:
-        assert 0 < sum(g.rewards) < g.size
+        assert 0 < sum(g.rewards) < len(g.rewards)
 
 
 def test_dapo_all_filtered_is_a_zero_step():
@@ -591,7 +591,7 @@ def reference_clipped_token_loop(batch, policy, ref_policy, cfg, token_weight):
             a = adv.values[i]
             if not traj.tokens:
                 continue
-            w = token_weight(group.size, len(traj.tokens))
+            w = token_weight(len(group.rewards), len(traj.tokens))
             new_lp = _token_logps(policy, traj.prompt_id, traj.tokens)
             ratios = np.exp(new_lp - np.asarray(traj.per_token_logp))
             if use_kl:
@@ -642,7 +642,7 @@ def reference_gspo_loop(groups, policy, cfg):
             clipped_s = min(max(s, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
             unclipped_term = s * a
             clipped_term = clipped_s * a
-            w = 1.0 / (len(groups) * group.size)
+            w = 1.0 / (len(groups) * len(group.rewards))
             if clipped_term < unclipped_term:
                 value += w * clipped_term
                 clipped_tokens += length
@@ -820,8 +820,8 @@ def test_rl_phases_on_one_record_per_step_match_the_per_prompt_reference(monkeyp
     steps_per_record = sps_cfg.rl_steps_per_iteration if sps_cfg.reuse_rollouts else 1
     assert len(distinct) * steps_per_record == len(records)
     dapo = sps_cfg.clip.objective_kind == "dapo"
-    assert advantages == [g.rewards for record in distinct
-                          for g in (record.kept if dapo else record)]
+    assert advantages == [rewards for record in distinct
+                          for rewards in (record.kept if dapo else record).reward_tuples]
     if overrides.get("suite.count") == 1:
         assert any(not len(record.kept) for record in distinct)
 
@@ -970,7 +970,7 @@ def test_rl_step_draws_one_block_per_retry(monkeypatch, overrides):
 def test_sample_group_scores_with_validator(diamond_task):
     policy = PolicyTable(Vocab(4), max_len=2)
     group = sample_group(policy, diamond_task, 8, np.random.default_rng(0))
-    assert group.size == 8
+    assert len(group.rewards) == 8
     for traj, reward in zip(trajectories(group), group.rewards):
         assert reward == validate(diamond_task, traj.tokens).reward
         assert traj.per_token_logp == tuple(trajectory_log_prob(policy, 0, traj.tokens)[0])

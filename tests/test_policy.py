@@ -366,7 +366,7 @@ def test_block_sampler_matches_a_sequential_reference(seed, vocab, max_len, n, p
         u[special > 0.85] = rng.choice(ties[:-1], size=int((special > 0.85).sum()))
         groups = sample_trajectories(version, prompts, u, walks)
         want = _sequential_rollouts(version, prompts, u, tasks if walked else None)
-        assert [g.prompt_id for g in groups] == prompts
+        assert [g.prompt_ids[0] for g in groups] == prompts
         got = [(ids, tokens, logps, total, reward)
                for g in groups
                for ids, tokens, logps, total, reward in zip(
@@ -464,7 +464,7 @@ def _batch_decodes(policy, prompts):
     """greedy_decode_batch as one Trajectory per prompt; checks its recorded prefix ids."""
     batch, logps, totals = greedy_decode_batch(policy, prompts)
     assert batch.ids.dtype == np.int64
-    starts, out = batch.starts, []
+    starts, out = [0, *np.cumsum(batch.lengths).tolist()], []
     for p, a, b, total in zip(prompts, starts, starts[1:], totals.tolist()):
         tokens = tuple(batch.tokens[a:b].tolist())
         assert batch.ids[a:b].tolist() == prefix_ids(policy, p, tokens)
@@ -538,7 +538,7 @@ def test_take_sequences_equals_the_numbered_batch_of_the_same_sequences(seed, vo
     rng = np.random.default_rng(seed)
     policy = PolicyTable(Vocab(vocab), max_len)
     (group,) = sample_trajectories(policy, [int(rng.integers(3))], rng.random((1, n, max_len)))
-    sequences = [(group.prompt_id, tokens) for tokens in batch_sequences(group.batch)]
+    sequences = [(group.prompt_ids[0], tokens) for tokens in batch_sequences(group.batch)]
     start = data.draw(st.integers(0, n - 1))
     selections = [[], [start], [start, start], [(start + j) % n for j in range(n + 1)],
                   data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))]
@@ -546,13 +546,9 @@ def test_take_sequences_equals_the_numbered_batch_of_the_same_sequences(seed, vo
     assert_same_batch(join_batches([]), sequence_batch(policy, []))
     for indices in selections:
         want = sequence_batch(policy, [sequences[i] for i in indices])
-        assert_same_batch(take_sequences((group.batch, i) for i in indices), want)
+        assert_same_batch(take_sequences(group.batch, indices), want)
         joined = join_batches([group.batch, group.batch])
-        assert_same_batch(take_sequences((joined, i + n) for i in indices), want)
-        # Picks from several batches.
-        assert_same_batch(take_sequences((batch, i) for i in indices
-                                         for batch in (group.batch, joined)),
-                          sequence_batch(policy, [sequences[i] for i in indices for _ in "ab"]))
+        assert_same_batch(take_sequences(joined, [i + n for i in indices]), want)
 
 
 def test_set_logits_after_a_sample_changes_later_samples():

@@ -28,9 +28,11 @@ from squeezelab.policy import (
     prefix_rows,
     sample_trajectory,
     score_gradient,
+    sequence_batch,
     take_sequences,
     trajectory_log_prob,
 )
+from squeezelab.rollouts import rollout_record
 from squeezelab.sps import (
     LOW_LIKELIHOOD,
     POSITIVE_AUGMENT,
@@ -64,7 +66,7 @@ LN4 = math.log(4.0)
 
 
 def pooled(logps, rewards, lengths=None):
-    """One synthetic prompt-0 RolloutGroup with prescribed behavior total logps."""
+    """One synthetic prompt-0 record with prescribed behavior total logps."""
     policy = PolicyTable(Vocab(4), max_len=3)
     trajs = tuple(
         dataclasses.replace(make_trajectory(policy, 0, (0,) * (lengths[i] if lengths else 1)),
@@ -210,7 +212,7 @@ def test_sampling_and_demo_selection_build_no_trajectories(diamond_task, monkeyp
 
 
 # The selection as it read a pool of per-rollout copies, kept as the oracle
-# for l2te_select on RolloutGroups.
+# for l2te_select on a list of one-prompt records and on one joined record.
 @dataclasses.dataclass(frozen=True)
 class PoolEntry:
     prompt_id: int
@@ -223,7 +225,7 @@ class PoolEntry:
 class RolloutPool:
     def __init__(self, groups, groups_per_step):
         self.entries = [
-            PoolEntry(prompt_id=g.prompt_id, trajectory=traj, reward=reward,
+            PoolEntry(prompt_id=g.prompt_ids[0], trajectory=traj, reward=reward,
                       behavior_total_logp=traj.total_logp, rl_step_index=i // groups_per_step)
             for i, g in enumerate(groups) for traj, reward in zip(trajectories(g), g.rewards)]
 
@@ -286,11 +288,17 @@ def test_l2te_select_on_groups_matches_the_pool_reference(data):
                     min_negatives_for_pure_l2te=data.draw(st.integers(0, 4)),
                     l2te_raw_total=data.draw(st.booleans()))
     pool = RolloutPool(groups, len(prompts))
+    joined = rollout_record(groups)  # the form sps_loop passes
     for pid in prompts:
-        demos = l2te_select(groups, pid, cfg)
-        got = [(tokens, d.normalized_logp, d.quantile_rank, d.source)
-               for tokens, d in zip(batch_sequences(demos.batch), demos.entries)]
-        assert got == reference_l2te_select(pool, pid, cfg)
+        want = reference_l2te_select(pool, pid, cfg)
+        for candidates in (groups, joined):
+            demos = l2te_select(candidates, pid, cfg)
+            got = [(tokens, d.normalized_logp, d.quantile_rank, d.source)
+                   for tokens, d in zip(batch_sequences(demos.batch), demos.entries)]
+            assert got == want
+            # Each demo's ids are its own rows of the joined batch.
+            numbered = sequence_batch(policy, [(pid, t) for t in batch_sequences(demos.batch)])
+            assert demos.batch.ids.tolist() == numbered.ids.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +586,7 @@ def test_irl_functions_reject_an_empty_block():
     for call in (sps.irl_value, sps.irl_loss,
                  lambda policy, blocks: sps.irl_descent_step(policy, blocks, 0.1)):
         with pytest.raises(ValueError, match="demos must be nonempty"):
-            call(policy, [demo, take_sequences([])])
+            call(policy, [demo, take_sequences(demo, [])])
 
 
 def test_irl_stage_restores_demo_mass_and_keeps_normalization(diamond_task):
@@ -726,7 +734,7 @@ def test_sps_loop_demo_candidates_are_the_freshly_sampled_groups(diamond_task, m
         return result
 
     def recording_select(groups, prompt_id, cfg):
-        seen.append((prompt_id, list(groups)))
+        seen.append((prompt_id, groups))
         return l2te_select(groups, prompt_id, cfg)
 
     monkeypatch.setattr(sps, "rl_step", recording_rl_step)
@@ -739,10 +747,11 @@ def test_sps_loop_demo_candidates_are_the_freshly_sampled_groups(diamond_task, m
     for i, (prompt_id, groups) in enumerate(seen):
         it = i // 2
         assert prompt_id == i % 2
-        assert list(map(group_fields, groups)) == [
-            group_fields(g) for step in fresh[it * per_iteration:(it + 1) * per_iteration]
-            for g in step if g.prompt_id == prompt_id]
-        candidates = sum(g.size for g in groups if g.prompt_id == prompt_id)
+        # Every prompt's call gets the iteration's fresh records, joined once.
+        assert groups is seen[2 * it][1]
+        assert group_fields(groups) == group_fields(
+            rollout_record(fresh[it * per_iteration:(it + 1) * per_iteration]))
+        candidates = groups.sizes[np.array(groups.prompt_ids) == prompt_id].sum()
         steps = 1 if reuse else cfg.rl_steps_per_iteration
         assert candidates == steps * cfg.group_size
 

@@ -237,6 +237,21 @@ def test_suite_round_trip(tmp_path):
     ('[{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2},'
      ' {"prompt_id": 1, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 3}]',
      1, "entry 1: max_len 3 is not the checkpoint's max_len 2"),
+    # Numbers must be JSON integers: int() would truncate a float, read a bool
+    # as 0 or 1 and parse a numeric string.
+    ('[{"prompt_id": 0.9, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0,'
+     ' "max_len": 2}]',
+     0, "entry 0: prompt_id: 0.9 is not a JSON integer"),
+    ('[{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1, 0]], "start": 0, "max_len": 2},'
+     ' {"prompt_id": 1, "label": true, "nodes": 2, "edges": [[0, 1, 0]], "start": 0,'
+     ' "max_len": 2}]',
+     1, "entry 1: label: true is not a JSON integer"),
+    ('[{"prompt_id": 0, "label": 1, "nodes": "2", "edges": [[0, 1, 0]], "start": 0,'
+     ' "max_len": 2}]',
+     0, 'entry 0: nodes: "2" is not a JSON integer'),
+    ('[{"prompt_id": 0, "label": 1, "nodes": 2, "edges": [[0, 1, 0.5]], "start": 0,'
+     ' "max_len": 2}]',
+     0, "entry 0: edges: 0.5 is not a JSON integer"),
 ])
 def test_load_suite_names_the_corrupt_entry(text, entry, message, tmp_path):
     path = tmp_path / "suite.json"
