@@ -101,6 +101,10 @@ MATRIX = {
     # greedy choice at every depth, so the lowest-id tie rule shows in
     # steps.csv, trace.jsonl and the eval report.
     "uniform_base": ({"mode": "grpo", "suite.skew": 0}, 32),
+    # Every config above keeps most greedy paths from one policy version to
+    # the next, so greedy_decode_batch mostly checks the parent's paths; from
+    # a uniform base at a large rate they move on most steps and it walks.
+    "grpo_skew0": ({"mode": "grpo", "suite.skew": 0, "rl.lr": 0.5}, 32),
     # Every config above evaluates at most 256 samples per prompt; at 600 each
     # distinct sample stands for more samples, and weighs its pairs by more.
     "eval_600": ({"mode": "sps"}, 600),

@@ -34,7 +34,7 @@ from .policy import (
     Gradient,
     PolicyTable,
     Trajectory,
-    _left_fold,
+    _accumulate_fold,
     _token_logps,
     apply_update,
     derive_rng,
@@ -137,7 +137,7 @@ def _clipped_token_batch(record: Rollouts, policy: PolicyTable, ref_policy: Poli
     unclipped_term = ratios * adv
     clipped_term = np.minimum(np.maximum(ratios, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high) * adv
     clipped = clipped_term < unclipped_term
-    pg_value = _left_fold(w * np.where(clipped, clipped_term, unclipped_term))
+    pg_value = _accumulate_fold(w * np.where(clipped, clipped_term, unclipped_term))
     pg_weights = (w * adv) * ratios
     if cfg.beta > 0.0 and ref_policy is not None:
         ref_lp = token_log_probs(ref_policy, joined)
@@ -147,7 +147,7 @@ def _clipped_token_batch(record: Rollouts, policy: PolicyTable, ref_policy: Poli
             rr = np.fromiter(map(math.exp, log_rr.tolist()), float, n)
         except OverflowError as exc:
             raise NumericOverflow(f"KL ratio pi_ref/pi = exp({log_rr.max()}) overflows") from exc
-        kl_value = _left_fold(w * (rr - log_rr - 1.0))
+        kl_value = _accumulate_fold(w * (rr - log_rr - 1.0))
         # Each token's KL term follows its policy-gradient term, if it has one.
         emit = np.column_stack([~clipped, np.ones(n, dtype=bool)]).ravel()
         term_token = np.repeat(np.arange(n), 2)[emit]
@@ -222,7 +222,7 @@ def gspo_objective(groups, policy: PolicyTable, cfg: ClipConfig) -> ObjectiveRep
     clipped_term = np.minimum(np.maximum(ratios, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high) * adv
     clipped = clipped_term < unclipped_term
     nonempty = lengths > 0
-    value = _left_fold((w * np.where(clipped, clipped_term, unclipped_term))[nonempty])
+    value = _accumulate_fold((w * np.where(clipped, clipped_term, unclipped_term))[nonempty])
     terms = np.flatnonzero(np.repeat(~clipped, lengths))
     weights = np.repeat(w * adv * ratios / np.maximum(lengths, 1), lengths)[terms]
     gradient = score_gradient(policy, joined.ids[terms], rows[terms], joined.tokens[terms],

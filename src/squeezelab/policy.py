@@ -16,14 +16,16 @@ in the same pass. Sampling and greedy decoding differ only in the token
 rule: sample_batch, at temperature 1, counts each row's first V - 1 cumulative
 probabilities at or below the walk's uniform, into one flat batch (which
 rollouts.sample_trajectories keeps as an RL step's record);
-greedy_decode_batch takes each row's argmax. A checkpoint save
-keeps its rendering on the policy, and copies hand it on, so the next save
-of a lineage prints only the rows that are new or whose bits changed; a load
-parses each distinct prefix field once and every value in one pass. Every set
-of sequences (RL groups, IRL demos, correct sets) is one SequenceBatch of
-flat terms, recorded by the sampler or numbered in arrays by sequence_batch,
-and one kernel reads it: token_log_probs gathers every token's log-prob at once,
-and sequence_log_probs adds each sequence's left-fold total.
+greedy_decode_batch takes each row's argmax, and walks only when the
+paths its lineage last decoded are no longer every row's argmax. A
+checkpoint save keeps its rendering on the policy, and copies hand it on,
+so the next save of a lineage prints only the rows that are new or whose
+bits changed; a load parses each distinct prefix field once and every value
+in one pass. Every set of sequences (RL groups, IRL demos, correct sets) is
+one SequenceBatch of flat terms, recorded by the sampler or numbered in
+arrays by sequence_batch, and one kernel reads it: token_log_probs gathers
+every token's log-prob at once, and sequence_log_probs adds each sequence's
+left-fold total.
 score_gradient is the one place score blocks (onehot - probs) are formed,
 from a flat batch of terms (prefix id, table row, token, weight), and sums
 them per id with np.bincount; every gradient is one Gradient record, an id
@@ -149,6 +151,10 @@ class PolicyTable:
         self._rendering: tuple[np.ndarray, list, list, list] | None = None
         # Read-only (lo, rows) of _row_index, or None until first read.
         self._index: tuple[int, np.ndarray | None] | None = None
+        # The prompt ids and read-only SequenceBatch of the last greedy
+        # decode in this lineage, or None: greedy_decode_batch checks it
+        # against the current table before walking.
+        self._greedy: tuple[list[int], SequenceBatch] | None = None
 
     def _allocate(self, ident: int) -> int:
         """Row of a stored prefix id; a new id gets the next row, initially zero."""
@@ -228,7 +234,7 @@ class PolicyTable:
         clone._data = self._data.copy()
         # The caches are never written in place, so the clone can share them.
         clone._logp, clone._cum, clone._index = self._logp, self._cum, self._index
-        clone._rendering = self._rendering
+        clone._rendering, clone._greedy = self._rendering, self._greedy
         return clone
 
 
@@ -478,6 +484,12 @@ def _left_fold(values: np.ndarray) -> float:
     return total
 
 
+def _accumulate_fold(values: np.ndarray) -> float:
+    """_left_fold's bits from one np.add.accumulate over [0.0, *values], which
+    adds in order; faster than _left_fold from about 50 terms on."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+
+
 def make_trajectory(policy: PolicyTable, prompt_id: int, tokens) -> Trajectory:
     """Package a token sequence with its log-probs under the policy."""
     per_token, total = trajectory_log_prob(policy, prompt_id, tokens)
@@ -572,8 +584,25 @@ def greedy_decode_batch(policy: PolicyTable,
     Returns the decodes as one SequenceBatch, sequence i being prompt i's,
     each token's log-prob and each decode's total. NumericOverflow for
     prompts whose prefix ids pass 2**63, as the sampler.
+
+    The policy's lineage keeps its last decode (copy and apply_update hand
+    it on). For the same prompts, one gather of the cached table checks
+    that every token of it is still its row's argmax under _walk's rule;
+    greedy decoding is deterministic, so those are then the greedy paths,
+    returned with their log-probs and left-fold totals without a walk. Any
+    other call walks and keeps its decode, so a stale one costs one gather.
     """
-    return _walk(policy, [int(p) for p in prompt_ids], 1)[:3]
+    prompt_ids = [int(p) for p in prompt_ids]
+    if policy._greedy is not None and policy._greedy[0] == prompt_ids:
+        batch = policy._greedy[1]
+        cand = policy._log_prob_table()[prefix_rows(policy, batch.ids)]
+        if np.array_equal(cand.argmax(axis=1), batch.tokens):
+            logps = cand[np.arange(len(cand)), batch.tokens]
+            return batch, logps, left_folds(logps, batch.padding)
+    batch, logps, totals, _ = _walk(policy, prompt_ids, 1)
+    batch = SequenceBatch(*map(_read_only, (batch.ids, batch.tokens, batch.lengths)))
+    policy._greedy = (prompt_ids, batch)
+    return batch, logps, totals
 
 
 def greedy_decode(policy: PolicyTable, prompt_id: int) -> Trajectory:

@@ -4,8 +4,9 @@ sample_trajectories keeps one policy.sample_batch call as a Rollouts record;
 record[k] is prompt k's rollouts as a one-prompt record, and rollout_record
 joins records into one. A record computes what a step derives from its
 rollouts alone (group_advantages, DAPO's kept groups, the live groups joined
-with each token's advantage and weight, the mean reward) on first use and
-keeps it, so reused steps derive it once.
+with each token's advantage and weight, the mean reward, and L2TE's
+candidates by prompt and rank keys) on first use and keeps it, so reused
+steps and the per-prompt L2TE calls derive it once.
 """
 from __future__ import annotations
 
@@ -115,6 +116,20 @@ class Rollouts:
     @cached_property
     def mean_reward(self) -> float:
         return float(np.mean(self.rewards)) if len(self.rewards) else 0.0
+
+    @cached_property
+    def candidates(self) -> dict[int, np.ndarray]:
+        """Each prompt id's rollout positions in record order, from one stable
+        argsort of the rollouts' prompt ids."""
+        prompt = np.repeat(np.array(self.prompt_ids, np.int64), self.sizes)
+        order = np.argsort(prompt, kind="stable")
+        ids, starts = np.unique(prompt[order], return_index=True)
+        return dict(zip(ids.tolist(), np.split(order, starts[1:])))
+
+    @cached_property
+    def token_keys(self) -> np.ndarray:
+        """Each rollout's behavior total per token (L2TE's rank key)."""
+        return self.totals / np.maximum(self.batch.lengths, 1)
 
 
 def rollout_record(groups) -> Rollouts:

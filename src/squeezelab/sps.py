@@ -9,9 +9,10 @@ pushes probability mass back toward trajectories the RL phase squeezed down.
 Each rollout is kept once, in the Rollouts record of the RL step that
 sampled it (under reuse_rollouts only the first step samples). An
 iteration's fresh records are joined once (rollout_record); l2te_select
-finds each prompt's rollouts in the joined record by one mask, ranks them by
-behavior totals and takes each demo it picks out of the record's arrays,
-with the ids the sampler recorded, so no demo token is numbered again.
+looks each prompt's rollouts up in the joined record's candidate index
+(Rollouts.candidates, built once per record), ranks them by behavior
+totals and takes each demo it picks out of the record's arrays, with the
+ids the sampler recorded, so no demo token is numbered again.
 Every IRL function takes a sequence of blocks, each a SequenceBatch of
 demos whose ids name its prompts.
 Every IRL step, in the training loop and outside it, is one call of
@@ -165,12 +166,11 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
     set stays full). Each demo is taken from the record's recorded arrays.
     """
     record = rollout_record(groups)
-    live = np.flatnonzero(np.repeat(np.array(record.prompt_ids) == prompt_id, record.sizes))
-    if not len(live):
+    live = record.candidates.get(prompt_id)
+    if live is None:
         raise NoRollouts(f"no rollouts sampled for prompt {prompt_id}")
     rewards = record.rewards[live].tolist()
-    lengths = 1 if cfg.l2te_raw_total else record.batch.lengths[live]
-    keys = (record.totals[live] / np.maximum(lengths, 1)).tolist()
+    keys = (record.totals if cfg.l2te_raw_total else record.token_keys)[live].tolist()
     n = len(keys)
     k = min(cfg.sampling_size, n)
     order = sorted(range(n), key=keys.__getitem__)
@@ -188,9 +188,9 @@ def l2te_select(groups, prompt_id: int, cfg: SpsConfig) -> DemoSet:
             if len(chosen) >= k:
                 break
             chosen.append((i, POSITIVE_AUGMENT))
-    denom = max(n - 1, 1)
+    denom, rank = max(n - 1, 1), {i: r for r, i in enumerate(order)}
     entries = tuple(
-        DemoEntry(normalized_logp=keys[i], quantile_rank=order.index(i) / denom, source=src)
+        DemoEntry(normalized_logp=keys[i], quantile_rank=rank[i] / denom, source=src)
         for i, src in chosen
     )
     return DemoSet(entries, take_sequences(record.batch, live[[i for i, _ in chosen]]))

@@ -754,6 +754,30 @@ def test_rl_steps_on_reused_groups_match_the_per_token_loop(overrides):
     assert any(r.clipped_frac > 0 for r in records)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"rl.objective": "dapo", "rl.dapo_max_resamples": 2}, {"rl.beta": 0.05}])
+def test_clipped_token_sums_on_a_reused_record_are_left_folds(overrides):
+    """The value and KL sums, one np.add.accumulate each, against the per-token
+    loop's left folds on a record that rl_step sampled and then reused."""
+    cfg = ExperimentConfig.from_dict({"rl.lr": 0.5, "rl.reuse_rollouts": True, **overrides})
+    suite = make_benchmark_suite(7, cfg.family_params())
+    sps_cfg = cfg.sps_config()
+    policy = ref = build_suite_policy(suite, cfg["suite.skew"], 7)
+    record = None
+    for step in range(4):
+        policy, _, record = rl_step(policy, suite, sps_cfg, 13, ref_policy=ref, step_index=step,
+                                    groups=record)
+    if sps_cfg.clip.objective_kind == "dapo":
+        got = dapo_objective(record, policy, sps_cfg.clip)
+        assert len(record.kept.batch.tokens) > 100
+    else:
+        got = grpo_objective(record, policy, ref, sps_cfg.clip)
+        assert got.kl_to_ref > 0.0 and len(record.live[0].batch.tokens) > 100
+    expected = reference_objective(list(record), policy, ref, sps_cfg.clip)
+    assert 0.0 < got.clipped_token_fraction
+    assert got.value == expected.value and got.kl_to_ref == expected.kl_to_ref
+
+
 def reference_rl_phases(policy, tasks, cfg, master):
     """The steps of grpo_baseline_loop on per-prompt groups (reference_sample_groups)
     that every step, reused or not, passes through the per-token loop afresh: each

@@ -52,9 +52,12 @@ from squeezelab.policy import (
     take_sequences,
     token_distribution,
     trajectory_log_prob,
+    _accumulate_fold,
+    _left_fold,
     _log_probs,
     _log_softmax,
     _token_logps,
+    _walk,
 )
 from squeezelab.rollouts import sample_trajectories
 from squeezelab.tasks import PathTaskSpec, Suite, TaskInstance, validate
@@ -494,6 +497,84 @@ def test_batched_greedy_walk_matches_the_scalar_reference_per_prompt(seed, vocab
                 for p, traj in zip(prompts, got)}
         grad[(0, ())] = rng.normal(size=vocab)
         policy = apply_update(policy, by_id(policy, grad), float(rng.choice([0.5, 3.0])))
+
+
+def _assert_fresh_walk(policy, prompts):
+    """greedy_decode_batch of prompts, checked bit for bit against a fresh _walk."""
+    got = greedy_decode_batch(policy, prompts)
+    want = _walk(policy, list(prompts), 1)[:3]
+    assert_same_batch(got[0], want[0])
+    assert _bits(got[1]) == _bits(want[1]) and _bits(got[2]) == _bits(want[2])
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6), max_len=st.integers(1, 6),
+       moves=st.lists(st.sampled_from(["small", "large", "zero", "set_logits", "other",
+                                       "one_prompt"]), min_size=1, max_size=12))
+def test_greedy_decodes_along_a_lineage_equal_a_fresh_walk(seed, vocab, max_len, moves):
+    rng = np.random.default_rng(seed)
+    # Prompt 7 has no stored rows, so its paths tie at every depth until a
+    # step stores some.
+    policy = random_policy(vocab, max_len, rng, prompt_ids=(0, 1, 2), scale=2.0)
+    prompts = [0, 1, 2, 7]
+    batch = _assert_fresh_walk(policy, prompts)[0]
+    for move in moves:
+        paths = [(p, tuple(t.tolist())) for p, t in
+                 zip(prompts, np.split(batch.tokens, np.cumsum(batch.lengths)[:-1]))]
+        # A prefix on each greedy path.
+        keys = [(p, path[:int(rng.integers(len(path)))]) for p, path in paths]
+        if move in ("small", "large"):
+            # A large step flips argmaxes and moves terminators; a small one rarely does.
+            grad = {key: rng.normal(size=vocab) for key in keys}
+            grad[(1, ())] = rng.normal(size=vocab)
+            policy = apply_update(policy, by_id(policy, grad), 1e-3 if move == "small" else 5.0)
+        elif move == "zero":
+            # x + 1.0 * -x is +0.0: a row on a path ties, and the lowest id wins.
+            key = keys[int(rng.integers(len(keys)))]
+            policy = apply_update(policy, by_id(policy, {key: -policy.logit_vector(*key)}), 1.0)
+        elif move == "set_logits":
+            # In place: the table the hint came from is the one that changes.
+            policy.set_logits(*keys[int(rng.integers(len(keys)))], 3.0 * rng.normal(size=vocab))
+        elif move == "other":
+            _assert_fresh_walk(policy, [2, 0, 5])
+        else:
+            assert greedy_decode(policy, 1) == _tuple_key_greedy(policy, 1)
+        batch = _assert_fresh_walk(policy, prompts)[0]
+        # A copy starts from the same kept decode.
+        _assert_fresh_walk(policy.copy(), prompts)
+
+
+def test_greedy_decode_reuses_the_parent_paths_while_they_stay_greedy(monkeypatch):
+    walks = []
+    monkeypatch.setattr(policy_module, "_walk",
+                        lambda policy, *args: walks.append(args) or _walk(policy, *args))
+    policy = PolicyTable(Vocab(4), max_len=3)
+    policy.set_logits(0, (), [0.0, 2.0, 0.0, 0.0])
+    first = greedy_decode_batch(policy, [0, 1])
+    assert len(walks) == 1 and not first[0].tokens.flags.writeable
+    # A child whose update leaves every argmax returns the parent's batch unwalked.
+    child = apply_update(policy, by_id(policy, {(0, ()): [0.0, 1.0, 0.5, 0.0]}), 1.0)
+    again = greedy_decode_batch(child, [0, 1])
+    assert len(walks) == 1 and again[0] is first[0]
+    assert _bits(again[1]) == _bits(_walk(child, [0, 1], 1)[1])
+    # An in-place write that flips an argmax walks again, as does another prompt list.
+    child.set_logits(1, (0,), [0.0, 0.0, 3.0, 0.0])
+    moved = greedy_decode_batch(child, [0, 1])
+    assert len(walks) == 2 and moved[0].tokens.tolist() == [1, 0, 0, 0, 2, 0]
+    greedy_decode_batch(child, [1])
+    assert len(walks) == 3
+
+
+@pytest.mark.parametrize("values", [
+    [], [0.3], [-0.0, 1.5, -2.25], [-0.0, -0.0, -0.0], [1e16, 1.0, -1e16, 1.0, 3.0],
+    [5e-324, 5e-324, -1e-310, 2.2e-308, -5e-324],
+    np.random.default_rng(5).normal(size=10_000) * 10.0 ** np.random.default_rng(6).integers(
+        -8, 8, size=10_000),
+], ids=["empty", "one", "neg_zero_first", "all_neg_zero", "cancel", "subnormal", "10k"])
+def test_the_accumulate_fold_is_the_left_fold_bit_for_bit(values):
+    values = np.asarray(values, float)
+    assert _bits([_accumulate_fold(values)]) == _bits([_left_fold(values)])
 
 
 def test_greedy_walk_ties_stop_depths_and_int64_bound():

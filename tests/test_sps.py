@@ -289,6 +289,14 @@ def test_l2te_select_on_groups_matches_the_pool_reference(data):
                     l2te_raw_total=data.draw(st.booleans()))
     pool = RolloutPool(groups, len(prompts))
     joined = rollout_record(groups)  # the form sps_loop passes
+    # The candidate index holds each prompt's rollouts in record order, as
+    # one mask over every rollout finds them.
+    assert sorted(joined.candidates) == sorted(prompts)
+    rollout_prompts = np.repeat(np.array(joined.prompt_ids), joined.sizes)
+    for pid, positions in joined.candidates.items():
+        assert positions.tolist() == np.flatnonzero(rollout_prompts == pid).tolist()
+    with pytest.raises(NoRollouts):
+        l2te_select(joined, 6, cfg)
     for pid in prompts:
         want = reference_l2te_select(pool, pid, cfg)
         for candidates in (groups, joined):
